@@ -56,8 +56,7 @@ ship today:
     (via :meth:`Protocol.vectorized_kernel`) runs as array operations over
     packed per-node registers and a closed-form broadcast schedule instead
     of per-node callbacks; protocols without a kernel fall back to the
-    batched path unchanged.  Requires numpy for the kernel fast paths
-    (degrades to ``batched`` wholesale without it).
+    batched path unchanged.
 
 **The reference-vs-fast-path contract.**  For every protocol, graph, seed
 and configuration, every non-reference engine must produce bit-identical

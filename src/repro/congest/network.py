@@ -12,10 +12,21 @@ and string labels (as real edge-list files sometimes do) always produces
 the same ``0..n-1`` assignment regardless of insertion order, instead of
 tripping over ``sorted`` refusing to compare heterogeneous keys.
 
-Adjacency is stored in CSR form — two flat integer arrays (``indptr`` and
-``indices``) over a dense ``0..n-1`` index — which is what the batched
-execution engine (:mod:`repro.congest.engine`) consumes; the per-node
-neighbour tuples handed to contexts are views derived from it.
+Storage is CSR-native: the topology lives in two flat int64 numpy arrays
+(``indptr`` and ``indices``) over a dense ``0..n-1`` index in ascending id
+order, built from the input's adjacency in one sort plus a ``bincount`` /
+``cumsum`` pass.  No copy of the input graph is kept.  Everything else is
+derived from those arrays: the per-node sorted neighbour tuples handed to
+contexts, the ``array('q')`` pair :meth:`Network.csr` returns, and the
+read-only :attr:`Network.graph` view, which is built on first access and
+dropped by every delta.  :meth:`Network.apply_delta` splices only the rows
+of the touched nodes, and the topology fingerprint (node count, edge count,
+CRC of the arrays) is recorded whenever the arrays change, so reading it
+costs O(1).
+
+Per-node contexts get their 63-bit RNG seed at :meth:`Network.build_contexts`
+time, but a context builds its ``random.Random`` only when ``ctx.rng`` is
+first read: phases that never draw randomness never pay for one.
 """
 
 from __future__ import annotations
@@ -23,10 +34,13 @@ from __future__ import annotations
 import random
 import zlib
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.errors import DeltaError, ProtocolError
 from repro.congest.node import NodeContext
@@ -74,7 +88,7 @@ class AppliedDelta:
         Endpoints of the effective edges — the dirty-node seed set for
         shard repair and incremental recomputation.
     fingerprint_after:
-        :meth:`Network.csr_fingerprint` immediately after the rebuild; a
+        :meth:`Network.csr_fingerprint` immediately after the splice; a
         session whose live fingerprint matches the last record's value
         knows the divergence is fully explained by the delta ledger.
     """
@@ -83,7 +97,7 @@ class AppliedDelta:
     added: Tuple[Tuple[int, int], ...]
     removed: Tuple[Tuple[int, int], ...]
     touched: frozenset = field(repr=False)
-    fingerprint_after: Tuple[int, int, int, int] = field(repr=False)
+    fingerprint_after: Tuple[int, int, int] = field(repr=False)
 
     @property
     def edges_changed(self) -> int:
@@ -103,14 +117,35 @@ def _relabel_sort_key(label: Any) -> Tuple[str, str]:
     return (type(label).__name__, repr(label))
 
 
+def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the directed dense-index pairs ``src → dst``.
+
+    Self-loops and repeated pairs are dropped; rows come out in ascending
+    index order with ascending neighbours.  One sort of the combined
+    ``src * n + dst`` keys, then ``bincount`` / ``cumsum`` for the row
+    bounds.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    keys = src * n + dst
+    keys = keys[src != dst]
+    if not len(keys):
+        return indptr, np.zeros(0, dtype=np.int64)
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n
+
+
 class Network:
     """An undirected communication network with integer node identifiers.
 
     Parameters
     ----------
     graph:
-        Undirected simple graph.  Self-loops are ignored (a processor does
-        not have a link to itself); multi-edges are collapsed by networkx.
+        Undirected simple graph, read once through ``graph.adjacency()``.
+        Self-loops are ignored (a processor does not have a link to
+        itself); multi-edges collapse to one link.  The network keeps no
+        reference to it.
     relabel:
         When True (default) and the graph's labels are not all integers, the
         nodes are relabelled ``0..n-1`` in (type name, repr) order — a total
@@ -136,6 +171,10 @@ class Network:
         dirty region of a larger evolving graph must announce the full
         system's ``n`` so identifier widths and message-bit accounting
         match the full run exactly.
+
+    The topology is stored as int64 CSR arrays only (see the module
+    docstring).  :attr:`graph` is a frozen ``networkx`` view built from them
+    on demand; the topology changes only through :meth:`apply_delta`.
     """
 
     def __init__(
@@ -148,34 +187,65 @@ class Network:
     ) -> None:
         if graph.is_directed():
             raise ValueError("the CONGEST simulator models undirected networks")
-        working = nx.Graph()
-        working.add_nodes_from(graph.nodes())
-        working.add_edges_from((u, v) for u, v in graph.edges() if u != v)
+        labels: List[Any] = []
+        rows: List[Any] = []
+        for label, neighbours in graph.adjacency():
+            labels.append(label)
+            rows.append(neighbours)
+        self._assign_ids(labels, relabel)
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        src = np.repeat(self._dense(labels, len(labels)), degrees)
+        dst = self._dense(chain.from_iterable(rows), int(degrees.sum()))
+        self._set_csr(*_build_csr(len(labels), src, dst))
+        self._init_runtime(seed, node_seeds, announced_n)
 
-        all_int = all(isinstance(node, int) for node in working.nodes())
+    def _assign_ids(self, labels: List[Any], relabel: bool) -> None:
+        """Fix the label ↔ id maps and the ascending id order."""
+        all_int = all(isinstance(label, int) for label in labels)
         if all_int:
-            self._graph = working
-            self.id_of: Dict[Any, int] = {node: node for node in working.nodes()}
+            self.id_of: Dict[Any, int] = {label: label for label in labels}
+            ids: List[int] = sorted(labels)
         elif relabel:
-            ordered = sorted(working.nodes(), key=_relabel_sort_key)
+            ordered = sorted(labels, key=_relabel_sort_key)
             self.id_of = {label: index for index, label in enumerate(ordered)}
-            self._graph = nx.relabel_nodes(working, self.id_of, copy=True)
+            ids = list(range(len(ordered)))
         else:
             raise ValueError(
                 "node labels must be integers when relabel=False; got %r"
-                % (sorted(map(type, working.nodes()), key=repr)[:3],)
+                % (sorted(map(type, labels), key=repr)[:3],)
             )
         self.label_of: Dict[int, Any] = {v: k for k, v in self.id_of.items()}
-
-        # Canonical flat-array (CSR) adjacency over a dense 0..n-1 index in
-        # ascending node-id order; the per-node tuples below are views of it.
-        ids: Tuple[int, ...] = tuple(sorted(self._graph.nodes()))
-        self._ids = ids
+        self._ids: Tuple[int, ...] = tuple(ids)
         self._index_of: Dict[int, int] = {
             node_id: index for index, node_id in enumerate(ids)
         }
-        self._adjacency: Dict[int, Tuple[int, ...]] = {}
-        self._rebuild_csr(ids)
+        self._dense_ids = ids == list(range(len(ids)))
+        self._ids_array: Optional[np.ndarray] = None
+        #: Input label -> dense index, or None when the labels are int64
+        #: ids that numpy maps in bulk.  Relabelled ids are the dense
+        #: indices, so id_of doubles as the map.
+        self._label_index: Optional[Dict[Any, int]] = self.id_of
+        if all_int:
+            self._label_index = self._index_of
+            if not ids or (ids[0] >= -(2**63) and ids[-1] < 2**63):
+                self._ids_array = np.asarray(ids, dtype=np.int64)
+                self._label_index = None
+
+    def _dense(self, labels: Iterable[Any], count: int) -> np.ndarray:
+        """Dense indices of *count* input labels, as an int64 array."""
+        if self._label_index is None:
+            ids = np.fromiter(labels, dtype=np.int64, count=count)
+            return ids if self._dense_ids else np.searchsorted(self._ids_array, ids)
+        return np.fromiter(
+            map(self._label_index.__getitem__, labels), dtype=np.int64, count=count
+        )
+
+    def _init_runtime(
+        self,
+        seed: Optional[int],
+        node_seeds: Optional[Dict[int, int]],
+        announced_n: Optional[int],
+    ) -> None:
         self._rng = random.Random(seed)
         self._node_seeds: Dict[int, int] = dict(node_seeds or {})
         self._announced_n = announced_n
@@ -184,33 +254,32 @@ class Network:
         self._delta_epoch = 0
         self._delta_log: List[AppliedDelta] = []
 
-    def _rebuild_csr(self, stale_nodes: Iterable[int]) -> None:
-        """(Re)build the flat CSR arrays; *stale_nodes* need new tuples.
+    def _set_csr(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """Install new CSR arrays: rebuild the tuples, record the fingerprint."""
+        flat = indices.tolist()
+        if not self._dense_ids:
+            flat = list(map(self._ids.__getitem__, flat))
+        bounds = indptr.tolist()
+        self._adjacency: Dict[int, Tuple[int, ...]] = {
+            node_id: tuple(flat[bounds[index] : bounds[index + 1]])
+            for index, node_id in enumerate(self._ids)
+        }
+        self._install(indptr, indices)
 
-        At construction every node is stale.  After a delta only the
-        touched endpoints' neighbour tuples are recomputed; the indptr /
-        indices arrays are refilled in one O(n + m) pass either way —
-        that single pass *is* the amortised rebuild (cheaper than the
-        per-edge array surgery it replaces, and identical in cost to the
-        construction-time build the engines already absorb).  The CRC is
-        retaken so :meth:`csr_fingerprint` tracks the new topology.
-        """
-        index_of = self._index_of
-        adjacency = self._adjacency
-        for node_id in stale_nodes:
-            adjacency[node_id] = tuple(sorted(self._graph.neighbors(node_id)))
-        indptr = array("q", [0])
-        indices = array("q")
-        for node_id in self._ids:
-            indices.extend(index_of[neighbor] for neighbor in adjacency[node_id])
-            indptr.append(len(indices))
+    def _install(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        # Kernels read these arrays in place; a delta installs new ones
+        # instead of writing into them.
+        indptr.flags.writeable = indices.flags.writeable = False
         self._indptr = indptr
         self._indices = indices
-        # Checksum of the CSR arrays as built; together with the live graph
-        # counts this forms the topology fingerprint (csr_fingerprint) that
-        # caches and execution sessions key on.
-        self._csr_crc = zlib.crc32(
-            indices.tobytes(), zlib.crc32(indptr.tobytes())
+        # Derived views, rebuilt on demand from the arrays above.
+        self._csr_arrays: Optional[Tuple[array, array]] = None
+        self._graph_view: Optional[nx.Graph] = None
+        # The topology fingerprint caches and execution sessions key on.
+        self._fingerprint = (
+            len(self._ids),
+            len(indices) // 2,
+            zlib.crc32(indices, zlib.crc32(indptr)),
         )
 
     # ------------------------------------------------------------------
@@ -218,13 +287,28 @@ class Network:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> nx.Graph:
-        """The relabelled underlying graph (integer node ids)."""
-        return self._graph
+        """A frozen ``networkx`` view of the topology (integer node ids).
+
+        Built from the CSR arrays on first access and dropped by every
+        delta; mutating it raises ``networkx.NetworkXError`` — change the
+        topology through :meth:`apply_delta`.
+        """
+        if self._graph_view is None:
+            view = nx.Graph()
+            view.add_nodes_from(self._ids)
+            view.add_edges_from(
+                (u, v)
+                for u, neighbours in self._adjacency.items()
+                for v in neighbours
+                if u < v
+            )
+            self._graph_view = nx.freeze(view)
+        return self._graph_view
 
     @property
     def n(self) -> int:
         """Number of nodes."""
-        return self._graph.number_of_nodes()
+        return len(self._ids)
 
     @property
     def node_ids(self) -> List[int]:
@@ -242,40 +326,39 @@ class Network:
         ``ids[i]`` is the node id at dense index ``i`` (ascending id order);
         the neighbours of dense index ``i`` are the dense indices
         ``indices[indptr[i]:indptr[i + 1]]``, also ascending.  The arrays are
-        built once per network and shared — callers must not mutate them.
+        ``array('q')`` copies of the int64 storage, made once per topology
+        and shared — callers must not mutate them.
         """
-        return self._ids, self._indptr, self._indices
+        if self._csr_arrays is None:
+            indptr, indices = array("q"), array("q")
+            indptr.frombytes(self._indptr.tobytes())
+            indices.frombytes(self._indices.tobytes())
+            self._csr_arrays = (indptr, indices)
+        return (self._ids,) + self._csr_arrays
 
-    def csr_fingerprint(self) -> Tuple[int, int, int, int]:
-        """Fingerprint of the topology the CSR arrays were built from.
+    def csr_numpy(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`csr` as the int64 storage itself: ``(ids, indptr, indices)``.
 
-        ``(nodes, edges, CSR checksum, degree digest)``: counts and the
-        degree digest are read from the live underlying graph while the
-        checksum was taken when the CSR was built, so the fingerprint
-        changes as soon as the visible topology diverges from the frozen
-        adjacency — the staleness signal
-        :func:`repro.congest.sharding.partition.cached_partition` keys its
-        memo on and execution sessions use to detect a network mutated
-        between phases.  The degree digest (an O(n) pass over the live
-        graph) catches count-preserving mutations too — an edge swapped
-        for another, a node replaced — as long as the rewire moves some
-        degree; a mutation that preserves the whole degree sequence is the
-        one residual blind spot (an exact edge hash would cost O(m log m)
-        per ``execute``, which per-phase callers cannot afford).
+        No copies are made; the arrays are flagged read-only.
         """
-        graph = self._graph
-        degrees = dict(graph.degree())
-        digest = zlib.crc32(
-            array(
-                "q", [degrees.get(node_id, -1) for node_id in self._ids]
-            ).tobytes()
-        )
-        return (
-            len(degrees),
-            graph.number_of_edges(),
-            self._csr_crc,
-            digest,
-        )
+        if self._ids_array is None:
+            self._ids_array = np.asarray(self._ids, dtype=np.int64)
+        self._ids_array.flags.writeable = False
+        return self._ids_array, self._indptr, self._indices
+
+    def csr_fingerprint(self) -> Tuple[int, int, int]:
+        """Fingerprint of the current topology: ``(nodes, edges, CSR checksum)``.
+
+        Recorded whenever the CSR arrays change (construction and every
+        effective :meth:`apply_delta`), so reading it is O(1).  The checksum
+        covers both arrays, so it tells any two topologies apart that differ
+        in an edge — count-preserving swaps included — up to CRC collisions.
+        It is the key :func:`repro.congest.sharding.partition.cached_partition`
+        memoises plans under and the value execution sessions compare
+        against the delta ledger to detect a network that changed between
+        phases.
+        """
+        return self._fingerprint
 
     @property
     def context_epoch(self) -> int:
@@ -297,10 +380,14 @@ class Network:
         return len(self._adjacency[node_id])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._graph.has_edge(u, v)
+        if u not in self._index_of or v not in self._index_of:
+            return False
+        neighbours = self._adjacency[u]
+        at = bisect_left(neighbours, v)
+        return at < len(neighbours) and neighbours[at] == v
 
     def number_of_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return self._fingerprint[1]
 
     # ------------------------------------------------------------------
     # batched topology updates (the service layer's delta API)
@@ -366,12 +453,14 @@ class Network:
         :class:`repro.congest.errors.DeltaError` leaves the network
         untouched.  No-op entries (adding a present edge, removing an
         absent one) are dropped; an edge named in both lists is rejected
-        as ambiguous.  On an effective change the CSR arrays are rebuilt
-        in one amortised O(n + m) pass, live contexts of touched nodes
-        have their ``neighbors`` view refreshed *in place* (state, output
-        and RNG streams are preserved — an evolving-graph service keeps
-        its nodes), the delta epoch advances and the application is
-        recorded on the ledger for sessions to reconcile against.
+        as ambiguous.  On an effective change only the touched nodes' rows
+        are rebuilt and spliced between the untouched ``indices`` slices;
+        ``indptr`` is redone from the degree column and the fingerprint
+        retaken.  Live contexts of touched nodes have their ``neighbors``
+        view refreshed *in place* (state, output and RNG streams are
+        preserved — an evolving-graph service keeps its nodes), the delta
+        epoch advances and the application is recorded on the ledger for
+        sessions to reconcile against.
 
         ``context_epoch`` is deliberately *not* bumped: contexts were
         patched, not rebuilt, and persistent sessions detect the topology
@@ -385,23 +474,25 @@ class Network:
                 "edges %s appear as both addition and removal in one delta"
                 % sorted(overlap)
             )
-        graph = self._graph
-        added = [edge for edge in added if not graph.has_edge(*edge)]
-        removed = [edge for edge in removed if graph.has_edge(*edge)]
+        added = [edge for edge in added if not self.has_edge(*edge)]
+        removed = [edge for edge in removed if self.has_edge(*edge)]
         if not added and not removed:
             return AppliedDelta(
                 epoch=self._delta_epoch,
                 added=(),
                 removed=(),
                 touched=frozenset(),
-                fingerprint_after=self.csr_fingerprint(),
+                fingerprint_after=self._fingerprint,
             )
-        for u, v in added:
-            graph.add_edge(u, v)
-        for u, v in removed:
-            graph.remove_edge(u, v)
         touched = frozenset(v for edge in added + removed for v in edge)
-        self._rebuild_csr(touched)
+        rows = {node_id: set(self._adjacency[node_id]) for node_id in touched}
+        for u, v in added:
+            rows[u].add(v)
+            rows[v].add(u)
+        for u, v in removed:
+            rows[u].remove(v)
+            rows[v].remove(u)
+        self._splice_rows(rows)
         for node_id in touched:
             ctx = self._contexts.get(node_id)
             if ctx is not None:
@@ -415,10 +506,36 @@ class Network:
             added=tuple(added),
             removed=tuple(removed),
             touched=touched,
-            fingerprint_after=self.csr_fingerprint(),
+            fingerprint_after=self._fingerprint,
         )
         self._delta_log.append(record)
         return record
+
+    def _splice_rows(self, rows: Dict[int, set]) -> None:
+        """Replace the CSR rows of the nodes in *rows* (id → new neighbour set)."""
+        index_of = self._index_of
+        indptr, indices = self._indptr, self._indices
+        degrees = np.diff(indptr)
+        pieces: List[np.ndarray] = []
+        cursor = 0
+        for node_id in sorted(rows, key=index_of.__getitem__):
+            neighbours = tuple(sorted(rows[node_id]))
+            self._adjacency[node_id] = neighbours
+            index = index_of[node_id]
+            pieces.append(indices[cursor : indptr[index]])
+            pieces.append(
+                np.fromiter(
+                    map(index_of.__getitem__, neighbours),
+                    dtype=np.int64,
+                    count=len(neighbours),
+                )
+            )
+            cursor = indptr[index + 1]
+            degrees[index] = len(neighbours)
+        pieces.append(indices[cursor:])
+        new_indptr = np.zeros_like(indptr)
+        np.cumsum(degrees, out=new_indptr[1:])
+        self._install(new_indptr, np.concatenate(pieces))
 
     def reseed(self, seed: Optional[int]) -> None:
         """Reset the network-level RNG the per-node seeds are drawn from.
@@ -455,6 +572,12 @@ class Network:
             when False, the existing contexts are reused and only the inputs
             are updated — this is how a composite protocol lets later stages
             read the state accumulated by earlier stages.
+
+        A fresh build draws every node's 63-bit RNG seed from the network
+        RNG in ascending id order (or takes it from ``node_seeds``); the
+        context turns it into a ``random.Random`` on first ``ctx.rng``
+        access, which replays exactly the stream an eager build would have
+        produced.
         """
         # Bumped before any mutation, not after the last one: a call that
         # raises mid-way (an unknown id in per_node_inputs) may already
@@ -465,17 +588,22 @@ class Network:
             self._contexts = {}
             announced = self._announced_n if self._announced_n is not None else self.n
             node_seeds = self._node_seeds
-            for node_id in self.node_ids:
+            adjacency = self._adjacency
+            draw = self._rng.getrandbits
+            for node_id in self._ids:
                 node_seed = node_seeds.get(node_id)
                 if node_seed is None:
-                    node_seed = self._rng.getrandbits(63)
-                self._contexts[node_id] = NodeContext(
+                    node_seed = draw(63)
+                ctx = self._contexts[node_id] = NodeContext(
                     node_id=node_id,
-                    neighbors=self._adjacency[node_id],
+                    neighbors=(),
                     n=announced,
                     global_inputs=global_inputs,
-                    rng=random.Random(node_seed),
+                    seed=node_seed,
                 )
+                # Share the network's tuple, already sorted, instead of the
+                # sorted copy the constructor would make.
+                ctx.neighbors = adjacency[node_id]
         else:
             for ctx in self._contexts.values():
                 ctx._reset_for_new_protocol()
@@ -505,13 +633,35 @@ class Network:
         nodes: Optional[Iterable[int]] = None,
         seed: Optional[int] = None,
     ) -> "Network":
-        """Build a network from an edge list (and optional isolated nodes)."""
-        graph = nx.Graph()
-        if nodes is not None:
-            graph.add_nodes_from(nodes)
-        graph.add_edges_from(edges)
-        return cls(graph, seed=seed)
+        """Build a network from an edge list (and optional isolated nodes).
+
+        Goes through the same CSR builder as the constructor, without an
+        intermediate ``networkx`` graph.
+        """
+        pairs = [tuple(edge) for edge in edges]
+        labels = list(dict.fromkeys(chain(nodes or (), chain.from_iterable(pairs))))
+        network = cls.__new__(cls)
+        network._assign_ids(labels, relabel=True)
+        flat = network._dense(chain.from_iterable(pairs), 2 * len(pairs))
+        u, v = flat[0::2], flat[1::2]
+        network._set_csr(
+            *_build_csr(len(labels), np.concatenate((u, v)), np.concatenate((v, u)))
+        )
+        network._init_runtime(seed, None, None)
+        return network
 
     def induced_subgraph(self, nodes: Iterable[int]) -> nx.Graph:
-        """Return the subgraph induced by *nodes* (a copy)."""
-        return self._graph.subgraph(list(nodes)).copy()
+        """Return the subgraph induced by *nodes* (a new, mutable graph).
+
+        Ids that are not nodes of the network are ignored.
+        """
+        keep = {node for node in nodes if node in self._index_of}
+        subgraph = nx.Graph()
+        subgraph.add_nodes_from(sorted(keep))
+        subgraph.add_edges_from(
+            (u, v)
+            for u in sorted(keep)
+            for v in self._adjacency[u]
+            if u < v and v in keep
+        )
+        return subgraph

@@ -16,6 +16,7 @@ the topology.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.congest.errors import ProtocolError
@@ -55,6 +56,7 @@ class NodeContext:
         "_outgoing",
         "_halted",
         "_rng",
+        "_seed",
     )
 
     def __init__(
@@ -64,6 +66,7 @@ class NodeContext:
         n: int,
         global_inputs: Optional[Dict[str, Any]] = None,
         rng: Any = None,
+        seed: Optional[int] = None,
     ) -> None:
         self.node_id = node_id
         self.neighbors: Tuple[int, ...] = tuple(sorted(neighbors))
@@ -75,7 +78,10 @@ class NodeContext:
         self._round = 0
         self._outgoing: Dict[int, List[Message]] = {}
         self._halted = False
+        #: The random source, or ``None`` until ``rng`` first builds it
+        #: from ``_seed`` (code reading ``_rng`` directly must expect that).
         self._rng = rng
+        self._seed = seed
 
     # ------------------------------------------------------------------
     # read-only views
@@ -97,13 +103,20 @@ class NodeContext:
 
     @property
     def rng(self):
-        """The node's private random source (set by the scheduler)."""
-        if self._rng is None:
-            raise ProtocolError(
-                "node %r requested randomness but the scheduler did not "
-                "provide a random source" % (self.node_id,)
-            )
-        return self._rng
+        """The node's private random source (set by the scheduler).
+
+        A context built with a ``seed`` creates its ``random.Random(seed)``
+        here, on first access, so nodes that never draw never pay for one.
+        """
+        rng = self._rng
+        if rng is None:
+            if self._seed is None:
+                raise ProtocolError(
+                    "node %r requested randomness but the scheduler did not "
+                    "provide a random source" % (self.node_id,)
+                )
+            rng = self._rng = random.Random(self._seed)
+        return rng
 
     def is_neighbor(self, other: int) -> bool:
         """Return True when *other* is adjacent to this node."""

@@ -285,7 +285,11 @@ def compile_pipeline(
 # context snapshots + the cross-run artifact cache
 # ---------------------------------------------------------------------------
 def snapshot_contexts(contexts: Sequence[NodeContext]) -> List[Tuple]:
-    """Deep-copy the mutable faces of every context (state, output, RNG)."""
+    """Deep-copy the mutable faces of every context (state, output, RNG).
+
+    An RNG that was never built is recorded by its seed (``("seed", s)``),
+    a built one by its state (``("state", st)``).
+    """
     frames: List[Tuple] = []
     for ctx in contexts:
         frames.append(
@@ -293,7 +297,9 @@ def snapshot_contexts(contexts: Sequence[NodeContext]) -> List[Tuple]:
                 copy.deepcopy(ctx.state),
                 copy.deepcopy(ctx.output),
                 ctx.halted,
-                ctx.rng.getstate(),
+                ("state", ctx._rng.getstate())
+                if ctx._rng is not None
+                else ("seed", ctx._seed),
                 dict(ctx.globals),
                 ctx.round_index,
             )
@@ -311,12 +317,15 @@ def restore_contexts(
             % (len(frames), len(contexts))
         )
     for ctx, frame in zip(contexts, frames):
-        state, output, halted, rng_state, globals_frame, round_index = frame
+        state, output, halted, (rng_kind, rng_value), globals_frame, round_index = frame
         ctx.state.clear()
         ctx.state.update(copy.deepcopy(state))
         ctx.output = copy.deepcopy(output)
         ctx._halted = halted
-        ctx.rng.setstate(rng_state)
+        if rng_kind == "state":
+            ctx.rng.setstate(rng_value)
+        else:
+            ctx._rng, ctx._seed = None, rng_value
         ctx.globals.clear()
         ctx.globals.update(globals_frame)
         ctx._round = round_index

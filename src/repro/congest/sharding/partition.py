@@ -445,13 +445,13 @@ def shard_fingerprints(network: Network, plan: ShardPlan) -> Tuple[int, ...]:
 
 #: Per-network memo of computed plans, stored as ``(fingerprint, plans)``
 #: where the fingerprint is :meth:`repro.congest.network.Network.csr_fingerprint`
-#: at memoisation time.  A network's topology is *supposed* to be immutable
-#: after construction, but the underlying graph object is reachable through
-#: ``Network.graph`` — a caller that mutates it would otherwise keep being
-#: served plans for the old topology from this memo forever.  Keying the
-#: entry by the fingerprint turns that staleness into a recompute (and
-#: execution sessions additionally refuse to continue on a mutated network,
-#: because their worker pools and shared-memory mappings hold the old CSR).
+#: at memoisation time.  A network's topology changes through
+#: ``Network.apply_delta``; a caller that applies a delta would otherwise
+#: keep being served plans for the old topology from this memo forever.
+#: Keying the entry by the fingerprint turns that staleness into a
+#: recompute (execution sessions reconcile the change against the delta
+#: ledger separately, because their worker pools and shared-memory mappings
+#: hold the old CSR).
 #: Keying weakly keeps retired networks collectable; plans are frozen, so
 #: sharing them is safe.
 _PLAN_CACHE: "weakref.WeakKeyDictionary[Network, Tuple[Tuple[int, ...], Dict[Tuple[int, str, int], ShardPlan]]]" = (
@@ -474,13 +474,11 @@ def cached_partition(
     memo is keyed by the network's identity *and* its CSR fingerprint: if
     the visible topology diverges from the one the memo was built for, the
     stale plans are dropped and the partition is recomputed.  A caller that
-    already holds the current fingerprint (a session opening) may pass it
-    to skip the O(n) recomputation.
+    already holds the current fingerprint (a session opening) may pass it.
 
-    The fingerprint costs one O(n) degree pass per call — deliberately:
-    a cheaper counts-only probe would wave count-preserving mutations (an
-    edge swapped for another) through to the stale plan, which is exactly
-    the staleness class the fingerprint key exists to catch (pinned by
+    The fingerprint is recorded when the CSR changes, so the probe is O(1);
+    its checksum covers the arrays, so a count-preserving delta (an edge
+    swapped for another) still misses the memo (pinned by
     ``TestPartitionCacheStaleness``).
     """
     if fingerprint is None:

@@ -426,6 +426,8 @@ class _WorkerHarness:
             ctx = ctx_list[i]
             ctx._round = rounds
             outputs[ctx.node_id] = protocol.collect_output(ctx)
+            # Only RNGs this worker actually built ship a state: an unbuilt
+            # one is still at its seed, which the parent context holds too.
             states[ctx.node_id] = (
                 ctx.state,
                 ctx.output,
@@ -1189,8 +1191,9 @@ class ProcessShardedRun:
                 ctx._outgoing = {}
                 ctx.globals.clear()
                 ctx.globals.update(globals_)
-                if rng_state is not None and ctx._rng is not None:
-                    ctx._rng.setstate(_unpack_rng_state(rng_state))
+                if rng_state is not None:
+                    # Builds the parent's RNG if only the worker drew.
+                    ctx.rng.setstate(_unpack_rng_state(rng_state))
 
         outputs = {node_id: merged_outputs[node_id] for node_id in self.contexts}
         return RunResult(outputs=outputs, metrics=metrics, contexts=self.contexts)
@@ -1229,8 +1232,8 @@ class ProcessSession(CongestSession):
       :meth:`repro.congest.network.Network.apply_delta` calls is *absorbed*
       — the shard plan is repaired incrementally around the touched nodes,
       the shm mapping rebuilt, and only dirty shards' workers respawned at
-      the next execute — while any unexplained change (a direct graph
-      mutation behind the API) invalidates the partition memo and raises,
+      the next execute — while any unexplained change (one made behind
+      the delta API) invalidates the partition memo and raises,
       because the plan, the mapping and the worker routing tables all
       describe a topology nobody can account for.
 
@@ -1373,7 +1376,7 @@ class ProcessSession(CongestSession):
             # Repairable iff the divergence is fully explained by deltas
             # applied through Network.apply_delta since the session's
             # watermark; anything else is an external structural override
-            # (a direct graph mutation behind the API) and stays fatal —
+            # (one made behind the delta API) and stays fatal —
             # the plan, the shm mapping and the worker routing tables all
             # describe a topology nobody can account for.
             if not self._absorb_delta(fingerprint):
@@ -1801,7 +1804,7 @@ class ProcessSession(CongestSession):
         return results
 
     # ------------------------------------------------------------------
-    def _absorb_delta(self, fingerprint: Tuple[int, int, int, int]) -> bool:
+    def _absorb_delta(self, fingerprint: Tuple[int, int, int]) -> bool:
         """Reconcile the session with deltas applied via ``apply_delta``.
 
         Returns True when the fingerprint change is fully explained by the

@@ -40,19 +40,13 @@ remains the executable semantics: the differential suite holds the kernels
 to bit-identity — outputs, per-node state, round count, message/bit metrics
 including the per-round trace — against :class:`ReferenceEngine`, exactly
 like every other backend.
-
-The kernels are single-process numpy; when numpy is unavailable the engine
-degrades to the batched path wholesale (no new hard dependency).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less hosts
-    _np = None
+import numpy as np
 
 from repro.congest.config import CongestConfig
 from repro.congest.engine import (
@@ -64,11 +58,6 @@ from repro.congest.errors import MessageSizeViolation, RoundLimitExceeded
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
 from repro.congest.node import NodeContext, Protocol
-
-
-def numpy_available() -> bool:
-    """Whether the columnar kernels can run on this host."""
-    return _np is not None
 
 
 class VectorizedKernel:
@@ -122,28 +111,20 @@ class KernelFrame:
         config: CongestConfig,
         contexts: Dict[int, NodeContext],
     ) -> None:
-        if _np is None:  # pragma: no cover - engine gates on numpy first
-            raise RuntimeError("vectorized kernels require numpy")
         self.network = network
         self.protocol = protocol
         self.config = config
         self.contexts = contexts
         #: The numpy module, so kernels in protocol modules can use array
-        #: operations without importing (and hard-depending on) numpy
-        #: themselves — a frame only ever exists when numpy imported.
-        self.np = _np
-        ids, indptr, indices = network.csr()
-        self.ids = _np.asarray(ids, dtype=_np.int64)
-        self.indptr = _np.frombuffer(indptr, dtype=_np.int64)
-        self.indices = (
-            _np.frombuffer(indices, dtype=_np.int64)
-            if len(indices)
-            else _np.zeros(0, dtype=_np.int64)
-        )
-        self.degrees = _np.diff(self.indptr)
-        self.n = len(ids)
-        self.ctx_list: List[NodeContext] = [contexts[node_id] for node_id in ids]
-        self.halted = _np.zeros(self.n, dtype=bool)
+        #: operations without importing numpy themselves.
+        self.np = np
+        self.ids, self.indptr, self.indices = network.csr_numpy()
+        self.degrees = np.diff(self.indptr)
+        self.n = len(self.ids)
+        self.ctx_list: List[NodeContext] = [
+            contexts[node_id] for node_id in network.node_ids
+        ]
+        self.halted = np.zeros(self.n, dtype=bool)
         self.rounds = 0
         self.metrics = RunMetrics()
         # Scatter-side kind vocabulary: append-only string → small-int
@@ -185,11 +166,11 @@ class KernelFrame:
         covered phases' receivers branch on.
         """
         if len(self.indices) == 0:
-            return _np.zeros(self.n, dtype=_np.int64)
-        prefix = _np.concatenate(
+            return np.zeros(self.n, dtype=np.int64)
+        prefix = np.concatenate(
             (
-                _np.zeros(1, dtype=_np.int64),
-                _np.cumsum(flags[self.indices].astype(_np.int64)),
+                np.zeros(1, dtype=np.int64),
+                np.cumsum(flags[self.indices].astype(np.int64)),
             )
         )
         return prefix[self.indptr[1:]] - prefix[self.indptr[:-1]]
@@ -235,7 +216,6 @@ class KernelFrame:
 
         Returns the round count (also stored in :attr:`rounds`).
         """
-        np = _np
         # Kept for introspection (tests, tracing, future compiled backends);
         # the metrics only need the bit columns.
         self.stream_kinds = list(kind_ids) if kind_ids is not None else None
@@ -354,7 +334,7 @@ class VectorizedEngine(BatchedEngine):
     """Kernel fast paths over the batched machinery; see module docstring.
 
     ``execute`` asks the protocol for a :class:`VectorizedKernel`; with one
-    (and numpy importable) the phase runs columnar, otherwise the call is
+    the phase runs columnar, otherwise the call is
     exactly :class:`BatchedEngine.execute` — same CSR, frontier and drain
     machinery, so un-kernelled phases cost nothing extra.
     """
@@ -372,10 +352,9 @@ class VectorizedEngine(BatchedEngine):
     ) -> RunResult:
         config = config or CongestConfig()
         kernel: Optional[VectorizedKernel] = None
-        if _np is not None:
-            maker = getattr(protocol, "vectorized_kernel", None)
-            if callable(maker):
-                kernel = maker()
+        maker = getattr(protocol, "vectorized_kernel", None)
+        if callable(maker):
+            kernel = maker()
         if kernel is None:
             return super().execute(
                 network,

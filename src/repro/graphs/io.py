@@ -13,9 +13,11 @@ graphs can be fed to the finder and the service daemon.
 from __future__ import annotations
 
 import os
+import re
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 
 def write_edge_list(
@@ -84,6 +86,11 @@ def load_snap_edgelist(
     (collapsed; many SNAP files list both orientations of each edge).
     Node ids are arbitrary non-negative integers with gaps.
 
+    A file in the common shape is tokenised in bulk with numpy and built
+    with one ``add_edges_from`` call; any other file goes through the line
+    loop.  Both paths return the same graph, down to node and edge
+    insertion order.
+
     Parameters
     ----------
     path:
@@ -101,6 +108,82 @@ def load_snap_edgelist(
         On a data line that is not two integers — with the line number,
         so a truncated download is diagnosable.
     """
+    with open(path, "rb") as handle:
+        pairs = _bulk_edge_pairs(handle.read())
+    if pairs is not None:
+        u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
+        graph = nx.Graph()
+        # zip yields short-lived tuples; a list of m pairs would outlive
+        # enough collections to set off a full one.
+        graph.add_edges_from(zip(u.tolist(), v.tolist()))
+    else:
+        graph = _load_snap_lines(path)
+    if relabel:
+        ordered = sorted(graph.nodes())
+        mapping = {snap_id: index for index, snap_id in enumerate(ordered)}
+        graph = nx.relabel_nodes(graph, mapping, copy=True)
+        for snap_id, index in mapping.items():
+            graph.nodes[index]["snap_id"] = snap_id
+    return graph
+
+
+#: The leading block of blank and ``#`` lines of a SNAP file (its header).
+_SNAP_HEADER = re.compile(rb"(?:[ \t]*(?:#[^\n]*)?\n)*")
+#: Longest id the bulk parser converts: any 18-digit number fits in int64.
+_BULK_MAX_DIGITS = 18
+
+
+def _bulk_edge_pairs(raw: bytes) -> Optional[np.ndarray]:
+    """Endpoint pairs of a plain SNAP file as an ``(m, 2)`` int64 array.
+
+    The file is tokenised in a few numpy passes instead of one Python
+    iteration per line.  Only the common shape is accepted: ASCII text
+    whose ``#`` and blank lines all precede the data, and whose data lines
+    hold two unsigned decimal ids of at most 18 digits separated by spaces
+    or tabs (blank lines in between are fine).  Anything else — a malformed
+    line, a comment after the first data line, a sign or ``_`` in an id, a
+    longer id, other whitespace — returns ``None``, and the caller falls
+    back to the line loop, which defines the format and reports errors
+    with their line number.  Rows come out in file order.
+    """
+    if not raw.isascii():
+        return None
+    if b"\r" in raw:  # universal newlines, as text-mode iteration reads them
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    body = raw[_SNAP_HEADER.match(raw).end() :]
+    if body.translate(None, b"0123456789 \t\n"):
+        return None
+    text = np.frombuffer(body, dtype=np.uint8)
+    digit = np.zeros(len(text) + 2, dtype=bool)
+    digit[1:-1] = text >= ord("0")  # only digits and whitespace are left
+    # Tokens are the digit runs: [first, end) in byte offsets.
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    first, end = bounds[0::2], bounds[1::2]
+    line = np.searchsorted(np.flatnonzero(text == ord("\n")), first)
+    if (
+        len(first) % 2
+        or (line[0::2] != line[1::2]).any()
+        or (line[2::2] == line[1:-1:2]).any()
+    ):
+        return None
+    if not len(first):
+        return np.zeros((0, 2), dtype=np.int64)
+    width = int((end - first).max())
+    if width > _BULK_MAX_DIGITS:
+        return None
+    # Right-align every token to `width` digits; positions before a
+    # token's first digit contribute leading zeros.
+    values = np.zeros(len(first), dtype=np.int64)
+    for offset in range(width, 0, -1):
+        position = end - offset
+        in_token = position >= first
+        values *= 10
+        values += np.where(in_token, text[np.maximum(position, 0)] - ord("0"), 0)
+    return values.reshape(-1, 2)
+
+
+def _load_snap_lines(path: str) -> nx.Graph:
+    """The line-by-line SNAP reader: the format's definition."""
     graph = nx.Graph()
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, raw in enumerate(handle, start=1):
@@ -121,12 +204,6 @@ def load_snap_edgelist(
             if u == v:
                 continue
             graph.add_edge(u, v)
-    if relabel:
-        ordered = sorted(graph.nodes())
-        mapping = {snap_id: index for index, snap_id in enumerate(ordered)}
-        graph = nx.relabel_nodes(graph, mapping, copy=True)
-        for snap_id, index in mapping.items():
-            graph.nodes[index]["snap_id"] = snap_id
     return graph
 
 

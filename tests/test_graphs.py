@@ -298,6 +298,91 @@ class TestLoadSnapEdgelist:
         with pytest.raises(ValueError, match="non-integer"):
             io.load_snap_edgelist(path)
 
+    # -- the bulk parser against the line loop, which defines the format --
+    def _assert_same_as_line_loop(self, path):
+        graph = io.load_snap_edgelist(path)
+        reference = io._load_snap_lines(path)
+        assert list(graph.nodes()) == list(reference.nodes())
+        assert list(graph.edges()) == list(reference.edges())
+        for node in reference:
+            assert list(graph.adj[node]) == list(reference.adj[node])
+        return graph
+
+    @pytest.mark.parametrize(
+        "text, line_number, message",
+        [
+            ("0 1\n2 3 # note\n", 2, "expected 'u v'"),
+            ("# h\n0 1\n2 3 4\n", 3, "expected 'u v'"),
+            ("0 1\n2 3 4 5\n", 2, "expected 'u v'"),
+            ("0\t1\n\n5 x\n", 3, "non-integer"),
+            ("0 1\n1.5 2\n", 2, "non-integer"),
+        ],
+        ids=["trailing-comment", "three-columns", "four-columns", "non-integer", "decimal-point"],
+    )
+    def test_rejects_with_the_line_number(self, tmp_path, text, line_number, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(ValueError, match=":%d: %s" % (line_number, message)):
+            io.load_snap_edgelist(path)
+
+    @pytest.mark.parametrize(
+        "text, nodes",
+        [
+            ("1_000 2\n2 3\n", [1000, 2, 3]),
+            ("%d 1\n1 %d\n" % (2**63 + 5, 2**64 + 1), [2**63 + 5, 1, 2**64 + 1]),
+            ("\n0 1\n\n\n1 2\n\n", [0, 1, 2]),
+            ("# h\r\n0 1\r\n1\t2\r\n", [0, 1, 2]),
+            ("# a\n  # b\n\n", []),
+            ("", []),
+            ("5 5\n3 1\n1 3\n2 2\n1 2\n3 1\n", [3, 1, 2]),
+            ("0 1\n# mid-file comment\n1 2\n", [0, 1, 2]),
+            ("007 08\n", [7, 8]),
+        ],
+        ids=[
+            "underscore",
+            "above-2**63",
+            "blank-lines",
+            "crlf",
+            "comment-only",
+            "empty",
+            "self-loops-and-duplicates",
+            "mid-file-comment",
+            "leading-zeros",
+        ],
+    )
+    def test_loads_exactly_like_the_line_loop(self, tmp_path, text, nodes):
+        graph = self._assert_same_as_line_loop(self._write(tmp_path, text))
+        assert list(graph.nodes()) == nodes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, 10**20),
+                    st.sampled_from([" ", "\t", "  ", " \t"]),
+                    st.integers(0, 60),
+                    st.sampled_from(["", " ", "\t"]),
+                ).map(lambda t: "%d%s%d%s" % t),
+                st.sampled_from(["", "# comment", "  #x", "1 2 3", "1 2 3 4", "4", "-1 2"]),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_random_files_load_like_the_line_loop(self, tmp_path_factory, lines, ending):
+        path = self._write(tmp_path_factory.mktemp("snap"), ending.join(lines))
+        try:
+            reference_error = None
+            io._load_snap_lines(path)
+        except ValueError as error:
+            reference_error = str(error)
+        if reference_error is not None:
+            with pytest.raises(ValueError) as raised:
+                io.load_snap_edgelist(path)
+            assert str(raised.value) == reference_error
+        else:
+            self._assert_same_as_line_loop(path)
+
     def test_loaded_graph_feeds_the_network(self, tmp_path):
         from repro.congest.network import Network
 

@@ -587,13 +587,11 @@ class TestPartitionCacheStaleness:
         assert cached_partition(network, 2) is first
 
     def test_mutated_network_is_not_served_the_stale_plan(self):
-        # Regression: Network.graph exposes the live underlying graph; a
-        # caller mutating it used to keep receiving plans memoised for the
-        # pre-mutation topology forever.  The fingerprint key must turn
-        # that into a recompute.
+        # A delta changes the fingerprint the memo is keyed on, so the plan
+        # memoised for the pre-delta topology must not be served again.
         network = Network(nx.cycle_graph(10), seed=0)
         stale = cached_partition(network, 2)
-        network.graph.add_edge(0, 5)
+        network.apply_delta(additions=[(0, 5)])
         fresh = cached_partition(network, 2)
         assert fresh is not stale
         # ... and the new entry is served consistently afterwards.
@@ -603,29 +601,40 @@ class TestPartitionCacheStaleness:
         network = Network(nx.path_graph(6), seed=0)
         before = network.csr_fingerprint()
         assert network.csr_fingerprint() == before
-        network.graph.add_edge(0, 4)
+        network.apply_delta(additions=[(0, 4)])
         assert network.csr_fingerprint() != before
+        assert network.csr_fingerprint()[:2] == (6, 6)
 
     def test_count_preserving_mutation_is_detected(self):
-        # An edge swapped for another keeps node and edge counts; the
-        # degree digest must still move, or cached_partition would keep
-        # serving the stale plan and sessions would keep running on it.
+        # An edge swapped for another keeps node and edge counts; the CSR
+        # checksum must still move, or cached_partition would keep serving
+        # the stale plan.
         network = Network(nx.cycle_graph(10), seed=0)
         before = network.csr_fingerprint()
         stale = cached_partition(network, 2)
-        network.graph.remove_edge(0, 1)
-        network.graph.add_edge(0, 5)
-        assert network.graph.number_of_edges() == 10  # counts preserved
+        network.apply_delta(additions=[(0, 5)], removals=[(0, 1)])
+        assert network.number_of_edges() == 10  # counts preserved
+        assert network.csr_fingerprint()[:2] == before[:2]
         assert network.csr_fingerprint() != before
         assert cached_partition(network, 2) is not stale
 
-    def test_session_count_preserving_mutation_raises(self):
+    def test_graph_view_is_frozen(self):
+        network = Network(nx.cycle_graph(10), seed=0)
+        with pytest.raises(nx.NetworkXError):
+            network.graph.add_edge(0, 5)
+        assert not network.has_edge(0, 5)
+
+    def test_session_count_preserving_mutation_raises(self, monkeypatch):
+        # The delta API is the only way to change a Network, so an
+        # unexplained fingerprint is forged: same counts, another checksum.
         network = Network(nx.cycle_graph(12), seed=0)
         session, _config = _open_process_session(network)
         with session:
             session.execute(_PingAll())
-            network.graph.remove_edge(0, 1)
-            network.graph.add_edge(0, 6)
+            nodes, edges, crc = network.csr_fingerprint()
+            monkeypatch.setattr(
+                network, "csr_fingerprint", lambda: (nodes, edges, crc ^ 1)
+            )
             with pytest.raises(ProtocolError, match="mutated"):
                 session.execute(_PingAll(), reuse_contexts=True)
         _assert_no_worker_processes()
@@ -861,17 +870,25 @@ class TestExecutionSessions:
         with pytest.raises(FileNotFoundError):
             SharedCSR.attach(shm_name)
 
-    def test_session_network_mutation_raises_and_invalidates(self):
+    def test_session_network_mutation_raises_and_invalidates(self, monkeypatch):
         network = Network(nx.cycle_graph(12), seed=0)
         stale_plan = cached_partition(network, 3)
+        real = network.csr_fingerprint()
         session, _config = _open_process_session(network)
         with session:
             session.execute(_PingAll())
-            network.graph.add_edge(0, 6)
+            # A fingerprint no ledger entry explains: the session must
+            # refuse to run on it.
+            monkeypatch.setattr(
+                network, "csr_fingerprint", lambda: (real[0], real[1] + 1, real[2])
+            )
             with pytest.raises(ProtocolError, match="mutated"):
                 session.execute(_PingAll(), reuse_contexts=True)
             _assert_no_worker_processes()
-        # The memo was invalidated: nobody can be served the stale plan.
+        monkeypatch.undo()
+        # The memo was invalidated: even under the original fingerprint,
+        # nobody is served the plan memoised before the refusal.
+        assert network.csr_fingerprint() == real
         assert cached_partition(network, 3) is not stale_plan
         _assert_no_worker_processes()
 
@@ -1077,16 +1094,19 @@ class TestSessionDeltaAbsorption:
                 assert before[node] == after[node]
         _assert_no_worker_processes()
 
-    def test_session_external_mutation_after_delta_still_raises(self):
-        # A delta followed by an out-of-band mutation: the ledger's last
-        # fingerprint no longer matches the live CSR, so the divergence is
+    def test_session_external_mutation_after_delta_still_raises(self, monkeypatch):
+        # A delta followed by an unexplained change: the ledger's last
+        # fingerprint no longer matches the live one, so the divergence is
         # not explained and the session must refuse, not "repair".
         network = Network(_three_cliques(), seed=0)
         session, _config = _open_process_session(network)
         with session:
             session.execute(_PingAll())
-            network.apply_delta(removals=[(3, 4)])
-            network.graph.add_edge(0, 15)
+            record = network.apply_delta(removals=[(3, 4)])
+            nodes, edges, crc = record.fingerprint_after
+            monkeypatch.setattr(
+                network, "csr_fingerprint", lambda: (nodes, edges, crc ^ 1)
+            )
             with pytest.raises(ProtocolError, match="mutated"):
                 session.execute(_PingAll(), reuse_contexts=True)
             _assert_no_worker_processes()

@@ -356,7 +356,7 @@ class TestKernelFrame:
 
 
 class TestFallbacks:
-    """Protocols without kernels (or hosts without numpy) use the batched path."""
+    """Protocols without kernels use the batched path."""
 
     def test_kernel_free_protocol_matches_batched(self):
         from repro.primitives.leader_election import MinIdFloodingProtocol
@@ -367,21 +367,5 @@ class TestFallbacks:
             network = Network(graph, seed=5)
             results[engine_name] = _fingerprint(
                 get_engine(engine_name).execute(network, MinIdFloodingProtocol())
-            )
-        assert results["vectorized"] == results["batched"]
-
-    def test_numpy_gate_degrades_to_batched(self, monkeypatch):
-        monkeypatch.setattr(vectorized, "_np", None)
-        graph = nx.path_graph(6)
-        results = {}
-        for engine_name in ("batched", "vectorized"):
-            network = Network(graph, seed=5)
-            results[engine_name] = _fingerprint(
-                get_engine(engine_name).execute(
-                    network,
-                    phases.SamplingPhase(),
-                    config=CongestConfig(),
-                    global_inputs=GLOBALS,
-                )
             )
         assert results["vectorized"] == results["batched"]
