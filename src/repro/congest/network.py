@@ -120,10 +120,10 @@ def _relabel_sort_key(label: Any) -> Tuple[str, str]:
 def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of the directed dense-index pairs ``src → dst``.
 
-    Self-loops and repeated pairs are dropped; rows come out in ascending
-    index order with ascending neighbours.  One sort of the combined
-    ``src * n + dst`` keys, then ``bincount`` / ``cumsum`` for the row
-    bounds.
+    The pairs must be distinct (adjacency rows never repeat a neighbour);
+    self-loops are dropped.  Rows come out in ascending index order with
+    ascending neighbours.  One sort of the combined ``src * n + dst`` keys,
+    then ``bincount`` / ``cumsum`` for the row bounds.
     """
     indptr = np.zeros(n + 1, dtype=np.int64)
     keys = src * n + dst
@@ -131,7 +131,6 @@ def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np
     if not len(keys):
         return indptr, np.zeros(0, dtype=np.int64)
     keys.sort()
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return indptr, keys % n
 
@@ -192,15 +191,6 @@ class Network:
         for label, neighbours in graph.adjacency():
             labels.append(label)
             rows.append(neighbours)
-        self._assign_ids(labels, relabel)
-        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        src = np.repeat(self._dense(labels, len(labels)), degrees)
-        dst = self._dense(chain.from_iterable(rows), int(degrees.sum()))
-        self._set_csr(*_build_csr(len(labels), src, dst))
-        self._init_runtime(seed, node_seeds, announced_n)
-
-    def _assign_ids(self, labels: List[Any], relabel: bool) -> None:
-        """Fix the label ↔ id maps and the ascending id order."""
         all_int = all(isinstance(label, int) for label in labels)
         if all_int:
             self.id_of: Dict[Any, int] = {label: label for label in labels}
@@ -221,31 +211,24 @@ class Network:
         }
         self._dense_ids = ids == list(range(len(ids)))
         self._ids_array: Optional[np.ndarray] = None
-        #: Input label -> dense index, or None when the labels are int64
-        #: ids that numpy maps in bulk.  Relabelled ids are the dense
-        #: indices, so id_of doubles as the map.
-        self._label_index: Optional[Dict[Any, int]] = self.id_of
-        if all_int:
-            self._label_index = self._index_of
-            if not ids or (ids[0] >= -(2**63) and ids[-1] < 2**63):
-                self._ids_array = np.asarray(ids, dtype=np.int64)
-                self._label_index = None
 
-    def _dense(self, labels: Iterable[Any], count: int) -> np.ndarray:
-        """Dense indices of *count* input labels, as an int64 array."""
-        if self._label_index is None:
-            ids = np.fromiter(labels, dtype=np.int64, count=count)
-            return ids if self._dense_ids else np.searchsorted(self._ids_array, ids)
-        return np.fromiter(
-            map(self._label_index.__getitem__, labels), dtype=np.int64, count=count
-        )
+        # Labels -> dense indices.  Integer labels 0..n-1 are their own
+        # indices; other integer labels go through _index_of, and relabelled
+        # ones through id_of (their ids are the dense indices).
+        to_index = None
+        if not (all_int and self._dense_ids):
+            to_index = (self._index_of if all_int else self.id_of).__getitem__
 
-    def _init_runtime(
-        self,
-        seed: Optional[int],
-        node_seeds: Optional[Dict[int, int]],
-        announced_n: Optional[int],
-    ) -> None:
+        def dense(items: Iterable[Any], count: int) -> np.ndarray:
+            if to_index is not None:
+                items = map(to_index, items)
+            return np.fromiter(items, dtype=np.int64, count=count)
+
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        src = np.repeat(dense(labels, len(labels)), degrees)
+        dst = dense(chain.from_iterable(rows), int(degrees.sum()))
+        self._set_csr(*_build_csr(len(labels), src, dst))
+
         self._rng = random.Random(seed)
         self._node_seeds: Dict[int, int] = dict(node_seeds or {})
         self._announced_n = announced_n
@@ -633,22 +616,12 @@ class Network:
         nodes: Optional[Iterable[int]] = None,
         seed: Optional[int] = None,
     ) -> "Network":
-        """Build a network from an edge list (and optional isolated nodes).
-
-        Goes through the same CSR builder as the constructor, without an
-        intermediate ``networkx`` graph.
-        """
-        pairs = [tuple(edge) for edge in edges]
-        labels = list(dict.fromkeys(chain(nodes or (), chain.from_iterable(pairs))))
-        network = cls.__new__(cls)
-        network._assign_ids(labels, relabel=True)
-        flat = network._dense(chain.from_iterable(pairs), 2 * len(pairs))
-        u, v = flat[0::2], flat[1::2]
-        network._set_csr(
-            *_build_csr(len(labels), np.concatenate((u, v)), np.concatenate((v, u)))
-        )
-        network._init_runtime(seed, None, None)
-        return network
+        """Build a network from an edge list (and optional isolated nodes)."""
+        graph = nx.Graph()
+        if nodes is not None:
+            graph.add_nodes_from(nodes)
+        graph.add_edges_from(edges)
+        return cls(graph, seed=seed)
 
     def induced_subgraph(self, nodes: Iterable[int]) -> nx.Graph:
         """Return the subgraph induced by *nodes* (a new, mutable graph).

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import re
+from io import BytesIO
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 import networkx as nx
@@ -111,11 +112,15 @@ def load_snap_edgelist(
     with open(path, "rb") as handle:
         pairs = _bulk_edge_pairs(handle.read())
     if pairs is not None:
-        u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # One int object per node id, shared by every adjacency entry that
+        # names it: about half the allocations to build and to free.
+        ids, inverse = np.unique(pairs, return_inverse=True)
+        ends = np.array(ids.tolist(), dtype=object)[inverse.reshape(pairs.shape)]
         graph = nx.Graph()
         # zip yields short-lived tuples; a list of m pairs would outlive
         # enough collections to set off a full one.
-        graph.add_edges_from(zip(u.tolist(), v.tolist()))
+        graph.add_edges_from(zip(ends[:, 0], ends[:, 1]))
     else:
         graph = _load_snap_lines(path)
     if relabel:
@@ -129,57 +134,35 @@ def load_snap_edgelist(
 
 #: The leading block of blank and ``#`` lines of a SNAP file (its header).
 _SNAP_HEADER = re.compile(rb"(?:[ \t]*(?:#[^\n]*)?\n)*")
-#: Longest id the bulk parser converts: any 18-digit number fits in int64.
-_BULK_MAX_DIGITS = 18
 
 
 def _bulk_edge_pairs(raw: bytes) -> Optional[np.ndarray]:
     """Endpoint pairs of a plain SNAP file as an ``(m, 2)`` int64 array.
 
-    The file is tokenised in a few numpy passes instead of one Python
-    iteration per line.  Only the common shape is accepted: ASCII text
-    whose ``#`` and blank lines all precede the data, and whose data lines
-    hold two unsigned decimal ids of at most 18 digits separated by spaces
-    or tabs (blank lines in between are fine).  Anything else — a malformed
-    line, a comment after the first data line, a sign or ``_`` in an id, a
-    longer id, other whitespace — returns ``None``, and the caller falls
-    back to the line loop, which defines the format and reports errors
-    with their line number.  Rows come out in file order.
+    Only the common shape is accepted: ASCII text whose ``#`` and blank
+    lines all precede the data, and whose data lines hold two unsigned
+    decimal int64 ids separated by spaces or tabs (blank lines in between
+    are fine).  The data is then parsed by ``np.loadtxt`` in C.  Anything
+    else returns ``None``, and the caller falls back to the line loop,
+    which defines the format and reports errors with their line number.
+    Rows come out in file order.
     """
     if not raw.isascii():
         return None
     if b"\r" in raw:  # universal newlines, as text-mode iteration reads them
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     body = raw[_SNAP_HEADER.match(raw).end() :]
+    # Only digits and whitespace, so loadtxt's number syntax (which has
+    # varied across numpy versions) never has to agree with int()'s.
     if body.translate(None, b"0123456789 \t\n"):
         return None
-    text = np.frombuffer(body, dtype=np.uint8)
-    digit = np.zeros(len(text) + 2, dtype=bool)
-    digit[1:-1] = text >= ord("0")  # only digits and whitespace are left
-    # Tokens are the digit runs: [first, end) in byte offsets.
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    first, end = bounds[0::2], bounds[1::2]
-    line = np.searchsorted(np.flatnonzero(text == ord("\n")), first)
-    if (
-        len(first) % 2
-        or (line[0::2] != line[1::2]).any()
-        or (line[2::2] == line[1:-1:2]).any()
-    ):
-        return None
-    if not len(first):
+    if not body.strip():
         return np.zeros((0, 2), dtype=np.int64)
-    width = int((end - first).max())
-    if width > _BULK_MAX_DIGITS:
+    try:
+        pairs = np.loadtxt(BytesIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):  # ragged rows, ids past int64
         return None
-    # Right-align every token to `width` digits; positions before a
-    # token's first digit contribute leading zeros.
-    values = np.zeros(len(first), dtype=np.int64)
-    for offset in range(width, 0, -1):
-        position = end - offset
-        in_token = position >= first
-        values *= 10
-        values += np.where(in_token, text[np.maximum(position, 0)] - ord("0"), 0)
-    return values.reshape(-1, 2)
+    return pairs if pairs.shape[1] == 2 else None
 
 
 def _load_snap_lines(path: str) -> nx.Graph:

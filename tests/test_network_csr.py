@@ -130,7 +130,7 @@ class TestBuilderMatchesReference:
         assert network.csr_fingerprint()[:2] == (0, 0)
 
     def test_from_edges_matches_constructor(self):
-        edges = [(3, 1), (1, 3), (2, 2), (7, 3), (9, 1)]
+        edges = [(3, 1), (1, 3), (2, 2), (7, 3), (9, 1), (9, 4, {"weight": 2})]
         graph = nx.Graph()
         graph.add_nodes_from([4, 3])
         graph.add_edges_from(edges)
