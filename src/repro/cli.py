@@ -41,6 +41,8 @@ import random
 import sys
 from typing import List, Optional, Sequence
 
+import networkx as nx
+
 from repro.analysis import tables
 from repro.congest.config import (
     PIPELINE_MODES,
@@ -252,13 +254,29 @@ def _retry_policy_from_args(args) -> Optional[RetryPolicy]:
     return RetryPolicy(max_attempts=args.retry_attempts)
 
 
+def _relabelled_snap_graph(pairs) -> nx.Graph:
+    """The graph of SNAP endpoint pairs on the dense ids ``0..n-1``.
+
+    Ids are assigned in ascending original-id order (what the workload
+    generators emit and the report helpers expect); the original id is
+    kept as the ``"snap_id"`` node attribute.
+    """
+    graph = nx.Graph()
+    graph.add_edges_from(pairs.tolist())
+    mapping = {snap_id: index for index, snap_id in enumerate(sorted(graph.nodes()))}
+    graph = nx.relabel_nodes(graph, mapping, copy=True)
+    for snap_id, index in mapping.items():
+        graph.nodes[index]["snap_id"] = snap_id
+    return graph
+
+
 def _load_or_generate(args) -> tuple:
     graph_file = getattr(args, "graph_file", None)
     if args.graph and graph_file:
         raise SystemExit("--graph and --graph-file are mutually exclusive")
     if graph_file:
         # Real-world corpus input: no planted ground truth to score against.
-        return io.load_snap_edgelist(graph_file, relabel=True), None
+        return _relabelled_snap_graph(io.load_snap_edgelist(graph_file)), None
     if args.graph:
         graph, planted = io.read_edge_list(args.graph)
         return graph, planted

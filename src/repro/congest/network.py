@@ -1,7 +1,9 @@
 """The communication graph and per-node contexts.
 
-A :class:`Network` is constructed from an undirected ``networkx`` graph.
-Node labels must be hashable; they are mapped to integer identifiers
+A :class:`Network` is constructed from an undirected ``networkx`` graph or
+from an ``(m, 2)`` integer array of endpoint pairs (what
+:func:`repro.graphs.io.load_snap_edgelist` returns).  Graph node labels
+must be hashable; they are mapped to integer identifiers
 (preserving integer labels when possible) because the paper assumes each
 node carries a unique O(log n)-bit identifier that supports comparisons
 (smallest-ID root election, largest-root tie breaking).
@@ -14,15 +16,16 @@ tripping over ``sorted`` refusing to compare heterogeneous keys.
 
 Storage is CSR-native: the topology lives in two flat int64 numpy arrays
 (``indptr`` and ``indices``) over a dense ``0..n-1`` index in ascending id
-order, built from the input's adjacency in one sort plus a ``bincount`` /
-``cumsum`` pass.  No copy of the input graph is kept.  Everything else is
-derived from those arrays: the per-node sorted neighbour tuples handed to
-contexts, the ``array('q')`` pair :meth:`Network.csr` returns, and the
-read-only :attr:`Network.graph` view, which is built on first access and
-dropped by every delta.  :meth:`Network.apply_delta` splices only the rows
-of the touched nodes, and the topology fingerprint (node count, edge count,
-CRC of the arrays) is recorded whenever the arrays change, so reading it
-costs O(1).
+order, built in one sort plus a ``bincount`` / ``cumsum`` pass from the
+graph's adjacency or, for a pair array, from both orientations of every
+row after one ``np.unique`` assigns the dense indices.  No copy of the
+input is kept.  Everything else is derived from those arrays: the
+per-node sorted neighbour tuples handed to contexts, the ``array('q')``
+pair :meth:`Network.csr` returns, and the read-only :attr:`Network.graph`
+view, which is built on first access and dropped by every delta.
+:meth:`Network.apply_delta` splices only the rows of the touched nodes,
+and the topology fingerprint (node count, edge count, CRC of the arrays)
+is recorded whenever the arrays change, so reading it costs O(1).
 
 Per-node contexts get their 63-bit RNG seed at :meth:`Network.build_contexts`
 time, but a context builds its ``random.Random`` only when ``ctx.rng`` is
@@ -37,7 +40,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -120,10 +123,10 @@ def _relabel_sort_key(label: Any) -> Tuple[str, str]:
 def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of the directed dense-index pairs ``src → dst``.
 
-    The pairs must be distinct (adjacency rows never repeat a neighbour);
-    self-loops are dropped.  Rows come out in ascending index order with
-    ascending neighbours.  One sort of the combined ``src * n + dst`` keys,
-    then ``bincount`` / ``cumsum`` for the row bounds.
+    Self-loops and repeated pairs are dropped.  Rows come out in ascending
+    index order with ascending neighbours.  One sort of the combined
+    ``src * n + dst`` keys, a mask over adjacent equal keys, then
+    ``bincount`` / ``cumsum`` for the row bounds.
     """
     indptr = np.zeros(n + 1, dtype=np.int64)
     keys = src * n + dst
@@ -131,6 +134,12 @@ def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np
     if not len(keys):
         return indptr, np.zeros(0, dtype=np.int64)
     keys.sort()
+    # Sort plus mask, not np.unique: the same result at a fraction of
+    # np.unique's cost on int64 keys.
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return indptr, keys % n
 
@@ -141,10 +150,15 @@ class Network:
     Parameters
     ----------
     graph:
-        Undirected simple graph, read once through ``graph.adjacency()``.
-        Self-loops are ignored (a processor does not have a link to
-        itself); multi-edges collapse to one link.  The network keeps no
-        reference to it.
+        Undirected simple graph, read once through ``graph.adjacency()``,
+        or an ``(m, 2)`` numpy array of integer endpoint pairs (int or
+        uint dtype, or ``object`` holding ints, e.g. ids past int64).  The
+        array's distinct entries are the node ids; rows may repeat and
+        come in either orientation.  Either way, self-loops are ignored (a
+        processor does not have a link to itself) and multi-edges collapse
+        to one link, so an array and the ``nx.Graph`` of the same pairs
+        build the same network.  The network keeps no reference to the
+        input.  Any other array dtype or shape raises ``ValueError``.
     relabel:
         When True (default) and the graph's labels are not all integers, the
         nodes are relabelled ``0..n-1`` in (type name, repr) order — a total
@@ -178,12 +192,51 @@ class Network:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Union[nx.Graph, np.ndarray],
         relabel: bool = True,
         seed: Optional[int] = None,
         node_seeds: Optional[Dict[int, int]] = None,
         announced_n: Optional[int] = None,
     ) -> None:
+        if isinstance(graph, np.ndarray):
+            src, dst = self._read_pairs(graph)
+        else:
+            src, dst = self._read_adjacency(graph, relabel)
+        self._set_csr(*_build_csr(len(self._ids), src, dst))
+
+        self._rng = random.Random(seed)
+        self._node_seeds: Dict[int, int] = dict(node_seeds or {})
+        self._announced_n = announced_n
+        self._contexts: Dict[int, NodeContext] = {}
+        self._ctx_epoch = 0
+        self._delta_epoch = 0
+        self._delta_log: List[AppliedDelta] = []
+
+    def _read_pairs(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The pair-array front-end: assign ids, return the dense ``src → dst`` pairs.
+
+        The node ids are the distinct endpoints (self-loop endpoints
+        included), and every row yields both orientations.
+        """
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(
+                "a pair array must have shape (m, 2); got %r" % (pairs.shape,)
+            )
+        if pairs.dtype.kind not in "iuO" or (
+            pairs.dtype.kind == "O"
+            and not all(isinstance(end, int) for end in pairs.flat)
+        ):
+            raise ValueError("pair array entries must be integers; got %s" % pairs.dtype)
+        ids, inverse = np.unique(pairs, return_inverse=True)
+        ids = ids.tolist()
+        self._assign_ids({node_id: node_id for node_id in ids}, ids)
+        inverse = inverse.reshape(pairs.shape).astype(np.int64, copy=False)
+        src = np.concatenate((inverse[:, 0], inverse[:, 1]))
+        dst = np.concatenate((inverse[:, 1], inverse[:, 0]))
+        return src, dst
+
+    def _read_adjacency(self, graph: nx.Graph, relabel: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``nx.Graph`` front-end: assign ids, return the dense ``src → dst`` pairs."""
         if graph.is_directed():
             raise ValueError("the CONGEST simulator models undirected networks")
         labels: List[Any] = []
@@ -193,24 +246,18 @@ class Network:
             rows.append(neighbours)
         all_int = all(isinstance(label, int) for label in labels)
         if all_int:
-            self.id_of: Dict[Any, int] = {label: label for label in labels}
-            ids: List[int] = sorted(labels)
+            self._assign_ids({label: label for label in labels}, sorted(labels))
         elif relabel:
             ordered = sorted(labels, key=_relabel_sort_key)
-            self.id_of = {label: index for index, label in enumerate(ordered)}
-            ids = list(range(len(ordered)))
+            self._assign_ids(
+                {label: index for index, label in enumerate(ordered)},
+                list(range(len(ordered))),
+            )
         else:
             raise ValueError(
                 "node labels must be integers when relabel=False; got %r"
                 % (sorted(map(type, labels), key=repr)[:3],)
             )
-        self.label_of: Dict[int, Any] = {v: k for k, v in self.id_of.items()}
-        self._ids: Tuple[int, ...] = tuple(ids)
-        self._index_of: Dict[int, int] = {
-            node_id: index for index, node_id in enumerate(ids)
-        }
-        self._dense_ids = ids == list(range(len(ids)))
-        self._ids_array: Optional[np.ndarray] = None
 
         # Labels -> dense indices.  Integer labels 0..n-1 are their own
         # indices; other integer labels go through _index_of, and relabelled
@@ -227,15 +274,18 @@ class Network:
         degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         src = np.repeat(dense(labels, len(labels)), degrees)
         dst = dense(chain.from_iterable(rows), int(degrees.sum()))
-        self._set_csr(*_build_csr(len(labels), src, dst))
+        return src, dst
 
-        self._rng = random.Random(seed)
-        self._node_seeds: Dict[int, int] = dict(node_seeds or {})
-        self._announced_n = announced_n
-        self._contexts: Dict[int, NodeContext] = {}
-        self._ctx_epoch = 0
-        self._delta_epoch = 0
-        self._delta_log: List[AppliedDelta] = []
+    def _assign_ids(self, id_of: Dict[Any, int], ids: List[int]) -> None:
+        """Install the label → id mapping and the ascending node ids."""
+        self.id_of: Dict[Any, int] = id_of
+        self.label_of: Dict[int, Any] = {v: k for k, v in self.id_of.items()}
+        self._ids: Tuple[int, ...] = tuple(ids)
+        self._index_of: Dict[int, int] = {
+            node_id: index for index, node_id in enumerate(ids)
+        }
+        self._dense_ids = ids == list(range(len(ids)))
+        self._ids_array: Optional[np.ndarray] = None
 
     def _set_csr(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         """Install new CSR arrays: rebuild the tuples, record the fingerprint."""

@@ -7,7 +7,9 @@ comment block, so a saved workload is self-describing.
 
 :func:`load_snap_edgelist` additionally reads the looser SNAP corpus
 format (tabs, duplicate orientations, self-loops, gappy ids) so real
-graphs can be fed to the finder and the service daemon.
+graphs can be fed to the finder and the service daemon.  It returns the
+file's endpoint pairs as a numpy array rather than a graph, which
+:class:`repro.congest.network.Network` turns into its CSR arrays directly.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import os
 import re
 from io import BytesIO
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -74,34 +76,31 @@ def read_edge_list(path: str) -> Tuple[nx.Graph, Optional[FrozenSet[int]]]:
     return graph, planted
 
 
-def load_snap_edgelist(
-    path: str,
-    relabel: bool = False,
-) -> nx.Graph:
+def load_snap_edgelist(path: str) -> np.ndarray:
     """Load a SNAP-style edge list (`snap.stanford.edu <https://snap.stanford.edu/data/>`_).
 
     The SNAP corpus format is looser than :func:`read_edge_list`'s own:
     ``#``-prefixed comment/header lines anywhere in the file, arbitrary
     whitespace (spaces or tabs) between the two endpoint ids, blank lines,
-    self-loops (dropped — the CONGEST model has none) and duplicate edges
-    (collapsed; many SNAP files list both orientations of each edge).
-    Node ids are arbitrary non-negative integers with gaps.
+    self-loops and duplicate edges (many SNAP files list both orientations
+    of each edge).  Node ids are arbitrary integers with gaps.
 
-    A file in the common shape is tokenised in bulk with numpy and built
-    with one ``add_edges_from`` call; any other file goes through the line
-    loop.  Both paths return the same graph, down to node and edge
-    insertion order.
+    Returns the endpoint pairs as an ``(m, 2)`` numpy array, one row per
+    data line in file order, with self-loops dropped (the CONGEST model has
+    none) and duplicates kept.  The dtype is int64, or ``object`` (Python
+    ints) when some id does not fit in int64.  No graph is built: pass the
+    array to :class:`repro.congest.network.Network`, which collapses
+    duplicates and orientations while building its CSR arrays, or to
+    ``nx.Graph.add_edges_from`` via ``pairs.tolist()``.
+
+    A file in the common shape is tokenised in bulk with numpy; any other
+    file goes through the line loop.  Both paths return the same array.
 
     Parameters
     ----------
     path:
         The edge-list file.  Plain text; callers decompress ``.txt.gz``
         downloads themselves.
-    relabel:
-        When True, relabel nodes to the dense range ``0..n-1`` in
-        ascending original-id order (what the workload generators emit and
-        the benchmark helpers expect).  The original id is kept as the
-        ``"snap_id"`` node attribute.
 
     Raises
     ------
@@ -111,25 +110,9 @@ def load_snap_edgelist(
     """
     with open(path, "rb") as handle:
         pairs = _bulk_edge_pairs(handle.read())
-    if pairs is not None:
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        # One int object per node id, shared by every adjacency entry that
-        # names it: about half the allocations to build and to free.
-        ids, inverse = np.unique(pairs, return_inverse=True)
-        ends = np.array(ids.tolist(), dtype=object)[inverse.reshape(pairs.shape)]
-        graph = nx.Graph()
-        # zip yields short-lived tuples; a list of m pairs would outlive
-        # enough collections to set off a full one.
-        graph.add_edges_from(zip(ends[:, 0], ends[:, 1]))
-    else:
-        graph = _load_snap_lines(path)
-    if relabel:
-        ordered = sorted(graph.nodes())
-        mapping = {snap_id: index for index, snap_id in enumerate(ordered)}
-        graph = nx.relabel_nodes(graph, mapping, copy=True)
-        for snap_id, index in mapping.items():
-            graph.nodes[index]["snap_id"] = snap_id
-    return graph
+    if pairs is None:
+        return _load_snap_lines(path)
+    return pairs[pairs[:, 0] != pairs[:, 1]]
 
 
 #: The leading block of blank and ``#`` lines of a SNAP file (its header).
@@ -165,9 +148,9 @@ def _bulk_edge_pairs(raw: bytes) -> Optional[np.ndarray]:
     return pairs if pairs.shape[1] == 2 else None
 
 
-def _load_snap_lines(path: str) -> nx.Graph:
+def _load_snap_lines(path: str) -> np.ndarray:
     """The line-by-line SNAP reader: the format's definition."""
-    graph = nx.Graph()
+    pairs: List[Tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -184,10 +167,12 @@ def _load_snap_lines(path: str) -> nx.Graph:
                 raise ValueError(
                     "%s:%d: non-integer endpoint in %r" % (path, line_number, raw)
                 ) from None
-            if u == v:
-                continue
-            graph.add_edge(u, v)
-    return graph
+            if u != v:
+                pairs.append((u, v))
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an id past int64: keep Python ints
+        return np.array(pairs, dtype=object).reshape(-1, 2)
 
 
 def save_workload(

@@ -216,6 +216,62 @@ class TestFindCommand:
         assert "aborted" in capsys.readouterr().out.lower()
 
 
+def write_snap_toy(path):
+    """A 12-node near-clique on gappy ids plus a sparse tail, in SNAP format.
+
+    The tail repeats every edge in both orientations, carries a self-loop
+    and ends in an id past int64, so the loader's object-dtype path runs.
+    """
+    clique = [10 * i + 3 for i in range(12)]
+    lines = ["# Undirected graph: toy", "# FromNodeId\tToNodeId"]
+    for a in range(12):
+        for b in range(a + 1, 12):
+            if (a + b) % 7:
+                lines.append("%d\t%d" % (clique[a], clique[b]))
+    tail = [500 + 2 * i for i in range(7)] + [2**64 + 1]
+    lines.append("%d %d" % (clique[0], tail[0]))
+    for a, b in zip(tail, tail[1:]):
+        lines.append("%d\t%d" % (a, b))
+        lines.append("%d\t%d" % (b, a))
+    lines.append("%d\t%d" % (tail[3], tail[3]))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    return sorted(clique + tail)
+
+
+class TestGraphFileOption:
+    #: What ``find`` printed for the toy file when the SNAP loader still
+    #: returned a relabelled ``nx.Graph``.
+    CLUSTER_TABLE = (
+        "\n"
+        "Discovered near-cliques\n"
+        "label  size  density\n"
+        "-----  ----  -------\n"
+        "    5    10   0.8444\n"
+        "\n"
+    )
+
+    def test_find_relabels_keeps_snap_ids_and_prints_the_pinned_table(
+        self, tmp_path, capsys
+    ):
+        path = os.path.join(str(tmp_path), "toy.txt")
+        snap_ids = write_snap_toy(path)
+        argv = ["find", "--graph-file", path, "--epsilon", "0.3", "--expected-sample", "4", "--seed", "2"]
+        graph, planted = cli._load_or_generate(cli._build_parser().parse_args(argv))
+        assert planted is None
+        assert sorted(graph.nodes()) == list(range(len(snap_ids)))
+        assert [graph.nodes[v]["snap_id"] for v in range(len(snap_ids))] == snap_ids
+        # Clique ids 3, 13 and 73 are dense ids 0, 1 and 7; (0 + 7) % 7 == 0
+        # left 3-73 out.
+        assert graph.has_edge(0, 1) and not graph.has_edge(0, 7)
+        assert graph.has_edge(0, snap_ids.index(500))
+        exit_code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert out.split("Run summary")[0] == self.CLUSTER_TABLE
+        assert "           nodes     20\n" in out
+
+
 class TestVerifyCommand:
     def test_verify_planted_set_passes(self, tmp_path, capsys):
         path = os.path.join(str(tmp_path), "workload.edges")

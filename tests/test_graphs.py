@@ -6,9 +6,11 @@ import itertools
 import os
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import cli
 from repro.core import near_clique
 from repro.graphs import analysis, generators, io
 
@@ -273,18 +275,14 @@ class TestLoadSnapEdgelist:
         return path
 
     def test_parses_comments_whitespace_dups_and_self_loops(self, tmp_path):
-        graph = io.load_snap_edgelist(self._write(tmp_path, self.SNAP_SAMPLE))
-        assert sorted(graph.nodes()) == [0, 3, 7, 12, 40]
-        assert sorted(tuple(sorted(e)) for e in graph.edges()) == [
-            (0, 3),
-            (3, 7),
-            (7, 12),
-            (12, 40),
-        ]
+        pairs = io.load_snap_edgelist(self._write(tmp_path, self.SNAP_SAMPLE))
+        # File order, self-loop dropped, the duplicate orientation kept.
+        assert pairs.dtype == np.int64 and pairs.shape == (5, 2)
+        assert pairs.tolist() == [[0, 3], [3, 0], [3, 7], [12, 7], [12, 40]]
 
     def test_relabel_densifies_and_keeps_snap_ids(self, tmp_path):
-        graph = io.load_snap_edgelist(
-            self._write(tmp_path, self.SNAP_SAMPLE), relabel=True
+        graph = cli._relabelled_snap_graph(
+            io.load_snap_edgelist(self._write(tmp_path, self.SNAP_SAMPLE))
         )
         assert sorted(graph.nodes()) == [0, 1, 2, 3, 4]
         assert [graph.nodes[v]["snap_id"] for v in range(5)] == [0, 3, 7, 12, 40]
@@ -300,13 +298,12 @@ class TestLoadSnapEdgelist:
 
     # -- the bulk parser against the line loop, which defines the format --
     def _assert_same_as_line_loop(self, path):
-        graph = io.load_snap_edgelist(path)
+        pairs = io.load_snap_edgelist(path)
         reference = io._load_snap_lines(path)
-        assert list(graph.nodes()) == list(reference.nodes())
-        assert list(graph.edges()) == list(reference.edges())
-        for node in reference:
-            assert list(graph.adj[node]) == list(reference.adj[node])
-        return graph
+        assert pairs.dtype == reference.dtype
+        assert pairs.shape == reference.shape
+        assert pairs.tolist() == reference.tolist()
+        return pairs
 
     @pytest.mark.parametrize(
         "text, line_number, message",
@@ -325,17 +322,17 @@ class TestLoadSnapEdgelist:
             io.load_snap_edgelist(path)
 
     @pytest.mark.parametrize(
-        "text, nodes",
+        "text, rows",
         [
-            ("1_000 2\n2 3\n", [1000, 2, 3]),
-            ("%d 1\n1 %d\n" % (2**63 + 5, 2**64 + 1), [2**63 + 5, 1, 2**64 + 1]),
-            ("\n0 1\n\n\n1 2\n\n", [0, 1, 2]),
-            ("# h\r\n0 1\r\n1\t2\r\n", [0, 1, 2]),
+            ("1_000 2\n2 3\n", [[1000, 2], [2, 3]]),
+            ("%d 1\n1 %d\n" % (2**63 + 5, 2**64 + 1), [[2**63 + 5, 1], [1, 2**64 + 1]]),
+            ("\n0 1\n\n\n1 2\n\n", [[0, 1], [1, 2]]),
+            ("# h\r\n0 1\r\n1\t2\r\n", [[0, 1], [1, 2]]),
             ("# a\n  # b\n\n", []),
             ("", []),
-            ("5 5\n3 1\n1 3\n2 2\n1 2\n3 1\n", [3, 1, 2]),
-            ("0 1\n# mid-file comment\n1 2\n", [0, 1, 2]),
-            ("007 08\n", [7, 8]),
+            ("5 5\n3 1\n1 3\n2 2\n1 2\n3 1\n", [[3, 1], [1, 3], [1, 2], [3, 1]]),
+            ("0 1\n# mid-file comment\n1 2\n", [[0, 1], [1, 2]]),
+            ("007 08\n", [[7, 8]]),
         ],
         ids=[
             "underscore",
@@ -349,9 +346,13 @@ class TestLoadSnapEdgelist:
             "leading-zeros",
         ],
     )
-    def test_loads_exactly_like_the_line_loop(self, tmp_path, text, nodes):
-        graph = self._assert_same_as_line_loop(self._write(tmp_path, text))
-        assert list(graph.nodes()) == nodes
+    def test_loads_exactly_like_the_line_loop(self, tmp_path, text, rows):
+        pairs = self._assert_same_as_line_loop(self._write(tmp_path, text))
+        assert pairs.shape == (len(rows), 2)
+        assert pairs.tolist() == rows
+        # int64 unless an id does not fit; then Python ints in an object array.
+        fits = all(-(2**63) <= end < 2**63 for row in rows for end in row)
+        assert pairs.dtype == (np.int64 if fits else object)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -386,9 +387,11 @@ class TestLoadSnapEdgelist:
     def test_loaded_graph_feeds_the_network(self, tmp_path):
         from repro.congest.network import Network
 
-        graph = io.load_snap_edgelist(
-            self._write(tmp_path, self.SNAP_SAMPLE), relabel=True
+        network = Network(
+            io.load_snap_edgelist(self._write(tmp_path, self.SNAP_SAMPLE)), seed=0
         )
-        network = Network(graph, seed=0)
         assert network.n == 5
-        assert network.neighbors(1) == (0, 2)
+        assert network.node_ids == [0, 3, 7, 12, 40]
+        assert network.number_of_edges() == 4
+        assert network.neighbors(3) == (0, 7)
+        assert network.neighbors(7) == (3, 12)

@@ -4,7 +4,9 @@ The reference below is the construction ``Network`` used before its
 storage became CSR-native: copy the input into a fresh ``nx.Graph``,
 relabel, derive per-node sorted neighbour tuples, and fill an
 ``array('q')`` CSR with a Python loop.  The numpy builder, the delta
-splice and the O(1) fingerprint must agree with it exactly.
+splice and the O(1) fingerprint must agree with it exactly.  The
+pair-array front-end must in turn build exactly the network its pairs'
+``nx.Graph`` builds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from array import array
 from typing import Any, Dict, NamedTuple, Tuple
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,6 +164,79 @@ class TestBuilderMatchesReference:
         assert sorted(sub.edges()) == [(0, 1), (1, 2)]
         sub.add_edge(0, 4)  # a copy, not a view
         assert not network.has_edge(0, 4)
+
+
+#: Pair-array endpoints: small ints (so rows repeat, in both orientations,
+#: and self-loops occur), gappy and negative int64 ids, and ids past int64
+#: (which need an object array).
+ENDPOINTS = st.sampled_from(
+    [
+        st.integers(0, 3),
+        st.integers(0, 8),
+        st.integers(-(2**40), 2**40),
+        st.one_of(st.integers(0, 4), st.integers(2**63, 2**64 + 8)),
+    ]
+)
+
+
+@st.composite
+def pair_arrays(draw) -> np.ndarray:
+    endpoints = draw(ENDPOINTS)
+    rows = draw(st.lists(st.tuples(endpoints, endpoints), max_size=30))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows + [row[::-1] for row in rows])))
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(-1, 2)
+
+
+def context_seeds(network: Network) -> Dict[int, int]:
+    return {v: ctx._seed for v, ctx in network.build_contexts().items()}
+
+
+class TestPairArrayFrontEnd:
+    """``Network(pairs)`` builds exactly the network of the pairs' ``nx.Graph``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_arrays(), st.integers(0, 2**32))
+    def test_random_pair_arrays(self, pairs, seed):
+        graph = nx.Graph()
+        graph.add_edges_from(pairs.tolist())
+        network = Network(pairs, seed=seed)
+        expected = Network(graph, seed=seed)
+        assert network.csr() == expected.csr()
+        assert network.csr_fingerprint() == expected.csr_fingerprint()
+        assert network.node_ids == expected.node_ids
+        assert network.id_of == expected.id_of
+        assert network.label_of == expected.label_of
+        for node_id in expected.node_ids:
+            assert network.neighbors(node_id) == expected.neighbors(node_id)
+        assert context_seeds(network) == context_seeds(expected)
+        assert_matches_reference(network, reference_build(graph))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, object])
+    def test_empty_and_other_integer_dtypes(self, dtype):
+        assert Network(np.zeros((0, 2), dtype=dtype)).csr_fingerprint()[:2] == (0, 0)
+        pairs = np.array([[4, 1], [1, 2], [2, 4], [4, 1]], dtype=dtype)
+        expected = Network(nx.Graph([(4, 1), (1, 2), (2, 4)]))
+        assert Network(pairs).csr() == expected.csr()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            np.array([[0.0, 1.0], [1.0, 2.0]]),
+            np.array([[0, 1, 2], [1, 2, 3]]),
+            np.array([0, 1, 1, 2]),
+            np.array([["a", "b"], ["b", "c"]], dtype=object),
+            np.array([[0, 1], [1, 2.5]], dtype=object),
+            np.array([[True, False]]),
+        ],
+        ids=["float", "three-columns", "one-dimensional", "str-objects", "float-object", "bool"],
+    )
+    def test_rejects_non_integer_or_misshapen_arrays(self, pairs):
+        with pytest.raises(ValueError):
+            Network(pairs)
 
 
 @st.composite
