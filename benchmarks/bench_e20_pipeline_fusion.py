@@ -91,6 +91,8 @@ BACKENDS = (
             engine="sharded",
             shards=SHARDS,
             shard_backend="thread",
+            # Without workers the thread backend steps its shards serially.
+            shard_workers=SHARDS,
             session_mode="persistent",
         ),
     ),

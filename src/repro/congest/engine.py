@@ -17,11 +17,13 @@ ship today:
     A fast path for large networks.  It drives the same protocol callbacks
     but organises the bookkeeping around flat arrays and reuse:
 
-    * node ids are mapped to dense indices via the network's CSR adjacency
-      (:meth:`repro.congest.network.Network.csr`), so inboxes live in a
-      preallocated list indexed by position instead of a per-round dict;
-    * inbox buffers are reused across rounds (cleared, not reallocated) and
-      a node's outbox dict is drained in place;
+    * node ids are mapped to dense indices (the order of
+      :attr:`repro.congest.network.Network.context_list`), and each round
+      builds inboxes only for the nodes that receive mail;
+    * a node's outbox dict is drained in place;
+    * a protocol that declares a :attr:`~repro.congest.node.Protocol.scope`
+      has only its in-scope nodes reset and started; the rest are marked
+      halted in one pass and never touched again;
     * :class:`repro.congest.message.Inbound` wrappers are interned per
       round, so a broadcast of one message object to k neighbours allocates
       one wrapper instead of k;
@@ -115,7 +117,7 @@ from repro.congest.errors import (
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
-from repro.congest.node import NodeContext, Protocol
+from repro.congest.node import NodeContext, Protocol, in_scope, reset_in_scope
 
 #: Number of consecutive completely silent rounds after which a protocol that
 #: does not declare ``quiesce_terminates`` is considered stalled.
@@ -126,6 +128,56 @@ _STALL_LIMIT = 3
 #: contract by mutating it fails loudly at the violation site instead of
 #: leaking phantom messages into later runs.
 _EMPTY_INBOX: Sequence[Inbound] = ()
+
+_MISSING = object()
+
+
+def harvest_outputs(
+    protocol: Protocol, ctx_list: Sequence[NodeContext], rounds: int
+) -> Dict[int, Any]:
+    """Align every round counter with the reference's, then read the outputs.
+
+    The reference advances every context each round, so every context ends
+    at the run's round count, halted or not.  The outputs come back keyed
+    by id in *ctx_list* order; a protocol that keeps the default
+    :meth:`Protocol.collect_output` has them read straight from
+    ``ctx.output``.
+    """
+    for ctx in ctx_list:
+        ctx._round = rounds
+    if type(protocol).collect_output is Protocol.collect_output:
+        return {ctx.node_id: ctx.output for ctx in ctx_list}
+    collect = protocol.collect_output
+    return {ctx.node_id: collect(ctx) for ctx in ctx_list}
+
+
+def _start_out_of_scope(protocol: Protocol, ctx: NodeContext) -> None:
+    """``on_start`` for a node outside ``protocol.scope``, checked.
+
+    The fast engines never start such a node, so its ``on_start`` may only
+    halt it; anything else would make them diverge from this engine.
+    """
+    state = ctx.state
+    before = dict(state)
+    output = ctx.output
+    protocol.on_start(ctx)
+    broken = None
+    if ctx._outgoing:
+        broken = "sent a message"
+    elif len(state) != len(before) or any(
+        state.get(key, _MISSING) is not value for key, value in before.items()
+    ):
+        broken = "wrote its state"
+    elif ctx.output is not output:
+        broken = "wrote its output"
+    elif not ctx._halted:
+        broken = "did not halt"
+    if broken is not None:
+        raise ProtocolError(
+            "protocol %r: node %r is outside the declared scope %r but %s "
+            "in on_start (an out-of-scope node may only halt)"
+            % (protocol.name, ctx.node_id, protocol.scope, broken)
+        )
 
 
 @dataclass
@@ -353,12 +405,20 @@ class ReferenceEngine(Engine):
         metrics = RunMetrics()
         quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
 
+        # Every node is started, in or out of the protocol's scope, so this
+        # engine is the full-sweep oracle for the scoped fast paths; an
+        # out-of-scope node's start is checked against the scope contract.
+        scope = protocol.scope
         # Messages queued during on_start are delivered in round 1; their
         # volume is accounted to that first round.
         startup_metrics = RoundMetrics(round_index=0)
         for ctx in contexts.values():
+            ctx._reset_for_new_protocol()
             ctx._advance_round(0)
-            protocol.on_start(ctx)
+            if scope is not None and not in_scope(scope, ctx.state):
+                _start_out_of_scope(protocol, ctx)
+            else:
+                protocol.on_start(ctx)
         pending = self._collect_all(
             contexts, config, round_index=0, metrics=startup_metrics
         )
@@ -471,9 +531,8 @@ class BatchedEngine(Engine):
         # termination predicate; overridden predicates take the scan path.
         fast_finished = type(protocol).finished is Protocol.finished
 
-        ids, _indptr, _indices = network.csr()
         index_of = network.node_index_of
-        ctx_list = [contexts[node_id] for node_id in ids]
+        ctx_list = network.context_list
         n = len(ctx_list)
 
         enforce = config.enforce_congestion
@@ -484,8 +543,6 @@ class BatchedEngine(Engine):
         max_rounds = config.max_rounds
         on_round = protocol.on_round
 
-        inbox_buffers: List[List[Inbound]] = [[] for _ in range(n)]
-        touched: List[int] = []
         # Per-sender Inbound intern caches, keyed by message object identity
         # and reset every round (the cache keeps its messages alive, so ids
         # cannot be recycled while an entry is live).
@@ -542,18 +599,22 @@ class BatchedEngine(Engine):
             rm.bits_sent += bits_seen
             rm.max_message_bits = max_bits
 
-        # --- round 0: on_start, then one sweep over every node ------------
+        # --- round 0: on_start the in-scope nodes, then drain them --------
         startup_metrics = RoundMetrics(round_index=0)
-        for ctx in ctx_list:
+        started = reset_in_scope(protocol, ctx_list, range(n))
+        on_start = protocol.on_start
+        for i in started:
+            ctx = ctx_list[i]
             ctx._round = 0
-            protocol.on_start(ctx)
-        for ctx in ctx_list:
+            on_start(ctx)
+        for i in started:
+            ctx = ctx_list[i]
             if ctx._outgoing:
                 drain(ctx, 0, startup_metrics, None)
 
         frontier: List[int] = []
         if fast_finished:
-            frontier = [i for i in range(n) if not ctx_list[i]._halted]
+            frontier = [i for i in started if not ctx_list[i]._halted]
 
         rounds = 0
         silent_rounds = 0
@@ -586,11 +647,15 @@ class BatchedEngine(Engine):
                 round_metrics.bits_sent = startup_metrics.bits_sent
                 round_metrics.max_message_bits = startup_metrics.max_message_bits
 
+            # Inboxes exist only for this round's receivers.
+            boxes: Dict[int, List[Inbound]] = {}
             for receiver_index, inbound in zip(pending_index, pending_inbound):
-                box = inbox_buffers[receiver_index]
-                if not box:
-                    touched.append(receiver_index)
-                box.append(inbound)
+                box = boxes.get(receiver_index)
+                if box is None:
+                    boxes[receiver_index] = [inbound]
+                else:
+                    box.append(inbound)
+            box_of = boxes.get
 
             pending_index = []
             pending_inbound = []
@@ -603,8 +668,7 @@ class BatchedEngine(Engine):
                 for i in frontier:
                     ctx = ctx_list[i]
                     ctx._round = rounds
-                    box = inbox_buffers[i]
-                    on_round(ctx, box if box else _EMPTY_INBOX)
+                    on_round(ctx, box_of(i, _EMPTY_INBOX))
                     if ctx._halted:
                         any_halted = True
                     if ctx._outgoing:
@@ -619,29 +683,17 @@ class BatchedEngine(Engine):
                     if protocol.finished(ctx):
                         continue
                     active += 1
-                    box = inbox_buffers[i]
-                    on_round(ctx, box if box else _EMPTY_INBOX)
+                    on_round(ctx, box_of(i, _EMPTY_INBOX))
                     if ctx._outgoing:
                         drain(ctx, rounds, round_metrics, pairs)
                 round_metrics.active_nodes = active
-
-            for i in touched:
-                inbox_buffers[i].clear()
-            del touched[:]
 
             round_metrics.edges_used = (
                 len(pending_index) if pairs is None else len(pairs)
             )
             metrics.absorb_round(round_metrics, config.record_round_metrics)
 
-        # The reference advances every context each round; halted nodes were
-        # skipped above, so align their round counters before harvest.
-        for ctx in ctx_list:
-            ctx._round = rounds
-        outputs = {
-            node_id: protocol.collect_output(ctx)
-            for node_id, ctx in contexts.items()
-        }
+        outputs = harvest_outputs(protocol, ctx_list, rounds)
         return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
 
 

@@ -208,6 +208,7 @@ class Network:
         self._node_seeds: Dict[int, int] = dict(node_seeds or {})
         self._announced_n = announced_n
         self._contexts: Dict[int, NodeContext] = {}
+        self._context_list: List[NodeContext] = []
         self._ctx_epoch = 0
         self._delta_epoch = 0
         self._delta_log: List[AppliedDelta] = []
@@ -604,7 +605,9 @@ class Network:
             When True, brand-new contexts are built (erasing all state);
             when False, the existing contexts are reused and only the inputs
             are updated — this is how a composite protocol lets later stages
-            read the state accumulated by earlier stages.
+            read the state accumulated by earlier stages.  Their halt flags
+            and outboxes are left as they are: each engine resets the
+            contexts it starts (see :attr:`repro.congest.node.Protocol.scope`).
 
         A fresh build draws every node's 63-bit RNG seed from the network
         RNG in ascending id order (or takes it from ``node_seeds``); the
@@ -614,11 +617,11 @@ class Network:
         """
         # Bumped before any mutation, not after the last one: a call that
         # raises mid-way (an unknown id in per_node_inputs) may already
-        # have reset contexts or applied some updates, and a persistent
-        # session must see that as "state possibly diverged" too.
+        # have applied some updates, and a persistent session must see
+        # that as "state possibly diverged" too.
         self._ctx_epoch += 1
         if fresh or not self._contexts:
-            self._contexts = {}
+            contexts: Dict[int, NodeContext] = {}
             announced = self._announced_n if self._announced_n is not None else self.n
             node_seeds = self._node_seeds
             adjacency = self._adjacency
@@ -627,7 +630,7 @@ class Network:
                 node_seed = node_seeds.get(node_id)
                 if node_seed is None:
                     node_seed = draw(63)
-                ctx = self._contexts[node_id] = NodeContext(
+                ctx = contexts[node_id] = NodeContext(
                     node_id=node_id,
                     neighbors=(),
                     n=announced,
@@ -637,11 +640,10 @@ class Network:
                 # Share the network's tuple, already sorted, instead of the
                 # sorted copy the constructor would make.
                 ctx.neighbors = adjacency[node_id]
-        else:
-            for ctx in self._contexts.values():
-                ctx._reset_for_new_protocol()
-                if global_inputs:
-                    ctx.globals.update(global_inputs)
+            self._install_contexts(contexts)
+        elif global_inputs:
+            for ctx in self._context_list:
+                ctx.globals.update(global_inputs)
         if per_node_inputs:
             for node_id, inputs in per_node_inputs.items():
                 if node_id not in self._contexts:
@@ -649,12 +651,26 @@ class Network:
                 self._contexts[node_id].state.update(inputs)
         return self._contexts
 
+    def _install_contexts(self, contexts: Dict[int, NodeContext]) -> None:
+        """Make *contexts* (keyed by id, in ascending id order) the current ones."""
+        self._contexts = contexts
+        self._context_list = list(contexts.values())
+
     @property
     def contexts(self) -> Dict[int, NodeContext]:
         """The contexts of the most recent :meth:`build_contexts` call."""
         if not self._contexts:
             raise ProtocolError("contexts have not been built yet")
         return self._contexts
+
+    @property
+    def context_list(self) -> List[NodeContext]:
+        """The contexts of the most recent build in dense-index (ascending id) order.
+
+        Kept alongside the mapping so engines need not rebuild it per
+        phase; callers must not mutate it.
+        """
+        return self._context_list
 
     # ------------------------------------------------------------------
     # convenience constructors

@@ -248,6 +248,18 @@ class Protocol:
     #: Human-readable protocol name used in metrics and error messages.
     name = "protocol"
 
+    #: The nodes a phase can involve, as a tuple of ``ctx.state`` keys, or
+    #: ``None`` for every node.  A node is *out of scope* when none of the
+    #: keys is truthy in its state, and an out-of-scope node's ``on_start``
+    #: may only call ``ctx.halt()``: no state or output write, no send.
+    #: The fast engines then skip such nodes entirely — they mark them
+    #: halted without resetting or starting them — while
+    #: :class:`repro.congest.engine.ReferenceEngine` still starts every node
+    #: and raises :class:`ProtocolError` when an out-of-scope one breaks the
+    #: contract.  A scope is honoured only under the default
+    #: :meth:`finished` predicate.
+    scope: Optional[Tuple[str, ...]] = None
+
     def on_start(self, ctx: NodeContext) -> None:
         """Round-0 initialisation for one node (no messages available yet)."""
 
@@ -307,3 +319,40 @@ class Protocol:
     def collect_output(self, ctx: NodeContext) -> Any:
         """Value reported for this node in the run result (default: output)."""
         return ctx.output
+
+
+def in_scope(scope: Tuple[str, ...], state: Dict[str, Any]) -> bool:
+    """Whether a node with this *state* is in a protocol's *scope*."""
+    for key in scope:
+        if state.get(key):
+            return True
+    return False
+
+
+def reset_in_scope(
+    protocol: Protocol, ctx_list: Sequence[NodeContext], indices: Iterable[int]
+) -> List[int]:
+    """Round-0 preparation of the fast engines over ``ctx_list[i]``, ``i`` in *indices*.
+
+    One pass: an out-of-scope context (see :attr:`Protocol.scope`) is marked
+    halted — the only effect its ``on_start`` may have — and every other one
+    is reset for the new protocol.  Returns the in-scope indices, in order;
+    the caller starts exactly those.  A protocol with an overridden
+    :meth:`Protocol.finished` keeps every node in scope, because a halted
+    node may still count as unfinished there.
+    """
+    scope = protocol.scope
+    if type(protocol).finished is not Protocol.finished:
+        scope = None
+    started: List[int] = []
+    append = started.append
+    for i in indices:
+        ctx = ctx_list[i]
+        if ctx._outgoing:
+            ctx._outgoing = {}
+        if scope is not None and not in_scope(scope, ctx.state):
+            ctx._halted = True
+            continue
+        ctx._halted = False
+        append(i)
+    return started

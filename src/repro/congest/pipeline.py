@@ -198,8 +198,10 @@ def validate_pipeline(
     installed before the pipeline starts — forced-sample flags, globals).
     Every consumed artifact must have been produced earlier or arrive via
     ``external_artifacts`` (an artifact-cache replay of the pipeline's
-    prefix).  Returns the compiler notes (one per undeclared phase); raises
-    :class:`PipelineValidationError` on a dataflow violation.
+    prefix).  A declared phase's :attr:`~repro.congest.node.Protocol.scope`
+    keys must be among its declared reads.  Returns the compiler notes (one
+    per undeclared phase); raises :class:`PipelineValidationError` on a
+    dataflow violation.
     """
     notes: List[str] = []
     available: set = set(external_reads)
@@ -216,6 +218,12 @@ def validate_pipeline(
             # legitimately read keys the opaque phase produced.
             available.add(None)
             continue
+        unread = set(protocol.scope or ()) - declared.reads
+        if unread:
+            raise PipelineValidationError(
+                "phase %d (%s) declares scope keys %s that its effects() "
+                "does not read" % (position, protocol.name, sorted(unread))
+            )
         if None not in available:
             missing = declared.reads - available - declared.writes
             if missing:

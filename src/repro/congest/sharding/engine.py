@@ -85,6 +85,7 @@ from repro.congest.engine import (
     CongestSession,
     Engine,
     RunResult,
+    harvest_outputs,
     register_engine,
 )
 from repro.congest.errors import (
@@ -96,7 +97,7 @@ from repro.congest.errors import (
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
-from repro.congest.node import NodeContext, Protocol
+from repro.congest.node import NodeContext, Protocol, reset_in_scope
 from repro.congest.sharding.faults import SimulatedFaults
 from repro.congest.sharding.partition import (
     ShardPlan,
@@ -531,20 +532,25 @@ class _ShardStepper:
 
     # ------------------------------------------------------------------
     def start_shard(self, shard: _ShardState) -> RoundMetrics:
-        """Round 0 for one shard: ``on_start`` every owned node, then drain."""
+        """Round 0 for one shard: ``on_start`` every owned in-scope node, then drain.
+
+        Owned nodes outside the protocol's scope are marked halted and
+        never started (:func:`repro.congest.node.reset_in_scope`).
+        """
         rm = RoundMetrics(round_index=0)
         ctx_list = self.ctx_list
-        protocol = self.protocol
-        for i in shard.owned:
+        on_start = self.protocol.on_start
+        started = reset_in_scope(self.protocol, ctx_list, shard.owned)
+        for i in started:
             ctx = ctx_list[i]
             ctx._round = 0
-            protocol.on_start(ctx)
-        for i in shard.owned:
+            on_start(ctx)
+        for i in started:
             ctx = ctx_list[i]
             if ctx._outgoing:
                 self.drain(shard, ctx, 0, rm, None)
         if self.fast_finished:
-            shard.frontier = [i for i in shard.owned if not ctx_list[i]._halted]
+            shard.frontier = [i for i in started if not ctx_list[i]._halted]
         return rm
 
     def step_shard(self, shard: _ShardState, rounds: int) -> RoundMetrics:
@@ -663,11 +669,10 @@ class _ShardedRun(_ShardStepper):
         plan: ShardPlan,
         workers: int,
     ) -> None:
-        ids, _indptr, _indices = network.csr()
         super().__init__(
             protocol=protocol,
             config=config,
-            ctx_list=[contexts[node_id] for node_id in ids],
+            ctx_list=network.context_list,
             index_of=network.node_index_of,
             owner=plan.owner,
             ordered_delivery=self.ranges_are_ordered(plan),
@@ -855,14 +860,7 @@ class _ShardedRun(_ShardStepper):
                 faults.check("finish")
         self.pool = None
 
-        # Halted nodes were skipped by the frontier; align their round
-        # counters with the reference before harvesting.
-        for ctx in ctx_list:
-            ctx._round = rounds
-        outputs = {
-            node_id: protocol.collect_output(ctx)
-            for node_id, ctx in self.contexts.items()
-        }
+        outputs = harvest_outputs(protocol, ctx_list, rounds)
         return RunResult(outputs=outputs, metrics=metrics, contexts=self.contexts)
 
 

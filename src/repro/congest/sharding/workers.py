@@ -34,9 +34,10 @@ A persistent :class:`ProcessSession` (``CongestConfig.session_mode ==
 "persistent"``) instead keeps one :class:`_WorkerPool` alive across the
 ``execute`` calls of a composite pipeline and **re-arms** it between
 phases: the ``("arm", ...)`` command above carries the next protocol, the
-model-rule knobs and the context *deltas* (``_reset_for_new_protocol``
-plus any per-call inputs), so neither processes nor per-node state are
-re-shipped for ``reuse_contexts`` phases.  The session's routing tables
+model-rule knobs and the context *deltas* (the per-call inputs; each
+worker's ``start_shard`` resets the nodes it starts), so neither
+processes nor per-node state are re-shipped for ``reuse_contexts``
+phases.  The session's routing tables
 live in one :mod:`multiprocessing.shared_memory` CSR mapping
 (:mod:`repro.congest.sharding.shm`) attached once per worker.  A fresh
 context build, or any ``build_contexts`` call outside the session
@@ -121,7 +122,7 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.config import CongestConfig
-from repro.congest.engine import CongestSession, RunResult
+from repro.congest.engine import CongestSession, RunResult, harvest_outputs
 from repro.congest.errors import (
     ProtocolError,
     ShardWorkerError,
@@ -316,29 +317,24 @@ class _WorkerHarness:
         self,
         protocol: Protocol,
         config: CongestConfig,
-        reset: bool,
         global_inputs: Optional[Dict[str, Any]],
         per_node_state: Optional[Dict[int, Dict[str, Any]]],
     ) -> None:
         """Prepare one ``execute``: protocol, knobs, context deltas.
 
-        ``reset=False`` is the arm right after a (re)spawn, when the
-        inherited contexts are already current.  ``reset=True`` is a
-        session's light re-arm: replay exactly what the parent's
-        ``build_contexts(fresh=False)`` did — ``_reset_for_new_protocol``
-        plus the per-call inputs — on the worker-held contexts.
+        The inputs replay exactly what the parent's ``build_contexts``
+        applied; a worker whose contexts were inherited after that call
+        applies them a second time, which changes nothing.  Halt flags and
+        outboxes are reset by ``start_shard``, for the nodes it starts.
         """
         ctx_list = self.ctx_list
-        if reset:
+        if global_inputs:
             for i in self.owned:
-                ctx = ctx_list[i]
-                ctx._reset_for_new_protocol()
-                if global_inputs:
-                    ctx.globals.update(global_inputs)
-            if per_node_state:
-                index_of = self.index_of
-                for node_id, inputs in per_node_state.items():
-                    ctx_list[index_of[node_id]].state.update(inputs)
+                ctx_list[i].globals.update(global_inputs)
+        if per_node_state:
+            index_of = self.index_of
+            for node_id, inputs in per_node_state.items():
+                ctx_list[index_of[node_id]].state.update(inputs)
         self.stepper = _ShardStepper(
             protocol=protocol,
             config=config,
@@ -420,12 +416,10 @@ class _WorkerHarness:
         stepper = self.stepper
         ctx_list = stepper.ctx_list
         protocol = stepper.protocol
-        outputs: Dict[int, Any] = {}
+        owned = [ctx_list[i] for i in self.shard.owned]
+        outputs = harvest_outputs(protocol, owned, rounds)
         states: Dict[int, Tuple] = {}
-        for i in self.shard.owned:
-            ctx = ctx_list[i]
-            ctx._round = rounds
-            outputs[ctx.node_id] = protocol.collect_output(ctx)
+        for ctx in owned:
             # Only RNGs this worker actually built ship a state: an unbuilt
             # one is still at its seed, which the parent context holds too.
             states[ctx.node_id] = (
@@ -445,7 +439,6 @@ class _WorkerHarness:
         self,
         protocols: Sequence[Protocol],
         config: CongestConfig,
-        reset: bool,
         global_inputs: Optional[Dict[str, Any]],
         per_node_state: Optional[Dict[int, Dict[str, Any]]],
     ) -> None:
@@ -458,20 +451,19 @@ class _WorkerHarness:
         """
         self._queue = list(protocols[1:])
         self._queue_config = config
-        self.arm(protocols[0], config, reset, global_inputs, per_node_state)
+        self.arm(protocols[0], config, global_inputs, per_node_state)
 
     def arm_next_queued(self) -> bool:
         """Self-arm the next queued protocol of a fused group, if any.
 
-        The light re-arm replays ``_reset_for_new_protocol`` on the
-        worker-held contexts (``reset=True``), exactly what the parent's
-        ``build_contexts(fresh=False)`` would have done between unfused
-        phases — no global or per-node input deltas exist mid-group.
+        No global or per-node input deltas exist mid-group, so this is
+        exactly what the parent's ``build_contexts(fresh=False)`` would
+        have done between unfused phases: nothing to replay.
         """
         if not self._queue:
             return False
         protocol = self._queue.pop(0)
-        self.arm(protocol, self._queue_config, True, None, None)
+        self.arm(protocol, self._queue_config, None, None)
         return True
 
     def finish_light(self, rounds: int) -> Tuple:
@@ -484,12 +476,9 @@ class _WorkerHarness:
         """
         stepper = self.stepper
         ctx_list = stepper.ctx_list
-        protocol = stepper.protocol
-        outputs: Dict[int, Any] = {}
-        for i in self.shard.owned:
-            ctx = ctx_list[i]
-            ctx._round = rounds
-            outputs[ctx.node_id] = protocol.collect_output(ctx)
+        outputs = harvest_outputs(
+            stepper.protocol, [ctx_list[i] for i in self.shard.owned], rounds
+        )
         traffic = (self.shard.local_messages, self.shard.remote_messages)
         return ("done", outputs, {}, traffic)
 
@@ -557,15 +546,13 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
             op = command[0]
             try:
                 if op == "arm":
-                    harness.arm(
-                        command[1], command[2], command[3], command[4], command[5]
-                    )
+                    harness.arm(command[1], command[2], command[3], command[4])
                     if harness.injector is not None and harness.injector.fire("arm"):
                         break  # injected eof: close the pipe and exit
                     continue  # no response: the coordinator pipelines start
                 if op == "arm-seq":
                     harness.arm_sequence(
-                        command[1], command[2], command[3], command[4], command[5]
+                        command[1], command[2], command[3], command[4]
                     )
                     if harness.injector is not None and harness.injector.fire("arm"):
                         break
@@ -799,20 +786,14 @@ class _WorkerPool:
         self,
         protocol: Protocol,
         config: CongestConfig,
-        reset: bool = True,
         global_inputs: Optional[Dict[str, Any]] = None,
         per_shard_state: Optional[Dict[int, Dict[int, Dict[str, Any]]]] = None,
-        no_reset_shards: frozenset = frozenset(),
     ) -> None:
         """Arm every worker for the next ``execute``.
 
-        The first arm after a spawn passes ``reset=False`` (the inherited
-        contexts are current); a session's light re-arm passes
-        ``reset=True`` plus the per-call input deltas, routed per shard.
-        After a *partial* respawn (delta absorption) the pool is mixed:
-        surviving workers need the reset replay while the freshly spawned
-        dirty-shard workers inherited already-reset contexts — their shard
-        indices arrive in *no_reset_shards*.  A failed ship — an
+        The first arm after a spawn passes no inputs (the inherited
+        contexts are current); a session's light re-arm passes the
+        per-call input deltas, routed per shard.  A failed ship — an
         unpicklable protocol, a dead worker — surfaces as
         :class:`ShardWorkerError`; callers tear the pool down on it.
         """
@@ -822,11 +803,8 @@ class _WorkerPool:
                 if per_shard_state
                 else None
             )
-            shard_reset = reset and handle.shard_index not in no_reset_shards
             try:
-                handle.conn.send(
-                    ("arm", protocol, config, shard_reset, global_inputs, inputs)
-                )
+                handle.conn.send(("arm", protocol, config, global_inputs, inputs))
             except Exception as exc:
                 if isinstance(exc, (BrokenPipeError, OSError)):
                     _raise_buffered_error(handle.conn, handle.shard_index)
@@ -841,10 +819,8 @@ class _WorkerPool:
         self,
         protocols: Sequence[Protocol],
         config: CongestConfig,
-        reset: bool = True,
         global_inputs: Optional[Dict[str, Any]] = None,
         per_shard_state: Optional[Dict[int, Dict[int, Dict[str, Any]]]] = None,
-        no_reset_shards: frozenset = frozenset(),
     ) -> None:
         """Arm every worker for a fused phase group in one ship.
 
@@ -860,17 +836,9 @@ class _WorkerPool:
                 if per_shard_state
                 else None
             )
-            shard_reset = reset and handle.shard_index not in no_reset_shards
             try:
                 handle.conn.send(
-                    (
-                        "arm-seq",
-                        protocols,
-                        config,
-                        shard_reset,
-                        global_inputs,
-                        inputs,
-                    )
+                    ("arm-seq", protocols, config, global_inputs, inputs)
                 )
             except Exception as exc:
                 if isinstance(exc, (BrokenPipeError, OSError)):
@@ -1111,7 +1079,7 @@ class ProcessShardedRun:
             self.contexts,
         )
         with _WorkerPool(handles, self.config.worker_join_timeout) as pool:
-            pool.rearm(self.protocol, self.config, reset=False)
+            pool.rearm(self.protocol, self.config)
             self.setup_seconds = time.perf_counter() - started
             return self._drive(pool.handles)
 
@@ -1413,7 +1381,7 @@ class ProcessSession(CongestSession):
         # and the parent's contexts are bit-identical to the phase start
         # because the harvest folds worker state back only after every
         # worker reported.  The respawned pool re-ships those pristine
-        # contexts (reset=False path), so the replay is deterministic by
+        # contexts (the arm after a spawn replays no inputs), so the replay is deterministic by
         # the engine contract.  Wire-codec interning state is per pool,
         # so a retry must always respawn the *whole* pool: a partial
         # respawn would desynchronize surviving encoders from fresh
@@ -1528,38 +1496,18 @@ class ProcessSession(CongestSession):
                 shared_csr=self.shared_csr,
             )
             self._pool = _WorkerPool(handles, config.worker_join_timeout)
-            self._pool.rearm(protocol, config, reset=False)
+            self._pool.rearm(protocol, config)
             self.last_respawned_shards = tuple(
                 handle.shard_index for handle in handles
             )
-        elif self._dirty_shards is not None:
-            # Mid-pipeline delta absorption: only the dirty shards'
-            # workers are respawned (their contexts' neighbour views and
-            # adjacency rows changed); clean shards keep their processes
-            # and replay the usual reset re-arm.
-            dirty, self._dirty_shards = self._dirty_shards, None
-            if self.shared_csr is None:
-                self.shared_csr = SharedCSR.create(network, self.plan)
-                self.stats.shm_bytes = self.shared_csr.nbytes
-            self._respawn_shards(dirty, contexts)
-            self._pool.rearm(
-                protocol,
-                config,
-                reset=True,
-                global_inputs=global_inputs,
-                per_shard_state=self._split_inputs(per_node_inputs),
-                no_reset_shards=frozenset(dirty),
-            )
-            self.last_respawned_shards = tuple(dirty)
         else:
+            self.last_respawned_shards = self._respawn_dirty_shards(contexts)
             self._pool.rearm(
                 protocol,
                 config,
-                reset=True,
                 global_inputs=global_inputs,
                 per_shard_state=self._split_inputs(per_node_inputs),
             )
-            self.last_respawned_shards = ()
         self.stats.rearms += 1
         setup_seconds = time.perf_counter() - setup_started
 
@@ -1709,7 +1657,7 @@ class ProcessSession(CongestSession):
         The parent's contexts are bit-identical to the group start when
         this runs (the group-final fold never happened), so replaying the
         whole group serially is exactly the unfused composite — including
-        the ``build_contexts(fresh=False)`` reset replay between phases.
+        the ``build_contexts(fresh=False)`` call between phases.
         """
         results: List[RunResult] = []
         for i, protocol in enumerate(protocols):
@@ -1749,26 +1697,13 @@ class ProcessSession(CongestSession):
                 shared_csr=self.shared_csr,
             )
             self._pool = _WorkerPool(handles, config.worker_join_timeout)
-            self._pool.rearm_sequence(protocols, config, reset=False)
+            self._pool.rearm_sequence(protocols, config)
             self.last_respawned_shards = tuple(
                 handle.shard_index for handle in handles
             )
-        elif self._dirty_shards is not None:
-            dirty, self._dirty_shards = self._dirty_shards, None
-            if self.shared_csr is None:
-                self.shared_csr = SharedCSR.create(network, self.plan)
-                self.stats.shm_bytes = self.shared_csr.nbytes
-            self._respawn_shards(dirty, contexts)
-            self._pool.rearm_sequence(
-                protocols,
-                config,
-                reset=True,
-                no_reset_shards=frozenset(dirty),
-            )
-            self.last_respawned_shards = tuple(dirty)
         else:
-            self._pool.rearm_sequence(protocols, config, reset=True)
-            self.last_respawned_shards = ()
+            self.last_respawned_shards = self._respawn_dirty_shards(contexts)
+            self._pool.rearm_sequence(protocols, config)
         self.stats.rearms += 1
         self.stats.fused_phases += len(protocols) - 1
         setup_seconds = time.perf_counter() - setup_started
@@ -1855,6 +1790,24 @@ class ProcessSession(CongestSession):
             self._dirty_shards = None
         return True
 
+    def _respawn_dirty_shards(
+        self, contexts: Dict[int, NodeContext]
+    ) -> Tuple[int, ...]:
+        """Mid-pipeline delta absorption before a re-arm; returns the respawned shards.
+
+        Only the dirty shards' workers are respawned (their contexts'
+        neighbour views and adjacency rows changed); clean shards keep
+        their processes and take the usual re-arm.
+        """
+        if self._dirty_shards is None:
+            return ()
+        dirty, self._dirty_shards = self._dirty_shards, None
+        if self.shared_csr is None:
+            self.shared_csr = SharedCSR.create(self.network, self.plan)
+            self.stats.shm_bytes = self.shared_csr.nbytes
+        self._respawn_shards(dirty, contexts)
+        return tuple(dirty)
+
     def _respawn_shards(
         self, dirty: Tuple[int, ...], contexts: Dict[int, NodeContext]
     ) -> None:
@@ -1864,8 +1817,8 @@ class ProcessSession(CongestSession):
         caller via :meth:`_absorb_delta`): surviving workers keep their
         id→index and owner tables and their attachment to the retired shm
         segment, both still accurate.  The dirty shards' new workers attach
-        the rebuilt segment and inherit the parent's (already patched and
-        reset) contexts.
+        the rebuilt segment and inherit the parent's (already patched)
+        contexts.
         """
         pool = self._pool
         dirty_set = set(dirty)

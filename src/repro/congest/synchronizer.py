@@ -193,6 +193,7 @@ class _SynchronizedRun:
 
         # Pulse 0: on_start plays the role of the first message generation.
         for ctx in contexts.values():
+            ctx._reset_for_new_protocol()
             ctx._advance_round(0)
             protocol.on_start(ctx)
         for node_id, ctx in contexts.items():
@@ -508,7 +509,7 @@ class AsyncEngine(Engine):
         finally:
             network._rng.setstate(rng_state)
             if contexts_backup is not None:
-                network._contexts = contexts_backup
+                network._install_contexts(contexts_backup)
         return prerun.metrics.rounds
 
 

@@ -18,8 +18,9 @@ split; DGL's gSpMM kernels):
 ``apply``
     Numpy updates of packed per-node registers: the halted flags
     (:attr:`KernelFrame.halted`), round counter and any phase-specific
-    columns, folded back into every :class:`~repro.congest.node.NodeContext`
-    exactly where the process backend's pickle round-trip writes them.
+    columns, folded back into the
+    :class:`~repro.congest.node.NodeContext` of every node the phase
+    started (its in-scope nodes).
 ``scatter``
     Columnar outbox emission: a phase whose sends are enqueued at
     ``on_start`` and drained one-per-neighbour-per-round (the
@@ -52,12 +53,13 @@ from repro.congest.config import CongestConfig
 from repro.congest.engine import (
     BatchedEngine,
     RunResult,
+    harvest_outputs,
     register_engine,
 )
 from repro.congest.errors import MessageSizeViolation, RoundLimitExceeded
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
-from repro.congest.node import NodeContext, Protocol
+from repro.congest.node import NodeContext, Protocol, reset_in_scope
 
 
 class VectorizedKernel:
@@ -95,11 +97,17 @@ class KernelFrame:
         Contexts in dense-index (= ascending id) order — the iteration
         order of the reference engine, which kernels must follow wherever
         per-node work consumes randomness or builds ordered state.
+    started:
+        Dense indices of the nodes in the protocol's
+        :attr:`~repro.congest.node.Protocol.scope`, ascending (every index
+        for an unscoped protocol).  A kernel does the ``on_start`` work of
+        exactly these nodes; the others are already halted.
     halted:
-        Packed halt register (bool column).  A kernel marks the nodes the
-        callbacks would have halted in ``on_start``; the covered phases
-        never halt mid-phase (their receivers stay active until global
-        quiescence), so one column captures the whole run.
+        Packed halt register (bool column), preset for the out-of-scope
+        nodes.  A kernel marks the nodes the callbacks would have halted in
+        ``on_start``; the covered phases never halt mid-phase (their
+        receivers stay active until global quiescence), so one column
+        captures the whole run.
     rounds / metrics:
         Filled by :meth:`run_broadcast_schedule`.
     """
@@ -121,10 +129,12 @@ class KernelFrame:
         self.ids, self.indptr, self.indices = network.csr_numpy()
         self.degrees = np.diff(self.indptr)
         self.n = len(self.ids)
-        self.ctx_list: List[NodeContext] = [
-            contexts[node_id] for node_id in network.node_ids
-        ]
-        self.halted = np.zeros(self.n, dtype=bool)
+        self.ctx_list: List[NodeContext] = network.context_list
+        self.started: List[int] = reset_in_scope(
+            protocol, self.ctx_list, range(self.n)
+        )
+        self.halted = np.ones(self.n, dtype=bool)
+        self.halted[self.started] = False
         self.rounds = 0
         self.metrics = RunMetrics()
         # Scatter-side kind vocabulary: append-only string → small-int
@@ -312,21 +322,21 @@ class KernelFrame:
     # apply: fold the packed registers back into the contexts
     # ------------------------------------------------------------------
     def fold_back(self) -> None:
-        """Write the packed registers back into every ``NodeContext``.
+        """Write the packed halt register back into the started contexts.
 
-        The same slots the process backend's pickle round-trip restores
-        (``sharding/workers.py``): the halt flag, the final round counter
-        (every context ends at the run's round count, halted or not, like
-        the reference's per-round advance), and an empty outbox.  State
+        The out-of-scope contexts were marked halted when the frame was
+        built and the kernel never touches them; a started one gets the
+        halt flag its callbacks would have left and an empty outbox.  State
         dicts, outputs and RNGs were mutated in place by the kernel, so a
         ``reuse_contexts`` successor phase — kernel or callback — observes
-        exactly the state the callbacks would have left.
+        exactly the state the callbacks would have left.  The engine
+        aligns the round counters when it harvests the outputs.
         """
-        rounds = self.rounds
-        halted = self.halted
-        for index, ctx in enumerate(self.ctx_list):
-            ctx._halted = bool(halted[index])
-            ctx._round = rounds
+        halted = self.halted.tolist()
+        ctx_list = self.ctx_list
+        for index in self.started:
+            ctx = ctx_list[index]
+            ctx._halted = halted[index]
             ctx._outgoing = {}
 
 
@@ -372,10 +382,7 @@ class VectorizedEngine(BatchedEngine):
         frame = KernelFrame(network, protocol, config, contexts)
         kernel.execute(frame)
         frame.fold_back()
-        outputs = {
-            node_id: protocol.collect_output(ctx)
-            for node_id, ctx in contexts.items()
-        }
+        outputs = harvest_outputs(protocol, frame.ctx_list, frame.rounds)
         return RunResult(outputs=outputs, metrics=frame.metrics, contexts=contexts)
 
 

@@ -4,24 +4,30 @@ The algorithm of Section 4 is implemented as a sequence of protocols executed
 on the same network contexts (``reuse_contexts=True``), each corresponding to
 one or two numbered steps of the paper's pseudo-code:
 
-====================  =====================================================
-Phase (this module)    Paper step
-====================  =====================================================
-SamplingPhase          Sampling stage (i.i.d. coin flips)
-MinIdBFSTreeProtocol   Exploration Step 1 (BFS tree per component of G[S])
-ParentNotification     — (children discovery needed for convergecast)
-ConvergecastCollect    Exploration Step 2 (component membership to the root)
-TreeBroadcast          Exploration Step 2 (membership back down the tree)
-CompDisseminationPhase Exploration Step 3 (members of S_i to all neighbours)
-LocalSubsetPhase       Exploration Step 4a (+ leaf attachment to the tree)
-UpAggregationPhase(K)  Exploration Steps 4b–4c (|K_{2ε²}(X)| at the root)
-DownBroadcastPhase(K)  Exploration Step 4d (|K_{2ε²}(X)| back to Γ(S_i))
-KAnnouncePhase         Exploration Steps 4e–4f (membership in T_ε(X))
-UpAggregationPhase(T)  Decision Step 1 (|T_ε(X)| at the root, pick X(S_i))
-DownBroadcastPhase(B)  Decision Step 2 (announce |T_ε(X(S_i))|)
-VotePhase              Decision Step 3 (acknowledge / abort votes)
-FinalLabelPhase        Decision Step 4 (labels for the surviving candidates)
-====================  =====================================================
+======================  ===================================================  ================================
+Phase (this module)     Paper step                                           ``scope`` (nodes it starts)
+======================  ===================================================  ================================
+SamplingPhase           Sampling stage (i.i.d. coin flips)                   every node
+MinIdBFSTreeProtocol    Exploration Step 1 (BFS tree per component of G[S])  ``participant`` (S)
+ParentNotification      — (children discovery needed for convergecast)       ``participant`` (S)
+ConvergecastCollect     Exploration Step 2 (component membership to root)    ``participant`` (S)
+TreeBroadcast           Exploration Step 2 (membership back down the tree)   ``participant`` (S)
+CompDisseminationPhase  Exploration Step 3 (members of S_i to neighbours)    every node
+LocalSubsetPhase        Exploration Step 4a (+ leaf attachment to the tree)  in sample, or component table
+UpAggregationPhase(K)   Exploration Steps 4b–4c (|K_{2ε²}(X)| at the root)   in sample, or attach parent
+DownBroadcastPhase(K)   Exploration Step 4d (|K_{2ε²}(X)| back to Γ(S_i))    in sample, or attach parent
+KAnnouncePhase          Exploration Steps 4e–4f (membership in T_ε(X))       K-membership table
+UpAggregationPhase(T)   Decision Step 1 (|T_ε(X)| at the root, pick X(S_i))  in sample, or attach parent
+DownBroadcastPhase(B)   Decision Step 2 (announce |T_ε(X(S_i))|)             in sample, or attach parent
+VotePhase               Decision Step 3 (acknowledge / abort votes)          in sample, or best-known table
+FinalLabelPhase         Decision Step 4 (labels for surviving candidates)    in sample, or attach parent
+======================  ===================================================  ================================
+
+The scope column is each phase's :attr:`repro.congest.node.Protocol.scope`:
+after sampling, only S and Γ(S) take part, so the fast engines start only
+the nodes holding one of the listed state keys and mark the rest halted.
+Sampling flips a coin at every node and comp-dissemination listens at
+every non-isolated node, so those two have no scope.
 
 All phases respect the CONGEST discipline: every message carries a constant
 number of identifiers / polynomially-bounded counters (O(log n) bits), and a
@@ -217,7 +223,9 @@ class _SamplingKernel(VectorizedKernel):
 
     def execute(self, frame: KernelFrame) -> None:
         halted = frame.halted
-        for index, ctx in enumerate(frame.ctx_list):
+        ctx_list = frame.ctx_list
+        for index in frame.started:
+            ctx = ctx_list[index]
             state = ctx.state
             forced = state.get(KEY_FORCED_SAMPLE)
             if forced is None:
@@ -242,8 +250,10 @@ class CompDisseminationPhase(Protocol):
 
     Receivers that are not sampled record, for every adjacent component, the
     component's root, its member list, and which neighbours delivered it
-    (candidate attachment parents).  Sampled receivers ignore the traffic —
-    a sampled node can only ever be adjacent to its own component.
+    (candidate attachment parents); the table is created by the first
+    ``nc.comp`` a node receives, so only Γ(S) holds one.  Sampled receivers
+    ignore the traffic — a sampled node can only ever be adjacent to its
+    own component.
     """
 
     name = "nc-comp-dissemination"
@@ -270,20 +280,20 @@ class CompDisseminationPhase(Protocol):
             outbox = Outbox.for_ctx(ctx)
             for member in members:
                 outbox.push_all(_wire(_COMP, (root, member), ctx.n))
-        else:
-            ctx.state[KEY_ADJ_COMPONENTS] = {}
-            if not ctx.neighbors:
-                ctx.halt()
+        elif not ctx.neighbors:
+            ctx.halt()
 
     def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
         if _in_sample(ctx):
             Outbox.for_ctx(ctx).flush()
             return
-        records: Dict[int, Dict[str, set]] = ctx.state[KEY_ADJ_COMPONENTS]
         for inbound in inbox:
             if inbound.kind != _COMP:
                 continue
             root, member = inbound.payload
+            records: Dict[int, Dict[str, set]] = ctx.state.setdefault(
+                KEY_ADJ_COMPONENTS, {}
+            )
             record = records.setdefault(root, {"members": set(), "senders": set()})
             record["members"].add(member)
             record["senders"].add(inbound.sender)
@@ -296,12 +306,12 @@ class _CompDisseminationKernel(VectorizedKernel):
     """Columnar form of :class:`CompDisseminationPhase`.
 
     *Apply*: one sweep over the contexts performs the ``on_start`` state
-    writes (canonical member lists at sampled nodes, empty component tables
-    plus isolation halts at the rest).  *Gather*: instead of folding one
-    delivered message at a time, each receiver with a broadcasting
-    neighbour folds that neighbour's whole member column at once — the
-    segment count over the sampled mask prunes the sweep to receivers that
-    actually have mail.  *Scatter*: each sampled node's stream (one
+    writes (canonical member lists at sampled nodes, isolation halts at the
+    rest).  *Gather*: instead of folding one delivered message at a time,
+    each receiver with a broadcasting neighbour creates its component table
+    and folds that neighbour's whole member column at once — the segment
+    count over the sampled mask prunes the sweep to receivers that actually
+    have mail.  *Scatter*: each sampled node's stream (one
     ``nc.comp`` item per member, pushed to every neighbour) goes to the
     closed-form broadcast schedule, which reproduces the pipelined flush's
     rounds and metrics exactly.
@@ -321,7 +331,8 @@ class _CompDisseminationKernel(VectorizedKernel):
         member_lists: List[Tuple[int, ...]] = [()] * frame.n
         senders: List[int] = []
         streams: List[List[int]] = []
-        for index, ctx in enumerate(ctx_list):
+        for index in frame.started:
+            ctx = ctx_list[index]
             state = ctx.state
             if state.get(KEY_IN_SAMPLE):
                 sampled[index] = True
@@ -339,17 +350,15 @@ class _CompDisseminationKernel(VectorizedKernel):
                         streams.append(
                             [_wire(_COMP, (root, member), n).bits for member in members]
                         )
-            else:
-                state[KEY_ADJ_COMPONENTS] = {}
-                if not degrees[index]:
-                    halted[index] = True
+            elif not degrees[index]:
+                halted[index] = True
 
         # Receivers: non-sampled nodes with at least one broadcasting
         # neighbour fold whole member columns; everyone else has no mail.
         mail_counts = frame.count_flagged_neighbors(broadcasting)
         for index in np.nonzero(~sampled & (mail_counts > 0))[0]:
             ctx = ctx_list[index]
-            records = ctx.state[KEY_ADJ_COMPONENTS]
+            records = ctx.state.setdefault(KEY_ADJ_COMPONENTS, {})
             for neighbor in frame.neighbor_slice(int(index)):
                 neighbor = int(neighbor)
                 if not broadcasting[neighbor]:
@@ -382,6 +391,7 @@ class LocalSubsetPhase(Protocol):
 
     name = "nc-local-subsets"
     quiesce_terminates = True
+    scope = (KEY_IN_SAMPLE, KEY_ADJ_COMPONENTS)
 
     def effects(self) -> PhaseEffects:
         return PhaseEffects(
@@ -416,7 +426,6 @@ class LocalSubsetPhase(Protocol):
         else:
             records = ctx.state.get(KEY_ADJ_COMPONENTS, {})
             if not records:
-                ctx.state[KEY_K_MEMBERSHIP] = {}
                 ctx.halt()
                 return
             attach: Dict[int, int] = {}
@@ -467,6 +476,7 @@ class UpAggregationPhase(Protocol):
 
     name = "nc-up-aggregation"
     quiesce_terminates = True
+    scope = (KEY_IN_SAMPLE, KEY_ATTACH_PARENT)
 
     def __init__(
         self,
@@ -522,7 +532,6 @@ class UpAggregationPhase(Protocol):
         ):
             self.pre_start(ctx)
         memberships: Dict[int, Set[int]] = ctx.state.get(self.membership_key, {})
-        outbox = Outbox.for_ctx(ctx)
         if _in_sample(ctx):
             root = ctx.state[KEY_ROOT]
             counters: Dict[int, int] = {}
@@ -539,6 +548,7 @@ class UpAggregationPhase(Protocol):
             if not attach:
                 ctx.halt()
                 return
+            outbox = Outbox.for_ctx(ctx)
             for root in sorted(attach):
                 parent = attach[root]
                 for index in sorted(memberships.get(root, ())):
@@ -591,6 +601,7 @@ class DownBroadcastPhase(Protocol):
 
     name = "nc-down-broadcast"
     quiesce_terminates = True
+    scope = (KEY_IN_SAMPLE, KEY_ATTACH_PARENT)
 
     def __init__(
         self,
@@ -666,6 +677,7 @@ class KAnnouncePhase(Protocol):
 
     name = "nc-k-announce"
     quiesce_terminates = True
+    scope = (KEY_K_MEMBERSHIP,)
 
     def effects(self) -> PhaseEffects:
         return PhaseEffects(
@@ -676,10 +688,10 @@ class KAnnouncePhase(Protocol):
     def on_start(self, ctx: NodeContext) -> None:
         memberships: Dict[int, Set[int]] = ctx.state.get(KEY_K_MEMBERSHIP, {})
         sizes: Dict[int, Dict[int, int]] = ctx.state.get(KEY_K_SIZES, {})
-        ctx.state[KEY_K_NEIGHBOR_ANNOUNCERS] = {}
         if not memberships or not any(memberships.values()):
             ctx.halt()
             return
+        ctx.state[KEY_K_NEIGHBOR_ANNOUNCERS] = {}
         outbox = Outbox.for_ctx(ctx)
         for root in sorted(memberships):
             root_sizes = sizes.get(root, {})
@@ -736,14 +748,15 @@ class _KAnnounceKernel(VectorizedKernel):
         items_by_node: List[Optional[List[Tuple[int, int, int]]]] = [None] * frame.n
         senders: List[int] = []
         streams: List[List[int]] = []
-        for index, ctx in enumerate(ctx_list):
+        for index in frame.started:
+            ctx = ctx_list[index]
             state = ctx.state
             memberships: Dict[int, Set[int]] = state.get(KEY_K_MEMBERSHIP, {})
             sizes: Dict[int, Dict[int, int]] = state.get(KEY_K_SIZES, {})
-            state[KEY_K_NEIGHBOR_ANNOUNCERS] = {}
             if not memberships or not any(memberships.values()):
                 halted[index] = True
                 continue
+            state[KEY_K_NEIGHBOR_ANNOUNCERS] = {}
             items: List[Tuple[int, int, int]] = []
             for root in sorted(memberships):
                 root_sizes = sizes.get(root, {})
@@ -861,6 +874,7 @@ class VotePhase(Protocol):
 
     name = "nc-vote"
     quiesce_terminates = True
+    scope = (KEY_IN_SAMPLE, KEY_BEST_KNOWN)
 
     def effects(self) -> PhaseEffects:
         return PhaseEffects(
@@ -888,7 +902,6 @@ class VotePhase(Protocol):
 
     def on_start(self, ctx: NodeContext) -> None:
         best_known: Dict[int, Tuple[int, int]] = ctx.state.get(KEY_BEST_KNOWN, {})
-        outbox = Outbox.for_ctx(ctx)
         if _in_sample(ctx):
             waiting = set(ctx.state.get(KEY_CHILDREN, []))
             waiting |= set(ctx.state.get(KEY_ATTACHED_LEAVES, set()))
@@ -903,6 +916,7 @@ class VotePhase(Protocol):
             return
         choice = self._choice(best_known)
         attach: Dict[int, int] = ctx.state.get(KEY_ATTACH_PARENT, {})
+        outbox = Outbox.for_ctx(ctx)
         for root in sorted(best_known):
             parent = attach.get(root)
             if parent is None:

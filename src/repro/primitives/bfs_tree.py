@@ -79,6 +79,7 @@ class MinIdBFSTreeProtocol(Protocol):
 
     def __init__(self, participant_key: str = KEY_PARTICIPANT) -> None:
         self.participant_key = participant_key
+        self.scope = (participant_key,)
 
     # ------------------------------------------------------------------
     def _participates(self, ctx: NodeContext) -> bool:
@@ -148,6 +149,7 @@ class ParentNotificationProtocol(Protocol):
 
     def __init__(self, participant_key: str = KEY_PARTICIPANT) -> None:
         self.participant_key = participant_key
+        self.scope = (participant_key,)
 
     def _participates(self, ctx: NodeContext) -> bool:
         return bool(ctx.state.get(self.participant_key))

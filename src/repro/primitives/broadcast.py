@@ -66,6 +66,7 @@ class TreeBroadcastProtocol(Protocol):
         output_key: str = KEY_BROADCAST_OUTPUT,
     ) -> None:
         self.participant_key = participant_key
+        self.scope = (participant_key,)
         self.input_key = input_key
         self.output_key = output_key
 

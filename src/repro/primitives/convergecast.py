@@ -84,6 +84,7 @@ class ConvergecastCollectProtocol(Protocol):
 
     def __init__(self, participant_key: str = KEY_PARTICIPANT) -> None:
         self.participant_key = participant_key
+        self.scope = (participant_key,)
 
     def _participates(self, ctx: NodeContext) -> bool:
         return bool(ctx.state.get(self.participant_key))
@@ -179,6 +180,7 @@ class ConvergecastSumProtocol(Protocol):
         sums_key: str = KEY_SUMS,
     ) -> None:
         self.participant_key = participant_key
+        self.scope = (participant_key,)
         self.counters_key = counters_key
         self.sums_key = sums_key
 

@@ -88,6 +88,14 @@ class TestValidatePipeline:
         notes = validate_pipeline(phases)
         assert len(notes) == 1 and "mystery" in notes[0]
 
+    def test_scope_key_must_be_a_declared_read(self):
+        phase = _declared("scoped", reads=("flag",), writes=("out",))
+        phase.scope = ("flag", "out")
+        with pytest.raises(PipelineValidationError, match="scope keys \\['out'\\]"):
+            validate_pipeline([phase], external_reads=("flag",))
+        phase.scope = ("flag",)
+        assert validate_pipeline([phase], external_reads=("flag",)) == []
+
     def test_consumed_artifact_must_be_produced(self):
         phases = [_Phase("c", PhaseEffects(consumes=("bfs-tree",)))]
         with pytest.raises(PipelineValidationError, match="bfs-tree"):
