@@ -287,13 +287,15 @@ class CompDisseminationPhase(Protocol):
         if _in_sample(ctx):
             Outbox.for_ctx(ctx).flush()
             return
+        records: Optional[Dict[int, Dict[str, set]]] = ctx.state.get(
+            KEY_ADJ_COMPONENTS
+        )
         for inbound in inbox:
             if inbound.kind != _COMP:
                 continue
+            if records is None:
+                records = ctx.state[KEY_ADJ_COMPONENTS] = {}
             root, member = inbound.payload
-            records: Dict[int, Dict[str, set]] = ctx.state.setdefault(
-                KEY_ADJ_COMPONENTS, {}
-            )
             record = records.setdefault(root, {"members": set(), "senders": set()})
             record["members"].add(member)
             record["senders"].add(inbound.sender)
