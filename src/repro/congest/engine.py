@@ -22,8 +22,8 @@ ship today:
       builds inboxes only for the nodes that receive mail;
     * a node's outbox dict is drained in place;
     * a protocol that declares a :attr:`~repro.congest.node.Protocol.scope`
-      has only its in-scope nodes reset and started; the rest are marked
-      halted in one pass and never touched again;
+      has only its in-scope nodes reset, started and harvested; the rest
+      are marked halted in one pass and report ``None``;
     * :class:`repro.congest.message.Inbound` wrappers are interned per
       round, so a broadcast of one message object to k neighbours allocates
       one wrapper instead of k;
@@ -105,7 +105,7 @@ workers between phases (:mod:`repro.congest.sharding.workers`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.congest.config import SESSION_MODES, CongestConfig
 from repro.congest.errors import (
@@ -117,7 +117,13 @@ from repro.congest.errors import (
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
-from repro.congest.node import NodeContext, Protocol, in_scope, reset_in_scope
+from repro.congest.node import (
+    NodeContext,
+    Protocol,
+    effective_scope,
+    in_scope,
+    reset_in_scope,
+)
 
 #: Number of consecutive completely silent rounds after which a protocol that
 #: does not declare ``quiesce_terminates`` is considered stalled.
@@ -133,22 +139,31 @@ _MISSING = object()
 
 
 def harvest_outputs(
-    protocol: Protocol, ctx_list: Sequence[NodeContext], rounds: int
+    protocol: Protocol,
+    contexts: Iterable[NodeContext],
+    rounds: int,
+    started: Iterable[NodeContext],
+    outputs: Dict[int, Any],
 ) -> Dict[int, Any]:
-    """Align every round counter with the reference's, then read the outputs.
+    """Align the round counters of *contexts*, then collect the started outputs.
 
     The reference advances every context each round, so every context ends
-    at the run's round count, halted or not.  The outputs come back keyed
-    by id in *ctx_list* order; a protocol that keeps the default
-    :meth:`Protocol.collect_output` has them read straight from
-    ``ctx.output``.
+    at the run's round count, halted or not.  *outputs* arrives keyed by the
+    ids the caller reports, in order (``dict.fromkeys``, so ``None`` — what
+    an out-of-scope node reports); only the *started* nodes' entries are
+    then filled in, straight from ``ctx.output`` when the protocol keeps the
+    default :meth:`Protocol.collect_output`.
     """
-    for ctx in ctx_list:
+    for ctx in contexts:
         ctx._round = rounds
     if type(protocol).collect_output is Protocol.collect_output:
-        return {ctx.node_id: ctx.output for ctx in ctx_list}
-    collect = protocol.collect_output
-    return {ctx.node_id: collect(ctx) for ctx in ctx_list}
+        for ctx in started:
+            outputs[ctx.node_id] = ctx.output
+    else:
+        collect = protocol.collect_output
+        for ctx in started:
+            outputs[ctx.node_id] = collect(ctx)
+    return outputs
 
 
 def _start_out_of_scope(protocol: Protocol, ctx: NodeContext) -> None:
@@ -405,10 +420,11 @@ class ReferenceEngine(Engine):
         metrics = RunMetrics()
         quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
 
-        # Every node is started, in or out of the protocol's scope, so this
-        # engine is the full-sweep oracle for the scoped fast paths; an
-        # out-of-scope node's start is checked against the scope contract.
-        scope = protocol.scope
+        # Every node is started and harvested, in or out of the protocol's
+        # scope, so this engine is the full-sweep oracle for the scoped fast
+        # paths; an out-of-scope node is checked against the scope contract.
+        scope = effective_scope(protocol)
+        out_of_scope: List[NodeContext] = []
         # Messages queued during on_start are delivered in round 1; their
         # volume is accounted to that first round.
         startup_metrics = RoundMetrics(round_index=0)
@@ -417,6 +433,7 @@ class ReferenceEngine(Engine):
             ctx._advance_round(0)
             if scope is not None and not in_scope(scope, ctx.state):
                 _start_out_of_scope(protocol, ctx)
+                out_of_scope.append(ctx)
             else:
                 protocol.on_start(ctx)
         pending = self._collect_all(
@@ -476,6 +493,13 @@ class ReferenceEngine(Engine):
             node_id: protocol.collect_output(ctx)
             for node_id, ctx in contexts.items()
         }
+        for ctx in out_of_scope:
+            if outputs[ctx.node_id] is not None:
+                raise ProtocolError(
+                    "protocol %r: node %r is outside the declared scope %r but "
+                    "reports the output %r (an out-of-scope node reports None)"
+                    % (protocol.name, ctx.node_id, scope, outputs[ctx.node_id])
+                )
         return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
 
     # ------------------------------------------------------------------
@@ -693,7 +717,13 @@ class BatchedEngine(Engine):
             )
             metrics.absorb_round(round_metrics, config.record_round_metrics)
 
-        outputs = harvest_outputs(protocol, ctx_list, rounds)
+        outputs = harvest_outputs(
+            protocol,
+            ctx_list,
+            rounds,
+            map(ctx_list.__getitem__, started),
+            dict.fromkeys(contexts),
+        )
         return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
 
 

@@ -250,14 +250,16 @@ class Protocol:
 
     #: The nodes a phase can involve, as a tuple of ``ctx.state`` keys, or
     #: ``None`` for every node.  A node is *out of scope* when none of the
-    #: keys is truthy in its state, and an out-of-scope node's ``on_start``
-    #: may only call ``ctx.halt()``: no state or output write, no send.
-    #: The fast engines then skip such nodes entirely — they mark them
-    #: halted without resetting or starting them — while
-    #: :class:`repro.congest.engine.ReferenceEngine` still starts every node
-    #: and raises :class:`ProtocolError` when an out-of-scope one breaks the
-    #: contract.  A scope is honoured only under the default
-    #: :meth:`finished` predicate.
+    #: keys is truthy in its state — in particular every node whose state
+    #: is empty — and an out-of-scope node's ``on_start`` may only call
+    #: ``ctx.halt()`` (no state or output write, no send) and its
+    #: :meth:`collect_output` must report ``None``.  The fast engines then
+    #: skip such nodes entirely — they mark them halted without resetting,
+    #: starting or harvesting them — while
+    #: :class:`repro.congest.engine.ReferenceEngine` still starts and
+    #: harvests every node and raises :class:`ProtocolError` when an
+    #: out-of-scope one breaks the contract.  A scope is honoured only under
+    #: the default :meth:`finished` predicate (:func:`effective_scope`).
     scope: Optional[Tuple[str, ...]] = None
 
     def on_start(self, ctx: NodeContext) -> None:
@@ -321,6 +323,15 @@ class Protocol:
         return ctx.output
 
 
+def effective_scope(protocol: Protocol) -> Optional[Tuple[str, ...]]:
+    """The scope every engine applies to *protocol*: its declared one, or
+    ``None`` when it overrides :meth:`Protocol.finished`, because a halted
+    node may still count as unfinished there."""
+    if type(protocol).finished is not Protocol.finished:
+        return None
+    return protocol.scope
+
+
 def in_scope(scope: Tuple[str, ...], state: Dict[str, Any]) -> bool:
     """Whether a node with this *state* is in a protocol's *scope*."""
     for key in scope:
@@ -337,22 +348,20 @@ def reset_in_scope(
     One pass: an out-of-scope context (see :attr:`Protocol.scope`) is marked
     halted — the only effect its ``on_start`` may have — and every other one
     is reset for the new protocol.  Returns the in-scope indices, in order;
-    the caller starts exactly those.  A protocol with an overridden
-    :meth:`Protocol.finished` keeps every node in scope, because a halted
-    node may still count as unfinished there.
+    the caller starts exactly those.  After sampling most nodes hold no
+    state at all, so an empty state is tested first: it costs no call, and
+    its halt flag is written only when it changes.
     """
-    scope = protocol.scope
-    if type(protocol).finished is not Protocol.finished:
-        scope = None
+    scope = effective_scope(protocol)
     started: List[int] = []
     append = started.append
     for i in indices:
         ctx = ctx_list[i]
         if ctx._outgoing:
             ctx._outgoing = {}
-        if scope is not None and not in_scope(scope, ctx.state):
+        if scope is None or (ctx.state and in_scope(scope, ctx.state)):
+            ctx._halted = False
+            append(i)
+        elif not ctx._halted:
             ctx._halted = True
-            continue
-        ctx._halted = False
-        append(i)
     return started

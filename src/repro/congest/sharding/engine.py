@@ -178,6 +178,7 @@ class _ShardState:
     __slots__ = (
         "index",
         "owned",
+        "started",
         "frontier",
         "pending_index",
         "pending_inbound",
@@ -192,6 +193,8 @@ class _ShardState:
     def __init__(self, index: int, owned: Sequence[int], n_shards: int) -> None:
         self.index = index
         self.owned: Tuple[int, ...] = tuple(owned)
+        # The owned nodes this phase started (its in-scope ones).
+        self.started: List[int] = []
         self.frontier: List[int] = []
         # Shard-local deliveries (receiver owned by this shard), as the
         # batched engine's two parallel flat lists.
@@ -535,12 +538,15 @@ class _ShardStepper:
         """Round 0 for one shard: ``on_start`` every owned in-scope node, then drain.
 
         Owned nodes outside the protocol's scope are marked halted and
-        never started (:func:`repro.congest.node.reset_in_scope`).
+        never started (:func:`repro.congest.node.reset_in_scope`); the
+        started ones are kept on the shard for the output harvest.
         """
         rm = RoundMetrics(round_index=0)
         ctx_list = self.ctx_list
         on_start = self.protocol.on_start
-        started = reset_in_scope(self.protocol, ctx_list, shard.owned)
+        started = shard.started = reset_in_scope(
+            self.protocol, ctx_list, shard.owned
+        )
         for i in started:
             ctx = ctx_list[i]
             ctx._round = 0
@@ -860,7 +866,13 @@ class _ShardedRun(_ShardStepper):
                 faults.check("finish")
         self.pool = None
 
-        outputs = harvest_outputs(protocol, ctx_list, rounds)
+        outputs = harvest_outputs(
+            protocol,
+            ctx_list,
+            rounds,
+            (ctx_list[i] for shard in self.shards for i in shard.started),
+            dict.fromkeys(self.contexts),
+        )
         return RunResult(outputs=outputs, metrics=metrics, contexts=self.contexts)
 
 

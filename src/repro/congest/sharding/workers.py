@@ -24,7 +24,7 @@ Protocol of one execution (all traffic over one duplex pipe per worker)::
     ("round", r, batches) ────────────▶ deliver + step + drain
                   ◀──────────────────── ("ok", metrics, pending, open, batches)
     ...                                 ...
-    ("finish", r) ────────────────────▶ collect outputs + context state
+    ("finish", r) ────────────────────▶ collect started outputs + state
                   ◀──────────────────── ("done", outputs, states, traffic)
     (worker stays; next "arm" starts the next execute, EOF exits)
 
@@ -417,7 +417,9 @@ class _WorkerHarness:
         ctx_list = stepper.ctx_list
         protocol = stepper.protocol
         owned = [ctx_list[i] for i in self.shard.owned]
-        outputs = harvest_outputs(protocol, owned, rounds)
+        outputs = harvest_outputs(
+            protocol, owned, rounds, map(ctx_list.__getitem__, self.shard.started), {}
+        )
         states: Dict[int, Tuple] = {}
         for ctx in owned:
             # Only RNGs this worker actually built ship a state: an unbuilt
@@ -477,7 +479,11 @@ class _WorkerHarness:
         stepper = self.stepper
         ctx_list = stepper.ctx_list
         outputs = harvest_outputs(
-            stepper.protocol, [ctx_list[i] for i in self.shard.owned], rounds
+            stepper.protocol,
+            map(ctx_list.__getitem__, self.shard.owned),
+            rounds,
+            map(ctx_list.__getitem__, self.shard.started),
+            {},
         )
         traffic = (self.shard.local_messages, self.shard.remote_messages)
         return ("done", outputs, {}, traffic)
@@ -1139,14 +1145,16 @@ class ProcessShardedRun:
         # parent's contexts, so a worker failing at finish leaves them
         # bit-identical to the phase start — the invariant that makes a
         # supervised retry's replay safe.
-        merged_outputs: Dict[int, Any] = {}
+        # Workers report only the nodes they started; every other node
+        # was out of scope and reports None.
+        outputs: Dict[int, Any] = dict.fromkeys(self.contexts)
         harvest = "finish" if self.fold_contexts else "finish-light"
         for handle in handles:
             self._send(handle, (harvest, rounds))
         reports = self._collect(handles)
         for report in reports:
-            _op, outputs, states, traffic = report
-            merged_outputs.update(outputs)
+            _op, started_outputs, states, traffic = report
+            outputs.update(started_outputs)
             self._traffic.append(traffic)
             for node_id, packed_state in states.items():
                 state, output, halted, globals_, rng_state = packed_state
@@ -1163,7 +1171,6 @@ class ProcessShardedRun:
                     # Builds the parent's RNG if only the worker drew.
                     ctx.rng.setstate(_unpack_rng_state(rng_state))
 
-        outputs = {node_id: merged_outputs[node_id] for node_id in self.contexts}
         return RunResult(outputs=outputs, metrics=metrics, contexts=self.contexts)
 
 

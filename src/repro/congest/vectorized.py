@@ -382,7 +382,14 @@ class VectorizedEngine(BatchedEngine):
         frame = KernelFrame(network, protocol, config, contexts)
         kernel.execute(frame)
         frame.fold_back()
-        outputs = harvest_outputs(protocol, frame.ctx_list, frame.rounds)
+        ctx_list = frame.ctx_list
+        outputs = harvest_outputs(
+            protocol,
+            ctx_list,
+            frame.rounds,
+            map(ctx_list.__getitem__, frame.started),
+            dict.fromkeys(contexts),
+        )
         return RunResult(outputs=outputs, metrics=frame.metrics, contexts=contexts)
 
 

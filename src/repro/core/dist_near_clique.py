@@ -251,10 +251,12 @@ class DistNearCliqueRunner:
         }
         per_node_inputs = None
         if sample is not None:
-            sample_ids = {network.id_of[label] for label in sample}
+            # Inputs for the members only: under the forced-sample global a
+            # node without one is out of S, so the others keep empty states.
+            global_inputs[phases.GLOBAL_FORCED_SAMPLE] = True
             per_node_inputs = {
-                node_id: {phases.KEY_FORCED_SAMPLE: node_id in sample_ids}
-                for node_id in network.node_ids
+                network.id_of[label]: {phases.KEY_FORCED_SAMPLE: True}
+                for label in sample
             }
 
         metrics = RunMetrics()

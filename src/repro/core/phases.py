@@ -27,7 +27,11 @@ The scope column is each phase's :attr:`repro.congest.node.Protocol.scope`:
 after sampling, only S and Γ(S) take part, so the fast engines start only
 the nodes holding one of the listed state keys and mark the rest halted.
 Sampling flips a coin at every node and comp-dissemination listens at
-every non-isolated node, so those two have no scope.
+every non-isolated node, so those two have no scope.  Sampling writes the
+sample keys (``KEY_IN_SAMPLE``, ``participant``) only at sampled nodes and
+every reader treats a missing key as ``False``, so until comp-dissemination
+delivers a component a non-sampled node's state stays empty — the case the
+engines' scope pass handles without a call.
 
 All phases respect the CONGEST discipline: every message carries a constant
 number of identifiers / polynomially-bounded counters (O(log n) bits), and a
@@ -114,6 +118,9 @@ GLOBAL_SAMPLE_PROBABILITY = "sample_probability"
 GLOBAL_MIN_OUTPUT_SIZE = "min_output_size"
 GLOBAL_STEP4F_SAMPLING = "use_step4f_sampling"
 GLOBAL_STEP4F_SAMPLE_SIZE = "step4f_sample_size"
+#: Set when the runner forces the sample: a node without a
+#: ``KEY_FORCED_SAMPLE`` input is then out of the sample, not a coin flip.
+GLOBAL_FORCED_SAMPLE = "forced_sample"
 
 # message kinds
 _COMP = "nc.comp"
@@ -175,10 +182,16 @@ def _k_membership_indices(
 class SamplingPhase(Protocol):
     """Each node joins S independently with probability p (purely local).
 
-    If the runner supplies a predetermined sample (``KEY_FORCED_SAMPLE`` in
-    the per-node inputs) the coin flip is skipped — used by tests that
-    cross-check the distributed execution against the centralized oracle on
-    the very same sample.
+    If the runner supplies a predetermined sample the coin flip is skipped
+    — used by tests that cross-check the distributed execution against the
+    centralized oracle on the very same sample.  A per-node
+    ``KEY_FORCED_SAMPLE`` input forces that node in (truthy) or out
+    (``False``); under ``GLOBAL_FORCED_SAMPLE`` a node without one is out.
+
+    The sample keys are written only at sampled nodes (every reader treats
+    a missing key as ``False``), so a non-sampled node keeps an empty state
+    and the scoped phases after this one skip it without a call
+    (:func:`repro.congest.node.reset_in_scope`).
     """
 
     name = "nc-sampling"
@@ -186,23 +199,34 @@ class SamplingPhase(Protocol):
 
     def effects(self) -> PhaseEffects:
         return PhaseEffects(
-            reads=(KEY_FORCED_SAMPLE, KEY_IN_SAMPLE),
+            reads=(KEY_FORCED_SAMPLE, KEY_IN_SAMPLE, KEY_PARTICIPANT),
             writes=(KEY_IN_SAMPLE, KEY_PARTICIPANT),
-            globals_read=(GLOBAL_SAMPLE_PROBABILITY,),
+            globals_read=(GLOBAL_SAMPLE_PROBABILITY, GLOBAL_FORCED_SAMPLE),
             writes_output=True,
         )
 
     def on_start(self, ctx: NodeContext) -> None:
-        forced = ctx.state.get(KEY_FORCED_SAMPLE)
-        if forced is None:
+        self.draw(ctx)
+        ctx.halt()
+
+    def draw(self, ctx: NodeContext) -> None:
+        """Decide this node's membership in S and record it (no halt)."""
+        state = ctx.state
+        forced = state.get(KEY_FORCED_SAMPLE)
+        if forced is not None:
+            in_sample = bool(forced)
+        elif ctx.globals.get(GLOBAL_FORCED_SAMPLE):
+            in_sample = False
+        else:
             probability = float(ctx.globals.get(GLOBAL_SAMPLE_PROBABILITY, 0.0))
             in_sample = ctx.rng.random() < probability
-        else:
-            in_sample = bool(forced)
-        ctx.state[KEY_IN_SAMPLE] = in_sample
-        ctx.state[KEY_PARTICIPANT] = in_sample
+        if in_sample:
+            state[KEY_IN_SAMPLE] = True
+            state[KEY_PARTICIPANT] = True
+        elif KEY_IN_SAMPLE in state or KEY_PARTICIPANT in state:
+            state.pop(KEY_IN_SAMPLE, None)
+            state.pop(KEY_PARTICIPANT, None)
         ctx.write_output(None)
-        ctx.halt()
 
     def collect_output(self, ctx: NodeContext) -> bool:
         return bool(ctx.state.get(KEY_IN_SAMPLE))
@@ -214,30 +238,19 @@ class SamplingPhase(Protocol):
 class _SamplingKernel(VectorizedKernel):
     """Columnar form of :class:`SamplingPhase`.
 
-    Pure apply stage: every node flips its coin (through its own private
-    RNG, drawn in dense-index order so the consumption matches the callback
-    engines draw for draw), writes the sample flags and halts — the whole
-    phase is zero rounds of communication, which the empty broadcast
-    schedule reproduces.
+    Pure apply stage: every node runs :meth:`SamplingPhase.draw` (its coin
+    through its own private RNG, drawn in dense-index order so the
+    consumption matches the callback engines draw for draw) and halts —
+    the whole phase is zero rounds of communication, which the empty
+    broadcast schedule reproduces.
     """
 
     def execute(self, frame: KernelFrame) -> None:
         halted = frame.halted
         ctx_list = frame.ctx_list
+        draw = frame.protocol.draw
         for index in frame.started:
-            ctx = ctx_list[index]
-            state = ctx.state
-            forced = state.get(KEY_FORCED_SAMPLE)
-            if forced is None:
-                probability = float(
-                    ctx.globals.get(GLOBAL_SAMPLE_PROBABILITY, 0.0)
-                )
-                in_sample = ctx.rng.random() < probability
-            else:
-                in_sample = bool(forced)
-            state[KEY_IN_SAMPLE] = in_sample
-            state[KEY_PARTICIPANT] = in_sample
-            ctx.output = None
+            draw(ctx_list[index])
             halted[index] = True
         frame.run_broadcast_schedule((), ())
 

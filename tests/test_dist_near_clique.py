@@ -13,6 +13,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest.config import CongestConfig
 from repro.core import near_clique
@@ -35,16 +37,15 @@ def assert_equivalent(graph, epsilon, sample, seed=0, min_output_size=0):
     )
     distributed = runner.run(graph, sample=sample)
     assert distributed.labels == reference.labels
-    ref_candidates = {
-        (c.component_root, c.subset_index, c.members, c.survived)
-        for c in reference.candidates
-    }
-    dist_candidates = {
-        (c.component_root, c.subset_index, c.members, c.survived)
-        for c in distributed.candidates
-    }
-    assert dist_candidates == ref_candidates
+    assert _candidate_keys(distributed) == _candidate_keys(reference)
     return distributed, reference
+
+
+def _candidate_keys(result):
+    return {
+        (c.component_root, c.subset_index, c.members, c.survived)
+        for c in result.candidates
+    }
 
 
 class TestEquivalenceWithReference:
@@ -97,6 +98,59 @@ class TestEquivalenceWithReference:
         graph, _ = planted_workload
         for epsilon in (0.1, 0.15, 0.25, 0.3):
             assert_equivalent(graph, epsilon, {0, 4, 9, 41})
+
+
+@st.composite
+def _small_graphs(draw):
+    """Random graphs on at most 10 nodes, one coin per node pair."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(pair for pair, keep in zip(pairs, present) if keep)
+    return graph
+
+
+class TestPaperOracleProperty:
+    """On any small graph, the runner's output is the paper's K/T result.
+
+    The distributed labels and candidate sets must equal those of the
+    centralized operators
+    (:class:`CentralizedNearCliqueFinder`) run on the sample the runner
+    realised, for a forced sample and for coin flips alike, on every
+    single-process synchronous engine.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        graph=_small_graphs(),
+        engine=st.sampled_from(["reference", "batched", "vectorized"]),
+        epsilon=st.sampled_from([0.1, 0.2, 0.3]),
+        forced=st.booleans(),
+        data=st.data(),
+    )
+    def test_runner_equals_the_centralized_operators(
+        self, graph, engine, epsilon, forced, data
+    ):
+        sample = None
+        if forced:
+            sample = data.draw(st.sets(st.sampled_from(sorted(graph)), max_size=6))
+        runner = DistNearCliqueRunner(
+            epsilon=epsilon,
+            sample_probability=0.4,
+            max_sample_size=None,
+            rng=random.Random(data.draw(st.integers(0, 2**16))),
+            engine=engine,
+        )
+        result = runner.run(graph, sample=sample)
+        if forced:
+            assert result.sample == sample
+        oracle = CentralizedNearCliqueFinder(graph, epsilon).run_with_sample(
+            result.sample
+        )
+        assert result.labels == oracle.labels
+        assert _candidate_keys(result) == _candidate_keys(oracle)
 
 
 class TestRunnerBehaviour:

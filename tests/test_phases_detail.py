@@ -14,13 +14,16 @@ import networkx as nx
 import pytest
 
 from repro.congest.config import CongestConfig
+from repro.congest.engine import get_engine
 from repro.congest.network import Network
 from repro.congest.scheduler import run_protocol
 from repro.core import near_clique, phases
+from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import generators
 from repro.primitives.bfs_tree import (
     KEY_PARENT,
+    KEY_PARTICIPANT,
     KEY_ROOT,
     MinIdBFSTreeProtocol,
     ParentNotificationProtocol,
@@ -125,6 +128,49 @@ class TestSamplingPhase:
         assert all(
             ctx.state[phases.KEY_IN_SAMPLE] for ctx in network.contexts.values()
         )
+
+
+    @pytest.mark.parametrize("engine_name", ["reference", "batched", "vectorized"])
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_only_sampled_nodes_hold_the_sample_keys(self, workload, engine_name, forced):
+        graph, _ = workload
+        network = Network(graph, seed=5)
+        global_inputs = {phases.GLOBAL_SAMPLE_PROBABILITY: 0.3}
+        per_node_inputs = None
+        if forced:
+            # The runner's form: inputs for the members only.
+            global_inputs[phases.GLOBAL_FORCED_SAMPLE] = True
+            per_node_inputs = {v: {phases.KEY_FORCED_SAMPLE: True} for v in SAMPLE}
+        result = get_engine(engine_name).execute(
+            network,
+            phases.SamplingPhase(),
+            global_inputs=global_inputs,
+            per_node_inputs=per_node_inputs,
+        )
+        sampled = {v for v, in_sample in result.outputs.items() if in_sample}
+        if forced:
+            assert sampled == SAMPLE
+        assert 0 < len(sampled) < graph.number_of_nodes()
+        for v, ctx in result.contexts.items():
+            expected = {}
+            if v in sampled:
+                if forced:
+                    expected[phases.KEY_FORCED_SAMPLE] = True
+                expected.update({phases.KEY_IN_SAMPLE: True, KEY_PARTICIPANT: True})
+            assert ctx.state == expected
+
+    def test_full_per_node_forced_inputs_give_the_runner_labels(self, workload):
+        # Explicit per-node False inputs (the pre-global form) still force
+        # nodes out and reproduce the runner's labels phase for phase.
+        graph, _ = workload
+        network = run_pipeline_until(graph, SAMPLE, EPS, 13)
+        runner = DistNearCliqueRunner(
+            epsilon=EPS, sample_probability=0.0, rng=random.Random(1)
+        )
+        result = runner.run(graph, sample=SAMPLE)
+        assert result.sample == SAMPLE
+        assert result.labelled_nodes
+        assert {v: ctx.output for v, ctx in network.contexts.items()} == result.labels
 
 
 class TestCompDissemination:

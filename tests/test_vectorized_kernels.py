@@ -298,6 +298,72 @@ class _MisScoped(Protocol):
             ctx.halt()
 
 
+class _CallCounting(Protocol):
+    """Scoped on ``"flag"``; records every node it starts and harvests.
+
+    Its kernel does the callbacks' work for the frame's started nodes, so
+    the vectorized arm exercises :class:`KernelFrame`'s scope pass and
+    harvest rather than the callback fallback.
+    """
+
+    name = "call-counting"
+    scope = ("flag",)
+    quiesce_terminates = True
+
+    def __init__(self):
+        self.started = []
+        self.collected = []
+
+    def on_start(self, ctx):
+        self.started.append(ctx.node_id)
+        if ctx.state.get("flag"):
+            ctx.write_output(ctx.node_id)
+        ctx.halt()
+
+    def collect_output(self, ctx):
+        self.collected.append(ctx.node_id)
+        return ctx.output
+
+    def vectorized_kernel(self):
+        protocol = self
+
+        class _Kernel(vectorized.VectorizedKernel):
+            def execute(self, frame):
+                for index in frame.started:
+                    protocol.on_start(frame.ctx_list[index])
+                    frame.halted[index] = True
+                frame.run_broadcast_schedule((), ())
+
+        return _Kernel()
+
+
+class _ScopedWithOwnFinished(Protocol):
+    """Declares a scope, but its overridden ``finished`` voids it."""
+
+    name = "scoped-own-finished"
+    scope = ("flag",)
+
+    def on_start(self, ctx):
+        ctx.write_output(ctx.node_id)
+
+    def finished(self, ctx):
+        return True
+
+
+class _LeakyOutput(Protocol):
+    """Out-of-scope nodes only halt, but still report an output."""
+
+    name = "leaky-output"
+    scope = ("flag",)
+    quiesce_terminates = True
+
+    def on_start(self, ctx):
+        ctx.halt()
+
+    def collect_output(self, ctx):
+        return ctx.node_id
+
+
 class TestScopeContract:
     """Out-of-scope nodes may only halt; the reference engine checks it."""
 
@@ -329,6 +395,36 @@ class TestScopeContract:
         assert candidate.started == [2]
         assert result.outputs == expected.outputs == {0: None, 1: None, 2: 2, 3: None}
         assert all(ctx.halted for ctx in result.contexts.values())
+
+    def test_reference_rejects_an_out_of_scope_output(self):
+        with pytest.raises(ProtocolError, match="outside the declared scope.*reports"):
+            self._run("reference", _LeakyOutput())
+
+    @pytest.mark.parametrize("engine_name", ["batched", "vectorized", "sharded"])
+    def test_fast_engines_neither_start_nor_harvest_out_of_scope_nodes(
+        self, engine_name
+    ):
+        protocol = _CallCounting()
+        result = get_engine(engine_name).execute(
+            Network(nx.path_graph(6), seed=1),
+            protocol,
+            config=CongestConfig(**CHAIN_ARMS[engine_name]),
+            # Node 4 holds state but no scope key; the rest hold none.
+            per_node_inputs={2: {"flag": True}, 4: {"other": 1}},
+        )
+        assert protocol.started == protocol.collected == [2]
+        assert list(result.outputs.items()) == [
+            (0, None), (1, None), (2, 2), (3, None), (4, None), (5, None)
+        ]
+        assert all(ctx.halted for ctx in result.contexts.values())
+
+    @pytest.mark.parametrize("engine_name", ["batched", "vectorized", "sharded"])
+    def test_overridden_finished_voids_the_scope_on_every_engine(self, engine_name):
+        # Every node writes its output although only node 2 is in scope:
+        # a breach if the scope applied, so the reference must not apply it.
+        expected = self._run("reference", _ScopedWithOwnFinished())
+        result = self._run(engine_name, _ScopedWithOwnFinished())
+        assert result.outputs == expected.outputs == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_pipeline_protocols_declare_their_scopes(self):
         scoped = {
