@@ -9,6 +9,15 @@ additionally times one representative kernel through pytest-benchmark, so
 
 regenerates both the quality tables and the timing figures.
 
+Collection
+----------
+Plain pytest collects neither ``bench_e*.py`` files nor ``bench_*``
+functions, so this conftest collects them itself: the files when pytest
+walks this directory, the functions in every bench module, whether the
+module was named on the command line or found by the walk.  The hooks are
+scoped to this directory, so the tier-1 run (``testpaths = ["tests"]``)
+never sees them.
+
 Machine-readable results
 ------------------------
 Benchmarks report their headline measurements through
@@ -26,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from fnmatch import fnmatch
 from typing import Any, Dict, List, Optional
 
 import pytest
@@ -82,6 +92,41 @@ def _flush() -> None:
         with open(_json_path, "w", encoding="utf-8") as handle:
             json.dump(RESULTS, handle, indent=2, sort_keys=True)
             handle.write("\n")
+
+
+def _is_bench_module(path) -> bool:
+    return fnmatch(path.name, "bench_e*.py")
+
+
+class BenchModule(pytest.Module):
+    """A ``bench_e*.py`` module: its ``bench_*`` functions are the tests."""
+
+    def funcnamefilter(self, name: str) -> bool:
+        return name.startswith("bench_")
+
+    def classnamefilter(self, name: str) -> bool:
+        return False
+
+
+def pytest_collect_file(file_path, parent):
+    # Files named on the command line, or matching python_files, reach the
+    # module hook below through pytest's own collector.
+    if (
+        _is_bench_module(file_path)
+        and not parent.session.isinitpath(file_path)
+        and not any(
+            fnmatch(file_path.name, pattern)
+            for pattern in parent.config.getini("python_files")
+        )
+    ):
+        return BenchModule.from_parent(parent, path=file_path)
+    return None
+
+
+def pytest_pycollect_makemodule(module_path, parent):
+    if _is_bench_module(module_path):
+        return BenchModule.from_parent(parent, path=module_path)
+    return None
 
 
 def pytest_addoption(parser) -> None:

@@ -17,13 +17,15 @@ ship today:
     A fast path for large networks.  It drives the same protocol callbacks
     but organises the bookkeeping around flat arrays and reuse:
 
-    * node ids are mapped to dense indices (the order of
-      :attr:`repro.congest.network.Network.context_list`), and each round
+    * node ids are mapped to dense indices (ascending id order), only the
+      contexts a phase starts are built (see
+      :class:`repro.congest.network.ContextRegistry`), and each round
       builds inboxes only for the nodes that receive mail;
     * a node's outbox dict is drained in place;
     * a protocol that declares a :attr:`~repro.congest.node.Protocol.scope`
       has only its in-scope nodes reset, started and harvested; the rest
-      are marked halted in one pass and report ``None``;
+      are marked halted (one column write for the nodes without a
+      context) and report ``None``;
     * :class:`repro.congest.message.Inbound` wrappers are interned per
       round, so a broadcast of one message object to k neighbours allocates
       one wrapper instead of k;
@@ -105,7 +107,18 @@ workers between phases (:mod:`repro.congest.sharding.workers`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.congest.config import SESSION_MODES, CongestConfig
 from repro.congest.errors import (
@@ -116,14 +129,8 @@ from repro.congest.errors import (
 )
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
-from repro.congest.network import Network
-from repro.congest.node import (
-    NodeContext,
-    Protocol,
-    effective_scope,
-    in_scope,
-    reset_in_scope,
-)
+from repro.congest.network import ContextRegistry, Network
+from repro.congest.node import NodeContext, Protocol, effective_scope, in_scope
 
 #: Number of consecutive completely silent rounds after which a protocol that
 #: does not declare ``quiesce_terminates`` is considered stalled.
@@ -140,22 +147,32 @@ _MISSING = object()
 
 def harvest_outputs(
     protocol: Protocol,
-    contexts: Iterable[NodeContext],
+    contexts: ContextRegistry,
     rounds: int,
     started: Iterable[NodeContext],
-    outputs: Dict[int, Any],
+    fill: Any = None,
 ) -> Dict[int, Any]:
-    """Align the round counters of *contexts*, then collect the started outputs.
+    """Align every round counter, then collect the started nodes' outputs.
 
-    The reference advances every context each round, so every context ends
-    at the run's round count, halted or not.  *outputs* arrives keyed by the
-    ids the caller reports, in order (``dict.fromkeys``, so ``None`` — what
-    an out-of-scope node reports); only the *started* nodes' entries are
-    then filled in, straight from ``ctx.output`` when the protocol keeps the
-    default :meth:`Protocol.collect_output`.
+    The reference advances every context each round, so every node ends at
+    the run's round count, halted or not: the registry sets its live
+    contexts and its round register.  The outputs are keyed by every node
+    id in ascending order with *fill* — ``None``, what an out-of-scope node
+    reports, unless an unscoped kernel left started nodes without a context
+    — and only the *started* nodes' entries are then filled in.
     """
-    for ctx in contexts:
-        ctx._round = rounds
+    contexts.align_rounds(rounds)
+    return collect_outputs(protocol, started, dict.fromkeys(contexts, fill))
+
+
+def collect_outputs(
+    protocol: Protocol, started: Iterable[NodeContext], outputs: Dict[int, Any]
+) -> Dict[int, Any]:
+    """Fill *outputs* with the *started* nodes' reports.
+
+    Straight from ``ctx.output`` when the protocol keeps the default
+    :meth:`Protocol.collect_output`.
+    """
     if type(protocol).collect_output is Protocol.collect_output:
         for ctx in started:
             outputs[ctx.node_id] = ctx.output
@@ -208,13 +225,15 @@ class RunResult:
     metrics:
         Round / message / bit accounting for the run.
     contexts:
-        The per-node contexts after the run; composite protocols read
-        intermediate per-node state from here.
+        The per-node contexts after the run (the network's
+        :class:`~repro.congest.network.ContextRegistry`); composite
+        protocols read intermediate per-node state from here.
+        ``contexts.peek(v)`` reads a node without building its context.
     """
 
     outputs: Dict[int, Any]
     metrics: RunMetrics
-    contexts: Dict[int, NodeContext] = field(default_factory=dict)
+    contexts: Mapping[int, NodeContext] = field(default_factory=dict)
 
 
 class CongestSession:
@@ -417,6 +436,7 @@ class ReferenceEngine(Engine):
             per_node_inputs=per_node_inputs,
             fresh=not reuse_contexts,
         )
+        ctx_list = contexts.materialize()
         metrics = RunMetrics()
         quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
 
@@ -428,7 +448,7 @@ class ReferenceEngine(Engine):
         # Messages queued during on_start are delivered in round 1; their
         # volume is accounted to that first round.
         startup_metrics = RoundMetrics(round_index=0)
-        for ctx in contexts.values():
+        for ctx in ctx_list:
             ctx._reset_for_new_protocol()
             ctx._advance_round(0)
             if scope is not None and not in_scope(scope, ctx.state):
@@ -437,13 +457,13 @@ class ReferenceEngine(Engine):
             else:
                 protocol.on_start(ctx)
         pending = self._collect_all(
-            contexts, config, round_index=0, metrics=startup_metrics
+            ctx_list, config, round_index=0, metrics=startup_metrics
         )
 
         rounds = 0
         silent_rounds = 0
         while True:
-            all_done = all(protocol.finished(ctx) for ctx in contexts.values())
+            all_done = all(protocol.finished(ctx) for ctx in ctx_list)
             if all_done and not pending:
                 break
             if not pending and rounds > 0 and quiesce_ok:
@@ -474,9 +494,9 @@ class ReferenceEngine(Engine):
                 )
 
             active = 0
-            for node_id, ctx in contexts.items():
+            for ctx in ctx_list:
                 ctx._advance_round(rounds)
-                inbox = inboxes.get(node_id, [])
+                inbox = inboxes.get(ctx.node_id, [])
                 if protocol.finished(ctx):
                     # A halted node ignores late messages, mirroring the
                     # convention that its output is already committed.
@@ -485,14 +505,11 @@ class ReferenceEngine(Engine):
                 protocol.on_round(ctx, inbox)
             round_metrics.active_nodes = active
 
-            pending = self._collect_all(contexts, config, rounds, round_metrics)
+            pending = self._collect_all(ctx_list, config, rounds, round_metrics)
             round_metrics.edges_used = len({pair for pair, _ in pending})
             metrics.absorb_round(round_metrics, config.record_round_metrics)
 
-        outputs = {
-            node_id: protocol.collect_output(ctx)
-            for node_id, ctx in contexts.items()
-        }
+        outputs = {ctx.node_id: protocol.collect_output(ctx) for ctx in ctx_list}
         for ctx in out_of_scope:
             if outputs[ctx.node_id] is not None:
                 raise ProtocolError(
@@ -505,7 +522,7 @@ class ReferenceEngine(Engine):
     # ------------------------------------------------------------------
     def _collect_all(
         self,
-        contexts: Dict[int, NodeContext],
+        ctx_list: List[NodeContext],
         config: CongestConfig,
         round_index: int,
         metrics: Optional[RoundMetrics],
@@ -513,7 +530,8 @@ class ReferenceEngine(Engine):
         """Gather queued messages from every node, enforcing the model rules."""
         budget = config.message_bit_budget
         pending = []
-        for node_id, ctx in contexts.items():
+        for ctx in ctx_list:
+            node_id = ctx.node_id
             outgoing = ctx._collect_outgoing()
             for receiver, messages in outgoing.items():
                 if config.enforce_congestion and len(messages) > 1:
@@ -556,8 +574,6 @@ class BatchedEngine(Engine):
         fast_finished = type(protocol).finished is Protocol.finished
 
         index_of = network.node_index_of
-        ctx_list = network.context_list
-        n = len(ctx_list)
 
         enforce = config.enforce_congestion
         budget = config.message_bit_budget
@@ -625,20 +641,21 @@ class BatchedEngine(Engine):
 
         # --- round 0: on_start the in-scope nodes, then drain them --------
         startup_metrics = RoundMetrics(round_index=0)
-        started = reset_in_scope(protocol, ctx_list, range(n))
+        started = contexts.start(protocol)
+        live = contexts.live
         on_start = protocol.on_start
         for i in started:
-            ctx = ctx_list[i]
+            ctx = live[i]
             ctx._round = 0
             on_start(ctx)
         for i in started:
-            ctx = ctx_list[i]
+            ctx = live[i]
             if ctx._outgoing:
                 drain(ctx, 0, startup_metrics, None)
 
         frontier: List[int] = []
         if fast_finished:
-            frontier = [i for i in started if not ctx_list[i]._halted]
+            frontier = [i for i in started if not live[i]._halted]
 
         rounds = 0
         silent_rounds = 0
@@ -646,7 +663,7 @@ class BatchedEngine(Engine):
             if fast_finished:
                 all_done = not frontier
             else:
-                all_done = all(protocol.finished(ctx) for ctx in ctx_list)
+                all_done = all(protocol.finished(ctx) for ctx in contexts.materialize())
             if all_done and not pending_index:
                 break
             if not pending_index and rounds > 0 and quiesce_ok:
@@ -690,7 +707,7 @@ class BatchedEngine(Engine):
                 round_metrics.active_nodes = len(frontier)
                 any_halted = False
                 for i in frontier:
-                    ctx = ctx_list[i]
+                    ctx = live[i]
                     ctx._round = rounds
                     on_round(ctx, box_of(i, _EMPTY_INBOX))
                     if ctx._halted:
@@ -698,11 +715,12 @@ class BatchedEngine(Engine):
                     if ctx._outgoing:
                         drain(ctx, rounds, round_metrics, pairs)
                 if any_halted:
-                    frontier = [i for i in frontier if not ctx_list[i]._halted]
+                    frontier = [i for i in frontier if not live[i]._halted]
             else:
+                # An overridden predicate voids the scope, so every node
+                # has a context here.
                 active = 0
-                for i in range(n):
-                    ctx = ctx_list[i]
+                for i, ctx in enumerate(contexts.materialize()):
                     ctx._round = rounds
                     if protocol.finished(ctx):
                         continue
@@ -718,11 +736,7 @@ class BatchedEngine(Engine):
             metrics.absorb_round(round_metrics, config.record_round_metrics)
 
         outputs = harvest_outputs(
-            protocol,
-            ctx_list,
-            rounds,
-            map(ctx_list.__getitem__, started),
-            dict.fromkeys(contexts),
+            protocol, contexts, rounds, map(live.__getitem__, started)
         )
         return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
 

@@ -19,16 +19,21 @@ Storage is CSR-native: the topology lives in two flat int64 numpy arrays
 order, built in one sort plus a ``bincount`` / ``cumsum`` pass from the
 graph's adjacency or, for a pair array, from both orientations of every
 row after one ``np.unique`` assigns the dense indices.  No copy of the
-input is kept.  Everything else is derived from those arrays: the
-per-node sorted neighbour tuples handed to contexts, the ``array('q')``
-pair :meth:`Network.csr` returns, and the read-only :attr:`Network.graph`
-view, which is built on first access and dropped by every delta.
-:meth:`Network.apply_delta` splices only the rows of the touched nodes,
+input is kept.  Everything else is derived from those arrays: a node's
+sorted neighbour tuple is sliced from them on first access and cached,
+the ``array('q')`` pair :meth:`Network.csr` returns is copied once per
+topology, and the read-only :attr:`Network.graph` view is built on first
+access and dropped by every delta.  :meth:`Network.apply_delta` splices
+only the rows of the touched nodes and replaces only their cached tuples,
 and the topology fingerprint (node count, edge count, CRC of the arrays)
 is recorded whenever the arrays change, so reading it costs O(1).
 
-Per-node contexts get their 63-bit RNG seed at :meth:`Network.build_contexts`
-time, but a context builds its ``random.Random`` only when ``ctx.rng`` is
+Per-node contexts live in a :class:`ContextRegistry`, which builds a
+:class:`NodeContext` on first touch.  After sampling, a ``DistNearClique``
+run involves only S ∪ Γ(S), so the other nodes never get one: their halt
+flags sit in one column and their round counters in one number.  Every
+node's 63-bit RNG seed is still drawn at :meth:`Network.build_contexts`
+time, and a context builds its ``random.Random`` only when ``ctx.rng`` is
 first read: phases that never draw randomness never pay for one.
 """
 
@@ -38,15 +43,16 @@ import random
 import zlib
 from array import array
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
 from repro.congest.errors import DeltaError, ProtocolError
-from repro.congest.node import NodeContext
+from repro.congest.node import NodeContext, Protocol, effective_scope, reset_in_scope
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,240 @@ def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np
     return indptr, keys % n
 
 
+class _NeighborRows:
+    """Neighbour tuples sliced from the CSR arrays on first access, by node id.
+
+    Shared by a network and its context registries, so a registry can build
+    contexts without holding the network (which would make a reference
+    cycle that only the cyclic collector frees).
+    """
+
+    __slots__ = ("ids", "index_of", "dense_ids", "indptr", "indices", "cache")
+
+    def __init__(
+        self, ids: Tuple[int, ...], index_of: Dict[int, int], dense_ids: bool
+    ) -> None:
+        self.ids = ids
+        self.index_of = index_of
+        self.dense_ids = dense_ids
+        self.cache: Dict[int, Tuple[int, ...]] = {}
+
+    def row(self, node_id: int) -> Tuple[int, ...]:
+        row = self.cache.get(node_id)
+        if row is None:
+            index = self.index_of[node_id]
+            indptr = self.indptr
+            flat = self.indices[indptr[index] : indptr[index + 1]].tolist()
+            if not self.dense_ids:
+                flat = map(self.ids.__getitem__, flat)
+            row = self.cache[node_id] = tuple(flat)
+        return row
+
+    def all(self) -> Iterator[Tuple[int, ...]]:
+        """Every tuple in dense-index order, sliced in one bulk pass."""
+        if len(self.cache) < len(self.ids):
+            flat = self.indices.tolist()
+            if not self.dense_ids:
+                flat = list(map(self.ids.__getitem__, flat))
+            bounds = self.indptr.tolist()
+            self.cache = {
+                node_id: tuple(flat[bounds[index] : bounds[index + 1]])
+                for index, node_id in enumerate(self.ids)
+            }
+        return map(self.cache.__getitem__, self.ids)
+
+
+class ContextRegistry(Mapping):
+    """The per-node contexts of one :meth:`Network.build_contexts` call.
+
+    A read-only mapping from every node id, in ascending order, to its
+    :class:`NodeContext`.  A context is built on first touch: a per-node
+    input, a read through the mapping, a started node of an unscoped phase,
+    or a kernel write.  Until then the node has an empty state and a
+    ``None`` output, and two registers stand in for its slots: the
+    :attr:`halted` column and the :attr:`rounds` count.  A context built
+    late takes its pre-drawn seed and the current register values, so it is
+    exactly the context an eager build would show at that point.
+
+    Engines that walk every node each round (reference, async, sharded)
+    call :meth:`materialize` once per phase.  The fast engines work on
+    :attr:`live` and the registers only, so their cost per phase is
+    O(live contexts) plus a few O(n) numpy writes.
+    """
+
+    def __init__(
+        self,
+        network: "Network",
+        seeds: List[int],
+        global_inputs: Optional[Dict[str, Any]],
+        announced_n: int,
+    ) -> None:
+        self._attach(network)
+        self._seeds = seeds
+        self._announced_n = announced_n
+        #: The globals a context is built with: the build's global inputs
+        #: plus those of every later call that reuses the contexts.
+        self.globals: Dict[str, Any] = dict(global_inputs or {})
+        self._live: Dict[int, NodeContext] = {}
+        self._ordered = True
+        self._dense: Optional[List[NodeContext]] = None
+        #: Halt flags by dense index.  An entry is authoritative only while
+        #: its node has no context; a kernel frame uses the whole column as
+        #: its halt register.
+        self.halted = np.zeros(len(seeds), dtype=bool)
+        #: The round counter of every node without a context: the last
+        #: phase's round count (every engine ends every node there).
+        self.rounds = 0
+
+    def _attach(self, network: "Network") -> None:
+        self._rows = network._rows
+        self.ids: Tuple[int, ...] = network._ids
+        self._index_of = network._index_of
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The network's tables are re-attached by Network._install_contexts.
+        state = dict(self.__dict__)
+        for key in ("_rows", "ids", "_index_of"):
+            del state[key]
+        return state
+
+    # ------------------------------------------------------------------
+    # the mapping
+    # ------------------------------------------------------------------
+    def __getitem__(self, node_id: int) -> NodeContext:
+        return self.at(self._index_of[node_id])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._index_of
+
+    def values(self) -> List[NodeContext]:  # type: ignore[override]
+        """Every context, in ascending id order (builds the missing ones)."""
+        return list(self.materialize())
+
+    def items(self) -> List[Tuple[int, NodeContext]]:  # type: ignore[override]
+        """Every ``(id, context)`` pair, ascending (builds the missing ones)."""
+        return list(zip(self.ids, self.materialize()))
+
+    # ------------------------------------------------------------------
+    # building contexts
+    # ------------------------------------------------------------------
+    def at(self, index: int) -> NodeContext:
+        """The context at dense *index*, built if it has none yet."""
+        live = self._live
+        ctx = live.get(index)
+        if ctx is None:
+            if live and index < next(reversed(live)):
+                self._ordered = False
+            ctx = live[index] = self._build(index)
+        return ctx
+
+    def _build(self, index: int) -> NodeContext:
+        node_id = self.ids[index]
+        ctx = NodeContext(
+            node_id, (), self._announced_n, self.globals, None, self._seeds[index]
+        )
+        # Share the network's tuple, already sorted, instead of the sorted
+        # copy the constructor would make.
+        ctx.neighbors = self._rows.row(node_id)
+        ctx._halted = bool(self.halted[index])
+        ctx._round = self.rounds
+        return ctx
+
+    def materialize(self) -> List[NodeContext]:
+        """Every context in ascending id order, building the missing ones.
+
+        One bulk pass, made once per registry; callers must not mutate the
+        list.
+        """
+        if self._dense is None:
+            live = self.live
+            dense = list(live.values())
+            if len(dense) < len(self.ids):
+                # _build inlined: this loop is the whole cost of a dense run.
+                halted = self.halted.tolist()
+                n, global_inputs, rounds = self._announced_n, self.globals, self.rounds
+                dense = []
+                for index, (node_id, seed, neighbors) in enumerate(
+                    zip(self.ids, self._seeds, self._rows.all())
+                ):
+                    ctx = live.get(index)
+                    if ctx is None:
+                        ctx = NodeContext(node_id, (), n, global_inputs, None, seed)
+                        ctx.neighbors = neighbors
+                        ctx._halted = halted[index]
+                        ctx._round = rounds
+                    dense.append(ctx)
+                # Keyed by the network's own index objects, and with every
+                # seed now held by its context: a dense registry costs no
+                # more memory than the eager build did.
+                live.clear()
+                live.update(zip(self._index_of.values(), dense))
+                self._seeds = []
+            self._dense = dense
+        return self._dense
+
+    # ------------------------------------------------------------------
+    # the fast engines' view
+    # ------------------------------------------------------------------
+    @property
+    def live(self) -> Dict[int, NodeContext]:
+        """The contexts built so far, keyed by dense index in ascending order."""
+        if not self._ordered:
+            ordered = sorted(self._live.items())
+            self._live.clear()
+            self._live.update(ordered)
+            self._ordered = True
+        return self._live
+
+    def get_live(self, node_id: int) -> Optional[NodeContext]:
+        """The context of *node_id* if it has been built, else ``None``."""
+        return self._live.get(self._index_of[node_id])
+
+    def peek(self, node_id: int) -> NodeContext:
+        """*node_id*'s context, or a detached copy of the one it would get.
+
+        Reads every node's state, output, halt flag and round counter
+        without building contexts, so a test can compare all nodes with
+        the reference without forcing the registry dense.
+        """
+        index = self._index_of[node_id]
+        ctx = self._live.get(index)
+        return ctx if ctx is not None else self._build(index)
+
+    def update_globals(self, global_inputs: Dict[str, Any]) -> None:
+        """Add *global_inputs* to every context, built or not."""
+        self.globals.update(global_inputs)
+        for ctx in self._live.values():
+            ctx.globals.update(global_inputs)
+
+    def start(self, protocol: Protocol) -> List[int]:
+        """Round-0 preparation of a callback phase; returns the started indices.
+
+        A node without a context has an empty state, so it is out of every
+        scope: one column write marks all of them halted, and
+        :func:`reset_in_scope` walks only the live contexts.  A phase
+        without a scope starts every node, which builds every context.
+        """
+        if effective_scope(protocol) is None:
+            self.materialize()
+        else:
+            self.halted.fill(True)
+        live = self.live
+        return reset_in_scope(protocol, live, live)
+
+    def align_rounds(self, rounds: int) -> None:
+        """End every node's round counter at *rounds*, as the reference does."""
+        self.rounds = rounds
+        for ctx in self._live.values():
+            ctx._round = rounds
+
+
 class Network:
     """An undirected communication network with integer node identifiers.
 
@@ -186,8 +426,18 @@ class Network:
         match the full run exactly.
 
     The topology is stored as int64 CSR arrays only (see the module
-    docstring).  :attr:`graph` is a frozen ``networkx`` view built from them
-    on demand; the topology changes only through :meth:`apply_delta`.
+    docstring).  A node's neighbour tuple is sliced from them on first
+    access (:meth:`neighbors`, :meth:`degree`, :meth:`has_edge`, a built
+    context's ``neighbors``) and cached.  :attr:`graph` is a frozen
+    ``networkx`` view built from them on demand; the topology changes only
+    through :meth:`apply_delta`.
+
+    Contexts are built on first touch (:class:`ContextRegistry`): a fresh
+    :meth:`build_contexts` draws every seed but builds a context only for
+    the nodes with per-node inputs.  The reference, async and sharded
+    engines build every context in one bulk pass per phase; the batched
+    and vectorized engines build only those of the nodes a phase starts
+    or a kernel writes.
     """
 
     def __init__(
@@ -202,13 +452,13 @@ class Network:
             src, dst = self._read_pairs(graph)
         else:
             src, dst = self._read_adjacency(graph, relabel)
-        self._set_csr(*_build_csr(len(self._ids), src, dst))
+        self._rows = _NeighborRows(self._ids, self._index_of, self._dense_ids)
+        self._install(*_build_csr(len(self._ids), src, dst))
 
         self._rng = random.Random(seed)
         self._node_seeds: Dict[int, int] = dict(node_seeds or {})
         self._announced_n = announced_n
-        self._contexts: Dict[int, NodeContext] = {}
-        self._context_list: List[NodeContext] = []
+        self._contexts: Optional[ContextRegistry] = None
         self._ctx_epoch = 0
         self._delta_epoch = 0
         self._delta_log: List[AppliedDelta] = []
@@ -288,24 +538,12 @@ class Network:
         self._dense_ids = ids == list(range(len(ids)))
         self._ids_array: Optional[np.ndarray] = None
 
-    def _set_csr(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Install new CSR arrays: rebuild the tuples, record the fingerprint."""
-        flat = indices.tolist()
-        if not self._dense_ids:
-            flat = list(map(self._ids.__getitem__, flat))
-        bounds = indptr.tolist()
-        self._adjacency: Dict[int, Tuple[int, ...]] = {
-            node_id: tuple(flat[bounds[index] : bounds[index + 1]])
-            for index, node_id in enumerate(self._ids)
-        }
-        self._install(indptr, indices)
-
     def _install(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         # Kernels read these arrays in place; a delta installs new ones
         # instead of writing into them.
         indptr.flags.writeable = indices.flags.writeable = False
-        self._indptr = indptr
-        self._indices = indices
+        self._indptr = self._rows.indptr = indptr
+        self._indices = self._rows.indices = indices
         # Derived views, rebuilt on demand from the arrays above.
         self._csr_arrays: Optional[Tuple[array, array]] = None
         self._graph_view: Optional[nx.Graph] = None
@@ -332,7 +570,7 @@ class Network:
             view.add_nodes_from(self._ids)
             view.add_edges_from(
                 (u, v)
-                for u, neighbours in self._adjacency.items()
+                for u, neighbours in zip(self._ids, self._rows.all())
                 for v in neighbours
                 if u < v
             )
@@ -407,16 +645,19 @@ class Network:
         return self._ctx_epoch
 
     def neighbors(self, node_id: int) -> Tuple[int, ...]:
-        """Adjacent node identifiers of *node_id* (sorted)."""
-        return self._adjacency[node_id]
+        """Adjacent node identifiers of *node_id* (sorted).
+
+        Sliced from the CSR arrays on first access and cached.
+        """
+        return self._rows.row(node_id)
 
     def degree(self, node_id: int) -> int:
-        return len(self._adjacency[node_id])
+        return len(self.neighbors(node_id))
 
     def has_edge(self, u: int, v: int) -> bool:
         if u not in self._index_of or v not in self._index_of:
             return False
-        neighbours = self._adjacency[u]
+        neighbours = self.neighbors(u)
         at = bisect_left(neighbours, v)
         return at < len(neighbours) and neighbours[at] == v
 
@@ -489,9 +730,10 @@ class Network:
         absent one) are dropped; an edge named in both lists is rejected
         as ambiguous.  On an effective change only the touched nodes' rows
         are rebuilt and spliced between the untouched ``indices`` slices;
-        ``indptr`` is redone from the degree column and the fingerprint
-        retaken.  Live contexts of touched nodes have their ``neighbors``
-        view refreshed *in place* (state, output and RNG streams are
+        ``indptr`` is redone from the degree column, the touched rows'
+        cached tuples are replaced and the fingerprint retaken.  Built
+        contexts of touched nodes have their ``neighbors`` view refreshed
+        *in place* (state, output and RNG streams are
         preserved — an evolving-graph service keeps its nodes), the delta
         epoch advances and the application is recorded on the ledger for
         sessions to reconcile against.
@@ -519,7 +761,7 @@ class Network:
                 fingerprint_after=self._fingerprint,
             )
         touched = frozenset(v for edge in added + removed for v in edge)
-        rows = {node_id: set(self._adjacency[node_id]) for node_id in touched}
+        rows = {node_id: set(self.neighbors(node_id)) for node_id in touched}
         for u, v in added:
             rows[u].add(v)
             rows[v].add(u)
@@ -527,10 +769,10 @@ class Network:
             rows[u].remove(v)
             rows[v].remove(u)
         self._splice_rows(rows)
-        for node_id in touched:
-            ctx = self._contexts.get(node_id)
+        for node_id in touched if self._contexts is not None else ():
+            ctx = self._contexts.get_live(node_id)
             if ctx is not None:
-                ctx.neighbors = self._adjacency[node_id]
+                ctx.neighbors = self._rows.cache[node_id]
                 # is_neighbor caches a frozenset in state; drop it so the
                 # patched view is authoritative.
                 ctx.state.pop("__neighbor_set", None)
@@ -553,8 +795,7 @@ class Network:
         pieces: List[np.ndarray] = []
         cursor = 0
         for node_id in sorted(rows, key=index_of.__getitem__):
-            neighbours = tuple(sorted(rows[node_id]))
-            self._adjacency[node_id] = neighbours
+            neighbours = self._rows.cache[node_id] = tuple(sorted(rows[node_id]))
             index = index_of[node_id]
             pieces.append(indices[cursor : indptr[index]])
             pieces.append(
@@ -589,7 +830,7 @@ class Network:
         global_inputs: Optional[Dict[str, Any]] = None,
         per_node_inputs: Optional[Dict[int, Dict[str, Any]]] = None,
         fresh: bool = True,
-    ) -> Dict[int, NodeContext]:
+    ) -> ContextRegistry:
         """Create (or refresh) the per-node execution contexts.
 
         Parameters
@@ -610,8 +851,10 @@ class Network:
             contexts it starts (see :attr:`repro.congest.node.Protocol.scope`).
 
         A fresh build draws every node's 63-bit RNG seed from the network
-        RNG in ascending id order (or takes it from ``node_seeds``); the
-        context turns it into a ``random.Random`` on first ``ctx.rng``
+        RNG in ascending id order (or takes it from ``node_seeds``) but
+        builds a context only for the nodes named in *per_node_inputs*; the
+        rest are built on first touch (:class:`ContextRegistry`).  A context
+        turns its seed into a ``random.Random`` on first ``ctx.rng``
         access, which replays exactly the stream an eager build would have
         produced.
         """
@@ -620,57 +863,42 @@ class Network:
         # have applied some updates, and a persistent session must see
         # that as "state possibly diverged" too.
         self._ctx_epoch += 1
-        if fresh or not self._contexts:
-            contexts: Dict[int, NodeContext] = {}
-            announced = self._announced_n if self._announced_n is not None else self.n
-            node_seeds = self._node_seeds
-            adjacency = self._adjacency
+        contexts = self._contexts
+        if fresh or contexts is None:
             draw = self._rng.getrandbits
-            for node_id in self._ids:
-                node_seed = node_seeds.get(node_id)
-                if node_seed is None:
-                    node_seed = draw(63)
-                ctx = contexts[node_id] = NodeContext(
-                    node_id=node_id,
-                    neighbors=(),
-                    n=announced,
-                    global_inputs=global_inputs,
-                    seed=node_seed,
-                )
-                # Share the network's tuple, already sorted, instead of the
-                # sorted copy the constructor would make.
-                ctx.neighbors = adjacency[node_id]
-            self._install_contexts(contexts)
+            if self._node_seeds:
+                seeds = []
+                for node_id in self._ids:
+                    node_seed = self._node_seeds.get(node_id)
+                    seeds.append(draw(63) if node_seed is None else node_seed)
+            else:
+                seeds = [draw(63) for _ in self._ids]
+            announced = self._announced_n if self._announced_n is not None else self.n
+            contexts = self._contexts = ContextRegistry(
+                self, seeds, global_inputs, announced
+            )
         elif global_inputs:
-            for ctx in self._context_list:
-                ctx.globals.update(global_inputs)
+            contexts.update_globals(global_inputs)
         if per_node_inputs:
+            index_of = self._index_of
             for node_id, inputs in per_node_inputs.items():
-                if node_id not in self._contexts:
+                index = index_of.get(node_id)
+                if index is None:
                     raise ProtocolError("unknown node id %r in per-node inputs" % node_id)
-                self._contexts[node_id].state.update(inputs)
-        return self._contexts
+                contexts.at(index).state.update(inputs)
+        return contexts
 
-    def _install_contexts(self, contexts: Dict[int, NodeContext]) -> None:
-        """Make *contexts* (keyed by id, in ascending id order) the current ones."""
+    def _install_contexts(self, contexts: ContextRegistry) -> None:
+        """Make *contexts* (a registry restored from a copy) the current ones."""
+        contexts._attach(self)
         self._contexts = contexts
-        self._context_list = list(contexts.values())
 
     @property
-    def contexts(self) -> Dict[int, NodeContext]:
+    def contexts(self) -> ContextRegistry:
         """The contexts of the most recent :meth:`build_contexts` call."""
-        if not self._contexts:
+        if self._contexts is None:
             raise ProtocolError("contexts have not been built yet")
         return self._contexts
-
-    @property
-    def context_list(self) -> List[NodeContext]:
-        """The contexts of the most recent build in dense-index (ascending id) order.
-
-        Kept alongside the mapping so engines need not rebuild it per
-        phase; callers must not mutate it.
-        """
-        return self._context_list
 
     # ------------------------------------------------------------------
     # convenience constructors
@@ -700,7 +928,7 @@ class Network:
         subgraph.add_edges_from(
             (u, v)
             for u in sorted(keep)
-            for v in self._adjacency[u]
+            for v in self.neighbors(u)
             if u < v and v in keep
         )
         return subgraph

@@ -17,7 +17,7 @@ the topology.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.congest.errors import ProtocolError
 from repro.congest.message import Inbound, Message
@@ -341,22 +341,25 @@ def in_scope(scope: Tuple[str, ...], state: Dict[str, Any]) -> bool:
 
 
 def reset_in_scope(
-    protocol: Protocol, ctx_list: Sequence[NodeContext], indices: Iterable[int]
+    protocol: Protocol,
+    contexts: "Sequence[NodeContext] | Mapping[int, NodeContext]",
+    indices: Iterable[int],
 ) -> List[int]:
-    """Round-0 preparation of the fast engines over ``ctx_list[i]``, ``i`` in *indices*.
+    """Round-0 preparation of the fast engines over ``contexts[i]``, ``i`` in *indices*.
 
-    One pass: an out-of-scope context (see :attr:`Protocol.scope`) is marked
+    *contexts* maps dense indices to contexts: a dense list, or the live
+    contexts of a :class:`repro.congest.network.ContextRegistry`.  One
+    pass: an out-of-scope context (see :attr:`Protocol.scope`) is marked
     halted — the only effect its ``on_start`` may have — and every other one
     is reset for the new protocol.  Returns the in-scope indices, in order;
-    the caller starts exactly those.  After sampling most nodes hold no
-    state at all, so an empty state is tested first: it costs no call, and
-    its halt flag is written only when it changes.
+    the caller starts exactly those.  An empty state is tested first: it
+    costs no call, and its halt flag is written only when it changes.
     """
     scope = effective_scope(protocol)
     started: List[int] = []
     append = started.append
     for i in indices:
-        ctx = ctx_list[i]
+        ctx = contexts[i]
         if ctx._outgoing:
             ctx._outgoing = {}
         if scope is None or (ctx.state and in_scope(scope, ctx.state)):

@@ -96,7 +96,7 @@ from repro.congest.errors import (
 )
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
-from repro.congest.network import Network
+from repro.congest.network import ContextRegistry, Network
 from repro.congest.node import NodeContext, Protocol, reset_in_scope
 from repro.congest.sharding.faults import SimulatedFaults
 from repro.congest.sharding.partition import (
@@ -671,14 +671,14 @@ class _ShardedRun(_ShardStepper):
         network: Network,
         protocol: Protocol,
         config: CongestConfig,
-        contexts: Dict[int, NodeContext],
+        contexts: ContextRegistry,
         plan: ShardPlan,
         workers: int,
     ) -> None:
         super().__init__(
             protocol=protocol,
             config=config,
-            ctx_list=network.context_list,
+            ctx_list=contexts.materialize(),
             index_of=network.node_index_of,
             owner=plan.owner,
             ordered_delivery=self.ranges_are_ordered(plan),
@@ -868,10 +868,9 @@ class _ShardedRun(_ShardStepper):
 
         outputs = harvest_outputs(
             protocol,
-            ctx_list,
+            self.contexts,
             rounds,
             (ctx_list[i] for shard in self.shards for i in shard.started),
-            dict.fromkeys(self.contexts),
         )
         return RunResult(outputs=outputs, metrics=metrics, contexts=self.contexts)
 

@@ -122,14 +122,14 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.config import CongestConfig
-from repro.congest.engine import CongestSession, RunResult, harvest_outputs
+from repro.congest.engine import CongestSession, RunResult, collect_outputs
 from repro.congest.errors import (
     ProtocolError,
     ShardWorkerError,
     ShardWorkerTimeout,
 )
 from repro.congest.metrics import RoundMetrics, RunMetrics
-from repro.congest.network import Network
+from repro.congest.network import ContextRegistry, Network
 from repro.congest.node import NodeContext, Protocol
 from repro.congest.sharding.engine import (
     RecoveryEvent,
@@ -417,8 +417,9 @@ class _WorkerHarness:
         ctx_list = stepper.ctx_list
         protocol = stepper.protocol
         owned = [ctx_list[i] for i in self.shard.owned]
-        outputs = harvest_outputs(
-            protocol, owned, rounds, map(ctx_list.__getitem__, self.shard.started), {}
+        # The parent aligns the round counters when it folds the states.
+        outputs = collect_outputs(
+            protocol, map(ctx_list.__getitem__, self.shard.started), {}
         )
         states: Dict[int, Tuple] = {}
         for ctx in owned:
@@ -478,12 +479,8 @@ class _WorkerHarness:
         """
         stepper = self.stepper
         ctx_list = stepper.ctx_list
-        outputs = harvest_outputs(
-            stepper.protocol,
-            map(ctx_list.__getitem__, self.shard.owned),
-            rounds,
-            map(ctx_list.__getitem__, self.shard.started),
-            {},
+        outputs = collect_outputs(
+            stepper.protocol, map(ctx_list.__getitem__, self.shard.started), {}
         )
         traffic = (self.shard.local_messages, self.shard.remote_messages)
         return ("done", outputs, {}, traffic)
@@ -657,7 +654,7 @@ def _spawn_workers(
     ids: Sequence[int],
     index_of: Dict[int, int],
     ordered_delivery: bool,
-    contexts: Dict[int, NodeContext],
+    contexts: ContextRegistry,
     shared_csr: Optional[SharedCSR] = None,
 ) -> List[_WorkerHandle]:
     """Start one worker process per non-empty shard of *plan*.
@@ -670,6 +667,7 @@ def _spawn_workers(
     """
     context = _mp_context()
     fork_start = context.get_start_method() == "fork"
+    ctx_list = contexts.materialize()
     handles: List[_WorkerHandle] = []
     init_common: Dict[str, Any] = {
         "n": len(ids),
@@ -688,7 +686,7 @@ def _spawn_workers(
         init.update(
             shard_index=shard_index,
             owned=owned,
-            contexts={i: contexts[ids[i]] for i in owned},
+            contexts={i: ctx_list[i] for i in owned},
         )
         # Under fork the child inherits every parent-side pipe end open at
         # fork time — its own, those of earlier siblings, and those of any
@@ -907,7 +905,7 @@ class ProcessShardedRun:
         network: Network,
         protocol: Protocol,
         config: CongestConfig,
-        contexts: Dict[int, NodeContext],
+        contexts: ContextRegistry,
         plan: ShardPlan,
         pool: Optional[_WorkerPool] = None,
         fold_contexts: bool = True,
@@ -1449,7 +1447,7 @@ class ProcessSession(CongestSession):
         self,
         protocol: Protocol,
         config: CongestConfig,
-        contexts: Dict[int, NodeContext],
+        contexts: ContextRegistry,
     ) -> RunResult:
         """Complete one phase on the serial in-process sharded backend.
 
@@ -1483,7 +1481,7 @@ class ProcessSession(CongestSession):
         per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
         reuse_contexts: bool,
         external: bool,
-        contexts: Dict[int, NodeContext],
+        contexts: ContextRegistry,
     ) -> RunResult:
         """One attempt of one phase on the (spawned or re-armed) pool."""
         network = self.network
@@ -1657,7 +1655,7 @@ class ProcessSession(CongestSession):
         self,
         protocols: List[Protocol],
         config: CongestConfig,
-        contexts: Dict[int, NodeContext],
+        contexts: ContextRegistry,
     ) -> List[RunResult]:
         """Degradation target of a fused group: phase-by-phase, serial.
 
@@ -1679,7 +1677,7 @@ class ProcessSession(CongestSession):
         config: CongestConfig,
         reuse_contexts: bool,
         external: bool,
-        contexts: Dict[int, NodeContext],
+        contexts: ContextRegistry,
     ) -> List[RunResult]:
         """One attempt of one fused group on the (spawned or re-armed) pool.
 
@@ -1798,7 +1796,7 @@ class ProcessSession(CongestSession):
         return True
 
     def _respawn_dirty_shards(
-        self, contexts: Dict[int, NodeContext]
+        self, contexts: ContextRegistry
     ) -> Tuple[int, ...]:
         """Mid-pipeline delta absorption before a re-arm; returns the respawned shards.
 
@@ -1816,7 +1814,7 @@ class ProcessSession(CongestSession):
         return tuple(dirty)
 
     def _respawn_shards(
-        self, dirty: Tuple[int, ...], contexts: Dict[int, NodeContext]
+        self, dirty: Tuple[int, ...], contexts: ContextRegistry
     ) -> None:
         """Replace the workers of *dirty* shards, keeping every other one.
 

@@ -75,7 +75,7 @@ from repro.congest.errors import (
 )
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
-from repro.congest.network import Network
+from repro.congest.network import ContextRegistry, Network
 from repro.congest.node import NodeContext, Protocol
 
 _PROTO = "proto"
@@ -159,7 +159,7 @@ class _SynchronizedRun:
         network: Network,
         protocol: Protocol,
         config: CongestConfig,
-        contexts: Dict[int, NodeContext],
+        contexts: ContextRegistry,
         pulse_budget: int,
         delay_rng: random.Random,
         min_delay: float,
@@ -169,6 +169,8 @@ class _SynchronizedRun:
         self.protocol = protocol
         self.config = config
         self.contexts = contexts
+        #: Every context, built in one bulk pass (this engine walks them all).
+        self.ctx_of: Dict[int, NodeContext] = dict(contexts.items())
         self.pulse_budget = pulse_budget
         self.delay_rng = delay_rng
         self.min_delay = min_delay
@@ -188,7 +190,7 @@ class _SynchronizedRun:
 
     # ------------------------------------------------------------------
     def run(self) -> AsyncRunResult:
-        contexts = self.contexts
+        contexts = self.ctx_of
         protocol = self.protocol
 
         # Pulse 0: on_start plays the role of the first message generation.
@@ -229,7 +231,7 @@ class _SynchronizedRun:
         return AsyncRunResult(
             outputs=outputs,
             metrics=metrics,
-            contexts=contexts,
+            contexts=self.contexts,
             pulses=self.pulse_budget,
             completion_time=self._now,
         )
@@ -315,7 +317,7 @@ class _SynchronizedRun:
     def _try_advance(self, node_id: int) -> None:
         """Execute the node's next pulse(s) while the synchronizer permits."""
         runtime = self.runtimes[node_id]
-        ctx = self.contexts[node_id]
+        ctx = self.ctx_of[node_id]
         protocol = self.protocol
         while True:
             if runtime.done_generating:

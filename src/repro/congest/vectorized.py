@@ -19,8 +19,10 @@ split; DGL's gSpMM kernels):
     Numpy updates of packed per-node registers: the halted flags
     (:attr:`KernelFrame.halted`), round counter and any phase-specific
     columns, folded back into the
-    :class:`~repro.congest.node.NodeContext` of every node the phase
-    started (its in-scope nodes).
+    :class:`~repro.congest.node.NodeContext` of every started node that
+    has one.  A node without a context keeps its flag in the registry's
+    column (:class:`repro.congest.network.ContextRegistry`), so a kernel
+    touches only the nodes it writes.
 ``scatter``
     Columnar outbox emission: a phase whose sends are enqueued at
     ``on_start`` and drained one-per-neighbour-per-round (the
@@ -58,8 +60,8 @@ from repro.congest.engine import (
 )
 from repro.congest.errors import MessageSizeViolation, RoundLimitExceeded
 from repro.congest.metrics import RoundMetrics, RunMetrics
-from repro.congest.network import Network
-from repro.congest.node import NodeContext, Protocol, reset_in_scope
+from repro.congest.network import ContextRegistry, Network
+from repro.congest.node import NodeContext, Protocol, effective_scope, reset_in_scope
 
 
 class VectorizedKernel:
@@ -93,21 +95,27 @@ class KernelFrame:
         The network CSR as int64 numpy arrays (``ids[i]`` is the node id at
         dense index ``i``; neighbours of ``i`` are the dense indices
         ``indices[indptr[i]:indptr[i+1]]``, ascending).
-    ctx_list:
-        Contexts in dense-index (= ascending id) order — the iteration
-        order of the reference engine, which kernels must follow wherever
-        per-node work consumes randomness or builds ordered state.
+    contexts / live:
+        The network's :class:`~repro.congest.network.ContextRegistry` and
+        its built contexts, keyed by dense index in ascending (= reference
+        iteration) order, which kernels must follow wherever per-node work
+        consumes randomness or builds ordered state.
+    node_ids:
+        ``node_ids[i]`` is the node id at dense index ``i`` (Python ints).
     started:
-        Dense indices of the nodes in the protocol's
-        :attr:`~repro.congest.node.Protocol.scope`, ascending (every index
-        for an unscoped protocol).  A kernel does the ``on_start`` work of
-        exactly these nodes; the others are already halted.
+        Dense indices of the built contexts in the protocol's
+        :attr:`~repro.congest.node.Protocol.scope`, ascending (every built
+        one for an unscoped protocol).  A kernel does the ``on_start`` work
+        of exactly these nodes; the others in scope are nodes without a
+        context and with an empty state, which exist only under an unscoped
+        protocol.  A kernel either covers those with column writes, builds
+        them with :meth:`touch`, or builds them all with :meth:`start_all`.
     halted:
-        Packed halt register (bool column), preset for the out-of-scope
-        nodes.  A kernel marks the nodes the callbacks would have halted in
-        ``on_start``; the covered phases never halt mid-phase (their
-        receivers stay active until global quiescence), so one column
-        captures the whole run.
+        Packed halt register (bool column, the registry's own), preset for
+        the out-of-scope nodes.  A kernel marks the nodes the callbacks
+        would have halted in ``on_start``; the covered phases never halt
+        mid-phase (their receivers stay active until global quiescence), so
+        one column captures the whole run.
     rounds / metrics:
         Filled by :meth:`run_broadcast_schedule`.
     """
@@ -117,7 +125,7 @@ class KernelFrame:
         network: Network,
         protocol: Protocol,
         config: CongestConfig,
-        contexts: Dict[int, NodeContext],
+        contexts: ContextRegistry,
     ) -> None:
         self.network = network
         self.protocol = protocol
@@ -127,13 +135,15 @@ class KernelFrame:
         #: operations without importing numpy themselves.
         self.np = np
         self.ids, self.indptr, self.indices = network.csr_numpy()
+        self.node_ids = contexts.ids
         self.degrees = np.diff(self.indptr)
         self.n = len(self.ids)
-        self.ctx_list: List[NodeContext] = network.context_list
-        self.started: List[int] = reset_in_scope(
-            protocol, self.ctx_list, range(self.n)
-        )
-        self.halted = np.ones(self.n, dtype=bool)
+        self.live = contexts.live
+        self.started: List[int] = reset_in_scope(protocol, self.live, self.live)
+        # Without a scope every node starts, built or not; with one, only
+        # the started contexts are in it.
+        self.halted = contexts.halted
+        self.halted.fill(effective_scope(protocol) is not None)
         self.halted[self.started] = False
         self.rounds = 0
         self.metrics = RunMetrics()
@@ -184,6 +194,39 @@ class KernelFrame:
             )
         )
         return prefix[self.indptr[1:]] - prefix[self.indptr[:-1]]
+
+    def touch(self, index: int) -> NodeContext:
+        """The context of the started node at *index*, built if it has none.
+
+        A node built here joins :attr:`started` (appended, so that list is
+        no longer ascending) and is folded back and harvested like the rest.
+        """
+        ctx = self.live.get(index)
+        if ctx is None:
+            ctx = self.contexts.at(index)
+            self.started.append(index)
+        return ctx
+
+    def start_all(self) -> None:
+        """Build every node's context and start all of them (unscoped only)."""
+        self.contexts.materialize()
+        self.started = list(self.live)
+
+    def blank_fill(self) -> Any:
+        """What the started nodes without a context report.
+
+        ``None`` under a scope (they are out of it); otherwise the
+        protocol's report for one such node, which is the report for all:
+        a kernel leaves a node without a context only when its ``on_start``
+        would have written nothing.
+        """
+        live = self.contexts.live
+        if effective_scope(self.protocol) is None and len(live) < self.n:
+            blank = next(i for i in range(self.n) if i not in live)
+            return self.protocol.collect_output(
+                self.contexts.peek(self.node_ids[blank])
+            )
+        return None
 
     def neighbor_slice(self, dense_index: int) -> "Any":
         """Dense indices of one node's neighbours (ascending)."""
@@ -321,23 +364,25 @@ class KernelFrame:
     # ------------------------------------------------------------------
     # apply: fold the packed registers back into the contexts
     # ------------------------------------------------------------------
-    def fold_back(self) -> None:
+    def fold_back(self) -> List[NodeContext]:
         """Write the packed halt register back into the started contexts.
 
         The out-of-scope contexts were marked halted when the frame was
         built and the kernel never touches them; a started one gets the
-        halt flag its callbacks would have left and an empty outbox.  State
+        halt flag its callbacks would have left and an empty outbox.  The
+        nodes without a context keep theirs in the column itself.  State
         dicts, outputs and RNGs were mutated in place by the kernel, so a
         ``reuse_contexts`` successor phase — kernel or callback — observes
         exactly the state the callbacks would have left.  The engine
-        aligns the round counters when it harvests the outputs.
+        aligns the round counters when it harvests the outputs.  Returns
+        the started contexts.
         """
-        halted = self.halted.tolist()
-        ctx_list = self.ctx_list
-        for index in self.started:
-            ctx = ctx_list[index]
-            ctx._halted = halted[index]
+        live = self.live
+        started = [live[index] for index in self.started]
+        for ctx, halted in zip(started, self.halted[self.started].tolist()):
+            ctx._halted = halted
             ctx._outgoing = {}
+        return started
 
 
 class VectorizedEngine(BatchedEngine):
@@ -381,14 +426,8 @@ class VectorizedEngine(BatchedEngine):
         )
         frame = KernelFrame(network, protocol, config, contexts)
         kernel.execute(frame)
-        frame.fold_back()
-        ctx_list = frame.ctx_list
         outputs = harvest_outputs(
-            protocol,
-            ctx_list,
-            frame.rounds,
-            map(ctx_list.__getitem__, frame.started),
-            dict.fromkeys(contexts),
+            protocol, contexts, frame.rounds, frame.fold_back(), frame.blank_fill()
         )
         return RunResult(outputs=outputs, metrics=frame.metrics, contexts=contexts)
 

@@ -285,10 +285,12 @@ class DistNearCliqueRunner:
                 session=session,
             )
             metrics.merge(result.metrics, label=sampling.name)
+            # Sampling writes its keys only at sampled nodes, which all
+            # have a context.
             sample_ids = {
-                node_id
-                for node_id, in_sample in result.outputs.items()
-                if in_sample
+                ctx.node_id
+                for ctx in network.contexts.live.values()
+                if ctx.state.get(phases.KEY_IN_SAMPLE)
             }
 
             if (
@@ -409,7 +411,7 @@ class DistNearCliqueRunner:
             frozenset(sample_ids),
             tuple(sorted(global_inputs.items())),
         )
-        ordered = [network.contexts[i] for i in sorted(network.contexts)]
+        ordered = network.contexts.materialize()
         entry = cache.lookup(key)
         if entry is not None:
             restore_contexts(ordered, entry.frames)
@@ -525,18 +527,24 @@ class DistNearCliqueRunner:
         sample_ids: Set[int],
         metrics: RunMetrics,
     ) -> NearCliqueResult:
-        """Assemble the :class:`NearCliqueResult` from the final node states."""
+        """Assemble the :class:`NearCliqueResult` from the final node states.
+
+        A node without a context never held state or output, so it is
+        labelled ``None``: the labels start as ``None`` for every node, in
+        ascending id order, and only the built contexts are read.
+        """
         contexts = network.contexts
         translate = network.label_of
 
-        labels: Dict[int, Optional[int]] = {}
-        for node_id, ctx in contexts.items():
-            label = ctx.output
-            labels[translate[node_id]] = None if label is None else translate[label]
-
+        labels: Dict[int, Optional[int]] = dict.fromkeys(
+            map(translate.__getitem__, contexts)
+        )
         # candidate sets, one per component, harvested from the roots
         t_members_by_root: Dict[Tuple[int, int], Set[int]] = {}
-        for node_id, ctx in contexts.items():
+        for ctx in contexts.live.values():
+            node_id = ctx.node_id
+            if ctx.output is not None:
+                labels[translate[node_id]] = translate[ctx.output]
             t_membership: Dict[int, Set[int]] = ctx.state.get(
                 phases.KEY_T_MEMBERSHIP, {}
             )

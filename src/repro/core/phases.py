@@ -31,7 +31,11 @@ every non-isolated node, so those two have no scope.  Sampling writes the
 sample keys (``KEY_IN_SAMPLE``, ``participant``) only at sampled nodes and
 every reader treats a missing key as ``False``, so until comp-dissemination
 delivers a component a non-sampled node's state stays empty — the case the
-engines' scope pass handles without a call.
+engines' scope pass handles without a call.  Under a forced sample the two
+unscoped phases' kernels leave such a node without a context too
+(:class:`repro.congest.network.ContextRegistry`): sampling draws only at
+the nodes with an input, and comp-dissemination builds a context only for
+a node that receives a component.
 
 All phases respect the CONGEST discipline: every message carries a constant
 number of identifiers / polynomially-bounded counters (O(log n) bits), and a
@@ -242,16 +246,19 @@ class _SamplingKernel(VectorizedKernel):
     through its own private RNG, drawn in dense-index order so the
     consumption matches the callback engines draw for draw) and halts —
     the whole phase is zero rounds of communication, which the empty
-    broadcast schedule reproduces.
+    broadcast schedule reproduces.  Under ``GLOBAL_FORCED_SAMPLE`` a node
+    without a context has no input, so its draw writes nothing: only the
+    nodes with one draw, and the halts are one column write.
     """
 
     def execute(self, frame: KernelFrame) -> None:
-        halted = frame.halted
-        ctx_list = frame.ctx_list
+        if not frame.contexts.globals.get(GLOBAL_FORCED_SAMPLE):
+            frame.start_all()
+        live = frame.live
         draw = frame.protocol.draw
         for index in frame.started:
-            draw(ctx_list[index])
-            halted[index] = True
+            draw(live[index])
+        frame.halted.fill(True)
         frame.run_broadcast_schedule((), ())
 
 
@@ -320,13 +327,14 @@ class CompDisseminationPhase(Protocol):
 class _CompDisseminationKernel(VectorizedKernel):
     """Columnar form of :class:`CompDisseminationPhase`.
 
-    *Apply*: one sweep over the contexts performs the ``on_start`` state
-    writes (canonical member lists at sampled nodes, isolation halts at the
-    rest).  *Gather*: instead of folding one delivered message at a time,
-    each receiver with a broadcasting neighbour creates its component table
-    and folds that neighbour's whole member column at once — the segment
-    count over the sampled mask prunes the sweep to receivers that actually
-    have mail.  *Scatter*: each sampled node's stream (one
+    *Apply*: one sweep over the built contexts performs the ``on_start``
+    state writes (canonical member lists at sampled nodes), and one column
+    write the isolation halts of the rest.  *Gather*: instead of folding
+    one delivered message at a time, each receiver with a broadcasting
+    neighbour creates its component table (building its context) and folds
+    that neighbour's whole member column at once — the segment count over
+    the sampled mask prunes the sweep to receivers that actually have
+    mail.  *Scatter*: each sampled node's stream (one
     ``nc.comp`` item per member, pushed to every neighbour) goes to the
     closed-form broadcast schedule, which reproduces the pipelined flush's
     rounds and metrics exactly.
@@ -334,21 +342,20 @@ class _CompDisseminationKernel(VectorizedKernel):
 
     def execute(self, frame: KernelFrame) -> None:
         np = frame.np
-        ctx_list = frame.ctx_list
+        live = frame.live
+        node_ids = frame.node_ids
         degrees = frame.degrees
-        halted = frame.halted
         n = frame.network.n
         comp_kind = frame.intern_kind(_COMP)
 
         sampled = np.zeros(frame.n, dtype=bool)
         broadcasting = np.zeros(frame.n, dtype=bool)
-        roots: List[Optional[int]] = [None] * frame.n
-        member_lists: List[Tuple[int, ...]] = [()] * frame.n
+        roots: Dict[int, int] = {}
+        member_lists: Dict[int, Tuple[int, ...]] = {}
         senders: List[int] = []
         streams: List[List[int]] = []
         for index in frame.started:
-            ctx = ctx_list[index]
-            state = ctx.state
+            state = live[index].state
             if state.get(KEY_IN_SAMPLE):
                 sampled[index] = True
                 members = near_clique.canonical_members(
@@ -365,17 +372,15 @@ class _CompDisseminationKernel(VectorizedKernel):
                         streams.append(
                             [_wire(_COMP, (root, member), n).bits for member in members]
                         )
-            elif not degrees[index]:
-                halted[index] = True
+        frame.halted[~sampled & (degrees == 0)] = True
 
         # Receivers: non-sampled nodes with at least one broadcasting
         # neighbour fold whole member columns; everyone else has no mail.
         mail_counts = frame.count_flagged_neighbors(broadcasting)
-        for index in np.nonzero(~sampled & (mail_counts > 0))[0]:
-            ctx = ctx_list[index]
+        for index in np.nonzero(~sampled & (mail_counts > 0))[0].tolist():
+            ctx = frame.touch(index)
             records = ctx.state.setdefault(KEY_ADJ_COMPONENTS, {})
-            for neighbor in frame.neighbor_slice(int(index)):
-                neighbor = int(neighbor)
+            for neighbor in frame.neighbor_slice(index).tolist():
                 if not broadcasting[neighbor]:
                     continue
                 record = records.get(roots[neighbor])
@@ -385,7 +390,7 @@ class _CompDisseminationKernel(VectorizedKernel):
                         "senders": set(),
                     }
                 record["members"].update(member_lists[neighbor])
-                record["senders"].add(ctx_list[neighbor].node_id)
+                record["senders"].add(node_ids[neighbor])
 
         frame.run_broadcast_schedule(
             senders, streams, [comp_kind] * len(senders)
@@ -753,19 +758,19 @@ class _KAnnounceKernel(VectorizedKernel):
 
     def execute(self, frame: KernelFrame) -> None:
         np = frame.np
-        ctx_list = frame.ctx_list
+        live = frame.live
+        node_ids = frame.node_ids
         degrees = frame.degrees
         halted = frame.halted
         n = frame.network.n
         ksize_kind = frame.intern_kind(_KSIZE)
 
         announcing = np.zeros(frame.n, dtype=bool)
-        items_by_node: List[Optional[List[Tuple[int, int, int]]]] = [None] * frame.n
+        items_by_node: Dict[int, List[Tuple[int, int, int]]] = {}
         senders: List[int] = []
         streams: List[List[int]] = []
         for index in frame.started:
-            ctx = ctx_list[index]
-            state = ctx.state
+            state = live[index].state
             memberships: Dict[int, Set[int]] = state.get(KEY_K_MEMBERSHIP, {})
             sizes: Dict[int, Dict[int, int]] = state.get(KEY_K_SIZES, {})
             if not memberships or not any(memberships.values()):
@@ -787,14 +792,14 @@ class _KAnnounceKernel(VectorizedKernel):
                 streams.append([_wire(_KSIZE, item, n).bits for item in items])
 
         mail_counts = frame.count_flagged_neighbors(announcing)
-        for index in np.nonzero(~halted & (mail_counts > 0))[0]:
-            ctx = ctx_list[index]
+        for index in np.nonzero(~halted & (mail_counts > 0))[0].tolist():
+            ctx = live[index]
             memberships = ctx.state.get(KEY_K_MEMBERSHIP, {})
             announcers = ctx.state[KEY_K_NEIGHBOR_ANNOUNCERS]
             columns = [
-                (ctx_list[int(j)].node_id, items_by_node[int(j)])
-                for j in frame.neighbor_slice(int(index))
-                if items_by_node[int(j)] is not None
+                (node_ids[j], items_by_node[j])
+                for j in frame.neighbor_slice(index).tolist()
+                if j in items_by_node
             ]
             depth = max(len(items) for _sender, items in columns)
             for position in range(depth):

@@ -157,14 +157,31 @@ def _context_snapshot(ctx):
     )
 
 
-def _run_chain(graph, arm, forced_sample=None):
-    """Sampling + the full exploration/decision sequence, one session."""
-    network = Network(graph, seed=4321)
+def _all_snapshots(contexts):
+    """Every node's snapshot, read without building contexts (``peek``), so
+    a fast arm that left nodes without one stays sparse mid-chain."""
+    return [_context_snapshot(contexts.peek(node_id)) for node_id in contexts]
+
+
+def _run_chain(graph, arm, forced_sample=None, members_only=True, network=None):
+    """Sampling + the full exploration/decision sequence, one session.
+
+    A forced sample is passed as the runner passes it — inputs for the
+    members only, under ``GLOBAL_FORCED_SAMPLE`` — or, with
+    ``members_only=False``, as an explicit input for every node.
+    """
+    network = network or Network(graph, seed=4321)
     config = CongestConfig(**CHAIN_ARMS[arm]).with_log_budget(
         max(2, graph.number_of_nodes())
     )
+    global_inputs = dict(GLOBALS)
     per_node_inputs = None
-    if forced_sample is not None:
+    if forced_sample is not None and members_only:
+        global_inputs[phases.GLOBAL_FORCED_SAMPLE] = True
+        per_node_inputs = {
+            node_id: {phases.KEY_FORCED_SAMPLE: True} for node_id in forced_sample
+        }
+    elif forced_sample is not None:
         per_node_inputs = {
             node_id: {phases.KEY_FORCED_SAMPLE: node_id in forced_sample}
             for node_id in network.node_ids
@@ -174,30 +191,16 @@ def _run_chain(graph, arm, forced_sample=None):
     with engine.open_session(network, config) as session:
         result = session.execute(
             phases.SamplingPhase(),
-            global_inputs=GLOBALS,
+            global_inputs=global_inputs,
             per_node_inputs=per_node_inputs,
         )
         snapshots.append(
-            (
-                "nc-sampling",
-                _fingerprint(result),
-                [
-                    _context_snapshot(ctx)
-                    for _, ctx in sorted(result.contexts.items())
-                ],
-            )
+            ("nc-sampling", _fingerprint(result), _all_snapshots(result.contexts))
         )
         for phase in DistNearCliqueRunner._phase_sequence():
             result = session.execute(phase, reuse_contexts=True)
             snapshots.append(
-                (
-                    phase.name,
-                    _fingerprint(result),
-                    [
-                        _context_snapshot(ctx)
-                        for _, ctx in sorted(result.contexts.items())
-                    ],
-                )
+                (phase.name, _fingerprint(result), _all_snapshots(result.contexts))
             )
     return snapshots
 
@@ -239,11 +242,34 @@ class TestKernelCallbackChain:
         assert any(graph.degree(v) == 0 for v in graph)
 
     def test_chain_agrees_with_batched_under_forced_sample(self):
+        self._assert_forced_chains_agree(members_only=True)
+
+    def test_chain_agrees_under_an_explicit_input_at_every_node(self):
+        self._assert_forced_chains_agree(members_only=False)
+
+    @staticmethod
+    def _assert_forced_chains_agree(members_only):
         graph = nx.gnp_random_graph(20, 0.25, seed=11)
         forced = {0, 3, 4, 9}
-        reference = _run_chain(graph, "reference", forced_sample=forced)
+        reference = _run_chain(
+            graph, "reference", forced_sample=forced, members_only=members_only
+        )
         for arm in ("batched", "vectorized", "sharded"):
-            assert _run_chain(graph, arm, forced_sample=forced) == reference
+            assert (
+                _run_chain(graph, arm, forced_sample=forced, members_only=members_only)
+                == reference
+            )
+
+    def test_kernel_arm_stays_sparse_through_the_chain(self):
+        graph = dict((name, g) for name, g, _ in CHAIN_GRAPHS)["planted"]
+        network = Network(graph, seed=4321)
+        _run_chain(graph, "vectorized", forced_sample=PLANTED_SAMPLE, network=network)
+        involved = set(PLANTED_SAMPLE).union(
+            *(network.neighbors(v) for v in PLANTED_SAMPLE)
+        )
+        live = {ctx.node_id for ctx in network.contexts.live.values()}
+        assert live == involved
+        assert len(live) < network.n
 
     def test_full_runner_matches_reference(self):
         graph, _ = generators.planted_near_clique(
@@ -330,7 +356,7 @@ class _CallCounting(Protocol):
         class _Kernel(vectorized.VectorizedKernel):
             def execute(self, frame):
                 for index in frame.started:
-                    protocol.on_start(frame.ctx_list[index])
+                    protocol.on_start(frame.live[index])
                     frame.halted[index] = True
                 frame.run_broadcast_schedule((), ())
 
@@ -394,7 +420,7 @@ class TestScopeContract:
         assert reference.started == [0, 1, 2, 3]
         assert candidate.started == [2]
         assert result.outputs == expected.outputs == {0: None, 1: None, 2: 2, 3: None}
-        assert all(ctx.halted for ctx in result.contexts.values())
+        assert all(result.contexts.peek(v).halted for v in result.contexts)
 
     def test_reference_rejects_an_out_of_scope_output(self):
         with pytest.raises(ProtocolError, match="outside the declared scope.*reports"):
@@ -416,7 +442,7 @@ class TestScopeContract:
         assert list(result.outputs.items()) == [
             (0, None), (1, None), (2, 2), (3, None), (4, None), (5, None)
         ]
-        assert all(ctx.halted for ctx in result.contexts.values())
+        assert all(result.contexts.peek(v).halted for v in result.contexts)
 
     @pytest.mark.parametrize("engine_name", ["batched", "vectorized", "sharded"])
     def test_overridden_finished_voids_the_scope_on_every_engine(self, engine_name):
