@@ -11,10 +11,10 @@ these phases as columnar kernels — packed halt registers, CSR
 segment-reductions for the gather, a closed-form broadcast schedule for the
 scatter — and falls back to the batched path for everything else.
 
-This benchmark times exactly the kernel-covered phases, chained through one
-session with ``reuse_contexts`` (the composite-pipeline shape), on a sparse
-background graph (n >= 20000) with a planted sampled component whose member
-stream forces a deep pipelined broadcast:
+This benchmark times the neighbourhood-broadcast kernels, chained through
+one session with ``reuse_contexts`` (the composite-pipeline shape), on a
+sparse background graph (n >= 20000) with a planted sampled component whose
+member stream forces a deep pipelined broadcast:
 
 * **Bit-identity before timing** — per phase, outputs and metrics
   (including the per-round trace) of ``vectorized`` must equal ``batched``
@@ -23,6 +23,15 @@ stream forces a deep pipelined broadcast:
 * **The gate** — summed over the kernel-covered phases, ``vectorized``
   must beat ``batched`` by ``VECTORIZED_SPEEDUP_FLOOR``.  The kernels are
   single-process numpy, so the gate holds on any host — no CPU-count skip.
+
+A second, tree-shaped workload covers the tree-schedule kernels
+(local-subsets, both up-aggregations, both down-broadcasts, vote and
+final-labels): a sampled component of 8 nodes whose BFS tree has depth
+>= 3, with an audience of a few hundred attached leaves.  The whole
+exploration and decision chain runs on both engines; each of the seven
+tree phases must be bit-identical to ``batched`` before timing, and their
+vectorized/batched ratio is printed (no floor: at this size the subset
+evaluation both engines share is a large part of the phases).
 
 Run directly (``python benchmarks/bench_e17_vectorized_kernels.py``) or via
 the pytest-benchmark harness; quick mode (``REPRO_BENCH_QUICK=1`` or
@@ -45,6 +54,7 @@ from repro.congest.engine import get_engine
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.core import phases
+from repro.core.dist_near_clique import DistNearCliqueRunner
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0") or "0"))
 
@@ -237,10 +247,118 @@ def _kernel_table(name, graph, warmup_inputs, plan, quick):
     return speedup
 
 
+#: The tree-schedule phases the second workload times.
+TREE_PHASES = (
+    "nc-local-subsets",
+    "nc-k-aggregation",
+    "nc-k-size-broadcast",
+    "nc-t-aggregation",
+    "nc-best-broadcast",
+    "nc-vote",
+    "nc-final-labels",
+)
+
+#: A caterpillar on 8 sampled nodes, as edges between positions: every
+#: node has eccentricity >= 3, so the BFS tree from the minimum id has
+#: depth >= 3 whichever position it lands on.
+TREE_SHAPE = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (3, 6), (6, 7)]
+
+
+def _tree_workload(quick: bool):
+    """Sparse background + one sampled tree component with a wide audience."""
+    n = 4000 if quick else 8000
+    rng = random.Random(41)
+    graph = nx.gnp_random_graph(n, 4.0 / n, seed=43)
+    graph.add_nodes_from(range(n))
+    sample = rng.sample(range(n), len(TREE_SHAPE) + 1)
+    graph.remove_edges_from([(u, v) for u in sample for v in sample if u < v])
+    graph.add_edges_from((sample[a], sample[b]) for a, b in TREE_SHAPE)
+    others = [v for v in range(n) if v not in set(sample)]
+    for member in sample:
+        graph.add_edges_from((member, v) for v in rng.sample(others, 40))
+    tree = graph.subgraph(sample)
+    assert nx.is_tree(tree) and nx.eccentricity(tree, min(sample)) >= 3
+    return (
+        "tree-shaped planted (n=%d, |S_i|=%d, depth>=3)" % (n, len(sample)),
+        graph,
+        sorted(sample),
+    )
+
+
+def _run_tree_chain(graph, engine_name, sample):
+    """Sampling + the exploration/decision chain; tree-phase seconds + prints."""
+    n = graph.number_of_nodes()
+    network = Network(graph, seed=23)
+    config = CongestConfig(engine=engine_name).with_log_budget(n)
+    engine = get_engine(engine_name)
+    seconds = {}
+    fingerprints = []
+    with engine.open_session(network, config) as session:
+        session.execute(
+            phases.SamplingPhase(),
+            global_inputs={
+                phases.GLOBAL_EPSILON: 0.25,
+                phases.GLOBAL_MIN_OUTPUT_SIZE: 0,
+                phases.GLOBAL_FORCED_SAMPLE: True,
+            },
+            per_node_inputs={v: {phases.KEY_FORCED_SAMPLE: True} for v in sample},
+        )
+        for protocol in DistNearCliqueRunner._phase_sequence():
+            start = time.perf_counter()
+            result = session.execute(protocol, reuse_contexts=True)
+            if protocol.name in TREE_PHASES:
+                seconds[protocol.name] = time.perf_counter() - start
+                fingerprints.append((protocol.name, _fingerprint(result)))
+    return seconds, fingerprints
+
+
+def _tree_table(quick):
+    name, graph, sample = _tree_workload(quick)
+    engines = ("batched", "vectorized")
+    best = {engine: dict.fromkeys(TREE_PHASES, float("inf")) for engine in engines}
+    oracle = None
+    for _ in range(2 if quick else 3):
+        for engine_name in engines:
+            seconds, fingerprints = _run_tree_chain(graph, engine_name, sample)
+            if oracle is None:
+                oracle = fingerprints
+            assert fingerprints == oracle, (
+                "engine %r diverged on the tree-schedule phases" % engine_name
+            )
+            for label, elapsed in seconds.items():
+                best[engine_name][label] = min(best[engine_name][label], elapsed)
+    rows = []
+    for label in TREE_PHASES + ("total",):
+        if label == "total":
+            batched_s = sum(best["batched"].values())
+            vector_s = sum(best["vectorized"].values())
+            rounds = ""
+        else:
+            batched_s = best["batched"][label]
+            vector_s = best["vectorized"][label]
+            rounds = next(fp[1] for lbl, fp in oracle if lbl == label)
+        rows.append(
+            [
+                label,
+                rounds,
+                round(batched_s * 1e3, 1),
+                round(vector_s * 1e3, 1),
+                round(batched_s / max(vector_s, 1e-9), 2),
+            ]
+        )
+    tables.print_table(
+        ["phase", "rounds", "batched ms", "vectorized ms", "ratio"],
+        rows,
+        title="E17  %s — tree-schedule phases, bit-identical runs" % name,
+    )
+
+
 def _run_suite(quick: bool):
     name, graph, clique = _workload(quick)
     warmup_inputs, plan = _phase_plan(graph.number_of_nodes(), clique)
-    return _kernel_table(name, graph, warmup_inputs, plan, quick)
+    speedup = _kernel_table(name, graph, warmup_inputs, plan, quick)
+    _tree_table(quick)
+    return speedup
 
 
 def bench_e17_vectorized_kernels(benchmark):

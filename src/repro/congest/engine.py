@@ -162,7 +162,11 @@ def harvest_outputs(
     — and only the *started* nodes' entries are then filled in.
     """
     contexts.align_rounds(rounds)
-    return collect_outputs(protocol, started, dict.fromkeys(contexts, fill))
+    if fill is None:
+        outputs = contexts.blank_outputs()
+    else:
+        outputs = dict.fromkeys(contexts, fill)
+    return collect_outputs(protocol, started, outputs)
 
 
 def collect_outputs(

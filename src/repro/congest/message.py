@@ -15,6 +15,7 @@ cannot smuggle arbitrarily large Python objects through a single message.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
@@ -31,12 +32,14 @@ BOOL_BITS = 1
 FLOAT_BITS = 64
 
 
+@functools.lru_cache(maxsize=64)
 def id_bits_for(n: int) -> int:
     """Return the number of bits of a node identifier in an *n*-node system.
 
     Identifiers are assumed to be drawn from a polynomial-size namespace, so
     an identifier costs Theta(log n) bits.  We charge ``ceil(log2 n)`` with a
     floor of one bit so degenerate single-node systems remain well-defined.
+    Memoised: protocols charge every message element at this width.
     """
     if n <= 0:
         raise ValueError("n must be positive, got %r" % (n,))

@@ -362,7 +362,15 @@ def reset_in_scope(
         ctx = contexts[i]
         if ctx._outgoing:
             ctx._outgoing = {}
-        if scope is None or (ctx.state and in_scope(scope, ctx.state)):
+        state = ctx.state
+        if scope is not None and state:
+            # in_scope, inlined: this loop runs over every live context.
+            for key in scope:
+                if state.get(key):
+                    break
+            else:
+                state = None
+        if scope is None or state:
             ctx._halted = False
             append(i)
         elif not ctx._halted:

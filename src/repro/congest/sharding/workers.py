@@ -1145,7 +1145,7 @@ class ProcessShardedRun:
         # supervised retry's replay safe.
         # Workers report only the nodes they started; every other node
         # was out of scope and reports None.
-        outputs: Dict[int, Any] = dict.fromkeys(self.contexts)
+        outputs: Dict[int, Any] = self.contexts.blank_outputs()
         harvest = "finish" if self.fold_contexts else "finish-light"
         for handle in handles:
             self._send(handle, (harvest, rounds))

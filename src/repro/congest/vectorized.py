@@ -1,11 +1,13 @@
-"""Columnar gather/apply/scatter execution of regular protocol phases.
+"""Columnar gather/apply/scatter execution of protocol phases.
 
 Every engine so far drives the same per-node callbacks: ``on_start`` once,
-then ``on_round`` once per non-halted node per round.  For *regular* phases
-— every node runs the same closed-form recipe, no data-dependent waiting —
-that dispatch is pure interpreter overhead: at n ≥ 10⁴ the round loop spends
-its time calling Python functions that mostly flush one queued message or
-fold an inbox whose content is fully determined by the phase's inputs.
+then ``on_round`` once per non-halted node per round.  For phases whose
+sends all go through pipelined Outbox queues, that dispatch is mostly
+interpreter overhead: the round loop calls Python functions that flush one
+queued message or fold an inbox whose timing follows from the queues alone
+— a closed form in stream lengths and tree depths, even where a node waits
+on its subtree (a node's up-stream starts the round after the last of the
+streams it waits on ends).
 
 This module splits such a phase into the three stages of the classic
 vertex-centric decomposition (GraVF's ``core_apply`` / ``core_scatter``
@@ -24,14 +26,19 @@ split; DGL's gSpMM kernels):
     column (:class:`repro.congest.network.ContextRegistry`), so a kernel
     touches only the nodes it writes.
 ``scatter``
-    Columnar outbox emission: a phase whose sends are enqueued at
-    ``on_start`` and drained one-per-neighbour-per-round (the
-    :class:`repro.primitives.pipelines.Outbox` discipline) is described by
-    per-sender *streams* — interned message kind plus a column of per-item
-    bit charges, the same kind-vocabulary idea
-    :mod:`repro.congest.sharding.wire` uses on the process barrier — and
-    :meth:`KernelFrame.run_broadcast_schedule` turns the streams into the
-    exact per-round trace the callbacks would have produced.
+    Outbox emission without messages: every phase the kernels cover sends
+    through :class:`repro.primitives.pipelines.Outbox` queues, drained one
+    item per queue per round.  A kernel describes its traffic as *streams*
+    — sender, receiver or "all neighbours", first round, and a column of
+    per-item bit charges — and :meth:`KernelFrame.run_schedule` turns them
+    into the exact per-round trace, quiescence and model-rule errors the
+    callbacks would have produced.  This is the one schedule every kernel
+    uses: the neighbourhood broadcasts (comp-dissemination, k-announce)
+    hand it one ``push_all`` stream per sender, and the tree phases
+    (local-subsets, the up-aggregations, the down-broadcasts, vote and
+    final-labels) time their point-to-point queues with an
+    :class:`OutboxSchedule`, which also delivers each message's payload to
+    the kernel in the callbacks' arrival order (round, receiver, sender).
 
 A protocol opts in by returning a :class:`VectorizedKernel` from
 :meth:`repro.congest.node.Protocol.vectorized_kernel`;
@@ -47,7 +54,22 @@ like every other backend.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+import functools
+from collections import defaultdict
+from itertools import groupby
+from operator import itemgetter
+from typing import (
+    Any,
+    DefaultDict,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -64,18 +86,26 @@ from repro.congest.network import ContextRegistry, Network
 from repro.congest.node import NodeContext, Protocol, effective_scope, reset_in_scope
 
 
+#: The receivers of a stream pushed to every neighbour (``Outbox.push_all``).
+ALL_NEIGHBORS = -1
+
+#: ``(sender, receivers, first round, per-item bits)``; see
+#: :meth:`KernelFrame.run_schedule`.
+Stream = Tuple[int, Union[int, Tuple[int, ...]], int, Sequence[int]]
+
+
 class VectorizedKernel:
-    """A columnar execution plan for one regular protocol phase.
+    """A columnar execution plan for one protocol phase.
 
     :meth:`execute` receives a :class:`KernelFrame` and must reproduce, via
     array operations and direct state writes, exactly what the protocol's
     callbacks would have done under the reference engine: the same per-node
     ``state`` / ``output`` mutations, the same halt decisions (recorded in
     ``frame.halted``), the same RNG consumption, and the same message
-    traffic (described to :meth:`KernelFrame.run_broadcast_schedule`, which
-    derives the bit-identical per-round metrics).  Kernels fit phases whose
-    rounds are *closed-form*; anything with data-dependent waiting belongs
-    on the callback path.
+    traffic (described to :meth:`KernelFrame.run_schedule`, which derives
+    the bit-identical per-round metrics).  Kernels fit phases whose sends
+    follow the Outbox discipline, so that their timing can be derived from
+    the queues alone.
     """
 
     def execute(self, frame: "KernelFrame") -> None:
@@ -100,8 +130,9 @@ class KernelFrame:
         its built contexts, keyed by dense index in ascending (= reference
         iteration) order, which kernels must follow wherever per-node work
         consumes randomness or builds ordered state.
-    node_ids:
-        ``node_ids[i]`` is the node id at dense index ``i`` (Python ints).
+    node_ids / index_of:
+        ``node_ids[i]`` is the node id at dense index ``i`` (Python ints);
+        ``index_of`` maps it back.
     started:
         Dense indices of the built contexts in the protocol's
         :attr:`~repro.congest.node.Protocol.scope`, ascending (every built
@@ -117,7 +148,7 @@ class KernelFrame:
         mid-phase (their receivers stay active until global quiescence), so
         one column captures the whole run.
     rounds / metrics:
-        Filled by :meth:`run_broadcast_schedule`.
+        Filled by :meth:`run_schedule`.
     """
 
     def __init__(
@@ -136,7 +167,7 @@ class KernelFrame:
         self.np = np
         self.ids, self.indptr, self.indices = network.csr_numpy()
         self.node_ids = contexts.ids
-        self.degrees = np.diff(self.indptr)
+        self.index_of = network.node_index_of
         self.n = len(self.ids)
         self.live = contexts.live
         self.started: List[int] = reset_in_scope(protocol, self.live, self.live)
@@ -147,31 +178,11 @@ class KernelFrame:
         self.halted[self.started] = False
         self.rounds = 0
         self.metrics = RunMetrics()
-        # Scatter-side kind vocabulary: append-only string → small-int
-        # interning, the same idea the process barrier's wire format uses
-        # (:class:`repro.congest.sharding.wire.WireEncoder`).  Streams carry
-        # the interned id, not the string, so a broadcast of one kind over
-        # thousands of senders costs one table entry.
-        self._kind_table: Dict[str, int] = {}
-        self._kind_names: List[str] = []
-        #: Interned kind per stream of the last broadcast schedule, when the
-        #: kernel supplied them (diagnostics only).
-        self.stream_kinds: Optional[List[int]] = None
 
-    # ------------------------------------------------------------------
-    # scatter: interning vocabulary
-    # ------------------------------------------------------------------
-    def intern_kind(self, kind: str) -> int:
-        """Intern a message kind, mirroring the wire format's vocabulary."""
-        kind_id = self._kind_table.get(kind)
-        if kind_id is None:
-            kind_id = len(self._kind_names)
-            self._kind_table[kind] = kind_id
-            self._kind_names.append(kind)
-        return kind_id
-
-    def kind_name(self, kind_id: int) -> str:
-        return self._kind_names[kind_id]
+    @functools.cached_property
+    def degrees(self) -> Any:
+        """Per-node degree column (built on first use)."""
+        return np.diff(self.indptr)
 
     # ------------------------------------------------------------------
     # gather: segment reductions over the CSR
@@ -233,101 +244,90 @@ class KernelFrame:
         return self.indices[self.indptr[dense_index] : self.indptr[dense_index + 1]]
 
     # ------------------------------------------------------------------
-    # scatter: closed-form pipelined broadcast accounting
+    # scatter: the stream schedule
     # ------------------------------------------------------------------
-    def run_broadcast_schedule(
-        self,
-        senders: Sequence[int],
-        streams: Sequence[Sequence[int]],
-        kind_ids: Optional[Sequence[int]] = None,
-    ) -> int:
-        """Account an ``on_start``-enqueued pipelined broadcast phase.
+    def outbox_schedule(self) -> "OutboxSchedule":
+        """Point-to-point queues for this frame's :meth:`run_schedule`."""
+        return OutboxSchedule(self.halted, self.config.max_rounds)
 
-        ``senders`` are dense indices in ascending order; ``streams[k]`` is
-        the column of per-item bit charges sender ``senders[k]`` pushed to
-        *every* neighbour via ``Outbox.push_all`` during ``on_start``
-        (``kind_ids`` optionally carries the interned kind per stream, for
-        diagnostics and future backends).  Under the Outbox discipline the
-        item at position ``t-1`` is flushed — to all ``deg`` neighbours at
-        once — in round ``t``, and the phase quiesces one round after the
-        longest stream drains.  This method reproduces the callback
-        engines' behaviour exactly:
+    def run_schedule(self, streams: Sequence[Stream]) -> int:
+        """Account a phase's traffic, given as Outbox-discipline streams.
 
-        * round count ``T + 1`` for the longest stream ``T`` (one trailing
-          silent round consumes the last deliveries, then quiescence), or
-          ``1`` when nothing is queued but nodes are still active, or ``0``
-          when every node halted in ``on_start``;
-        * per-round trace: messages/bits from the columns, ``edges_used ==
-          messages_sent`` (one message per pair), ``active_nodes`` constant
-          at the non-halted count;
-        * the model rules: the bit budget is enforced in the batched
-          engine's drain order (round-ascending, then sender id), raising
-          the same :class:`MessageSizeViolation`; congestion is satisfied
-          by construction (one flush per neighbour per round);
+        ``streams[k] = (sender, receivers, first, bits)``: dense sender
+        index; a tuple of dense receiver indices, one queue each, or
+        :data:`ALL_NEIGHBORS` (an ``Outbox.push_all`` stream, one queue per
+        neighbour); the round its first item leaves on every one of those
+        queues; and the column of per-item bit charges, item ``p`` leaving
+        in round ``first + p``.  A sender's queues appear in the order they
+        were created.  The phase quiesces one
+        round after the last send, and the kernels' streams leave no silent
+        round before it (each starts in round 1 or in the round a message
+        arrives).  This method reproduces the callback engines exactly:
+
+        * round count ``last + 1``, or ``1`` when nothing is sent but
+          nodes are active, or ``0`` when every node halted in
+          ``on_start``;
+        * per-round trace: messages/bits/peak size from the columns,
+          ``edges_used == messages_sent`` (one message per queue per
+          round), ``active_nodes`` constant at the non-halted count (the
+          covered phases never halt after ``on_start``);
+        * the bit budget, enforced in the drain order (round, then sender,
+          then the sender's queue order), raising the same
+          :class:`MessageSizeViolation`; congestion holds by construction;
         * ``max_rounds``: :class:`RoundLimitExceeded` exactly when the
-          callback loop would have started round ``max_rounds + 1``.
+          callback loop would have started round ``max_rounds + 1``; a
+          size violation wins when its round is within the cap.
 
         Returns the round count (also stored in :attr:`rounds`).
         """
-        # Kept for introspection (tests, tracing, future compiled backends);
-        # the metrics only need the bit columns.
-        self.stream_kinds = list(kind_ids) if kind_ids is not None else None
         active = int(self.n - int(self.halted.sum()))
-        lens = np.array([len(stream) for stream in streams], dtype=np.int64)
-        longest = int(lens.max()) if len(lens) else 0
         if active == 0:
             # Everyone halted at on_start with nothing queued: the loop
             # breaks before executing a single round.
             self.rounds = 0
             return 0
-        rounds = longest + 1
+        send_rounds: List[int] = []
+        flat_bits: List[int] = []
+        lengths: List[int] = []
+        queues: List[int] = []
+        for sender, receivers, first, column in streams:
+            if receivers == ALL_NEIGHBORS:
+                count = int(self.degrees[sender])
+            else:
+                count = len(receivers)
+            if count and column:
+                send_rounds += range(first, first + len(column))
+                flat_bits += column
+                lengths.append(len(column))
+                queues.append(count)
+        last = max(send_rounds) if send_rounds else 0
+        rounds = last + 1
 
-        # Error precedence mirrors the callback loop: an over-budget item at
-        # queue position p is raised *during* round p + 1, while the round
-        # cap is raised at the top of round max_rounds + 1 — so the size
-        # violation wins exactly when its round is within the cap.
         max_rounds = self.config.max_rounds
         budget = self.config.message_bit_budget
-        if budget is not None and any(
-            bits > budget for stream in streams for bits in stream
-        ):
-            violation_round = 1 + min(
-                position
-                for stream in streams
-                for position, bits in enumerate(stream)
-                if bits > budget
-            )
-            if max_rounds is None or violation_round <= max_rounds:
-                self._raise_budget_violation(senders, streams, budget)
+        if budget is not None and flat_bits and max(flat_bits) > budget:
+            self._check_budget(streams, budget, max_rounds)
         if max_rounds is not None and rounds > max_rounds:
             raise RoundLimitExceeded(max_rounds)
 
-        degs = self.degrees[np.asarray(senders, dtype=np.int64)] if len(lens) else lens
-        # messages per round t = sum of deg over streams with >= t items:
-        # bincount the stream lengths (weighted by degree), then suffix-sum.
-        counts = np.bincount(lens, weights=degs.astype(np.float64), minlength=longest + 1)
-        msgs_by_round = np.cumsum(counts[::-1])[::-1]
-        # bits per round via the flattened (position, degree * bits) pairs;
-        # the per-round message-size peak via a segmented maximum.
-        bits_by_round = np.zeros(longest + 1, dtype=np.float64)
-        peak_by_round = np.zeros(longest + 1, dtype=np.int64)
-        if longest:
-            positions = np.concatenate(
-                [np.arange(1, length + 1) for length in lens]
-            )
-            flat_bits = np.concatenate(
-                [np.asarray(stream, dtype=np.int64) for stream in streams]
-            )
-            flat_weights = np.repeat(degs, lens) * flat_bits
-            bits_by_round = np.bincount(
-                positions, weights=flat_weights.astype(np.float64), minlength=longest + 1
-            )
-            np.maximum.at(peak_by_round, positions, flat_bits)
+        msgs_by_round = bits_by_round = peak_by_round = None
+        if last:
+            at = np.array(send_rounds, dtype=np.int64)
+            sizes = np.array(flat_bits, dtype=np.int64)
+            copies = np.repeat(np.array(queues, dtype=np.float64), lengths)
+            msgs_by_round = np.bincount(at, weights=copies, minlength=last + 1)
+            if not msgs_by_round[1:].all():
+                raise AssertionError(
+                    "stream schedule has a silent round before its last send"
+                )
+            bits_by_round = np.bincount(at, weights=copies * sizes, minlength=last + 1)
+            peak_by_round = np.zeros(last + 1, dtype=np.int64)
+            np.maximum.at(peak_by_round, at, sizes)
 
         keep_trace = self.config.record_round_metrics
         for round_index in range(1, rounds + 1):
             rm = RoundMetrics(round_index=round_index)
-            if round_index <= longest:
+            if round_index <= last:
                 rm.messages_sent = int(msgs_by_round[round_index])
                 rm.bits_sent = int(bits_by_round[round_index])
                 rm.max_message_bits = int(peak_by_round[round_index])
@@ -337,29 +337,45 @@ class KernelFrame:
         self.rounds = rounds
         return rounds
 
-    def _raise_budget_violation(
-        self, senders: Sequence[int], streams: Sequence[Sequence[int]], budget: int
+    def _check_budget(
+        self, streams: Sequence[Stream], budget: int, max_rounds: Optional[int]
     ) -> None:
-        """Raise exactly the violation the batched drain would have raised.
+        """Raise the violation the drain would hit first, if within the cap.
 
-        The drain walks rounds ascending and, within a round, senders in
-        frontier (ascending id) order; a sender's first queued receiver is
-        its lowest-id neighbour (``push_all`` fills the outbox in neighbour
-        order).
+        The drain walks rounds ascending, senders ascending within a round,
+        and a sender's queues in creation order; a ``push_all`` stream's
+        first queue is the sender's lowest-id neighbour.
         """
-        longest = max(len(stream) for stream in streams)
-        for position in range(longest):
-            for sender, stream in zip(senders, streams):
-                if position < len(stream) and stream[position] > budget:
-                    receiver_dense = int(self.neighbor_slice(sender)[0])
-                    raise MessageSizeViolation(
-                        int(self.ids[sender]),
-                        int(self.ids[receiver_dense]),
-                        int(stream[position]),
-                        budget,
-                        position + 1,
-                    )
-        raise AssertionError("no over-budget item found")  # pragma: no cover
+        queue_order: Dict[Tuple[int, int], int] = {}
+        first_over = None
+        for sender, receivers, first, column in streams:
+            if receivers == ALL_NEIGHBORS:
+                if not self.degrees[sender]:
+                    continue
+                receivers = (ALL_NEIGHBORS,)
+            orders = [
+                (queue_order.setdefault((sender, receiver), len(queue_order)), receiver)
+                for receiver in receivers
+            ]
+            if not orders:
+                continue
+            order, receiver = min(orders)
+            for position, bits in enumerate(column):
+                if bits > budget:
+                    key = (first + position, sender, order, receiver, bits)
+                    if first_over is None or key < first_over:
+                        first_over = key
+                    break
+        if first_over is None:  # pragma: no cover - the caller saw one
+            return
+        round_index, sender, _order, receiver, bits = first_over
+        if max_rounds is not None and round_index > max_rounds:
+            return
+        if receiver == ALL_NEIGHBORS:
+            receiver = int(self.neighbor_slice(sender)[0])
+        raise MessageSizeViolation(
+            int(self.ids[sender]), int(self.ids[receiver]), bits, budget, round_index
+        )
 
     # ------------------------------------------------------------------
     # apply: fold the packed registers back into the contexts
@@ -369,8 +385,9 @@ class KernelFrame:
 
         The out-of-scope contexts were marked halted when the frame was
         built and the kernel never touches them; a started one gets the
-        halt flag its callbacks would have left and an empty outbox.  The
-        nodes without a context keep theirs in the column itself.  State
+        halt flag its callbacks would have left (its outbox was emptied
+        when the frame was built, and kernels send nothing through it).
+        The nodes without a context keep theirs in the column itself.  State
         dicts, outputs and RNGs were mutated in place by the kernel, so a
         ``reuse_contexts`` successor phase — kernel or callback — observes
         exactly the state the callbacks would have left.  The engine
@@ -381,8 +398,96 @@ class KernelFrame:
         started = [live[index] for index in self.started]
         for ctx, halted in zip(started, self.halted[self.started].tolist()):
             ctx._halted = halted
-            ctx._outgoing = {}
         return started
+
+
+class OutboxSchedule:
+    """Outbox-discipline timing of point-to-point queues, without messages.
+
+    One FIFO per (sender, receiver), as in
+    :class:`repro.primitives.pipelines.Outbox`: items pushed in round ``r``
+    (``on_start`` counts as round 1, its first flush) leave one per round,
+    the first no earlier than ``r`` and no earlier than the round after
+    the queue's previous item.  :meth:`push` records a push as streams for
+    :meth:`KernelFrame.run_schedule` — one for each run of receivers whose
+    queues start in the same round, so usually one — and files its
+    payloads for delivery one round after they leave;
+    :meth:`deliveries` hands them back in the callbacks' order.  A
+    receiver that is halted (or out of scope) drops its mail, as in the
+    callback engines.
+    """
+
+    def __init__(self, halted: Any, max_rounds: Optional[int]) -> None:
+        self.streams: List[Stream] = []
+        self._halted = halted
+        self._max_rounds = max_rounds
+        self._last: Dict[Tuple[int, int], int] = {}
+        self._arrivals: DefaultDict[int, List[Tuple[int, int, Any]]] = defaultdict(list)
+
+    def push(
+        self,
+        sender: int,
+        receivers: Sequence[int],
+        round_index: int,
+        bits: Sequence[int],
+        payloads: Sequence[Any],
+    ) -> None:
+        """Queue the items (``bits``/``payloads`` entries) for each receiver.
+
+        Receivers are taken in order, as ``Outbox.push`` loops would queue
+        them; a receiver listed twice gets the items twice.
+        """
+        last_of = self._last
+        arrivals = self._arrivals
+        count = len(bits)
+        run: List[int] = []
+        run_first = 0
+        for receiver in receivers:
+            key = (sender, receiver)
+            last = last_of.get(key, 0)
+            first = round_index if round_index > last else last + 1
+            last_of[key] = first + count - 1
+            if first != run_first:
+                if run:
+                    self.streams.append((sender, tuple(run), run_first, bits))
+                run = []
+                run_first = first
+            run.append(receiver)
+            arrival = first + 1
+            for payload in payloads:
+                arrivals[arrival].append((receiver, sender, payload))
+                arrival += 1
+        if run:
+            self.streams.append((sender, tuple(run), run_first, bits))
+
+    def deliveries(self) -> Iterator[Tuple[int, int, Iterable[Tuple[int, int, Any]]]]:
+        """Yield ``(round, receiver, inbox)``; ``inbox`` holds
+        ``(receiver, sender, payload)`` entries, to be read before the next
+        step of the iteration.
+
+        Rounds ascend, receivers ascend within a round and each inbox is
+        sorted by sender: the order in which the callback engines run
+        ``on_round``.  Pushes made while iterating are delivered in later
+        rounds.  Nothing past ``max_rounds`` is delivered: the callback
+        loop stops there with :class:`RoundLimitExceeded`, which
+        :meth:`KernelFrame.run_schedule` then raises.
+        """
+        arrivals = self._arrivals
+        halted = self._halted
+        round_index = 1
+        while arrivals:
+            round_index += 1
+            if self._max_rounds is not None and round_index > self._max_rounds:
+                return
+            bucket = arrivals.pop(round_index, None)
+            if not bucket:
+                continue
+            # (receiver, sender) is unique within a round: one item per
+            # queue per round.
+            bucket.sort()
+            for receiver, inbox in groupby(bucket, itemgetter(0)):
+                if not halted[receiver]:
+                    yield round_index, receiver, inbox
 
 
 class VectorizedEngine(BatchedEngine):

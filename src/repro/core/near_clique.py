@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterable, Iterator, Sequence, Set, Tuple
 
 import networkx as nx
@@ -271,6 +272,23 @@ def neighbor_mask(members: Sequence[int], neighbor_ids: Iterable[int]) -> int:
     mask = 0
     for bit, member in enumerate(members):
         if member in neighbor_set:
+            mask |= 1 << bit
+    return mask
+
+
+def sorted_neighbor_mask(
+    members: Sequence[int], sorted_neighbors: Sequence[int]
+) -> int:
+    """:func:`neighbor_mask` for neighbours given in ascending order.
+
+    One binary search per member instead of a set of all the neighbours:
+    the components are small and the degrees are not.
+    """
+    mask = 0
+    count = len(sorted_neighbors)
+    for bit, member in enumerate(members):
+        at = bisect_left(sorted_neighbors, member)
+        if at < count and sorted_neighbors[at] == member:
             mask |= 1 << bit
     return mask
 

@@ -47,34 +47,46 @@ State shared between phases lives in each node's ``ctx.state`` under the
 the phases together and harvests the final outputs.
 
 **Vectorized-kernel coverage.**  Under ``engine="vectorized"``
-(:mod:`repro.congest.vectorized`) the *regular* phases — those whose round
-structure is a closed-form pipelined broadcast, with no data-dependent
-waiting — execute as columnar gather/apply/scatter kernels instead of
-per-node callbacks; the rest fall back to the batched callback path.  The
-callbacks below remain the executable semantics either way (the kernels are
-held to bit-identity by the differential suite):
+(:mod:`repro.congest.vectorized`) every phase of this module executes as
+a kernel instead of per-node callbacks: the sends all go through
+pipelined :class:`~repro.primitives.pipelines.Outbox` queues, so their
+timing follows from the queues alone (one stream schedule,
+:meth:`~repro.congest.vectorized.KernelFrame.run_schedule`), and only the
+four tree primitives of :mod:`repro.primitives` fall back to the batched
+callback path.  The callbacks below remain the executable semantics
+either way (the kernels are held to bit-identity by the differential
+suite):
 
-=====================  ==========================================
+=====================  ================================================
 Phase                  ``engine="vectorized"`` execution
-=====================  ==========================================
+=====================  ================================================
 SamplingPhase          kernel (local coin flips, zero rounds)
 MinIdBFSTreeProtocol   callback fallback (data-dependent waves)
 ParentNotification     callback fallback
-ConvergecastCollect    callback fallback (waits on subtrees)
+ConvergecastCollect    callback fallback
 TreeBroadcast          callback fallback
 CompDisseminationPhase kernel (pipelined neighbourhood broadcast)
-LocalSubsetPhase       callback fallback (single-shot sends)
-UpAggregationPhase     callback fallback (waits on leaves/children)
-DownBroadcastPhase     callback fallback (multi-hop relay)
+LocalSubsetPhase       kernel (one ``nc.attach`` stream per parent)
+UpAggregationPhase     kernel (a node's stream starts once its waits end)
+DownBroadcastPhase     kernel (depth-d node forwards item k in round d+1+k)
 KAnnouncePhase         kernel (pipelined neighbourhood broadcast)
-VotePhase              callback fallback (waits on subtrees)
-FinalLabelPhase        callback fallback (multi-hop relay)
-=====================  ==========================================
+VotePhase              kernel (a node's vote starts once its waits end)
+FinalLabelPhase        kernel (the down-broadcast kernel)
+=====================  ================================================
+
+The tree kernels deliver each message's payload in the callbacks' arrival
+order — round, then receiver, then sender — and run the injected
+``pre_start`` / ``root_finalize`` / ``items_fn`` / ``store_fn`` at the
+same nodes, as often, in the same order and at the same round index.
+Like the broadcast kernels they assume the started nodes' outbox queues
+are empty when the phase starts (every phase here drains its queues
+before it quiesces) and that the tree keys name neighbours.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+import functools
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.congest.message import Inbound, Message, id_bits_for, KIND_TAG_BITS
 from repro.congest.node import NodeContext, Protocol
@@ -84,7 +96,13 @@ from repro.congest.pipeline import (
     ARTIFACT_TREE_CHILDREN,
     PhaseEffects,
 )
-from repro.congest.vectorized import KernelFrame, VectorizedKernel
+from repro.congest.vectorized import (
+    ALL_NEIGHBORS,
+    KernelFrame,
+    OutboxSchedule,
+    Stream,
+    VectorizedKernel,
+)
 from repro.core import near_clique
 from repro.primitives.bfs_tree import (
     KEY_CHILDREN,
@@ -116,6 +134,9 @@ KEY_BEST_KNOWN = "nc_best_known"
 KEY_ABORT_SEEN = "nc_abort_seen"
 KEY_SURVIVED = "nc_survived"
 
+#: Read-only default for the ``state.get`` calls of the kernel sweeps.
+_NOTHING: Dict[Any, Any] = {}
+
 # global input keys (ctx.globals)
 GLOBAL_EPSILON = "epsilon"
 GLOBAL_SAMPLE_PROBABILITY = "sample_probability"
@@ -137,18 +158,33 @@ _VOTE = "nc.vote"
 _ABORT_STATE = "nc.abort_state"
 
 
-def _wire(kind: str, payload: Tuple, n: int) -> Message:
-    """Build a message whose integers are charged at identifier width.
+@functools.lru_cache(maxsize=4096)
+def wire_bits(payload: Tuple, n: int) -> int:
+    """Bits of a message whose integers are charged at identifier width.
 
     All ``DistNearClique`` messages carry a constant number of identifiers,
     subset indices and counters; each element is charged at
     ``max(⌈log₂ n⌉, bit length)`` bits so that the accounting is an honest
-    Theta(log n) per element for the parameter regime of the paper.
+    Theta(log n) per element for the parameter regime of the paper.  The
+    kernels charge their bit columns with this directly, without building
+    messages.  Memoised: a phase charges the same few payloads (a root's
+    done marker, a subset's unit count) at hundreds of nodes.
     """
-    bits = KIND_TAG_BITS
+    width = id_bits_for(n)
+    # An element charged at its own length is one with |e| >= 2**(width-1).
+    limit = 1 << (width - 1)
+    bits = KIND_TAG_BITS + width * len(payload)
     for element in payload:
-        bits += max(id_bits_for(n), int(abs(int(element))).bit_length() + 1)
-    return Message(kind=kind, payload=tuple(int(e) for e in payload), bits=bits)
+        if not -limit < element < limit:
+            bits += abs(int(element)).bit_length() + 1 - width
+    return bits
+
+
+def _wire(kind: str, payload: Tuple, n: int) -> Message:
+    """Build a message charged by :func:`wire_bits`."""
+    return Message(
+        kind=kind, payload=tuple(int(e) for e in payload), bits=wire_bits(payload, n)
+    )
 
 
 def _epsilon(ctx: NodeContext) -> float:
@@ -164,20 +200,28 @@ def _k_membership_indices(
 ) -> Set[int]:
     """Indices of the non-empty X ⊆ members with ``v ∈ K_{2ε²}(X)``.
 
-    ``neighbor_ids`` are the neighbours of the evaluating node v; membership
-    is ``|Γ(v) ∩ X| ≥ (1 − 2ε²)|X|`` evaluated with the shared tolerance, via
-    bitmask popcounts (exploration Step 4a — purely local computation).
+    ``neighbor_ids`` are the neighbours of the evaluating node v in ascending
+    order (``ctx.neighbors``); membership is ``|Γ(v) ∩ X| ≥ (1 − 2ε²)|X|``
+    evaluated with the shared tolerance, via bitmask popcounts (exploration
+    Step 4a — purely local computation).
     """
-    mask = near_clique.neighbor_mask(members, neighbor_ids)
-    result: Set[int] = set()
-    for index in near_clique.iter_nonempty_subset_indices(len(members)):
+    mask = near_clique.sorted_neighbor_mask(members, neighbor_ids)
+    return set(_qualifying_subsets(len(members), mask, inner_epsilon))
+
+
+def _qualifying_subsets(
+    member_count: int, mask: int, inner_epsilon: float
+) -> Tuple[int, ...]:
+    """The indices X with ``|mask ∩ X| ≥ (1 − 2ε²)|X|``, ascending."""
+    return tuple(
+        index
+        for index in near_clique.iter_nonempty_subset_indices(member_count)
         if near_clique.meets_fraction(
             near_clique.popcount(mask & index),
             near_clique.popcount(index),
             inner_epsilon,
-        ):
-            result.add(index)
-    return result
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +303,7 @@ class _SamplingKernel(VectorizedKernel):
         for index in frame.started:
             draw(live[index])
         frame.halted.fill(True)
-        frame.run_broadcast_schedule((), ())
+        frame.run_schedule(())
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +389,15 @@ class _CompDisseminationKernel(VectorizedKernel):
         live = frame.live
         node_ids = frame.node_ids
         degrees = frame.degrees
-        n = frame.network.n
-        comp_kind = frame.intern_kind(_COMP)
 
         sampled = np.zeros(frame.n, dtype=bool)
         broadcasting = np.zeros(frame.n, dtype=bool)
         roots: Dict[int, int] = {}
         member_lists: Dict[int, Tuple[int, ...]] = {}
-        senders: List[int] = []
-        streams: List[List[int]] = []
+        streams: List[Stream] = []
         for index in frame.started:
-            state = live[index].state
+            ctx = live[index]
+            state = ctx.state
             if state.get(KEY_IN_SAMPLE):
                 sampled[index] = True
                 members = near_clique.canonical_members(
@@ -368,9 +410,16 @@ class _CompDisseminationKernel(VectorizedKernel):
                 if members:
                     broadcasting[index] = True
                     if degrees[index]:
-                        senders.append(index)
                         streams.append(
-                            [_wire(_COMP, (root, member), n).bits for member in members]
+                            (
+                                index,
+                                ALL_NEIGHBORS,
+                                1,
+                                [
+                                    wire_bits((root, member), ctx.n)
+                                    for member in members
+                                ],
+                            )
                         )
         frame.halted[~sampled & (degrees == 0)] = True
 
@@ -392,9 +441,7 @@ class _CompDisseminationKernel(VectorizedKernel):
                 record["members"].update(member_lists[neighbor])
                 record["senders"].add(node_ids[neighbor])
 
-        frame.run_broadcast_schedule(
-            senders, streams, [comp_kind] * len(senders)
-        )
+        frame.run_schedule(streams)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +519,79 @@ class LocalSubsetPhase(Protocol):
                 if inbound.kind == _ATTACH:
                     leaves.add(inbound.sender)
         Outbox.for_ctx(ctx).flush()
+
+    def vectorized_kernel(self) -> "_LocalSubsetKernel":
+        return _LocalSubsetKernel()
+
+
+class _LocalSubsetKernel(VectorizedKernel):
+    """Columnar form of :class:`LocalSubsetPhase`.
+
+    *Apply*: the ``on_start`` sweep over the started nodes (the subset
+    evaluation is local computation, evaluated once per distinct
+    neighbour mask).  *Scatter*: each leaf's ``nc.attach`` items leave
+    from round 1, one queue per attachment parent.  *Gather*: a sampled
+    parent adds the senders to its attached leaves in arrival order.
+    """
+
+    def execute(self, frame: KernelFrame) -> None:
+        live = frame.live
+        index_of = frame.index_of
+        node_ids = frame.node_ids
+        queues = frame.outbox_schedule()
+        leaves_of: Dict[int, Set[int]] = {}
+        qualifying: Dict[Tuple[int, int, float], Tuple[int, ...]] = {}
+
+        def k_membership(
+            members: Sequence[int], ctx: NodeContext, inner_eps: float
+        ) -> Set[int]:
+            # _k_membership_indices, with the subset scan shared by every
+            # node that sees the same members of the component.
+            mask = near_clique.sorted_neighbor_mask(members, ctx.neighbors)
+            key = (len(members), mask, inner_eps)
+            found = qualifying.get(key)
+            if found is None:
+                found = qualifying[key] = _qualifying_subsets(*key)
+            return set(found)
+
+        for index in frame.started:
+            ctx = live[index]
+            state = ctx.state
+            eps = _epsilon(ctx)
+            inner_eps = 2.0 * eps * eps
+            memberships: Dict[int, Set[int]] = {}
+            if state.get(KEY_IN_SAMPLE):
+                members = state.get(KEY_COMP_MEMBERS, ())
+                root = state[KEY_ROOT]
+                memberships[root] = k_membership(members, ctx, inner_eps)
+                leaves_of[index] = state[KEY_ATTACHED_LEAVES] = set()
+                state[KEY_ADJ_MEMBERS] = {root: tuple(members)}
+            else:
+                records = state.get(KEY_ADJ_COMPONENTS, _NOTHING)
+                if not records:
+                    frame.halted[index] = True
+                    continue
+                attach: Dict[int, int] = {}
+                adjacent_members: Dict[int, Tuple[int, ...]] = {}
+                for root in sorted(records):
+                    record = records[root]
+                    members = near_clique.canonical_members(record["members"])
+                    adjacent_members[root] = members
+                    parent = min(record["senders"])
+                    attach[root] = parent
+                    bits = [wire_bits((root,), ctx.n)]
+                    queues.push(index, (index_of[parent],), 1, bits, bits)
+                    memberships[root] = k_membership(members, ctx, inner_eps)
+                state[KEY_ATTACH_PARENT] = attach
+                state[KEY_ADJ_MEMBERS] = adjacent_members
+            state[KEY_K_MEMBERSHIP] = memberships
+
+        for _round, receiver, inbox in queues.deliveries():
+            leaves = leaves_of.get(receiver)
+            if leaves is not None:
+                for _receiver, sender, _bits in inbox:
+                    leaves.add(node_ids[sender])
+        frame.run_schedule(queues.streams)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +726,136 @@ class UpAggregationPhase(Protocol):
                 outbox.push(parent, _wire(_AGG_DONE, (root,), ctx.n))
         outbox.flush()
 
+    def vectorized_kernel(self) -> "_UpAggregationKernel":
+        return _UpAggregationKernel()
+
+
+def _converge(
+    queues: OutboxSchedule,
+    tree: Dict[int, NodeContext],
+    waiting_key: str,
+    flushed_key: str,
+    fold: Callable[[NodeContext, Iterable[Tuple[int, int, Any]]], None],
+    flush: Callable[[NodeContext, int, int], None],
+) -> None:
+    """Drive a wait-on-subtree convergecast over its tree nodes.
+
+    A tree node folds each round's inbox (``fold(ctx, inbox)``, which also
+    discards finished senders from ``state[waiting_key]``); in the first
+    round after which it waits on nobody, ``flush(ctx, index, round)``
+    pushes its own stream to its parent — the stream starts in round 1
+    when it waits on nobody from the start, else in the round the last
+    stream it waits on delivers its final item.  A node whose wait never
+    ends keeps its partial state, as the callbacks leave it when the phase
+    quiesces.
+    """
+    for index, ctx in tree.items():
+        if not ctx.state[waiting_key]:
+            flush(ctx, index, 1)
+    for round_index, receiver, inbox in queues.deliveries():
+        ctx = tree.get(receiver)
+        if ctx is None:
+            continue
+        fold(ctx, inbox)
+        state = ctx.state
+        if not state[waiting_key] and not state[flushed_key]:
+            flush(ctx, receiver, round_index)
+
+
+class _UpAggregationKernel(VectorizedKernel):
+    """Columnar form of :class:`UpAggregationPhase`.
+
+    *Apply*: the ``on_start`` sweep (``pre_start``, own contributions and
+    wait sets) over the started nodes.  *Scatter*: each leaf's ``nc.agg``
+    items and ``nc.agg_done`` leave from round 1; each tree node's
+    partial sums leave once it waits on nobody (:func:`_converge`), and a
+    root publishes its counts and runs ``root_finalize`` then.  *Gather*:
+    the counters fold in arrival order.
+    """
+
+    def execute(self, frame: KernelFrame) -> None:
+        phase: UpAggregationPhase = frame.protocol  # type: ignore[assignment]
+        live = frame.live
+        index_of = frame.index_of
+        node_ids = frame.node_ids
+        counters_key = phase._key("counters")
+        waiting_key = phase._key("waiting")
+        flushed_key = phase._key("flushed")
+        pre_start = phase.pre_start
+        membership_key = phase.membership_key
+        queues = frame.outbox_schedule()
+        tree: Dict[int, NodeContext] = {}
+        for index in frame.started:
+            ctx = live[index]
+            state = ctx.state
+            if pre_start is not None and (
+                state.get(KEY_IN_SAMPLE) or state.get(KEY_ATTACH_PARENT)
+            ):
+                ctx._round = 0
+                pre_start(ctx)
+            memberships: Dict[int, Set[int]] = state.get(membership_key, _NOTHING)
+            if state.get(KEY_IN_SAMPLE):
+                root = state[KEY_ROOT]
+                counters: Dict[int, int] = {}
+                for subset_index in memberships.get(root, ()):
+                    counters[subset_index] = counters.get(subset_index, 0) + 1
+                waiting = set(state.get(KEY_CHILDREN, []))
+                waiting |= set(state.get(KEY_ATTACHED_LEAVES, set()))
+                state[counters_key] = counters
+                state[waiting_key] = waiting
+                state[flushed_key] = False
+                state[phase.result_key] = None
+                tree[index] = ctx
+                continue
+            attach: Dict[int, int] = state.get(KEY_ATTACH_PARENT, _NOTHING)
+            if not attach:
+                frame.halted[index] = True
+                continue
+            # Payload (subset index, count), or None for nc.agg_done.
+            n = ctx.n
+            for root in sorted(attach):
+                subsets = sorted(memberships.get(root, ()))
+                bits = [wire_bits((root, subset, 1), n) for subset in subsets]
+                bits.append(wire_bits((root,), n))
+                items: List[Any] = [(subset, 1) for subset in subsets]
+                items.append(None)
+                queues.push(index, (index_of[attach[root]],), 1, bits, items)
+
+        def fold(ctx: NodeContext, inbox: Iterable[Tuple[int, int, Any]]) -> None:
+            counters = ctx.state[counters_key]
+            waiting = ctx.state[waiting_key]
+            for _receiver, sender, item in inbox:
+                if item is None:
+                    waiting.discard(node_ids[sender])
+                else:
+                    subset_index, count = item
+                    counters[subset_index] = counters.get(subset_index, 0) + count
+
+        def flush(ctx: NodeContext, index: int, round_index: int) -> None:
+            state = ctx.state
+            state[flushed_key] = True
+            parent = state.get(KEY_PARENT)
+            root = state[KEY_ROOT]
+            counters = state[counters_key]
+            if parent is None:
+                state[phase.result_key] = dict(counters)
+                if phase.root_finalize is not None:
+                    ctx._round = round_index
+                    phase.root_finalize(ctx, counters)
+                return
+            items: List[Any] = [
+                (subset_index, counters[subset_index])
+                for subset_index in sorted(counters)
+                if counters[subset_index]
+            ]
+            bits = [wire_bits((root,) + item, ctx.n) for item in items]
+            bits.append(wire_bits((root,), ctx.n))
+            items.append(None)
+            queues.push(index, (index_of[parent],), round_index, bits, items)
+
+        _converge(queues, tree, waiting_key, flushed_key, fold, flush)
+        frame.run_schedule(queues.streams)
+
 
 # ---------------------------------------------------------------------------
 # generic broadcast down the tree and to attached leaves
@@ -680,6 +930,73 @@ class DownBroadcastPhase(Protocol):
             if _in_sample(ctx):
                 self._forward(ctx, root, item)
         Outbox.for_ctx(ctx).flush()
+
+    def vectorized_kernel(self) -> "_DownBroadcastKernel":
+        return _DownBroadcastKernel()
+
+
+class _DownBroadcastKernel(VectorizedKernel):
+    """Columnar form of :class:`DownBroadcastPhase` (and final-labels).
+
+    *Apply*: each root evaluates ``items_fn`` and stores its own items;
+    the rest only record the ``on_start`` halts.  *Scatter*: a root's
+    items leave from round 1 on one queue per child and attached leaf;
+    a tree node forwards each item in the round it arrives, so at depth
+    ``d`` item ``k`` leaves in round ``d + 1 + k``.  *Gather*: every
+    receiver runs ``store_fn`` in arrival order.
+    """
+
+    def execute(self, frame: KernelFrame) -> None:
+        phase: DownBroadcastPhase = frame.protocol  # type: ignore[assignment]
+        items_fn, store_fn = phase.items_fn, phase.store_fn
+        live = frame.live
+        index_of = frame.index_of
+        queues = frame.outbox_schedule()
+        targets_of: Dict[int, List[int]] = {}
+
+        def targets(index: int, state: Dict[str, Any]) -> List[int]:
+            found = targets_of.get(index)
+            if found is None:
+                found = targets_of[index] = [
+                    index_of[child] for child in state.get(KEY_CHILDREN, [])
+                ] + [
+                    index_of[leaf]
+                    for leaf in sorted(state.get(KEY_ATTACHED_LEAVES, set()))
+                ]
+            return found
+
+        for index in frame.started:
+            ctx = live[index]
+            state = ctx.state
+            if state.get(KEY_IN_SAMPLE):
+                if state.get(KEY_PARENT) is None:
+                    root = state[KEY_ROOT]
+                    ctx._round = 0
+                    items = [tuple(item) for item in items_fn(ctx)]
+                    for item in items:
+                        store_fn(ctx, root, item)
+                    if items:
+                        bits = [wire_bits((root,) + item, ctx.n) for item in items]
+                        # What the receivers decode: the wire carries ints.
+                        payloads = [
+                            (int(root), tuple(int(e) for e in item)) for item in items
+                        ]
+                        queues.push(index, targets(index, state), 1, bits, payloads)
+            elif not state.get(KEY_ATTACH_PARENT):
+                frame.halted[index] = True
+
+        for round_index, receiver, inbox in queues.deliveries():
+            ctx = live[receiver]
+            ctx._round = round_index
+            state = ctx.state
+            for _receiver, _sender, payload in inbox:
+                root, item = payload
+                store_fn(ctx, root, item)
+                if state.get(KEY_IN_SAMPLE):
+                    bits = [wire_bits((root,) + item, ctx.n)]
+                    forward_to = targets(receiver, state)
+                    queues.push(receiver, forward_to, round_index, bits, (payload,))
+        frame.run_schedule(queues.streams)
 
 
 # ---------------------------------------------------------------------------
@@ -762,15 +1079,13 @@ class _KAnnounceKernel(VectorizedKernel):
         node_ids = frame.node_ids
         degrees = frame.degrees
         halted = frame.halted
-        n = frame.network.n
-        ksize_kind = frame.intern_kind(_KSIZE)
 
         announcing = np.zeros(frame.n, dtype=bool)
         items_by_node: Dict[int, List[Tuple[int, int, int]]] = {}
-        senders: List[int] = []
-        streams: List[List[int]] = []
+        streams: List[Stream] = []
         for index in frame.started:
-            state = live[index].state
+            ctx = live[index]
+            state = ctx.state
             memberships: Dict[int, Set[int]] = state.get(KEY_K_MEMBERSHIP, {})
             sizes: Dict[int, Dict[int, int]] = state.get(KEY_K_SIZES, {})
             if not memberships or not any(memberships.values()):
@@ -788,8 +1103,14 @@ class _KAnnounceKernel(VectorizedKernel):
             if items and degrees[index]:
                 announcing[index] = True
                 items_by_node[index] = items
-                senders.append(index)
-                streams.append([_wire(_KSIZE, item, n).bits for item in items])
+                streams.append(
+                    (
+                        index,
+                        ALL_NEIGHBORS,
+                        1,
+                        [wire_bits(item, ctx.n) for item in items],
+                    )
+                )
 
         mail_counts = frame.count_flagged_neighbors(announcing)
         for index in np.nonzero(~halted & (mail_counts > 0))[0].tolist():
@@ -815,9 +1136,7 @@ class _KAnnounceKernel(VectorizedKernel):
                     record["size"] = size
                     record["senders"].add(sender_id)
 
-        frame.run_broadcast_schedule(
-            senders, streams, [ksize_kind] * len(senders)
-        )
+        frame.run_schedule(streams)
 
 
 def build_t_membership(ctx: NodeContext) -> None:
@@ -976,6 +1295,79 @@ class VotePhase(Protocol):
             else:
                 outbox.push(parent, _wire(_ABORT_STATE, (abort,), ctx.n))
         outbox.flush()
+
+    def vectorized_kernel(self) -> "_VoteKernel":
+        return _VoteKernel()
+
+
+class _VoteKernel(VectorizedKernel):
+    """Columnar form of :class:`VotePhase`.
+
+    *Apply*: the ``on_start`` sweep (wait sets at tree nodes, the choice
+    at each audience node).  *Scatter*: each leaf's ``nc.vote`` items
+    leave from round 1; each tree node's ``nc.abort_state`` leaves once
+    it waits on nobody (:func:`_converge`).  *Gather*: a tree node ORs the
+    abort indications in arrival order; a root records what it saw.
+    """
+
+    def execute(self, frame: KernelFrame) -> None:
+        live = frame.live
+        index_of = frame.index_of
+        node_ids = frame.node_ids
+        queues = frame.outbox_schedule()
+        tree: Dict[int, NodeContext] = {}
+        for index in frame.started:
+            ctx = live[index]
+            state = ctx.state
+            best_known: Dict[int, Tuple[int, int]] = state.get(KEY_BEST_KNOWN, _NOTHING)
+            if state.get(KEY_IN_SAMPLE):
+                waiting = set(state.get(KEY_CHILDREN, []))
+                waiting |= set(state.get(KEY_ATTACHED_LEAVES, set()))
+                state["_vote_waiting"] = waiting
+                state["_vote_abort"] = False
+                state["_vote_flushed"] = False
+                tree[index] = ctx
+                continue
+            if not best_known:
+                frame.halted[index] = True
+                continue
+            choice = VotePhase._choice(best_known)
+            attach: Dict[int, int] = state.get(KEY_ATTACH_PARENT, _NOTHING)
+            # Payload: whether the item is an abort indication.
+            for root in sorted(best_known):
+                parent = attach.get(root)
+                if parent is None:
+                    continue
+                ack = 1 if root == choice else 0
+                bits = [wire_bits((root, ack), ctx.n)]
+                queues.push(index, (index_of[parent],), 1, bits, (not ack,))
+
+        def fold(ctx: NodeContext, inbox: Iterable[Tuple[int, int, Any]]) -> None:
+            state = ctx.state
+            waiting = state["_vote_waiting"]
+            for _receiver, sender, abort in inbox:
+                if abort:
+                    state["_vote_abort"] = True
+                waiting.discard(node_ids[sender])
+
+        def flush(ctx: NodeContext, index: int, round_index: int) -> None:
+            state = ctx.state
+            state["_vote_flushed"] = True
+            parent = state.get(KEY_PARENT)
+            abort = 1 if state["_vote_abort"] else 0
+            if parent is None:
+                state[KEY_ABORT_SEEN] = bool(abort)
+            else:
+                queues.push(
+                    index,
+                    (index_of[parent],),
+                    round_index,
+                    [wire_bits((abort,), ctx.n)],
+                    [bool(abort)],
+                )
+
+        _converge(queues, tree, "_vote_waiting", "_vote_flushed", fold, flush)
+        frame.run_schedule(queues.streams)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,16 @@ class TestSharedPredicates:
         assert mask == 0b110
 
     @given(
+        st.lists(st.integers(min_value=0, max_value=60), max_size=12, unique=True),
+        st.sets(st.integers(min_value=0, max_value=60)),
+    )
+    def test_sorted_neighbor_mask_matches_neighbor_mask(self, members, neighbors):
+        members = tuple(sorted(members))
+        assert near_clique.sorted_neighbor_mask(
+            members, tuple(sorted(neighbors))
+        ) == near_clique.neighbor_mask(members, neighbors)
+
+    @given(
         st.integers(min_value=0, max_value=2 ** 16 - 1),
         st.integers(min_value=0, max_value=2 ** 16 - 1),
     )

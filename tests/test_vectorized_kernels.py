@@ -24,6 +24,9 @@ them).
 
 from __future__ import annotations
 
+import collections
+import random
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -45,6 +48,7 @@ from repro.congest.vectorized import KernelFrame
 from repro.core import phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.graphs import generators
+from repro.primitives.bfs_tree import KEY_CHILDREN, KEY_PARENT, KEY_ROOT
 from repro.primitives.pipelines import Outbox
 
 GLOBALS = {
@@ -83,6 +87,56 @@ def _chain_graphs():
 
 CHAIN_GRAPHS = _chain_graphs()
 CHAIN_IDS = [name for name, _, _ in CHAIN_GRAPHS]
+
+
+def _deep_tree_graph():
+    """Two sampled components and their audiences, built by hand.
+
+    Component A is the path 0-1-2-3-4 (root 0, BFS depth 4) and component
+    B the edge 10-11 (root 10).  Node 20 is adjacent to 1 and 11, both at
+    depth 1, so it hears both components' down-broadcasts in the same
+    round.  Node 3's attached leaves 21, 22 and 25 see one, two and two
+    members of A (membership streams of 1, 3 and 3 subsets), and 25 is
+    also attached to B at a different depth.  Node 26 sees all of A (31
+    subsets, attached to the root); 30 and 31 are outside S ∪ Γ(S) and 32
+    is isolated.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from([0, 1, 2, 3, 4, 10, 11, 20, 21, 22, 25, 26, 30, 31, 32])
+    graph.add_edges_from([(0, 1), (1, 2), (2, 3), (3, 4), (10, 11)])
+    graph.add_edges_from([(20, 1), (20, 11), (21, 3), (22, 3), (22, 4)])
+    graph.add_edges_from([(25, 3), (25, 4), (25, 11)])
+    graph.add_edges_from((26, member) for member in range(5))
+    graph.add_edges_from([(30, 20), (30, 21), (31, 30)])
+    return graph, frozenset({0, 1, 2, 3, 4, 10, 11})
+
+
+def _random_deep_tree_graph(seed):
+    """A caterpillar component of depth 4 plus a path component, each with
+    a random audience (1–4 sampled neighbours per audience node) and
+    random edges among the audience."""
+    rng = random.Random(seed)
+    graph = nx.Graph()
+    caterpillar = [(0, 1), (1, 2), (2, 3), (1, 4), (2, 5), (3, 6), (6, 7)]
+    path = [(40, 41), (41, 42)]
+    graph.add_edges_from(caterpillar + path)
+    sampled = sorted(graph)
+    audience = list(range(8, 36))
+    graph.add_nodes_from(audience)
+    for node in audience:
+        members = rng.sample(sampled, rng.randint(1, 4))
+        graph.add_edges_from((node, member) for member in members)
+        others = rng.sample(audience, 2)
+        graph.add_edges_from((node, other) for other in others if other != node)
+    return graph, frozenset(sampled)
+
+
+DEEP_GRAPHS = [
+    ("hand-built", *_deep_tree_graph()),
+    ("random-7", *_random_deep_tree_graph(7)),
+    ("random-19", *_random_deep_tree_graph(19)),
+]
+DEEP_IDS = [name for name, _, _ in DEEP_GRAPHS]
 
 #: Engine configurations held to the reference by the chain tests.  The
 #: serial sharded arm covers ``start_shard``'s scope path.
@@ -133,28 +187,39 @@ def _context_snapshot(ctx):
 
     The whole state and the output register, plus the fold-back slots.  The
     outbox compares by its queued messages and the ``is_neighbor`` cache is
-    skipped.  Dict *insertion order* of the component and announcer tables
-    is captured on purpose (as key lists): the callback path builds them in
-    message arrival order, and the kernels must reproduce that order, not
-    just the mapping.
+    skipped.  The *insertion order* of every dict in the state (component
+    and announcer tables, counters, size and best-known tables) is captured
+    on purpose, as key lists: the callback path builds them in message
+    arrival order, and the kernels must reproduce that order, not just the
+    mapping.
     """
     state = {
         key: value
         for key, value in ctx.state.items()
         if key not in ("__neighbor_set", Outbox.STATE_KEY)
     }
-    records = ctx.state.get(phases.KEY_ADJ_COMPONENTS)
-    announcers = ctx.state.get(phases.KEY_K_NEIGHBOR_ANNOUNCERS)
+    orders = {
+        key: _key_order(value)
+        for key, value in state.items()
+        if isinstance(value, dict)
+    }
     return (
         state,
         _queued(ctx.state.get(Outbox.STATE_KEY)),
         ctx.output,
-        list(records) if records is not None else None,
-        list(announcers) if announcers is not None else None,
+        orders,
         ctx._halted,
         ctx._round,
         len(ctx._outgoing),
     )
+
+
+def _key_order(table):
+    """A dict's keys in insertion order, nested dicts included."""
+    return [
+        (key, _key_order(value) if isinstance(value, dict) else None)
+        for key, value in table.items()
+    ]
 
 
 def _all_snapshots(contexts):
@@ -240,6 +305,41 @@ class TestKernelCallbackChain:
             for v in graph
         )
         assert any(graph.degree(v) == 0 for v in graph)
+
+    @pytest.mark.parametrize(
+        "graph, forced", [(g, f) for _, g, f in DEEP_GRAPHS], ids=DEEP_IDS
+    )
+    def test_deep_tree_chain_matches_reference(self, graph, forced):
+        reference = _run_chain(graph, "reference", forced_sample=forced)
+        for arm in ("batched", "vectorized"):
+            candidate = _run_chain(graph, arm, forced_sample=forced)
+            for (name, ref_fp, ref_state), (_, cand_fp, cand_state) in zip(
+                reference, candidate
+            ):
+                assert cand_fp == ref_fp, "%s: phase %r diverged" % (arm, name)
+                assert cand_state == ref_state, (
+                    "%s: phase %r left diverging context state" % (arm, name)
+                )
+
+    def test_deep_tree_graph_covers_the_cases(self):
+        graph, forced = _deep_tree_graph()
+        network = Network(graph, seed=4321)
+        _run_chain(graph, "reference", forced_sample=forced, network=network)
+        state = {v: network.contexts.peek(v).state for v in graph}
+
+        def depth(v):
+            parent = state[v].get(KEY_PARENT)
+            return 0 if parent is None else 1 + depth(parent)
+
+        assert max(depth(v) for v in forced) >= 3
+        # 20 hangs off two components through parents of equal depth.
+        attach = state[20][phases.KEY_ATTACH_PARENT]
+        assert len(attach) == 2
+        assert len({depth(parent) for parent in attach.values()}) == 1
+        # Node 3 has several leaves with different membership-stream lengths.
+        leaves = state[3][phases.KEY_ATTACHED_LEAVES]
+        lengths = {len(state[leaf][phases.KEY_K_MEMBERSHIP][0]) for leaf in leaves}
+        assert len(leaves) >= 3 and len(lengths) >= 2
 
     def test_chain_agrees_with_batched_under_forced_sample(self):
         self._assert_forced_chains_agree(members_only=True)
@@ -358,7 +458,7 @@ class _CallCounting(Protocol):
                 for index in frame.started:
                     protocol.on_start(frame.live[index])
                     frame.halted[index] = True
-                frame.run_broadcast_schedule((), ())
+                frame.run_schedule(())
 
         return _Kernel()
 
@@ -499,6 +599,205 @@ def _dissemination_inputs(network, members):
     return inputs
 
 
+def _tree_node(root, parent, children=(), leaves=(), **extra):
+    """Hand-built state of a sampled tree node."""
+    state = {
+        phases.KEY_IN_SAMPLE: True,
+        KEY_ROOT: root,
+        KEY_PARENT: parent,
+        KEY_CHILDREN: list(children),
+        phases.KEY_ATTACHED_LEAVES: set(leaves),
+    }
+    state.update(extra)
+    return state
+
+
+def _leaf(attach, **extra):
+    """Hand-built state of an attached (non-sampled) node."""
+    state = {phases.KEY_ATTACH_PARENT: dict(attach)}
+    state.update(extra)
+    return state
+
+
+#: The path 0-1-2-3 of sampled nodes rooted at 0, with leaf 4 under the
+#: depth-3 node and leaf 5 under the root.
+DEEP_PATH = nx.Graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 5)])
+
+
+def _deep_path_inputs(deep_index=1):
+    """K-aggregation inputs on :data:`DEEP_PATH`; node 3 (depth 3) counts
+    the subset *deep_index* itself."""
+    k = phases.KEY_K_MEMBERSHIP
+    return {
+        0: _tree_node(0, None, [1], [5], **{k: {0: {1}}}),
+        1: _tree_node(0, 0, [2], **{k: {0: {1, 3}}}),
+        2: _tree_node(0, 1, [3], **{k: {0: {3}}}),
+        3: _tree_node(0, 2, [], [4], **{k: {0: {2, deep_index}}}),
+        4: _leaf({0: 3}, **{k: {0: {1, 2, 3}}}),
+        5: _leaf({0: 0}, **{k: {0: {2}}}),
+    }
+
+
+def _k_aggregation():
+    return phases.UpAggregationPhase(
+        membership_key=phases.KEY_K_MEMBERSHIP,
+        result_key=phases.KEY_K_ROOT_SIZES,
+        label="nc-k-aggregation",
+    )
+
+
+def _run_phase(engine_name, graph, protocol, inputs, config=None):
+    network = Network(graph, seed=3)
+    return get_engine(engine_name).execute(
+        network,
+        protocol,
+        config=config or CongestConfig().with_log_budget(graph.number_of_nodes()),
+        global_inputs=GLOBALS,
+        per_node_inputs=inputs,
+    )
+
+
+def _phase_outcome(engine_name, graph, protocol, inputs):
+    result = _run_phase(engine_name, graph, protocol, inputs)
+    return _fingerprint(result), _all_snapshots(result.contexts)
+
+
+class TestHandBuiltTrees:
+    """Tree kernels on hand-built states the pipeline never produces."""
+
+    def test_deep_path_aggregation_matches_reference(self):
+        reference = _phase_outcome(
+            "reference", DEEP_PATH, _k_aggregation(), _deep_path_inputs()
+        )
+        assert reference[0][1] > 4  # rounds: the sums climb three levels
+        assert _phase_outcome(
+            "vectorized", DEEP_PATH, _k_aggregation(), _deep_path_inputs()
+        ) == reference
+
+    def test_stalled_wait_in_up_aggregation(self):
+        # Node 1 waits on child 2, which is out of scope and never reports:
+        # 1 and the root stall with partial counters, and the phase
+        # quiesces once the leaves' streams drain.
+        graph = nx.Graph([(0, 1), (1, 2), (0, 4), (1, 5)])
+        k = phases.KEY_K_MEMBERSHIP
+        inputs = {
+            0: _tree_node(0, None, [1], [4], **{k: {0: {1}}}),
+            1: _tree_node(0, 0, [2], [5], **{k: {0: {1, 2}}}),
+            2: {"other": True},
+            4: _leaf({0: 0}, **{k: {0: {1, 3}}}),
+            5: _leaf({0: 1}, **{k: {0: {2}}}),
+        }
+        reference = _phase_outcome("reference", graph, _k_aggregation(), inputs)
+        state = reference[1][0][0]
+        assert state[phases.KEY_K_ROOT_SIZES] is None
+        assert state[phases.KEY_K_ROOT_SIZES + ".waiting"] == {1}
+        candidate = _phase_outcome("vectorized", graph, _k_aggregation(), inputs)
+        assert candidate == reference
+
+    def test_stalled_wait_in_vote(self):
+        graph = nx.Graph([(0, 1), (1, 2), (0, 4), (1, 5), (5, 7)])
+        best = phases.KEY_BEST_KNOWN
+        inputs = {
+            0: _tree_node(0, None, [1], [4]),
+            1: _tree_node(0, 0, [2], [5]),
+            2: {"other": True},
+            4: _leaf({0: 0}, **{best: {0: (1, 3)}}),
+            # Root 7 wins 5's vote but 5 has no attachment there, so 5
+            # aborts candidate 0 and sends nothing for 7.
+            5: _leaf({0: 1}, **{best: {0: (1, 3), 7: (2, 5)}}),
+        }
+        reference = _phase_outcome("reference", graph, phases.VotePhase(), inputs)
+        assert reference[1][0][0]["_vote_waiting"] == {1}
+        assert reference[1][1][0]["_vote_abort"] is True
+        candidate = _phase_outcome("vectorized", graph, phases.VotePhase(), inputs)
+        assert candidate == reference
+
+    def test_down_broadcast_backlog_on_a_shared_child(self):
+        # Roots 0 and 10 both list 5 as a child, so 5 receives two items a
+        # round and its queue to 6 backs up: the forwards leave one per
+        # round after the backlog, not in the round they were pushed.
+        graph = nx.Graph([(0, 5), (10, 5), (5, 6)])
+        sizes = {phases.KEY_K_ROOT_SIZES: {1: 3, 2: 4}}
+        inputs = {
+            0: _tree_node(0, None, [5], **sizes),
+            10: _tree_node(10, None, [5], **sizes),
+            5: _tree_node(0, 0, [6]),
+            6: _tree_node(0, 5),
+        }
+
+        def phase():
+            return phases.DownBroadcastPhase(
+                items_fn=phases.k_size_items, store_fn=phases.store_k_size
+            )
+
+        reference = _phase_outcome("reference", graph, phase(), inputs)
+        assert reference[0][1] == 6  # 4 items through 5's queue, from round 2
+        assert _phase_outcome("vectorized", graph, phase(), inputs) == reference
+
+    def test_final_labels_overwrite_in_arrival_order(self):
+        # 20 hears both surviving candidates in round 2; the callbacks
+        # apply the inbox in sender order, so root 10's label wins.
+        graph = nx.Graph([(0, 20), (10, 20)])
+        survivor = {phases.KEY_BEST: (1, 1), phases.KEY_ABORT_SEEN: False}
+        inputs = {
+            0: _tree_node(0, None, [], [20], **survivor),
+            10: _tree_node(10, None, [], [20], **survivor),
+            20: _leaf({0: 0, 10: 10}, **{phases.KEY_T_MEMBERSHIP: {0: {1}, 10: {1}}}),
+        }
+        reference = _phase_outcome("reference", graph, phases.FinalLabelPhase(), inputs)
+        assert reference[0][0][20] == 10
+        assert _phase_outcome(
+            "vectorized", graph, phases.FinalLabelPhase(), inputs
+        ) == reference
+
+
+class TestKernelCoverage:
+    """The vectorized engine runs every tree phase as a kernel."""
+
+    TREE_PHASES = (
+        "nc-local-subsets",
+        "nc-k-aggregation",
+        "nc-k-size-broadcast",
+        "nc-t-aggregation",
+        "nc-best-broadcast",
+        "nc-vote",
+        "nc-final-labels",
+    )
+
+    @pytest.mark.parametrize("engine_name", ["batched", "vectorized"])
+    def test_tree_phase_callbacks_run_only_off_the_vectorized_engine(
+        self, engine_name, monkeypatch
+    ):
+        calls = collections.Counter()
+        for cls in (
+            phases.LocalSubsetPhase,
+            phases.UpAggregationPhase,
+            phases.DownBroadcastPhase,
+            phases.VotePhase,
+        ):
+            for hook in ("on_start", "on_round"):
+                original = getattr(cls, hook)
+
+                def counting(self, ctx, *args, _original=original):
+                    calls[self.name] += 1
+                    return _original(self, ctx, *args)
+
+                monkeypatch.setattr(cls, hook, counting)
+        graph = dict((name, g) for name, g, _ in CHAIN_GRAPHS)["planted"]
+        runner = DistNearCliqueRunner(
+            epsilon=0.25,
+            sample_probability=0.1,
+            config=CongestConfig(engine=engine_name).with_log_budget(
+                graph.number_of_nodes()
+            ),
+        )
+        runner.run(graph, sample=PLANTED_SAMPLE)
+        if engine_name == "vectorized":
+            assert not calls
+        else:
+            assert sorted(calls) == sorted(self.TREE_PHASES)
+
+
 class TestScheduleErrorParity:
     """Budget and round-cap errors must match the callback loop exactly."""
 
@@ -561,9 +860,66 @@ class TestScheduleErrorParity:
         reference = _fingerprint(self._run("reference", config, [1, 2, 3]))
         assert _fingerprint(self._run("vectorized", config, [1, 2, 3])) == reference
 
+    def _tree_error(self, engine_name, config, deep_index):
+        with pytest.raises((MessageSizeViolation, RoundLimitExceeded)) as info:
+            _run_phase(
+                engine_name,
+                DEEP_PATH,
+                _k_aggregation(),
+                _deep_path_inputs(deep_index),
+                config=config,
+            )
+        exc = info.value
+        if isinstance(exc, MessageSizeViolation):
+            return (
+                "size", exc.sender, exc.receiver, exc.bits, exc.budget, exc.round_index
+            )
+        return ("rounds", exc.max_rounds)
+
+    def test_budget_violation_by_a_deep_tree_node(self):
+        # The depth-3 node's own subset index is too wide for the budget
+        # and every other item fits, so the violation is the depth-3
+        # node's nc.agg item for that index, sent to its parent 2.
+        config = CongestConfig(message_bit_budget=20)
+        reference = self._tree_error("reference", config, 1 << 20)
+        assert reference[:3] == ("size", 3, 2)
+        assert reference[5] > 1
+        assert self._tree_error("vectorized", config, 1 << 20) == reference
+
+    def test_budget_violation_follows_queue_order(self):
+        # Leaf 20 streams over-budget items to two parents in round 1; its
+        # queue to 11 (root 0, the first root it attached to) comes first
+        # although 1 has the lower id.
+        graph = nx.Graph([(0, 11), (10, 1), (20, 11), (20, 1)])
+        k = phases.KEY_K_MEMBERSHIP
+        inputs = {
+            0: _tree_node(0, None, [11]),
+            11: _tree_node(0, 0, [], [20]),
+            10: _tree_node(10, None, [1]),
+            1: _tree_node(10, 10, [], [20]),
+            20: _leaf({0: 11, 10: 1}, **{k: {0: {1 << 20}, 10: {1 << 20}}}),
+        }
+        config = CongestConfig(message_bit_budget=24)
+        errors = []
+        for engine_name in ("reference", "vectorized"):
+            with pytest.raises(MessageSizeViolation) as info:
+                _run_phase(engine_name, graph, _k_aggregation(), inputs, config=config)
+            exc = info.value
+            errors.append(
+                (exc.sender, exc.receiver, exc.bits, exc.budget, exc.round_index)
+            )
+        assert errors[0][:2] == (20, 11)
+        assert errors[1] == errors[0]
+
+    def test_round_cap_mid_convergecast(self):
+        config = CongestConfig(max_rounds=3).with_log_budget(6)
+        reference = self._tree_error("reference", config, 1)
+        assert reference == ("rounds", 3)
+        assert self._tree_error("vectorized", config, 1) == reference
+
 
 class TestKernelFrame:
-    """Unit coverage of the frame's gather helper and intern vocabulary."""
+    """Unit coverage of the frame's gather helper."""
 
     def _frame(self, graph):
         network = Network(graph, seed=9)
@@ -573,13 +929,6 @@ class TestKernelFrame:
             CongestConfig(),
             network.build_contexts(),
         )
-
-    def test_intern_vocabulary(self):
-        frame = self._frame(nx.path_graph(3))
-        assert frame.intern_kind("nc.comp") == 0
-        assert frame.intern_kind("nc.ksize") == 1
-        assert frame.intern_kind("nc.comp") == 0
-        assert frame.kind_name(1) == "nc.ksize"
 
     def test_isolated_only_graph_counts_zero(self):
         graph = nx.Graph()
