@@ -341,6 +341,23 @@ class TestKernelCallbackChain:
         lengths = {len(state[leaf][phases.KEY_K_MEMBERSHIP][0]) for leaf in leaves}
         assert len(leaves) >= 3 and len(lengths) >= 2
 
+    def test_chain_charges_bits_at_the_announced_n(self):
+        # A subgraph network announces the full system's n (the service's
+        # incremental queries do): every kernel charges identifiers at
+        # that width, as the callbacks' ctx.n does.
+        graph, forced = _deep_tree_graph()
+        chains = [
+            _run_chain(
+                graph,
+                arm,
+                forced_sample=forced,
+                network=Network(graph, seed=4321, announced_n=1 << 12),
+            )
+            for arm in ("reference", "vectorized")
+        ]
+        assert chains[1] == chains[0]
+        assert chains[0] != _run_chain(graph, "reference", forced_sample=forced)
+
     def test_chain_agrees_with_batched_under_forced_sample(self):
         self._assert_forced_chains_agree(members_only=True)
 
