@@ -55,12 +55,12 @@ ship today:
 
 ``VectorizedEngine`` (``engine="vectorized"``, defined in
 :mod:`repro.congest.vectorized`)
-    Columnar gather/apply/scatter execution of *regular* phases: a protocol
-    that declares a :class:`~repro.congest.vectorized.VectorizedKernel`
-    (via :meth:`Protocol.vectorized_kernel`) runs as array operations over
-    packed per-node registers and a closed-form broadcast schedule instead
-    of per-node callbacks; protocols without a kernel fall back to the
-    batched path unchanged.
+    Columnar gather/apply/scatter execution of phases whose sends follow
+    the Outbox discipline: a protocol that declares a
+    :class:`~repro.congest.vectorized.VectorizedKernel` (via
+    :meth:`Protocol.vectorized_kernel`) runs over packed per-node
+    registers and one stream schedule instead of per-node callbacks;
+    protocols without a kernel fall back to the batched path unchanged.
 
 **The reference-vs-fast-path contract.**  For every protocol, graph, seed
 and configuration, every non-reference engine must produce bit-identical

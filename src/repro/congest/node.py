@@ -281,11 +281,11 @@ class Protocol:
     def vectorized_kernel(self) -> Optional[Any]:
         """Columnar execution plan for this protocol, or ``None``.
 
-        A protocol whose per-round behaviour is *regular* — every node runs
-        the same closed-form gather/apply/scatter recipe — may return a
+        A protocol whose sends all go through pipelined Outbox queues, so
+        that their timing follows from the queues alone, may return a
         :class:`repro.congest.vectorized.VectorizedKernel` here.  The
-        ``vectorized`` engine then executes the whole phase as array
-        operations over packed per-node registers instead of dispatching
+        ``vectorized`` engine then executes the whole phase over packed
+        per-node registers and one stream schedule instead of dispatching
         ``on_start`` / ``on_round`` once per node per round, and holds the
         result to the engine contract: outputs, per-node state, round count
         and message/bit metrics (including the per-round trace) must be
@@ -294,9 +294,7 @@ class Protocol:
         differential suite.
 
         The default is ``None``: the vectorized engine falls back to the
-        batched callback path for this protocol.  Irregular protocols
-        (data-dependent waiting, per-node control flow) should keep it that
-        way.
+        batched callback path for this protocol.
         """
         return None
 

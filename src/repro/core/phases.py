@@ -380,8 +380,8 @@ class _CompDisseminationKernel(VectorizedKernel):
     the sampled mask prunes the sweep to receivers that actually have
     mail.  *Scatter*: each sampled node's stream (one
     ``nc.comp`` item per member, pushed to every neighbour) goes to the
-    closed-form broadcast schedule, which reproduces the pipelined flush's
-    rounds and metrics exactly.
+    stream schedule as one ``push_all`` stream, which reproduces the
+    pipelined flush's rounds and metrics exactly.
     """
 
     def execute(self, frame: KernelFrame) -> None:
@@ -1069,8 +1069,8 @@ class _KAnnounceKernel(VectorizedKernel):
     those columns position-major (queue position ascending, then sender
     ascending) — the exact arrival order of the pipelined flush, so the
     announcer tables are built entry for entry as the callbacks build them.
-    *Scatter*: the announcement columns go to the closed-form broadcast
-    schedule.
+    *Scatter*: the announcement columns go to the stream schedule as
+    ``push_all`` streams.
     """
 
     def execute(self, frame: KernelFrame) -> None:
