@@ -18,15 +18,17 @@ Storage is CSR-native: the topology lives in two flat int64 numpy arrays
 (``indptr`` and ``indices``) over a dense ``0..n-1`` index in ascending id
 order, built in one sort plus a ``bincount`` / ``cumsum`` pass from the
 graph's adjacency or, for a pair array, from both orientations of every
-row after one ``np.unique`` assigns the dense indices.  No copy of the
-input is kept.  Everything else is derived from those arrays: a node's
-sorted neighbour tuple is sliced from them on first access and cached,
-the ``array('q')`` pair :meth:`Network.csr` returns is copied once per
-topology, and the read-only :attr:`Network.graph` view is built on first
-access and dropped by every delta.  :meth:`Network.apply_delta` splices
-only the rows of the touched nodes and replaces only their cached tuples,
-and the topology fingerprint (node count, edge count, CRC of the arrays)
-is recorded whenever the arrays change, so reading it costs O(1).
+row once its ids are compacted to dense indices (a linear presence table
+for non-negative ids in a narrow range, ``np.unique`` otherwise).  No
+copy of the input is kept.  Everything else is derived from those arrays:
+a node's sorted neighbour tuple is sliced from them on first access and
+cached, the ``array('q')`` pair :meth:`Network.csr` returns is copied once
+per topology, and the read-only :attr:`Network.graph` view is built on
+first access and dropped by every delta.  :meth:`Network.apply_delta`
+splices only the rows of the touched nodes and replaces only their cached
+tuples.  The topology fingerprint (node count, edge count, CRC of the
+arrays) takes its counts whenever the arrays change and its CRC on the
+first read after that.
 
 Per-node contexts live in a :class:`ContextRegistry`, which builds a
 :class:`NodeContext` on first touch.  After sampling, a ``DistNearClique``
@@ -148,6 +150,34 @@ def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np
     keys = keys[fresh]
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return indptr, keys % n
+
+
+#: A presence table may be this many times longer than the endpoint count.
+_PRESENCE_SPAN = 4
+
+
+def _compact_ids(pairs: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """The distinct entries of *pairs* ascending, and *pairs* as their indices.
+
+    Non-negative integer ids below a small multiple of the endpoint count
+    are compacted through a boolean presence table over ``0..max``: the
+    ids are its set positions, and an id's index is the count of set
+    positions before it, or the id itself when the ids are ``0..n-1``.
+    That is linear in the array.  Negative ids, very wide ranges and
+    object ids go through ``np.unique``, whose sort is the cost avoided.
+    """
+    if pairs.dtype.kind in "iu" and pairs.size:
+        low, high = int(pairs.min()), int(pairs.max())
+        if low >= 0 and high < _PRESENCE_SPAN * pairs.size:
+            present = np.zeros(high + 1, dtype=bool)
+            present[pairs.ravel()] = True
+            if present.all():
+                return list(range(high + 1)), pairs.astype(np.int64, copy=False)
+            rank = np.cumsum(present, dtype=np.int64)
+            rank -= 1
+            return np.flatnonzero(present).tolist(), rank[pairs]
+    ids, inverse = np.unique(pairs, return_inverse=True)
+    return ids.tolist(), inverse.reshape(pairs.shape).astype(np.int64, copy=False)
 
 
 class _NeighborRows:
@@ -333,7 +363,9 @@ class ContextRegistry(Mapping):
                     dense.append(ctx)
                 # Keyed by the network's own index objects, and with every
                 # seed now held by its context: a dense registry costs no
-                # more memory than the eager build did.
+                # more memory than the eager build did.  The index map
+                # iterates in ascending id order (Network.node_index_of),
+                # so its values line up with the dense list.
                 live.clear()
                 live.update(zip(self._index_of.values(), dense))
                 self._seeds = []
@@ -490,10 +522,8 @@ class Network:
             and not all(isinstance(end, int) for end in pairs.flat)
         ):
             raise ValueError("pair array entries must be integers; got %s" % pairs.dtype)
-        ids, inverse = np.unique(pairs, return_inverse=True)
-        ids = ids.tolist()
-        self._assign_ids({node_id: node_id for node_id in ids}, ids)
-        inverse = inverse.reshape(pairs.shape).astype(np.int64, copy=False)
+        ids, inverse = _compact_ids(pairs)
+        self._assign_ids(ids)
         src = np.concatenate((inverse[:, 0], inverse[:, 1]))
         dst = np.concatenate((inverse[:, 1], inverse[:, 0]))
         return src, dst
@@ -509,12 +539,12 @@ class Network:
             rows.append(neighbours)
         all_int = all(isinstance(label, int) for label in labels)
         if all_int:
-            self._assign_ids({label: label for label in labels}, sorted(labels))
+            self._assign_ids(sorted(labels))
         elif relabel:
             ordered = sorted(labels, key=_relabel_sort_key)
             self._assign_ids(
-                {label: index for index, label in enumerate(ordered)},
                 list(range(len(ordered))),
+                {label: index for index, label in enumerate(ordered)},
             )
         else:
             raise ValueError(
@@ -539,15 +569,28 @@ class Network:
         dst = dense(chain.from_iterable(rows), int(degrees.sum()))
         return src, dst
 
-    def _assign_ids(self, id_of: Dict[Any, int], ids: List[int]) -> None:
-        """Install the label → id mapping and the ascending node ids."""
-        self.id_of: Dict[Any, int] = id_of
-        self.label_of: Dict[int, Any] = {v: k for k, v in self.id_of.items()}
+    def _assign_ids(self, ids: List[int], id_of: Optional[Dict[Any, int]] = None) -> None:
+        """Install the ascending node *ids* and the label → id mapping.
+
+        ``id_of=None`` means every label is its own id.  The identity map
+        is then built here, over *ids* in ascending order, so it serves as
+        both :attr:`id_of` and :attr:`label_of`, and when the ids are
+        exactly ``0..n-1`` it is also the id → index map: one dict instead
+        of three, still iterating in ascending id order.
+        """
         self._ids: Tuple[int, ...] = tuple(ids)
-        self._index_of: Dict[int, int] = {
-            node_id: index for index, node_id in enumerate(ids)
-        }
-        self._dense_ids = ids == list(range(len(ids)))
+        # n distinct ascending ints are 0..n-1 exactly when they span it.
+        self._dense_ids = not ids or (ids[0] == 0 and ids[-1] == len(ids) - 1)
+        if id_of is None:
+            self.id_of: Dict[Any, int] = dict(zip(self._ids, self._ids))
+            self.label_of: Dict[int, Any] = self.id_of
+        else:
+            self.id_of = id_of
+            self.label_of = {v: k for k, v in id_of.items()}
+        if id_of is None and self._dense_ids:
+            self._index_of: Dict[int, int] = self.id_of
+        else:
+            self._index_of = {node_id: index for index, node_id in enumerate(self._ids)}
         self._ids_array: Optional[np.ndarray] = None
 
     def _install(self, indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -559,12 +602,10 @@ class Network:
         # Derived views, rebuilt on demand from the arrays above.
         self._csr_arrays: Optional[Tuple[array, array]] = None
         self._graph_view: Optional[nx.Graph] = None
-        # The topology fingerprint caches and execution sessions key on.
-        self._fingerprint = (
-            len(self._ids),
-            len(indices) // 2,
-            zlib.crc32(indices, zlib.crc32(indptr)),
-        )
+        # The topology fingerprint caches and execution sessions key on:
+        # the counts now, the checksum on first read.
+        self._counts = (len(self._ids), len(indices) // 2)
+        self._fingerprint: Optional[Tuple[int, int, int]] = None
 
     # ------------------------------------------------------------------
     # topology accessors
@@ -601,7 +642,13 @@ class Network:
 
     @property
     def node_index_of(self) -> Dict[int, int]:
-        """Mapping from node id to its dense ``0..n-1`` CSR index."""
+        """Mapping from node id to its dense ``0..n-1`` CSR index.
+
+        Iterates in ascending id order, so its values run ``0..n-1`` in
+        order: :meth:`ContextRegistry.materialize` relies on that.  When
+        the ids are ``0..n-1`` it is the same dict as :attr:`id_of` and
+        :attr:`label_of`; callers must not mutate it.
+        """
         return self._index_of
 
     def csr(self) -> Tuple[Tuple[int, ...], array, array]:
@@ -633,8 +680,10 @@ class Network:
     def csr_fingerprint(self) -> Tuple[int, int, int]:
         """Fingerprint of the current topology: ``(nodes, edges, CSR checksum)``.
 
-        Recorded whenever the CSR arrays change (construction and every
-        effective :meth:`apply_delta`), so reading it is O(1).  The checksum
+        The checksum is computed on the first read after the CSR arrays
+        change (construction and every effective :meth:`apply_delta`,
+        which reads it for its ledger record) and cached, so a network
+        that nothing keys on never pays for it.  The checksum
         covers both arrays, so it tells any two topologies apart that differ
         in an edge — count-preserving swaps included — up to CRC collisions.
         It is the key :func:`repro.congest.sharding.partition.cached_partition`
@@ -642,6 +691,10 @@ class Network:
         against the delta ledger to detect a network that changed between
         phases.
         """
+        if self._fingerprint is None:
+            self._fingerprint = self._counts + (
+                zlib.crc32(self._indices, zlib.crc32(self._indptr)),
+            )
         return self._fingerprint
 
     @property
@@ -674,7 +727,7 @@ class Network:
         return at < len(neighbours) and neighbours[at] == v
 
     def number_of_edges(self) -> int:
-        return self._fingerprint[1]
+        return self._counts[1]
 
     # ------------------------------------------------------------------
     # batched topology updates (the service layer's delta API)
@@ -743,7 +796,7 @@ class Network:
         as ambiguous.  On an effective change only the touched nodes' rows
         are rebuilt and spliced between the untouched ``indices`` slices;
         ``indptr`` is redone from the degree column, the touched rows'
-        cached tuples are replaced and the fingerprint retaken.  Built
+        cached tuples are replaced and the fingerprint recomputed.  Built
         contexts of touched nodes have their ``neighbors`` view refreshed
         *in place* (state, output and RNG streams are
         preserved — an evolving-graph service keeps its nodes), the delta
@@ -770,7 +823,7 @@ class Network:
                 added=(),
                 removed=(),
                 touched=frozenset(),
-                fingerprint_after=self._fingerprint,
+                fingerprint_after=self.csr_fingerprint(),
             )
         touched = frozenset(v for edge in added + removed for v in edge)
         rows = {node_id: set(self.neighbors(node_id)) for node_id in touched}
@@ -794,7 +847,7 @@ class Network:
             added=tuple(added),
             removed=tuple(removed),
             touched=touched,
-            fingerprint_after=self._fingerprint,
+            fingerprint_after=self.csr_fingerprint(),
         )
         self._delta_log.append(record)
         return record

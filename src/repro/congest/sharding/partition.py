@@ -476,8 +476,8 @@ def cached_partition(
     stale plans are dropped and the partition is recomputed.  A caller that
     already holds the current fingerprint (a session opening) may pass it.
 
-    The fingerprint is recorded when the CSR changes, so the probe is O(1);
-    its checksum covers the arrays, so a count-preserving delta (an edge
+    The fingerprint is cached until the CSR changes, so a repeated probe is
+    O(1); its checksum covers the arrays, so a count-preserving delta (an edge
     swapped for another) still misses the memo (pinned by
     ``TestPartitionCacheStaleness``).
     """

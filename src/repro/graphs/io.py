@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import re
-from io import BytesIO
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import networkx as nx
@@ -115,8 +114,13 @@ def load_snap_edgelist(path: str) -> np.ndarray:
     return pairs[pairs[:, 0] != pairs[:, 1]]
 
 
-#: The leading block of blank and ``#`` lines of a SNAP file (its header).
-_SNAP_HEADER = re.compile(rb"(?:[ \t]*(?:#[^\n]*)?\n)*")
+#: The leading block of blank and ``#`` lines of a SNAP file (its header;
+#: in a file without data, the last one may lack its newline).
+_SNAP_HEADER = re.compile(rb"(?:[ \t]*(?:#[^\n]*)?(?:\n|\Z))*")
+
+#: The longest digit run the bulk path parses: any 18-digit id is below
+#: 2**63, so every accepted token fits in int64 exactly.
+_MAX_DIGITS = 18
 
 
 def _bulk_edge_pairs(raw: bytes) -> Optional[np.ndarray]:
@@ -124,28 +128,46 @@ def _bulk_edge_pairs(raw: bytes) -> Optional[np.ndarray]:
 
     Only the common shape is accepted: ASCII text whose ``#`` and blank
     lines all precede the data, and whose data lines hold two unsigned
-    decimal int64 ids separated by spaces or tabs (blank lines in between
-    are fine).  The data is then parsed by ``np.loadtxt`` in C.  Anything
-    else returns ``None``, and the caller falls back to the line loop,
-    which defines the format and reports errors with their line number.
-    Rows come out in file order.
+    decimal ids of at most 18 digits separated by spaces or tabs (blank
+    lines in between are fine).  The structure is checked over one byte
+    view of the data: a token starts at a digit that follows a non-digit,
+    every line must hold 0 or 2 token starts, and no digit run may be
+    longer than 18.  One ``np.fromstring`` call then parses every token
+    in C.  Anything else returns ``None``, and the caller falls back to
+    the line loop, which defines the format and reports errors with
+    their line number.  Rows come out in file order.
     """
     if not raw.isascii():
         return None
     if b"\r" in raw:  # universal newlines, as text-mode iteration reads them
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     body = raw[_SNAP_HEADER.match(raw).end() :]
-    # Only digits and whitespace, so loadtxt's number syntax (which has
-    # varied across numpy versions) never has to agree with int()'s.
+    # Only digits and whitespace, so the C parser's number syntax (signs,
+    # underscores, prefixes) never has to agree with int()'s.
     if body.translate(None, b"0123456789 \t\n"):
         return None
-    if not body.strip():
+    view = np.frombuffer(body, dtype=np.uint8)
+    # +1 where a digit run starts, -1 just past where one ends, so the
+    # nonzero positions alternate start, end, start, end.
+    step = np.diff((view >= ord("0")).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    bounds = np.flatnonzero(step != 0)  # a bool mask: flatnonzero's fast case
+    if not len(bounds):
         return np.zeros((0, 2), dtype=np.int64)
-    try:
-        pairs = np.loadtxt(BytesIO(body), dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError):  # ragged rows, ids past int64
+    if (bounds[1::2] - bounds[0::2]).max() > _MAX_DIGITS:
         return None
-    return pairs if pairs.shape[1] == 2 else None
+    # Token starts per line (a line starts at 0 and after every newline):
+    # a data line holds two, a blank line none.
+    heads = np.flatnonzero(view[:-1] == ord("\n"))
+    heads += 1
+    per_line = np.add.reduceat(
+        (step[:-1] > 0).view(np.int8), np.concatenate(([0], heads)), dtype=np.int64
+    )
+    if ((per_line != 0) & (per_line != 2)).any():
+        return None
+    tokens = np.fromstring(body, dtype=np.int64, sep=" ")
+    if 2 * len(tokens) != len(bounds):
+        return None
+    return tokens.reshape(-1, 2)
 
 
 def _load_snap_lines(path: str) -> np.ndarray:

@@ -384,6 +384,69 @@ class TestLoadSnapEdgelist:
         else:
             self._assert_same_as_line_loop(path)
 
+    # -- the bulk path must actually take common-shape files --
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, 10**18 - 1),
+                    st.sampled_from([" ", "\t", "  ", "\t "]),
+                    st.integers(0, 10**18 - 1),
+                    st.sampled_from(["", " ", "\t"]),
+                    st.sampled_from(["", " "]),
+                ).map(lambda t: "%s%d%s%d%s" % (t[4], t[0], t[1], t[2], t[3])),
+                st.sampled_from(["", " ", "\t"]),
+            ),
+            max_size=12,
+        ),
+        st.booleans(),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+    )
+    def test_common_shape_files_take_the_bulk_path(
+        self, tmp_path_factory, lines, header, ending, final_newline
+    ):
+        if header:
+            lines = ["# FromNodeId\tToNodeId", "# Nodes: 9"] + lines
+        text = ending.join(lines) + (ending if final_newline and lines else "")
+        path = self._write(tmp_path_factory.mktemp("snap"), text)
+        with open(path, "rb") as handle:
+            bulk = io._bulk_edge_pairs(handle.read())
+        assert bulk is not None
+        reference = io._load_snap_lines(path)
+        bulk = bulk[bulk[:, 0] != bulk[:, 1]]
+        assert bulk.dtype == reference.dtype == np.int64
+        assert bulk.tolist() == reference.tolist()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"0 1\n%d 2\n" % 10**18,
+            b"0 1\n0000000000000000007 2\n",
+            b"0 1\n5\n",
+            b"0 1\n2 3 4\n",
+            b"0 1\n# mid-file comment\n1 2\n",
+            "# n\u00f6des\n0 1\n".encode("utf-8"),
+            b"0 1\n-1 2\n",
+        ],
+        ids=[
+            "19-digit-id",
+            "19-digit-run",
+            "one-token",
+            "three-tokens",
+            "mid-file-comment",
+            "non-ascii",
+            "sign",
+        ],
+    )
+    def test_bulk_path_declines_other_shapes(self, raw):
+        assert io._bulk_edge_pairs(raw) is None
+
+    def test_bulk_path_reads_18_digit_ids_exactly(self):
+        raw = b"# h\n%d\t%d\n" % (10**18 - 1, 10**17)
+        assert io._bulk_edge_pairs(raw).tolist() == [[10**18 - 1, 10**17]]
+
     def test_loaded_graph_feeds_the_network(self, tmp_path):
         from repro.congest.network import Network
 

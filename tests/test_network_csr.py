@@ -4,9 +4,9 @@ The reference below is the construction ``Network`` used before its
 storage became CSR-native: copy the input into a fresh ``nx.Graph``,
 relabel, derive per-node sorted neighbour tuples, and fill an
 ``array('q')`` CSR with a Python loop.  The numpy builder, the delta
-splice and the O(1) fingerprint must agree with it exactly.  The
-pair-array front-end must in turn build exactly the network its pairs'
-``nx.Graph`` builds.
+splice and the lazily checksummed fingerprint must agree with it
+exactly.  The pair-array front-end must in turn build exactly the
+network its pairs' ``nx.Graph`` builds, through either id compaction.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.congest import network as network_module
 from repro.congest.network import Network
 
 
@@ -61,6 +62,12 @@ def reference_crc(reference: Reference) -> int:
     return zlib.crc32(
         reference.indices.tobytes(), zlib.crc32(reference.indptr.tobytes())
     )
+
+
+def eager_fingerprint(network: Network) -> Tuple[int, int, int]:
+    """The fingerprint computed now from the live CSR arrays."""
+    _, indptr, indices = network.csr_numpy()
+    return (network.n, len(indices) // 2, zlib.crc32(indices, zlib.crc32(indptr)))
 
 
 #: Node label sets: dense ints, gappy/negative ints, ints past int64, and
@@ -223,6 +230,56 @@ class TestPairArrayFrontEnd:
         assert Network(pairs).csr() == expected.csr()
 
     @pytest.mark.parametrize(
+        "pairs, via_unique",
+        [
+            pytest.param(
+                np.array([[0, 1], [1, 2], [2, 0], [3, 3], [1, 0], [4, 2]]), False, id="dense"
+            ),
+            pytest.param(
+                np.array([[0, 1], [1, 2], [3, 2], [2, 1]], dtype=np.int32), False, id="dense-int32"
+            ),
+            pytest.param(
+                np.array([[0, 5], [5, 9], [9, 2], [2, 5], [7, 7]]), False, id="gappy"
+            ),
+            pytest.param(np.array([[0, 1], [1, 10**9], [3, 1]]), True, id="far-id"),
+            pytest.param(np.array([[-3, 1], [1, 4], [4, -3]]), True, id="negative"),
+            pytest.param(
+                np.array([[2**63 + 1, 3], [3, 2**64 - 1], [0, 3]], dtype=np.uint64),
+                True,
+                id="uint64-past-int64",
+            ),
+            pytest.param(
+                np.array([[2**70, 1], [1, 5], [5, 2**70]], dtype=object), True, id="object"
+            ),
+        ],
+    )
+    def test_both_id_compaction_branches(self, monkeypatch, pairs, via_unique):
+        graph = nx.Graph()
+        graph.add_edges_from(pairs.tolist())
+        expected = Network(graph, seed=3)
+        unique_calls = []
+        real_unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            unique_calls.append(args)
+            return real_unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        network = Network(pairs, seed=3)
+        monkeypatch.undo()
+        # Non-negative ids in a narrow range take the presence table.
+        assert bool(unique_calls) == via_unique
+        assert network.csr() == expected.csr()
+        assert network.csr_fingerprint() == expected.csr_fingerprint()
+        assert network.node_ids == expected.node_ids
+        assert network.id_of == expected.id_of
+        assert network.label_of == expected.label_of
+        for node_id in expected.node_ids:
+            assert network.neighbors(node_id) == expected.neighbors(node_id)
+        assert context_seeds(network) == context_seeds(expected)
+        assert_matches_reference(network, reference_build(graph))
+
+    @pytest.mark.parametrize(
         "pairs",
         [
             np.array([[0.0, 1.0], [1.0, 2.0]]),
@@ -259,12 +316,78 @@ def delta_scripts(draw):
     return graph, steps
 
 
+def _shuffled_graph(labels, seed):
+    import random
+
+    labels = list(labels)
+    random.Random(seed).shuffle(labels)
+    graph = nx.Graph()
+    graph.add_nodes_from(labels)
+    graph.add_edges_from(zip(labels, labels[1:]))
+    return graph
+
+
+class TestNodeIndexOrder:
+    """``node_index_of`` iterates in ascending id order on every front-end.
+
+    :meth:`ContextRegistry.materialize` zips its values with the dense
+    context list, so an index map in any other order would give contexts
+    the wrong neighbours.
+    """
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: Network(np.array([[3, 0], [1, 2], [2, 0], [4, 3]])), id="pairs-dense"),
+            pytest.param(lambda: Network(np.array([[30, 4], [17, 2], [2, 4], [9, 30]])), id="pairs-gappy"),
+            pytest.param(lambda: Network(_shuffled_graph(range(12), 5)), id="nx-shuffled"),
+            pytest.param(
+                lambda: Network(_shuffled_graph([40, 7, 19, 3, 88, 12], 2)), id="nx-shuffled-gappy"
+            ),
+            pytest.param(
+                lambda: Network(_shuffled_graph(["d", "a", "c", "b", "e"], 1)), id="nx-relabelled"
+            ),
+        ],
+    )
+    def test_index_map_iterates_in_ascending_id_order(self, make):
+        network = make()
+        assert list(network.node_index_of) == network.node_ids
+        assert list(network.node_index_of.values()) == list(range(network.n))
+        contexts = network.build_contexts()
+        assert [ctx.node_id for ctx in contexts.materialize()] == network.node_ids
+        for index, ctx in contexts.live.items():
+            assert ctx.node_id == network.node_ids[index]
+            assert ctx.neighbors == network.neighbors(ctx.node_id)
+
+
+class TestLazyFingerprint:
+    def test_checksum_is_computed_on_first_read_after_each_install(self, monkeypatch):
+        calls = []
+        real_crc32 = zlib.crc32
+
+        class CountingZlib:
+            @staticmethod
+            def crc32(data, value=0):
+                calls.append(len(data))
+                return real_crc32(data, value)
+
+        monkeypatch.setattr(network_module, "zlib", CountingZlib)
+        network = Network(nx.path_graph(6))
+        assert network.number_of_edges() == 5 and not calls
+        first = network.csr_fingerprint()
+        assert len(calls) == 2 and network.csr_fingerprint() == first and len(calls) == 2
+        record = network.apply_delta(additions=[(0, 5)])
+        assert len(calls) == 4 and record.fingerprint_after == network.csr_fingerprint()
+        assert record.fingerprint_after == eager_fingerprint(network) != first
+
+
 class TestDeltasMatchAFreshBuild:
     @settings(max_examples=120, deadline=None)
     @given(delta_scripts())
     def test_random_delta_sequences(self, script):
         graph, steps = script
         network = Network(graph.copy())
+        assert network.csr_fingerprint() == eager_fingerprint(network)
         contexts = network.build_contexts()
         mirror = graph.copy()
         for additions, removals in steps:
@@ -277,6 +400,7 @@ class TestDeltasMatchAFreshBuild:
             assert network.csr() == fresh.csr()
             assert network.csr_fingerprint() == fresh.csr_fingerprint()
             assert record.fingerprint_after == fresh.csr_fingerprint()
+            assert network.csr_fingerprint() == eager_fingerprint(network)
             for node_id in record.touched:
                 assert contexts[node_id].neighbors == fresh.neighbors(node_id)
         assert_matches_reference(network, reference_build(mirror))
