@@ -29,6 +29,7 @@ from repro.congest.errors import (
     ShardWorkerError,
     ShardWorkerTimeout,
 )
+from repro.core.result import NearCliqueResult
 
 from repro.service import protocol
 from repro.service.incremental import NearCliqueService
@@ -74,6 +75,13 @@ class NearCliqueDaemon:
         self.max_line_length = max_line_length
         #: Set by a ``shutdown`` request; checked by the serve loop.
         self._shutdown = False
+        #: The wire order of ``labels``: computed on the first query, then
+        #: reused (the service's node set is fixed for its lifetime).
+        self._label_order: Optional[protocol.LabelOrder] = None
+        #: The last query's result and response payload: a cached answer
+        #: returns the same result object and reuses the payload.
+        self._answered: Optional[NearCliqueResult] = None
+        self._answer_payload: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     def _drain_oversized_line(self) -> None:
@@ -159,10 +167,7 @@ class NearCliqueDaemon:
     def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
         cmd = request["cmd"]
         if cmd == "query":
-            outcome = self.service.query(seed=request.get("seed", 0))
-            return protocol.ok_response(
-                "query", **protocol.result_payload(outcome.result, outcome.record)
-            )
+            return protocol.ok_response("query", **self._query(request.get("seed", 0)))
         if cmd == "delta":
             additions, removals = protocol.delta_edges(request)
             record = self.service.apply_delta(additions, removals)
@@ -178,3 +183,23 @@ class NearCliqueDaemon:
         # cmd == "shutdown" (parse_request admits nothing else)
         self._shutdown = True
         return protocol.ok_response("shutdown")
+
+    def _query(self, seed: int) -> Dict[str, Any]:
+        """A ``query`` response's payload: one pass over the labels, or none.
+
+        A cached answer (the same result object as the last query) reuses
+        the last payload with only its ``query`` record replaced.
+        """
+        outcome = self.service.query(seed=seed)
+        result = outcome.result
+        if result is self._answered:
+            payload = dict(self._answer_payload)
+            payload["query"] = protocol.record_payload(outcome.record)
+        else:
+            if self._label_order is None:
+                self._label_order = protocol.label_order(result.labels)
+            payload = protocol.result_payload(
+                result, outcome.record, self._label_order
+            )
+        self._answered, self._answer_payload = result, payload
+        return payload

@@ -36,6 +36,17 @@ respawned and keeps serving), ``worker-timeout`` (the barrier watchdog
 gave up on a hung worker; same recovery as a crash), ``congest-error``
 (any other simulator-contract violation) and ``internal-error``.
 Responses are emitted with sorted keys so transcripts are reproducible.
+
+A ``query`` response's ``labels`` is a list of ``[node, label-or-null]``
+pairs ordered by the repr of the node's JSON value — the order a repr-sort
+of the pairs themselves gives whenever node reprs are distinct, since the
+comparison is decided before it reaches the label.  The daemon computes
+that order once per service (:func:`label_order`), so a query costs one
+pass over the labels, not a sort.
+
+The dicts the daemon's ``handle_line`` returns are read-only: a cached
+answer's response shares its ``labels`` list (and the rest of its
+payload) with the previous response.
 """
 
 from __future__ import annotations
@@ -124,9 +135,16 @@ def delta_edges(
 # ----------------------------------------------------------------------
 # response encoding
 # ----------------------------------------------------------------------
+#: Payloads are acyclic trees built by this module, so the encoder skips
+#: the cycle check.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
+
 def encode_response(payload: Dict[str, Any]) -> str:
     """One response line (no trailing newline), keys sorted for stability."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 def ok_response(cmd: str, **payload: Any) -> Dict[str, Any]:
@@ -142,8 +160,13 @@ def error_response(code: str, message: str) -> Dict[str, Any]:
 
 
 def _jsonable_label(label: Any) -> Any:
-    """Graph labels are ints or strings in practice; stringify anything else."""
-    if isinstance(label, (int, str)) and not isinstance(label, bool):
+    """Graph labels are ints or strings in practice; stringify anything else.
+
+    ``None`` (an unlabelled node's output) passes through as JSON null.
+    """
+    if label is None or (
+        isinstance(label, (int, str)) and not isinstance(label, bool)
+    ):
         return label
     return repr(label)
 
@@ -157,26 +180,67 @@ def _sorted_values(values: Iterable[Any]) -> List[Any]:
         return sorted(items, key=repr)
 
 
+#: The wire order of ``labels``: parallel lists of the nodes and of their
+#: JSON values.
+LabelOrder = Tuple[List[Any], List[Any]]
+
+
+def label_order(nodes: Iterable[Any]) -> LabelOrder:
+    """The nodes, and their JSON values, in the wire order of ``labels``.
+
+    The order of a repr-sort of the ``[node, label]`` pairs: each such key
+    reads ``[<node repr>, <label repr>]``, so two keys with distinct node
+    reprs are ordered by the node repr and the comma after it, never by
+    the label.  Sorting by the node repr plus that comma (the repr of
+    ``[json_node, None]`` without the rest) gives the same order.
+    """
+    keyed = sorted(
+        ((_jsonable_label(node), node) for node in nodes),
+        key=lambda pair: repr(pair[0]) + ",",
+    )
+    return [node for _, node in keyed], [json_node for json_node, _ in keyed]
+
+
+def record_payload(record: QueryRecord) -> Dict[str, Any]:
+    """The ``query`` field of a ``query`` response: how it was answered."""
+    return {
+        "kind": record.kind,
+        "recomputed_nodes": record.recomputed_nodes,
+        "total_nodes": record.total_nodes,
+        "dirty_shards": list(record.dirty_shards),
+    }
+
+
 def result_payload(
-    result: NearCliqueResult, record: Optional[QueryRecord] = None
+    result: NearCliqueResult,
+    record: Optional[QueryRecord] = None,
+    order: Optional[LabelOrder] = None,
 ) -> Dict[str, Any]:
     """Serialise a query answer for the ``query`` response.
 
     ``labels`` is a list of ``[node, label-or-null]`` pairs (JSON object
     keys must be strings, which would silently stringify integer node
-    labels); candidates carry the fields the experiments read.
+    labels) in :func:`label_order`; pass *order* to reuse one computed
+    for the same node set.  The pairs are tuples, which encode as the same
+    JSON arrays: a tuple of scalars drops out of the garbage collector's
+    tracking after its first collection, a list never does, so retained
+    payloads do not make later collections slower.  Candidates carry the
+    fields the experiments read.
     """
+    labels = result.labels
+    nodes, json_nodes = label_order(labels) if order is None else order
+    if len(nodes) != len(labels):
+        raise ValueError(
+            "label order covers %d nodes, the result %d" % (len(nodes), len(labels))
+        )
     payload: Dict[str, Any] = {
         "aborted": result.aborted,
         "abort_reason": result.abort_reason,
         "sample": _sorted_values(_jsonable_label(v) for v in result.sample),
-        "labels": sorted(
-            (
-                [_jsonable_label(node), None if label is None else _jsonable_label(label)]
-                for node, label in result.labels.items()
-            ),
-            key=repr,
-        ),
+        "labels": [
+            (json_node, _jsonable_label(labels[node]))
+            for node, json_node in zip(nodes, json_nodes)
+        ],
         "candidates": [
             {
                 "component_root": _jsonable_label(c.component_root),
@@ -197,10 +261,5 @@ def result_payload(
             "max_message_bits": result.metrics.max_message_bits,
         }
     if record is not None:
-        payload["query"] = {
-            "kind": record.kind,
-            "recomputed_nodes": record.recomputed_nodes,
-            "total_nodes": record.total_nodes,
-            "dirty_shards": list(record.dirty_shards),
-        }
+        payload["query"] = record_payload(record)
     return payload

@@ -11,8 +11,8 @@ daemon serialises it into the query response.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 #: The ways one query can be answered.
 QUERY_KINDS: Tuple[str, ...] = ("full", "incremental", "cached")
@@ -72,7 +72,6 @@ class ServiceStats:
     retries: int = 0
     worker_timeouts: int = 0
     degradations: int = 0
-    records: List[QueryRecord] = field(default_factory=list)
 
     def observe_query(self, record: QueryRecord) -> None:
         self.queries += 1
@@ -83,7 +82,6 @@ class ServiceStats:
         else:
             self.cached_hits += 1
         self.nodes_recomputed += record.recomputed_nodes
-        self.records.append(record)
 
     def observe_delta(self, edges_changed: int) -> None:
         self.deltas += 1

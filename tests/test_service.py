@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import types
 
 import networkx as nx
 import pytest
@@ -29,6 +30,7 @@ from repro.service import (
     RequestError,
     parse_request,
 )
+from repro.service import incremental
 from repro.service.protocol import delta_edges, error_response, result_payload
 
 
@@ -388,6 +390,71 @@ class TestServiceDeltaProperty:
         assert "full" in kinds, kinds
 
 
+class TestSeedReplayMemo:
+    """The incremental path replays a seed's stream once, not per query."""
+
+    @staticmethod
+    def _count_rng_constructions(monkeypatch):
+        constructed = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed=None):
+                constructed.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(
+            incremental, "random", types.SimpleNamespace(Random=CountingRandom)
+        )
+        return constructed
+
+    def test_incremental_queries_on_one_seed_replay_the_stream_once(
+        self, monkeypatch
+    ):
+        constructed = self._count_rng_constructions(monkeypatch)
+        blocks = [(0, 10), (10, 10), (20, 10)]
+        graph = _block_graph([10, 10, 10], p=0.85, seed=11)
+        rng = random.Random(19)
+        service = NearCliqueService(graph.copy(), PARAMS)
+        with service:
+            assert service.query(seed=3).record.kind == "full"
+            for _ in range(4):
+                additions, removals = _random_delta(rng, graph, blocks)
+                service.apply_delta(additions, removals)
+                graph.add_edges_from(additions)
+                graph.remove_edges_from(removals)
+                outcome = service.query(seed=3)
+                assert outcome.record.kind == "incremental"
+                _assert_identical(outcome.result, _fresh(graph, 3))
+        assert constructed == [3]
+
+    def test_seed_switches_stay_identical_to_fresh_runs(self, monkeypatch):
+        constructed = self._count_rng_constructions(monkeypatch)
+        graph = _block_graph([10, 10, 10], p=0.85, seed=11)
+        service = NearCliqueService(graph.copy(), PARAMS)
+        a, b = 3, 8
+        # (seed, expected kind, edge removed before the query)
+        steps = [
+            (a, "full", None),
+            (b, "full", (0, 1)),
+            (b, "incremental", (10, 11)),
+            (a, "full", (20, 21)),
+            (a, "incremental", (2, 3)),
+        ]
+        with service:
+            for seed, kind, edge in steps:
+                if edge is not None and graph.has_edge(*edge):
+                    service.apply_delta(removals=[edge])
+                    graph.remove_edge(*edge)
+                elif edge is not None:
+                    service.apply_delta(additions=[edge])
+                    graph.add_edge(*edge)
+                outcome = service.query(seed=seed)
+                assert outcome.record.kind == kind
+                _assert_identical(outcome.result, _fresh(graph, seed))
+        # one replay per incremental streak, each on its own seed's stream
+        assert constructed == [b, a]
+
+
 # ----------------------------------------------------------------------
 # the daemon
 # ----------------------------------------------------------------------
@@ -505,6 +572,181 @@ class TestDaemon:
         fresh = _fresh(graph, 3)
         sample = sorted(fresh.sample)
         assert responses[1]["sample"] == sample
+
+
+# The mixed-label graph of the wire-bytes tests: ints whose reprs share
+# prefixes, negatives, strings (one that spells an int) and tuples, which
+# the wire carries as their repr.
+_MIXED_BLOCKS = [
+    [1, 10, 100, 1000, 11, 101, -1, -10],
+    ["a", "ab", "1", "10", "abc", "b", "ba", "-1"],
+    [(1,), (1, 2), (1, 2, 3), (2,), (-1,), (10,), (1, 0), (0,)],
+    [2, "2", (2, 1), 20, "20", -2, 200, "x"],
+]
+
+
+def _mixed_label_graph() -> nx.Graph:
+    graph = _block_graph([len(block) for block in _MIXED_BLOCKS], seed=5)
+    labels = [label for block in _MIXED_BLOCKS for label in block]
+    return nx.relabel_nodes(graph, dict(enumerate(labels)))
+
+
+def _legacy_query_line(outcome) -> str:
+    """A ``query`` response line as the repr-sorting encoder wrote it."""
+
+    def jsonable(label):
+        if isinstance(label, (int, str)) and not isinstance(label, bool):
+            return label
+        return repr(label)
+
+    def sorted_values(values):
+        items = list(values)
+        try:
+            return sorted(items)
+        except TypeError:
+            return sorted(items, key=repr)
+
+    result, record = outcome.result, outcome.record
+    payload = {
+        "ok": True,
+        "cmd": "query",
+        "aborted": result.aborted,
+        "abort_reason": result.abort_reason,
+        "sample": sorted_values(jsonable(v) for v in result.sample),
+        "labels": sorted(
+            (
+                [jsonable(node), None if label is None else jsonable(label)]
+                for node, label in result.labels.items()
+            ),
+            key=repr,
+        ),
+        "candidates": [
+            {
+                "component_root": jsonable(c.component_root),
+                "size": c.size,
+                "survived": c.survived,
+                "members": sorted_values(jsonable(v) for v in c.members),
+            }
+            for c in result.candidates
+        ],
+        "query": {
+            "kind": record.kind,
+            "recomputed_nodes": record.recomputed_nodes,
+            "total_nodes": record.total_nodes,
+            "dirty_shards": list(record.dirty_shards),
+        },
+    }
+    if result.metrics is not None:
+        payload["metrics"] = {
+            "rounds": result.metrics.rounds,
+            "total_messages": result.metrics.total_messages,
+            "total_bits": result.metrics.total_bits,
+            "max_message_bits": result.metrics.max_message_bits,
+        }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _transcript_against_legacy(service, requests):
+    """Serve *requests*; return (kinds, response lines, legacy lines)."""
+    outcomes = []
+    query = service.query
+
+    def spy(seed=0):
+        outcome = query(seed=seed)
+        outcomes.append(outcome)
+        return outcome
+
+    service.query = spy
+    out = io.StringIO()
+    daemon = NearCliqueDaemon(
+        service,
+        reader=io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
+        writer=out,
+    )
+    daemon.serve_forever()
+    lines = out.getvalue().splitlines()
+    legacy, pending = [], iter(outcomes)
+    for line in lines:
+        response = json.loads(line)
+        if response.get("cmd") == "query":
+            legacy.append(_legacy_query_line(next(pending)))
+        else:
+            legacy.append(
+                json.dumps(response, sort_keys=True, separators=(",", ":"))
+            )
+    assert next(pending, None) is None
+    return [o.record.kind for o in outcomes], lines, legacy
+
+
+class TestDaemonWireBytes:
+    """Response lines are byte-identical to the repr-sorting encoder's."""
+
+    def test_mixed_label_transcript_matches_the_legacy_encoder(self):
+        graph = _mixed_label_graph()
+        service = NearCliqueService(graph, PARAMS)
+        kinds, lines, legacy = _transcript_against_legacy(
+            service,
+            [
+                {"cmd": "query", "seed": 3},
+                {"cmd": "query", "seed": 3},
+                {"cmd": "delta", "remove": [[1, 10]], "add": [[1, "a"]]},
+                {"cmd": "query", "seed": 3},
+                {"cmd": "query", "seed": 3},
+                {"cmd": "stats"},
+                {"cmd": "delta", "remove": [[1, "a"]]},
+                {"cmd": "query", "seed": 4},
+                {"cmd": "delta", "add": [[-1, 100]], "remove": [["ab", "b"]]},
+                {"cmd": "query", "seed": 4},
+                {"cmd": "query", "seed": 4},
+                {"cmd": "query", "seed": 3},
+                {"cmd": "delta", "add": [[1, 999]]},  # no node 999: bad-delta
+                {"cmd": "query", "seed": 3},
+                {"cmd": "shutdown"},
+            ],
+        )
+        assert kinds == [
+            "full",
+            "cached",
+            "incremental",
+            "cached",
+            "full",
+            "incremental",
+            "cached",
+            "full",
+            "cached",
+        ]
+        assert lines == legacy
+        tuple_nodes = [
+            pair[0] for pair in json.loads(lines[0])["labels"]
+            if isinstance(pair[0], str) and pair[0].startswith("(")
+        ]
+        assert len(tuple_nodes) == 9
+
+    def test_aborted_query_matches_the_legacy_encoder(self):
+        tight = AlgorithmParameters(
+            epsilon=0.3, sample_probability=1.0, max_sample_size=3
+        )
+        service = NearCliqueService(_mixed_label_graph(), tight)
+        kinds, lines, legacy = _transcript_against_legacy(
+            service,
+            [
+                {"cmd": "query", "seed": 1},
+                {"cmd": "query", "seed": 1},
+                {"cmd": "shutdown"},
+            ],
+        )
+        assert kinds == ["full", "full"]
+        assert json.loads(lines[0])["aborted"] is True
+        assert lines == legacy
+
+    def test_cached_answer_shares_the_previous_payload(self):
+        daemon = NearCliqueDaemon(NearCliqueService(_block_graph([8, 8]), PARAMS))
+        with daemon.service:
+            first = daemon.handle_line('{"cmd": "query", "seed": 2}')
+            again = daemon.handle_line('{"cmd": "query", "seed": 2}')
+        assert again["query"]["kind"] == "cached"
+        assert again["labels"] is first["labels"]
+        assert first["query"]["kind"] == "full"
 
 
 # ----------------------------------------------------------------------
