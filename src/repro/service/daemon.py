@@ -79,7 +79,8 @@ class NearCliqueDaemon:
         #: reused (the service's node set is fixed for its lifetime).
         self._label_order: Optional[protocol.LabelOrder] = None
         #: The last query's result and response payload: a cached answer
-        #: returns the same result object and reuses the payload.
+        #: returns the same result object and reuses the payload, an
+        #: incremental answer spliced from it patches its ``labels``.
         self._answered: Optional[NearCliqueResult] = None
         self._answer_payload: Dict[str, Any] = {}
 
@@ -185,10 +186,13 @@ class NearCliqueDaemon:
         return protocol.ok_response("shutdown")
 
     def _query(self, seed: int) -> Dict[str, Any]:
-        """A ``query`` response's payload: one pass over the labels, or none.
+        """A ``query`` response's payload: its dirty region's labels encoded.
 
         A cached answer (the same result object as the last query) reuses
-        the last payload with only its ``query`` record replaced.
+        the last payload with only its ``query`` record replaced; an
+        incremental answer spliced from the last answered result encodes
+        only its region's labels into a copy of the last ``labels``.  Any
+        other answer encodes every label.
         """
         outcome = self.service.query(seed=seed)
         result = outcome.result
@@ -197,9 +201,12 @@ class NearCliqueDaemon:
             payload["query"] = protocol.record_payload(outcome.record)
         else:
             if self._label_order is None:
-                self._label_order = protocol.label_order(result.labels)
+                self._label_order = protocol.LabelOrder(result.labels)
+            base = None
+            if outcome.base is not None and outcome.base is self._answered:
+                base = self._answer_payload["labels"]
             payload = protocol.result_payload(
-                result, outcome.record, self._label_order
+                result, outcome.record, self._label_order, base, outcome.region
             )
         self._answered, self._answer_payload = result, payload
         return payload

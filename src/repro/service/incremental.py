@@ -61,10 +61,17 @@ __all__ = ["NearCliqueService", "QueryOutcome"]
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """One answered query: the algorithm's result plus how it was answered."""
+    """One answered query: the algorithm's result plus how it was answered.
+
+    An incremental answer spliced from a cached result also names that
+    result (*base*) and the labels of its dirty region (*region*): every
+    node outside the region has the label it has in *base*.
+    """
 
     result: NearCliqueResult
     record: QueryRecord
+    base: Optional[NearCliqueResult] = None
+    region: FrozenSet[Any] = frozenset()
 
 
 class NearCliqueService:
@@ -249,14 +256,19 @@ class NearCliqueService:
         return outcome
 
     def _finish(
-        self, result: NearCliqueResult, seed: int, record: QueryRecord
+        self,
+        result: NearCliqueResult,
+        seed: int,
+        record: QueryRecord,
+        base: Optional[NearCliqueResult] = None,
+        region: FrozenSet[Any] = frozenset(),
     ) -> QueryOutcome:
         self._cached = result
         self._cached_seed = seed
         self._dirty_ids.clear()
         self.stats.observe_query(record)
         self._harvest_recovery()
-        return QueryOutcome(result, record)
+        return QueryOutcome(result, record, base, region)
 
     def _full_query(self, seed: int) -> QueryOutcome:
         self.network.reseed(seed)
@@ -366,7 +378,7 @@ class NearCliqueService:
             return self._finish(result, seed, record)
 
         result = self._splice(cached, sub_result, region, region_labels)
-        return self._finish(result, seed, record)
+        return self._finish(result, seed, record, cached, region_labels)
 
     def _splice(
         self,

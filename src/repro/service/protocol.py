@@ -41,8 +41,15 @@ A ``query`` response's ``labels`` is a list of ``[node, label-or-null]``
 pairs ordered by the repr of the node's JSON value — the order a repr-sort
 of the pairs themselves gives whenever node reprs are distinct, since the
 comparison is decided before it reaches the label.  The daemon computes
-that order once per service (:func:`label_order`), so a query costs one
+that order once per service (:class:`LabelOrder`), so a query costs one
 pass over the labels, not a sort.
+
+That list is an :class:`EncodedLabels`: a read-only list of pairs that
+also carries its JSON text, one fragment per pair, and
+:func:`encode_response` splices the text in instead of re-encoding the
+pairs.  An answer patched from an earlier one (an incremental answer
+re-encodes only its dirty region) copies the earlier pairs and fragments
+and never mutates the earlier answer.
 
 The dicts the daemon's ``handle_line`` returns are read-only: a cached
 answer's response shares its ``labels`` list (and the rest of its
@@ -52,7 +59,7 @@ payload) with the previous response.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.result import NearCliqueResult
 
@@ -118,6 +125,14 @@ def parse_request(line: str) -> Dict[str, Any]:
                     raise RequestError(
                         "delta edges must be [u, v] pairs, got %r" % (edge,)
                     )
+                # A JSON array or object is unhashable, so it can name no
+                # node; only scalars reach the service's label lookup.
+                for endpoint in edge:
+                    if isinstance(endpoint, (list, dict)):
+                        raise RequestError(
+                            "delta endpoints must be JSON scalars, got %r"
+                            % (endpoint,)
+                        )
     return request
 
 
@@ -142,9 +157,49 @@ _ENCODER = json.JSONEncoder(
 )
 
 
+def _json_text(value: Any) -> str:
+    """The encoder's text for one JSON scalar.
+
+    A plain int is written as its repr, which is what the encoder writes;
+    calling the encoder costs more than the repr for so small a value.
+    """
+    return repr(value) if type(value) is int else _ENCODER.encode(value)
+
+
+class EncodedLabels(list):
+    """A ``labels`` list of ``(node, label)`` pairs that carries its text.
+
+    ``fragments[i]`` is the JSON text of pair ``i`` and :attr:`text` the
+    text of the whole list, the bytes the encoder would write for it.
+    Read-only: the text is not kept in step with later mutation.
+    """
+
+    __slots__ = ("fragments", "text")
+
+    def __init__(
+        self, pairs: Iterable[Tuple[Any, Any]], fragments: List[str]
+    ) -> None:
+        super().__init__(pairs)
+        self.fragments = fragments
+        self.text = "[%s]" % ",".join(fragments)
+
+
 def encode_response(payload: Dict[str, Any]) -> str:
-    """One response line (no trailing newline), keys sorted for stability."""
-    return _ENCODER.encode(payload)
+    """One response line (no trailing newline), keys sorted for stability.
+
+    The bytes of encoding the whole payload, but an :class:`EncodedLabels`
+    value is spliced in as its text rather than encoded again.
+    """
+    return "{%s}" % ",".join(
+        _ENCODER.encode(key)
+        + ":"
+        + (
+            value.text
+            if isinstance(value, EncodedLabels)
+            else _ENCODER.encode(value)
+        )
+        for key, value in sorted(payload.items())
+    )
 
 
 def ok_response(cmd: str, **payload: Any) -> Dict[str, Any]:
@@ -180,13 +235,8 @@ def _sorted_values(values: Iterable[Any]) -> List[Any]:
         return sorted(items, key=repr)
 
 
-#: The wire order of ``labels``: parallel lists of the nodes and of their
-#: JSON values.
-LabelOrder = Tuple[List[Any], List[Any]]
-
-
-def label_order(nodes: Iterable[Any]) -> LabelOrder:
-    """The nodes, and their JSON values, in the wire order of ``labels``.
+class LabelOrder:
+    """The wire order of ``labels`` for one node set, and its encoder.
 
     The order of a repr-sort of the ``[node, label]`` pairs: each such key
     reads ``[<node repr>, <label repr>]``, so two keys with distinct node
@@ -194,11 +244,60 @@ def label_order(nodes: Iterable[Any]) -> LabelOrder:
     the label.  Sorting by the node repr plus that comma (the repr of
     ``[json_node, None]`` without the rest) gives the same order.
     """
-    keyed = sorted(
-        ((_jsonable_label(node), node) for node in nodes),
-        key=lambda pair: repr(pair[0]) + ",",
-    )
-    return [node for _, node in keyed], [json_node for json_node, _ in keyed]
+
+    __slots__ = ("nodes", "json_nodes", "prefixes", "position")
+
+    def __init__(self, nodes: Iterable[Any]) -> None:
+        keyed = sorted(
+            ((_jsonable_label(node), node) for node in nodes),
+            key=lambda pair: repr(pair[0]) + ",",
+        )
+        self.nodes = [node for _, node in keyed]
+        self.json_nodes = [json_node for json_node, _ in keyed]
+        #: Each pair's text up to its label: ``[<node>,``.
+        self.prefixes = [
+            "[" + _json_text(json_node) + "," for json_node in self.json_nodes
+        ]
+        self.position = {node: i for i, node in enumerate(self.nodes)}
+
+    def encode(
+        self,
+        labels: Mapping[Any, Any],
+        base: Optional[EncodedLabels] = None,
+        changed: Iterable[Any] = (),
+    ) -> EncodedLabels:
+        """The ``labels`` pairs of *labels* (node -> label), with their text.
+
+        With *base* — the pairs of an earlier labelling of the same nodes —
+        only the nodes in *changed* are encoded; the caller vouches that
+        every other node's label equals its label in *base*.  *base* is
+        copied, never mutated.  Label texts are memoised per call: a label
+        is a component root or null, so a labelling has few distinct ones.
+        """
+        nodes = self.nodes
+        if len(nodes) != len(labels):
+            raise ValueError(
+                "label order covers %d nodes, the result %d"
+                % (len(nodes), len(labels))
+            )
+        if base is None:
+            pairs: List[Any] = [None] * len(nodes)
+            fragments: List[str] = [""] * len(nodes)
+            positions: Iterable[int] = range(len(nodes))
+        else:
+            pairs, fragments = list(base), list(base.fragments)
+            positions = [self.position[node] for node in changed]
+        json_nodes, prefixes = self.json_nodes, self.prefixes
+        texts: Dict[Any, Tuple[Any, str]] = {}
+        for i in positions:
+            label = labels[nodes[i]]
+            memo = texts.get(label)
+            if memo is None:
+                json_label = _jsonable_label(label)
+                memo = texts[label] = (json_label, _json_text(json_label))
+            pairs[i] = (json_nodes[i], memo[0])
+            fragments[i] = prefixes[i] + memo[1] + "]"
+        return EncodedLabels(pairs, fragments)
 
 
 def record_payload(record: QueryRecord) -> Dict[str, Any]:
@@ -215,32 +314,28 @@ def result_payload(
     result: NearCliqueResult,
     record: Optional[QueryRecord] = None,
     order: Optional[LabelOrder] = None,
+    base: Optional[EncodedLabels] = None,
+    changed: Iterable[Any] = (),
 ) -> Dict[str, Any]:
     """Serialise a query answer for the ``query`` response.
 
-    ``labels`` is a list of ``[node, label-or-null]`` pairs (JSON object
-    keys must be strings, which would silently stringify integer node
-    labels) in :func:`label_order`; pass *order* to reuse one computed
-    for the same node set.  The pairs are tuples, which encode as the same
-    JSON arrays: a tuple of scalars drops out of the garbage collector's
-    tracking after its first collection, a list never does, so retained
-    payloads do not make later collections slower.  Candidates carry the
-    fields the experiments read.
+    ``labels`` is an :class:`EncodedLabels` of ``[node, label-or-null]``
+    pairs (JSON object keys must be strings, which would silently
+    stringify integer node labels) in :class:`LabelOrder`; pass *order* to
+    reuse one computed for the same node set, and *base* / *changed* to
+    patch an earlier answer's labels (:meth:`LabelOrder.encode`).  The
+    pairs are tuples, which encode as the same JSON arrays: a tuple of
+    scalars drops out of the garbage collector's tracking after its first
+    collection, a list never does, so retained payloads do not make later
+    collections slower.  Candidates carry the fields the experiments read.
     """
-    labels = result.labels
-    nodes, json_nodes = label_order(labels) if order is None else order
-    if len(nodes) != len(labels):
-        raise ValueError(
-            "label order covers %d nodes, the result %d" % (len(nodes), len(labels))
-        )
+    if order is None:
+        order = LabelOrder(result.labels)
     payload: Dict[str, Any] = {
         "aborted": result.aborted,
         "abort_reason": result.abort_reason,
         "sample": _sorted_values(_jsonable_label(v) for v in result.sample),
-        "labels": [
-            (json_node, _jsonable_label(labels[node]))
-            for node, json_node in zip(nodes, json_nodes)
-        ],
+        "labels": order.encode(result.labels, base, changed),
         "candidates": [
             {
                 "component_root": _jsonable_label(c.component_root),
