@@ -1,8 +1,7 @@
 """E15 — process-backed sharding: multi-core throughput and boundary bytes.
 
-PR 3's sharded engine proved the partition-parallel design but its thread
-mode is GIL-bound, so it could only ever tie the serial mode on wall clock.
-The ``process`` backend (:mod:`repro.congest.sharding.workers`) runs one
+The sharded engine's serial backend proves the partition-parallel design
+but steps every shard on one core.  The ``process`` backend (:mod:`repro.congest.sharding.workers`) runs one
 worker process per shard — true multi-core execution — paying for it with
 serialization of the boundary traffic, packed by
 :mod:`repro.congest.sharding.wire`.  This benchmark quantifies both sides

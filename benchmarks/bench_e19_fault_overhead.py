@@ -10,9 +10,8 @@ supervisor wraps every phase execute in a replay loop; both are designed
 to cost one comparison when nothing fails, and this benchmark holds them
 to that design.
 
-The comparison is the E16 workload end to end (full
-``DistNearCliqueRunner``, persistent process session, forced sample) in
-two arms:
+The comparison is the full ``DistNearCliqueRunner`` on the E15 community
+workload (process session, forced sample) in two arms:
 
 * **baseline** — PR 8 semantics: no ``round_timeout``, no
   ``retry_policy``; barriers are plain blocking ``recv``.
@@ -25,7 +24,7 @@ Bit-identity of both arms against the batched oracle is asserted before
 any timing is reported, then an interleaved best-of-N gates the
 supervised/baseline wall-clock ratio at ``OVERHEAD_CEILING`` (full) /
 ``QUICK_OVERHEAD_CEILING`` (quick CI mode; shared runners are noisy).
-Unlike E16's speedup gate this one needs no CPU-count escape hatch: both
+Unlike E15's speedup gate this one needs no CPU-count escape hatch: both
 arms run the same backend on the same host, so the ratio is meaningful
 anywhere.
 
@@ -45,15 +44,14 @@ from repro.analysis import tables
 from repro.congest.config import CongestConfig, RetryPolicy
 from repro.core.dist_near_clique import DistNearCliqueRunner
 
-from bench_e16_session_amortization import (
-    FORCED_SAMPLE,
-    SHARDS,
-    _community_graph,
-    _result_fingerprint,
-    _run_batched_oracle,
-)
+from bench_e15_process_throughput import SHARDS, _community_graph
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0") or "0"))
+
+#: Forced sample (block-0 node ids of the community workload): keeps the
+#: sampling stage deterministic and the exploration stage bounded, so both
+#: arms do byte-identical protocol work.
+FORCED_SAMPLE = (2, 7, 19, 41, 83)
 
 #: Maximum acceptable supervised/baseline wall-clock ratio on clean runs.
 #: The issue's acceptance bar is 5% at full scale; quick mode keeps a
@@ -73,12 +71,40 @@ def _workload(quick: bool):
     return "web-communities (n=%d, %d blocks)" % (n, SHARDS), graph
 
 
+def _result_fingerprint(result):
+    m = result.metrics
+    return (
+        result.labels,
+        result.sample,
+        result.aborted,
+        m.rounds,
+        m.total_messages,
+        m.total_bits,
+        m.max_message_bits,
+        [
+            (r.round_index, r.messages_sent, r.bits_sent, r.active_nodes)
+            for r in m.per_round
+        ],
+    )
+
+
+def _run_batched_oracle(graph, seed=11):
+    n = graph.number_of_nodes()
+    runner = DistNearCliqueRunner(
+        epsilon=0.25,
+        sample_probability=0.001,
+        max_sample_size=None,
+        rng=random.Random(seed),
+        config=CongestConfig(engine="batched").with_log_budget(n),
+    )
+    return _result_fingerprint(runner.run(graph, sample=FORCED_SAMPLE))
+
+
 def _config(n: int, supervised: bool) -> CongestConfig:
     config = CongestConfig(
         engine="sharded",
         shards=SHARDS,
         shard_backend="process",
-        session_mode="persistent",
         round_timeout=ROUND_TIMEOUT if supervised else None,
         retry_policy=RetryPolicy(max_attempts=3) if supervised else None,
     ).with_log_budget(n)
@@ -137,7 +163,7 @@ def _overhead_table(name, graph, quick):
         ["arm", "wall s", "vs baseline"],
         rows,
         title="E19  %s — watchdog + retry supervision on clean runs "
-        "(%d shards, persistent process session, bit-identical arms)"
+        "(%d shards, process session, bit-identical arms)"
         % (name, SHARDS),
     )
     print(

@@ -5,11 +5,9 @@ The paper lists radio ad-hoc networks as a second motivation: dense
 subgraphs of the communication graph correspond to groups of stations that
 conflict on the shared medium, and identifying them is useful for clustering
 and backbone formation.  This example builds a unit-disk graph with a
-geographic hotspot, runs the distributed algorithm *through the CONGEST
-simulator* (so the reported rounds and message sizes are exactly what the
-stations would incur), and then demonstrates the asynchronous execution
-claim of Section 2 by re-running one of the building blocks under the alpha
-synchronizer.
+geographic hotspot and runs the distributed algorithm *through the CONGEST
+simulator*, so the reported rounds and message sizes are exactly what the
+stations would incur.
 
 Run with:  python examples/adhoc_clusters.py
 """
@@ -20,8 +18,6 @@ import random
 
 from repro import DistNearCliqueRunner, density, generators
 from repro.analysis import tables
-from repro.congest import AlphaSynchronizer, Network
-from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 
 
 def main() -> None:
@@ -71,31 +67,6 @@ def main() -> None:
             ["messages per station (mean)", result.metrics.total_messages / n],
         ],
         title="Hotspot discovery on the CONGEST simulator",
-    )
-
-    # ----------------------------------------------------------------------
-    # Section 2 remark: the synchronous algorithm also runs asynchronously
-    # under a synchronizer.  Demonstrate it on the BFS-tree building block.
-    # ----------------------------------------------------------------------
-    per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
-    async_run = AlphaSynchronizer(
-        Network(graph, seed=seed),
-        MinIdBFSTreeProtocol(),
-        per_node_inputs=per_node,
-        delay_rng=random.Random(seed),
-    ).run()
-    roots = {out.root for out in async_run.outputs.values() if out is not None}
-    print()
-    print(
-        "Alpha-synchronizer check: BFS-tree construction over asynchronous "
-        "links produced %d tree(s) in %d pulses, with %d payload and %d "
-        "control messages (identical trees to the synchronous run)."
-        % (
-            len(roots),
-            async_run.pulses,
-            async_run.protocol_messages,
-            async_run.control_messages,
-        )
     )
 
 

@@ -84,9 +84,9 @@ def main() -> None:
     # ------------------------------------------------- engine selection
     # The round loop is pluggable: the same algorithm runs under any of the
     # registered execution engines (batched CSR fast path — the default —,
-    # the reference oracle, asynchronous links behind an alpha
-    # synchronizer, or partition-parallel sharded execution), and every
-    # engine is bit-identical in outputs and metrics by contract.
+    # the reference oracle, columnar vectorized kernels, or
+    # partition-parallel sharded execution), and every engine is
+    # bit-identical in outputs and metrics by contract.
     print()
     print("Available CONGEST engines:", ", ".join(available_engines()))
     sharded_config = CongestConfig().with_sharding(shards=4).with_log_budget(n)

@@ -10,8 +10,8 @@ The package is organised as follows:
 
 ``repro.congest``
     A synchronous CONGEST message-passing simulator: nodes, O(log n)-bit
-    messages, rounds, congestion metrics, and an asynchronous
-    (:math:`\\alpha`-synchronizer) execution mode.
+    messages, rounds, congestion metrics, and interchangeable round-loop
+    engines.
 
 ``repro.primitives``
     Reusable distributed building blocks used by the algorithm: BFS spanning

@@ -44,12 +44,7 @@ from typing import List, Optional, Sequence
 import networkx as nx
 
 from repro.analysis import tables
-from repro.congest.config import (
-    PIPELINE_MODES,
-    SESSION_MODES,
-    CongestConfig,
-    RetryPolicy,
-)
+from repro.congest.config import CongestConfig, RetryPolicy
 from repro.congest.engine import available_engines
 from repro.congest.sharding import SHARD_BACKENDS
 from repro.core import near_clique
@@ -82,6 +77,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError("must be non-negative, got %s" % text)
+    return value
+
+
+def _open_unit_float(text: str) -> float:
+    """A value in (0, 1) — the bound ``AlgorithmParameters`` puts on epsilon."""
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError("must lie in (0, 1), got %s" % text)
+    return value
+
+
 def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
     """The CONGEST engine-selection flags shared by ``find`` and ``serve``."""
     parser.add_argument(
@@ -90,9 +100,8 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         default=CongestConfig().engine,
         help="CONGEST execution engine "
         "(bit-identical results; 'batched' is the fast path and the default, "
-        "'reference' the semantics oracle, 'async' runs over asynchronous "
-        "links behind an alpha synchronizer, 'sharded' steps graph "
-        "partitions in parallel — see --shards/--shard-workers, "
+        "'reference' the semantics oracle, 'sharded' steps graph "
+        "partitions — see --shards/--shard-backend, "
         "'vectorized' runs kernel-covered phases as whole-phase numpy "
         "array operations and falls back to batched elsewhere)",
     )
@@ -103,42 +112,14 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         help="shard count for --congest-engine sharded",
     )
     parser.add_argument(
-        "--shard-workers",
-        type=_nonnegative_int,
-        default=CongestConfig().shard_workers,
-        help="thread-pool width for the sharded engine's thread backend "
-        "(0 or 1 = serial deterministic mode)",
-    )
-    parser.add_argument(
         "--shard-backend",
         choices=SHARD_BACKENDS,
         default=CongestConfig().shard_backend,
-        help="execution backend for --congest-engine sharded: 'thread' "
-        "(in-process; serial when --shard-workers <= 1), 'serial' (force "
-        "the deterministic mode), or 'process' (one worker process per "
-        "shard — true multi-core, boundary traffic in a packed wire "
-        "format)",
-    )
-    parser.add_argument(
-        "--session-mode",
-        choices=SESSION_MODES,
-        default=CongestConfig().session_mode,
-        help="execution-session lifetime across the CONGEST phases: "
-        "'per-call' (self-contained executes, the default) or "
-        "'persistent' (the sharded process backend keeps one worker pool "
-        "and one shared-memory CSR mapping alive across all phases, "
-        "re-armed between them; bit-identical results, amortised setup — "
-        "session totals are added to the run summary)",
-    )
-    parser.add_argument(
-        "--pipeline-mode",
-        choices=PIPELINE_MODES,
-        default=CongestConfig().pipeline_mode,
-        help="phase-graph pipeline compiler mode: 'off' (per-phase "
-        "execution, the default) or 'fuse' (adjacent declared phases run "
-        "as one fused group — one worker re-arm and one context fold-back "
-        "per group on the persistent process backend; bit-identical "
-        "outputs, rounds and per-phase metrics either way)",
+        help="execution backend for --congest-engine sharded: 'serial' "
+        "(in-process, deterministic; the default) or 'process' (one "
+        "worker process per shard, kept alive across all phases of a run "
+        "with one shared-memory CSR mapping; boundary traffic in a packed "
+        "wire format, session totals added to the run summary)",
     )
     parser.add_argument(
         "--round-timeout",
@@ -177,9 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "self-loops tolerated); nodes are relabelled to the dense range "
         "0..n-1.  Mutually exclusive with --graph.",
     )
-    find.add_argument("--n", type=int, default=100, help="nodes of the generated workload")
+    find.add_argument("--n", type=_positive_int, default=100, help="nodes of the generated workload")
     find.add_argument("--delta", type=float, default=0.5, help="planted near-clique fraction")
-    find.add_argument("--epsilon", type=float, default=0.2, help="the algorithm's epsilon")
+    find.add_argument("--epsilon", type=_open_unit_float, default=0.2, help="the algorithm's epsilon, in (0, 1)")
     find.add_argument("--background", type=float, default=0.05, help="background edge probability")
     find.add_argument(
         "--engine",
@@ -188,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which finder to run (algorithm variant)",
     )
     _add_congest_arguments(find)
-    find.add_argument("--expected-sample", type=float, default=8.0, help="target E[|S|] = p*n")
+    find.add_argument("--expected-sample", type=_nonnegative_float, default=8.0, help="target E[|S|] = p*n")
     find.add_argument("--max-sample", type=int, default=13, help="Section 4.1 abort threshold on |S|")
     find.add_argument("--repetitions", type=int, default=4, help="boosting repetitions (boosted engine)")
     find.add_argument("--min-output-size", type=int, default=0)
@@ -201,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("planted", "figure1", "path-of-cliques", "web"),
         default="planted",
     )
-    generate.add_argument("--n", type=int, default=100)
+    generate.add_argument("--n", type=_positive_int, default=100)
     generate.add_argument("--delta", type=float, default=0.5)
     generate.add_argument("--epsilon", type=float, default=0.008, help="planted defect (planted family)")
     generate.add_argument("--background", type=float, default=0.05)
@@ -209,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check Definition 1 for a node set")
     verify.add_argument("graph", help="edge-list file")
-    verify.add_argument("--epsilon", type=float, required=True)
+    verify.add_argument("--epsilon", type=_nonnegative_float, required=True)
     verify.add_argument(
         "--nodes",
         help="comma-separated node ids; default: the planted set recorded in the file",
@@ -229,12 +210,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "nodes are relabelled to the dense range 0..n-1.  Mutually "
         "exclusive with --graph.",
     )
-    serve.add_argument("--n", type=int, default=100, help="nodes of the generated workload")
+    serve.add_argument("--n", type=_positive_int, default=100, help="nodes of the generated workload")
     serve.add_argument("--delta", type=float, default=0.5, help="planted near-clique fraction")
-    serve.add_argument("--epsilon", type=float, default=0.2, help="the algorithm's epsilon")
+    serve.add_argument("--epsilon", type=_open_unit_float, default=0.2, help="the algorithm's epsilon, in (0, 1)")
     serve.add_argument("--background", type=float, default=0.05, help="background edge probability")
     _add_congest_arguments(serve)
-    serve.add_argument("--expected-sample", type=float, default=8.0, help="target E[|S|] = p*n")
+    serve.add_argument("--expected-sample", type=_nonnegative_float, default=8.0, help="target E[|S|] = p*n")
     serve.add_argument("--max-sample", type=int, default=13, help="Section 4.1 abort threshold on |S|")
     serve.add_argument("--min-output-size", type=int, default=0)
     serve.add_argument("--seed", type=int, default=0, help="workload-generation seed")
@@ -304,10 +285,7 @@ def _cmd_find(args) -> int:
     congest_config = CongestConfig(
         engine=args.congest_engine,
         shards=args.shards,
-        shard_workers=args.shard_workers,
         shard_backend=args.shard_backend,
-        session_mode=args.session_mode,
-        pipeline_mode=args.pipeline_mode,
         round_timeout=args.round_timeout,
         retry_policy=_retry_policy_from_args(args),
     ).with_log_budget(max(2, n))
@@ -363,17 +341,13 @@ def _cmd_find(args) -> int:
                 ["max message bits", result.metrics.max_message_bits],
             ]
         )
-        if result.metrics.control_messages:
-            summary.append(
-                ["synchronizer control messages", result.metrics.control_messages]
-            )
     tables.print_table(["measure", "value"], summary, title="Run summary")
     _print_session_report(session_stats)
     return 0
 
 
 def _print_session_report(session_stats) -> None:
-    """Session totals across the sessions a finder opened (persistent mode).
+    """Session totals across the process sessions a finder opened.
 
     One row set aggregated over all sessions (the boosted finder opens one
     per version): phases executed, per-phase setup seconds, packed boundary
@@ -437,10 +411,7 @@ def _cmd_serve(args) -> int:
     congest_config = CongestConfig(
         engine=args.congest_engine,
         shards=args.shards,
-        shard_workers=args.shard_workers,
         shard_backend=args.shard_backend,
-        session_mode=args.session_mode,
-        pipeline_mode=args.pipeline_mode,
         round_timeout=args.round_timeout,
         retry_policy=_retry_policy_from_args(args),
     ).with_log_budget(max(2, n))

@@ -36,50 +36,41 @@ This package simulates that model in-process.  The pieces are:
     protocol metrics; the differential suite
     (``tests/test_engine_equivalence.py``) enforces the contract.
 
-    ==============  ===================  =====================================
-    ``engine=``     class                execution
-    ==============  ===================  =====================================
-    ``batched``     ``BatchedEngine``    CSR flat-array fast path with an
-                                         active frontier; ≥2× faster at
-                                         n≈2000.  The default.
-    ``reference``   ``ReferenceEngine``  per-object round loop; the
-                                         semantics oracle of the
-                                         differential harness
-    ``async``       ``AsyncEngine``      event-driven asynchronous links
-                                         under an alpha synchronizer;
-                                         ack/safety overhead reported in the
-                                         metrics' control fields
-    ``sharded``     ``ShardedEngine``    partition-parallel execution:
-                                         ``shards`` regions step their own
-                                         frontier (serially, on a thread
-                                         pool, or in worker processes —
-                                         ``shard_backend``) and trade
-                                         boundary messages at round barriers
-                                         (packed wire format across the
-                                         process boundary)
-    ==============  ===================  =====================================
+    ==============  ======================  ==================================
+    ``engine=``     class                   execution
+    ==============  ======================  ==================================
+    ``batched``     ``BatchedEngine``       CSR flat-array fast path with an
+                                            active frontier; ≥2× faster at
+                                            n≈2000.  The default.
+    ``reference``   ``ReferenceEngine``     per-object round loop; the
+                                            semantics oracle of the
+                                            differential harness
+    ``vectorized``  ``VectorizedEngine``    columnar kernels for phases that
+                                            declare one; batched fallback
+    ``sharded``     ``ShardedEngine``       partition-parallel execution:
+                                            ``shards`` regions step their
+                                            own frontier (serially, or in
+                                            worker processes —
+                                            ``shard_backend``) and trade
+                                            boundary messages at round
+                                            barriers (packed wire format
+                                            across the process boundary)
+    ==============  ======================  ==================================
 
 ``CongestSession`` / ``Engine.open_session``
     Engine state shared across the ``execute`` calls of a composite
-    pipeline.  The default session is a thin per-call wrapper; with
-    ``CongestConfig.session_mode == "persistent"`` the sharded engine's
-    process backend keeps its worker pool and shared-memory CSR mapping
-    alive for the session, re-arming workers between phases.  Bit-identical
-    either way (the differential suite has a session arm).
+    pipeline.  The default session is a thin wrapper that delegates to the
+    engine; the sharded engine's process backend returns a session that
+    keeps its worker pool and shared-memory CSR mapping alive, re-arming
+    workers between phases.  Bit-identical either way (the differential
+    suite has a session arm).
 
 ``metrics``
     Round, message, and bit accounting used by the complexity experiments
-    (E2, E5, E6 in DESIGN.md), including the async engine's control-message
-    overhead fields.
-
-``AlphaSynchronizer``
-    Pre-engine convenience wrapper around ``AsyncEngine`` showing that, as
-    the paper notes, the synchronous algorithm can be executed in an
-    asynchronous environment using a synchronizer; prefer
-    ``run_protocol(..., engine="async")`` in new code.
+    (E2, E5, E6 in DESIGN.md).
 """
 
-from repro.congest.config import SESSION_MODES, CongestConfig
+from repro.congest.config import CongestConfig
 from repro.congest.engine import (
     BatchedEngine,
     CongestSession,
@@ -110,12 +101,10 @@ from repro.congest.sharding import (
     ShardingStats,
     partition_network,
 )
-from repro.congest.synchronizer import AlphaSynchronizer, AsyncEngine, AsyncRunResult
 
 __all__ = [
     "CongestConfig",
     "CongestSession",
-    "SESSION_MODES",
     "CongestError",
     "CongestionViolation",
     "MessageSizeViolation",
@@ -134,7 +123,6 @@ __all__ = [
     "Engine",
     "ReferenceEngine",
     "BatchedEngine",
-    "AsyncEngine",
     "ShardedEngine",
     "ShardPlan",
     "ShardingStats",
@@ -147,6 +135,4 @@ __all__ = [
     "register_engine",
     "RoundMetrics",
     "RunMetrics",
-    "AlphaSynchronizer",
-    "AsyncRunResult",
 ]

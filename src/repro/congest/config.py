@@ -8,46 +8,12 @@ exercise both the strict and the permissive behaviours).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional, Tuple
-
-#: Session lifetimes accepted by ``CongestConfig.session_mode``.
-#:
-#: ``"per-call"`` (the default)
-#:     ``Engine.open_session`` returns a thin wrapper that delegates every
-#:     ``execute`` to the engine unchanged — exactly the per-``execute``
-#:     behaviour every engine has always had.
-#: ``"persistent"``
-#:     Engines with per-``execute`` setup worth amortising keep it alive for
-#:     the session's lifetime.  Today that is the sharded engine's
-#:     ``"process"`` backend: one worker pool plus one shared-memory CSR
-#:     mapping serve every ``execute`` of a composite pipeline, re-armed
-#:     between phases instead of respawned (see
-#:     :mod:`repro.congest.sharding.workers`).  Engines without such setup
-#:     treat ``"persistent"`` as ``"per-call"``.  Outputs and protocol
-#:     metrics are bit-identical in either mode, by the engine contract.
-SESSION_MODES: Tuple[str, ...] = ("per-call", "persistent")
-
-#: Pipeline planning modes accepted by ``CongestConfig.pipeline_mode``.
-#:
-#: ``"off"`` (the default)
-#:     Composite runners execute their phase sequence strictly one phase per
-#:     session ``execute``, exactly as before.
-#: ``"fuse"``
-#:     Composite runners compile the sequence with
-#:     :func:`repro.congest.pipeline.compile_pipeline` and execute fused
-#:     groups of adjacent effect-declared phases through
-#:     ``CongestSession.execute_fused`` — one arm, one context fold-back and
-#:     one barrier stream per group on backends that support it (the
-#:     persistent process session; every other session runs the group as a
-#:     sequential loop).  Outputs, round counts and per-phase-labeled
-#:     metrics are bit-identical in either mode, by the engine contract.
-PIPELINE_MODES: Tuple[str, ...] = ("off", "fuse")
-
+from dataclasses import InitVar, dataclass, replace
+from typing import Any, Optional
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Supervised-retry policy for persistent process sessions.
+    """Supervised-retry policy for process sessions.
 
     When an ``execute`` of a :class:`~repro.congest.sharding.workers.ProcessSession`
     dies with a :class:`~repro.congest.errors.ShardWorkerError` (a crashed,
@@ -139,25 +105,16 @@ class CongestConfig:
         Name of the execution engine driving the round loop —
         ``"batched"`` (the CSR-backed fast path, the default), ``"reference"``
         (the per-object semantics oracle kept for the differential harness),
-        ``"async"`` (the event-driven alpha-synchronizer backend) or
+        ``"vectorized"`` (columnar kernels, batched fallback) or
         ``"sharded"`` (partition-parallel execution over ``shards`` shards);
         see :mod:`repro.congest.engine`.  All engines are guaranteed to
         produce bit-identical outputs and protocol metrics, so the choice is
-        an execution-model / throughput knob: ``"async"`` additionally
-        reports the synchronizer's control-message overhead in the metrics'
-        ``ack_messages`` / ``safety_messages`` fields.  The default flipped
-        from ``"reference"`` to ``"batched"`` once the fast path had
-        survived several releases of differential CI.
+        a throughput knob.  The default flipped from ``"reference"`` to
+        ``"batched"`` once the fast path had survived several releases of
+        differential CI.
     shards:
         Shard count for ``engine="sharded"`` (ignored by the other
         engines).  May exceed the node count; surplus shards are empty.
-    shard_workers:
-        Pool width for the sharded engine's ``"thread"`` backend.  ``0`` or
-        ``1`` selects the serial deterministic mode (the default, and what
-        the differential harness runs); ``>= 2`` steps shards on a thread
-        pool.  The ``"process"`` backend ignores this knob — it always runs
-        one worker process per non-empty shard.  Outputs and metrics are
-        bit-identical for every setting.
     shard_strategy:
         Partitioner strategy for the sharded engine — one of
         :data:`repro.congest.sharding.PARTITION_STRATEGIES`
@@ -165,41 +122,21 @@ class CongestConfig:
     shard_backend:
         Execution backend of the sharded engine:
 
-        ``"thread"`` (the default)
-            Shards step in-process — serially when ``shard_workers <= 1``
-            (fully deterministic), on a thread pool otherwise.  Thread mode
-            is GIL-bound: its winnings are cache locality, not parallelism.
-        ``"serial"``
-            Force the serial deterministic mode regardless of
-            ``shard_workers``.
+        ``"serial"`` (the default)
+            Shards step in-process, one after another in ascending shard
+            order — fully deterministic.
         ``"process"``
             One long-lived worker process per non-empty shard, each owning
-            its shard's contexts and inbox buffers for the whole run;
-            boundary traffic crosses the round barrier in the packed wire
-            format of :mod:`repro.congest.sharding.wire`.  True multi-core
-            parallelism; requires the protocol object and all per-node
-            state to be picklable.  Outputs, round counts and protocol
-            metrics remain bit-identical by the engine contract.
-    session_mode:
-        Lifetime of the execution session a composite runner opens over its
-        phases — one of :data:`SESSION_MODES`.  ``"per-call"`` (the
-        default) keeps every ``execute`` self-contained; ``"persistent"``
-        lets the sharded engine's process backend keep its worker pool and
-        shared-memory CSR mapping alive across the phases of one
-        :class:`~repro.congest.engine.CongestSession`, re-arming workers
-        between executes instead of respawning them.  Bit-identical either
-        way; purely a setup-amortisation knob.
-    pipeline_mode:
-        Planning mode of the phase-graph pipeline compiler for composite
-        runners — one of :data:`PIPELINE_MODES`.  ``"off"`` (the default)
-        runs the composite phase sequence one phase per ``execute``;
-        ``"fuse"`` compiles the sequence
-        (:func:`repro.congest.pipeline.compile_pipeline`) and executes
-        fused groups of adjacent effect-declared phases through one
-        ``execute_fused`` each — eliding the per-phase re-arm and context
-        fold-back on the persistent process backend.  Purely a
-        coordination-cost knob: outputs, round counts and per-phase metrics
-        traces are bit-identical in either mode.
+            its shard's contexts and inbox buffers, inside a
+            :class:`~repro.congest.sharding.workers.ProcessSession`: a
+            composite runner's session keeps one worker pool and one
+            shared-memory CSR mapping across its phases, re-armed between
+            them, and a direct ``execute`` opens a one-shot session.
+            Boundary traffic crosses the round barrier in the packed wire
+            format of :mod:`repro.congest.sharding.wire`.  Requires the
+            protocol object and all per-node state to be picklable.
+            Outputs, round counts and protocol metrics remain
+            bit-identical by the engine contract.
     round_timeout:
         Per-round barrier deadline in seconds for the sharded engine's
         ``"process"`` backend.  ``None`` (the default) keeps the original
@@ -223,9 +160,8 @@ class CongestConfig:
     retry_policy:
         Optional :class:`RetryPolicy` enabling supervised retry (and, by
         default, graceful degradation to the serial sharded backend) for
-        persistent process sessions.  ``None`` (the default) keeps the
-        original fail-fast semantics: any worker failure aborts the
-        ``execute``.
+        process sessions.  ``None`` (the default) keeps the original
+        fail-fast semantics: any worker failure aborts the ``execute``.
     fault_plan:
         Optional :class:`repro.congest.sharding.faults.FaultPlan` injecting
         deterministic failures into the sharded execution stack — worker
@@ -233,6 +169,11 @@ class CongestConfig:
         Testing machinery: ``None`` (always the default outside tests)
         injects nothing and costs nothing.  Typed loosely to keep this
         module import-cycle-free; validated structurally at construction.
+    session_mode / pipeline_mode:
+        Accepted for backward compatibility only, and only with the values
+        ``"persistent"`` / ``"fuse"`` — the sole behaviour left: a process
+        backend always runs inside a session, and composite runners always
+        execute the fused plan.  Neither is stored.
     """
 
     max_rounds: Optional[int] = None
@@ -242,55 +183,43 @@ class CongestConfig:
     record_round_metrics: bool = True
     engine: str = "batched"
     shards: int = 4
-    shard_workers: int = 0
     shard_strategy: str = "contiguous"
-    shard_backend: str = "thread"
-    session_mode: str = "per-call"
-    pipeline_mode: str = "off"
+    shard_backend: str = "serial"
     round_timeout: Optional[float] = None
     worker_join_timeout: float = 5.0
     retry_policy: Optional[RetryPolicy] = None
     fault_plan: Optional[Any] = None
+    session_mode: InitVar[str] = "persistent"
+    pipeline_mode: InitVar[str] = "fuse"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, session_mode: str, pipeline_mode: str) -> None:
         # ``engine`` / ``shard_backend`` / ``shard_strategy`` are validated
         # with their allowed values listed when they are resolved (the
-        # registry lookup, ``ShardedEngine.resolve_structure``); the session
-        # mode used to be checked only when a session was opened, which let
-        # a typo survive until deep inside a composite run.  Fail at
-        # construction instead — ``dataclasses.replace`` re-runs this, so
-        # every ``with_*`` derivation is covered too.
-        if self.session_mode not in SESSION_MODES:
+        # registry lookup, ``ShardedEngine.resolve_structure``).
+        if session_mode != "persistent":
             raise ValueError(
-                "unknown session mode %r; available modes: %s"
-                % (self.session_mode, ", ".join(SESSION_MODES))
+                "unknown session mode %r; the only session mode is "
+                "'persistent'" % (session_mode,)
             )
-        if self.pipeline_mode not in PIPELINE_MODES:
+        if pipeline_mode != "fuse":
             raise ValueError(
-                "unknown pipeline mode %r; available modes: %s"
-                % (self.pipeline_mode, ", ".join(PIPELINE_MODES))
+                "unknown pipeline mode %r; the only pipeline mode is 'fuse'"
+                % (pipeline_mode,)
             )
-        # The sharding knobs share that history: ``shards=0`` used to
-        # produce an empty plan that only blew up once the partitioner ran.
-        # Note ``shard_workers=0`` is *valid* — it selects the serial
-        # deterministic mode (see the field docs) — so the floor is 0,
-        # not 1; only genuinely meaningless negatives are rejected.
+        # ``shards=0`` used to produce an empty plan that only blew up once
+        # the partitioner ran; fail at construction instead —
+        # ``dataclasses.replace`` re-runs this, so every ``with_*``
+        # derivation is covered too.
         if self.shards < 1:
             raise ValueError(
                 "shards must be >= 1 (got %d); the sharded engine needs at "
                 "least one shard, and surplus shards beyond the node count "
                 "are simply left empty" % self.shards
             )
-        if self.shard_workers < 0:
-            raise ValueError(
-                "shard_workers must be >= 0 (got %d); 0 or 1 selects the "
-                "serial deterministic mode, >= 2 a thread pool"
-                % self.shard_workers
-            )
         # The fault-tolerance knobs fail at construction for the same
-        # reason as the session mode above: all of them are consumed deep
-        # inside a phase execute, where a bad value would otherwise
-        # surface mid-pipeline (or worse, silently disable the watchdog).
+        # reason: all of them are consumed deep inside a phase execute,
+        # where a bad value would otherwise surface mid-pipeline (or worse,
+        # silently disable the watchdog).
         if self.round_timeout is not None and not self.round_timeout > 0:
             raise ValueError(
                 "round_timeout must be positive or None (got %r); None "
@@ -338,29 +267,9 @@ class CongestConfig:
         """Return a copy that selects a different execution engine."""
         return replace(self, engine=engine)
 
-    def with_session_mode(self, session_mode: str) -> "CongestConfig":
-        """Return a copy that selects a different session lifetime.
-
-        ``session_mode`` must be one of :data:`SESSION_MODES`; anything else
-        raises ``ValueError`` here (via dataclass construction), listing the
-        allowed values, so typos fail fast instead of surfacing when a
-        session is eventually opened.
-        """
-        return replace(self, session_mode=session_mode)
-
-    def with_pipeline_mode(self, pipeline_mode: str) -> "CongestConfig":
-        """Return a copy that selects a different pipeline planning mode.
-
-        ``pipeline_mode`` must be one of :data:`PIPELINE_MODES`; anything
-        else raises ``ValueError`` here (via dataclass construction),
-        listing the allowed values.
-        """
-        return replace(self, pipeline_mode=pipeline_mode)
-
     def with_sharding(
         self,
         shards: Optional[int] = None,
-        workers: Optional[int] = None,
         strategy: Optional[str] = None,
         backend: Optional[str] = None,
     ) -> "CongestConfig":
@@ -373,7 +282,6 @@ class CongestConfig:
             self,
             engine="sharded",
             shards=self.shards if shards is None else shards,
-            shard_workers=self.shard_workers if workers is None else workers,
             shard_strategy=self.shard_strategy if strategy is None else strategy,
             shard_backend=self.shard_backend if backend is None else backend,
         )

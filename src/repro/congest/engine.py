@@ -2,9 +2,9 @@
 
 The round loop that drives a :class:`repro.congest.node.Protocol` over a
 :class:`repro.congest.network.Network` is factored out of the scheduler into
-an :class:`Engine` so that alternative executions (batched, sharded, async
-backends) can be plugged in without touching protocol code.  Five engines
-ship today:
+an :class:`Engine` so that alternative executions (batched, vectorized,
+sharded backends) can be plugged in without touching protocol code.  Four
+engines ship today:
 
 ``ReferenceEngine`` (``engine="reference"``)
     The original per-object round loop, moved here intact.  It is the
@@ -33,15 +33,6 @@ ship today:
       is maintained incrementally, so silent or halted regions of the graph
       cost nothing per round instead of O(n).
 
-``AsyncEngine`` (``engine="async"``, defined in
-:mod:`repro.congest.synchronizer`)
-    An event-driven asynchronous execution under Awerbuch's alpha
-    synchronizer: every message experiences a random link delay and pulses
-    are gated by acknowledgement / safety notifications.  Outputs, pulse
-    count and protocol message/bit metrics are bit-identical to the
-    synchronous engines; the synchronizer's control overhead is reported in
-    the separate ``ack_messages`` / ``safety_messages`` metrics fields.
-
 ``ShardedEngine`` (``engine="sharded"``, defined in
 :mod:`repro.congest.sharding`)
     Partition-parallel execution: the network is split into ``k`` shards
@@ -49,9 +40,9 @@ ship today:
     its own frontier with the batched machinery, exchanging boundary-edge
     messages at the round barrier.  ``CongestConfig.shard_backend`` selects
     serial execution (the deterministic mode the differential harness
-    runs), a thread pool (``CongestConfig.shard_workers``), or one worker
-    process per shard — true multi-core execution with boundary traffic in
-    the packed wire format of :mod:`repro.congest.sharding.wire`.
+    runs) or one worker process per shard — multi-core execution with
+    boundary traffic in the packed wire format of
+    :mod:`repro.congest.sharding.wire`.
 
 ``VectorizedEngine`` (``engine="vectorized"``, defined in
 :mod:`repro.congest.vectorized`)
@@ -65,10 +56,8 @@ ship today:
 **The reference-vs-fast-path contract.**  For every protocol, graph, seed
 and configuration, every non-reference engine must produce bit-identical
 results to ``ReferenceEngine``: the same per-node outputs, the same round
-(or pulse) count, and the same protocol message/bit metrics (including the
-per-round trace).  Engine-specific *control* traffic — for example the
-async engine's acks — is excluded from the protocol metrics and reported in
-dedicated fields instead.  The differential suite in
+count, and the same protocol message/bit metrics (including the per-round
+trace).  The differential suite in
 ``tests/test_engine_equivalence.py`` asserts this for every protocol in the
 package; any observable divergence is a bug in the backend, never a
 tolerated approximation.  Two consequences for engine authors:
@@ -97,11 +86,10 @@ round, exactly like the reference.
 ``DistNearClique`` runner) execute many protocols on one network;
 :meth:`Engine.open_session` returns a :class:`CongestSession` that owns
 whatever engine state is worth keeping alive across those ``execute``
-calls.  The default session is a thin per-call wrapper (bit-identical to
-calling the engine directly); with ``CongestConfig.session_mode ==
-"persistent"`` the sharded engine's process backend keeps its worker pool
-and shared-memory CSR mapping for the session's lifetime and re-arms the
-workers between phases (:mod:`repro.congest.sharding.workers`).
+calls.  The default session is a thin wrapper (bit-identical to calling
+the engine directly); the sharded engine's process backend keeps its
+worker pool and shared-memory CSR mapping for the session's lifetime and
+re-arms the workers between phases (:mod:`repro.congest.sharding.workers`).
 """
 
 from __future__ import annotations
@@ -120,7 +108,7 @@ from typing import (
     Union,
 )
 
-from repro.congest.config import SESSION_MODES, CongestConfig
+from repro.congest.config import CongestConfig
 from repro.congest.errors import (
     CongestionViolation,
     MessageSizeViolation,
@@ -252,16 +240,15 @@ class CongestSession:
     (sessions are context managers) to release whatever the engine kept
     alive.
 
-    This base class is the **default session**: a thin per-call wrapper
-    that delegates straight to :meth:`Engine.execute`, so the semantics of
-    the ``reference`` / ``batched`` / ``async`` engines are untouched —
-    running a pipeline through a default session is byte-for-byte the
-    per-call behaviour.  Engines with setup worth amortising override
-    :meth:`Engine.open_session` to return a richer session (today:
-    :class:`repro.congest.sharding.workers.ProcessSession`, selected by
-    ``CongestConfig.session_mode == "persistent"`` with the process shard
-    backend).  The engine contract is unchanged in either case: outputs,
-    round counts and protocol metrics are bit-identical to
+    This base class is the **default session**: a thin wrapper that
+    delegates straight to :meth:`Engine.execute`, so the semantics of the
+    in-process engines are untouched — running a pipeline through a
+    default session is byte-for-byte a sequence of direct executes.
+    Engines with setup worth amortising override :meth:`Engine.open_session`
+    to return a richer session (today:
+    :class:`repro.congest.sharding.workers.ProcessSession`, for the process
+    shard backend).  The engine contract is unchanged in either case:
+    outputs, round counts and protocol metrics are bit-identical to
     ``ReferenceEngine`` in session mode, enforced by the differential
     suite's session arm.
 
@@ -272,7 +259,7 @@ class CongestSession:
         ``execute`` falls back to when none is passed per call.
     stats:
         Session-level accounting, or ``None`` when the engine collects
-        none.  Persistent sharded sessions expose a
+        none.  Process-backend sessions expose a
         :class:`repro.congest.sharding.ShardingStats` with per-phase
         partials and session totals.
     """
@@ -302,8 +289,8 @@ class CongestSession:
         """Run one protocol within the session (same contract as the engine).
 
         ``config`` defaults to the configuration the session was opened
-        with; per-call overrides are honoured for the model-rule knobs, but
-        a persistent session's structural choices (shard plan, backend) are
+        with; per-execute overrides are honoured for the model-rule knobs, but
+        a process session's structural choices (shard plan, backend) are
         fixed at open time and a conflicting override raises.
         """
         if self.closed:
@@ -316,16 +303,6 @@ class CongestSession:
             per_node_inputs=per_node_inputs,
             reuse_contexts=reuse_contexts,
         )
-
-    #: Whether per-node context state is authoritative on the worker side
-    #: *between* the executes of a composite run.  ``False`` here (and for
-    #: every in-process engine): the parent's ``network.contexts`` hold the
-    #: truth after each ``execute``, so a composite runner may restore them
-    #: from a snapshot (the pipeline artifact cache) and keep executing.
-    #: The persistent process session overrides this with ``True`` — its
-    #: workers keep their own context copies armed across executes, so a
-    #: parent-side restore would silently desynchronise them.
-    worker_state_authoritative = False
 
     def execute_fused(
         self,
@@ -340,7 +317,7 @@ class CongestSession:
         *coordination* optimisation, never a semantic one — so this default
         implementation is simply an :meth:`execute` loop and is trivially
         bit-identical to unfused execution.  Sessions that pay per-phase
-        coordination costs (the persistent process session's re-arm and
+        coordination costs (the process session's re-arm and
         context fold-back) override it to elide those costs within the
         group; outputs, round counts and per-phase metrics must remain
         bit-identical, enforced by the differential suite.
@@ -405,18 +382,11 @@ class Engine:
     ) -> CongestSession:
         """Open an execution session on *network* under *config*.
 
-        The default implementation returns the thin per-call
-        :class:`CongestSession` regardless of ``config.session_mode`` —
-        engines without per-``execute`` setup have nothing to persist.
-        Engines that do (the sharded engine's process backend) override
-        this and honour ``session_mode == "persistent"``.
+        The default implementation returns the thin
+        :class:`CongestSession` — engines without per-``execute`` setup
+        have nothing to persist.  Engines that do (the sharded engine's
+        process backend) override this.
         """
-        config = config or CongestConfig()
-        if config.session_mode not in SESSION_MODES:
-            raise ValueError(
-                "unknown session mode %r; available modes: %s"
-                % (config.session_mode, ", ".join(SESSION_MODES))
-            )
         return CongestSession(self, network, config)
 
 
@@ -745,9 +715,9 @@ class BatchedEngine(Engine):
         return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
 
 
-#: Shared engine singletons, keyed by registry name.  ``AsyncEngine`` and
-#: ``ShardedEngine`` register themselves here when their modules
-#: (:mod:`repro.congest.synchronizer`, :mod:`repro.congest.sharding`) are
+#: Shared engine singletons, keyed by registry name.  ``ShardedEngine`` and
+#: ``VectorizedEngine`` register themselves here when their modules
+#: (:mod:`repro.congest.sharding`, :mod:`repro.congest.vectorized`) are
 #: imported (see :func:`register_engine`).
 ENGINES: Dict[str, Engine] = {
     ReferenceEngine.name: ReferenceEngine(),
@@ -772,12 +742,11 @@ def register_engine(engine: Engine) -> None:
 
 
 def _ensure_builtin_engines() -> None:
-    # AsyncEngine, ShardedEngine and VectorizedEngine live in modules that
+    # ShardedEngine and VectorizedEngine live in modules that
     # import this one, so a top-level import here would be circular;
     # importing them lazily makes the registry complete no matter which
     # module the caller reached first.
     import repro.congest.sharding  # noqa: F401
-    import repro.congest.synchronizer  # noqa: F401
     import repro.congest.vectorized  # noqa: F401
 
 

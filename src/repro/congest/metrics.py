@@ -51,14 +51,6 @@ class RunMetrics:
     per_round:
         Optional per-round trace (present when the scheduler was configured
         with ``record_round_metrics=True``).
-    ack_messages / safety_messages:
-        Synchronizer control overhead, reported separately from the
-        protocol traffic: acknowledgements of payload messages and safety
-        notifications (one per edge direction per pulse).  Zero for the
-        synchronous engines; populated by the async engine
-        (:mod:`repro.congest.synchronizer`).  Control messages carry O(1)
-        bits each and are excluded from every other field, which is what
-        keeps the protocol metrics bit-identical across engines.
     """
 
     rounds: int = 0
@@ -66,15 +58,8 @@ class RunMetrics:
     total_bits: int = 0
     max_message_bits: int = 0
     max_messages_per_round: int = 0
-    ack_messages: int = 0
-    safety_messages: int = 0
     per_round: List[RoundMetrics] = field(default_factory=list)
     protocol_breakdown: Dict[str, "RunMetrics"] = field(default_factory=dict)
-
-    @property
-    def control_messages(self) -> int:
-        """Total synchronizer overhead (acks plus safety notifications)."""
-        return self.ack_messages + self.safety_messages
 
     def absorb_round(self, round_metrics: RoundMetrics, keep_trace: bool) -> None:
         """Fold one round's measurements into the aggregate."""
@@ -101,8 +86,6 @@ class RunMetrics:
         self.max_messages_per_round = max(
             self.max_messages_per_round, other.max_messages_per_round
         )
-        self.ack_messages += other.ack_messages
-        self.safety_messages += other.safety_messages
         self.per_round.extend(other.per_round)
         if label is not None:
             existing = self.protocol_breakdown.get(label)
@@ -113,8 +96,6 @@ class RunMetrics:
                     total_bits=other.total_bits,
                     max_message_bits=other.max_message_bits,
                     max_messages_per_round=other.max_messages_per_round,
-                    ack_messages=other.ack_messages,
-                    safety_messages=other.safety_messages,
                 )
                 self.protocol_breakdown[label] = snapshot
             else:

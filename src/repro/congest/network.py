@@ -804,7 +804,7 @@ class Network:
         sessions to reconcile against.
 
         ``context_epoch`` is deliberately *not* bumped: contexts were
-        patched, not rebuilt, and persistent sessions detect the topology
+        patched, not rebuilt, and process sessions detect the topology
         change through the CSR fingerprint + delta ledger instead.
         """
         added = self._normalize_delta_edges(additions, "addition")
@@ -925,7 +925,7 @@ class Network:
         """
         # Bumped before any mutation, not after the last one: a call that
         # raises mid-way (an unknown id in per_node_inputs) may already
-        # have applied some updates, and a persistent session must see
+        # have applied some updates, and a process session must see
         # that as "state possibly diverged" too.
         self._ctx_epoch += 1
         contexts = self._contexts

@@ -24,28 +24,21 @@ This module turns declared per-phase effects into an executable plan:
   declared, fusable* phases become one :class:`PhaseGroup`, executed by a
   single session ``execute_fused`` (one arm, one context fold-back, one
   barrier stream per group).  Undeclared or explicitly unfusable phases are
-  singleton groups, so ``pipeline_mode="fuse"`` degrades gracefully to the
-  sequential plan when nothing is declared.
-* :class:`ArtifactCache` + context snapshot/restore helpers — cache the
-  tree-building prefix of a composite run keyed by ``(CSR fingerprint,
-  sample)``; a replay restores the exact post-prefix context state and
-  merges the *recorded* per-phase metrics, so message accounting stays
-  bit-identical to a fresh build.
+  singleton groups, so the plan degrades gracefully to the sequential one
+  when nothing is declared.
 
 Fusion never changes semantics: phases inside a group still execute
 sequentially to termination in declared order; only the parent-side
 coordination between them (re-arm shipping, context fold-back) is elided.
-Bit-identity across ``pipeline_mode`` settings is enforced by the
-differential suite.
+On in-process sessions ``execute_fused`` is a plain ``execute`` loop; the
+differential suite checks the process session's fused groups against the
+reference engine.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import (
-    Any,
-    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -54,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from repro.congest.node import NodeContext, Protocol
+from repro.congest.node import Protocol
 
 __all__ = [
     "ARTIFACT_BFS_TREE",
@@ -65,12 +58,8 @@ __all__ = [
     "PhaseGroup",
     "PipelinePlan",
     "PipelineValidationError",
-    "ArtifactCache",
-    "CachedPrefix",
     "compile_pipeline",
     "validate_pipeline",
-    "snapshot_contexts",
-    "restore_contexts",
 ]
 
 #: Cross-phase artifact names used by the ``DistNearClique`` composition.
@@ -93,9 +82,9 @@ class PhaseEffects:
     names the ``ctx.globals`` entries consulted.  ``writes_output`` marks
     protocols that touch the per-node output register.  ``produces`` /
     ``consumes`` name cross-phase artifacts — coarse, human-meaningful
-    handles (the BFS tree, the elected leader) used for dataflow validation
-    and artifact caching.  ``fusable=False`` opts a declared phase out of
-    fusion (it still participates in validation).
+    handles (the BFS tree, the elected leader) used for dataflow
+    validation.  ``fusable=False`` opts a declared phase out of fusion (it
+    still participates in validation).
     """
 
     reads: FrozenSet[str] = frozenset()
@@ -152,7 +141,6 @@ class PipelinePlan:
     """The compiled plan: ordered groups covering the full phase sequence."""
 
     groups: Tuple[PhaseGroup, ...]
-    mode: str = "fuse"
     notes: Tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -165,7 +153,7 @@ class PipelinePlan:
         return sum(len(g.protocols) - 1 for g in self.groups if g.fused)
 
     def describe(self) -> str:
-        lines = ["pipeline plan (mode=%s):" % self.mode]
+        lines = ["pipeline plan:"]
         for index, group in enumerate(self.groups):
             tag = "fused" if group.fused else "solo"
             lines.append("  [%d] %-5s %s" % (index, tag, group.label))
@@ -197,11 +185,10 @@ def validate_pipeline(
     phase's own writes (read-modify-write), or ``external_reads`` (inputs
     installed before the pipeline starts — forced-sample flags, globals).
     Every consumed artifact must have been produced earlier or arrive via
-    ``external_artifacts`` (an artifact-cache replay of the pipeline's
-    prefix).  A declared phase's :attr:`~repro.congest.node.Protocol.scope`
-    keys must be among its declared reads.  Returns the compiler notes (one
-    per undeclared phase); raises :class:`PipelineValidationError` on a
-    dataflow violation.
+    ``external_artifacts``.  A declared phase's
+    :attr:`~repro.congest.node.Protocol.scope` keys must be among its
+    declared reads.  Returns the compiler notes (one per undeclared phase);
+    raises :class:`PipelineValidationError` on a dataflow violation.
     """
     notes: List[str] = []
     available: set = set(external_reads)
@@ -245,21 +232,14 @@ def validate_pipeline(
 
 def compile_pipeline(
     protocols: Sequence[Protocol],
-    mode: str = "fuse",
     external_reads: Iterable[str] = (),
     external_artifacts: Iterable[str] = (),
-    max_group_size: Optional[int] = None,
 ) -> PipelinePlan:
     """Validate the phase sequence and plan its execution.
 
-    ``mode="off"`` returns the sequential plan (every phase a singleton
-    group) but still validates declared dataflow.  ``mode="fuse"`` fuses
-    maximal runs of adjacent declared-and-fusable phases into one group;
-    ``max_group_size`` bounds a group (``None`` = unbounded) — useful to
-    bound the transactional replay unit under supervised retry.
+    Maximal runs of adjacent declared-and-fusable phases become one fused
+    group; every other phase is a singleton group.
     """
-    if mode not in ("off", "fuse"):
-        raise ValueError("unknown pipeline mode %r" % (mode,))
     phases = tuple(protocols)
     notes = validate_pipeline(phases, external_reads, external_artifacts)
     groups: List[PhaseGroup] = []
@@ -273,8 +253,7 @@ def compile_pipeline(
     for protocol in phases:
         declared = _effects_of(protocol)
         fusable = (
-            mode == "fuse"
-            and declared is not None
+            declared is not None
             and declared.fusable
             and getattr(protocol, "quiesce_terminates", False)
         )
@@ -282,115 +261,6 @@ def compile_pipeline(
             flush()
             groups.append(PhaseGroup(protocols=(protocol,)))
             continue
-        if max_group_size is not None and len(current) >= max_group_size:
-            flush()
         current.append(protocol)
     flush()
-    return PipelinePlan(groups=tuple(groups), mode=mode, notes=tuple(notes))
-
-
-# ---------------------------------------------------------------------------
-# context snapshots + the cross-run artifact cache
-# ---------------------------------------------------------------------------
-def snapshot_contexts(contexts: Sequence[NodeContext]) -> List[Tuple]:
-    """Deep-copy the mutable faces of every context (state, output, RNG).
-
-    An RNG that was never built is recorded by its seed (``("seed", s)``),
-    a built one by its state (``("state", st)``).
-    """
-    frames: List[Tuple] = []
-    for ctx in contexts:
-        frames.append(
-            (
-                copy.deepcopy(ctx.state),
-                copy.deepcopy(ctx.output),
-                ctx.halted,
-                ("state", ctx._rng.getstate())
-                if ctx._rng is not None
-                else ("seed", ctx._seed),
-                dict(ctx.globals),
-                ctx.round_index,
-            )
-        )
-    return frames
-
-
-def restore_contexts(
-    contexts: Sequence[NodeContext], frames: Sequence[Tuple]
-) -> None:
-    """Restore contexts to a snapshot taken by :func:`snapshot_contexts`."""
-    if len(contexts) != len(frames):
-        raise ValueError(
-            "snapshot covers %d contexts, network has %d"
-            % (len(frames), len(contexts))
-        )
-    for ctx, frame in zip(contexts, frames):
-        state, output, halted, (rng_kind, rng_value), globals_frame, round_index = frame
-        ctx.state.clear()
-        ctx.state.update(copy.deepcopy(state))
-        ctx.output = copy.deepcopy(output)
-        ctx._halted = halted
-        if rng_kind == "state":
-            ctx.rng.setstate(rng_value)
-        else:
-            ctx._rng, ctx._seed = None, rng_value
-        ctx.globals.clear()
-        ctx.globals.update(globals_frame)
-        ctx._round = round_index
-        ctx._outgoing = {}
-
-
-@dataclass
-class CachedPrefix:
-    """One cached pipeline prefix: post-prefix contexts + per-phase results."""
-
-    frames: List[Tuple]
-    phase_results: List[Tuple[str, Any, Any]]  # (label, outputs, metrics)
-
-
-class ArtifactCache:
-    """Cross-run cache of pipeline prefixes (BFS tree + leader election).
-
-    Keys are caller-supplied — the composite runner uses
-    ``(network.csr_fingerprint(), frozenset(sample))`` so a mutated graph or
-    a different sample can never replay a stale tree.  Values are full
-    context snapshots plus the recorded per-phase outputs and metrics, so a
-    replay is bit-identical to a fresh build *including* message accounting.
-
-    Replay writes parent-side context state, so it is only sound on sessions
-    whose parent contexts are authoritative between executes; sessions that
-    keep worker-side state authoritative (the persistent process backend)
-    advertise ``worker_state_authoritative = True`` and are skipped by the
-    runner.
-    """
-
-    def __init__(self, max_entries: int = 8) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.skips = 0
-        self._entries: "Dict[Any, CachedPrefix]" = {}
-        self._order: List[Any] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: Any) -> Optional[CachedPrefix]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._order.remove(key)
-        self._order.append(key)
-        return entry
-
-    def store(self, key: Any, entry: CachedPrefix) -> None:
-        if key not in self._entries:
-            while len(self._order) >= self.max_entries:
-                evicted = self._order.pop(0)
-                del self._entries[evicted]
-            self._order.append(key)
-        self._entries[key] = entry
+    return PipelinePlan(groups=tuple(groups), notes=tuple(notes))

@@ -11,9 +11,9 @@ The scheduler drives a :class:`repro.congest.node.Protocol` over a
 The round loop itself lives in :mod:`repro.congest.engine`, behind a
 pluggable :class:`repro.congest.engine.Engine` interface: ``"batched"`` is
 the CSR-backed fast path (the default), ``"reference"`` the semantics
-oracle kept for the differential harness, ``"async"`` the event-driven
-alpha-synchronizer backend (:mod:`repro.congest.synchronizer`), and
-``"sharded"`` the partition-parallel backend
+oracle kept for the differential harness, ``"vectorized"`` the columnar
+kernel engine (:mod:`repro.congest.vectorized`), and ``"sharded"`` the
+partition-parallel backend
 (:mod:`repro.congest.sharding`); all are guaranteed to produce
 bit-identical outputs and protocol metrics (see the engine module's
 docstring for the contract).  The engine is chosen by the ``engine``
@@ -66,7 +66,7 @@ class SynchronousScheduler:
         As documented on :func:`run_protocol`.
     engine:
         Execution-engine selector — a registry name (``"reference"``,
-        ``"batched"``, ``"async"``, ``"sharded"``), an
+        ``"batched"``, ``"vectorized"``, ``"sharded"``), an
         :class:`repro.congest.engine.Engine` instance, or ``None`` to use
         ``config.engine``.
     session:

@@ -15,10 +15,9 @@ boundary at the round barrier.  This package provides:
 :mod:`repro.congest.sharding.engine`
     :class:`ShardedEngine` (``engine="sharded"``) executes a protocol shard
     by shard — reusing the batched engine's CSR/inbox-buffer machinery per
-    shard — under one of three backends (``CongestConfig.shard_backend``):
-    the serial deterministic mode (what the differential harness runs), a
-    GIL-bound thread pool (``CongestConfig.shard_workers``), or one worker
-    process per shard for true multi-core execution.  Bit-identical to
+    shard — under one of two backends (``CongestConfig.shard_backend``):
+    the serial deterministic mode (what the differential harness runs) or
+    one worker process per shard for multi-core execution.  Bit-identical to
     :class:`repro.congest.engine.ReferenceEngine` by the engine contract,
     for every shard count, strategy and backend.
 
@@ -29,9 +28,9 @@ boundary at the round barrier.  This package provides:
 
 :mod:`repro.congest.sharding.workers`
     The worker-process side of the ``"process"`` backend, its coordinator,
-    the re-armable worker pool and the persistent ``ProcessSession`` that
-    keeps pool plus shared-memory CSR mapping alive across the phases of a
-    composite pipeline (``CongestConfig.session_mode == "persistent"``).
+    the re-armable worker pool and the ``ProcessSession`` that keeps pool
+    plus shared-memory CSR mapping alive across the phases of a composite
+    pipeline (a direct ``execute`` runs in a one-shot session).
 
 :mod:`repro.congest.sharding.shm`
     The shared-memory CSR segment (``SharedCSR``) a session's workers

@@ -34,47 +34,37 @@ drain.  Two mechanisms make the partition invisible:
 
 Execution backends (``CongestConfig.shard_backend``)
 ----------------------------------------------------
-``"thread"`` (the default)
-    In-process execution.  ``shard_workers <= 1`` steps the shards
-    sequentially in ascending shard order — fully deterministic, which is
-    what the differential harness runs.  ``shard_workers >= 2`` steps the
-    shards on a thread pool; shard state is disjoint by construction (a
-    shard only touches the contexts and inbox buffers of the nodes it owns,
-    and writes cross-shard messages into its own per-destination buckets),
-    so the pool only changes wall-clock interleaving, never the result.
-    Thread mode is GIL-bound: its wall-clock winnings are cache locality,
-    not parallelism.
-
-``"serial"``
-    Force the sequential mode regardless of ``shard_workers``.
+``"serial"`` (the default)
+    In-process execution: the shards step sequentially in ascending shard
+    order — fully deterministic, which is what the differential harness
+    runs, and the degradation target of a supervised process session.
 
 ``"process"``
-    True multi-core execution (:mod:`repro.congest.sharding.workers`): one
+    Multi-core execution (:mod:`repro.congest.sharding.workers`): one
     long-lived worker process per non-empty shard owns that shard's
-    contexts, CSR slice and inbox buffers for the whole run; only boundary
-    traffic crosses the round barrier, packed by
-    :mod:`repro.congest.sharding.wire` into flat arrays instead of pickled
-    per-message objects.  Requires the protocol object and all per-node
-    state to be picklable.  Model-rule violations cross the process
-    boundary with their in-process exception types; a worker that dies
-    without reporting raises
+    contexts, CSR slice and inbox buffers; only boundary traffic crosses
+    the round barrier, packed by :mod:`repro.congest.sharding.wire` into
+    flat arrays instead of pickled per-message objects.  Requires the
+    protocol object and all per-node state to be picklable.  Model-rule
+    violations cross the process boundary with their in-process exception
+    types; a worker that dies without reporting raises
     :class:`repro.congest.errors.ShardWorkerError` instead of hanging the
-    barrier.
+    barrier.  The workers always live in a
+    :class:`~repro.congest.sharding.workers.ProcessSession`: a composite
+    runner's session keeps them across its phases, and a direct
+    :meth:`ShardedEngine.execute` opens a one-shot session and closes it
+    before returning — the registry's shared engine singleton never holds
+    live workers.
 
 Note that a *protocol* mutating shared instrumentation state in its
 callbacks (for example a test harness appending to one global log) will
-observe a nondeterministic interleaving under thread mode and fully
-isolated per-worker copies under process mode; per-node outputs and metrics
-remain bit-identical in every backend.  Pools of either kind are created
-per ``execute`` call and torn down before it returns — the registry's
-shared engine singleton never holds live workers.
+observe fully isolated per-worker copies under the process backend;
+per-node outputs and metrics remain bit-identical in every backend.
 """
 
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -106,7 +96,7 @@ from repro.congest.sharding.partition import (
 
 #: Execution backends accepted by ``CongestConfig.shard_backend`` and the
 #: engine's ``backend=`` constructor argument.
-SHARD_BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
+SHARD_BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 #: Stable-sort key restoring the contract's ascending-sender inbox order
 #: (C-implemented: this runs on every boundary inbox every round).
@@ -170,9 +160,8 @@ class _ShardState:
 
     A shard owns a subset of the dense indices; during a round it reads and
     writes only the contexts and inbox buffers of its owned nodes plus its
-    own outbound buckets, which is the disjointness that makes thread-mode
-    execution safe without locks — and process-mode execution possible with
-    no shared memory at all.
+    own outbound buckets, which is the disjointness that makes process-mode
+    execution possible with no shared memory at all.
     """
 
     __slots__ = (
@@ -264,25 +253,24 @@ class ShardingStats:
 
     Populated by :class:`ShardedEngine` when constructed with
     ``collect_stats=True`` (the registry instance does not collect, keeping
-    it stateless) and by persistent sessions, which expose an instance as
-    :attr:`repro.congest.engine.CongestSession.stats`; the E14/E15/E16
+    it stateless) and by process sessions, which expose an instance as
+    :attr:`repro.congest.engine.CongestSession.stats`; the E14/E15
     benchmarks use this to report the cut-edge message fraction per
-    partitioner strategy, the serialized boundary traffic of the process
-    backend, and the per-phase setup cost a session amortises.
+    partitioner strategy and the serialized boundary traffic of the process
+    backend.
 
     Attributes
     ----------
     boundary_bytes / barrier_rounds:
         Packed wire bytes shipped across round barriers and the number of
         barriers that shipped them.  Only the process backend serializes
-        boundary traffic, so both stay zero for the in-process backends.
+        boundary traffic, so both stay zero for the serial backend.
     setup_seconds:
         Coordinator-side seconds spent on per-``execute`` setup (worker
-        spawn, arming) summed over the recorded runs — the figure the E16
-        benchmark divides by phases.
+        spawn, arming) summed over the recorded runs.
     shm_bytes:
         Bytes of CSR/owner tables held in the session's shared-memory
-        mapping (zero outside persistent process sessions).
+        mapping (zero outside process sessions).
     phases:
         Per-``execute`` partials (:class:`SessionPhaseStats`), appended by
         sessions in phase order; the counters above are the session totals.
@@ -293,7 +281,7 @@ class ShardingStats:
         composite's ``rearms`` stays strictly below its phase count — the
         invariant ``tests/test_sharding.py`` pins.
     worker_failures / timeouts / retries / degradations / recovery_events:
-        The fault-tolerance ledger, populated by supervised persistent
+        The fault-tolerance ledger, populated by supervised process
         sessions via :meth:`observe_recovery`: every observed worker
         failure (``worker_failures``), how many were barrier-watchdog
         timeouts (``timeouts``), and how many led to a phase replay
@@ -357,8 +345,7 @@ class ShardingStats:
         The **only** accumulation path: :meth:`observe_phase` delegates
         here, and :meth:`ShardedEngine.execute` calls this directly, so one
         ``execute`` can never be added to the totals twice no matter which
-        observer fires (the double-accounting risk when a stats-collecting
-        engine and a session both observed the same run).
+        observer fires.
         """
         self.runs += 1
         self.protocol_messages += protocol_messages
@@ -414,7 +401,7 @@ class _ShardStepper:
 
     Everything a single shard needs to start, step and drain its owned
     nodes: the dense context list, the shared inbox buffers, the routing
-    tables and the model-rule knobs.  The in-process coordinator
+    tables and the model-rule knobs.  The serial coordinator
     (:class:`_ShardedRun`) holds one stepper for all shards; each worker
     process of the ``"process"`` backend
     (:mod:`repro.congest.sharding.workers`) holds a stepper whose
@@ -664,7 +651,7 @@ class _ShardStepper:
 
 
 class _ShardedRun(_ShardStepper):
-    """One in-process sharded execution (serial or thread-pool backend)."""
+    """One in-process sharded execution (the serial backend)."""
 
     def __init__(
         self,
@@ -673,7 +660,6 @@ class _ShardedRun(_ShardStepper):
         config: CongestConfig,
         contexts: ContextRegistry,
         plan: ShardPlan,
-        workers: int,
     ) -> None:
         super().__init__(
             protocol=protocol,
@@ -694,49 +680,10 @@ class _ShardedRun(_ShardStepper):
             for index, owned in enumerate(plan.shards)
         ]
 
-        active = [shard for shard in self.shards if shard.owned]
-        self.pool: Optional[ThreadPoolExecutor] = None
-        self.pool_width = 0
-        if workers >= 2 and len(active) >= 2:
-            self.pool_width = min(workers, len(active))
-
     # ------------------------------------------------------------------
-    #: A round whose estimated work (messages in flight plus nodes to
-    #: invoke) falls below this is stepped inline even in thread mode: the
-    #: cross-thread wakeups of a pool dispatch cost more than the round
-    #: itself.  Heavy rounds — where parallelism can pay — still go to the
-    #: pool, so the quiet convergecast tails of a protocol don't turn the
-    #: barrier into pure overhead.
-    POOL_MIN_WORK = 4096
-
-    def _run_shards(self, step, work_hint: int) -> List[RoundMetrics]:
-        """Apply *step* to every non-empty shard, serially or on the pool.
-
-        Thread mode submits one task per *worker* (each stepping a
-        round-robin chunk of shards), not one per shard, so a round costs
-        ``pool_width`` wakeups regardless of the shard count.  Results are
-        re-ordered by shard index before merging, so the folded metrics are
-        mode-independent; a model-rule violation surfaces from whichever
-        chunk raises first, with the same exception type as the serial
-        mode.
-        """
-        active = [shard for shard in self.shards if shard.owned]
-        if self.pool is None or work_hint < self.POOL_MIN_WORK:
-            return [step(shard) for shard in active]
-        width = self.pool_width
-        chunks = [active[offset::width] for offset in range(width)]
-
-        def run_chunk(chunk):
-            return [(shard.index, step(shard)) for shard in chunk]
-
-        futures = [
-            self.pool.submit(run_chunk, chunk) for chunk in chunks if chunk
-        ]
-        indexed: List[Tuple[int, RoundMetrics]] = []
-        for future in futures:
-            indexed.extend(future.result())
-        indexed.sort(key=operator.itemgetter(0))
-        return [rm for _, rm in indexed]
+    def _run_shards(self, step) -> List[RoundMetrics]:
+        """Apply *step* to every non-empty shard, in ascending shard order."""
+        return [step(shard) for shard in self.shards if shard.owned]
 
     def _barrier(self, partials: List[RoundMetrics], into: RoundMetrics) -> int:
         """Fold shard metrics, route boundary buckets, count mail in flight."""
@@ -769,21 +716,14 @@ class _ShardedRun(_ShardStepper):
         remote = sum(shard.remote_messages for shard in self.shards)
         return local + remote, remote
 
-    #: Packed boundary traffic: the in-process backends never serialize, so
-    #: the stats fields stay zero (contrast ``ProcessShardedRun``); likewise
-    #: there is no pool to spawn, so setup time is not accounted.
-    boundary_bytes = 0
-    barrier_rounds = 0
-    setup_seconds = 0.0
-
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         config = self.config
         protocol = self.protocol
         ctx_list = self.ctx_list
         metrics = RunMetrics()
-        # Simulated fault injection (chaos matrix on the in-process
-        # backends): only a plan that explicitly opted in via
+        # Simulated fault injection (chaos matrix on the serial backend):
+        # only a plan that explicitly opted in via
         # ``simulate=True`` is honoured here, so a process-backend plan
         # carried by a config that degraded to serial does not re-inject
         # the fault it is recovering from.  ``fault_plan=None`` — the
@@ -797,74 +737,52 @@ class _ShardedRun(_ShardStepper):
                 config.round_timeout,
                 protocol.name,
             )
-        with ExitStack() as stack:
-            if self.pool_width >= 2:
-                # The pool lives exactly as long as this execute call; the
-                # ExitStack guarantees teardown on every exit path, so the
-                # shared registry singleton never leaks worker threads.
-                self.pool = stack.enter_context(
-                    ThreadPoolExecutor(
-                        max_workers=self.pool_width,
-                        thread_name_prefix="repro-shard",
-                    )
-                )
-            if faults is not None:
-                faults.check("arm")
-                faults.check("start")
-            startup_metrics = RoundMetrics(round_index=0)
-            in_flight = self._barrier(
-                self._run_shards(self.start_shard, work_hint=len(ctx_list)),
-                startup_metrics,
+        if faults is not None:
+            faults.check("arm")
+            faults.check("start")
+        startup_metrics = RoundMetrics(round_index=0)
+        in_flight = self._barrier(
+            self._run_shards(self.start_shard), startup_metrics
+        )
+        startup_metrics.edges_used = 0  # startup edges are not counted
+        startup_metrics.active_nodes = 0
+
+        rounds = 0
+        silent_rounds = 0
+        while True:
+            if self.fast_finished:
+                all_done = not any(shard.frontier for shard in self.shards)
+            else:
+                finished = protocol.finished
+                all_done = all(finished(ctx) for ctx in ctx_list)
+            stop, silent_rounds = coordinator_should_stop(
+                all_done,
+                in_flight,
+                rounds,
+                silent_rounds,
+                self.quiesce_ok,
+                config.max_rounds,
+                protocol.name,
             )
-            startup_metrics.edges_used = 0  # startup edges are not counted
-            startup_metrics.active_nodes = 0
+            if stop:
+                break
 
-            rounds = 0
-            silent_rounds = 0
-            while True:
-                if self.fast_finished:
-                    all_done = not any(
-                        shard.frontier for shard in self.shards
-                    )
-                else:
-                    finished = protocol.finished
-                    all_done = all(finished(ctx) for ctx in ctx_list)
-                stop, silent_rounds = coordinator_should_stop(
-                    all_done,
-                    in_flight,
-                    rounds,
-                    silent_rounds,
-                    self.quiesce_ok,
-                    config.max_rounds,
-                    protocol.name,
-                )
-                if stop:
-                    break
-
-                rounds += 1
-                if faults is not None:
-                    faults.check("round", rounds)
-                round_metrics = RoundMetrics(round_index=rounds)
-                if rounds == 1:
-                    merge_startup_metrics(round_metrics, startup_metrics)
-                current_round = rounds
-                if self.fast_finished:
-                    to_invoke = sum(
-                        len(shard.frontier) for shard in self.shards
-                    )
-                else:
-                    to_invoke = len(ctx_list)
-                in_flight = self._barrier(
-                    self._run_shards(
-                        lambda shard: self.step_shard(shard, current_round),
-                        work_hint=in_flight + to_invoke,
-                    ),
-                    round_metrics,
-                )
-                metrics.absorb_round(round_metrics, config.record_round_metrics)
+            rounds += 1
             if faults is not None:
-                faults.check("finish")
-        self.pool = None
+                faults.check("round", rounds)
+            round_metrics = RoundMetrics(round_index=rounds)
+            if rounds == 1:
+                merge_startup_metrics(round_metrics, startup_metrics)
+            current_round = rounds
+            in_flight = self._barrier(
+                self._run_shards(
+                    lambda shard: self.step_shard(shard, current_round)
+                ),
+                round_metrics,
+            )
+            metrics.absorb_round(round_metrics, config.record_round_metrics)
+        if faults is not None:
+            faults.check("finish")
 
         outputs = harvest_outputs(
             protocol,
@@ -880,18 +798,15 @@ class ShardedEngine(Engine):
 
     Selectable as ``engine="sharded"``.  The registry instance reads every
     knob from the configuration (``CongestConfig.shards``,
-    ``CongestConfig.shard_workers``, ``CongestConfig.shard_strategy``,
-    ``CongestConfig.shard_backend``); constructor arguments override the
-    configuration for callers that build their own instance (the E14/E15
-    benchmarks, tests).
+    ``CongestConfig.shard_strategy``, ``CongestConfig.shard_backend``);
+    constructor arguments override the configuration for callers that build
+    their own instance (the E14/E15 benchmarks, tests).
 
     Parameters
     ----------
-    shards / workers / strategy / backend:
-        Shard count, thread-pool width (``<= 1`` means the serial
-        deterministic mode), partitioner strategy and execution backend
-        (one of :data:`SHARD_BACKENDS`).  ``None`` defers to the
-        configuration.
+    shards / strategy / backend:
+        Shard count, partitioner strategy and execution backend (one of
+        :data:`SHARD_BACKENDS`).  ``None`` defers to the configuration.
     partition_seed:
         Seed of the partitioner's RNG (plans are deterministic for a fixed
         seed).
@@ -907,7 +822,6 @@ class ShardedEngine(Engine):
     def __init__(
         self,
         shards: Optional[int] = None,
-        workers: Optional[int] = None,
         strategy: Optional[str] = None,
         backend: Optional[str] = None,
         partition_seed: int = 0,
@@ -921,7 +835,6 @@ class ShardedEngine(Engine):
                 % (backend, ", ".join(SHARD_BACKENDS))
             )
         self.shards = shards
-        self.workers = workers
         self.strategy = strategy
         self.backend = backend
         self.partition_seed = partition_seed
@@ -937,7 +850,7 @@ class ShardedEngine(Engine):
 
         Instance constructor arguments override the configuration's
         fields.  This is the single resolution used by :meth:`execute`,
-        :meth:`open_session` and a persistent session's per-call config
+        :meth:`open_session` and a process session's per-execute config
         validation, so the three can never drift.
         """
         shards = self.shards if self.shards is not None else config.shards
@@ -966,7 +879,28 @@ class ShardedEngine(Engine):
     ) -> RunResult:
         config = config or CongestConfig()
         shards, strategy, backend = self.resolve_structure(config)
-        workers = self.workers if self.workers is not None else config.shard_workers
+        if backend == "process":
+            # A one-shot session: spawned, run and closed (workers reaped,
+            # shared-memory segment unlinked) on every exit path.
+            with self.open_session(network, config) as session:
+                result = session.execute(
+                    protocol,
+                    config=config,
+                    global_inputs=global_inputs,
+                    per_node_inputs=per_node_inputs,
+                    reuse_contexts=reuse_contexts,
+                )
+            if self.stats is not None:
+                totals = session.stats
+                self.stats.observe_run(
+                    totals.protocol_messages,
+                    totals.cross_shard_messages,
+                    totals.boundary_bytes,
+                    totals.barrier_rounds,
+                    totals.setup_seconds,
+                    plan=session.plan,
+                )
+            return result
         plan = cached_partition(
             network, shards, strategy=strategy, seed=self.partition_seed
         )
@@ -975,37 +909,17 @@ class ShardedEngine(Engine):
             per_node_inputs=per_node_inputs,
             fresh=not reuse_contexts,
         )
-        if backend == "process" and any(owned for owned in plan.shards):
-            # Imported lazily: workers.py needs this module's stepper.
-            from repro.congest.sharding.workers import ProcessShardedRun
-
-            run = ProcessShardedRun(
-                network=network,
-                protocol=protocol,
-                config=config,
-                contexts=contexts,
-                plan=plan,
-            )
-        else:
-            run = _ShardedRun(
-                network=network,
-                protocol=protocol,
-                config=config,
-                contexts=contexts,
-                plan=plan,
-                workers=0 if backend == "serial" else workers,
-            )
+        run = _ShardedRun(
+            network=network,
+            protocol=protocol,
+            config=config,
+            contexts=contexts,
+            plan=plan,
+        )
         result = run.run()
         if self.stats is not None:
             total, cross = run.traffic_totals()
-            self.stats.observe_run(
-                total,
-                cross,
-                run.boundary_bytes,
-                run.barrier_rounds,
-                run.setup_seconds,
-                plan=plan,
-            )
+            self.stats.observe_run(total, cross, 0, 0, 0.0, plan=plan)
         return result
 
     # ------------------------------------------------------------------
@@ -1016,18 +930,16 @@ class ShardedEngine(Engine):
     ) -> CongestSession:
         """Open an execution session on *network*.
 
-        With ``config.session_mode == "persistent"`` and the ``"process"``
-        backend this returns a
+        On the ``"process"`` backend this returns a
         :class:`repro.congest.sharding.workers.ProcessSession`: one worker
         pool and one shared-memory CSR mapping serve every ``execute`` of
-        the session, re-armed between phases.  The in-process backends
-        have no per-``execute`` setup worth keeping (the shard plan is
-        already memoised per network), so every other combination returns
-        the default per-call session.
+        the session, re-armed between phases.  The serial backend has no
+        per-``execute`` setup worth keeping (the shard plan is already
+        memoised per network), so it gets the default session.
         """
         config = config or CongestConfig()
         shards, strategy, backend = self.resolve_structure(config)
-        if config.session_mode == "persistent" and backend == "process":
+        if backend == "process":
             # Imported lazily: workers.py needs this module's stepper.
             from repro.congest.sharding.workers import ProcessSession
 
@@ -1039,8 +951,6 @@ class ShardedEngine(Engine):
                 strategy=strategy,
                 partition_seed=self.partition_seed,
             )
-        # Everything else — per-call mode, in-process backends, and any
-        # invalid session mode (validated there) — gets the base session.
         return super().open_session(network, config)
 
 

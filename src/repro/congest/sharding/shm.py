@@ -2,10 +2,8 @@
 
 The process backend's workers need the network's dense-index tables — the
 node-id column of the CSR, the adjacency arrays and the shard owner map —
-to route messages.  Per-``execute`` pools receive them as spawn arguments
-(free under fork, pickled under spawn, but paid again for every phase of a
-composite pipeline).  A persistent session instead packs them **once**
-into a single :mod:`multiprocessing.shared_memory` segment; every worker
+to route messages.  A session packs them **once** into a single
+:mod:`multiprocessing.shared_memory` segment; every worker
 of every phase attaches to the same mapping, so a 14-phase pipeline ships
 the tables exactly once regardless of how often the pool is (re)spawned —
 and under spawn start methods nothing is pickled at all.

@@ -28,28 +28,26 @@ Protocol of one execution (all traffic over one duplex pipe per worker)::
                   ◀──────────────────── ("done", outputs, states, traffic)
     (worker stays; next "arm" starts the next execute, EOF exits)
 
-Worker pools come in two lifetimes.  The default is **per-execute**: the
-pool is spawned and reaped inside one ``execute`` call, as PR 4 shipped it.
-A persistent :class:`ProcessSession` (``CongestConfig.session_mode ==
-"persistent"``) instead keeps one :class:`_WorkerPool` alive across the
-``execute`` calls of a composite pipeline and **re-arms** it between
-phases: the ``("arm", ...)`` command above carries the next protocol, the
-model-rule knobs and the context *deltas* (the per-call inputs; each
-worker's ``start_shard`` resets the nodes it starts), so neither
-processes nor per-node state are re-shipped for ``reuse_contexts``
-phases.  The session's routing tables
-live in one :mod:`multiprocessing.shared_memory` CSR mapping
+Every pool lives in a :class:`ProcessSession`, which keeps one
+:class:`_WorkerPool` alive across the ``execute`` calls of a composite
+pipeline and **re-arms** it between phases: the ``("arm", ...)`` command
+above carries the next protocol, the model-rule knobs and the context
+*deltas* (the per-execute inputs; each worker's ``start_shard`` resets the
+nodes it starts), so neither processes nor per-node state are re-shipped
+for ``reuse_contexts`` phases.  A direct
+:meth:`~repro.congest.sharding.engine.ShardedEngine.execute` on the process
+backend is a one-shot session: opened, run once and closed.  The session's
+routing tables live in one :mod:`multiprocessing.shared_memory` CSR mapping
 (:mod:`repro.congest.sharding.shm`) attached once per worker.  A fresh
 context build, or any ``build_contexts`` call outside the session
 (detected via :attr:`repro.congest.network.Network.context_epoch`), falls
 back to a pool respawn — under fork that re-ships the contexts by memory
-inheritance, which is exactly the per-execute cost, paid only when state
-actually diverged.  The epoch observes ``build_contexts`` calls, not
-writes: state fed to a session's phases must travel through
-``per_node_inputs`` / ``global_inputs`` or a ``build_contexts`` call (as
-every caller in this package does); poking a live context's ``state``
-dict directly between phases is invisible to any engine-side check and
-unsupported in persistent sessions.
+inheritance, paid only when state actually diverged.  The epoch observes
+``build_contexts`` calls, not writes: state fed to a session's phases must
+travel through ``per_node_inputs`` / ``global_inputs`` or a
+``build_contexts`` call (as every caller in this package does); poking a
+live context's ``state`` dict directly between phases is invisible to any
+engine-side check and unsupported in sessions.
 
 A model-rule violation inside a worker (``CongestionViolation``,
 ``MessageSizeViolation``, ``ProtocolError``...) is pickled back and
@@ -66,24 +64,23 @@ watchdog** — every barrier then collects reports through
 a worker missing it raises
 :class:`repro.congest.errors.ShardWorkerTimeout` carrying a liveness
 probe of the missing workers (hung vs silently dead).  Workers are
-daemonic and the pools context-managed: closing a pool closes the pipes
+daemonic and the sessions context-managed: closing a pool closes the pipes
 (unblocking any worker still waiting on a command) and joins, escalating
 to ``terminate`` only for processes that ignore the EOF within
 ``CongestConfig.worker_join_timeout`` seconds — except after a watchdog
 timeout, where still-alive workers are known-stuck and terminated
-straight away.  The teardown guarantee is *per lifetime*: an ``execute``
-call never leaks per-execute workers, and a session never leaks its pool
-or its shared-memory segment past ``close`` — including violation and
-worker-crash paths, where the session tears the pool down immediately
-rather than waiting for the context exit.
+straight away.  A session never leaks its pool or its shared-memory
+segment past ``close`` — including violation and worker-crash paths,
+where the session tears the pool down immediately rather than waiting for
+the context exit.
 
 Supervised retry and degradation
 --------------------------------
-A persistent :class:`ProcessSession` given a
-``CongestConfig.retry_policy`` supervises its executes: a
-:class:`~repro.congest.errors.ShardWorkerError` (timeouts included) no
-longer aborts the phase — the session tears the pool down, respawns it
-fresh and **replays the phase from the parent's contexts**, which are
+A :class:`ProcessSession` given a ``CongestConfig.retry_policy``
+supervises its executes: a :class:`~repro.congest.errors.ShardWorkerError`
+(timeouts included) no longer aborts the phase — the session tears the
+pool down, respawns it fresh and **replays the phase from the parent's
+contexts**, which are
 bit-identical to the phase's start because the harvest below folds
 worker state back only after *every* worker reported.  After exhausting
 ``max_attempts`` the session (by default) *degrades*: the phase — and
@@ -161,10 +158,10 @@ _JOIN_TIMEOUT = 5.0
 
 #: Parent-side pipe ends of every live worker of every pool in this
 #: process.  Fork-started children inherit every fd open at fork time —
-#: including the coordinator ends of *other* pools (a concurrent session,
-#: an overlapping per-execute run) — and any child holding such a write
-#: end would defeat that pool's EOF-based teardown (its workers would sit
-#: out the join timeout and be terminated).  Each fork therefore snapshots
+#: including the coordinator ends of *other* pools (a concurrent
+#: session) — and any child holding such a write end would defeat that
+#: pool's EOF-based teardown (its workers would sit out the join timeout
+#: and be terminated).  Each fork therefore snapshots
 #: this registry and the child closes the whole set first thing.  Entries
 #: are weak references (no GC callbacks — dead entries are pruned under
 #: the lock at the next snapshot): a session abandoned without ``close``
@@ -264,8 +261,8 @@ class _WorkerHarness:
     """One shard's round machinery inside its worker process.
 
     The harness is built once per worker lifetime from the static init
-    payload (contexts, routing tables — either inline or attached from the
-    session's shared-memory CSR segment) and re-armed per ``execute`` with
+    payload (contexts, plus the routing tables attached from the session's
+    shared-memory CSR segment) and re-armed per ``execute`` with
     the protocol and configuration; the inbox buffers and the per-channel
     wire codecs survive re-arms, so a session phase allocates no per-node
     structures.
@@ -273,17 +270,11 @@ class _WorkerHarness:
 
     def __init__(self, init: Dict[str, Any]) -> None:
         n = init["n"]
-        shm_name = init.get("shm_name")
-        if shm_name is not None:
-            # Session mode: the id/owner tables live in the shared CSR
-            # mapping; attach once and unpack the hot tables locally.
-            self.shared = SharedCSR.attach(shm_name)
-            self.index_of: Dict[int, int] = self.shared.build_index_of()
-            self.owner: Sequence[int] = list(self.shared.owner)
-        else:
-            self.shared = None
-            self.index_of = init["index_of"]
-            self.owner = init["owner"]
+        # The id/owner tables live in the session's shared CSR mapping;
+        # attach once and unpack the hot tables locally.
+        self.shared = SharedCSR.attach(init["shm_name"])
+        self.index_of: Dict[int, int] = self.shared.build_index_of()
+        self.owner: Sequence[int] = list(self.shared.owner)
         ctx_list: List[Optional[NodeContext]] = [None] * n
         for dense_index, ctx in init["contexts"].items():
             ctx_list[dense_index] = ctx
@@ -652,18 +643,16 @@ def _reap(
 def _spawn_workers(
     plan: ShardPlan,
     ids: Sequence[int],
-    index_of: Dict[int, int],
     ordered_delivery: bool,
     contexts: ContextRegistry,
-    shared_csr: Optional[SharedCSR] = None,
+    shared_csr: SharedCSR,
 ) -> List[_WorkerHandle]:
     """Start one worker process per non-empty shard of *plan*.
 
-    The shard's contexts always ride as a ``Process`` argument (inherited
-    for free under fork, pickled by ``start`` under spawn).  The routing
-    tables ride inline unless *shared_csr* is given, in which case workers
-    attach to the session's shared-memory mapping by name instead — one
-    mapping serving every spawn and every phase of the session.
+    The shard's contexts ride as a ``Process`` argument (inherited for free
+    under fork, pickled by ``start`` under spawn); the routing tables come
+    from the session's shared-memory mapping, which workers attach by name
+    — one mapping serving every spawn and every phase of the session.
     """
     context = _mp_context()
     fork_start = context.get_start_method() == "fork"
@@ -673,12 +662,8 @@ def _spawn_workers(
         "n": len(ids),
         "n_shards": plan.n_shards,
         "ordered_delivery": ordered_delivery,
+        "shm_name": shared_csr.name,
     }
-    if shared_csr is not None:
-        init_common["shm_name"] = shared_csr.name
-    else:
-        init_common["index_of"] = index_of
-        init_common["owner"] = plan.owner
     for shard_index, owned in enumerate(plan.shards):
         if not owned:
             continue
@@ -763,17 +748,14 @@ def _raise_buffered_error(conn, shard_index: int) -> None:
 
 
 class _WorkerPool:
-    """Owns the worker processes of one execution or one session.
+    """Owns the worker processes of one session.
 
-    Two lifetimes share this class.  Used as a context manager it is the
-    per-execute pool PR 4 shipped: every exit path of the ``with`` runs
-    :meth:`close`, so no worker outlives the ``execute`` call that spawned
-    it (the engine registry shares one ``ShardedEngine`` singleton across
-    all callers, so pool lifetime must never attach to the engine).  A
-    persistent session holds the pool directly across executes and calls
-    :meth:`rearm` between phases; the session's own close paths — context
-    exit, violations, worker deaths — call :meth:`close`, which preserves
-    the same teardown guarantee at session scope.
+    The session holds the pool across executes and calls :meth:`rearm`
+    between phases; the session's own close paths — context exit,
+    violations, worker deaths — call :meth:`close`, so no worker outlives
+    the session (the engine registry shares one ``ShardedEngine``
+    singleton across all callers, so pool lifetime must never attach to
+    the engine).
     """
 
     def __init__(
@@ -797,7 +779,7 @@ class _WorkerPool:
 
         The first arm after a spawn passes no inputs (the inherited
         contexts are current); a session's light re-arm passes the
-        per-call input deltas, routed per shard.  A failed ship — an
+        per-execute input deltas, routed per shard.  A failed ship — an
         unpicklable protocol, a dead worker — surfaces as
         :class:`ShardWorkerError`; callers tear the pool down on it.
         """
@@ -866,12 +848,6 @@ class _WorkerPool:
         self.closed = True
         _reap(self.handles, self.join_timeout, force=force)
 
-    def __enter__(self) -> "_WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(force=isinstance(exc, ShardWorkerTimeout))
-
 
 class ProcessShardedRun:
     """One process-backed sharded execution (the ``"process"`` backend).
@@ -882,54 +858,39 @@ class ProcessShardedRun:
     shards live in worker processes and boundary buckets cross the barrier
     as packed :class:`repro.congest.sharding.wire.WireBatch` columns.
 
-    By default the run spawns, arms and reaps its own per-execute pool.  A
-    :class:`ProcessSession` passes its persistent (already armed) *pool*
-    instead; the run then only drives the round loop and leaves pool
-    lifetime to the session.
+    The :class:`ProcessSession` passes its (already armed) *pool*; the run
+    only drives the round loop and leaves pool lifetime to the session.
 
     Attributes
     ----------
     boundary_bytes / barrier_rounds:
         Packed boundary traffic shipped over the run and the number of
         barriers (startup plus one per round); feeds
-        :class:`repro.congest.sharding.engine.ShardingStats` and the
-        E15/E16 benchmarks' bytes-per-round reports.
-    setup_seconds:
-        Coordinator-side time spent spawning and arming the per-execute
-        pool (zero when a session supplied the pool — the session accounts
-        its own setup).
+        :class:`repro.congest.sharding.engine.ShardingStats` and the E15
+        benchmark's bytes-per-round reports.
     """
 
     def __init__(
         self,
-        network: Network,
         protocol: Protocol,
         config: CongestConfig,
         contexts: ContextRegistry,
-        plan: ShardPlan,
-        pool: Optional[_WorkerPool] = None,
+        pool: _WorkerPool,
         fold_contexts: bool = True,
     ) -> None:
-        self.network = network
         self.protocol = protocol
         self.config = config
         self.contexts = contexts
-        self.plan = plan
         self.pool = pool
         #: ``False`` for every phase of a fused group except the last: the
         #: harvest ships outputs and traffic only (``finish-light``); the
         #: per-node state stays worker-side for the self-armed next phase
         #: and is folded back by the group-final phase's full ``finish``.
         self.fold_contexts = fold_contexts
-        ids, _indptr, _indices = network.csr()
-        self.ids = ids
-        self.index_of = network.node_index_of
-        self.ordered_delivery = _ShardStepper.ranges_are_ordered(plan)
         self.quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
         self.fast_finished = type(protocol).finished is Protocol.finished
         self.boundary_bytes = 0
         self.barrier_rounds = 0
-        self.setup_seconds = 0.0
         self._traffic: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
@@ -1070,30 +1031,13 @@ class ProcessShardedRun:
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
-        if self.pool is not None:
-            # Session-managed pool: already spawned and armed; lifetime
-            # (including error teardown) belongs to the session.
-            return self._drive(self.pool.handles)
-        started = time.perf_counter()
-        handles = _spawn_workers(
-            self.plan,
-            self.ids,
-            self.index_of,
-            self.ordered_delivery,
-            self.contexts,
-        )
-        with _WorkerPool(handles, self.config.worker_join_timeout) as pool:
-            pool.rearm(self.protocol, self.config)
-            self.setup_seconds = time.perf_counter() - started
-            return self._drive(pool.handles)
-
-    def _drive(self, handles: List[_WorkerHandle]) -> RunResult:
         # The termination decisions and the round-1 startup-metrics merge
         # are the shared helpers of sharding/engine.py — evaluated here on
         # worker-reported aggregates, in _ShardedRun on local state — so
         # the engine contract's round counts cannot drift between the
         # coordinators.
         config = self.config
+        handles = self.pool.handles
         metrics = RunMetrics()
         rounds = 0
         for handle in handles:
@@ -1173,19 +1117,20 @@ class ProcessShardedRun:
 
 
 # ----------------------------------------------------------------------
-# Persistent sessions
+# Sessions
 # ----------------------------------------------------------------------
 class ProcessSession(CongestSession):
-    """A persistent process-backend session: one pool, one shm CSR mapping.
+    """A process-backend session: one pool, one shm CSR mapping.
 
     Opened by :meth:`repro.congest.sharding.engine.ShardedEngine.open_session`
-    when ``CongestConfig.session_mode == "persistent"`` resolves with the
-    ``"process"`` backend.  The shard plan is fixed at open time; across
-    the session's ``execute`` calls:
+    whenever the configuration resolves to the ``"process"`` backend (and,
+    as a one-shot session, by a direct ``execute`` on that backend).  The
+    shard plan is fixed at open time; across the session's ``execute``
+    calls:
 
     * the worker pool survives and is **re-armed** per phase — for a
       ``reuse_contexts`` execute only the protocol, the model-rule knobs
-      and the per-call input deltas cross the pipes;
+      and the per-execute input deltas cross the pipes;
     * the CSR/owner tables live in one shared-memory segment
       (:class:`repro.congest.sharding.shm.SharedCSR`) created at first
       spawn and unlinked at close — on every close path, with atexit and
@@ -1214,12 +1159,6 @@ class ProcessSession(CongestSession):
     setup seconds, shm bytes) are exposed as :attr:`stats`, a
     :class:`repro.congest.sharding.engine.ShardingStats`.
     """
-
-    #: Worker-held context state is the source of truth between a fused
-    #: group's phases: the parent's contexts are only folded at group end,
-    #: so parent-side state replay (e.g. an artifact-cache restore) would
-    #: silently desync the pool.  Callers gate such replays on this flag.
-    worker_state_authoritative = True
 
     def __init__(
         self,
@@ -1277,7 +1216,7 @@ class ProcessSession(CongestSession):
 
     # ------------------------------------------------------------------
     def _check_config(self, config: CongestConfig) -> None:
-        """Reject per-call overrides that conflict with the fixed plan."""
+        """Reject per-execute overrides that conflict with the fixed plan."""
         shards, strategy, backend = self.engine.resolve_structure(config)
         if (shards, strategy, backend) != (
             self._shards,
@@ -1285,7 +1224,7 @@ class ProcessSession(CongestSession):
             "process",
         ):
             raise ValueError(
-                "per-call config resolves to %r shards / %r strategy / %r "
+                "per-execute config resolves to %r shards / %r strategy / %r "
                 "backend, but this session was opened with %r / %r / "
                 "'process'; structural knobs are fixed for a session's "
                 "lifetime" % (
@@ -1465,7 +1404,6 @@ class ProcessSession(CongestSession):
             config=config,
             contexts=contexts,
             plan=self.plan,
-            workers=0,
         )
         result = run.run()
         self._epoch = self.network.context_epoch
@@ -1495,7 +1433,6 @@ class ProcessSession(CongestSession):
             handles = _spawn_workers(
                 self.plan,
                 self._ids,
-                network.node_index_of,
                 self._ordered,
                 contexts,
                 shared_csr=self.shared_csr,
@@ -1517,12 +1454,7 @@ class ProcessSession(CongestSession):
         setup_seconds = time.perf_counter() - setup_started
 
         run = ProcessShardedRun(
-            network=network,
-            protocol=protocol,
-            config=config,
-            contexts=contexts,
-            plan=self.plan,
-            pool=self._pool,
+            protocol=protocol, config=config, contexts=contexts, pool=self._pool
         )
         result = run.run()
         self._epoch = network.context_epoch
@@ -1696,7 +1628,6 @@ class ProcessSession(CongestSession):
             handles = _spawn_workers(
                 self.plan,
                 self._ids,
-                network.node_index_of,
                 self._ordered,
                 contexts,
                 shared_csr=self.shared_csr,
@@ -1718,11 +1649,9 @@ class ProcessSession(CongestSession):
         last = len(protocols) - 1
         for i, protocol in enumerate(protocols):
             run = ProcessShardedRun(
-                network=network,
                 protocol=protocol,
                 config=config,
                 contexts=contexts,
-                plan=self.plan,
                 pool=self._pool,
                 fold_contexts=i == last,
             )
@@ -1840,7 +1769,6 @@ class ProcessSession(CongestSession):
         fresh = _spawn_workers(
             masked,
             self._ids,
-            self.network.node_index_of,
             self._ordered,
             contexts,
             shared_csr=self.shared_csr,

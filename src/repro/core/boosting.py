@@ -117,27 +117,27 @@ class BoostedNearCliqueRunner:
         self.repetitions = repetitions
         self.engine = engine
         #: CONGEST execution engine for the "distributed" variant —
-        #: ``"reference"``, ``"batched"``, ``"async"`` or ``"sharded"``
+        #: ``"reference"``, ``"batched"``, ``"vectorized"`` or ``"sharded"``
         #: (see :mod:`repro.congest.engine`); ``None`` keeps the simulator
         #: default.  Bit-identical by the engine contract, so the boosted
         #: statistics are engine-independent.
         self.congest_engine = congest_engine
         #: Optional :class:`repro.congest.config.CongestConfig` for the
         #: "distributed" variant's simulations — the way to reach
-        #: engine-specific knobs such as ``shards`` / ``shard_workers`` and
-        #: ``session_mode`` (each distributed version runs its ~14 phases
-        #: inside one execution session; ``"persistent"`` amortises the
-        #: process backend's pool/shm setup across them).
+        #: engine-specific knobs such as ``shards`` and ``shard_backend``
+        #: (each distributed version runs its ~14 phases inside one
+        #: execution session, so the process backend's pool/shm setup is
+        #: paid once across them).
         #: ``congest_engine`` (when given) still overrides the
         #: configuration's engine field.
         self.congest_config = congest_config
         self.rng = rng or random.Random()
         #: Session accounting from the last :meth:`run`.  All distributed
         #: versions share **one** network and one execution session, so a
-        #: stats-collecting session (persistent sharded modes) contributes
-        #: a single :class:`repro.congest.sharding.ShardingStats` entry
-        #: whose counters span every version; the centralized engine and
-        #: per-call sessions record nothing (empty list).
+        #: stats-collecting session (the process backend) contributes a
+        #: single :class:`repro.congest.sharding.ShardingStats` entry whose
+        #: counters span every version; the centralized engine and the
+        #: in-process engines' sessions record nothing (empty list).
         self.session_stats_by_version: List[Optional[object]] = []
 
     # ------------------------------------------------------------------
@@ -149,7 +149,7 @@ class BoostedNearCliqueRunner:
         span all λ versions.  Each version reseeds the network from its own
         RNG stream (``Network.reseed`` reproduces exactly the per-node
         seeds of a from-scratch build, so the boosted outputs are
-        bit-identical to λ independent networks), and on the persistent
+        bit-identical to λ independent networks), and on the
         process backend the λ × ~14 phases share one worker pool and one
         shared-memory CSR mapping instead of respawning them per version.
         The shared session's accounting appears **once** in

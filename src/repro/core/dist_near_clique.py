@@ -37,15 +37,7 @@ from repro.congest.errors import RoundLimitExceeded
 from repro.congest.metrics import RunMetrics
 from repro.congest.network import Network
 from repro.congest.node import Protocol
-from repro.congest.pipeline import (
-    ArtifactCache,
-    CachedPrefix,
-    PhaseEffects,
-    PipelinePlan,
-    compile_pipeline,
-    restore_contexts,
-    snapshot_contexts,
-)
+from repro.congest.pipeline import PhaseEffects, PipelinePlan, compile_pipeline
 from repro.congest.scheduler import run_protocol
 from repro.core import phases
 from repro.core.params import AlgorithmParameters
@@ -80,56 +72,33 @@ class DistNearCliqueRunner:
         (checked, not just measured).
     engine:
         Execution-engine selector (``"reference"``, ``"batched"``,
-        ``"async"`` or ``"sharded"``, see :mod:`repro.congest.engine`)
+        ``"vectorized"`` or ``"sharded"``, see :mod:`repro.congest.engine`)
         applied on top of *config*, or an already-constructed
         :class:`repro.congest.engine.Engine` instance (how benchmarks pass
         a stats-collecting engine).  ``None`` keeps the configuration's
         engine (``"batched"`` by default).  All engines produce
-        bit-identical outputs and protocol metrics, so this is an
-        execution-model / throughput knob; under ``"async"`` every phase
-        runs over asynchronous links behind an alpha synchronizer and the
-        merged metrics additionally report the control-message overhead,
-        and under ``"sharded"`` every phase steps ``config.shards`` graph
-        partitions in parallel.
+        bit-identical outputs and protocol metrics, so this is a
+        throughput knob; under ``"sharded"`` every phase steps
+        ``config.shards`` graph partitions.
 
     The runner executes all of its phases inside **one execution session**
-    (:meth:`repro.congest.engine.Engine.open_session`): with the default
-    ``CongestConfig.session_mode == "per-call"`` that is a thin wrapper and
-    nothing changes, while ``"persistent"`` lets the sharded engine's
-    process backend keep one worker pool and one shared-memory CSR mapping
-    across all ~14 phases instead of rebuilding them per phase (the E16
-    benchmark gates the resulting speedup).  After :meth:`run` returns,
-    :attr:`last_session_stats` holds the session's accounting (a
+    (:meth:`repro.congest.engine.Engine.open_session`): for in-process
+    engines that is a thin wrapper, while the sharded engine's process
+    backend keeps one worker pool and one shared-memory CSR mapping across
+    all ~14 phases instead of rebuilding them per phase.  After :meth:`run`
+    returns, :attr:`last_session_stats` holds the session's accounting (a
     :class:`repro.congest.sharding.ShardingStats` with per-phase partials
-    for persistent sharded sessions, ``None`` otherwise).
+    for process sessions, ``None`` otherwise).
 
     The exploration + decision stages are executed through the **pipeline
     compiler** (:mod:`repro.congest.pipeline`): the phase sequence's
     declared effects are validated once per runner and compiled into a
-    :class:`~repro.congest.pipeline.PipelinePlan`.  With the default
-    ``CongestConfig.pipeline_mode == "off"`` every phase is its own group
-    and execution is exactly the historical per-phase loop; with
-    ``"fuse"`` maximal runs of declared phases execute through one
-    ``session.execute_fused`` call — one worker re-arm and one context
-    fold-back per *group* on the persistent process backend, bit-identical
-    outputs, rounds and per-phase metrics either way.  The compiled plan of
-    the last :meth:`run` is exposed as :attr:`last_pipeline_plan`.
-
-    Passing an :class:`~repro.congest.pipeline.ArtifactCache` as
-    *artifact_cache* additionally caches the tree-building prefix (BFS
-    tree + parent notification) keyed by the CSR fingerprint, the realised
-    sample and the global inputs: a repeat run on the same network and
-    sample replays the recorded context snapshot and per-phase metrics
-    instead of rebuilding the tree.  The cache is skipped (and its
-    ``skips`` counter bumped) on sessions whose worker-side state is
-    authoritative between phases — the persistent process backend — where
-    a parent-side restore would desync the pool.
+    :class:`~repro.congest.pipeline.PipelinePlan` whose groups each run
+    through one ``session.execute_fused`` call — one worker re-arm and one
+    context fold-back per *group* on the process backend, a plain
+    ``execute`` loop on every other session.  The compiled plan is exposed
+    as :attr:`last_pipeline_plan`.
     """
-
-    #: Phases of :meth:`_phase_sequence` covered by the artifact cache: the
-    #: BFS tree build and the parent notification, which depend only on the
-    #: topology and the realised sample.
-    _CACHE_PREFIX_LEN = 2
 
     #: Context keys written before the exploration stage starts (sampling
     #: outputs and forced-sample inputs) — the compiled plan's external
@@ -151,7 +120,6 @@ class DistNearCliqueRunner:
         rng: Optional[random.Random] = None,
         config: Optional[CongestConfig] = None,
         engine: Union[None, str, Engine] = None,
-        artifact_cache: Optional[ArtifactCache] = None,
     ) -> None:
         if parameters is None:
             if epsilon is None or sample_probability is None:
@@ -171,17 +139,14 @@ class DistNearCliqueRunner:
         self.rng = rng or random.Random()
         self.config = config
         self.engine = engine
-        self.artifact_cache = artifact_cache
         #: Accounting of the execution session the last :meth:`run` opened
-        #: (``None`` for engines that collect none — every per-call session).
+        #: (``None`` for engines that collect none — every in-process one).
         self.last_session_stats = None
-        #: The :class:`~repro.congest.pipeline.PipelinePlan` the last
-        #: :meth:`run` executed (``None`` before the first run).
+        #: The :class:`~repro.congest.pipeline.PipelinePlan` the runner
+        #: executes, compiled by the first run that reaches the exploration
+        #: stage (``None`` before).  The phase sequence is static, so
+        #: validation and planning run once per runner, not once per run.
         self.last_pipeline_plan: Optional[PipelinePlan] = None
-        #: Compiled plans memoised per (mode, cache-active) — the phase
-        #: sequence is static, so validation and planning run once per
-        #: runner, not once per run.
-        self._plan_cache: Dict[Tuple[str, bool], Tuple[Tuple[Protocol, ...], PipelinePlan]] = {}
 
     # ------------------------------------------------------------------
     def run(
@@ -262,12 +227,12 @@ class DistNearCliqueRunner:
         metrics = RunMetrics()
         self.last_session_stats = None
 
-        # One session spans every phase: with the default per-call mode it
-        # is a thin wrapper; in persistent mode the process backend's pool
-        # and shared-memory CSR mapping are built once and re-armed per
-        # phase instead of respawned ~14 times.  An injected session is
-        # used as-is and stays open for its owner; only a self-opened one
-        # is closed here (on every exit path, via the stack).
+        # One session spans every phase: for in-process engines it is a
+        # thin wrapper; the process backend's pool and shared-memory CSR
+        # mapping are built once and re-armed per phase instead of
+        # respawned ~14 times.  An injected session is used as-is and stays
+        # open for its owner; only a self-opened one is closed here (on
+        # every exit path, via the stack).
         stack = ExitStack()
         if session is None:
             session = stack.enter_context(engine_obj.open_session(network, config))
@@ -306,47 +271,16 @@ class DistNearCliqueRunner:
                 )
 
             # --- exploration + decision stages ------------------------------
-            cache = self.artifact_cache
-            use_cache = cache is not None and not getattr(
-                session, "worker_state_authoritative", False
-            )
-            if cache is not None and not use_cache:
-                cache.skips += 1
-            prefix, plan = self._compiled_plan(config.pipeline_mode, use_cache)
-            self.last_pipeline_plan = plan
-
+            if self.last_pipeline_plan is None:
+                self.last_pipeline_plan = compile_pipeline(
+                    self._phase_sequence(), external_reads=self._EXTERNAL_READS
+                )
             try:
-                if use_cache:
-                    self._run_cached_prefix(
-                        network,
-                        prefix,
-                        cache,
-                        sample_ids,
-                        global_inputs,
-                        config,
-                        session,
-                        metrics,
+                for group in self.last_pipeline_plan.groups:
+                    group_results = session.execute_fused(
+                        list(group.protocols), config=config, reuse_contexts=True
                     )
-                for group in plan.groups:
-                    if group.fused:
-                        group_results = session.execute_fused(
-                            list(group.protocols),
-                            config=config,
-                            reuse_contexts=True,
-                        )
-                        for phase, phase_result in zip(
-                            group.protocols, group_results
-                        ):
-                            metrics.merge(phase_result.metrics, label=phase.name)
-                    else:
-                        phase = group.protocols[0]
-                        phase_result = run_protocol(
-                            network,
-                            phase,
-                            config=config,
-                            reuse_contexts=True,
-                            session=session,
-                        )
+                    for phase, phase_result in zip(group.protocols, group_results):
                         metrics.merge(phase_result.metrics, label=phase.name)
             except RoundLimitExceeded as exc:
                 return self._aborted_result(
@@ -354,87 +288,6 @@ class DistNearCliqueRunner:
                 )
 
         return self._harvest(network, sample_ids, metrics)
-
-    # ------------------------------------------------------------------
-    def _compiled_plan(
-        self, mode: str, use_cache: bool
-    ) -> Tuple[Tuple[Protocol, ...], PipelinePlan]:
-        """Compile (once per runner) the exploration/decision plan.
-
-        With the artifact cache active the tree-building prefix is carved
-        off and executed through the cache; its writes and produced
-        artifacts then count as external inputs of the suffix plan.
-        """
-        key = (mode, use_cache)
-        memo = self._plan_cache.get(key)
-        if memo is not None:
-            return memo
-        sequence = self._phase_sequence()
-        prefix_len = self._CACHE_PREFIX_LEN if use_cache else 0
-        prefix = tuple(sequence[:prefix_len])
-        external_reads = set(self._EXTERNAL_READS)
-        external_artifacts: List[str] = []
-        for protocol in prefix:
-            declared = protocol.effects()
-            external_reads |= declared.writes
-            external_artifacts.extend(declared.produces)
-        plan = compile_pipeline(
-            sequence[prefix_len:],
-            mode=mode,
-            external_reads=external_reads,
-            external_artifacts=external_artifacts,
-        )
-        memo = (prefix, plan)
-        self._plan_cache[key] = memo
-        return memo
-
-    def _run_cached_prefix(
-        self,
-        network: Network,
-        prefix: Tuple[Protocol, ...],
-        cache: ArtifactCache,
-        sample_ids: Set[int],
-        global_inputs: Dict[str, object],
-        config: CongestConfig,
-        session: "CongestSession",
-        metrics: RunMetrics,
-    ) -> None:
-        """Run the tree-building prefix through the artifact cache.
-
-        A hit restores the recorded post-prefix context snapshot and merges
-        the recorded per-phase metrics — bit-identical to rebuilding,
-        including message accounting.  A miss runs the prefix normally and
-        records it.
-        """
-        key = (
-            network.csr_fingerprint(),
-            frozenset(sample_ids),
-            tuple(sorted(global_inputs.items())),
-        )
-        ordered = network.contexts.materialize()
-        entry = cache.lookup(key)
-        if entry is not None:
-            restore_contexts(ordered, entry.frames)
-            for label, _outputs, phase_metrics in entry.phase_results:
-                metrics.merge(phase_metrics, label=label)
-            return
-        recorded: List[Tuple[str, object, object]] = []
-        for phase in prefix:
-            phase_result = run_protocol(
-                network,
-                phase,
-                config=config,
-                reuse_contexts=True,
-                session=session,
-            )
-            metrics.merge(phase_result.metrics, label=phase.name)
-            recorded.append((phase.name, phase_result.outputs, phase_result.metrics))
-        cache.store(
-            key,
-            CachedPrefix(
-                frames=snapshot_contexts(ordered), phase_results=recorded
-            ),
-        )
 
     # ------------------------------------------------------------------
     @staticmethod

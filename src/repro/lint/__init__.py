@@ -1,6 +1,6 @@
 """``repro lint`` — static analysis of the engine stack's protocol contract.
 
-Every execution backend in this package (batched, async, sharded, process,
+Every execution backend in this package (batched, sharded serial and process,
 vectorized) leans on one safety net: a :class:`repro.congest.node.Protocol`
 must be *deterministic* (same inputs, same ``ctx.rng`` draws → same traffic),
 *picklable* (the process backend ships protocol objects and per-node state

@@ -59,17 +59,17 @@ class TolerantNearCliqueTester:
     congest_engine:
         Execution engine used by :meth:`find_distributed` when the sampled
         decision is re-run as the paper's actual CONGEST algorithm
-        (``"reference"``, ``"batched"``, ``"async"`` or ``"sharded"``; see
+        (``"reference"``, ``"batched"``, ``"vectorized"`` or ``"sharded"``; see
         :mod:`repro.congest.engine`).  ``None`` keeps the simulator
         default.
     congest_config:
         Optional :class:`repro.congest.config.CongestConfig` for
         :meth:`find_distributed` — the way to reach engine-specific knobs
-        such as ``shards`` / ``shard_workers`` and ``session_mode``
+        such as ``shards`` and ``shard_backend``
         (:meth:`find_distributed` runs the full pipeline inside one
-        execution session, so ``session_mode="persistent"`` amortises the
-        process backend's worker-pool/shared-memory setup across the ~14
-        phases; the session's accounting is exposed afterwards as
+        execution session, so the process backend's worker-pool and
+        shared-memory setup is paid once across the ~14 phases; the
+        session's accounting is exposed afterwards as
         :attr:`last_session_stats`).  ``congest_engine`` (when given)
         still overrides the configuration's engine field.
     """
@@ -186,9 +186,8 @@ class TolerantNearCliqueTester:
         point being that its construction *is* a distributed implementation
         of the tester.  The CONGEST simulation is executed under
         :attr:`congest_engine`, so large accept-side instances can use the
-        batched fast path — or demonstrate the Section 2 claim end to end
-        over asynchronous links with ``"async"`` — without changing the
-        verdict (engines are bit-identical by contract).
+        batched fast path without changing the verdict (engines are
+        bit-identical by contract).
 
         Returns the :class:`repro.core.result.NearCliqueResult` of one run.
         """

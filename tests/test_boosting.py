@@ -182,8 +182,6 @@ class TestSessionAwareBoosting:
                 engine="sharded",
                 shards=2,
                 shard_backend="process",
-                session_mode="persistent",
-                pipeline_mode="fuse",
             ).with_log_budget(n),
         ):
             assert self._fingerprint(self._run(graph, config)) == baseline
@@ -196,7 +194,6 @@ class TestSessionAwareBoosting:
             engine="sharded",
             shards=2,
             shard_backend="process",
-            session_mode="persistent",
         ).with_log_budget(graph.number_of_nodes())
         runner = BoostedNearCliqueRunner(
             epsilon=0.2,

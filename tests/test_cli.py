@@ -56,7 +56,7 @@ class TestFindCommand:
         assert "recall of planted set" in captured.out
 
     @pytest.mark.parametrize(
-        "congest_engine", ["reference", "batched", "async", "sharded"]
+        "congest_engine", ["reference", "batched", "vectorized", "sharded"]
     )
     def test_congest_engine_selection(self, capsys, congest_engine):
         exit_code = cli.main(
@@ -82,7 +82,7 @@ class TestFindCommand:
 
     def test_congest_engines_print_identical_reports(self, capsys):
         reports = {}
-        for congest_engine in ("reference", "batched", "async", "sharded"):
+        for congest_engine in ("reference", "batched", "vectorized", "sharded"):
             exit_code = cli.main(
                 [
                     "find",
@@ -99,31 +99,18 @@ class TestFindCommand:
             assert exit_code == 0
             reports[congest_engine] = capsys.readouterr().out
         assert reports["reference"] == reports["batched"]
+        assert reports["vectorized"] == reports["batched"]
         assert reports["sharded"] == reports["batched"]
-        # The async report additionally carries the synchronizer-overhead
-        # row (which widens the table columns); every value above it —
-        # clusters, sample, rounds, messages — is identical to the
-        # synchronous engines, per the engine contract.
-        def rows(report):
-            return [
-                " ".join(line.split())
-                for line in report.splitlines()
-                if line.strip()
-                and not set(line) <= {"-", " "}  # column-width separator rows
-                and "synchronizer control messages" not in line
-            ]
 
-        assert rows(reports["async"]) == rows(reports["reference"])
-
-    @pytest.mark.parametrize("shards,workers", [("1", "0"), ("3", "0"), ("4", "2")])
-    def test_sharded_engine_shard_flags(self, capsys, shards, workers):
-        # Shard count and worker mode are report-invariant: the sharded
-        # engine is bit-identical for every partition, so the CLI output
-        # must not change either.
+    @pytest.mark.parametrize("shards", ["1", "3", "4"])
+    def test_sharded_engine_shard_flags(self, capsys, shards):
+        # The shard count is report-invariant: the sharded engine is
+        # bit-identical for every partition, so the CLI output must not
+        # change either.
         reports = {}
         for name, extra in (
             ("batched", []),
-            ("sharded", ["--shards", shards, "--shard-workers", workers]),
+            ("sharded", ["--shards", shards, "--shard-backend", "serial"]),
         ):
             exit_code = cli.main(
                 [
@@ -143,9 +130,9 @@ class TestFindCommand:
             reports[name] = capsys.readouterr().out
         assert reports["sharded"] == reports["batched"]
 
-    def test_session_mode_process_backend_report(self, capsys):
-        # Persistent sessions must not change the finder's report (engines
-        # are bit-identical in session mode) and must append the
+    def test_process_backend_session_report(self, capsys):
+        # The process backend's session must not change the finder's report
+        # (engines are bit-identical in session mode) and must append the
         # execution-session totals.
         reports = {}
         for name, extra in (
@@ -159,8 +146,6 @@ class TestFindCommand:
                     "2",
                     "--shard-backend",
                     "process",
-                    "--session-mode",
-                    "persistent",
                 ],
             ),
         ):
@@ -214,6 +199,44 @@ class TestFindCommand:
         )
         assert exit_code == 1
         assert "aborted" in capsys.readouterr().out.lower()
+
+
+class TestArgumentValidation:
+    """Nonsense flag values exit 2 with a usage message at parse time.
+
+    Exit 1 is reserved for ``find``'s "aborted" and ``verify``'s "not a
+    near-clique" verdicts, so an invalid value must never reach them.  The
+    bounds are the library's own: ``AlgorithmParameters`` wants epsilon in
+    (0, 1), ``is_near_clique`` wants epsilon >= 0.  The last cases are the
+    removed async engine, thread backend and mode flags.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["find", "--n", "-3"],
+            ["find", "--n", "0"],
+            ["generate", "unused.edges", "--n", "-4"],
+            ["serve", "--n", "-5"],
+            ["find", "--epsilon", "1.5"],
+            ["find", "--epsilon", "0"],
+            ["serve", "--epsilon", "1.5"],
+            ["find", "--expected-sample", "-2"],
+            ["serve", "--expected-sample", "-2"],
+            ["verify", "unused.edges", "--epsilon", "-1"],
+            ["find", "--congest-engine", "async"],
+            ["find", "--shard-workers", "2"],
+            ["find", "--shard-backend", "thread"],
+            ["find", "--session-mode", "persistent"],
+            ["find", "--pipeline-mode", "fuse"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_values_exit_2_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 def write_snap_toy(path):

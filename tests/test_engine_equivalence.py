@@ -2,12 +2,9 @@
 
 The contract (module docstring of :mod:`repro.congest.engine`) is that for
 every protocol, graph, seed and configuration every registered engine —
-``batched``, ``async`` and ``sharded`` today — produces the same per-node
-outputs, the
-same round/pulse count, and the same protocol message/bit metrics including
-the per-round trace.  Engine-specific control overhead (the async engine's
-acks and safety notifications) is excluded from the fingerprint and checked
-separately.  This suite runs every protocol in ``repro.primitives`` (plus
+``batched``, ``vectorized`` and ``sharded`` today — produces the same
+per-node outputs, the same round count, and the same protocol message/bit
+metrics including the per-round trace.  This suite runs every protocol in ``repro.primitives`` (plus
 the full ``DistNearCliqueRunner`` pipeline, the boosted wrapper, the
 tolerant tester's distributed companion, and the shingles baseline, whose
 overridden ``finished`` exercises the engines' compatibility paths) under
@@ -101,11 +98,7 @@ def _trace(metrics):
 
 
 def _fingerprint(result):
-    """Everything the contract promises to keep identical, as one value.
-
-    Control overhead (``ack_messages`` / ``safety_messages``) is
-    deliberately absent: it is engine-specific by design.
-    """
+    """Everything the contract promises to keep identical, as one value."""
     m = result.metrics
     return (
         result.outputs,
@@ -315,13 +308,13 @@ class TestWrapperEquivalence:
 
 
 class TestShardedConfigurations:
-    """The sharded engine across shard counts, strategies, and modes.
+    """The sharded engine across shard counts and strategies.
 
     The engine-parametrized classes above already run ``"sharded"`` at its
     default configuration (4 contiguous shards, serial); these tests pin
     the contract for every shard count in {1, 2, 4} — including the
     single-shard case, which must degenerate to the batched semantics —
-    both partitioner strategies, and the thread-pool execution mode.
+    and both partitioner strategies.
     """
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
@@ -343,22 +336,6 @@ class TestShardedConfigurations:
         reference = _run_primitive_suite(graph, "reference")
         candidate = _run_primitive_suite(graph, "sharded", shards=2)
         assert candidate == reference
-
-    def test_thread_mode_identical_to_serial(self, monkeypatch):
-        # Unit-sized rounds fall below the pool's work threshold, which
-        # would silently test the serial path twice; pin it to zero so the
-        # chunked pool dispatch really runs.
-        from repro.congest.sharding.engine import _ShardedRun
-
-        monkeypatch.setattr(_ShardedRun, "POOL_MIN_WORK", 0)
-        graph, _ = generators.planted_near_clique(
-            n=40, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=9
-        )
-        serial = _run_primitive_suite(graph, "sharded", shards=4)
-        threaded = _run_primitive_suite(
-            graph, "sharded", shards=4, shard_workers=4
-        )
-        assert threaded == serial
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_full_runner_identical_across_shard_counts(self, shards):
@@ -470,11 +447,10 @@ class TestProcessBackend:
 
 
 #: Backend configurations the session arm runs: every engine family, with
-#: the process backend (the one persistent sessions actually amortise)
-#: carrying "process" in its id so CI's ``-k process`` job includes it.
+#: the process backend (the one whose session keeps real state) carrying
+#: "process" in its id so CI's ``-k process`` job includes it.
 SESSION_BACKENDS = [
     pytest.param("batched", {}, id="batched"),
-    pytest.param("async", {}, id="async"),
     pytest.param("vectorized", {}, id="vectorized"),
     pytest.param("sharded", {"shards": 3}, id="sharded-serial"),
     pytest.param(
@@ -484,7 +460,7 @@ SESSION_BACKENDS = [
     ),
 ]
 
-#: Graph subset for the session pipeline arm (the per-call arm already
+#: Graph subset for the session pipeline arm (the direct-execute arm already
 #: sweeps the full pool per engine; this keeps the session arm affordable
 #: while covering sparse, dense, disconnected and planted shapes).
 SESSION_GRAPHS = [
@@ -495,7 +471,7 @@ SESSION_GRAPHS = [
 
 
 def _run_primitive_suite_session(graph, engine, **config_fields):
-    """The `_run_primitive_suite` chain, through one persistent session.
+    """The `_run_primitive_suite` chain, through one session.
 
     Exercises every session transition: fresh executes (pool spawn),
     ``reuse_contexts`` chains (light re-arm), and a context build *outside*
@@ -503,9 +479,9 @@ def _run_primitive_suite_session(graph, engine, **config_fields):
     network's context epoch and answer with a respawn.
     """
     network = Network(graph, seed=1234)
-    config = CongestConfig(
-        engine=engine, session_mode="persistent", **config_fields
-    ).with_log_budget(max(2, network.n))
+    config = CongestConfig(engine=engine, **config_fields).with_log_budget(
+        max(2, network.n)
+    )
     per_node = _participants(graph)
     fingerprints = []
     with get_engine(engine).open_session(network, config) as session:
@@ -584,13 +560,13 @@ class _EchoSessionGlobal(Protocol):
 
 
 class TestSessionMode:
-    """The differential session arm: every backend, one persistent session.
+    """The differential session arm: every backend, one session.
 
     Bit-identity with the reference oracle must hold when a composite
     chain runs through one :class:`repro.congest.engine.CongestSession`
-    instead of per-call executes — for the thin per-call wrappers
-    trivially, and for the process backend's persistent session across
-    pool reuse, light re-arms and epoch-triggered respawns.  Test ids
+    instead of direct executes — for the thin in-process wrappers
+    trivially, and for the process backend's session across pool reuse,
+    light re-arms and epoch-triggered respawns.  Test ids
     carry ``session`` (class and parameter ids) so CI's session job
     selects exactly this arm with ``-k session``.
     """
@@ -606,18 +582,19 @@ class TestSessionMode:
 
     @pytest.mark.parametrize("engine,fields", SESSION_BACKENDS)
     def test_full_runner_identical_in_session(self, engine, fields):
+        # The runner compiles the composite into fused groups
+        # (``execute_fused``; on the process backend one arm-seq plus a
+        # finish-light chain per group, context fold-back only at the group
+        # boundary).  Fusion elides coordination, never semantics: outputs,
+        # rounds and the full per-round trace must stay bit-identical to
+        # the reference engine.
         graph, _ = generators.planted_near_clique(
             n=60, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=3
         )
         results = {}
         for name, config in (
             ("reference", CongestConfig(engine="reference")),
-            (
-                "candidate",
-                CongestConfig(
-                    engine=engine, session_mode="persistent", **fields
-                ),
-            ),
+            ("candidate", CongestConfig(engine=engine, **fields)),
         ):
             runner = DistNearCliqueRunner(
                 epsilon=0.25,
@@ -638,52 +615,6 @@ class TestSessionMode:
             "runner diverged in session mode under %r (%r)" % (engine, fields)
         )
 
-    @pytest.mark.parametrize("engine,fields", SESSION_BACKENDS)
-    def test_full_runner_identical_with_fused_pipeline_session(
-        self, engine, fields
-    ):
-        # ``pipeline_mode="fuse"`` compiles the composite into fused groups
-        # (``execute_fused``; on the process backend one arm-seq plus a
-        # finish-light chain per group, context fold-back only at the group
-        # boundary).  Fusion elides coordination, never semantics: outputs,
-        # rounds and the full per-round trace must stay bit-identical to
-        # the reference engine with the pipeline off.
-        graph, _ = generators.planted_near_clique(
-            n=60, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=3
-        )
-        results = {}
-        for name, config in (
-            ("reference", CongestConfig(engine="reference")),
-            (
-                "candidate",
-                CongestConfig(
-                    engine=engine,
-                    session_mode="persistent",
-                    pipeline_mode="fuse",
-                    **fields,
-                ),
-            ),
-        ):
-            runner = DistNearCliqueRunner(
-                epsilon=0.25,
-                sample_probability=0.1,
-                rng=random.Random(1003),
-                config=config.with_log_budget(graph.number_of_nodes()),
-            )
-            result = runner.run(graph)
-            results[name] = (
-                result.labels,
-                result.sample,
-                result.metrics.rounds,
-                result.metrics.total_messages,
-                result.metrics.total_bits,
-                _trace(result.metrics),
-            )
-        assert results["candidate"] == results["reference"], (
-            "runner diverged with the fused pipeline under %r (%r)"
-            % (engine, fields)
-        )
-
     def test_session_light_rearm_inputs_identical_process(self):
         # Inputs passed *through* session.execute on reuse executes travel
         # the light re-arm path (globals + per-node state deltas over the
@@ -699,7 +630,6 @@ class TestSessionMode:
                 engine="reference" if name == "reference" else "sharded",
                 shards=3,
                 shard_backend="process",
-                session_mode="persistent",
             ).with_log_budget(20)
             with get_engine(config.engine).open_session(network, config) as session:
                 chain = []
@@ -744,39 +674,10 @@ class TestSessionMode:
         ), "global input did not reach the re-armed workers"
 
 
-class TestAsyncControlOverhead:
-    """The async engine's overhead accounting (engine-specific by design)."""
-
-    def test_control_fields_populated_and_separate(self):
-        graph = nx.gnp_random_graph(18, 0.25, seed=3)
-        per_node = _participants(graph)
-        results = {}
-        for name in ("reference", "async"):
-            network = Network(graph, seed=21)
-            config = CongestConfig(engine=name).with_log_budget(18)
-            results[name] = run_protocol(
-                network, MinIdBFSTreeProtocol(), config=config, per_node_inputs=per_node
-            )
-        reference, asynchronous = results["reference"], results["async"]
-        # Sync engines report zero overhead; the async engine acknowledges
-        # every payload message and floods one safety notification per edge
-        # direction per pulse.
-        assert reference.metrics.control_messages == 0
-        m = asynchronous.metrics
-        assert m.ack_messages == m.total_messages
-        directed_edges = 2 * graph.number_of_edges()
-        assert m.safety_messages == directed_edges * (m.rounds + 1)
-        assert m.control_messages == m.ack_messages + m.safety_messages
-        # ... and none of it leaks into the protocol totals.
-        assert m.total_messages == reference.metrics.total_messages
-        assert m.total_bits == reference.metrics.total_bits
-
-
 class TestEngineRegistry:
     def test_available_engines_sorted(self):
         engines = available_engines()
         assert engines == (
-            "async",
             "batched",
             "reference",
             "sharded",
@@ -792,13 +693,14 @@ class TestEngineRegistry:
         engine = get_engine("batched")
         assert get_engine(engine) is engine
 
-    def test_get_engine_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            get_engine("warp-drive")
-        with pytest.raises(ValueError) as excinfo:
-            get_engine("warp-drive")
-        for name in available_engines():
-            assert name in str(excinfo.value)
+    # "async" names the deleted alpha-synchronizer engine.
+    @pytest.mark.parametrize("unknown", ["warp-drive", "async"])
+    def test_get_engine_unknown_name_lists_available(self, unknown):
+        with pytest.raises(ValueError, match="unknown engine") as excinfo:
+            get_engine(unknown)
+        assert "available engines: batched, reference, sharded, vectorized" in str(
+            excinfo.value
+        )
 
     def test_default_engine_is_batched(self):
         # ROADMAP item: the fast path becomes the default once it has
@@ -807,14 +709,14 @@ class TestEngineRegistry:
         assert get_engine(None).name == "batched"
 
     def test_config_carries_engine(self):
-        config = CongestConfig().with_engine("async")
-        assert config.engine == "async"
-        assert config.with_log_budget(64).engine == "async"
-        assert config.with_max_rounds(5).engine == "async"
+        config = CongestConfig().with_engine("vectorized")
+        assert config.engine == "vectorized"
+        assert config.with_log_budget(64).engine == "vectorized"
+        assert config.with_max_rounds(5).engine == "vectorized"
 
     def test_config_with_sharding(self):
-        config = CongestConfig().with_sharding(shards=2, workers=3, strategy="bfs")
+        config = CongestConfig().with_sharding(shards=2, strategy="bfs")
         assert config.engine == "sharded"
-        assert (config.shards, config.shard_workers) == (2, 3)
+        assert config.shards == 2
         assert config.shard_strategy == "bfs"
         assert config.with_log_budget(64).shards == 2

@@ -10,13 +10,10 @@ guarantees on randomized workloads driven by stdlib ``random``:
   message sent to a node that has not halted is delivered exactly once, in
   the next round, no matter how long the node has been silent;
 * the ``_STALL_LIMIT`` quiesce path: a protocol that is silent for exactly
-  ``_STALL_LIMIT - 1`` rounds and then resumes is not declared stalled;
-* the async arm: under every link-delay distribution, the asynchronous
-  engine's outputs and protocol metrics are identical to the synchronous
-  ones — delays may only move the simulated completion time.
+  ``_STALL_LIMIT - 1`` rounds and then resumes is not declared stalled.
 
-All engine-parametrized tests below automatically include ``"async"``
-because they iterate :func:`repro.congest.engine.available_engines`.
+The engine-parametrized tests below cover every registered engine because
+they iterate :func:`repro.congest.engine.available_engines`.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.congest.scheduler import _STALL_LIMIT, run_protocol
-from repro.congest.synchronizer import AsyncEngine
 
 ENGINES = available_engines()
 
@@ -207,87 +203,6 @@ class TestFrontierNeverStarves:
         for node, halt_round in protocol.halt_round.items():
             expected = set(range(1, min(halt_round, result.metrics.rounds) + 1))
             assert expected <= invoked.get(node, set())
-
-
-class TestAsyncDelayIndependence:
-    """Randomized async-vs-sync equivalence over graphs, seeds and delays.
-
-    The alpha synchronizer's guarantee is that the asynchronous execution
-    computes exactly what the synchronous one does, for *any* link-delay
-    distribution.  Each case runs the random-traffic workload on a seeded
-    random graph under the reference engine and under async engines with
-    very different delay regimes (tight jitter, constant delays, a 500×
-    spread), and asserts identical outputs, delivery logs, and per-round
-    protocol metrics.
-    """
-
-    DELAY_REGIMES = [
-        ("jitter", 0.05, 1.0),
-        ("constant", 0.5, 0.5),
-        ("wide", 0.01, 5.0),
-    ]
-
-    def _fingerprint(self, protocol, result):
-        return (
-            result.outputs,
-            sorted(protocol.sent),
-            sorted(protocol.received),
-            result.metrics.rounds,
-            result.metrics.total_messages,
-            result.metrics.total_bits,
-            [
-                (r.round_index, r.messages_sent, r.bits_sent, r.edges_used,
-                 r.active_nodes)
-                for r in result.metrics.per_round
-            ],
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize(
-        "regime", DELAY_REGIMES, ids=[name for name, _, _ in DELAY_REGIMES]
-    )
-    def test_outputs_invariant_under_delay_distribution(self, seed, regime):
-        _, min_delay, max_delay = regime
-        protocol, reference = _run_random_traffic("reference", seed)
-        expected = self._fingerprint(protocol, reference)
-        for delay_seed in (0, 7):
-            engine = AsyncEngine(
-                delay_seed=delay_seed, min_delay=min_delay, max_delay=max_delay
-            )
-            graph = nx.gnp_random_graph(18, 0.3, seed=seed)
-            graph.add_edges_from(nx.path_graph(18).edges())
-            async_protocol = RandomTrafficProtocol(seed=seed * 31 + 7)
-            network = Network(graph, seed=seed)
-            config = CongestConfig().with_log_budget(18)
-            result = run_protocol(network, async_protocol, config=config, engine=engine)
-            assert self._fingerprint(async_protocol, result) == expected, (
-                "async run diverged under delays [%r, %r] (delay_seed=%d)"
-                % (min_delay, max_delay, delay_seed)
-            )
-            assert result.completion_time > 0
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_control_overhead_depends_on_delays_not_protocol(self, seed):
-        """Delay regimes reorder events but never change the overhead counts:
-        one ack per payload message, one safety notification per edge
-        direction per pulse, under every distribution."""
-        overheads = set()
-        for _, min_delay, max_delay in self.DELAY_REGIMES:
-            engine = AsyncEngine(min_delay=min_delay, max_delay=max_delay)
-            graph = nx.gnp_random_graph(14, 0.3, seed=seed)
-            graph.add_edges_from(nx.path_graph(14).edges())
-            network = Network(graph, seed=seed)
-            config = CongestConfig().with_log_budget(14)
-            result = run_protocol(
-                network,
-                RandomTrafficProtocol(seed=seed * 31 + 7),
-                config=config,
-                engine=engine,
-            )
-            overheads.add(
-                (result.metrics.ack_messages, result.metrics.safety_messages)
-            )
-        assert len(overheads) == 1
 
 
 class TestStallAndQuiesce:

@@ -8,8 +8,8 @@ The claims under test, in increasing order of machinery:
    through a barrier raises :class:`ShardWorkerTimeout` within the
    configured deadline instead of blocking the coordinator forever, and no
    worker process outlives the failed call.
-3. **Supervised retry is invisible in the output** — a persistent process
-   session that crashes, hangs or decodes garbage mid-pipeline and recovers
+3. **Supervised retry is invisible in the output** — a process session
+   that crashes, hangs or decodes garbage mid-pipeline and recovers
    (phase replay on a fresh pool, or degradation to the serial backend)
    produces a result *bit-identical* to a clean run on the reference
    engine.  That is the whole point of deterministic replay: recovery is an
@@ -108,7 +108,7 @@ def _reference_fingerprint(graph, n, seed=5):
 
 def _faulty_config(n, fault_plan, *, round_timeout=None, retry=None, shards=3):
     return dataclasses.replace(
-        CongestConfig(session_mode="persistent")
+        CongestConfig()
         .with_sharding(shards=shards, backend="process")
         .with_log_budget(n),
         fault_plan=fault_plan,
@@ -248,16 +248,16 @@ class TestWireCorruption:
 
 
 # ----------------------------------------------------------------------
-# in-process fault simulation (thread backend)
+# in-process fault simulation (serial backend)
 # ----------------------------------------------------------------------
 def _bfs_inputs(graph):
     return {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
 
 
 class TestInProcessSimulation:
-    def _thread_config(self, plan, *, round_timeout=None):
+    def _serial_config(self, plan, *, round_timeout=None):
         return dataclasses.replace(
-            CongestConfig().with_sharding(shards=3, workers=2, backend="thread"),
+            CongestConfig().with_sharding(shards=3, backend="serial"),
             fault_plan=plan,
             round_timeout=round_timeout,
         ).with_log_budget(30)
@@ -270,7 +270,7 @@ class TestInProcessSimulation:
             result = run_protocol(
                 network,
                 MinIdBFSTreeProtocol(),
-                config=self._thread_config(plan),
+                config=self._serial_config(plan),
                 per_node_inputs=_bfs_inputs(graph),
             )
             results[plan is None] = (
@@ -282,7 +282,7 @@ class TestInProcessSimulation:
 
     def test_unsimulated_plan_is_ignored_off_process_backend(self):
         # A real (simulate=False) plan only means something to process
-        # workers; the thread backend must run it clean, not crash.
+        # workers; the serial backend must run it clean, not crash.
         graph = nx.gnp_random_graph(24, 0.2, seed=4)
         plan = FaultPlan(
             specs=(FaultSpec(point="round", kind="crash", shard=0),)
@@ -290,7 +290,7 @@ class TestInProcessSimulation:
         result = run_protocol(
             Network(graph, seed=2),
             MinIdBFSTreeProtocol(),
-            config=self._thread_config(plan),
+            config=self._serial_config(plan),
             per_node_inputs=_bfs_inputs(graph),
         )
         assert result.outputs
@@ -362,10 +362,11 @@ class TestSupervisedRetry:
         return _connected_gnp(self.N, 0.12, seed=3)
 
     def test_crash_and_hang_mid_pipeline_recover_bit_identically(self):
-        # The issue's acceptance scenario: one worker crash in one phase
-        # plus one hang in another, both on the persistent process
-        # session; the run must complete via phase replay and match the
-        # reference engine bit for bit.
+        # One worker crash in one phase plus one hang in another, both on
+        # the process session; the run must complete via replay and match
+        # the reference engine bit for bit.  Both phases sit in the same
+        # fused group — the replay unit — so the hang is bound to the
+        # group's first replay: crash, replay, hang, replay, clean.
         graph = self._graph()
         oracle = _reference_fingerprint(graph, self.N)
         plan = FaultPlan(
@@ -384,6 +385,7 @@ class TestSupervisedRetry:
                     phase="min-id-bfs-tree",
                     round_index=1,
                     hang_seconds=30.0,
+                    attempt=1,
                 ),
             )
         )
@@ -391,7 +393,7 @@ class TestSupervisedRetry:
             self.N,
             plan,
             round_timeout=2.0,
-            retry=RetryPolicy(max_attempts=2),
+            retry=RetryPolicy(max_attempts=3),
         )
         result, stats = _run_pipeline(graph, config)
         assert _fingerprint(result) == oracle
@@ -433,8 +435,8 @@ class TestSupervisedRetry:
         _assert_no_worker_processes()
 
     def test_fused_group_crash_replays_transactionally_bit_identically(self):
-        # ``pipeline_mode="fuse"``: per-phase context fold-backs inside a
-        # fused group are elided, so the *group* is the transaction unit —
+        # Per-phase context fold-backs inside a fused group are elided, so
+        # the *group* is the transaction unit —
         # a crash in a mid-group phase must replay the whole group from
         # the pristine group-start contexts and still match the reference
         # engine bit for bit.
@@ -451,10 +453,7 @@ class TestSupervisedRetry:
                 ),
             )
         )
-        config = dataclasses.replace(
-            _faulty_config(self.N, plan, retry=RetryPolicy(max_attempts=2)),
-            pipeline_mode="fuse",
-        )
+        config = _faulty_config(self.N, plan, retry=RetryPolicy(max_attempts=2))
         result, stats = _run_pipeline(graph, config)
         assert _fingerprint(result) == oracle
         assert stats.retries == 1
@@ -468,33 +467,6 @@ class TestSupervisedRetry:
         assert stats.fused_phases > 0
         labels = [phase.label for phase in stats.phases]
         assert len(labels) == len(set(labels))
-        _assert_no_worker_processes()
-
-    def test_fused_group_persistent_failure_degrades_bit_identically(self):
-        graph = self._graph()
-        oracle = _reference_fingerprint(graph, self.N)
-        specs = tuple(
-            FaultSpec(
-                point="round",
-                kind="crash",
-                shard=1,
-                phase="nc-vote",
-                round_index=1,
-                attempt=attempt,
-            )
-            for attempt in (0, 1)
-        )
-        config = dataclasses.replace(
-            _faulty_config(
-                self.N, FaultPlan(specs=specs), retry=RetryPolicy(max_attempts=2)
-            ),
-            pipeline_mode="fuse",
-        )
-        result, stats = _run_pipeline(graph, config)
-        assert _fingerprint(result) == oracle
-        assert stats.degradations == 1
-        actions = [event.action for event in stats.recovery_events]
-        assert actions == ["retry", "degrade"]
         _assert_no_worker_processes()
 
     def test_no_policy_means_failures_propagate(self):
@@ -721,7 +693,7 @@ def _matrix_plan(scenario: str, backend: str) -> FaultPlan:
         ),
         "corrupt_wire": FaultSpec(point="round", kind="corrupt", shard=0),
     }
-    return FaultPlan(specs=(specs[scenario],), simulate=backend == "thread")
+    return FaultPlan(specs=(specs[scenario],), simulate=backend == "serial")
 
 
 EXPECTED_ERROR = {
@@ -739,19 +711,14 @@ class TestFaultMatrix:
     ``pytest tests/test_faults.py -k "<scenario> and <backend>"``.
     """
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize(
         "scenario", ["crash_arm", "crash_round", "hang", "corrupt_wire"]
     )
     def test_fault_surfaces_as_typed_error(self, scenario, backend):
         graph = _connected_gnp(24, 0.15, seed=3)
         plan = _matrix_plan(scenario, backend)
-        if backend == "process":
-            config = CongestConfig().with_sharding(shards=3, backend="process")
-        else:
-            config = CongestConfig().with_sharding(
-                shards=3, workers=2, backend="thread"
-            )
+        config = CongestConfig().with_sharding(shards=3, backend=backend)
         round_timeout = 1.5 if scenario == "hang" else None
         config = dataclasses.replace(
             config, fault_plan=plan, round_timeout=round_timeout

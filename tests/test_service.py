@@ -292,19 +292,13 @@ class TestServiceQueries:
 
 
 class TestServicePersistentSession:
-    """The service over one persistent process-backend session."""
+    """The service over one long-lived process-backend session."""
 
     def test_session_incremental_query_recomputes_only_dirty_shard(self):
         graph = _block_graph([10, 10, 10])
-        config = (
-            CongestConfig(
-                engine="sharded",
-                shards=3,
-                shard_backend="process",
-                session_mode="persistent",
-            )
-            .with_log_budget(30)
-        )
+        config = CongestConfig(
+            engine="sharded", shards=3, shard_backend="process"
+        ).with_log_budget(30)
         service = NearCliqueService(graph.copy(), PARAMS, config=config)
         with service:
             first = service.query(seed=3)
@@ -319,7 +313,7 @@ class TestServicePersistentSession:
             assert outcome.record.recomputed_nodes == 10
             _assert_identical(outcome.result, _fresh(graph, 3))
 
-            # A reseeded full query goes through the persistent session,
+            # A reseeded full query goes through the long-lived session,
             # which absorbs the pending delta by repairing its plan.
             follow = service.query(seed=8)
             assert follow.record.kind == "full"
@@ -366,7 +360,6 @@ SERVICE_CONFIGS = [
             engine="sharded",
             shards=3,
             shard_backend="process",
-            session_mode="persistent",
         ).with_log_budget(30),
         id="session-process",
     ),

@@ -5,8 +5,8 @@ The differential suite (``tests/test_engine_equivalence.py``) already holds
 counts and strategies; this module covers the partitioner itself — plan
 invariants on awkward graphs (disconnected, k > n, mixed labels),
 determinism under a fixed seed, cut statistics — and the engine's
-configuration surface (single shard degenerating to batched, thread mode,
-traffic statistics).
+configuration surface (single shard degenerating to batched, traffic
+statistics), and the process backend's workers and sessions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pickle
 import random
 import subprocess
 import sys
-import threading
 import time
 
 import networkx as nx
@@ -283,27 +282,6 @@ class TestShardedEngineKnobs:
 
         assert get_engine("sharded").stats is None
 
-    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
-    def test_worker_counts_all_agree(self, workers):
-        graph = nx.gnp_random_graph(30, 0.2, seed=12)
-        per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
-        network = Network(graph, seed=2)
-        config = CongestConfig().with_sharding(shards=3, workers=workers)
-        result = run_protocol(
-            network,
-            MinIdBFSTreeProtocol(),
-            config=config.with_log_budget(30),
-            per_node_inputs=per_node,
-        )
-        serial_network = Network(graph, seed=2)
-        serial = run_protocol(
-            serial_network,
-            MinIdBFSTreeProtocol(),
-            config=CongestConfig().with_sharding(shards=3, workers=0).with_log_budget(30),
-            per_node_inputs=per_node,
-        )
-        assert self._fingerprint(result) == self._fingerprint(serial)
-
     def test_empty_network(self, strategy):
         network = Network(nx.Graph(), seed=0)
         result = run_protocol(
@@ -314,60 +292,20 @@ class TestShardedEngineKnobs:
         assert result.outputs == {}
         assert result.metrics.rounds == 0
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard backend"):
-            ShardedEngine(backend="gpu")
+    # "thread" names the deleted thread-pool backend.
+    @pytest.mark.parametrize("backend", ["gpu", "thread"])
+    def test_unknown_backend_rejected(self, backend):
+        assert SHARD_BACKENDS == ("serial", "process")
+        listed = "available backends: serial, process"
+        with pytest.raises(ValueError, match="unknown shard backend.*" + listed):
+            ShardedEngine(backend=backend)
         network = Network(nx.path_graph(4), seed=0)
-        with pytest.raises(ValueError, match="unknown shard backend"):
+        with pytest.raises(ValueError, match="unknown shard backend.*" + listed):
             run_protocol(
                 network,
                 _PingAll(),
-                config=CongestConfig().with_sharding(backend="gpu"),
+                config=CongestConfig().with_sharding(backend=backend),
             )
-
-    def test_serial_backend_forces_serial_despite_workers(self):
-        # backend="serial" must never build a pool even with workers >= 2.
-        engine = ShardedEngine(shards=3, workers=4, backend="serial")
-        network = Network(nx.cycle_graph(12), seed=1)
-        before = {t.name for t in threading.enumerate()}
-        result = run_protocol(network, _PingAll(), engine=engine)
-        after = {t.name for t in threading.enumerate()} - before
-        assert not any(name.startswith("repro-shard") for name in after)
-        assert result.outputs == {v: 2 for v in range(12)}
-
-    def test_pool_dispatch_path_is_exercised(self, monkeypatch):
-        # POOL_MIN_WORK keeps unit-sized rounds off the pool, so pin it to
-        # zero here: every round must go through the chunked pool dispatch
-        # and still be bit-identical to the serial mode.
-        from repro.congest.sharding.engine import _ShardedRun
-
-        monkeypatch.setattr(_ShardedRun, "POOL_MIN_WORK", 0)
-        dispatches = {"pool": 0}
-        original = _ShardedRun._run_shards
-
-        def counting(self, step, work_hint):
-            if self.pool is not None and work_hint >= self.POOL_MIN_WORK:
-                dispatches["pool"] += 1
-            return original(self, step, work_hint)
-
-        monkeypatch.setattr(_ShardedRun, "_run_shards", counting)
-
-        graph = nx.gnp_random_graph(30, 0.2, seed=12)
-        per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
-        results = {}
-        for workers in (0, 3):
-            network = Network(graph, seed=2)
-            result = run_protocol(
-                network,
-                MinIdBFSTreeProtocol(),
-                config=CongestConfig()
-                .with_sharding(shards=3, workers=workers)
-                .with_log_budget(30),
-                per_node_inputs=per_node,
-            )
-            results[workers] = self._fingerprint(result)
-        assert dispatches["pool"] > 0, "thread mode never reached the pool"
-        assert results[3] == results[0]
 
 
 class _CrashInWorker(Protocol):
@@ -431,7 +369,7 @@ class _ChatterForever(Protocol):
 
 
 def _assert_no_worker_processes():
-    """The per-execute pool contract: nothing outlives the call."""
+    """The session teardown contract: no worker outlives its session."""
     deadline = time.time() + 5.0
     while multiprocessing.active_children() and time.time() < deadline:
         time.sleep(0.05)  # join() already ran; only reaping can lag
@@ -443,9 +381,10 @@ class TestProcessBackendInfrastructure:
 
     Bit-identity of process-backend *results* lives in the differential
     suite (``tests/test_engine_equivalence.py::TestProcessBackend``); this
-    class covers the machinery around it: pools must die with the execute
-    call, a crashed worker must surface as a clean error, and the traffic
-    stats must account the packed boundary bytes.
+    class covers the machinery around it: a direct execute's one-shot
+    session must take its pool and shared-memory segment with it, a crashed
+    worker must surface as a clean error, and the traffic stats must
+    account the packed boundary bytes.
     """
 
     def _config(self, shards=3):
@@ -478,19 +417,38 @@ class TestProcessBackendInfrastructure:
             run_protocol(network, LocalProtocol(), config=self._config(shards=3))
         _assert_no_worker_processes()
 
-    def test_no_leaked_processes_after_success_and_violations(self):
-        # The registry engine is a shared singleton; pools must be created
-        # per execute and torn down on *every* exit path.
+    def test_no_leaked_processes_after_success_and_violations(self, monkeypatch):
+        # The registry engine is a shared singleton; a direct execute runs
+        # in a one-shot session whose pool and shared-memory CSR segment
+        # must be torn down on *every* exit path.
+        created = []
+        create = SharedCSR.create.__func__
+
+        def recording_create(cls, network, plan):
+            mapping = create(cls, network, plan)
+            created.append(mapping.name)
+            return mapping
+
+        monkeypatch.setattr(SharedCSR, "create", classmethod(recording_create))
+
+        def assert_nothing_survives():
+            assert created, "the direct execute mapped no shared-memory segment"
+            _assert_no_worker_processes()
+            for name in created:
+                with pytest.raises(FileNotFoundError):
+                    SharedCSR.attach(name)
+            del created[:]
+
         network = Network(nx.cycle_graph(12), seed=0)
         run_protocol(network, _PingAll(), config=self._config())
-        _assert_no_worker_processes()
+        assert_nothing_survives()
         with pytest.raises(CongestionViolation):
             run_protocol(
                 Network(nx.cycle_graph(12), seed=0),
                 _DoubleSend(),
                 config=self._config(),
             )
-        _assert_no_worker_processes()
+        assert_nothing_survives()
         with pytest.raises(MessageSizeViolation):
             run_protocol(
                 Network(nx.cycle_graph(12), seed=0),
@@ -499,7 +457,7 @@ class TestProcessBackendInfrastructure:
                     self._config(), message_bit_budget=8
                 ),
             )
-        _assert_no_worker_processes()
+        assert_nothing_survives()
 
     def test_round_limit_exceeded_crosses_cleanly(self):
         network = Network(nx.cycle_graph(10), seed=0)
@@ -646,7 +604,7 @@ class TestPartitionCacheStaleness:
         assert cached_partition(network, 2) is not first
 
 
-#: Preamble of the shm-lifecycle subprocess tests: opens a persistent
+#: Preamble of the shm-lifecycle subprocess tests: opens a
 #: process session, runs one phase, and prints the segment name; each test
 #: appends its own exit behaviour.
 _SESSION_SCRIPT_PREAMBLE = r"""
@@ -667,9 +625,7 @@ class Ping(Protocol):
         ctx.halt()
 
 network = Network(nx.cycle_graph(9), seed=0)
-config = CongestConfig(session_mode="persistent").with_sharding(
-    shards=3, backend="process"
-)
+config = CongestConfig().with_sharding(shards=3, backend="process")
 session = get_engine("sharded").open_session(network, config)
 session.execute(Ping())
 print(session.shared_csr.name, flush=True)
@@ -691,19 +647,17 @@ def _run_session_subprocess(tail: str) -> "subprocess.CompletedProcess":
     )
 
 
-def _persistent_config(shards=3, **fields):
-    return CongestConfig(session_mode="persistent", **fields).with_sharding(
-        shards=shards, backend="process"
-    )
+def _process_config(shards=3, **fields):
+    return CongestConfig(**fields).with_sharding(shards=shards, backend="process")
 
 
 def _open_process_session(network, shards=3, **fields):
-    config = _persistent_config(shards=shards, **fields)
+    config = _process_config(shards=shards, **fields)
     return get_engine("sharded").open_session(network, config), config
 
 
 class TestExecutionSessions:
-    """Persistent process sessions: pool reuse, re-arm, teardown, shm.
+    """Process sessions: pool reuse, re-arm, teardown, shm.
 
     Bit-identity of session-mode *results* lives in the differential
     suite (``tests/test_engine_equivalence.py::TestSessionMode``); this
@@ -973,35 +927,15 @@ class TestExecutionSessions:
                 session.execute(_PingAll())
         _assert_no_worker_processes()
 
-    def test_session_mode_validation(self):
-        network = Network(nx.cycle_graph(6), seed=0)
-        with pytest.raises(ValueError, match="unknown session mode"):
-            get_engine("batched").open_session(
-                network, CongestConfig(session_mode="bogus")
-            )
-        with pytest.raises(ValueError, match="unknown session mode"):
-            get_engine("sharded").open_session(
-                network, CongestConfig(session_mode="bogus")
-            )
-        assert (
-            CongestConfig().with_session_mode("persistent").session_mode
-            == "persistent"
-        )
-
     def test_session_default_is_thin_wrapper(self):
-        # Engines without per-execute setup return the base session even in
-        # persistent mode; the sharded in-process backends likewise.
+        # Engines without per-execute setup return the base session; the
+        # serial sharded backend likewise.
         network = Network(nx.cycle_graph(6), seed=0)
-        thin = get_engine("batched").open_session(
-            network, CongestConfig(session_mode="persistent")
-        )
+        thin = get_engine("batched").open_session(network, CongestConfig())
         assert type(thin) is CongestSession
         assert thin.stats is None
         serial = get_engine("sharded").open_session(
-            network,
-            CongestConfig(session_mode="persistent").with_sharding(
-                shards=2, backend="serial"
-            ),
+            network, CongestConfig().with_sharding(shards=2, backend="serial")
         )
         assert type(serial) is CongestSession
         with thin:
@@ -1032,7 +966,7 @@ def _three_cliques() -> nx.Graph:
 
 
 class TestSessionDeltaAbsorption:
-    """A persistent session absorbs ``Network.apply_delta`` mutations.
+    """A process session absorbs ``Network.apply_delta`` mutations.
 
     The fingerprint check distinguishes two divergences: one fully
     explained by the network's delta ledger (repair the plan, respawn
@@ -1125,7 +1059,7 @@ class TestSessionDeltaAbsorption:
         assert before[2] != after[2]
 
     def test_session_serial_sharded_recomputes_after_delta(self):
-        # The per-call sharded engine has no pool to repair; it must simply
+        # The serial sharded engine has no pool to repair; it must simply
         # not serve a stale memoised plan after a delta.
         graph = _three_cliques()
         network = Network(graph, seed=0)
@@ -1201,8 +1135,8 @@ class TestShardingStatsAccounting:
         assert stats.bytes_per_round == pytest.approx(5.0)
         assert stats.protocol_messages == 50
 
-    def test_multi_phase_persistent_session_totals_pinned(self):
-        # End-to-end totals over a real persistent session mixing fresh and
+    def test_multi_phase_session_totals_pinned(self):
+        # End-to-end totals over a real process session mixing fresh and
         # reuse executes: runs == phases, totals == sum of partials.
         network = Network(nx.cycle_graph(12), seed=0)
         session, _config = _open_process_session(network, shards=2)
@@ -1229,7 +1163,7 @@ class TestShardingStatsAccounting:
 
 
 class TestPipelineFusionSession:
-    """``pipeline_mode="fuse"`` on a persistent process session.
+    """The fused pipeline plan on a process session.
 
     Bit-identity of fused *results* lives in the differential suite; this
     class pins the coordination claim itself: the composite runner ships
@@ -1242,13 +1176,7 @@ class TestPipelineFusionSession:
         from repro.core.dist_near_clique import DistNearCliqueRunner
 
         graph = nx.connected_caveman_graph(2, 8)
-        config = CongestConfig(
-            engine="sharded",
-            shards=2,
-            shard_backend="process",
-            session_mode="persistent",
-            pipeline_mode="fuse",
-        )
+        config = CongestConfig(engine="sharded", shards=2, shard_backend="process")
         runner = DistNearCliqueRunner(
             epsilon=0.25,
             sample_probability=0.05,
@@ -1279,41 +1207,50 @@ class TestPipelineFusionSession:
         _assert_no_worker_processes()
 
 
-class TestSessionModeConstructionValidation:
-    """``session_mode`` typos fail at config construction (satellite fix)."""
+class TestRetiredModeConstructionValidation:
+    """``session_mode`` / ``pipeline_mode`` survive only as their one value.
 
-    def test_constructor_rejects_unknown_mode(self):
+    The constructor still accepts ``session_mode="persistent"`` and
+    ``pipeline_mode="fuse"`` (the only behaviour left) without storing
+    them; any other value — a typo or a deleted mode — fails at
+    construction.
+    """
+
+    @pytest.mark.parametrize("mode", ["presistent", "per-call"])
+    def test_constructor_rejects_other_session_modes(self, mode):
         with pytest.raises(ValueError, match="unknown session mode"):
-            CongestConfig(session_mode="presistent")
+            CongestConfig(session_mode=mode)
 
-    def test_error_lists_allowed_values(self):
-        with pytest.raises(ValueError, match="per-call, persistent"):
-            CongestConfig(session_mode="bogus")
-
-    def test_with_session_mode_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown session mode"):
-            CongestConfig().with_session_mode("bogus")
+    @pytest.mark.parametrize("mode", ["fused", "off"])
+    def test_constructor_rejects_other_pipeline_modes(self, mode):
+        with pytest.raises(ValueError, match="unknown pipeline mode"):
+            CongestConfig(pipeline_mode=mode)
 
     def test_replace_reruns_validation(self):
         config = CongestConfig(session_mode="persistent")
         with pytest.raises(ValueError, match="unknown session mode"):
-            dataclasses.replace(config, session_mode="bogus")
+            dataclasses.replace(config, session_mode="per-call")
+        with pytest.raises(ValueError, match="unknown pipeline mode"):
+            dataclasses.replace(config, pipeline_mode="off")
 
-    def test_valid_modes_construct(self):
-        assert CongestConfig(session_mode="per-call").session_mode == "per-call"
-        assert (
-            CongestConfig().with_session_mode("persistent").session_mode
-            == "persistent"
+    def test_accepted_values_construct_and_are_not_stored(self):
+        config = CongestConfig(
+            engine="sharded",
+            shard_backend="process",
+            shards=2,
+            session_mode="persistent",
+            pipeline_mode="fuse",
+        )
+        assert len(dataclasses.fields(CongestConfig)) == 13
+        assert "session_mode" not in vars(config)
+        assert "pipeline_mode" not in vars(config)
+        assert config.with_log_budget(100) == dataclasses.replace(
+            config, message_bit_budget=80
         )
 
 
 class TestShardingKnobConstructionValidation:
-    """``shards`` / ``shard_workers`` nonsense fails at config construction.
-
-    ``shard_workers=0`` stays legal — it is the documented serial
-    deterministic mode and the repo-wide default — so the floor is 0 for
-    workers and 1 for shards.
-    """
+    """``shards`` nonsense fails at config construction; the floor is 1."""
 
     def test_constructor_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
@@ -1323,22 +1260,21 @@ class TestShardingKnobConstructionValidation:
         with pytest.raises(ValueError, match="shards must be >= 1"):
             CongestConfig(shards=-3)
 
-    def test_constructor_rejects_negative_workers(self):
-        with pytest.raises(ValueError, match="shard_workers must be >= 0"):
-            CongestConfig(shard_workers=-1)
+    def test_constructor_rejects_the_removed_workers_knob(self):
+        # The thread backend's pool width went with the backend.
+        with pytest.raises(TypeError, match="shard_workers"):
+            CongestConfig(shard_workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            CongestConfig().with_sharding(shards=2, workers=2)
 
     def test_error_messages_carry_the_offending_value(self):
         with pytest.raises(ValueError, match=r"\(got 0\)"):
             CongestConfig(shards=0)
-        with pytest.raises(ValueError, match=r"\(got -2\)"):
-            CongestConfig(shard_workers=-2)
 
     def test_replace_reruns_validation(self):
-        config = CongestConfig().with_sharding(shards=4, workers=2)
+        config = CongestConfig().with_sharding(shards=4)
         with pytest.raises(ValueError, match="shards must be >= 1"):
             dataclasses.replace(config, shards=0)
-        with pytest.raises(ValueError, match="shard_workers must be >= 0"):
-            dataclasses.replace(config, shard_workers=-1)
 
     def test_with_sharding_reruns_validation(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
@@ -1346,6 +1282,4 @@ class TestShardingKnobConstructionValidation:
 
     def test_valid_boundary_values_construct(self):
         assert CongestConfig(shards=1).shards == 1
-        assert CongestConfig(shard_workers=0).shard_workers == 0
-        derived = CongestConfig().with_sharding(shards=1, workers=0)
-        assert (derived.shards, derived.shard_workers) == (1, 0)
+        assert CongestConfig().with_sharding(shards=1).shards == 1

@@ -25,12 +25,11 @@ from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import generators
 
-#: The five in-process engines (the sharded one on its serial backend).
+#: The four in-process engines (the sharded one on its serial backend).
 ENGINE_ARMS = {
     "reference": dict(engine="reference"),
     "batched": dict(engine="batched"),
     "vectorized": dict(engine="vectorized"),
-    "async": dict(engine="async"),
     "sharded": dict(engine="sharded", shards=2, shard_backend="serial"),
 }
 
