@@ -72,7 +72,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
+    if not value > 0:
         raise argparse.ArgumentTypeError("must be positive, got %s" % text)
     return value
 

@@ -224,9 +224,25 @@ class TestArgumentValidation:
             ["find", "--expected-sample", "-2"],
             ["serve", "--expected-sample", "-2"],
             ["verify", "unused.edges", "--epsilon", "-1"],
+            ["find", "--n", "ten"],
+            ["serve", "--n", "0"],
+            ["generate", "unused.edges", "--n", "0"],
+            ["find", "--epsilon", "1"],
+            ["find", "--epsilon", "nan"],
+            ["serve", "--epsilon", "0"],
+            ["find", "--expected-sample", "nan"],
+            ["verify", "unused.edges", "--epsilon", "nan"],
+            ["find", "--shards", "0"],
+            ["serve", "--shards", "0"],
+            ["find", "--round-timeout", "0"],
+            ["find", "--round-timeout", "nan"],
+            ["serve", "--round-timeout", "-1"],
+            ["find", "--retry-attempts", "-1"],
             ["find", "--congest-engine", "async"],
+            ["serve", "--congest-engine", "async"],
             ["find", "--shard-workers", "2"],
             ["find", "--shard-backend", "thread"],
+            ["serve", "--shard-backend", "thread"],
             ["find", "--session-mode", "persistent"],
             ["find", "--pipeline-mode", "fuse"],
         ],
@@ -237,6 +253,31 @@ class TestArgumentValidation:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    BOUNDARY_VALUES = [
+        (["find", "--n", "1"], "n", 1),
+        (["serve", "--n", "1"], "n", 1),
+        (["generate", "unused.edges", "--n", "1"], "n", 1),
+        (["find", "--epsilon", "0.001"], "epsilon", 0.001),
+        (["serve", "--epsilon", "0.999"], "epsilon", 0.999),
+        (["verify", "unused.edges", "--epsilon", "0"], "epsilon", 0.0),
+        (["find", "--expected-sample", "0"], "expected_sample", 0.0),
+        (["serve", "--expected-sample", "1e9"], "expected_sample", 1e9),
+        (["find", "--shards", "1"], "shards", 1),
+        (["find", "--round-timeout", "0.001"], "round_timeout", 0.001),
+        (["find", "--retry-attempts", "0"], "retry_attempts", 0),
+        (["find", "--shard-backend", "process"], "shard_backend", "process"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,dest,value",
+        BOUNDARY_VALUES,
+        ids=[" ".join(argv) for argv, _, _ in BOUNDARY_VALUES],
+    )
+    def test_boundary_values_parse(self, argv, dest, value):
+        # The bounds are tight: each edge value the library accepts parses.
+        args = cli._build_parser().parse_args(argv)
+        assert getattr(args, dest) == value
 
 
 def write_snap_toy(path):

@@ -14,9 +14,10 @@ Every test that compares a backend against the reference is parametrized by
 the backend's registry name, so a failure names the diverging engine in its
 test id — which is also what lets CI run the suite once per engine with
 ``-k <engine>``.  The sharded engine's process backend (worker processes
-exchanging packed boundary batches) gets its own arm,
-:class:`TestProcessBackend`, whose ids carry ``process`` for the same
-reason.
+exchanging packed boundary batches) runs as one more arm, ``process``, of
+the engine-parametrized classes, and :class:`TestProcessBackend` adds its
+shard-count, strategy and whole-pipeline cases; their ids carry
+``process`` for the same reason.
 """
 
 from __future__ import annotations
@@ -51,10 +52,18 @@ from repro.primitives.convergecast import (
 )
 from repro.primitives.leader_election import MinIdFloodingProtocol
 
-#: The backends differentially tested against the reference oracle.
-FAST_ENGINES = tuple(
-    name for name in available_engines() if name != ReferenceEngine.name
-)
+#: Engine configurations by arm id: every registered engine at its default
+#: configuration, plus the sharded engine's process backend, whose direct
+#: executes each run inside a one-shot worker session.
+ARMS = {name: {"engine": name} for name in available_engines()}
+ARMS["process"] = {"engine": "sharded", "shards": 2, "shard_backend": "process"}
+
+#: The arms differentially tested against the reference oracle.
+FAST_ENGINES = tuple(name for name in ARMS if name != ReferenceEngine.name)
+
+
+def _config(arm):
+    return CongestConfig(**ARMS[arm])
 
 
 def _graph_pool():
@@ -166,7 +175,7 @@ class TestPrimitiveEquivalence:
     @pytest.mark.parametrize("graph", [g for _, g in GRAPHS], ids=GRAPH_IDS)
     def test_primitive_pipeline_identical(self, graph, engine):
         reference = _run_primitive_suite(graph, "reference")
-        candidate = _run_primitive_suite(graph, engine)
+        candidate = _run_primitive_suite(graph, **ARMS[engine])
         assert candidate == reference, "engine %r diverged" % engine
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
@@ -179,7 +188,7 @@ class TestPrimitiveEquivalence:
         results = {}
         for name in ("reference", engine):
             network = Network(graph, seed=77)
-            config = CongestConfig(engine=name).with_log_budget(20)
+            config = _config(name).with_log_budget(20)
             result = run_protocol(
                 network, MinIdBFSTreeProtocol(), config=config, per_node_inputs=per_node
             )
@@ -197,7 +206,7 @@ class TestOverriddenFinishedEquivalence:
         fingerprints = {}
         for name in ("reference", engine):
             network = Network(graph, seed=seed)
-            config = CongestConfig(engine=name).with_log_budget(network.n)
+            config = _config(name).with_log_budget(network.n)
             result = run_protocol(network, ShinglesProtocol(), config=config)
             fingerprints[name] = _fingerprint(result)
         assert fingerprints[engine] == fingerprints["reference"]
@@ -218,7 +227,7 @@ class TestRunnerEquivalence:
                 epsilon=0.25,
                 sample_probability=0.1,
                 rng=random.Random(1000 + seed),
-                engine=name,
+                config=_config(name).with_log_budget(graph.number_of_nodes()),
             )
             result = runner.run(graph)
             results[name] = (
@@ -247,7 +256,7 @@ class TestRunnerEquivalence:
                 sample_probability=0.1,
                 max_sample_size=None,
                 rng=random.Random(5),
-                engine=name,
+                config=_config(name).with_log_budget(graph.number_of_nodes()),
             )
             result = runner.run(graph, sample=sample)
             results[name] = (result.labels, result.metrics.rounds,
@@ -270,7 +279,7 @@ class TestWrapperEquivalence:
                 sample_probability=0.12,
                 repetitions=3,
                 engine="distributed",
-                congest_engine=name,
+                congest_config=_config(name).with_log_budget(graph.number_of_nodes()),
                 rng=random.Random(99),
             )
             result = runner.run(graph)
@@ -295,7 +304,7 @@ class TestWrapperEquivalence:
                 epsilon_1=0.25 ** 3,
                 epsilon_2=0.25,
                 rng=random.Random(17),
-                congest_engine=name,
+                congest_config=_config(name).with_log_budget(graph.number_of_nodes()),
             )
             result = tester.find_distributed(graph)
             results[name] = (
@@ -371,17 +380,10 @@ class TestProcessBackend:
     Every boundary message of these runs crosses a real process boundary in
     the packed wire format, and every context round-trips through pickle at
     the end of each execute — so this arm exercises serialization paths the
-    in-process backends never touch.  Test ids contain ``process`` so the
-    CI engine matrix selects exactly this arm with ``-k process``.
+    in-process backends never touch.  The graph-pool sweep is the
+    ``process`` arm of :class:`TestPrimitiveEquivalence`.  Test ids contain
+    ``process`` so the CI engine matrix selects this arm with ``-k process``.
     """
-
-    @pytest.mark.parametrize("graph", [g for _, g in GRAPHS], ids=GRAPH_IDS)
-    def test_primitive_pipeline_identical_process(self, graph):
-        reference = _run_primitive_suite(graph, "reference")
-        candidate = _run_primitive_suite(
-            graph, "sharded", shards=2, shard_backend="process"
-        )
-        assert candidate == reference, "process backend diverged"
 
     @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("strategy", ["contiguous", "bfs", "bfs+refine"])

@@ -10,10 +10,17 @@ guarantees on randomized workloads driven by stdlib ``random``:
   message sent to a node that has not halted is delivered exactly once, in
   the next round, no matter how long the node has been silent;
 * the ``_STALL_LIMIT`` quiesce path: a protocol that is silent for exactly
-  ``_STALL_LIMIT - 1`` rounds and then resumes is not declared stalled.
+  ``_STALL_LIMIT - 1`` rounds and then resumes is not declared stalled;
+* the sharded engine's partition — backend, shard count and strategy — is
+  invisible to the protocol: every node sees the batched engine's traffic.
 
 The engine-parametrized tests below cover every registered engine because
-they iterate :func:`repro.congest.engine.available_engines`.
+they iterate :func:`repro.congest.engine.available_engines`, plus the
+sharded engine's process backend (arm id ``process``), whose direct
+executes each run inside a one-shot worker session.  Protocol code there
+runs in worker processes, so every protocol below is defined at module
+level (workers unpickle it by name) and the traffic logs travel back as
+node outputs rather than as attributes of the protocol instance.
 """
 
 from __future__ import annotations
@@ -34,17 +41,26 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.congest.scheduler import _STALL_LIMIT, run_protocol
+from repro.congest.sharding import PARTITION_STRATEGIES, SHARD_BACKENDS
 
-ENGINES = available_engines()
+#: Engine configurations by arm id.
+ARMS = {name: {"engine": name} for name in available_engines()}
+ARMS["process"] = {"engine": "sharded", "shards": 2, "shard_backend": "process"}
+ENGINES = tuple(ARMS)
+
+
+def _config(arm, **fields):
+    return CongestConfig(**ARMS[arm], **fields)
 
 
 class RandomTrafficProtocol(Protocol):
     """Random gossip with per-node random halt rounds, fully instrumented.
 
     Every active node sends one message to a random non-empty subset of its
-    neighbours each round and logs every send and every receive on the
-    protocol instance.  Node v halts at the end of round ``halt_round[v]``.
-    The logs let the tests replay the delivery discipline after the fact.
+    neighbours each round and logs every send, every receive and every
+    invocation in its own state; the log is the node's output.  Node v
+    halts at the end of round ``halt_round``.  The logs let the tests
+    replay the delivery discipline after the fact.
     """
 
     name = "random-traffic"
@@ -53,10 +69,6 @@ class RandomTrafficProtocol(Protocol):
         rng = random.Random(seed)
         self._traffic_seed = rng.getrandbits(32)
         self.max_halt_round = max_halt_round
-        self.halt_round = {}
-        self.sent = []  # (round sent, sender, receiver, payload)
-        self.received = []  # (round received, receiver, sender, payload)
-        self.invocations = []  # (round, node, inbox size)
 
     def _rng_for(self, ctx):
         key = "_traffic_rng"
@@ -66,7 +78,12 @@ class RandomTrafficProtocol(Protocol):
 
     def on_start(self, ctx):
         rng = self._rng_for(ctx)
-        self.halt_round[ctx.node_id] = rng.randint(1, self.max_halt_round)
+        ctx.state["log"] = {
+            "halt_round": rng.randint(1, self.max_halt_round),
+            "sent": [],  # (round sent, sender, receiver, payload)
+            "received": [],  # (round received, receiver, sender, payload)
+            "invocations": [],  # (round, node, inbox size)
+        }
         self._gossip(ctx, round_index=0)
 
     def _gossip(self, ctx, round_index):
@@ -77,18 +94,34 @@ class RandomTrafficProtocol(Protocol):
         for neighbor in sorted(rng.sample(list(ctx.neighbors), count)):
             payload = (ctx.node_id, round_index, rng.randint(0, 1000))
             ctx.send(neighbor, Message(kind="gossip", payload=payload))
-            self.sent.append((round_index, ctx.node_id, neighbor, payload))
+            ctx.state["log"]["sent"].append((round_index, ctx.node_id, neighbor, payload))
 
     def on_round(self, ctx, inbox):
-        self.invocations.append((ctx.round_index, ctx.node_id, len(inbox)))
+        log = ctx.state["log"]
+        log["invocations"].append((ctx.round_index, ctx.node_id, len(inbox)))
         for inbound in inbox:
-            self.received.append(
+            log["received"].append(
                 (ctx.round_index, ctx.node_id, inbound.sender, inbound.payload)
             )
-        if ctx.round_index >= self.halt_round[ctx.node_id]:
+        if ctx.round_index >= log["halt_round"]:
             ctx.halt()
             return
         self._gossip(ctx, ctx.round_index)
+
+    def collect_output(self, ctx):
+        return ctx.state["log"]
+
+
+class TrafficLog:
+    """Every node's traffic log, merged: what the protocol saw, network-wide."""
+
+    def __init__(self, outputs):
+        self.halt_round = {node: log["halt_round"] for node, log in outputs.items()}
+        self.sent = [entry for log in outputs.values() for entry in log["sent"]]
+        self.received = [entry for log in outputs.values() for entry in log["received"]]
+        self.invocations = [
+            entry for log in outputs.values() for entry in log["invocations"]
+        ]
 
 
 def _run_random_traffic(engine, seed, n=18, p=0.3):
@@ -96,18 +129,49 @@ def _run_random_traffic(engine, seed, n=18, p=0.3):
     graph.add_edges_from(nx.path_graph(n).edges())  # no isolated nodes
     protocol = RandomTrafficProtocol(seed=seed * 31 + 7)
     network = Network(graph, seed=seed)
-    config = CongestConfig(engine=engine).with_log_budget(n)
+    config = _config(engine).with_log_budget(n)
     result = run_protocol(network, protocol, config=config)
-    return protocol, result
+    return TrafficLog(result.outputs), result
+
+
+class DoubleSender(Protocol):
+    def on_start(self, ctx):
+        if ctx.neighbors:
+            target = ctx.neighbors[0]
+            ctx.send(target, Message(kind="a", payload=(1,)))
+            ctx.send(target, Message(kind="b", payload=(2,)))
+
+
+class BigTalker(Protocol):
+    def on_start(self, ctx):
+        ctx.send_all(Message(kind="big", payload=None, bits=10 ** 6))
+
+    def on_round(self, ctx, inbox):
+        ctx.halt()
+
+
+class NeverTerminates(Protocol):
+    def on_round(self, ctx, inbox):
+        ctx.state["spin"] = ctx.state.get("spin", 0) + 1
+
+
+class SilentQuiescer(Protocol):
+    quiesce_terminates = True
+
+    def on_start(self, ctx):
+        ctx.send_all(Message(kind="one", payload=None))
+
+    def on_round(self, ctx, inbox):
+        ctx.write_output(len(inbox))
 
 
 class TestOneMessagePerEdgePerRound:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_edge_carries_two_messages_one_way(self, engine, seed):
-        protocol, result = _run_random_traffic(engine, seed)
+        log, result = _run_random_traffic(engine, seed)
         per_round_pairs = {}
-        for round_sent, sender, receiver, _ in protocol.sent:
+        for round_sent, sender, receiver, _ in log.sent:
             pairs = per_round_pairs.setdefault(round_sent, set())
             assert (sender, receiver) not in pairs
             pairs.add((sender, receiver))
@@ -115,21 +179,14 @@ class TestOneMessagePerEdgePerRound:
         # message used a distinct directed edge.  (Round 1's messages_sent
         # additionally folds in the on_start traffic, per the accounting
         # convention, so subtract it before comparing.)
-        startup_messages = sum(1 for round_sent, _, _, _ in protocol.sent if round_sent == 0)
+        startup_messages = sum(1 for round_sent, _, _, _ in log.sent if round_sent == 0)
         for rm in result.metrics.per_round:
             expected = rm.messages_sent - (startup_messages if rm.round_index == 1 else 0)
             assert rm.edges_used == expected
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_double_send_raises(self, engine):
-        class DoubleSender(Protocol):
-            def on_start(self, ctx):
-                if ctx.neighbors:
-                    target = ctx.neighbors[0]
-                    ctx.send(target, Message(kind="a", payload=(1,)))
-                    ctx.send(target, Message(kind="b", payload=(2,)))
-
-        config = CongestConfig(engine=engine)
+        config = _config(engine)
         with pytest.raises(CongestionViolation):
             run_protocol(Network(nx.path_graph(4)), DoubleSender(), config=config)
 
@@ -144,24 +201,13 @@ class TestBitBudgetEnforced:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_oversized_message_raises(self, engine):
-        class BigTalker(Protocol):
-            def on_start(self, ctx):
-                ctx.send_all(Message(kind="big", payload=None, bits=10 ** 6))
-
-        config = CongestConfig(engine=engine).with_log_budget(6)
+        config = _config(engine).with_log_budget(6)
         with pytest.raises(MessageSizeViolation):
             run_protocol(Network(nx.path_graph(6)), BigTalker(), config=config)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_disabled_budget_allows_big_messages(self, engine):
-        class BigTalker(Protocol):
-            def on_start(self, ctx):
-                ctx.send_all(Message(kind="big", payload=None, bits=10 ** 6))
-
-            def on_round(self, ctx, inbox):
-                ctx.halt()
-
-        config = CongestConfig(engine=engine, message_bit_budget=None)
+        config = _config(engine, message_bit_budget=None)
         result = run_protocol(Network(nx.path_graph(6)), BigTalker(), config=config)
         assert result.metrics.max_message_bits == 10 ** 6
 
@@ -174,17 +220,18 @@ class TestFrontierNeverStarves:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_delivery_is_exact(self, engine, seed):
-        protocol, _ = _run_random_traffic(engine, seed)
+        log, _ = _run_random_traffic(engine, seed)
+        assert log.sent and log.received
         received = {}
-        for round_received, receiver, sender, payload in protocol.received:
+        for round_received, receiver, sender, payload in log.received:
             key = (round_received, receiver, sender, payload)
             received[key] = received.get(key, 0) + 1
 
-        for round_sent, sender, receiver, payload in protocol.sent:
+        for round_sent, sender, receiver, payload in log.sent:
             key = (round_sent + 1, receiver, sender, payload)
             # halt_round is the round in whose processing the node halts, so
             # the node still processes mail arriving in that round.
-            if round_sent + 1 <= protocol.halt_round[receiver]:
+            if round_sent + 1 <= log.halt_round[receiver]:
                 assert received.pop(key, 0) == 1, (
                     "message %r starved under engine %r" % (key, engine)
                 )
@@ -196,11 +243,11 @@ class TestFrontierNeverStarves:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_active_node_invoked_every_round(self, engine, seed):
-        protocol, result = _run_random_traffic(engine, seed)
+        log, result = _run_random_traffic(engine, seed)
         invoked = {}
-        for round_index, node, _ in protocol.invocations:
+        for round_index, node, _ in log.invocations:
             invoked.setdefault(node, set()).add(round_index)
-        for node, halt_round in protocol.halt_round.items():
+        for node, halt_round in log.halt_round.items():
             expected = set(range(1, min(halt_round, result.metrics.rounds) + 1))
             assert expected <= invoked.get(node, set())
 
@@ -240,7 +287,7 @@ class TestStallAndQuiesce:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_two_silent_rounds_then_resume_is_not_a_stall(self, engine):
         graph = nx.path_graph(3)
-        config = CongestConfig(engine=engine)
+        config = _config(engine)
         result = run_protocol(Network(graph, seed=1), self.SilentThenResume(), config=config)
         assert result.outputs[1] == "resumed"
         # ping round + (_STALL_LIMIT - 1) silent rounds + the resume round
@@ -248,25 +295,56 @@ class TestStallAndQuiesce:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_full_silence_still_detected_as_stall(self, engine):
-        class NeverTerminates(Protocol):
-            def on_round(self, ctx, inbox):
-                ctx.state["spin"] = ctx.state.get("spin", 0) + 1
-
-        config = CongestConfig(engine=engine)
+        config = _config(engine)
         with pytest.raises(ProtocolError, match="stalled"):
             run_protocol(Network(nx.path_graph(5)), NeverTerminates(), config=config)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_quiesce_terminates_skips_the_stall_counter(self, engine):
-        class SilentQuiescer(Protocol):
-            quiesce_terminates = True
-
-            def on_start(self, ctx):
-                ctx.send_all(Message(kind="one", payload=None))
-
-            def on_round(self, ctx, inbox):
-                ctx.write_output(len(inbox))
-
-        config = CongestConfig(engine=engine)
+        config = _config(engine)
         result = run_protocol(Network(nx.path_graph(4), seed=2), SilentQuiescer(), config=config)
         assert result.metrics.rounds >= 1
+
+
+class TestPartitionInvisible:
+    """How the sharded engine partitions the graph is invisible to the
+    protocol: every node sees the same traffic, in the same order, in the
+    same rounds, as under the batched engine — whichever backend steps the
+    shards, however many there are and whichever strategy cut them."""
+
+    # Ids name the arm the CI engine matrix selects ("sharded", "process").
+    @pytest.mark.parametrize(
+        "backend", SHARD_BACKENDS, ids=["sharded-serial", "process"]
+    )
+    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+    @pytest.mark.parametrize("shards", [2, 5])
+    def test_traffic_is_partition_independent(self, shards, strategy, backend):
+        seed = shards + 2
+        graph = nx.gnp_random_graph(18, 0.3, seed=seed)
+        graph.add_edges_from(nx.path_graph(18).edges())
+        runs = {}
+        for name, config in (
+            ("batched", CongestConfig(engine="batched")),
+            (
+                "sharded",
+                CongestConfig().with_sharding(
+                    shards=shards, strategy=strategy, backend=backend
+                ),
+            ),
+        ):
+            result = run_protocol(
+                Network(graph, seed=seed),
+                RandomTrafficProtocol(seed=seed),
+                config=config.with_log_budget(18),
+            )
+            runs[name] = (
+                result.outputs,
+                result.metrics.rounds,
+                result.metrics.total_messages,
+                result.metrics.total_bits,
+                [
+                    (r.messages_sent, r.edges_used, r.active_nodes)
+                    for r in result.metrics.per_round
+                ],
+            )
+        assert runs["sharded"] == runs["batched"]

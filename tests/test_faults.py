@@ -469,6 +469,33 @@ class TestSupervisedRetry:
         assert len(labels) == len(set(labels))
         _assert_no_worker_processes()
 
+    def test_fused_group_persistent_failure_degrades_bit_identically(self):
+        # A mid-group phase that fails on the first attempt AND on the
+        # group's replay: the whole fused group degrades to the serial
+        # backend, still bit-identical to the reference engine.
+        graph = self._graph()
+        oracle = _reference_fingerprint(graph, self.N)
+        specs = tuple(
+            FaultSpec(
+                point="round",
+                kind="crash",
+                shard=1,
+                phase="nc-vote",
+                round_index=1,
+                attempt=attempt,
+            )
+            for attempt in (0, 1)
+        )
+        config = _faulty_config(
+            self.N, FaultPlan(specs=specs), retry=RetryPolicy(max_attempts=2)
+        )
+        result, stats = _run_pipeline(graph, config)
+        assert _fingerprint(result) == oracle
+        assert stats.degradations == 1
+        actions = [event.action for event in stats.recovery_events]
+        assert actions == ["retry", "degrade"]
+        _assert_no_worker_processes()
+
     def test_no_policy_means_failures_propagate(self):
         graph = self._graph()
         plan = FaultPlan(

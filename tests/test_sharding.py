@@ -12,6 +12,7 @@ statistics), and the process backend's workers and sessions.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import multiprocessing
 import os
 import pickle
@@ -35,6 +36,7 @@ from repro.congest.errors import (
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
+from repro.congest.pipeline import compile_pipeline
 from repro.congest.scheduler import run_protocol
 from repro.congest.sharding import (
     PARTITION_STRATEGIES,
@@ -49,6 +51,7 @@ from repro.congest.sharding import (
     repair_plan,
     shard_fingerprints,
 )
+from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 
 
@@ -1173,8 +1176,6 @@ class TestPipelineFusionSession:
     """
 
     def test_session_fused_composite_elides_rearms(self):
-        from repro.core.dist_near_clique import DistNearCliqueRunner
-
         graph = nx.connected_caveman_graph(2, 8)
         config = CongestConfig(engine="sharded", shards=2, shard_backend="process")
         runner = DistNearCliqueRunner(
@@ -1247,6 +1248,69 @@ class TestRetiredModeConstructionValidation:
         assert config.with_log_budget(100) == dataclasses.replace(
             config, message_bit_budget=80
         )
+
+
+class TestRemovedSurfaceStaysRemoved:
+    """The deleted execution features left no name or keyword behind.
+
+    The async engine, the thread backend's pool, per-call pools, the
+    unfused pipeline mode and the artifact cache were deleted, not
+    deprecated: an old spelling fails loudly instead of being ignored.
+    """
+
+    def test_synchronizer_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.congest.synchronizer")
+
+    @pytest.mark.parametrize(
+        "owner,name",
+        [
+            ("repro.congest", "AsyncEngine"),
+            ("repro.congest", "AlphaSynchronizer"),
+            ("repro.congest", "AsyncRunResult"),
+            ("repro.congest", "SESSION_MODES"),
+            ("repro.congest.config", "SESSION_MODES"),
+            ("repro.congest.config", "PIPELINE_MODES"),
+            ("repro.congest.config:CongestConfig", "with_session_mode"),
+            ("repro.congest.config:CongestConfig", "with_pipeline_mode"),
+            ("repro.congest.engine:CongestSession", "worker_state_authoritative"),
+            ("repro.congest.metrics:RunMetrics", "ack_messages"),
+            ("repro.congest.metrics:RunMetrics", "safety_messages"),
+            ("repro.congest.metrics:RunMetrics", "control_messages"),
+            ("repro.congest.pipeline", "ArtifactCache"),
+            ("repro.congest.pipeline", "CachedPrefix"),
+            ("repro.congest.pipeline", "snapshot_contexts"),
+            ("repro.congest.pipeline", "restore_contexts"),
+        ],
+        ids=lambda part: part.replace(":", "."),
+    )
+    def test_removed_name_is_gone(self, owner, name):
+        module, _, attribute = owner.partition(":")
+        target = importlib.import_module(module)
+        if attribute:
+            target = getattr(target, attribute)
+        assert not hasattr(target, name)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: ShardedEngine(workers=2), id="ShardedEngine-workers"),
+            pytest.param(lambda: compile_pipeline([], mode="off"), id="compile_pipeline-mode"),
+            pytest.param(
+                lambda: compile_pipeline([], max_group_size=2),
+                id="compile_pipeline-max_group_size",
+            ),
+            pytest.param(
+                lambda: DistNearCliqueRunner(
+                    epsilon=0.2, sample_probability=0.5, artifact_cache=None
+                ),
+                id="DistNearCliqueRunner-artifact_cache",
+            ),
+        ],
+    )
+    def test_removed_keyword_is_rejected(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            call()
 
 
 class TestShardingKnobConstructionValidation:

@@ -33,6 +33,13 @@ ENGINE_ARMS = {
     "sharded": dict(engine="sharded", shards=2, shard_backend="serial"),
 }
 
+#: ... and the process backend: a zero-node network still opens (and closes)
+#: a one-shot worker session.
+EMPTY_GRAPH_ARMS = dict(
+    ENGINE_ARMS,
+    process=dict(engine="sharded", shards=2, shard_backend="process"),
+)
+
 
 def _block_pairs(n=20000, blocks=20, seed=16):
     """A seeded block graph as a pair array: random intra-block pairs, a ring
@@ -158,13 +165,13 @@ class TestCoinFlipSampling:
 
 
 class TestEmptyGraph:
-    @pytest.mark.parametrize("arm", sorted(ENGINE_ARMS))
+    @pytest.mark.parametrize("arm", sorted(ENGINE_ARMS) + ["process"])
     @pytest.mark.parametrize("sample", [None, []], ids=["coin", "forced"])
     def test_empty_graph_runs_like_the_oracle(self, arm, sample):
         result = DistNearCliqueRunner(
             epsilon=0.2,
             sample_probability=0.5,
-            config=CongestConfig(**ENGINE_ARMS[arm]),
+            config=CongestConfig(**EMPTY_GRAPH_ARMS[arm]),
         ).run(graph=nx.Graph(), sample=sample)
         oracle = CentralizedNearCliqueFinder(nx.Graph(), 0.2).run_with_sample([])
         assert not result.aborted
