@@ -1,12 +1,13 @@
-"""E12 — execution-engine throughput: reference versus batched round loop.
+"""E12 — execution-engine throughput: reference versus the default engine.
 
 Workloads: the planted-near-clique family at experiment scale (n ≈ 2000,
 the size at which the per-object reference loop becomes the bottleneck) and
 the multi-community web workload of the paper's introduction.
 
 Measured: wall-clock time of the full ``DistNearClique`` pipeline under the
-``reference`` and ``batched`` engines (same graph, same forced sample, same
-configuration), together with the speedup.  Because the engines are
+``reference`` engine and the default engine (``vectorized``: kernels for
+the covered phases, the CSR callback loop for the rest) on the same graph,
+forced sample and configuration, together with the speedup.  Because the engines are
 bit-identical by contract (see :mod:`repro.congest.engine`), the comparison
 is pure throughput: the outputs and the round/message/bit metrics are
 asserted equal before any timing is reported, so a fast-but-wrong engine
@@ -29,13 +30,13 @@ import time
 
 from repro.analysis import tables
 from repro.congest.config import CongestConfig
-from repro.congest.engine import available_engines
+from repro.congest.engine import DEFAULT_ENGINE
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.graphs import generators
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0") or "0"))
 
-#: Minimum acceptable batched-over-reference speedup per workload scale.
+#: Minimum acceptable default-over-reference speedup per workload scale.
 #: Full scale reproduces the headline >= 2x claim; quick scale is a lenient
 #: CI tripwire (small graphs leave less per-round overhead to amortise and
 #: shared CI runners are noisy).
@@ -75,29 +76,28 @@ def _run_once(graph, engine, sample):
 
 def _compare_engines(name, graph, sample_size=7, seed=1):
     sample = sorted(random.Random(seed).sample(sorted(graph.nodes()), sample_size))
-    assert {"reference", "batched"} <= set(available_engines())
     timings = {}
     results = {}
-    # Fixed order: the reference run doubles as the warm-up, so the batched
-    # timing never benefits from being measured on a warmer cache.
-    for engine in ("reference", "batched"):
+    # Fixed order: the reference run doubles as the warm-up, so the default
+    # engine's timing never benefits from being measured on a warmer cache.
+    for engine in ("reference", DEFAULT_ENGINE):
         timings[engine], results[engine] = _run_once(graph, engine, sample)
 
     reference = results["reference"]
-    batched = results["batched"]
-    assert batched.labels == reference.labels
-    assert batched.metrics.rounds == reference.metrics.rounds
-    assert batched.metrics.total_messages == reference.metrics.total_messages
-    assert batched.metrics.total_bits == reference.metrics.total_bits
+    fast = results[DEFAULT_ENGINE]
+    assert fast.labels == reference.labels
+    assert fast.metrics.rounds == reference.metrics.rounds
+    assert fast.metrics.total_messages == reference.metrics.total_messages
+    assert fast.metrics.total_bits == reference.metrics.total_bits
 
-    speedup = timings["reference"] / max(timings["batched"], 1e-9)
+    speedup = timings["reference"] / max(timings[DEFAULT_ENGINE], 1e-9)
     return {
         "workload": name,
         "edges": graph.number_of_edges(),
         "rounds": reference.metrics.rounds,
         "messages": reference.metrics.total_messages,
         "reference_s": timings["reference"],
-        "batched_s": timings["batched"],
+        "default_s": timings[DEFAULT_ENGINE],
         "speedup": speedup,
     }
 
@@ -108,7 +108,7 @@ def _run_suite(quick: bool):
         name, graph = build(quick)
         rows.append(_compare_engines(name, graph))
     tables.print_table(
-        ["workload", "edges", "rounds", "messages", "reference s", "batched s", "speedup"],
+        ["workload", "edges", "rounds", "messages", "reference s", DEFAULT_ENGINE + " s", "speedup"],
         [
             [
                 row["workload"],
@@ -116,18 +116,19 @@ def _run_suite(quick: bool):
                 row["rounds"],
                 row["messages"],
                 round(row["reference_s"], 3),
-                round(row["batched_s"], 3),
+                round(row["default_s"], 3),
                 round(row["speedup"], 2),
             ]
             for row in rows
         ],
-        title="E12  engine throughput: reference vs batched (bit-identical runs)",
+        title="E12  engine throughput: reference vs %s (bit-identical runs)"
+        % DEFAULT_ENGINE,
     )
     floor = QUICK_SPEEDUP_FLOOR if quick else FULL_SPEEDUP_FLOOR
     planted_row = rows[0]
     assert planted_row["speedup"] >= floor, (
-        "batched engine speedup %.2fx on %s fell below the %.1fx floor"
-        % (planted_row["speedup"], planted_row["workload"], floor)
+        "%s engine speedup %.2fx on %s fell below the %.1fx floor"
+        % (DEFAULT_ENGINE, planted_row["speedup"], planted_row["workload"], floor)
     )
     return rows
 
@@ -138,7 +139,7 @@ def bench_e12_engine_throughput(benchmark):
 
     name, graph = _planted_workload(quick=True)
     sample = sorted(random.Random(1).sample(sorted(graph.nodes()), 7))
-    benchmark(lambda: _run_once(graph, "batched", sample))
+    benchmark(lambda: _run_once(graph, DEFAULT_ENGINE, sample))
 
 
 def main(argv=None):

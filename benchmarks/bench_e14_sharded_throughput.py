@@ -7,8 +7,8 @@ quantifies the two costs of that design on large planted-near-clique
 workloads:
 
 * **Wall-clock overhead** — the full ``DistNearClique`` pipeline under the
-  ``sharded`` engine's serial backend versus the ``batched`` fast path on
-  the same graph and forced sample.  The engines are bit-identical by
+  ``sharded`` engine's serial backend versus the ``vectorized`` fast path
+  on the same graph and forced sample.  The engines are bit-identical by
   contract, so the comparison is pure throughput; outputs and metrics are
   asserted equal before any timing is reported.
 
@@ -85,16 +85,16 @@ def _run_once(graph, sample, engine=None, config=None):
 
 
 def _throughput_table(name, graph, quick):
-    """Batched vs serial sharded on the same graph and sample."""
+    """Vectorized vs serial sharded on the same graph and sample."""
     sample = sorted(random.Random(1).sample(sorted(graph.nodes()), 7))
     modes = [
-        ("batched", "batched", None),
+        ("vectorized", "vectorized", None),
         ("sharded serial", None, CongestConfig().with_sharding(SHARDS)),
     ]
 
     timings, fingerprints = {}, {}
     # Best-of-N with the modes interleaved: shared runners are noisy, and a
-    # ratio gate needs both sides sampled under comparable load.  Batched
+    # ratio gate needs both sides sampled under comparable load.  Vectorized
     # leads each sweep, so the sharded timings never benefit from a warmer
     # cache than the baseline had.
     repetitions = 2 if quick else 3
@@ -106,16 +106,16 @@ def _throughput_table(name, graph, quick):
 
     # Bit-identity before any timing claim (the engine contract).
     for label in fingerprints:
-        assert fingerprints[label] == fingerprints["batched"], (
-            "%s diverged from batched on %s" % (label, name)
+        assert fingerprints[label] == fingerprints["vectorized"], (
+            "%s diverged from vectorized on %s" % (label, name)
         )
 
     rows = [
-        [label, round(timings[label], 3), round(timings[label] / timings["batched"], 2)]
+        [label, round(timings[label], 3), round(timings[label] / timings["vectorized"], 2)]
         for label, _, _ in modes
     ]
     tables.print_table(
-        ["mode", "wall s", "vs batched"],
+        ["mode", "wall s", "vs vectorized"],
         rows,
         title="E14  %s — DistNearClique wall time (%d shards, bit-identical runs)"
         % (name, SHARDS),

@@ -1,15 +1,19 @@
-"""E17 — vectorized gather/apply/scatter kernels vs the batched callbacks.
+"""E17 — vectorized gather/apply/scatter kernels vs the per-node callbacks.
 
 The regular phases of ``DistNearClique`` — sampling, component
 dissemination, K-membership announcements — have closed-form round
 structure: every node runs the same recipe and the traffic is a pipelined
-``on_start``-enqueued broadcast.  Under the batched engine they still pay
+``on_start``-enqueued broadcast.  On a callback loop they still pay
 one Python callback per node per round; at n >= 20000 the component
 dissemination alone is rounds x n dispatches that mostly fold an empty
 inbox.  PR 6's vectorized engine (:mod:`repro.congest.vectorized`) executes
 these phases as columnar kernels — packed halt registers, CSR
 segment-reductions for the gather, a closed-form broadcast schedule for the
-scatter — and falls back to the batched path for everything else.
+scatter — and runs everything else on its CSR callback loop.
+
+Both arms run the vectorized engine.  The ``callbacks`` arm suppresses the
+kernel on each phase instance (``vectorized_kernel`` patched to return
+``None``), so the engine runs those phases on its callback loop.
 
 This benchmark times the neighbourhood-broadcast kernels, chained through
 one session with ``reuse_contexts`` (the composite-pipeline shape), on a
@@ -17,21 +21,21 @@ sparse background graph (n >= 20000) with a planted sampled component whose
 member stream forces a deep pipelined broadcast:
 
 * **Bit-identity before timing** — per phase, outputs and metrics
-  (including the per-round trace) of ``vectorized`` must equal ``batched``
-  (itself differentially pinned to the reference); any mismatch aborts the
-  benchmark before a single number is printed.
+  (including the per-round trace) of ``vectorized`` must equal
+  ``callbacks`` (itself differentially pinned to the reference); any
+  mismatch aborts the benchmark before a single number is printed.
 * **The gate** — summed over the kernel-covered phases, ``vectorized``
-  must beat ``batched`` by ``VECTORIZED_SPEEDUP_FLOOR``.  The kernels are
+  must beat ``callbacks`` by ``VECTORIZED_SPEEDUP_FLOOR``.  The kernels are
   single-process numpy, so the gate holds on any host — no CPU-count skip.
 
 A second, tree-shaped workload covers the tree-schedule kernels
 (local-subsets, both up-aggregations, both down-broadcasts, vote and
 final-labels): a sampled component of 8 nodes whose BFS tree has depth
 >= 3, with an audience of a few hundred attached leaves.  The whole
-exploration and decision chain runs on both engines; each of the seven
-tree phases must be bit-identical to ``batched`` before timing, and their
-vectorized/batched ratio is printed (no floor: at this size the subset
-evaluation both engines share is a large part of the phases).
+exploration and decision chain runs on both arms; each of the seven
+tree phases must be bit-identical to ``callbacks`` before timing, and their
+vectorized/callbacks ratio is printed (no floor: at this size the subset
+evaluation both arms share is a large part of the phases).
 
 Run directly (``python benchmarks/bench_e17_vectorized_kernels.py``) or via
 the pytest-benchmark harness; quick mode (``REPRO_BENCH_QUICK=1`` or
@@ -58,7 +62,7 @@ from repro.core.dist_near_clique import DistNearCliqueRunner
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0") or "0"))
 
-#: Minimum acceptable vectorized-over-batched speedup on the kernel-covered
+#: Minimum acceptable vectorized-over-callbacks speedup on the kernel-covered
 #: phases.  Single-process numpy against single-process callbacks: the
 #: ratio is stable across hosts, so quick mode keeps the full gate.
 VECTORIZED_SPEEDUP_FLOOR = 3.0
@@ -134,6 +138,18 @@ def _phase_plan(n, clique):
     return warmup_inputs, plan
 
 
+#: The timed arms: the vectorized engine with every phase's kernel
+#: suppressed (its callback loop), then as is.
+ARMS = ("callbacks", "vectorized")
+
+
+def _arm_protocol(arm, protocol):
+    """*protocol* as *arm* runs it: kernel suppressed on the callbacks arm."""
+    if arm == "callbacks":
+        protocol.vectorized_kernel = lambda: None
+    return protocol
+
+
 def _trace(metrics):
     return [
         (
@@ -161,12 +177,12 @@ def _fingerprint(result):
     )
 
 
-def _run_phases(graph, engine_name, warmup_inputs, plan):
+def _run_phases(graph, arm, warmup_inputs, plan):
     """One pass over the kernel-covered chain; per-phase seconds + prints."""
     n = graph.number_of_nodes()
     network = Network(graph, seed=23)
-    config = CongestConfig(engine=engine_name).with_log_budget(n)
-    engine = get_engine(engine_name)
+    config = CongestConfig(engine="vectorized").with_log_budget(n)
+    engine = get_engine(config.engine)
     seconds = {}
     fingerprints = []
     with engine.open_session(network, config) as session:
@@ -177,7 +193,7 @@ def _run_phases(graph, engine_name, warmup_inputs, plan):
             per_node_inputs=warmup_inputs,
         )
         for label, phase_cls, per_node_inputs in plan:
-            protocol = phase_cls()
+            protocol = _arm_protocol(arm, phase_cls())
             start = time.perf_counter()
             result = session.execute(
                 protocol,
@@ -190,58 +206,55 @@ def _run_phases(graph, engine_name, warmup_inputs, plan):
 
 
 def _kernel_table(name, graph, warmup_inputs, plan, quick):
-    engines = ("batched", "vectorized")
-    best = {engine: {label: float("inf") for label, _, _ in plan} for engine in engines}
+    best = {arm: {label: float("inf") for label, _, _ in plan} for arm in ARMS}
     oracle = None
     repetitions = 2 if quick else 3
-    # Interleaved best-of-N: the ratio gate needs both engines sampled
+    # Interleaved best-of-N: the ratio gate needs both arms sampled
     # under comparable load, and identity is re-asserted every pass.
     for _ in range(repetitions):
-        for engine_name in engines:
-            seconds, fingerprints = _run_phases(
-                graph, engine_name, warmup_inputs, plan
-            )
+        for arm in ARMS:
+            seconds, fingerprints = _run_phases(graph, arm, warmup_inputs, plan)
             if oracle is None:
                 oracle = fingerprints
             assert fingerprints == oracle, (
-                "engine %r diverged on the kernel-covered phases" % engine_name
+                "arm %r diverged on the kernel-covered phases" % arm
             )
             for label, elapsed in seconds.items():
-                best[engine_name][label] = min(best[engine_name][label], elapsed)
+                best[arm][label] = min(best[arm][label], elapsed)
 
     rows = []
     for label, _, _ in plan:
-        batched_s = best["batched"][label]
+        callback_s = best["callbacks"][label]
         vector_s = best["vectorized"][label]
         rounds = next(fp[1] for lbl, fp in oracle if lbl == label)
         rows.append(
             [
                 label,
                 rounds,
-                round(batched_s * 1e3, 1),
+                round(callback_s * 1e3, 1),
                 round(vector_s * 1e3, 1),
-                round(batched_s / max(vector_s, 1e-9), 2),
+                round(callback_s / max(vector_s, 1e-9), 2),
             ]
         )
-    total_batched = sum(best["batched"].values())
+    total_callbacks = sum(best["callbacks"].values())
     total_vector = sum(best["vectorized"].values())
-    speedup = total_batched / max(total_vector, 1e-9)
+    speedup = total_callbacks / max(total_vector, 1e-9)
     rows.append(
         [
             "total",
             "",
-            round(total_batched * 1e3, 1),
+            round(total_callbacks * 1e3, 1),
             round(total_vector * 1e3, 1),
             round(speedup, 2),
         ]
     )
     tables.print_table(
-        ["phase", "rounds", "batched ms", "vectorized ms", "speedup"],
+        ["phase", "rounds", "callbacks ms", "vectorized ms", "speedup"],
         rows,
         title="E17  %s — kernel-covered phases, bit-identical runs" % name,
     )
     assert speedup >= VECTORIZED_SPEEDUP_FLOOR, (
-        "vectorized kernels are only %.2fx batched on %s, below the %.1fx "
+        "vectorized kernels are only %.2fx the callbacks on %s, below the %.1fx "
         "floor" % (speedup, name, VECTORIZED_SPEEDUP_FLOOR)
     )
     return speedup
@@ -285,17 +298,17 @@ def _tree_workload(quick: bool):
     )
 
 
-def _run_tree_chain(graph, engine_name, sample):
+def _run_tree_chain(graph, arm, sample):
     """Sampling + the exploration/decision chain; tree-phase seconds + prints."""
     n = graph.number_of_nodes()
     network = Network(graph, seed=23)
-    config = CongestConfig(engine=engine_name).with_log_budget(n)
-    engine = get_engine(engine_name)
+    config = CongestConfig(engine="vectorized").with_log_budget(n)
+    engine = get_engine(config.engine)
     seconds = {}
     fingerprints = []
     with engine.open_session(network, config) as session:
         session.execute(
-            phases.SamplingPhase(),
+            _arm_protocol(arm, phases.SamplingPhase()),
             global_inputs={
                 phases.GLOBAL_EPSILON: 0.25,
                 phases.GLOBAL_MIN_OUTPUT_SIZE: 0,
@@ -304,6 +317,7 @@ def _run_tree_chain(graph, engine_name, sample):
             per_node_inputs={v: {phases.KEY_FORCED_SAMPLE: True} for v in sample},
         )
         for protocol in DistNearCliqueRunner._phase_sequence():
+            _arm_protocol(arm, protocol)
             start = time.perf_counter()
             result = session.execute(protocol, reuse_contexts=True)
             if protocol.name in TREE_PHASES:
@@ -314,40 +328,39 @@ def _run_tree_chain(graph, engine_name, sample):
 
 def _tree_table(quick):
     name, graph, sample = _tree_workload(quick)
-    engines = ("batched", "vectorized")
-    best = {engine: dict.fromkeys(TREE_PHASES, float("inf")) for engine in engines}
+    best = {arm: dict.fromkeys(TREE_PHASES, float("inf")) for arm in ARMS}
     oracle = None
     for _ in range(2 if quick else 3):
-        for engine_name in engines:
-            seconds, fingerprints = _run_tree_chain(graph, engine_name, sample)
+        for arm in ARMS:
+            seconds, fingerprints = _run_tree_chain(graph, arm, sample)
             if oracle is None:
                 oracle = fingerprints
             assert fingerprints == oracle, (
-                "engine %r diverged on the tree-schedule phases" % engine_name
+                "arm %r diverged on the tree-schedule phases" % arm
             )
             for label, elapsed in seconds.items():
-                best[engine_name][label] = min(best[engine_name][label], elapsed)
+                best[arm][label] = min(best[arm][label], elapsed)
     rows = []
     for label in TREE_PHASES + ("total",):
         if label == "total":
-            batched_s = sum(best["batched"].values())
+            callback_s = sum(best["callbacks"].values())
             vector_s = sum(best["vectorized"].values())
             rounds = ""
         else:
-            batched_s = best["batched"][label]
+            callback_s = best["callbacks"][label]
             vector_s = best["vectorized"][label]
             rounds = next(fp[1] for lbl, fp in oracle if lbl == label)
         rows.append(
             [
                 label,
                 rounds,
-                round(batched_s * 1e3, 1),
+                round(callback_s * 1e3, 1),
                 round(vector_s * 1e3, 1),
-                round(batched_s / max(vector_s, 1e-9), 2),
+                round(callback_s / max(vector_s, 1e-9), 2),
             ]
         )
     tables.print_table(
-        ["phase", "rounds", "batched ms", "vectorized ms", "ratio"],
+        ["phase", "rounds", "callbacks ms", "vectorized ms", "ratio"],
         rows,
         title="E17  %s — tree-schedule phases, bit-identical runs" % name,
     )

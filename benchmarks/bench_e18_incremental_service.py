@@ -24,8 +24,10 @@ payoff on a planted many-component workload:
 
 * **The gate** — summed over k single-block deltas, the incremental
   query must beat the fresh full recompute by ``SPEEDUP_FLOOR`` (full) /
-  ``QUICK_SPEEDUP_FLOOR`` (quick CI mode).  Single-process batched engine
-  on both sides, so the floor holds on any host — no CPU-count skip.
+  ``QUICK_SPEEDUP_FLOOR`` (quick CI mode).  Both sides run the default
+  single-process engine (``vectorized``; the service's region re-run uses
+  it whatever the service's configuration), so the floor holds on any
+  host — no CPU-count skip.
 
 Run directly (``python benchmarks/bench_e18_incremental_service.py``) or
 via the pytest-benchmark harness; quick mode (``REPRO_BENCH_QUICK=1`` or
@@ -97,7 +99,10 @@ def _outputs(result):
 
 
 def _fresh_full(graph: nx.Graph, parameters: AlgorithmParameters):
-    """A fresh full run on the current edge set; returns (seconds, outputs)."""
+    """A fresh full run on the current edge set; returns (seconds, outputs).
+
+    The runner's default configuration: the default (vectorized) engine.
+    """
     runner = DistNearCliqueRunner(parameters=parameters)
     start = time.perf_counter()
     result = runner.run(network=Network(graph.copy(), seed=SEED))
@@ -126,6 +131,8 @@ def _delta_for_step(graph: nx.Graph, step: int):
 def _service_table(name, graph, quick):
     parameters = _parameters(graph.number_of_nodes())
     deltas = 3 if quick else 6
+    # Default configuration: full and incremental queries alike run the
+    # default (vectorized) engine.
     service = NearCliqueService(graph.copy(), parameters)
     rows = []
     inc_total = full_total = 0.0

@@ -20,7 +20,7 @@ workload (process session, forced sample) in two arms:
   barrier pays the watchdog bookkeeping, every phase the supervisor
   wrapper.
 
-Bit-identity of both arms against the batched oracle is asserted before
+Bit-identity of both arms against the vectorized oracle is asserted before
 any timing is reported, then an interleaved best-of-N gates the
 supervised/baseline wall-clock ratio at ``OVERHEAD_CEILING`` (full) /
 ``QUICK_OVERHEAD_CEILING`` (quick CI mode; shared runners are noisy).
@@ -88,14 +88,14 @@ def _result_fingerprint(result):
     )
 
 
-def _run_batched_oracle(graph, seed=11):
+def _run_vectorized_oracle(graph, seed=11):
     n = graph.number_of_nodes()
     runner = DistNearCliqueRunner(
         epsilon=0.25,
         sample_probability=0.001,
         max_sample_size=None,
         rng=random.Random(seed),
-        config=CongestConfig(engine="batched").with_log_budget(n),
+        config=CongestConfig(engine="vectorized").with_log_budget(n),
     )
     return _result_fingerprint(runner.run(graph, sample=FORCED_SAMPLE))
 
@@ -129,10 +129,10 @@ def _run_once(graph, supervised: bool, seed=11):
 
 
 def _overhead_table(name, graph, quick):
-    # Bit-identity before any timing claim: both arms against the batched
+    # Bit-identity before any timing claim: both arms against the vectorized
     # fast path — supervision must be invisible in the output, not just
     # cheap.
-    oracle = _run_batched_oracle(graph)
+    oracle = _run_vectorized_oracle(graph)
 
     timings = {"baseline": float("inf"), "supervised": float("inf")}
     supervised_stats = None
@@ -141,11 +141,11 @@ def _overhead_table(name, graph, quick):
     # comparable load.
     for _ in range(repetitions):
         elapsed, fingerprint, _stats = _run_once(graph, supervised=False)
-        assert fingerprint == oracle, "baseline arm diverged from batched"
+        assert fingerprint == oracle, "baseline arm diverged from vectorized"
         timings["baseline"] = min(timings["baseline"], elapsed)
 
         elapsed, fingerprint, stats = _run_once(graph, supervised=True)
-        assert fingerprint == oracle, "supervised arm diverged from batched"
+        assert fingerprint == oracle, "supervised arm diverged from vectorized"
         timings["supervised"] = min(timings["supervised"], elapsed)
         supervised_stats = stats
 

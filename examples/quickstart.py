@@ -83,9 +83,9 @@ def main() -> None:
 
     # ------------------------------------------------- engine selection
     # The round loop is pluggable: the same algorithm runs under any of the
-    # registered execution engines (batched CSR fast path — the default —,
-    # the reference oracle, columnar vectorized kernels, or
-    # partition-parallel sharded execution), and every engine is
+    # registered execution engines (the vectorized fast path — the
+    # default: columnar kernels plus a CSR callback loop —, the reference
+    # oracle, or partition-parallel sharded execution), and every engine is
     # bit-identical in outputs and metrics by contract.
     print()
     print("Available CONGEST engines:", ", ".join(available_engines()))

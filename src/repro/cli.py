@@ -37,9 +37,10 @@ parameter, so scripts can graduate to the library without translation.
 from __future__ import annotations
 
 import argparse
+import operator
 import random
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 import networkx as nx
 
@@ -56,40 +57,38 @@ from repro.graphs import generators, io
 from repro.lint import cli as lint_cli
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %s" % text)
-    return value
+def _in_range(interval: str, kind: Callable[[str], Any] = float) -> Callable[[str], Any]:
+    """An argparse type: a *kind* value inside *interval*, or a usage error.
+
+    *interval* is written as the error message shows it, e.g. ``"(0, 1]"``
+    or ``"[1, inf)"``; NaN lies in none.
+    """
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    above = operator.lt if interval[0] == "(" else operator.le
+    below = operator.lt if interval[-1] == ")" else operator.le
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not (above(low, value) and below(value, high)):
+            raise argparse.ArgumentTypeError("must lie in %s, got %s" % (interval, text))
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative, got %s" % text)
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive, got %s" % text)
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError("must be non-negative, got %s" % text)
-    return value
-
-
-def _open_unit_float(text: str) -> float:
-    """A value in (0, 1) — the bound ``AlgorithmParameters`` puts on epsilon."""
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError("must lie in (0, 1), got %s" % text)
-    return value
+_positive_int = _in_range("[1, inf)", int)
+_nonnegative_int = _in_range("[0, inf)", int)
+_positive_float = _in_range("(0, inf)")
+_nonnegative_float = _in_range("[0, inf)")
+#: The bound ``AlgorithmParameters`` puts on epsilon.
+_open_unit_float = _in_range("(0, 1)")
+#: The planted near-clique's share of the nodes.
+_fraction = _in_range("(0, 1]")
+#: An edge probability.
+_probability = _in_range("[0, 1]")
+#: The bound the planted generator puts on its defect.
+_defect = _in_range("[0, 1)")
 
 
 def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
@@ -99,11 +98,11 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         choices=available_engines(),
         default=CongestConfig().engine,
         help="CONGEST execution engine "
-        "(bit-identical results; 'batched' is the fast path and the default, "
-        "'reference' the semantics oracle, 'sharded' steps graph "
-        "partitions — see --shards/--shard-backend, "
-        "'vectorized' runs kernel-covered phases as whole-phase numpy "
-        "array operations and falls back to batched elsewhere)",
+        "(bit-identical results; 'vectorized' is the fast path and the "
+        "default: it runs kernel-covered phases as whole-phase numpy array "
+        "operations and the rest on a CSR callback loop; 'reference' is "
+        "the semantics oracle, 'sharded' steps graph partitions — see "
+        "--shards/--shard-backend)",
     )
     parser.add_argument(
         "--shards",
@@ -159,9 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "0..n-1.  Mutually exclusive with --graph.",
     )
     find.add_argument("--n", type=_positive_int, default=100, help="nodes of the generated workload")
-    find.add_argument("--delta", type=float, default=0.5, help="planted near-clique fraction")
+    find.add_argument("--delta", type=_fraction, default=0.5, help="planted near-clique fraction")
     find.add_argument("--epsilon", type=_open_unit_float, default=0.2, help="the algorithm's epsilon, in (0, 1)")
-    find.add_argument("--background", type=float, default=0.05, help="background edge probability")
+    find.add_argument("--background", type=_probability, default=0.05, help="background edge probability")
     find.add_argument(
         "--engine",
         choices=("distributed", "boosted", "centralized"),
@@ -170,9 +169,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_congest_arguments(find)
     find.add_argument("--expected-sample", type=_nonnegative_float, default=8.0, help="target E[|S|] = p*n")
-    find.add_argument("--max-sample", type=int, default=13, help="Section 4.1 abort threshold on |S|")
-    find.add_argument("--repetitions", type=int, default=4, help="boosting repetitions (boosted engine)")
-    find.add_argument("--min-output-size", type=int, default=0)
+    find.add_argument("--max-sample", type=_nonnegative_int, default=13, help="Section 4.1 abort threshold on |S|")
+    find.add_argument("--repetitions", type=_positive_int, default=4, help="boosting repetitions (boosted engine)")
+    find.add_argument("--min-output-size", type=_nonnegative_int, default=0)
     find.add_argument("--seed", type=int, default=0)
 
     generate = sub.add_parser("generate", help="write a workload to an edge-list file")
@@ -183,9 +182,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="planted",
     )
     generate.add_argument("--n", type=_positive_int, default=100)
-    generate.add_argument("--delta", type=float, default=0.5)
-    generate.add_argument("--epsilon", type=float, default=0.008, help="planted defect (planted family)")
-    generate.add_argument("--background", type=float, default=0.05)
+    generate.add_argument("--delta", type=_fraction, default=0.5)
+    generate.add_argument("--epsilon", type=_defect, default=0.008, help="planted defect (planted family)")
+    generate.add_argument("--background", type=_probability, default=0.05)
     generate.add_argument("--seed", type=int, default=0)
 
     verify = sub.add_parser("verify", help="check Definition 1 for a node set")
@@ -211,13 +210,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "exclusive with --graph.",
     )
     serve.add_argument("--n", type=_positive_int, default=100, help="nodes of the generated workload")
-    serve.add_argument("--delta", type=float, default=0.5, help="planted near-clique fraction")
+    serve.add_argument("--delta", type=_fraction, default=0.5, help="planted near-clique fraction")
     serve.add_argument("--epsilon", type=_open_unit_float, default=0.2, help="the algorithm's epsilon, in (0, 1)")
-    serve.add_argument("--background", type=float, default=0.05, help="background edge probability")
+    serve.add_argument("--background", type=_probability, default=0.05, help="background edge probability")
     _add_congest_arguments(serve)
     serve.add_argument("--expected-sample", type=_nonnegative_float, default=8.0, help="target E[|S|] = p*n")
-    serve.add_argument("--max-sample", type=int, default=13, help="Section 4.1 abort threshold on |S|")
-    serve.add_argument("--min-output-size", type=int, default=0)
+    serve.add_argument("--max-sample", type=_nonnegative_int, default=13, help="Section 4.1 abort threshold on |S|")
+    serve.add_argument("--min-output-size", type=_nonnegative_int, default=0)
     serve.add_argument("--seed", type=int, default=0, help="workload-generation seed")
 
     lint = sub.add_parser(

@@ -39,14 +39,13 @@ This package simulates that model in-process.  The pieces are:
     ==============  ======================  ==================================
     ``engine=``     class                   execution
     ==============  ======================  ==================================
-    ``batched``     ``BatchedEngine``       CSR flat-array fast path with an
-                                            active frontier; ≥2× faster at
-                                            n≈2000.  The default.
     ``reference``   ``ReferenceEngine``     per-object round loop; the
                                             semantics oracle of the
                                             differential harness
     ``vectorized``  ``VectorizedEngine``    columnar kernels for phases that
-                                            declare one; batched fallback
+                                            declare one, a CSR callback loop
+                                            with an active frontier for the
+                                            rest.  The default.
     ``sharded``     ``ShardedEngine``       partition-parallel execution:
                                             ``shards`` regions step their
                                             own frontier (serially, or in
@@ -72,7 +71,6 @@ This package simulates that model in-process.  The pieces are:
 
 from repro.congest.config import CongestConfig
 from repro.congest.engine import (
-    BatchedEngine,
     CongestSession,
     Engine,
     ReferenceEngine,
@@ -101,6 +99,7 @@ from repro.congest.sharding import (
     ShardingStats,
     partition_network,
 )
+from repro.congest.vectorized import VectorizedEngine
 
 __all__ = [
     "CongestConfig",
@@ -122,7 +121,7 @@ __all__ = [
     "run_protocol",
     "Engine",
     "ReferenceEngine",
-    "BatchedEngine",
+    "VectorizedEngine",
     "ShardedEngine",
     "ShardPlan",
     "ShardingStats",

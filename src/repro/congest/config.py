@@ -103,15 +103,13 @@ class CongestConfig:
         very long runs to save memory.
     engine:
         Name of the execution engine driving the round loop —
-        ``"batched"`` (the CSR-backed fast path, the default), ``"reference"``
-        (the per-object semantics oracle kept for the differential harness),
-        ``"vectorized"`` (columnar kernels, batched fallback) or
+        ``"vectorized"`` (columnar kernels, a CSR callback loop for the
+        phases without one; the default), ``"reference"`` (the per-object
+        semantics oracle kept for the differential harness) or
         ``"sharded"`` (partition-parallel execution over ``shards`` shards);
         see :mod:`repro.congest.engine`.  All engines are guaranteed to
         produce bit-identical outputs and protocol metrics, so the choice is
-        a throughput knob.  The default flipped from ``"reference"`` to
-        ``"batched"`` once the fast path had survived several releases of
-        differential CI.
+        a throughput knob.
     shards:
         Shard count for ``engine="sharded"`` (ignored by the other
         engines).  May exceed the node count; surplus shards are empty.
@@ -181,7 +179,7 @@ class CongestConfig:
     message_bit_budget: Optional[int] = None
     budget_multiplier: float = 12.0
     record_round_metrics: bool = True
-    engine: str = "batched"
+    engine: str = "vectorized"
     shards: int = 4
     shard_strategy: str = "contiguous"
     shard_backend: str = "serial"

@@ -2,9 +2,9 @@
 
 The round loop that drives a :class:`repro.congest.node.Protocol` over a
 :class:`repro.congest.network.Network` is factored out of the scheduler into
-an :class:`Engine` so that alternative executions (batched, vectorized,
-sharded backends) can be plugged in without touching protocol code.  Four
-engines ship today:
+an :class:`Engine` so that alternative executions (vectorized, sharded
+backends) can be plugged in without touching protocol code.  Three engines
+ship today:
 
 ``ReferenceEngine`` (``engine="reference"``)
     The original per-object round loop, moved here intact.  It is the
@@ -13,9 +13,15 @@ engines ship today:
     rules enforced as messages are collected.  It is the oracle the
     differential suite compares every other engine against.
 
-``BatchedEngine`` (``engine="batched"``, the default)
-    A fast path for large networks.  It drives the same protocol callbacks
-    but organises the bookkeeping around flat arrays and reuse:
+``VectorizedEngine`` (``engine="vectorized"``, the default; defined in
+:mod:`repro.congest.vectorized`)
+    The single-process fast path.  A protocol that declares a
+    :class:`~repro.congest.vectorized.VectorizedKernel` (via
+    :meth:`Protocol.vectorized_kernel`) runs columnar, over packed per-node
+    registers and one stream schedule instead of per-node callbacks.  Every
+    other protocol runs on the callback loop, which drives the same
+    protocol callbacks as the reference but organises the bookkeeping
+    around flat arrays and reuse:
 
     * node ids are mapped to dense indices (ascending id order), only the
       contexts a phase starts are built (see
@@ -37,21 +43,12 @@ engines ship today:
 :mod:`repro.congest.sharding`)
     Partition-parallel execution: the network is split into ``k`` shards
     (:func:`repro.congest.sharding.partition_network`) and each shard steps
-    its own frontier with the batched machinery, exchanging boundary-edge
-    messages at the round barrier.  ``CongestConfig.shard_backend`` selects
-    serial execution (the deterministic mode the differential harness
-    runs) or one worker process per shard — multi-core execution with
-    boundary traffic in the packed wire format of
-    :mod:`repro.congest.sharding.wire`.
-
-``VectorizedEngine`` (``engine="vectorized"``, defined in
-:mod:`repro.congest.vectorized`)
-    Columnar gather/apply/scatter execution of phases whose sends follow
-    the Outbox discipline: a protocol that declares a
-    :class:`~repro.congest.vectorized.VectorizedKernel` (via
-    :meth:`Protocol.vectorized_kernel`) runs over packed per-node
-    registers and one stream schedule instead of per-node callbacks;
-    protocols without a kernel fall back to the batched path unchanged.
+    its own frontier with the callback loop's machinery, exchanging
+    boundary-edge messages at the round barrier.
+    ``CongestConfig.shard_backend`` selects serial execution (the
+    deterministic mode the differential harness runs) or one worker
+    process per shard — multi-core execution with boundary traffic in the
+    packed wire format of :mod:`repro.congest.sharding.wire`.
 
 **The reference-vs-fast-path contract.**  For every protocol, graph, seed
 and configuration, every non-reference engine must produce bit-identical
@@ -78,7 +75,7 @@ hand out fresh lists).  Every protocol in this package complies.
 The active frontier relies on the default termination predicate
 (:meth:`Protocol.finished` == "has this node halted"), which is monotone.
 A protocol that overrides ``finished`` with an arbitrary predicate (for
-example "run for exactly T rounds") is executed by the batched engine on a
+example "run for exactly T rounds") is executed by the callback loop on a
 compatibility path that re-evaluates the predicate for every node each
 round, exactly like the reference.
 
@@ -103,7 +100,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -131,6 +127,56 @@ _STALL_LIMIT = 3
 _EMPTY_INBOX: Sequence[Inbound] = ()
 
 _MISSING = object()
+
+
+def coordinator_should_stop(
+    all_done: bool,
+    in_flight: int,
+    rounds: int,
+    silent_rounds: int,
+    quiesce_ok: bool,
+    max_rounds: Optional[int],
+    protocol_name: str,
+) -> Tuple[bool, int]:
+    """The fast engines' termination decision, in one place.
+
+    Evaluated at the top of every round: by the vectorized engine's
+    callback loop, and on the barrier-aggregated view by both sharded
+    coordinators (:class:`repro.congest.sharding.engine._ShardedRun` and
+    :class:`repro.congest.sharding.workers.ProcessShardedRun`), so the
+    engine contract's round counts cannot drift between them.  Returns
+    ``(stop, new_silent_rounds)``; raises :class:`ProtocolError` on a
+    stall and :class:`RoundLimitExceeded` at the round cap — mirroring
+    :class:`ReferenceEngine` exactly.
+    """
+    if all_done and not in_flight:
+        return True, silent_rounds
+    if not in_flight and rounds > 0 and quiesce_ok:
+        return True, silent_rounds
+    if not in_flight and rounds > 0:
+        silent_rounds += 1
+        if silent_rounds >= _STALL_LIMIT:
+            raise ProtocolError(
+                "protocol %r stalled: no messages in flight, nodes "
+                "not finished, after %d silent rounds"
+                % (protocol_name, silent_rounds)
+            )
+    else:
+        silent_rounds = 0
+    if max_rounds is not None and rounds >= max_rounds:
+        raise RoundLimitExceeded(max_rounds)
+    return False, silent_rounds
+
+
+def merge_startup_metrics(round_metrics: RoundMetrics, startup: RoundMetrics) -> None:
+    """Fold round-0 (``on_start``) traffic into the first round's metrics.
+
+    Messages queued during ``on_start`` are delivered in round 1 and
+    accounted to it, as in :class:`ReferenceEngine`.
+    """
+    round_metrics.messages_sent = startup.messages_sent
+    round_metrics.bits_sent = startup.bits_sent
+    round_metrics.max_message_bits = startup.max_message_bits
 
 
 def harvest_outputs(
@@ -521,215 +567,16 @@ class ReferenceEngine(Engine):
         return pending
 
 
-class BatchedEngine(Engine):
-    """CSR-backed fast path; see the module docstring for the contract."""
-
-    name = "batched"
-
-    def execute(
-        self,
-        network: Network,
-        protocol: Protocol,
-        config: Optional[CongestConfig] = None,
-        global_inputs: Optional[Dict[str, Any]] = None,
-        per_node_inputs: Optional[Dict[int, Dict[str, Any]]] = None,
-        reuse_contexts: bool = False,
-    ) -> RunResult:
-        config = config or CongestConfig()
-        contexts = network.build_contexts(
-            global_inputs=global_inputs,
-            per_node_inputs=per_node_inputs,
-            fresh=not reuse_contexts,
-        )
-        metrics = RunMetrics()
-        quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
-        # The incremental frontier is only sound for the default (monotone)
-        # termination predicate; overridden predicates take the scan path.
-        fast_finished = type(protocol).finished is Protocol.finished
-
-        index_of = network.node_index_of
-
-        enforce = config.enforce_congestion
-        budget = config.message_bit_budget
-        # A disabled budget is modelled as an unexceedable limit so the hot
-        # loop needs a single comparison instead of a None check per message.
-        budget_limit: float = float("inf") if budget is None else budget
-        max_rounds = config.max_rounds
-        on_round = protocol.on_round
-
-        # Per-sender Inbound intern caches, keyed by message object identity
-        # and reset every round (the cache keeps its messages alive, so ids
-        # cannot be recycled while an entry is live).
-        interned: Dict[int, Dict[int, Inbound]] = {}
-        # Outbound messages awaiting delivery, as two parallel flat lists
-        # (dense receiver index / Inbound) to avoid a tuple per message.
-        pending_index: List[int] = []
-        pending_inbound: List[Inbound] = []
-
-        def drain(
-            ctx: NodeContext,
-            round_index: int,
-            rm: RoundMetrics,
-            pairs: Optional[Set[Tuple[int, int]]],
-        ) -> None:
-            """Move one node's queued messages into the pending lists (rule
-            checks and accounting included), reusing the node's outbox dict."""
-            sender = ctx.node_id
-            outgoing = ctx._outgoing
-            messages_seen = 0
-            bits_seen = 0
-            max_bits = rm.max_message_bits
-            append_index = pending_index.append
-            append_inbound = pending_inbound.append
-            cache = interned.get(sender)
-            if cache is None:
-                cache = interned[sender] = {}
-            cache_get = cache.get
-            for receiver, messages in outgoing.items():
-                if enforce and len(messages) > 1:
-                    raise CongestionViolation(sender, receiver, round_index)
-                receiver_index = index_of[receiver]
-                for message in messages:
-                    bits = message.bits
-                    if bits > budget_limit:
-                        raise MessageSizeViolation(
-                            sender, receiver, bits, budget, round_index
-                        )
-                    messages_seen += 1
-                    bits_seen += bits
-                    if bits > max_bits:
-                        max_bits = bits
-                    message_id = id(message)
-                    inbound = cache_get(message_id)
-                    if inbound is None:
-                        inbound = Inbound(sender=sender, message=message)
-                        cache[message_id] = inbound
-                    append_index(receiver_index)
-                    append_inbound(inbound)
-                    if pairs is not None:
-                        pairs.add((sender, receiver))
-            outgoing.clear()
-            rm.messages_sent += messages_seen
-            rm.bits_sent += bits_seen
-            rm.max_message_bits = max_bits
-
-        # --- round 0: on_start the in-scope nodes, then drain them --------
-        startup_metrics = RoundMetrics(round_index=0)
-        started = contexts.start(protocol)
-        live = contexts.live
-        on_start = protocol.on_start
-        for i in started:
-            ctx = live[i]
-            ctx._round = 0
-            on_start(ctx)
-        for i in started:
-            ctx = live[i]
-            if ctx._outgoing:
-                drain(ctx, 0, startup_metrics, None)
-
-        frontier: List[int] = []
-        if fast_finished:
-            frontier = [i for i in started if not live[i]._halted]
-
-        rounds = 0
-        silent_rounds = 0
-        while True:
-            if fast_finished:
-                all_done = not frontier
-            else:
-                all_done = all(protocol.finished(ctx) for ctx in contexts.materialize())
-            if all_done and not pending_index:
-                break
-            if not pending_index and rounds > 0 and quiesce_ok:
-                break
-            if not pending_index and rounds > 0:
-                silent_rounds += 1
-                if silent_rounds >= _STALL_LIMIT:
-                    raise ProtocolError(
-                        "protocol %r stalled: no messages in flight, nodes not "
-                        "finished, after %d silent rounds"
-                        % (protocol.name, silent_rounds)
-                    )
-            else:
-                silent_rounds = 0
-            if max_rounds is not None and rounds >= max_rounds:
-                raise RoundLimitExceeded(max_rounds)
-
-            rounds += 1
-            round_metrics = RoundMetrics(round_index=rounds)
-            if rounds == 1:
-                round_metrics.messages_sent = startup_metrics.messages_sent
-                round_metrics.bits_sent = startup_metrics.bits_sent
-                round_metrics.max_message_bits = startup_metrics.max_message_bits
-
-            # Inboxes exist only for this round's receivers.
-            boxes: Dict[int, List[Inbound]] = {}
-            for receiver_index, inbound in zip(pending_index, pending_inbound):
-                box = boxes.get(receiver_index)
-                if box is None:
-                    boxes[receiver_index] = [inbound]
-                else:
-                    box.append(inbound)
-            box_of = boxes.get
-
-            pending_index = []
-            pending_inbound = []
-            pairs: Optional[Set[Tuple[int, int]]] = None if enforce else set()
-            interned.clear()
-
-            if fast_finished:
-                round_metrics.active_nodes = len(frontier)
-                any_halted = False
-                for i in frontier:
-                    ctx = live[i]
-                    ctx._round = rounds
-                    on_round(ctx, box_of(i, _EMPTY_INBOX))
-                    if ctx._halted:
-                        any_halted = True
-                    if ctx._outgoing:
-                        drain(ctx, rounds, round_metrics, pairs)
-                if any_halted:
-                    frontier = [i for i in frontier if not live[i]._halted]
-            else:
-                # An overridden predicate voids the scope, so every node
-                # has a context here.
-                active = 0
-                for i, ctx in enumerate(contexts.materialize()):
-                    ctx._round = rounds
-                    if protocol.finished(ctx):
-                        continue
-                    active += 1
-                    on_round(ctx, box_of(i, _EMPTY_INBOX))
-                    if ctx._outgoing:
-                        drain(ctx, rounds, round_metrics, pairs)
-                round_metrics.active_nodes = active
-
-            round_metrics.edges_used = (
-                len(pending_index) if pairs is None else len(pairs)
-            )
-            metrics.absorb_round(round_metrics, config.record_round_metrics)
-
-        outputs = harvest_outputs(
-            protocol, contexts, rounds, map(live.__getitem__, started)
-        )
-        return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
-
-
 #: Shared engine singletons, keyed by registry name.  ``ShardedEngine`` and
 #: ``VectorizedEngine`` register themselves here when their modules
 #: (:mod:`repro.congest.sharding`, :mod:`repro.congest.vectorized`) are
 #: imported (see :func:`register_engine`).
-ENGINES: Dict[str, Engine] = {
-    ReferenceEngine.name: ReferenceEngine(),
-    BatchedEngine.name: BatchedEngine(),
-}
+ENGINES: Dict[str, Engine] = {ReferenceEngine.name: ReferenceEngine()}
 
 #: Name of the engine used when neither the caller nor the configuration
-#: selects one.  The batched fast path has survived multiple releases of
-#: differential CI bit-identical to the reference, so it is the default;
-#: ``ReferenceEngine`` remains the oracle the differential suite compares
-#: against.
-DEFAULT_ENGINE = BatchedEngine.name
+#: selects one: the fastest single-process engine.  ``ReferenceEngine``
+#: remains the oracle the differential suite compares against.
+DEFAULT_ENGINE = "vectorized"
 
 
 def register_engine(engine: Engine) -> None:
@@ -763,11 +610,11 @@ def get_engine(spec: Union[None, str, Engine] = None) -> Engine:
     already-constructed :class:`Engine` (returned as-is, which is how
     external backends plug in without registration).
     """
-    if spec is None:
-        return ENGINES[DEFAULT_ENGINE]
     if isinstance(spec, Engine):
         return spec
     _ensure_builtin_engines()
+    if spec is None:
+        return ENGINES[DEFAULT_ENGINE]
     try:
         return ENGINES[spec]
     except KeyError:

@@ -235,9 +235,9 @@ class ContextRegistry(Mapping):
     late takes its pre-drawn seed and the current register values, so it is
     exactly the context an eager build would show at that point.
 
-    Engines that walk every node each round (reference, async, sharded)
-    call :meth:`materialize` once per phase.  The fast engines work on
-    :attr:`live` and the registers only, so their cost per phase is
+    Engines that walk every node each round (reference, sharded) call
+    :meth:`materialize` once per phase.  The vectorized engine works on
+    :attr:`live` and the registers only, so its cost per phase is
     O(live contexts) plus a few O(n) numpy writes.
     """
 
@@ -478,10 +478,9 @@ class Network:
 
     Contexts are built on first touch (:class:`ContextRegistry`): a fresh
     :meth:`build_contexts` draws every seed but builds a context only for
-    the nodes with per-node inputs.  The reference, async and sharded
-    engines build every context in one bulk pass per phase; the batched
-    and vectorized engines build only those of the nodes a phase starts
-    or a kernel writes.
+    the nodes with per-node inputs.  The reference and sharded engines
+    build every context in one bulk pass per phase; the vectorized engine
+    builds only those of the nodes a phase starts or a kernel writes.
     """
 
     def __init__(
@@ -496,6 +495,17 @@ class Network:
             src, dst = self._read_pairs(graph)
         else:
             src, dst = self._read_adjacency(graph, relabel)
+        self._finish_init(src, dst, seed, node_seeds, announced_n)
+
+    def _finish_init(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        seed: Optional[int],
+        node_seeds: Optional[Dict[int, int]],
+        announced_n: Optional[int],
+    ) -> None:
+        """Build the CSR from the dense pairs of the assigned ids; reset the rest."""
         self._rows = _NeighborRows(self._ids, self._index_of, self._dense_ids)
         self._install(*_build_csr(len(self._ids), src, dst))
 
@@ -982,18 +992,38 @@ class Network:
         graph.add_edges_from(edges)
         return cls(graph, seed=seed)
 
-    def induced_subgraph(self, nodes: Iterable[int]) -> nx.Graph:
-        """Return the subgraph induced by *nodes* (a new, mutable graph).
+    def induced(
+        self,
+        nodes: Iterable[int],
+        node_seeds: Optional[Dict[int, int]] = None,
+        announced_n: Optional[int] = None,
+    ) -> "Network":
+        """The sub-network induced by *nodes*, sliced from this network's CSR.
 
-        Ids that are not nodes of the network are ignored.
+        Ids that are not nodes of the network are ignored; a kept node
+        whose neighbours are all outside *nodes* stays, isolated.  The
+        result is the ``Network`` of the induced ``nx.Graph`` (integer
+        ids, no relabelling) with the given *node_seeds* and *announced_n*,
+        built without one: the kept rows are gathered, neighbours outside
+        the set masked out and the survivors renumbered to local indices.
         """
-        keep = {node for node in nodes if node in self._index_of}
-        subgraph = nx.Graph()
-        subgraph.add_nodes_from(sorted(keep))
-        subgraph.add_edges_from(
-            (u, v)
-            for u in sorted(keep)
-            for v in self.neighbors(u)
-            if u < v and v in keep
+        index_of = self._index_of
+        rows = np.array(
+            sorted({index_of[v] for v in nodes if v in index_of}), dtype=np.int64
         )
-        return subgraph
+        sub = Network.__new__(Network)
+        sub._assign_ids([self._ids[i] for i in rows.tolist()])
+        starts = self._indptr[rows]
+        degrees = self._indptr[rows + 1] - starts
+        # Positions of the kept rows' entries in ``indices``: each row's
+        # start, plus 0..degree-1.
+        firsts = np.cumsum(degrees) - degrees
+        at = np.arange(int(degrees.sum()), dtype=np.int64)
+        at += np.repeat(starts - firsts, degrees)
+        local = np.full(self.n, -1, dtype=np.int64)
+        local[rows] = np.arange(len(rows), dtype=np.int64)
+        dst = local[self._indices[at]]
+        src = np.repeat(np.arange(len(rows), dtype=np.int64), degrees)
+        inside = dst >= 0
+        sub._finish_init(src[inside], dst[inside], None, node_seeds, announced_n)
+        return sub

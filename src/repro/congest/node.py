@@ -293,8 +293,8 @@ class Protocol:
         callbacks above remain the executable semantics, enforced by the
         differential suite.
 
-        The default is ``None``: the vectorized engine falls back to the
-        batched callback path for this protocol.
+        The default is ``None``: the vectorized engine runs this protocol
+        on its callback loop.
         """
         return None
 

@@ -9,11 +9,10 @@ The scheduler drives a :class:`repro.congest.node.Protocol` over a
    enforced as messages are collected.
 
 The round loop itself lives in :mod:`repro.congest.engine`, behind a
-pluggable :class:`repro.congest.engine.Engine` interface: ``"batched"`` is
-the CSR-backed fast path (the default), ``"reference"`` the semantics
-oracle kept for the differential harness, ``"vectorized"`` the columnar
-kernel engine (:mod:`repro.congest.vectorized`), and ``"sharded"`` the
-partition-parallel backend
+pluggable :class:`repro.congest.engine.Engine` interface: ``"vectorized"``
+is the single-process fast path (:mod:`repro.congest.vectorized`, the
+default), ``"reference"`` the semantics oracle kept for the differential
+harness, and ``"sharded"`` the partition-parallel backend
 (:mod:`repro.congest.sharding`); all are guaranteed to produce
 bit-identical outputs and protocol metrics (see the engine module's
 docstring for the contract).  The engine is chosen by the ``engine``
@@ -66,7 +65,7 @@ class SynchronousScheduler:
         As documented on :func:`run_protocol`.
     engine:
         Execution-engine selector — a registry name (``"reference"``,
-        ``"batched"``, ``"vectorized"``, ``"sharded"``), an
+        ``"vectorized"``, ``"sharded"``), an
         :class:`repro.congest.engine.Engine` instance, or ``None`` to use
         ``config.engine``.
     session:

@@ -14,7 +14,7 @@ boundary at the round barrier.  This package provides:
 
 :mod:`repro.congest.sharding.engine`
     :class:`ShardedEngine` (``engine="sharded"``) executes a protocol shard
-    by shard — reusing the batched engine's CSR/inbox-buffer machinery per
+    by shard — reusing the callback loop's CSR/inbox-buffer machinery per
     shard — under one of two backends (``CongestConfig.shard_backend``):
     the serial deterministic mode (what the differential harness runs) or
     one worker process per shard for multi-core execution.  Bit-identical to

@@ -4,7 +4,7 @@
 shards with :func:`repro.congest.sharding.partition.partition_network` and
 steps each shard's frontier independently within a round, exchanging the
 messages that cross a shard boundary at the round barrier.  Per shard the
-machinery is the :class:`repro.congest.engine.BatchedEngine` design — dense
+machinery is the vectorized engine's callback loop design — dense
 CSR indices, reused inbox buffers, per-sender ``Inbound`` interning, an
 incremental active frontier — restricted to the shard's owned nodes.
 
@@ -71,19 +71,15 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.congest.config import CongestConfig
 from repro.congest.engine import (
     _EMPTY_INBOX,
-    _STALL_LIMIT,
     CongestSession,
     Engine,
     RunResult,
+    coordinator_should_stop,
     harvest_outputs,
+    merge_startup_metrics,
     register_engine,
 )
-from repro.congest.errors import (
-    CongestionViolation,
-    MessageSizeViolation,
-    ProtocolError,
-    RoundLimitExceeded,
-)
+from repro.congest.errors import CongestionViolation, MessageSizeViolation
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import ContextRegistry, Network
@@ -101,58 +97,6 @@ SHARD_BACKENDS: Tuple[str, ...] = ("serial", "process")
 #: Stable-sort key restoring the contract's ascending-sender inbox order
 #: (C-implemented: this runs on every boundary inbox every round).
 _sender_key = operator.attrgetter("sender")
-
-
-def coordinator_should_stop(
-    all_done: bool,
-    in_flight: int,
-    rounds: int,
-    silent_rounds: int,
-    quiesce_ok: bool,
-    max_rounds: Optional[int],
-    protocol_name: str,
-) -> Tuple[bool, int]:
-    """The sharded coordinators' termination decision, in one place.
-
-    Evaluated at the top of every round on the barrier-aggregated view;
-    shared verbatim by the in-process coordinator (:class:`_ShardedRun`)
-    and the process-backend coordinator
-    (:class:`repro.congest.sharding.workers.ProcessShardedRun`) so the
-    engine contract's round counts cannot drift between them.  Returns
-    ``(stop, new_silent_rounds)``; raises
-    :class:`repro.congest.errors.ProtocolError` on a stall and
-    :class:`repro.congest.errors.RoundLimitExceeded` at the round cap —
-    mirroring the single-shard engines exactly.
-    """
-    if all_done and not in_flight:
-        return True, silent_rounds
-    if not in_flight and rounds > 0 and quiesce_ok:
-        return True, silent_rounds
-    if not in_flight and rounds > 0:
-        silent_rounds += 1
-        if silent_rounds >= _STALL_LIMIT:
-            raise ProtocolError(
-                "protocol %r stalled: no messages in flight, nodes "
-                "not finished, after %d silent rounds"
-                % (protocol_name, silent_rounds)
-            )
-    else:
-        silent_rounds = 0
-    if max_rounds is not None and rounds >= max_rounds:
-        raise RoundLimitExceeded(max_rounds)
-    return False, silent_rounds
-
-
-def merge_startup_metrics(round_metrics: RoundMetrics, startup: RoundMetrics) -> None:
-    """Fold round-0 (``on_start``) traffic into the first round's metrics.
-
-    Messages queued during ``on_start`` are delivered in round 1 and
-    accounted to it, exactly as in the single-shard engines; shared by both
-    sharded coordinators.
-    """
-    round_metrics.messages_sent = startup.messages_sent
-    round_metrics.bits_sent = startup.bits_sent
-    round_metrics.max_message_bits = startup.max_message_bits
 
 
 class _ShardState:
@@ -186,7 +130,7 @@ class _ShardState:
         self.started: List[int] = []
         self.frontier: List[int] = []
         # Shard-local deliveries (receiver owned by this shard), as the
-        # batched engine's two parallel flat lists.
+        # callback loop's two parallel flat lists.
         self.pending_index: List[int] = []
         self.pending_inbound: List[Inbound] = []
         # Boundary deliveries routed *to* this shard at the last barrier,
@@ -460,7 +404,7 @@ class _ShardStepper:
     ) -> None:
         """Move one node's queued messages into the shard's delivery state.
 
-        The batched engine's drain with one extra step: a receiver owned by
+        The callback loop's drain with one extra step: a receiver owned by
         another shard routes through the per-destination bucket exchanged at
         the barrier instead of the local pending lists.  Rule checks and
         accounting are identical.

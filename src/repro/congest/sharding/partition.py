@@ -68,7 +68,7 @@ class ShardPlan:
     """An assignment of a network's nodes to ``k`` shards, plus cut stats.
 
     All node references are *dense CSR indices* (``0..n-1``), not node ids;
-    the sharded engine works on the same dense index as the batched engine,
+    the sharded engine works on the same dense index as the vectorized engine,
     and ids map to indices via
     :attr:`repro.congest.network.Network.node_index_of`.
 

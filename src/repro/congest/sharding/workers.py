@@ -119,7 +119,13 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.config import CongestConfig
-from repro.congest.engine import CongestSession, RunResult, collect_outputs
+from repro.congest.engine import (
+    CongestSession,
+    RunResult,
+    collect_outputs,
+    coordinator_should_stop,
+    merge_startup_metrics,
+)
 from repro.congest.errors import (
     ProtocolError,
     ShardWorkerError,
@@ -134,8 +140,6 @@ from repro.congest.sharding.engine import (
     _ShardedRun,
     _ShardState,
     _ShardStepper,
-    coordinator_should_stop,
-    merge_startup_metrics,
 )
 from repro.congest.sharding.faults import FaultInjector
 from repro.congest.sharding.partition import (

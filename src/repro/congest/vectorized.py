@@ -1,7 +1,7 @@
 """Columnar gather/apply/scatter execution of protocol phases.
 
-Every engine so far drives the same per-node callbacks: ``on_start`` once,
-then ``on_round`` once per non-halted node per round.  For phases whose
+The callback engines drive per-node callbacks: ``on_start`` once, then
+``on_round`` once per non-halted node per round.  For phases whose
 sends all go through pipelined Outbox queues, that dispatch is mostly
 interpreter overhead: the round loop calls Python functions that flush one
 queued message or fold an inbox whose timing follows from the queues alone
@@ -42,9 +42,9 @@ split; DGL's gSpMM kernels):
 
 A protocol opts in by returning a :class:`VectorizedKernel` from
 :meth:`repro.congest.node.Protocol.vectorized_kernel`;
-:class:`VectorizedEngine` (``engine="vectorized"``) executes it over the
-whole frontier as array operations and **falls back to the batched callback
-path** for every protocol that declares no kernel — so a composite pipeline
+:class:`VectorizedEngine` (``engine="vectorized"``, the default) executes
+it over the whole frontier as array operations and **runs the CSR callback
+loop** for every protocol that declares no kernel — so a composite pipeline
 mixes kernel-covered and callback phases freely.  The ``on_round`` path
 remains the executable semantics: the differential suite holds the kernels
 to bit-identity — outputs, per-node state, round count, message/bit metrics
@@ -67,6 +67,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -75,12 +76,20 @@ import numpy as np
 
 from repro.congest.config import CongestConfig
 from repro.congest.engine import (
-    BatchedEngine,
+    _EMPTY_INBOX,
+    Engine,
     RunResult,
+    coordinator_should_stop,
     harvest_outputs,
+    merge_startup_metrics,
     register_engine,
 )
-from repro.congest.errors import MessageSizeViolation, RoundLimitExceeded
+from repro.congest.errors import (
+    CongestionViolation,
+    MessageSizeViolation,
+    RoundLimitExceeded,
+)
+from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import ContextRegistry, Network
 from repro.congest.node import NodeContext, Protocol, effective_scope, reset_in_scope
@@ -490,13 +499,12 @@ class OutboxSchedule:
                     yield round_index, receiver, inbox
 
 
-class VectorizedEngine(BatchedEngine):
-    """Kernel fast paths over the batched machinery; see module docstring.
+class VectorizedEngine(Engine):
+    """The single-process fast path; see the module docstring.
 
     ``execute`` asks the protocol for a :class:`VectorizedKernel`; with one
-    the phase runs columnar, otherwise the call is
-    exactly :class:`BatchedEngine.execute` — same CSR, frontier and drain
-    machinery, so un-kernelled phases cost nothing extra.
+    the phase runs columnar, otherwise it runs on the callback loop
+    (:meth:`_execute_callbacks`) described in :mod:`repro.congest.engine`.
     """
 
     name = "vectorized"
@@ -515,26 +523,193 @@ class VectorizedEngine(BatchedEngine):
         maker = getattr(protocol, "vectorized_kernel", None)
         if callable(maker):
             kernel = maker()
-        if kernel is None:
-            return super().execute(
-                network,
-                protocol,
-                config=config,
-                global_inputs=global_inputs,
-                per_node_inputs=per_node_inputs,
-                reuse_contexts=reuse_contexts,
-            )
         contexts = network.build_contexts(
             global_inputs=global_inputs,
             per_node_inputs=per_node_inputs,
             fresh=not reuse_contexts,
         )
+        if kernel is None:
+            return self._execute_callbacks(network, protocol, config, contexts)
         frame = KernelFrame(network, protocol, config, contexts)
         kernel.execute(frame)
         outputs = harvest_outputs(
             protocol, contexts, frame.rounds, frame.fold_back(), frame.blank_fill()
         )
         return RunResult(outputs=outputs, metrics=frame.metrics, contexts=contexts)
+
+    def _execute_callbacks(
+        self,
+        network: Network,
+        protocol: Protocol,
+        config: CongestConfig,
+        contexts: ContextRegistry,
+    ) -> RunResult:
+        """The callback round loop over the CSR, for a kernel-less protocol."""
+        metrics = RunMetrics()
+        quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
+        # The incremental frontier is only sound for the default (monotone)
+        # termination predicate; overridden predicates take the scan path.
+        fast_finished = type(protocol).finished is Protocol.finished
+
+        index_of = network.node_index_of
+
+        enforce = config.enforce_congestion
+        budget = config.message_bit_budget
+        # A disabled budget is modelled as an unexceedable limit so the hot
+        # loop needs a single comparison instead of a None check per message.
+        budget_limit: float = float("inf") if budget is None else budget
+        max_rounds = config.max_rounds
+        on_round = protocol.on_round
+
+        # Per-sender Inbound intern caches, keyed by message object identity
+        # and reset every round (the cache keeps its messages alive, so ids
+        # cannot be recycled while an entry is live).
+        interned: Dict[int, Dict[int, Inbound]] = {}
+        # Outbound messages awaiting delivery, as two parallel flat lists
+        # (dense receiver index / Inbound) to avoid a tuple per message.
+        pending_index: List[int] = []
+        pending_inbound: List[Inbound] = []
+
+        def drain(
+            ctx: NodeContext,
+            round_index: int,
+            rm: RoundMetrics,
+            pairs: Optional[Set[Tuple[int, int]]],
+        ) -> None:
+            """Move one node's queued messages into the pending lists (rule
+            checks and accounting included), reusing the node's outbox dict."""
+            sender = ctx.node_id
+            outgoing = ctx._outgoing
+            messages_seen = 0
+            bits_seen = 0
+            max_bits = rm.max_message_bits
+            append_index = pending_index.append
+            append_inbound = pending_inbound.append
+            cache = interned.get(sender)
+            if cache is None:
+                cache = interned[sender] = {}
+            cache_get = cache.get
+            for receiver, messages in outgoing.items():
+                if enforce and len(messages) > 1:
+                    raise CongestionViolation(sender, receiver, round_index)
+                receiver_index = index_of[receiver]
+                for message in messages:
+                    bits = message.bits
+                    if bits > budget_limit:
+                        raise MessageSizeViolation(
+                            sender, receiver, bits, budget, round_index
+                        )
+                    messages_seen += 1
+                    bits_seen += bits
+                    if bits > max_bits:
+                        max_bits = bits
+                    message_id = id(message)
+                    inbound = cache_get(message_id)
+                    if inbound is None:
+                        inbound = Inbound(sender=sender, message=message)
+                        cache[message_id] = inbound
+                    append_index(receiver_index)
+                    append_inbound(inbound)
+                    if pairs is not None:
+                        pairs.add((sender, receiver))
+            outgoing.clear()
+            rm.messages_sent += messages_seen
+            rm.bits_sent += bits_seen
+            rm.max_message_bits = max_bits
+
+        # --- round 0: on_start the in-scope nodes, then drain them --------
+        startup_metrics = RoundMetrics(round_index=0)
+        started = contexts.start(protocol)
+        live = contexts.live
+        on_start = protocol.on_start
+        for i in started:
+            ctx = live[i]
+            ctx._round = 0
+            on_start(ctx)
+        for i in started:
+            ctx = live[i]
+            if ctx._outgoing:
+                drain(ctx, 0, startup_metrics, None)
+
+        frontier: List[int] = []
+        if fast_finished:
+            frontier = [i for i in started if not live[i]._halted]
+
+        rounds = 0
+        silent_rounds = 0
+        while True:
+            if fast_finished:
+                all_done = not frontier
+            else:
+                all_done = all(protocol.finished(ctx) for ctx in contexts.materialize())
+            stop, silent_rounds = coordinator_should_stop(
+                all_done,
+                len(pending_index),
+                rounds,
+                silent_rounds,
+                quiesce_ok,
+                max_rounds,
+                protocol.name,
+            )
+            if stop:
+                break
+
+            rounds += 1
+            round_metrics = RoundMetrics(round_index=rounds)
+            if rounds == 1:
+                merge_startup_metrics(round_metrics, startup_metrics)
+
+            # Inboxes exist only for this round's receivers.
+            boxes: Dict[int, List[Inbound]] = {}
+            for receiver_index, inbound in zip(pending_index, pending_inbound):
+                box = boxes.get(receiver_index)
+                if box is None:
+                    boxes[receiver_index] = [inbound]
+                else:
+                    box.append(inbound)
+            box_of = boxes.get
+
+            pending_index = []
+            pending_inbound = []
+            pairs: Optional[Set[Tuple[int, int]]] = None if enforce else set()
+            interned.clear()
+
+            if fast_finished:
+                round_metrics.active_nodes = len(frontier)
+                any_halted = False
+                for i in frontier:
+                    ctx = live[i]
+                    ctx._round = rounds
+                    on_round(ctx, box_of(i, _EMPTY_INBOX))
+                    if ctx._halted:
+                        any_halted = True
+                    if ctx._outgoing:
+                        drain(ctx, rounds, round_metrics, pairs)
+                if any_halted:
+                    frontier = [i for i in frontier if not live[i]._halted]
+            else:
+                # An overridden predicate voids the scope, so every node
+                # has a context here.
+                active = 0
+                for i, ctx in enumerate(contexts.materialize()):
+                    ctx._round = rounds
+                    if protocol.finished(ctx):
+                        continue
+                    active += 1
+                    on_round(ctx, box_of(i, _EMPTY_INBOX))
+                    if ctx._outgoing:
+                        drain(ctx, rounds, round_metrics, pairs)
+                round_metrics.active_nodes = active
+
+            round_metrics.edges_used = (
+                len(pending_index) if pairs is None else len(pairs)
+            )
+            metrics.absorb_round(round_metrics, config.record_round_metrics)
+
+        outputs = harvest_outputs(
+            protocol, contexts, rounds, map(live.__getitem__, started)
+        )
+        return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
 
 
 register_engine(VectorizedEngine())

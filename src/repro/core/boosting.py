@@ -117,8 +117,8 @@ class BoostedNearCliqueRunner:
         self.repetitions = repetitions
         self.engine = engine
         #: CONGEST execution engine for the "distributed" variant —
-        #: ``"reference"``, ``"batched"``, ``"vectorized"`` or ``"sharded"``
-        #: (see :mod:`repro.congest.engine`); ``None`` keeps the simulator
+        #: ``"reference"``, ``"vectorized"`` or ``"sharded"`` (see
+        #: :mod:`repro.congest.engine`); ``None`` keeps the simulator
         #: default.  Bit-identical by the engine contract, so the boosted
         #: statistics are engine-independent.
         self.congest_engine = congest_engine

@@ -71,12 +71,12 @@ class DistNearCliqueRunner:
         one-message-per-edge rule and a ``12·log₂ n``-bit message budget
         (checked, not just measured).
     engine:
-        Execution-engine selector (``"reference"``, ``"batched"``,
-        ``"vectorized"`` or ``"sharded"``, see :mod:`repro.congest.engine`)
+        Execution-engine selector (``"reference"``, ``"vectorized"`` or
+        ``"sharded"``, see :mod:`repro.congest.engine`)
         applied on top of *config*, or an already-constructed
         :class:`repro.congest.engine.Engine` instance (how benchmarks pass
         a stats-collecting engine).  ``None`` keeps the configuration's
-        engine (``"batched"`` by default).  All engines produce
+        engine (``"vectorized"`` by default).  All engines produce
         bit-identical outputs and protocol metrics, so this is a
         throughput knob; under ``"sharded"`` every phase steps
         ``config.shards`` graph partitions.

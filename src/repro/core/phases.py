@@ -52,8 +52,8 @@ a kernel instead of per-node callbacks: the sends all go through
 pipelined :class:`~repro.primitives.pipelines.Outbox` queues, so their
 timing follows from the queues alone (one stream schedule,
 :meth:`~repro.congest.vectorized.KernelFrame.run_schedule`), and only the
-four tree primitives of :mod:`repro.primitives` fall back to the batched
-callback path.  The callbacks below remain the executable semantics
+four tree primitives of :mod:`repro.primitives` run on the engine's
+callback loop.  The callbacks below remain the executable semantics
 either way (the kernels are held to bit-identity by the differential
 suite):
 

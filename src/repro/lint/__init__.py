@@ -1,7 +1,7 @@
 """``repro lint`` — static analysis of the engine stack's protocol contract.
 
-Every execution backend in this package (batched, sharded serial and process,
-vectorized) leans on one safety net: a :class:`repro.congest.node.Protocol`
+Every execution backend in this package (vectorized, sharded serial and
+process) leans on one safety net: a :class:`repro.congest.node.Protocol`
 must be *deterministic* (same inputs, same ``ctx.rng`` draws → same traffic),
 *picklable* (the process backend ships protocol objects and per-node state
 across worker pipes), *wire-encodable* (payloads restricted to the vocabulary

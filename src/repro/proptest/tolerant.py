@@ -59,7 +59,7 @@ class TolerantNearCliqueTester:
     congest_engine:
         Execution engine used by :meth:`find_distributed` when the sampled
         decision is re-run as the paper's actual CONGEST algorithm
-        (``"reference"``, ``"batched"``, ``"vectorized"`` or ``"sharded"``; see
+        (``"reference"``, ``"vectorized"`` or ``"sharded"``; see
         :mod:`repro.congest.engine`).  ``None`` keeps the simulator
         default.
     congest_config:
@@ -186,7 +186,7 @@ class TolerantNearCliqueTester:
         point being that its construction *is* a distributed implementation
         of the tester.  The CONGEST simulation is executed under
         :attr:`congest_engine`, so large accept-side instances can use the
-        batched fast path without changing the verdict (engines are
+        vectorized fast path without changing the verdict (engines are
         bit-identical by contract).
 
         Returns the :class:`repro.core.result.NearCliqueResult` of one run.

@@ -15,15 +15,15 @@ edge touches both endpoints) and it cannot have gained or lost members
 (a split or merge would involve a touched edge endpoint inside it) — so
 its cached per-node outputs, sample coins and candidate sets are exactly
 what a fresh full run with the same seed would recompute.  The service
-therefore re-executes the pipeline only on the dirty region:
+therefore re-executes the pipeline only on the dirty region, a
+sub-network sliced from the service's CSR (:meth:`Network.induced`):
 
 * per-node seeds are replayed — a fresh ``Network(G, seed=s)`` draws one
   63-bit seed per node in ascending id order, so the service draws the
   same stream (once per seed: the node set is fixed, so the table is a
   function of the seed alone) and hands the dirty nodes their exact seeds
-  via ``Network(node_seeds=...)``;
-* the sub-network announces the *full* system size
-  (``Network(announced_n=...)``) so message-size accounting is identical;
+  via ``node_seeds``;
+* the sub-network announces the *full* system size (``announced_n``) so message-size accounting is identical;
 * the Section 4.1 sample guard is evaluated globally: the sub-run's
   bound is ``max_sample_size`` minus the cached sample kept outside the
   region, which aborts exactly when the merged sample would exceed the
@@ -47,7 +47,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 import networkx as nx
 
 from repro.congest.config import CongestConfig
-from repro.congest.engine import CongestSession, get_engine
+from repro.congest.engine import DEFAULT_ENGINE, CongestSession, get_engine
 from repro.congest.errors import DeltaError
 from repro.congest.network import AppliedDelta, Network
 from repro.core.dist_near_clique import DistNearCliqueRunner
@@ -326,8 +326,8 @@ class NearCliqueService:
         # nodes already hold theirs in the cache.
         seeds = self._replayed_seeds(seed)
         index_of = network.node_index_of
-        sub_network = Network(
-            network.induced_subgraph(region),
+        sub_network = network.induced(
+            region,
             node_seeds={v: seeds[index_of[v]] for v in region},
             announced_n=network.n,
         )
@@ -341,12 +341,12 @@ class NearCliqueService:
                 max_sample_size=params.max_sample_size - len(kept_sample),
             )
         # Any engine yields bit-identical outputs and metrics (the engine
-        # contract), so the region re-run uses the in-process batched
+        # contract), so the region re-run uses the default in-process
         # engine rather than spinning up shard workers for a small
         # subgraph.  The config otherwise stays the service's — same
         # message budget (derived from the full n), same parameters.
         sub_runner = DistNearCliqueRunner(
-            parameters=params, config=self.config.with_engine("batched")
+            parameters=params, config=self.config.with_engine(DEFAULT_ENGINE)
         )
         sub_result = sub_runner.run(network=sub_network)
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.congest.config import CongestConfig
 from repro.congest.network import Network
+from repro.congest.vectorized import VectorizedEngine
 from repro.graphs import generators
 
 
@@ -70,3 +71,51 @@ def congest_config():
 def make_network(graph: nx.Graph, seed: int = 1) -> Network:
     """Helper used by several test modules to build a seeded network."""
     return Network(graph, seed=seed)
+
+
+def round_trace(metrics):
+    """A run's per-round trace, one tuple per round."""
+    return [
+        (
+            r.round_index,
+            r.messages_sent,
+            r.bits_sent,
+            r.max_message_bits,
+            r.edges_used,
+            r.active_nodes,
+        )
+        for r in metrics.per_round
+    ]
+
+
+def run_fingerprint(result):
+    """Everything the engine contract keeps identical, as one value."""
+    m = result.metrics
+    return (
+        result.outputs,
+        m.rounds,
+        m.total_messages,
+        m.total_bits,
+        m.max_message_bits,
+        m.max_messages_per_round,
+        round_trace(m),
+    )
+
+
+def without_kernel(protocol):
+    """*protocol*, its kernel suppressed: the vectorized engine runs its callbacks."""
+    protocol.vectorized_kernel = lambda: None
+    return protocol
+
+
+class CallbacksEngine(VectorizedEngine):
+    """The vectorized engine with every protocol's kernel suppressed.
+
+    ``CongestConfig(engine=CallbacksEngine())`` runs every phase of a
+    composite runner on the callback loop.
+    """
+
+    name = "callbacks"
+
+    def execute(self, network, protocol, *args, **kwargs):
+        return super().execute(network, without_kernel(protocol), *args, **kwargs)

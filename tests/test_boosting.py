@@ -177,7 +177,7 @@ class TestSessionAwareBoosting:
         n = graph.number_of_nodes()
         baseline = self._fingerprint(self._run(graph))
         for config in (
-            CongestConfig(engine="batched").with_log_budget(n),
+            CongestConfig(engine="vectorized").with_log_budget(n),
             CongestConfig(
                 engine="sharded",
                 shards=2,

@@ -55,9 +55,7 @@ class TestFindCommand:
         assert exit_code == 0
         assert "recall of planted set" in captured.out
 
-    @pytest.mark.parametrize(
-        "congest_engine", ["reference", "batched", "vectorized", "sharded"]
-    )
+    @pytest.mark.parametrize("congest_engine", ["reference", "vectorized", "sharded"])
     def test_congest_engine_selection(self, capsys, congest_engine):
         exit_code = cli.main(
             [
@@ -82,7 +80,7 @@ class TestFindCommand:
 
     def test_congest_engines_print_identical_reports(self, capsys):
         reports = {}
-        for congest_engine in ("reference", "batched", "vectorized", "sharded"):
+        for congest_engine in ("reference", "vectorized", "sharded"):
             exit_code = cli.main(
                 [
                     "find",
@@ -98,9 +96,8 @@ class TestFindCommand:
             )
             assert exit_code == 0
             reports[congest_engine] = capsys.readouterr().out
-        assert reports["reference"] == reports["batched"]
-        assert reports["vectorized"] == reports["batched"]
-        assert reports["sharded"] == reports["batched"]
+        assert reports["vectorized"] == reports["reference"]
+        assert reports["sharded"] == reports["reference"]
 
     @pytest.mark.parametrize("shards", ["1", "3", "4"])
     def test_sharded_engine_shard_flags(self, capsys, shards):
@@ -109,7 +106,7 @@ class TestFindCommand:
         # change either.
         reports = {}
         for name, extra in (
-            ("batched", []),
+            ("vectorized", []),
             ("sharded", ["--shards", shards, "--shard-backend", "serial"]),
         ):
             exit_code = cli.main(
@@ -128,7 +125,7 @@ class TestFindCommand:
             )
             assert exit_code == 0
             reports[name] = capsys.readouterr().out
-        assert reports["sharded"] == reports["batched"]
+        assert reports["sharded"] == reports["vectorized"]
 
     def test_process_backend_session_report(self, capsys):
         # The process backend's session must not change the finder's report
@@ -136,7 +133,7 @@ class TestFindCommand:
         # execution-session totals.
         reports = {}
         for name, extra in (
-            ("batched", []),
+            ("default", []),
             (
                 "session",
                 [
@@ -159,10 +156,10 @@ class TestFindCommand:
         assert "Execution-session report" in session_report
         assert "shm bytes mapped" in session_report
         assert "setup seconds / phase" in session_report
-        # Everything before the session report matches the batched run.
+        # Everything before the session report matches the default run.
         prefix = session_report.split("Execution-session report")[0].rstrip()
-        assert prefix == reports["batched"].rstrip()
-        assert "Execution-session report" not in reports["batched"]
+        assert prefix == reports["default"].rstrip()
+        assert "Execution-session report" not in reports["default"]
 
     def test_boosted_engine(self, capsys):
         exit_code = cli.main(
@@ -207,8 +204,11 @@ class TestArgumentValidation:
     Exit 1 is reserved for ``find``'s "aborted" and ``verify``'s "not a
     near-clique" verdicts, so an invalid value must never reach them.  The
     bounds are the library's own: ``AlgorithmParameters`` wants epsilon in
-    (0, 1), ``is_near_clique`` wants epsilon >= 0.  The last cases are the
-    removed async engine, thread backend and mode flags.
+    (0, 1) and non-negative sample bounds, ``is_near_clique`` wants epsilon
+    >= 0, the planted generator wants its fraction in (0, 1], its defect in
+    [0, 1) and a probability as its background, and the boosted runner at
+    least one repetition.  The last cases are the removed async engine,
+    the folded callback engine, the thread backend and the mode flags.
     """
 
     @pytest.mark.parametrize(
@@ -238,8 +238,30 @@ class TestArgumentValidation:
             ["find", "--round-timeout", "nan"],
             ["serve", "--round-timeout", "-1"],
             ["find", "--retry-attempts", "-1"],
+            ["find", "--delta", "0"],
+            ["find", "--delta", "1.01"],
+            ["find", "--delta", "nan"],
+            ["serve", "--delta", "-0.5"],
+            ["generate", "unused.edges", "--delta", "0"],
+            ["find", "--background", "-0.5"],
+            ["find", "--background", "1.5"],
+            ["find", "--background", "nan"],
+            ["serve", "--background", "-0.01"],
+            ["generate", "unused.edges", "--background", "2"],
+            ["find", "--max-sample", "-1"],
+            ["serve", "--max-sample", "-1"],
+            ["find", "--max-sample", "1.5"],
+            ["find", "--repetitions", "0"],
+            ["find", "--repetitions", "-2"],
+            ["find", "--min-output-size", "-1"],
+            ["serve", "--min-output-size", "-1"],
+            ["generate", "unused.edges", "--epsilon", "1"],
+            ["generate", "unused.edges", "--epsilon", "-0.1"],
+            ["generate", "unused.edges", "--epsilon", "nan"],
             ["find", "--congest-engine", "async"],
             ["serve", "--congest-engine", "async"],
+            ["find", "--congest-engine", "batched"],
+            ["serve", "--congest-engine", "batched"],
             ["find", "--shard-workers", "2"],
             ["find", "--shard-backend", "thread"],
             ["serve", "--shard-backend", "thread"],
@@ -267,6 +289,20 @@ class TestArgumentValidation:
         (["find", "--round-timeout", "0.001"], "round_timeout", 0.001),
         (["find", "--retry-attempts", "0"], "retry_attempts", 0),
         (["find", "--shard-backend", "process"], "shard_backend", "process"),
+        (["find", "--delta", "1"], "delta", 1.0),
+        (["serve", "--delta", "1e-9"], "delta", 1e-9),
+        (["generate", "unused.edges", "--delta", "1"], "delta", 1.0),
+        (["find", "--background", "0"], "background", 0.0),
+        (["find", "--background", "1"], "background", 1.0),
+        (["generate", "unused.edges", "--background", "0"], "background", 0.0),
+        (["find", "--max-sample", "0"], "max_sample", 0),
+        (["serve", "--max-sample", "0"], "max_sample", 0),
+        (["find", "--repetitions", "1"], "repetitions", 1),
+        (["find", "--min-output-size", "0"], "min_output_size", 0),
+        (["serve", "--min-output-size", "0"], "min_output_size", 0),
+        (["generate", "unused.edges", "--epsilon", "0"], "epsilon", 0.0),
+        (["generate", "unused.edges", "--epsilon", "0.999"], "epsilon", 0.999),
+        (["find", "--congest-engine", "vectorized"], "congest_engine", "vectorized"),
     ]
 
     @pytest.mark.parametrize(

@@ -164,9 +164,10 @@ class TestNetwork:
         with pytest.raises(ProtocolError):
             network.build_contexts(per_node_inputs={99: {"x": 1}})
 
-    def test_induced_subgraph(self, two_triangles):
+    def test_induced(self, two_triangles):
         network = Network(two_triangles)
-        sub = network.induced_subgraph([0, 1, 2])
+        sub = network.induced([0, 1, 2])
+        assert sub.node_ids == [0, 1, 2]
         assert sub.number_of_edges() == 3
 
     def test_csr_adjacency_matches_neighbor_tuples(self, two_triangles):

@@ -2,7 +2,7 @@
 
 The contract (module docstring of :mod:`repro.congest.engine`) is that for
 every protocol, graph, seed and configuration every registered engine —
-``batched``, ``vectorized`` and ``sharded`` today — produces the same
+``vectorized`` and ``sharded`` today — produces the same
 per-node outputs, the same round count, and the same protocol message/bit
 metrics including the per-round trace.  This suite runs every protocol in ``repro.primitives`` (plus
 the full ``DistNearCliqueRunner`` pipeline, the boosted wrapper, the
@@ -17,11 +17,14 @@ test id — which is also what lets CI run the suite once per engine with
 exchanging packed boundary batches) runs as one more arm, ``process``, of
 the engine-parametrized classes, and :class:`TestProcessBackend` adds its
 shard-count, strategy and whole-pipeline cases; their ids carry
-``process`` for the same reason.
+``process`` for the same reason.  The tests that run the runner's
+kernel-covered phases add a ``callbacks`` arm: the vectorized engine with
+every kernel suppressed, so the callback loop runs those phases too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import networkx as nx
@@ -52,6 +55,8 @@ from repro.primitives.convergecast import (
 )
 from repro.primitives.leader_election import MinIdFloodingProtocol
 
+from conftest import CallbacksEngine, round_trace, run_fingerprint
+
 #: Engine configurations by arm id: every registered engine at its default
 #: configuration, plus the sharded engine's process backend, whose direct
 #: executes each run inside a one-shot worker session.
@@ -60,6 +65,12 @@ ARMS["process"] = {"engine": "sharded", "shards": 2, "shard_backend": "process"}
 
 #: The arms differentially tested against the reference oracle.
 FAST_ENGINES = tuple(name for name in ARMS if name != ReferenceEngine.name)
+
+#: ... plus, where the protocols declare kernels (the runner's phases), the
+#: vectorized engine with every kernel suppressed: its callback loop then
+#: runs the kernel-covered phases too.
+ARMS["callbacks"] = {"engine": CallbacksEngine()}
+KERNEL_ARMS = FAST_ENGINES + ("callbacks",)
 
 
 def _config(arm):
@@ -92,82 +103,60 @@ GRAPHS = _graph_pool()
 GRAPH_IDS = [name for name, _ in GRAPHS]
 
 
-def _trace(metrics):
-    return [
-        (
-            r.round_index,
-            r.messages_sent,
-            r.bits_sent,
-            r.max_message_bits,
-            r.edges_used,
-            r.active_nodes,
-        )
-        for r in metrics.per_round
-    ]
-
-
-def _fingerprint(result):
-    """Everything the contract promises to keep identical, as one value."""
-    m = result.metrics
-    return (
-        result.outputs,
-        m.rounds,
-        m.total_messages,
-        m.total_bits,
-        m.max_message_bits,
-        m.max_messages_per_round,
-        _trace(m),
-    )
-
-
 def _participants(graph):
     return {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
 
 
-def _run_primitive_suite(graph, engine, **config_fields):
-    """The full primitive pipeline on one network, as the runner chains it."""
+def _run_primitive_suite(graph, engine, in_session=False, **config_fields):
+    """The full primitive pipeline on one network, as the runner chains it.
+
+    With *in_session* every phase runs through one session, which exercises
+    every session transition: fresh executes (pool spawn),
+    ``reuse_contexts`` chains (light re-arm), and a context build *outside*
+    the session (the counters step), which the session must detect via the
+    network's context epoch and answer with a respawn.
+    """
     network = Network(graph, seed=1234)
     config = CongestConfig(engine=engine, **config_fields).with_log_budget(
         max(2, network.n)
     )
     per_node = _participants(graph)
-    fingerprints = []
+    with contextlib.ExitStack() as stack:
+        session = None
+        if in_session:
+            session = stack.enter_context(get_engine(engine).open_session(network, config))
 
-    flood = run_protocol(
-        network, MinIdFloodingProtocol(), config=config, per_node_inputs=per_node
-    )
-    fingerprints.append(_fingerprint(flood))
+        def run(protocol, **inputs):
+            result = run_protocol(network, protocol, config=config, session=session, **inputs)
+            return run_fingerprint(result)
 
-    tree = run_protocol(
-        network, MinIdBFSTreeProtocol(), config=config, per_node_inputs=per_node
-    )
-    fingerprints.append(_fingerprint(tree))
-
-    children = run_protocol(
-        network, ParentNotificationProtocol(), config=config, reuse_contexts=True
-    )
-    fingerprints.append(_fingerprint(children))
-
-    collected = run_protocol(
-        network, ConvergecastCollectProtocol(), config=config, reuse_contexts=True
-    )
-    fingerprints.append(_fingerprint(collected))
-
-    broadcast = run_protocol(
-        network,
-        TreeBroadcastProtocol(input_key=KEY_COLLECTED, output_key="bcast_out"),
-        config=config,
-        reuse_contexts=True,
-    )
-    fingerprints.append(_fingerprint(broadcast))
-
-    counters = {v: {KEY_LOCAL_COUNTERS: {1: 1, 2: v % 3}} for v in network.node_ids}
-    network.build_contexts(per_node_inputs=counters, fresh=False)
-    sums = run_protocol(
-        network, ConvergecastSumProtocol(), config=config, reuse_contexts=True
-    )
-    fingerprints.append(_fingerprint(sums))
+        fingerprints = [
+            run(MinIdFloodingProtocol(), per_node_inputs=per_node),
+            run(MinIdBFSTreeProtocol(), per_node_inputs=per_node),
+            run(ParentNotificationProtocol(), reuse_contexts=True),
+            run(ConvergecastCollectProtocol(), reuse_contexts=True),
+            run(
+                TreeBroadcastProtocol(input_key=KEY_COLLECTED, output_key="bcast_out"),
+                reuse_contexts=True,
+            ),
+        ]
+        counters = {v: {KEY_LOCAL_COUNTERS: {1: 1, 2: v % 3}} for v in network.node_ids}
+        network.build_contexts(per_node_inputs=counters, fresh=False)
+        fingerprints.append(run(ConvergecastSumProtocol(), reuse_contexts=True))
     return fingerprints
+
+
+def _runner_fingerprint(graph, config):
+    """The 14-phase runner on *graph* under *config*: labels, sample, metrics."""
+    result = DistNearCliqueRunner(
+        epsilon=0.25,
+        sample_probability=0.1,
+        rng=random.Random(1003),
+        config=config.with_log_budget(graph.number_of_nodes()),
+    ).run(graph)
+    m = result.metrics
+    return (result.labels, result.sample, m.rounds, m.total_messages, m.total_bits,
+            round_trace(m))
 
 
 class TestPrimitiveEquivalence:
@@ -192,7 +181,7 @@ class TestPrimitiveEquivalence:
             result = run_protocol(
                 network, MinIdBFSTreeProtocol(), config=config, per_node_inputs=per_node
             )
-            results[name] = _fingerprint(result)
+            results[name] = run_fingerprint(result)
         assert results[engine] == results["reference"]
 
 
@@ -208,14 +197,14 @@ class TestOverriddenFinishedEquivalence:
             network = Network(graph, seed=seed)
             config = _config(name).with_log_budget(network.n)
             result = run_protocol(network, ShinglesProtocol(), config=config)
-            fingerprints[name] = _fingerprint(result)
+            fingerprints[name] = run_fingerprint(result)
         assert fingerprints[engine] == fingerprints["reference"]
 
 
 class TestRunnerEquivalence:
     """The whole 14-phase DistNearClique pipeline, sampled and forced."""
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", KERNEL_ARMS)
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_full_runner_identical(self, seed, engine):
         graph, _ = generators.planted_near_clique(
@@ -239,11 +228,11 @@ class TestRunnerEquivalence:
                 result.metrics.total_messages,
                 result.metrics.total_bits,
                 result.metrics.max_message_bits,
-                _trace(result.metrics),
+                round_trace(result.metrics),
             )
         assert results[engine] == results["reference"]
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", KERNEL_ARMS)
     def test_forced_sample_identical(self, engine):
         graph, planted = generators.planted_near_clique(
             n=50, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=11
@@ -267,7 +256,7 @@ class TestRunnerEquivalence:
 class TestWrapperEquivalence:
     """The boosted wrapper and the tolerant tester, across engines."""
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", KERNEL_ARMS)
     def test_boosted_distributed_identical(self, engine):
         graph, _ = generators.planted_near_clique(
             n=40, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=2
@@ -292,7 +281,7 @@ class TestWrapperEquivalence:
             )
         assert results[engine] == results["reference"]
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", KERNEL_ARMS)
     def test_tolerant_tester_find_distributed_identical(self, engine):
         graph, _ = generators.planted_near_clique(
             n=40, clique_fraction=0.6, epsilon=0.008, background_p=0.05, seed=6
@@ -322,7 +311,7 @@ class TestShardedConfigurations:
     The engine-parametrized classes above already run ``"sharded"`` at its
     default configuration (4 contiguous shards, serial); these tests pin
     the contract for every shard count in {1, 2, 4} — including the
-    single-shard case, which must degenerate to the batched semantics —
+    single-shard case, which must degenerate to the callback loop's semantics —
     and both partitioner strategies.
     """
 
@@ -356,21 +345,7 @@ class TestShardedConfigurations:
             ("reference", CongestConfig(engine="reference")),
             ("sharded", CongestConfig().with_sharding(shards=shards)),
         ):
-            runner = DistNearCliqueRunner(
-                epsilon=0.25,
-                sample_probability=0.1,
-                rng=random.Random(1003),
-                config=config.with_log_budget(graph.number_of_nodes()),
-            )
-            result = runner.run(graph)
-            results[name] = (
-                result.labels,
-                result.sample,
-                result.metrics.rounds,
-                result.metrics.total_messages,
-                result.metrics.total_bits,
-                _trace(result.metrics),
-            )
+            results[name] = _runner_fingerprint(graph, config)
         assert results["sharded"] == results["reference"]
 
 
@@ -412,21 +387,7 @@ class TestProcessBackend:
             ("reference", CongestConfig(engine="reference")),
             ("process", CongestConfig().with_sharding(shards=4, backend="process")),
         ):
-            runner = DistNearCliqueRunner(
-                epsilon=0.25,
-                sample_probability=0.1,
-                rng=random.Random(1003),
-                config=config.with_log_budget(graph.number_of_nodes()),
-            )
-            result = runner.run(graph)
-            results[name] = (
-                result.labels,
-                result.sample,
-                result.metrics.rounds,
-                result.metrics.total_messages,
-                result.metrics.total_bits,
-                _trace(result.metrics),
-            )
+            results[name] = _runner_fingerprint(graph, config)
         assert results["process"] == results["reference"]
 
     def test_overridden_finished_identical_process(self):
@@ -444,7 +405,7 @@ class TestProcessBackend:
                 ShinglesProtocol(),
                 config=config.with_log_budget(network.n),
             )
-            fingerprints[name] = _fingerprint(result)
+            fingerprints[name] = run_fingerprint(result)
         assert fingerprints["process"] == fingerprints["reference"]
 
 
@@ -452,7 +413,6 @@ class TestProcessBackend:
 #: the process backend (the one whose session keeps real state) carrying
 #: "process" in its id so CI's ``-k process`` job includes it.
 SESSION_BACKENDS = [
-    pytest.param("batched", {}, id="batched"),
     pytest.param("vectorized", {}, id="vectorized"),
     pytest.param("sharded", {"shards": 3}, id="sharded-serial"),
     pytest.param(
@@ -470,81 +430,6 @@ SESSION_GRAPHS = [
     for name, graph in GRAPHS
     if name in ("complete", "isolates", "gnp-2", "planted")
 ]
-
-
-def _run_primitive_suite_session(graph, engine, **config_fields):
-    """The `_run_primitive_suite` chain, through one session.
-
-    Exercises every session transition: fresh executes (pool spawn),
-    ``reuse_contexts`` chains (light re-arm), and a context build *outside*
-    the session (the counters step), which the session must detect via the
-    network's context epoch and answer with a respawn.
-    """
-    network = Network(graph, seed=1234)
-    config = CongestConfig(engine=engine, **config_fields).with_log_budget(
-        max(2, network.n)
-    )
-    per_node = _participants(graph)
-    fingerprints = []
-    with get_engine(engine).open_session(network, config) as session:
-        flood = run_protocol(
-            network,
-            MinIdFloodingProtocol(),
-            config=config,
-            per_node_inputs=per_node,
-            session=session,
-        )
-        fingerprints.append(_fingerprint(flood))
-
-        tree = run_protocol(
-            network,
-            MinIdBFSTreeProtocol(),
-            config=config,
-            per_node_inputs=per_node,
-            session=session,
-        )
-        fingerprints.append(_fingerprint(tree))
-
-        children = run_protocol(
-            network,
-            ParentNotificationProtocol(),
-            config=config,
-            reuse_contexts=True,
-            session=session,
-        )
-        fingerprints.append(_fingerprint(children))
-
-        collected = run_protocol(
-            network,
-            ConvergecastCollectProtocol(),
-            config=config,
-            reuse_contexts=True,
-            session=session,
-        )
-        fingerprints.append(_fingerprint(collected))
-
-        broadcast = run_protocol(
-            network,
-            TreeBroadcastProtocol(input_key=KEY_COLLECTED, output_key="bcast_out"),
-            config=config,
-            reuse_contexts=True,
-            session=session,
-        )
-        fingerprints.append(_fingerprint(broadcast))
-
-        counters = {
-            v: {KEY_LOCAL_COUNTERS: {1: 1, 2: v % 3}} for v in network.node_ids
-        }
-        network.build_contexts(per_node_inputs=counters, fresh=False)
-        sums = run_protocol(
-            network,
-            ConvergecastSumProtocol(),
-            config=config,
-            reuse_contexts=True,
-            session=session,
-        )
-        fingerprints.append(_fingerprint(sums))
-    return fingerprints
 
 
 class _EchoSessionGlobal(Protocol):
@@ -577,12 +462,15 @@ class TestSessionMode:
     @pytest.mark.parametrize("graph", SESSION_GRAPHS)
     def test_primitive_pipeline_identical_in_session(self, graph, engine, fields):
         reference = _run_primitive_suite(graph, "reference")
-        candidate = _run_primitive_suite_session(graph, engine, **fields)
+        candidate = _run_primitive_suite(graph, engine, in_session=True, **fields)
         assert candidate == reference, (
             "engine %r diverged in session mode (%r)" % (engine, fields)
         )
 
-    @pytest.mark.parametrize("engine,fields", SESSION_BACKENDS)
+    @pytest.mark.parametrize(
+        "engine,fields",
+        SESSION_BACKENDS + [pytest.param(CallbacksEngine(), {}, id="callbacks")],
+    )
     def test_full_runner_identical_in_session(self, engine, fields):
         # The runner compiles the composite into fused groups
         # (``execute_fused``; on the process backend one arm-seq plus a
@@ -598,21 +486,7 @@ class TestSessionMode:
             ("reference", CongestConfig(engine="reference")),
             ("candidate", CongestConfig(engine=engine, **fields)),
         ):
-            runner = DistNearCliqueRunner(
-                epsilon=0.25,
-                sample_probability=0.1,
-                rng=random.Random(1003),
-                config=config.with_log_budget(graph.number_of_nodes()),
-            )
-            result = runner.run(graph)
-            results[name] = (
-                result.labels,
-                result.sample,
-                result.metrics.rounds,
-                result.metrics.total_messages,
-                result.metrics.total_bits,
-                _trace(result.metrics),
-            )
+            results[name] = _runner_fingerprint(graph, config)
         assert results["candidate"] == results["reference"], (
             "runner diverged in session mode under %r (%r)" % (engine, fields)
         )
@@ -642,7 +516,7 @@ class TestSessionMode:
                     per_node_inputs=per_node,
                     session=session,
                 )
-                chain.append(_fingerprint(tree))
+                chain.append(run_fingerprint(tree))
                 children = run_protocol(
                     network,
                     ParentNotificationProtocol(),
@@ -650,7 +524,7 @@ class TestSessionMode:
                     reuse_contexts=True,
                     session=session,
                 )
-                chain.append(_fingerprint(children))
+                chain.append(run_fingerprint(children))
                 sums = run_protocol(
                     network,
                     ConvergecastSumProtocol(),
@@ -659,7 +533,7 @@ class TestSessionMode:
                     per_node_inputs=inputs,
                     session=session,
                 )
-                chain.append(_fingerprint(sums))
+                chain.append(run_fingerprint(sums))
                 echoed = run_protocol(
                     network,
                     _EchoSessionGlobal(),
@@ -668,7 +542,7 @@ class TestSessionMode:
                     global_inputs={"session_tag": 41},
                     session=session,
                 )
-                chain.append(_fingerprint(echoed))
+                chain.append(run_fingerprint(echoed))
             results[name] = chain
         assert results["session"] == results["reference"]
         assert all(
@@ -679,12 +553,7 @@ class TestSessionMode:
 class TestEngineRegistry:
     def test_available_engines_sorted(self):
         engines = available_engines()
-        assert engines == (
-            "batched",
-            "reference",
-            "sharded",
-            "vectorized",
-        )
+        assert engines == ("reference", "sharded", "vectorized")
         assert engines == tuple(sorted(engines))
 
     def test_get_engine_by_name(self):
@@ -692,23 +561,24 @@ class TestEngineRegistry:
             assert get_engine(name).name == name
 
     def test_get_engine_passthrough(self):
-        engine = get_engine("batched")
+        engine = get_engine("vectorized")
         assert get_engine(engine) is engine
 
-    # "async" names the deleted alpha-synchronizer engine.
-    @pytest.mark.parametrize("unknown", ["warp-drive", "async"])
+    # "async" names the deleted alpha-synchronizer engine, "batched" the
+    # callback engine folded into "vectorized".
+    @pytest.mark.parametrize("unknown", ["warp-drive", "async", "batched"])
     def test_get_engine_unknown_name_lists_available(self, unknown):
         with pytest.raises(ValueError, match="unknown engine") as excinfo:
             get_engine(unknown)
-        assert "available engines: batched, reference, sharded, vectorized" in str(
+        assert "available engines: reference, sharded, vectorized" in str(
             excinfo.value
         )
 
-    def test_default_engine_is_batched(self):
-        # ROADMAP item: the fast path becomes the default once it has
-        # survived differential CI; the reference stays the oracle above.
-        assert CongestConfig().engine == "batched"
-        assert get_engine(None).name == "batched"
+    def test_default_engine_is_vectorized(self):
+        # The fastest single-process engine is the default; the reference
+        # stays the oracle above.
+        assert CongestConfig().engine == "vectorized"
+        assert get_engine(None).name == "vectorized"
 
     def test_config_carries_engine(self):
         config = CongestConfig().with_engine("vectorized")

@@ -1,18 +1,18 @@
 """Seeded randomized property tests for the execution-engine invariants.
 
-Complementing the differential suite (which checks reference == batched),
-these tests check that *both* engines uphold the simulator's model
+Complementing the differential suite (which checks every engine against
+the reference), these tests check that every engine upholds the simulator's model
 guarantees on randomized workloads driven by stdlib ``random``:
 
 * one message per edge direction per round (and violations raise);
 * the per-message bit budget is enforced, never merely measured;
-* the batched engine's active-frontier skipping never starves a node: a
+* the vectorized engine's active-frontier skipping never starves a node: a
   message sent to a node that has not halted is delivered exactly once, in
   the next round, no matter how long the node has been silent;
 * the ``_STALL_LIMIT`` quiesce path: a protocol that is silent for exactly
   ``_STALL_LIMIT - 1`` rounds and then resumes is not declared stalled;
 * the sharded engine's partition — backend, shard count and strategy — is
-  invisible to the protocol: every node sees the batched engine's traffic.
+  invisible to the protocol: every node sees the vectorized engine's traffic.
 
 The engine-parametrized tests below cover every registered engine because
 they iterate :func:`repro.congest.engine.available_engines`, plus the
@@ -309,7 +309,7 @@ class TestStallAndQuiesce:
 class TestPartitionInvisible:
     """How the sharded engine partitions the graph is invisible to the
     protocol: every node sees the same traffic, in the same order, in the
-    same rounds, as under the batched engine — whichever backend steps the
+    same rounds, as under the vectorized engine — whichever backend steps the
     shards, however many there are and whichever strategy cut them."""
 
     # Ids name the arm the CI engine matrix selects ("sharded", "process").
@@ -324,7 +324,7 @@ class TestPartitionInvisible:
         graph.add_edges_from(nx.path_graph(18).edges())
         runs = {}
         for name, config in (
-            ("batched", CongestConfig(engine="batched")),
+            ("vectorized", CongestConfig(engine="vectorized")),
             (
                 "sharded",
                 CongestConfig().with_sharding(
@@ -347,4 +347,4 @@ class TestPartitionInvisible:
                     for r in result.metrics.per_round
                 ],
             )
-        assert runs["sharded"] == runs["batched"]
+        assert runs["sharded"] == runs["vectorized"]

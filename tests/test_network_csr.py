@@ -164,13 +164,65 @@ class TestBuilderMatchesReference:
         assert sorted(network.graph.edges()) == [(0, 1), (0, 3), (2, 3)]
         assert sorted(view.edges()) == [(0, 1), (1, 2), (2, 3)]
 
-    def test_induced_subgraph(self):
+    def test_induced(self):
         network = Network(nx.cycle_graph(6))
-        sub = network.induced_subgraph([0, 1, 2, 4, 99])
-        assert sorted(sub.nodes()) == [0, 1, 2, 4]
-        assert sorted(sub.edges()) == [(0, 1), (1, 2)]
-        sub.add_edge(0, 4)  # a copy, not a view
+        sub = network.induced([0, 1, 2, 4, 99])
+        assert sub.node_ids == [0, 1, 2, 4]
+        assert sorted(sub.graph.edges()) == [(0, 1), (1, 2)]
+        sub.apply_delta(additions=[(0, 4)])  # a copy, not a view
         assert not network.has_edge(0, 4)
+        network.apply_delta(removals=[(0, 1)])
+        assert sub.has_edge(0, 1)
+
+
+@st.composite
+def induced_cases(draw):
+    """A network, a node selection and every node's replayed seed.
+
+    The selection is a random subset of the ids (possibly none) plus stray
+    ids, some of them not nodes of the network, in any order.
+    """
+    network = Network(draw(graphs()))
+    ids = network.node_ids
+    strays = draw(st.lists(st.integers(-3, 30), max_size=4))
+    nodes = draw(st.permutations([v for v in ids if draw(st.booleans())] + strays))
+    node_seeds = {v: draw(st.integers(0, 2**63 - 1)) for v in ids + [-99]}
+    return network, nodes, node_seeds, draw(st.sampled_from([None, network.n + 7]))
+
+
+class TestInducedSubNetwork:
+    @settings(max_examples=150, deadline=None)
+    @given(induced_cases())
+    def test_induced_equals_the_network_of_the_induced_graph(self, case):
+        network, nodes, node_seeds, announced_n = case
+        keep = [v for v in nodes if v in network.node_index_of]
+        expected = Network(
+            nx.Graph(network.graph.subgraph(keep)),
+            node_seeds=node_seeds,
+            announced_n=announced_n,
+        )
+        sub = network.induced(nodes, node_seeds=node_seeds, announced_n=announced_n)
+        assert sub.node_ids == expected.node_ids
+        assert sub.csr() == expected.csr()
+        got, want = sub.build_contexts(), expected.build_contexts()
+        for v in expected.node_ids:
+            assert got[v].n == want[v].n and got[v].neighbors == want[v].neighbors
+            assert got[v].rng.getstate() == want[v].rng.getstate()
+
+    # A 6-cycle plus node 7, isolated in the network itself.
+    @pytest.mark.parametrize("nodes, ids, edges", [
+        ([], [], []), ([6, 99, -1], [], []), ([0, 3, 7], [0, 3, 7], []),
+        ([4, 4, 5], [4, 5], [(4, 5)]),
+        (range(8), [0, 1, 2, 3, 4, 5, 7], sorted(nx.cycle_graph(6).edges())),
+    ], ids=["empty", "strays-only", "isolated", "repeated", "all"])
+    def test_selection_edge_cases(self, nodes, ids, edges):
+        graph = nx.cycle_graph(6)
+        graph.add_node(7)
+        sub = Network(graph, seed=3).induced(nodes)
+        assert sub.node_ids == ids
+        assert sub.n == len(ids)
+        assert sorted(sub.graph.edges()) == edges
+        assert sub.csr() == Network(nx.Graph(graph.subgraph(ids))).csr()
 
 
 #: Pair-array endpoints: small ints (so rows repeat, in both orientations,

@@ -31,6 +31,8 @@ from repro.primitives.bfs_tree import (
 from repro.primitives.broadcast import TreeBroadcastProtocol
 from repro.primitives.convergecast import KEY_COLLECTED, ConvergecastCollectProtocol
 
+from conftest import CallbacksEngine
+
 
 def run_pipeline_until(graph, sample, epsilon, last_phase_index, seed=1):
     """Run the DistNearClique phase sequence up to (and incl.) an index."""
@@ -130,7 +132,10 @@ class TestSamplingPhase:
         )
 
 
-    @pytest.mark.parametrize("engine_name", ["reference", "batched", "vectorized"])
+    @pytest.mark.parametrize(
+        "engine_name",
+        ["reference", "vectorized", pytest.param(CallbacksEngine(), id="callbacks")],
+    )
     @pytest.mark.parametrize("forced", [True, False])
     def test_only_sampled_nodes_hold_the_sample_keys(self, workload, engine_name, forced):
         graph, _ = workload

@@ -156,7 +156,7 @@ class TestRunnerIntegration:
             sample_probability=0.05,
             max_sample_size=None,
             rng=random.Random(3),
-            config=CongestConfig(engine="batched"),
+            config=CongestConfig(engine="vectorized"),
         )
         runner.run(graph, sample=(0, 1, 9))
         plan = runner.last_pipeline_plan

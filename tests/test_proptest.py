@@ -168,7 +168,7 @@ class TestTolerantTester:
         tester = TolerantNearCliqueTester(rho=0.4, epsilon_1=0.01, epsilon_2=0.2)
         assert not tester.test(nx.Graph()).accepted
 
-    @pytest.mark.parametrize("congest_engine", ["reference", "batched"])
+    @pytest.mark.parametrize("congest_engine", ["reference", "vectorized"])
     def test_find_distributed_runs_the_congest_algorithm(self, congest_engine):
         graph, _ = generators.planted_near_clique(60, 0.4, 0.02, 0.05, seed=4)
         tester = TolerantNearCliqueTester(
@@ -185,7 +185,7 @@ class TestTolerantTester:
     def test_find_distributed_identical_across_engines(self):
         graph, _ = generators.planted_near_clique(60, 0.4, 0.02, 0.05, seed=4)
         results = {}
-        for congest_engine in ("reference", "batched"):
+        for congest_engine in ("reference", "vectorized"):
             tester = TolerantNearCliqueTester(
                 rho=0.4,
                 epsilon_1=0.02,
@@ -200,4 +200,4 @@ class TestTolerantTester:
                 result.metrics.rounds,
                 result.metrics.total_bits,
             )
-        assert results["reference"] == results["batched"]
+        assert results["reference"] == results["vectorized"]

@@ -34,6 +34,14 @@ class TestPublicSurface:
         for name in congest.__all__:
             assert hasattr(congest, name), name
 
+    def test_congest_exports_one_class_per_engine(self):
+        # One class per registered engine, plus their base.
+        import repro.congest as congest
+
+        engines = sorted(name for name in dir(congest) if name.endswith("Engine"))
+        assert engines == ["Engine", "ReferenceEngine", "ShardedEngine", "VectorizedEngine"]
+        assert engines == sorted(name for name in congest.__all__ if name.endswith("Engine"))
+
     def test_primitives_all_exports_exist(self):
         import repro.primitives as primitives
 

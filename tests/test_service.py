@@ -20,6 +20,7 @@ import networkx as nx
 import pytest
 
 from repro.congest.config import CongestConfig
+from repro.congest.engine import DEFAULT_ENGINE
 from repro.congest.errors import DeltaError, ShardWorkerError
 from repro.congest.network import Network
 from repro.core.dist_near_clique import DistNearCliqueRunner
@@ -274,7 +275,17 @@ class TestServiceQueries:
         assert stats.deltas == 1
         assert stats.nodes_recomputed == 16 + 8
 
-    def test_sharded_record_names_only_dirty_shards(self):
+    def test_sharded_record_names_only_dirty_shards(self, monkeypatch):
+        # The full query runs on the service's engine; the dirty region
+        # runs in-process on the default one.
+        engines = []
+        run = DistNearCliqueRunner.run
+
+        def spy(runner, *args, **kwargs):
+            engines.append(runner.config.engine)
+            return run(runner, *args, **kwargs)
+
+        monkeypatch.setattr(DistNearCliqueRunner, "run", spy)
         graph = _block_graph([10, 10, 10])
         config = (
             CongestConfig(engine="sharded", shards=3, shard_backend="serial")
@@ -289,6 +300,7 @@ class TestServiceQueries:
             assert outcome.record.kind == "incremental"
             assert outcome.record.dirty_shards == (2,)
             assert outcome.record.recomputed_nodes == 10
+        assert engines == ["sharded", DEFAULT_ENGINE]
 
 
 class TestServicePersistentSession:
@@ -349,7 +361,7 @@ def _random_delta(rng: random.Random, graph: nx.Graph, blocks):
 
 
 SERVICE_CONFIGS = [
-    pytest.param(None, id="batched"),
+    pytest.param(None, id="vectorized"),
     pytest.param(
         CongestConfig(engine="sharded", shards=3, shard_backend="serial")
         .with_log_budget(30),

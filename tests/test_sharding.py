@@ -4,9 +4,9 @@ The differential suite (``tests/test_engine_equivalence.py``) already holds
 ``engine="sharded"`` to the bit-identical contract across protocols, shard
 counts and strategies; this module covers the partitioner itself — plan
 invariants on awkward graphs (disconnected, k > n, mixed labels),
-determinism under a fixed seed, cut statistics — and the engine's
-configuration surface (single shard degenerating to batched, traffic
-statistics), and the process backend's workers and sessions.
+determinism under a fixed seed, cut statistics — the engine's
+configuration surface (single shard degenerating to the vectorized engine,
+traffic statistics), and the process backend's workers and sessions.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from repro.congest.sharding import (
 )
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
+
+from conftest import run_fingerprint
 
 
 def _check_plan_invariants(plan: ShardPlan, network: Network) -> None:
@@ -226,30 +228,21 @@ class _PingAll(Protocol):
 
 
 class TestShardedEngineKnobs:
-    def _fingerprint(self, result):
-        m = result.metrics
-        return (result.outputs, m.rounds, m.total_messages, m.total_bits)
-
-    def test_single_shard_matches_batched(self):
+    def test_single_shard_matches_vectorized(self):
         # k=1 routes nothing across a boundary: the run must degenerate to
-        # the batched engine's semantics exactly.
+        # the in-process callback loop's semantics exactly.
         graph = nx.gnp_random_graph(24, 0.2, seed=4)
         per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
-        results = {}
-        for name, config in (
-            ("batched", CongestConfig(engine="batched")),
-            ("sharded", CongestConfig().with_sharding(shards=1)),
-        ):
-            network = Network(graph, seed=11)
-            results[name] = run_protocol(
-                network,
+        vectorized, sharded = (
+            run_fingerprint(run_protocol(
+                Network(graph, seed=11),
                 MinIdBFSTreeProtocol(),
                 config=config.with_log_budget(24),
                 per_node_inputs=per_node,
-            )
-        assert self._fingerprint(results["sharded"]) == self._fingerprint(
-            results["batched"]
+            ))
+            for config in (CongestConfig(), CongestConfig().with_sharding(shards=1))
         )
+        assert sharded == vectorized
 
     def test_engine_instance_overrides_config(self):
         engine = ShardedEngine(shards=2, strategy="bfs", partition_seed=7)
@@ -514,7 +507,7 @@ class TestProcessBackendInfrastructure:
         per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
         fingerprints = {}
         for name, config in (
-            ("fast-path", CongestConfig(engine="batched")),
+            ("fast-path", CongestConfig(engine="vectorized")),
             ("process", self._config(shards=1)),
         ):
             network = Network(graph, seed=5)
@@ -934,7 +927,7 @@ class TestExecutionSessions:
         # Engines without per-execute setup return the base session; the
         # serial sharded backend likewise.
         network = Network(nx.cycle_graph(6), seed=0)
-        thin = get_engine("batched").open_session(network, CongestConfig())
+        thin = get_engine("vectorized").open_session(network, CongestConfig())
         assert type(thin) is CongestSession
         assert thin.stats is None
         serial = get_engine("sharded").open_session(
@@ -950,7 +943,7 @@ class TestExecutionSessions:
     def test_session_scheduler_rejects_foreign_network(self):
         network = Network(nx.cycle_graph(6), seed=0)
         other = Network(nx.cycle_graph(6), seed=0)
-        with get_engine("batched").open_session(network, CongestConfig()) as session:
+        with get_engine("vectorized").open_session(network, CongestConfig()) as session:
             with pytest.raises(ValueError, match="session"):
                 run_protocol(other, _PingAll(), session=session)
 
@@ -1254,8 +1247,9 @@ class TestRemovedSurfaceStaysRemoved:
     """The deleted execution features left no name or keyword behind.
 
     The async engine, the thread backend's pool, per-call pools, the
-    unfused pipeline mode and the artifact cache were deleted, not
-    deprecated: an old spelling fails loudly instead of being ignored.
+    unfused pipeline mode, the artifact cache and the ``nx.Graph``-building
+    induced subgraph were deleted, not deprecated: an old spelling fails
+    loudly instead of being ignored.
     """
 
     def test_synchronizer_module_is_gone(self):
@@ -1281,6 +1275,7 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.congest.pipeline", "CachedPrefix"),
             ("repro.congest.pipeline", "snapshot_contexts"),
             ("repro.congest.pipeline", "restore_contexts"),
+            ("repro.congest.network:Network", "induced_subgraph"),
         ],
         ids=lambda part: part.replace(":", "."),
     )

@@ -25,18 +25,22 @@ from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import generators
 
-#: The four in-process engines (the sharded one on its serial backend).
+from conftest import CallbacksEngine
+
+#: The three in-process engines (the sharded one on its serial backend).
 ENGINE_ARMS = {
     "reference": dict(engine="reference"),
-    "batched": dict(engine="batched"),
     "vectorized": dict(engine="vectorized"),
     "sharded": dict(engine="sharded", shards=2, shard_backend="serial"),
 }
 
-#: ... and the process backend: a zero-node network still opens (and closes)
-#: a one-shot worker session.
+#: ... the vectorized engine with every kernel suppressed, so the callback
+#: loop runs the kernel-covered phases on zero nodes too, and the process
+#: backend: a zero-node network still opens (and closes) a one-shot worker
+#: session.
 EMPTY_GRAPH_ARMS = dict(
     ENGINE_ARMS,
+    callbacks=dict(engine=CallbacksEngine()),
     process=dict(engine="sharded", shards=2, shard_backend="process"),
 )
 
@@ -99,7 +103,7 @@ class TestForcedSampleSparsity:
 
 class TestLateContextsMatchTheReference:
     def test_every_node_reads_like_the_reference(self):
-        # The batched engine starts every node of the two unscoped phases
+        # The callback loop starts every node of the two unscoped phases
         # (sampling, comp-dissemination), so only the kernels leave nodes
         # without a context.
         engine_name = "vectorized"
@@ -144,7 +148,7 @@ class TestCoinFlipSampling:
             n=40, clique_fraction=0.5, epsilon=0.01, background_p=0.05, seed=2
         )
         outcomes = {}
-        for name in ("reference", "batched", "vectorized"):
+        for name in ("reference", "vectorized"):
             network = Network(graph, seed=5)
             result = DistNearCliqueRunner(
                 epsilon=0.25,
@@ -160,12 +164,11 @@ class TestCoinFlipSampling:
                 result.sample,
                 [contexts[v].rng.getstate() for v in network.node_ids],
             )
-        assert outcomes["batched"] == outcomes["reference"]
         assert outcomes["vectorized"] == outcomes["reference"]
 
 
 class TestEmptyGraph:
-    @pytest.mark.parametrize("arm", sorted(ENGINE_ARMS) + ["process"])
+    @pytest.mark.parametrize("arm", sorted(EMPTY_GRAPH_ARMS))
     @pytest.mark.parametrize("sample", [None, []], ids=["coin", "forced"])
     def test_empty_graph_runs_like_the_oracle(self, arm, sample):
         result = DistNearCliqueRunner(

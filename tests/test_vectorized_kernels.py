@@ -51,6 +51,8 @@ from repro.graphs import generators
 from repro.primitives.bfs_tree import KEY_CHILDREN, KEY_PARENT, KEY_ROOT
 from repro.primitives.pipelines import Outbox
 
+from conftest import run_fingerprint, without_kernel
+
 GLOBALS = {
     phases.GLOBAL_EPSILON: 0.25,
     phases.GLOBAL_SAMPLE_PROBABILITY: 0.35,
@@ -139,40 +141,16 @@ DEEP_GRAPHS = [
 DEEP_IDS = [name for name, _, _ in DEEP_GRAPHS]
 
 #: Engine configurations held to the reference by the chain tests.  The
-#: serial sharded arm covers ``start_shard``'s scope path.
+#: ``callbacks`` arm runs the vectorized engine with every phase's kernel
+#: suppressed (:func:`conftest.without_kernel`), so the callback loop runs
+#: the kernel-covered phases too; the serial sharded arm covers
+#: ``start_shard``'s scope path.
 CHAIN_ARMS = {
     "reference": dict(engine="reference"),
-    "batched": dict(engine="batched"),
+    "callbacks": dict(engine="vectorized"),
     "vectorized": dict(engine="vectorized"),
     "sharded": dict(engine="sharded", shards=3, shard_backend="serial"),
 }
-
-
-def _trace(metrics):
-    return [
-        (
-            r.round_index,
-            r.messages_sent,
-            r.bits_sent,
-            r.max_message_bits,
-            r.edges_used,
-            r.active_nodes,
-        )
-        for r in metrics.per_round
-    ]
-
-
-def _fingerprint(result):
-    m = result.metrics
-    return (
-        result.outputs,
-        m.rounds,
-        m.total_messages,
-        m.total_bits,
-        m.max_message_bits,
-        m.max_messages_per_round,
-        _trace(m),
-    )
 
 
 def _queued(outbox):
@@ -228,6 +206,11 @@ def _all_snapshots(contexts):
     return [_context_snapshot(contexts.peek(node_id)) for node_id in contexts]
 
 
+def _arm_protocol(arm, protocol):
+    """*protocol* as *arm* runs it: kernel suppressed on the callbacks arm."""
+    return without_kernel(protocol) if arm == "callbacks" else protocol
+
+
 def _run_chain(graph, arm, forced_sample=None, members_only=True, network=None):
     """Sampling + the full exploration/decision sequence, one session.
 
@@ -255,17 +238,17 @@ def _run_chain(graph, arm, forced_sample=None, members_only=True, network=None):
     snapshots = []
     with engine.open_session(network, config) as session:
         result = session.execute(
-            phases.SamplingPhase(),
+            _arm_protocol(arm, phases.SamplingPhase()),
             global_inputs=global_inputs,
             per_node_inputs=per_node_inputs,
         )
         snapshots.append(
-            ("nc-sampling", _fingerprint(result), _all_snapshots(result.contexts))
+            ("nc-sampling", run_fingerprint(result), _all_snapshots(result.contexts))
         )
         for phase in DistNearCliqueRunner._phase_sequence():
-            result = session.execute(phase, reuse_contexts=True)
+            result = session.execute(_arm_protocol(arm, phase), reuse_contexts=True)
             snapshots.append(
-                (phase.name, _fingerprint(result), _all_snapshots(result.contexts))
+                (phase.name, run_fingerprint(result), _all_snapshots(result.contexts))
             )
     return snapshots
 
@@ -311,7 +294,7 @@ class TestKernelCallbackChain:
     )
     def test_deep_tree_chain_matches_reference(self, graph, forced):
         reference = _run_chain(graph, "reference", forced_sample=forced)
-        for arm in ("batched", "vectorized"):
+        for arm in ("callbacks", "vectorized"):
             candidate = _run_chain(graph, arm, forced_sample=forced)
             for (name, ref_fp, ref_state), (_, cand_fp, cand_state) in zip(
                 reference, candidate
@@ -358,7 +341,7 @@ class TestKernelCallbackChain:
         assert chains[1] == chains[0]
         assert chains[0] != _run_chain(graph, "reference", forced_sample=forced)
 
-    def test_chain_agrees_with_batched_under_forced_sample(self):
+    def test_chain_agrees_under_a_forced_sample(self):
         self._assert_forced_chains_agree(members_only=True)
 
     def test_chain_agrees_under_an_explicit_input_at_every_node(self):
@@ -371,7 +354,7 @@ class TestKernelCallbackChain:
         reference = _run_chain(
             graph, "reference", forced_sample=forced, members_only=members_only
         )
-        for arm in ("batched", "vectorized", "sharded"):
+        for arm in ("callbacks", "vectorized", "sharded"):
             assert (
                 _run_chain(graph, arm, forced_sample=forced, members_only=members_only)
                 == reference
@@ -387,31 +370,10 @@ class TestKernelCallbackChain:
         live = {ctx.node_id for ctx in network.contexts.live.values()}
         assert live == involved
         assert len(live) < network.n
-
-    def test_full_runner_matches_reference(self):
-        graph, _ = generators.planted_near_clique(
-            n=60, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=3
-        )
-        results = {}
-        for engine_name in ("reference", "vectorized"):
-            import random
-
-            runner = DistNearCliqueRunner(
-                epsilon=0.25,
-                sample_probability=0.1,
-                rng=random.Random(1003),
-                config=CongestConfig(engine=engine_name).with_log_budget(
-                    graph.number_of_nodes()
-                ),
-            )
-            outcome = runner.run(graph)
-            results[engine_name] = (
-                outcome.labels,
-                outcome.metrics.rounds,
-                outcome.metrics.total_messages,
-                outcome.metrics.total_bits,
-            )
-        assert results["vectorized"] == results["reference"]
+        # With the kernels suppressed, the unscoped phases start every node.
+        callbacks = Network(graph, seed=4321)
+        _run_chain(graph, "callbacks", forced_sample=PLANTED_SAMPLE, network=callbacks)
+        assert len(callbacks.contexts.live) == callbacks.n
 
 
 class _MisScoped(Protocol):
@@ -529,7 +491,7 @@ class TestScopeContract:
         with pytest.raises(ProtocolError, match="outside the declared scope.*" + words):
             self._run("reference", _MisScoped(breach))
 
-    @pytest.mark.parametrize("engine_name", ["batched", "vectorized", "sharded"])
+    @pytest.mark.parametrize("engine_name", ["vectorized", "sharded"])
     def test_fast_engines_start_only_in_scope_nodes(self, engine_name):
         reference, candidate = _MisScoped(), _MisScoped()
         expected = self._run("reference", reference)
@@ -543,15 +505,14 @@ class TestScopeContract:
         with pytest.raises(ProtocolError, match="outside the declared scope.*reports"):
             self._run("reference", _LeakyOutput())
 
-    @pytest.mark.parametrize("engine_name", ["batched", "vectorized", "sharded"])
-    def test_fast_engines_neither_start_nor_harvest_out_of_scope_nodes(
-        self, engine_name
-    ):
+    @pytest.mark.parametrize("arm", ["callbacks", "vectorized", "sharded"])
+    def test_fast_engines_neither_start_nor_harvest_out_of_scope_nodes(self, arm):
         protocol = _CallCounting()
-        result = get_engine(engine_name).execute(
+        config = CongestConfig(**CHAIN_ARMS[arm])
+        result = get_engine(config.engine).execute(
             Network(nx.path_graph(6), seed=1),
-            protocol,
-            config=CongestConfig(**CHAIN_ARMS[engine_name]),
+            _arm_protocol(arm, protocol),
+            config=config,
             # Node 4 holds state but no scope key; the rest hold none.
             per_node_inputs={2: {"flag": True}, 4: {"other": 1}},
         )
@@ -561,7 +522,7 @@ class TestScopeContract:
         ]
         assert all(result.contexts.peek(v).halted for v in result.contexts)
 
-    @pytest.mark.parametrize("engine_name", ["batched", "vectorized", "sharded"])
+    @pytest.mark.parametrize("engine_name", ["vectorized", "sharded"])
     def test_overridden_finished_voids_the_scope_on_every_engine(self, engine_name):
         # Every node writes its output although only node 2 is in scope:
         # a breach if the scope applied, so the reference must not apply it.
@@ -676,7 +637,7 @@ def _run_phase(engine_name, graph, protocol, inputs, config=None):
 
 def _phase_outcome(engine_name, graph, protocol, inputs):
     result = _run_phase(engine_name, graph, protocol, inputs)
-    return _fingerprint(result), _all_snapshots(result.contexts)
+    return run_fingerprint(result), _all_snapshots(result.contexts)
 
 
 class TestHandBuiltTrees:
@@ -781,7 +742,7 @@ class TestKernelCoverage:
         "nc-final-labels",
     )
 
-    @pytest.mark.parametrize("engine_name", ["batched", "vectorized"])
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
     def test_tree_phase_callbacks_run_only_off_the_vectorized_engine(
         self, engine_name, monkeypatch
     ):
@@ -874,8 +835,8 @@ class TestScheduleErrorParity:
 
     def test_clean_run_matches(self):
         config = CongestConfig().with_log_budget(6)
-        reference = _fingerprint(self._run("reference", config, [1, 2, 3]))
-        assert _fingerprint(self._run("vectorized", config, [1, 2, 3])) == reference
+        reference = run_fingerprint(self._run("reference", config, [1, 2, 3]))
+        assert run_fingerprint(self._run("vectorized", config, [1, 2, 3])) == reference
 
     def _tree_error(self, engine_name, config, deep_index):
         with pytest.raises((MessageSizeViolation, RoundLimitExceeded)) as info:
@@ -985,19 +946,3 @@ class TestKernelFrame:
                 if flags[int(neighbor)]
             )
             assert int(counts[index]) == expected
-
-
-class TestFallbacks:
-    """Protocols without kernels use the batched path."""
-
-    def test_kernel_free_protocol_matches_batched(self):
-        from repro.primitives.leader_election import MinIdFloodingProtocol
-
-        graph = nx.gnp_random_graph(16, 0.2, seed=3)
-        results = {}
-        for engine_name in ("batched", "vectorized"):
-            network = Network(graph, seed=5)
-            results[engine_name] = _fingerprint(
-                get_engine(engine_name).execute(network, MinIdFloodingProtocol())
-            )
-        assert results["vectorized"] == results["batched"]
