@@ -33,10 +33,10 @@ first read after that.
 Per-node contexts live in a :class:`ContextRegistry`, which builds a
 :class:`NodeContext` on first touch.  After sampling, a ``DistNearClique``
 run involves only S ∪ Γ(S), so the other nodes never get one: their halt
-flags sit in one column and their round counters in one number.  Every
-node's 63-bit RNG seed is still drawn at :meth:`Network.build_contexts`
-time, and a context builds its ``random.Random`` only when ``ctx.rng`` is
-first read: phases that never draw randomness never pay for one.
+flags sit in one column and their round counters in one number.  A
+node's seed is a function of the run seed and its id
+(:mod:`repro.congest.randomness`), and a context builds its
+``random.Random`` only when ``ctx.rng`` is first read.
 """
 
 from __future__ import annotations
@@ -55,29 +55,7 @@ import numpy as np
 
 from repro.congest.errors import DeltaError, ProtocolError
 from repro.congest.node import NodeContext, Protocol, effective_scope, reset_in_scope
-
-
-@dataclass(frozen=True)
-class GraphDelta:
-    """A batch of edge insertions and deletions over a fixed node set.
-
-    The service layer's unit of topology change: edges come and go, nodes do
-    not (the paper's model fixes the processor set; a "new node" workload is
-    modelled by including isolated nodes up front).  Edges are undirected
-    pairs; orientation and duplicates are normalised by
-    :meth:`Network.apply_delta`, which validates the batch against the live
-    topology before touching anything.
-    """
-
-    additions: Tuple[Tuple[int, int], ...] = ()
-    removals: Tuple[Tuple[int, int], ...] = ()
-
-    @property
-    def touched_nodes(self) -> frozenset:
-        """Every endpoint named by the batch."""
-        return frozenset(
-            v for edge in self.additions + self.removals for v in edge
-        )
+from repro.congest.randomness import node_seed, node_seed_column
 
 
 @dataclass(frozen=True)
@@ -232,8 +210,9 @@ class ContextRegistry(Mapping):
     or a kernel write.  Until then the node has an empty state and a
     ``None`` output, and two registers stand in for its slots: the
     :attr:`halted` column and the :attr:`rounds` count.  A context built
-    late takes its pre-drawn seed and the current register values, so it is
-    exactly the context an eager build would show at that point.
+    late computes its seed from :attr:`run_seed` and its id and takes the
+    current register values, so it is exactly the context an eager build
+    would show at that point.
 
     Engines that walk every node each round (reference, sharded) call
     :meth:`materialize` once per phase.  The vectorized engine works on
@@ -244,12 +223,16 @@ class ContextRegistry(Mapping):
     def __init__(
         self,
         network: "Network",
-        seeds: List[int],
+        run_seed: int,
         global_inputs: Optional[Dict[str, Any]],
         announced_n: int,
     ) -> None:
-        self._attach(network)
-        self._seeds = seeds
+        self._rows = network._rows
+        self.ids: Tuple[int, ...] = network._ids
+        self._index_of = network._index_of
+        self._blank_outputs: Optional[Dict[int, Any]] = None
+        #: The run seed every node's seed is derived from.
+        self.run_seed = run_seed
         self._announced_n = announced_n
         #: The globals a context is built with: the build's global inputs
         #: plus those of every later call that reuses the contexts.
@@ -260,23 +243,10 @@ class ContextRegistry(Mapping):
         #: Halt flags by dense index.  An entry is authoritative only while
         #: its node has no context; a kernel frame uses the whole column as
         #: its halt register.
-        self.halted = np.zeros(len(seeds), dtype=bool)
+        self.halted = np.zeros(len(self.ids), dtype=bool)
         #: The round counter of every node without a context: the last
         #: phase's round count (every engine ends every node there).
         self.rounds = 0
-
-    def _attach(self, network: "Network") -> None:
-        self._rows = network._rows
-        self.ids: Tuple[int, ...] = network._ids
-        self._index_of = network._index_of
-        self._blank_outputs: Optional[Dict[int, Any]] = None
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # The network's tables are re-attached by Network._install_contexts.
-        state = dict(self.__dict__)
-        for key in ("_rows", "ids", "_index_of", "_blank_outputs"):
-            del state[key]
-        return state
 
     def blank_outputs(self) -> Dict[int, Any]:
         """A fresh ``{id: None}`` dict over every node, ids ascending.
@@ -328,7 +298,7 @@ class ContextRegistry(Mapping):
     def _build(self, index: int) -> NodeContext:
         node_id = self.ids[index]
         ctx = NodeContext(
-            node_id, (), self._announced_n, self.globals, None, self._seeds[index]
+            node_id, (), self._announced_n, self.globals, node_seed(self.run_seed, node_id)
         )
         # Share the network's tuple, already sorted, instead of the sorted
         # copy the constructor would make.
@@ -336,6 +306,11 @@ class ContextRegistry(Mapping):
         ctx._halted = bool(self.halted[index])
         ctx._round = self.rounds
         return ctx
+
+    def seeds(self) -> np.ndarray:
+        """Every node's seed by dense index, as one int64 column."""
+        ids = np.arange(len(self.ids)) if self._rows.dense_ids else self.ids
+        return node_seed_column(self.run_seed, ids)
 
     def materialize(self) -> List[NodeContext]:
         """Every context in ascending id order, building the missing ones.
@@ -352,23 +327,21 @@ class ContextRegistry(Mapping):
                 n, global_inputs, rounds = self._announced_n, self.globals, self.rounds
                 dense = []
                 for index, (node_id, seed, neighbors) in enumerate(
-                    zip(self.ids, self._seeds, self._rows.all())
+                    zip(self.ids, self.seeds().tolist(), self._rows.all())
                 ):
                     ctx = live.get(index)
                     if ctx is None:
-                        ctx = NodeContext(node_id, (), n, global_inputs, None, seed)
+                        ctx = NodeContext(node_id, (), n, global_inputs, seed)
                         ctx.neighbors = neighbors
                         ctx._halted = halted[index]
                         ctx._round = rounds
                     dense.append(ctx)
-                # Keyed by the network's own index objects, and with every
-                # seed now held by its context: a dense registry costs no
-                # more memory than the eager build did.  The index map
-                # iterates in ascending id order (Network.node_index_of),
+                # Keyed by the network's own index objects: a dense registry
+                # costs no more memory than the eager build did.  The index
+                # map iterates in ascending id order (Network.node_index_of),
                 # so its values line up with the dense list.
                 live.clear()
                 live.update(zip(self._index_of.values(), dense))
-                self._seeds = []
             self._dense = dense
         return self._dense
 
@@ -451,16 +424,10 @@ class Network:
         :attr:`id_of` and depends only on the label set, never on insertion
         order.
     seed:
-        Seed for the network-level random source from which per-node private
-        random generators are derived.
-    node_seeds:
-        Optional explicit per-node RNG seeds, keyed by node id.  A node with
-        an entry here gets ``random.Random(node_seeds[id])`` instead of a
-        seed drawn from the network RNG.  This is how the incremental
-        service replays the exact seed a node *would* have received in a
-        full run when re-executing only a sub-network: the full draw order
-        is computed once and the relevant slice injected, keeping sub-run
-        outputs bit-identical to the full run's.
+        The run seed, any int.  Node ``v``'s private seed is
+        ``node_seed(seed, v)`` (:mod:`repro.congest.randomness`), so a
+        sub-network with the same run seed gives its nodes the seeds they
+        have here.  ``None`` draws a fresh run seed once.
     announced_n:
         The system size the per-node contexts announce as ``ctx.n``.
         Defaults to the actual node count.  The CONGEST model assumes every
@@ -477,8 +444,8 @@ class Network:
     through :meth:`apply_delta`.
 
     Contexts are built on first touch (:class:`ContextRegistry`): a fresh
-    :meth:`build_contexts` draws every seed but builds a context only for
-    the nodes with per-node inputs.  The reference and sharded engines
+    :meth:`build_contexts` builds a context only for the nodes with
+    per-node inputs.  The reference and sharded engines
     build every context in one bulk pass per phase; the vectorized engine
     builds only those of the nodes a phase starts or a kernel writes.
     """
@@ -488,29 +455,26 @@ class Network:
         graph: Union[nx.Graph, np.ndarray],
         relabel: bool = True,
         seed: Optional[int] = None,
-        node_seeds: Optional[Dict[int, int]] = None,
         announced_n: Optional[int] = None,
     ) -> None:
         if isinstance(graph, np.ndarray):
             src, dst = self._read_pairs(graph)
         else:
             src, dst = self._read_adjacency(graph, relabel)
-        self._finish_init(src, dst, seed, node_seeds, announced_n)
+        self._finish_init(src, dst, seed, announced_n)
 
     def _finish_init(
         self,
         src: np.ndarray,
         dst: np.ndarray,
         seed: Optional[int],
-        node_seeds: Optional[Dict[int, int]],
         announced_n: Optional[int],
     ) -> None:
         """Build the CSR from the dense pairs of the assigned ids; reset the rest."""
         self._rows = _NeighborRows(self._ids, self._index_of, self._dense_ids)
         self._install(*_build_csr(len(self._ids), src, dst))
 
-        self._rng = random.Random(seed)
-        self._node_seeds: Dict[int, int] = dict(node_seeds or {})
+        self.reseed(seed)
         self._announced_n = announced_n
         self._contexts: Optional[ContextRegistry] = None
         self._ctx_epoch = 0
@@ -601,7 +565,6 @@ class Network:
             self._index_of: Dict[int, int] = self.id_of
         else:
             self._index_of = {node_id: index for index, node_id in enumerate(self._ids)}
-        self._ids_array: Optional[np.ndarray] = None
 
     def _install(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         # Kernels read these arrays in place; a delta installs new ones
@@ -677,15 +640,14 @@ class Network:
             self._csr_arrays = (indptr, indices)
         return (self._ids,) + self._csr_arrays
 
-    def csr_numpy(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`csr` as the int64 storage itself: ``(ids, indptr, indices)``.
+    def csr_numpy(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The int64 storage itself: ``(indptr, indices)`` of :meth:`csr`.
 
-        No copies are made; the arrays are flagged read-only.
+        No copies are made; the arrays are flagged read-only.  Node ids
+        have no int64 column (they may not fit one): ``ids[i]`` is
+        ``node_ids[i]``.
         """
-        if self._ids_array is None:
-            self._ids_array = np.asarray(self._ids, dtype=np.int64)
-        self._ids_array.flags.writeable = False
-        return self._ids_array, self._indptr, self._indices
+        return self._indptr, self._indices
 
     def csr_fingerprint(self) -> Tuple[int, int, int]:
         """Fingerprint of the current topology: ``(nodes, edges, CSR checksum)``.
@@ -888,14 +850,15 @@ class Network:
         self._install(new_indptr, np.concatenate(pieces))
 
     def reseed(self, seed: Optional[int]) -> None:
-        """Reset the network-level RNG the per-node seeds are drawn from.
+        """Set the run seed the next :meth:`build_contexts` derives node seeds from.
 
         A long-lived network serving many queries calls this before each
         fresh context build so that query *k* on topology *G* produces
-        exactly the seeds — hence exactly the outputs — of
-        ``Network(G, seed=seed)`` built from scratch.
+        exactly the seeds, hence exactly the outputs, of
+        ``Network(G, seed=seed)`` built from scratch.  ``None`` draws a
+        fresh run seed.
         """
-        self._rng = random.Random(seed)
+        self._run_seed = random.SystemRandom().getrandbits(64) if seed is None else seed
 
     # ------------------------------------------------------------------
     # contexts
@@ -925,13 +888,11 @@ class Network:
             and outboxes are left as they are: each engine resets the
             contexts it starts (see :attr:`repro.congest.node.Protocol.scope`).
 
-        A fresh build draws every node's 63-bit RNG seed from the network
-        RNG in ascending id order (or takes it from ``node_seeds``) but
-        builds a context only for the nodes named in *per_node_inputs*; the
-        rest are built on first touch (:class:`ContextRegistry`).  A context
-        turns its seed into a ``random.Random`` on first ``ctx.rng``
-        access, which replays exactly the stream an eager build would have
-        produced.
+        A fresh build takes the current run seed and builds a context only
+        for the nodes named in *per_node_inputs*; the rest are built on
+        first touch (:class:`ContextRegistry`), each with the seed
+        ``node_seed(run seed, id)``.  A context turns its seed into a
+        ``random.Random`` on first ``ctx.rng`` access.
         """
         # Bumped before any mutation, not after the last one: a call that
         # raises mid-way (an unknown id in per_node_inputs) may already
@@ -940,17 +901,9 @@ class Network:
         self._ctx_epoch += 1
         contexts = self._contexts
         if fresh or contexts is None:
-            draw = self._rng.getrandbits
-            if self._node_seeds:
-                seeds = []
-                for node_id in self._ids:
-                    node_seed = self._node_seeds.get(node_id)
-                    seeds.append(draw(63) if node_seed is None else node_seed)
-            else:
-                seeds = [draw(63) for _ in self._ids]
             announced = self._announced_n if self._announced_n is not None else self.n
             contexts = self._contexts = ContextRegistry(
-                self, seeds, global_inputs, announced
+                self, self._run_seed, global_inputs, announced
             )
         elif global_inputs:
             contexts.update_globals(global_inputs)
@@ -962,11 +915,6 @@ class Network:
                     raise ProtocolError("unknown node id %r in per-node inputs" % node_id)
                 contexts.at(index).state.update(inputs)
         return contexts
-
-    def _install_contexts(self, contexts: ContextRegistry) -> None:
-        """Make *contexts* (a registry restored from a copy) the current ones."""
-        contexts._attach(self)
-        self._contexts = contexts
 
     @property
     def contexts(self) -> ContextRegistry:
@@ -995,7 +943,7 @@ class Network:
     def induced(
         self,
         nodes: Iterable[int],
-        node_seeds: Optional[Dict[int, int]] = None,
+        seed: Optional[int] = None,
         announced_n: Optional[int] = None,
     ) -> "Network":
         """The sub-network induced by *nodes*, sliced from this network's CSR.
@@ -1003,7 +951,7 @@ class Network:
         Ids that are not nodes of the network are ignored; a kept node
         whose neighbours are all outside *nodes* stays, isolated.  The
         result is the ``Network`` of the induced ``nx.Graph`` (integer
-        ids, no relabelling) with the given *node_seeds* and *announced_n*,
+        ids, no relabelling) with the given run *seed* and *announced_n*,
         built without one: the kept rows are gathered, neighbours outside
         the set masked out and the survivors renumbered to local indices.
         """
@@ -1025,5 +973,5 @@ class Network:
         dst = local[self._indices[at]]
         src = np.repeat(np.arange(len(rows), dtype=np.int64), degrees)
         inside = dst >= 0
-        sub._finish_init(src[inside], dst[inside], None, node_seeds, announced_n)
+        sub._finish_init(src[inside], dst[inside], seed, announced_n)
         return sub

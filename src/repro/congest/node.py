@@ -65,7 +65,6 @@ class NodeContext:
         neighbors: Sequence[int],
         n: int,
         global_inputs: Optional[Dict[str, Any]] = None,
-        rng: Any = None,
         seed: Optional[int] = None,
     ) -> None:
         self.node_id = node_id
@@ -80,7 +79,7 @@ class NodeContext:
         self._halted = False
         #: The random source, or ``None`` until ``rng`` first builds it
         #: from ``_seed`` (code reading ``_rng`` directly must expect that).
-        self._rng = rng
+        self._rng: Optional[random.Random] = None
         self._seed = seed
 
     # ------------------------------------------------------------------
@@ -102,6 +101,16 @@ class NodeContext:
         return self._halted
 
     @property
+    def seed(self) -> int:
+        """The node's private seed, source of its sampling coin and :attr:`rng`."""
+        if self._seed is None:
+            raise ProtocolError(
+                "node %r requested randomness but the scheduler did not "
+                "provide a random source" % (self.node_id,)
+            )
+        return self._seed
+
+    @property
     def rng(self):
         """The node's private random source (set by the scheduler).
 
@@ -110,12 +119,7 @@ class NodeContext:
         """
         rng = self._rng
         if rng is None:
-            if self._seed is None:
-                raise ProtocolError(
-                    "node %r requested randomness but the scheduler did not "
-                    "provide a random source" % (self.node_id,)
-                )
-            rng = self._rng = random.Random(self._seed)
+            rng = self._rng = random.Random(self.seed)
         return rng
 
     def is_neighbor(self, other: int) -> bool:

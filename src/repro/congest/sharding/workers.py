@@ -1174,6 +1174,13 @@ class ProcessSession(CongestSession):
         partition_seed: int,
     ) -> None:
         super().__init__(engine, network, config)
+        ids, _indptr, _indices = network.csr()
+        if ids and not (-(1 << 63) <= ids[0] and ids[-1] < 1 << 63):
+            raise ProtocolError(
+                "the process backend packs node ids into int64 shared memory; "
+                "ids %d..%d exceed the int64 limit" % (ids[0], ids[-1])
+            )
+        self._ids = ids
         self.stats = ShardingStats()
         self._shards = shards
         self._strategy = strategy
@@ -1187,8 +1194,6 @@ class ProcessSession(CongestSession):
             fingerprint=self._fingerprint,
         )
         self.stats.plans.append(self.plan)
-        ids, _indptr, _indices = network.csr()
-        self._ids = ids
         self._ordered = _ShardStepper.ranges_are_ordered(self.plan)
         self._pool: Optional[_WorkerPool] = None
         self.shared_csr: Optional[SharedCSR] = None

@@ -130,10 +130,10 @@ class KernelFrame:
 
     Attributes
     ----------
-    ids / indptr / indices / degrees:
-        The network CSR as int64 numpy arrays (``ids[i]`` is the node id at
-        dense index ``i``; neighbours of ``i`` are the dense indices
-        ``indices[indptr[i]:indptr[i+1]]``, ascending).
+    indptr / indices / degrees:
+        The network CSR as int64 numpy arrays (the neighbours of dense
+        index ``i`` are the dense indices ``indices[indptr[i]:indptr[i+1]]``,
+        ascending).
     contexts / live:
         The network's :class:`~repro.congest.network.ContextRegistry` and
         its built contexts, keyed by dense index in ascending (= reference
@@ -148,8 +148,8 @@ class KernelFrame:
         one for an unscoped protocol).  A kernel does the ``on_start`` work
         of exactly these nodes; the others in scope are nodes without a
         context and with an empty state, which exist only under an unscoped
-        protocol.  A kernel either covers those with column writes, builds
-        them with :meth:`touch`, or builds them all with :meth:`start_all`.
+        protocol.  A kernel either covers those with column writes or
+        builds the ones it writes with :meth:`touch`.
     halted:
         Packed halt register (bool column, the registry's own), preset for
         the out-of-scope nodes.  A kernel marks the nodes the callbacks
@@ -174,10 +174,10 @@ class KernelFrame:
         #: The numpy module, so kernels in protocol modules can use array
         #: operations without importing numpy themselves.
         self.np = np
-        self.ids, self.indptr, self.indices = network.csr_numpy()
+        self.indptr, self.indices = network.csr_numpy()
         self.node_ids = contexts.ids
         self.index_of = network.node_index_of
-        self.n = len(self.ids)
+        self.n = len(self.node_ids)
         self.live = contexts.live
         self.started: List[int] = reset_in_scope(protocol, self.live, self.live)
         # Without a scope every node starts, built or not; with one, only
@@ -226,11 +226,6 @@ class KernelFrame:
             ctx = self.contexts.at(index)
             self.started.append(index)
         return ctx
-
-    def start_all(self) -> None:
-        """Build every node's context and start all of them (unscoped only)."""
-        self.contexts.materialize()
-        self.started = list(self.live)
 
     def blank_fill(self) -> Any:
         """What the started nodes without a context report.
@@ -383,7 +378,7 @@ class KernelFrame:
         if receiver == ALL_NEIGHBORS:
             receiver = int(self.neighbor_slice(sender)[0])
         raise MessageSizeViolation(
-            int(self.ids[sender]), int(self.ids[receiver]), bits, budget, round_index
+            self.node_ids[sender], self.node_ids[receiver], bits, budget, round_index
         )
 
     # ------------------------------------------------------------------

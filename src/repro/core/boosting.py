@@ -146,10 +146,10 @@ class BoostedNearCliqueRunner:
 
         The ``"distributed"`` variant is **session-aware**: one
         :class:`~repro.congest.network.Network` and one execution session
-        span all λ versions.  Each version reseeds the network from its own
-        RNG stream (``Network.reseed`` reproduces exactly the per-node
-        seeds of a from-scratch build, so the boosted outputs are
-        bit-identical to λ independent networks), and on the
+        span all λ versions.  Each version sets the network's run seed
+        from its own RNG stream (``Network.reseed``: node seeds are a
+        function of the run seed and the node id, so the boosted outputs
+        are bit-identical to λ independent networks), and on the
         process backend the λ × ~14 phases share one worker pool and one
         shared-memory CSR mapping instead of respawning them per version.
         The shared session's accounting appears **once** in
@@ -239,10 +239,10 @@ class BoostedNearCliqueRunner:
         """One sampling + exploration run (no per-version decision)."""
         params = self.parameters
         if self.engine == "distributed":
-            # Distinct per-version RNG stream, drawn exactly as the
+            # Distinct per-version run seed, drawn exactly as the
             # one-network-per-version wrapper would have: the version
-            # runner's rng seeds first the network (here via reseed on the
-            # shared network) and then the per-node coins.
+            # runner's rng seeds the network (here via reseed on the
+            # shared network), which determines the per-node coins.
             vrng = random.Random(self.rng.getrandbits(48))
             network.reseed(vrng.getrandbits(48))
             runner = DistNearCliqueRunner(

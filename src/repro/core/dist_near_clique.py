@@ -172,10 +172,10 @@ class DistNearCliqueRunner:
         network:
             An already-built :class:`~repro.congest.network.Network` to run
             on instead of *graph* (exactly one of the two must be given).
-            The runner then performs no seeding of its own — the network's
-            RNG state as passed determines the per-node coins, which is how
+            The runner then performs no seeding of its own: the network's
+            run seed determines every node's seed and coin, which is how
             the service layer reproduces a fresh run on a long-lived
-            network (``Network.reseed`` + inject).
+            network (``Network.reseed``).
         session:
             An open :class:`~repro.congest.engine.CongestSession` bound to
             *network* to run every phase through.  The runner does **not**

@@ -54,14 +54,6 @@ def _as_adjacency(graph_or_adj) -> Dict[int, FrozenSet[int]]:
     return adjacency_sets(graph_or_adj)
 
 
-def neighbor_count_in(graph_or_adj, vertex: int, target: Iterable[int]) -> int:
-    """Return ``|Γ(vertex) ∩ target|``."""
-    adjacency = _as_adjacency(graph_or_adj)
-    neighbors = adjacency.get(vertex, frozenset())
-    target_set = target if isinstance(target, (set, frozenset)) else set(target)
-    return len(neighbors & target_set)
-
-
 # ---------------------------------------------------------------------------
 # Definition 1: density and near-cliques
 # ---------------------------------------------------------------------------

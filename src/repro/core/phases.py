@@ -31,11 +31,11 @@ every non-isolated node, so those two have no scope.  Sampling writes the
 sample keys (``KEY_IN_SAMPLE``, ``participant``) only at sampled nodes and
 every reader treats a missing key as ``False``, so until comp-dissemination
 delivers a component a non-sampled node's state stays empty — the case the
-engines' scope pass handles without a call.  Under a forced sample the two
-unscoped phases' kernels leave such a node without a context too
-(:class:`repro.congest.network.ContextRegistry`): sampling draws only at
-the nodes with an input, and comp-dissemination builds a context only for
-a node that receives a component.
+engines' scope pass handles without a call.  The two unscoped phases'
+kernels leave such a node without a context too
+(:class:`repro.congest.network.ContextRegistry`): sampling builds one only
+for a node in S (its coin is a column entry, or its forced input), and
+comp-dissemination builds one only for a node that receives a component.
 
 All phases respect the CONGEST discipline: every message carries a constant
 number of identifiers / polynomially-bounded counters (O(log n) bits), and a
@@ -96,6 +96,7 @@ from repro.congest.pipeline import (
     ARTIFACT_TREE_CHILDREN,
     PhaseEffects,
 )
+from repro.congest.randomness import node_coin, node_coin_column
 from repro.congest.vectorized import (
     ALL_NEIGHBORS,
     KernelFrame,
@@ -230,8 +231,9 @@ def _qualifying_subsets(
 class SamplingPhase(Protocol):
     """Each node joins S independently with probability p (purely local).
 
-    If the runner supplies a predetermined sample the coin flip is skipped
-    — used by tests that cross-check the distributed execution against the
+    A node's coin is :func:`repro.congest.randomness.node_coin` of its
+    seed.  If the runner supplies a predetermined sample the coin flip is
+    skipped — used by tests that cross-check the distributed execution against the
     centralized oracle on the very same sample.  A per-node
     ``KEY_FORCED_SAMPLE`` input forces that node in (truthy) or out
     (``False``); under ``GLOBAL_FORCED_SAMPLE`` a node without one is out.
@@ -267,7 +269,7 @@ class SamplingPhase(Protocol):
             in_sample = False
         else:
             probability = float(ctx.globals.get(GLOBAL_SAMPLE_PROBABILITY, 0.0))
-            in_sample = ctx.rng.random() < probability
+            in_sample = node_coin(ctx.seed) < probability
         if in_sample:
             state[KEY_IN_SAMPLE] = True
             state[KEY_PARTICIPANT] = True
@@ -286,18 +288,23 @@ class SamplingPhase(Protocol):
 class _SamplingKernel(VectorizedKernel):
     """Columnar form of :class:`SamplingPhase`.
 
-    Pure apply stage: every node runs :meth:`SamplingPhase.draw` (its coin
-    through its own private RNG, drawn in dense-index order so the
-    consumption matches the callback engines draw for draw) and halts —
-    the whole phase is zero rounds of communication, which the empty
-    broadcast schedule reproduces.  Under ``GLOBAL_FORCED_SAMPLE`` a node
-    without a context has no input, so its draw writes nothing: only the
-    nodes with one draw, and the halts are one column write.
+    Pure apply stage, zero rounds of communication (the empty broadcast
+    schedule).  Every node's coin is a function of its seed alone
+    (:func:`repro.congest.randomness.node_coin`), so the kernel computes
+    all n coins as one column and builds a context only for a node whose
+    coin lands in S.  A node without a context has no input, so its draw
+    would write nothing: it keeps an empty state, as under
+    ``GLOBAL_FORCED_SAMPLE``, where no coin is flipped.  The built nodes
+    run :meth:`SamplingPhase.draw`, and the halts are one column write.
     """
 
     def execute(self, frame: KernelFrame) -> None:
-        if not frame.contexts.globals.get(GLOBAL_FORCED_SAMPLE):
-            frame.start_all()
+        contexts = frame.contexts
+        if not contexts.globals.get(GLOBAL_FORCED_SAMPLE):
+            probability = float(contexts.globals.get(GLOBAL_SAMPLE_PROBABILITY, 0.0))
+            coins = node_coin_column(contexts.seeds())
+            for index in frame.np.flatnonzero(coins < probability).tolist():
+                frame.touch(index)
         live = frame.live
         draw = frame.protocol.draw
         for index in frame.started:

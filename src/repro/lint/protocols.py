@@ -176,9 +176,6 @@ class PackageIndex:
             self._protocol_names = protocol
         return self._protocol_names
 
-    def is_protocol_class(self, qualified_name: str) -> bool:
-        return qualified_name in self.protocol_class_names()
-
     # ------------------------------------------------------------------
     def ancestry_defines(
         self, qualified_name: str, method_names: Sequence[str]

@@ -33,15 +33,6 @@ def contains_send(node: ast.AST) -> bool:
     return any(is_send_call(child) for child in ast.walk(node))
 
 
-def receiver_name(node: ast.Call) -> Optional[str]:
-    """For ``name.attr(...)`` calls, the receiver ``name``; else ``None``."""
-    if isinstance(node.func, ast.Attribute) and isinstance(
-        node.func.value, ast.Name
-    ):
-        return node.func.value.id
-    return None
-
-
 def bound_names(func: ast.AST) -> Set[str]:
     """Names bound inside a function: parameters, assignments, nested defs.
 

@@ -18,11 +18,10 @@ what a fresh full run with the same seed would recompute.  The service
 therefore re-executes the pipeline only on the dirty region, a
 sub-network sliced from the service's CSR (:meth:`Network.induced`):
 
-* per-node seeds are replayed — a fresh ``Network(G, seed=s)`` draws one
-  63-bit seed per node in ascending id order, so the service draws the
-  same stream (once per seed: the node set is fixed, so the table is a
-  function of the seed alone) and hands the dirty nodes their exact seeds
-  via ``node_seeds``;
+* a node's private seed is a function of the run seed and its id alone
+  (:mod:`repro.congest.randomness`), so the sub-network, built with the
+  query's seed, gives every dirty node the seed it has in a fresh
+  ``Network(G, seed=s)``;
 * the sub-network announces the *full* system size (``announced_n``) so message-size accounting is identical;
 * the Section 4.1 sample guard is evaluated globally: the sub-run's
   bound is ``max_sample_size`` minus the cached sample kept outside the
@@ -39,10 +38,8 @@ tests assert for random delta sequences across engines.
 
 from __future__ import annotations
 
-import random
-from array import array
 from dataclasses import dataclass, replace
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -126,9 +123,6 @@ class NearCliqueService:
         self._cached: Optional[NearCliqueResult] = None
         self._cached_seed: Optional[int] = None
         self._dirty_ids: Set[int] = set()
-        #: ``(seed, per-node seeds in ascending id order)`` of the last
-        #: replayed seed stream; see :meth:`_replayed_seeds`.
-        self._seed_table: Optional[Tuple[int, Sequence[int]]] = None
         self.stats = ServiceStats()
         #: How many of the live session's recovery events have already been
         #: folded into :attr:`stats` (events below it are counted; see
@@ -298,20 +292,6 @@ class NearCliqueService:
             )
         return sorted(seen)
 
-    def _replayed_seeds(self, seed: int) -> Sequence[int]:
-        """The per-node seeds of ``Network(G, seed=seed)``, by node index.
-
-        One 63-bit draw per node in ascending id order, kept in an int64
-        array (a list would box every draw).  Only the last seed's table
-        is kept: an incremental query needs the cached result's seed, and
-        a query on another seed runs in full.
-        """
-        if self._seed_table is None or self._seed_table[0] != seed:
-            rng = random.Random(seed)
-            draws = array("q", (rng.getrandbits(63) for _ in range(self.network.n)))
-            self._seed_table = (seed, draws)
-        return self._seed_table[1]
-
     def _incremental_query(self, seed: int) -> Optional[QueryOutcome]:
         cached = self._cached
         assert cached is not None
@@ -322,15 +302,9 @@ class NearCliqueService:
         )
         kept_sample = frozenset(cached.sample) - region_labels
 
-        # Dirty nodes receive their exact draws of the seed stream; clean
-        # nodes already hold theirs in the cache.
-        seeds = self._replayed_seeds(seed)
-        index_of = network.node_index_of
-        sub_network = network.induced(
-            region,
-            node_seeds={v: seeds[index_of[v]] for v in region},
-            announced_n=network.n,
-        )
+        # Same run seed, same node ids: the dirty nodes get the seeds of
+        # the full run; clean nodes already hold their outputs in the cache.
+        sub_network = network.induced(region, seed=seed, announced_n=network.n)
 
         # The deterministic sample guard is global: budget the sub-run
         # with whatever the kept cached sample leaves of the bound.

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro import cli
+from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import io
 
 
@@ -340,19 +341,20 @@ def write_snap_toy(path):
 
 
 class TestGraphFileOption:
-    #: What ``find`` printed for the toy file when the SNAP loader still
-    #: returned a relabelled ``nx.Graph``.
+    #: What ``find`` prints for the toy file under the per-node seed rule
+    #: (repro.congest.randomness); the table is checked against the
+    #: centralized oracle on the realized sample below.
     CLUSTER_TABLE = (
         "\n"
         "Discovered near-cliques\n"
         "label  size  density\n"
         "-----  ----  -------\n"
-        "    5    10   0.8444\n"
+        "    4    10   0.8444\n"
         "\n"
     )
 
     def test_find_relabels_keeps_snap_ids_and_prints_the_pinned_table(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
         path = os.path.join(str(tmp_path), "toy.txt")
         snap_ids = write_snap_toy(path)
@@ -365,11 +367,24 @@ class TestGraphFileOption:
         # left 3-73 out.
         assert graph.has_edge(0, 1) and not graph.has_edge(0, 7)
         assert graph.has_edge(0, snap_ids.index(500))
+        results = []
+
+        class RecordingRunner(cli.DistNearCliqueRunner):
+            def run(self, *args, **kwargs):
+                results.append(super().run(*args, **kwargs))
+                return results[-1]
+
+        monkeypatch.setattr(cli, "DistNearCliqueRunner", RecordingRunner)
         exit_code = cli.main(argv)
         out = capsys.readouterr().out
         assert exit_code == 0
         assert out.split("Run summary")[0] == self.CLUSTER_TABLE
         assert "           nodes     20\n" in out
+        # The pinned labels are the oracle's on the sample the run realized.
+        (result,) = results
+        oracle = CentralizedNearCliqueFinder(graph, 0.3).run_with_sample(result.sample)
+        assert result.labels == oracle.labels
+        assert {label: len(members) for label, members in oracle.clusters.items()} == {4: 10}
 
 
 class TestVerifyCommand:
@@ -418,15 +433,17 @@ class TestServeCommand:
             monkeypatch,
             capsys,
             [
-                {"cmd": "query", "seed": 3},
+                {"cmd": "query", "seed": 1},
                 {"cmd": "delta", "remove": [[0, 1]]},
-                {"cmd": "query", "seed": 3},
+                {"cmd": "query", "seed": 1},
                 {"cmd": "stats"},
                 {"cmd": "shutdown"},
             ],
         )
         assert exit_code == 0
         assert [r["ok"] for r in responses] == [True] * 5
+        # Only a result that did not abort can be spliced incrementally.
+        assert responses[0]["aborted"] is False
         assert responses[0]["query"]["kind"] == "full"
         assert responses[2]["query"]["kind"] == "incremental"
         assert responses[3]["deltas"] == 1

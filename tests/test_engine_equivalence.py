@@ -28,11 +28,13 @@ import contextlib
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.baselines.shingles import ShinglesProtocol
 from repro.congest.config import CongestConfig
 from repro.congest.engine import ReferenceEngine, available_engines, get_engine
+from repro.congest.errors import ProtocolError
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
@@ -250,6 +252,39 @@ class TestRunnerEquivalence:
             result = runner.run(graph, sample=sample)
             results[name] = (result.labels, result.metrics.rounds,
                              result.metrics.total_bits)
+        assert results[engine] == results["reference"]
+
+
+    @pytest.mark.parametrize("engine", KERNEL_ARMS)
+    @pytest.mark.parametrize("sample", [None, [0, 2**70]], ids=["coin", "forced"])
+    def test_ids_past_int64_identical(self, engine, sample):
+        # The pair-array front-end keeps ids past int64 as Python ints; with
+        # no bit budget every in-process engine runs them.  The process
+        # backend packs ids into int64 shared memory and refuses them.
+        pairs = np.array([[0, 2**70], [2**70, 5], [0, 5]], dtype=object)
+        results = {}
+        for name in ("reference", engine):
+            runner = DistNearCliqueRunner(
+                epsilon=0.25,
+                sample_probability=0.7,
+                max_sample_size=None,
+                config=_config(name),
+            )
+            network = Network(pairs, seed=4)
+            if name == "process":
+                with pytest.raises(ProtocolError, match="int64"):
+                    runner.run(network=network, sample=sample)
+                return
+            result = runner.run(network=network, sample=sample)
+            results[name] = (
+                result.labels,
+                result.sample,
+                result.metrics.rounds,
+                result.metrics.total_messages,
+                result.metrics.total_bits,
+                round_trace(result.metrics),
+            )
+        assert results["reference"][1]
         assert results[engine] == results["reference"]
 
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.congest import network as network_module
 from repro.congest.network import Network
+from repro.congest.randomness import node_seed
 
 
 class Reference(NamedTuple):
@@ -66,7 +67,7 @@ def reference_crc(reference: Reference) -> int:
 
 def eager_fingerprint(network: Network) -> Tuple[int, int, int]:
     """The fingerprint computed now from the live CSR arrays."""
-    _, indptr, indices = network.csr_numpy()
+    indptr, indices = network.csr_numpy()
     return (network.n, len(indices) // 2, zlib.crc32(indices, zlib.crc32(indptr)))
 
 
@@ -175,9 +176,15 @@ class TestBuilderMatchesReference:
         assert sub.has_edge(0, 1)
 
 
+#: Run seeds: small, negative, and past 2^64.
+RUN_SEEDS = st.one_of(
+    st.integers(-50, 50), st.integers(-(2**80), 2**80), st.integers(2**64, 2**70)
+)
+
+
 @st.composite
 def induced_cases(draw):
-    """A network, a node selection and every node's replayed seed.
+    """A network, a node selection, a run seed and an announced size.
 
     The selection is a random subset of the ids (possibly none) plus stray
     ids, some of them not nodes of the network, in any order.
@@ -186,27 +193,26 @@ def induced_cases(draw):
     ids = network.node_ids
     strays = draw(st.lists(st.integers(-3, 30), max_size=4))
     nodes = draw(st.permutations([v for v in ids if draw(st.booleans())] + strays))
-    node_seeds = {v: draw(st.integers(0, 2**63 - 1)) for v in ids + [-99]}
-    return network, nodes, node_seeds, draw(st.sampled_from([None, network.n + 7]))
+    seed = draw(RUN_SEEDS)
+    return network, nodes, seed, draw(st.sampled_from([None, network.n + 7]))
 
 
 class TestInducedSubNetwork:
     @settings(max_examples=150, deadline=None)
     @given(induced_cases())
     def test_induced_equals_the_network_of_the_induced_graph(self, case):
-        network, nodes, node_seeds, announced_n = case
+        network, nodes, seed, announced_n = case
         keep = [v for v in nodes if v in network.node_index_of]
         expected = Network(
-            nx.Graph(network.graph.subgraph(keep)),
-            node_seeds=node_seeds,
-            announced_n=announced_n,
+            nx.Graph(network.graph.subgraph(keep)), seed=seed, announced_n=announced_n
         )
-        sub = network.induced(nodes, node_seeds=node_seeds, announced_n=announced_n)
+        sub = network.induced(nodes, seed=seed, announced_n=announced_n)
         assert sub.node_ids == expected.node_ids
         assert sub.csr() == expected.csr()
         got, want = sub.build_contexts(), expected.build_contexts()
         for v in expected.node_ids:
             assert got[v].n == want[v].n and got[v].neighbors == want[v].neighbors
+            assert got[v].seed == want[v].seed
             assert got[v].rng.getstate() == want[v].rng.getstate()
 
     # A 6-cycle plus node 7, isolated in the network itself.
@@ -251,7 +257,7 @@ def pair_arrays(draw) -> np.ndarray:
 
 
 def context_seeds(network: Network) -> Dict[int, int]:
-    return {v: ctx._seed for v, ctx in network.build_contexts().items()}
+    return {v: ctx.seed for v, ctx in network.build_contexts().items()}
 
 
 class TestPairArrayFrontEnd:
@@ -465,16 +471,17 @@ class TestLazyNodeRngs:
         network = Network(nx.path_graph(5), seed=11)
         contexts = network.build_contexts()
         assert all(ctx._rng is None for ctx in contexts.values())
-        draws = random.Random(11)
         for node_id in network.node_ids:
-            expected = random.Random(draws.getrandbits(63))
+            expected = random.Random(node_seed(11, node_id))
             ctx = contexts[node_id]
+            assert ctx.seed == node_seed(11, node_id)
             assert ctx.rng.random() == expected.random()
             assert ctx._rng is not None
 
-    def test_explicit_node_seeds(self):
-        import random
-
-        network = Network(nx.path_graph(3), node_seeds={1: 42})
-        ctx = network.build_contexts()[1]
-        assert ctx.rng.getrandbits(32) == random.Random(42).getrandbits(32)
+    @pytest.mark.parametrize("seed", [7, -7, 2**70])
+    def test_induced_nodes_keep_their_seeds(self, seed):
+        network = Network(nx.path_graph(6), seed=seed)
+        full = network.build_contexts()
+        sub = network.induced([1, 4, 5], seed=seed).build_contexts()
+        assert [sub[v].seed for v in (1, 4, 5)] == [full[v].seed for v in (1, 4, 5)]
+        assert network.induced([1], seed=-seed).build_contexts()[1].seed != full[1].seed

@@ -14,11 +14,11 @@ from __future__ import annotations
 import io
 import json
 import random
-import types
 
 import networkx as nx
 import pytest
 
+from repro.congest import network as network_module
 from repro.congest.config import CongestConfig
 from repro.congest.engine import DEFAULT_ENGINE
 from repro.congest.errors import DeltaError, ShardWorkerError
@@ -31,7 +31,6 @@ from repro.service import (
     RequestError,
     parse_request,
 )
-from repro.service import incremental
 from repro.service.protocol import (
     delta_edges,
     encode_response,
@@ -400,45 +399,44 @@ class TestServiceDeltaProperty:
         assert "full" in kinds, kinds
 
 
-class TestSeedReplayMemo:
-    """The incremental path replays a seed's stream once, not per query."""
+class TestRegionSeeds:
+    """An incremental query derives seeds for its dirty region only."""
 
     @staticmethod
-    def _count_rng_constructions(monkeypatch):
-        constructed = []
+    def _count_seed_columns(monkeypatch):
+        lengths = []
+        real = network_module.node_seed_column
 
-        class CountingRandom(random.Random):
-            def __init__(self, seed=None):
-                constructed.append(seed)
-                super().__init__(seed)
+        def counting(run_seed, ids):
+            lengths.append(len(ids))
+            return real(run_seed, ids)
 
-        monkeypatch.setattr(
-            incremental, "random", types.SimpleNamespace(Random=CountingRandom)
-        )
-        return constructed
+        monkeypatch.setattr(network_module, "node_seed_column", counting)
+        return lengths
 
-    def test_incremental_queries_on_one_seed_replay_the_stream_once(
+    def test_incremental_queries_compute_seeds_for_the_region_only(
         self, monkeypatch
     ):
-        constructed = self._count_rng_constructions(monkeypatch)
+        lengths = self._count_seed_columns(monkeypatch)
         blocks = [(0, 10), (10, 10), (20, 10)]
         graph = _block_graph([10, 10, 10], p=0.85, seed=11)
         rng = random.Random(19)
         service = NearCliqueService(graph.copy(), PARAMS)
         with service:
             assert service.query(seed=3).record.kind == "full"
+            assert lengths == [30]
             for _ in range(4):
                 additions, removals = _random_delta(rng, graph, blocks)
                 service.apply_delta(additions, removals)
                 graph.add_edges_from(additions)
                 graph.remove_edges_from(removals)
+                del lengths[:]
                 outcome = service.query(seed=3)
                 assert outcome.record.kind == "incremental"
+                assert lengths == [outcome.record.recomputed_nodes] == [10]
                 _assert_identical(outcome.result, _fresh(graph, 3))
-        assert constructed == [3]
 
-    def test_seed_switches_stay_identical_to_fresh_runs(self, monkeypatch):
-        constructed = self._count_rng_constructions(monkeypatch)
+    def test_seed_switches_stay_identical_to_fresh_runs(self):
         graph = _block_graph([10, 10, 10], p=0.85, seed=11)
         service = NearCliqueService(graph.copy(), PARAMS)
         a, b = 3, 8
@@ -461,8 +459,15 @@ class TestSeedReplayMemo:
                 outcome = service.query(seed=seed)
                 assert outcome.record.kind == kind
                 _assert_identical(outcome.result, _fresh(graph, seed))
-        # one replay per incremental streak, each on its own seed's stream
-        assert constructed == [b, a]
+
+    @pytest.mark.parametrize("seed", [3, 8, 2**70])
+    def test_negated_seeds_are_distinct_runs(self, seed):
+        graph = _block_graph([10, 10, 10], p=0.85, seed=11)
+        with NearCliqueService(graph.copy(), PARAMS) as service:
+            plus = service.query(seed=seed).result
+            minus = service.query(seed=-seed).result
+        _assert_identical(minus, _fresh(graph, -seed))
+        assert plus.sample != minus.sample
 
 
 # ----------------------------------------------------------------------

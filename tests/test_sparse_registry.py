@@ -4,8 +4,8 @@ After sampling, ``DistNearClique`` involves only S ∪ Γ(S) (Section 4), so a
 forced-sample run on the fast engines must build a context for those nodes
 and no others, while every node it never touches reads, through
 :meth:`ContextRegistry.peek` or a late build, exactly the halt flag, round
-counter, seed and globals the reference shows.  Coin-flip sampling still
-draws one coin per node from that node's own RNG.
+counter, seed and globals the reference shows.  Coin-flip sampling
+computes every coin as one column and builds contexts only for S.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.congest.config import CongestConfig
 from repro.congest.engine import get_engine
 from repro.congest.network import Network
 from repro.congest.node import NodeContext
+from repro.congest.randomness import node_coin_column, node_seed_column
 from repro.core import phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.reference import CentralizedNearCliqueFinder
@@ -128,7 +129,7 @@ class TestLateContextsMatchTheReference:
             # the chain differential compares the outbox by content.
             state = {k: v for k, v in ctx.state.items() if not k.startswith("__")}
             return (
-                state, ctx.output, ctx._halted, ctx._round, ctx._seed,
+                state, ctx.output, ctx._halted, ctx._round, ctx.seed,
                 ctx.globals, ctx.neighbors, ctx._outgoing,
             )
 
@@ -157,14 +158,32 @@ class TestCoinFlipSampling:
                 config=CongestConfig(engine=name).with_log_budget(network.n),
             ).run(network=network)
             contexts = network.contexts
-            # Every node flipped its own coin, so every context exists.
-            assert len(contexts.live) == network.n
+            built = {ctx.node_id for ctx in contexts.live.values()}
             outcomes[name] = (
                 result.labels,
                 result.sample,
-                [contexts[v].rng.getstate() for v in network.node_ids],
+                [contexts.peek(v).rng.getstate() for v in network.node_ids],
             )
+            if name == "vectorized":
+                # Contexts exist for S and the nodes later phases touch:
+                # comp-dissemination reaches Γ(S), nothing else.
+                sample = set(result.sample)
+                reached = sample.union(*(network.neighbors(v) for v in sample))
+                assert sample and sample <= built <= reached
+                assert len(built) < network.n
+            else:
+                assert len(built) == network.n
         assert outcomes["vectorized"] == outcomes["reference"]
+
+    def test_sample_is_the_column_of_coins_below_p(self):
+        n, p = 20000, 8 / 20000
+        network = Network(_block_pairs(n), seed=1)
+        result = DistNearCliqueRunner(
+            epsilon=0.2, sample_probability=p, max_sample_size=None
+        ).run(network=network)
+        coins = node_coin_column(node_seed_column(1, np.arange(n)))
+        assert sorted(result.sample) == np.flatnonzero(coins < p).tolist()
+        assert len(network.contexts.live) < n // 10
 
 
 class TestEmptyGraph:

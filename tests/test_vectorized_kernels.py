@@ -939,7 +939,7 @@ class TestKernelFrame:
         mask = np.array(flags, dtype=bool)
         counts = frame.count_flagged_neighbors(mask)
         for index in range(n):
-            node_id = int(frame.ids[index])
+            node_id = frame.node_ids[index]
             expected = sum(
                 1
                 for neighbor in graph.neighbors(node_id)
