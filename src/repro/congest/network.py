@@ -445,9 +445,9 @@ class Network:
 
     Contexts are built on first touch (:class:`ContextRegistry`): a fresh
     :meth:`build_contexts` builds a context only for the nodes with
-    per-node inputs.  The reference and sharded engines
-    build every context in one bulk pass per phase; the vectorized engine
-    builds only those of the nodes a phase starts or a kernel writes.
+    per-node inputs.  The reference and sharded engines build every
+    context in one bulk pass per phase; the vectorized engine builds only
+    those of the nodes a phase starts or a kernel writes.
     """
 
     def __init__(
