@@ -12,17 +12,16 @@ workloads:
   contract, so the comparison is pure throughput; outputs and metrics are
   asserted equal before any timing is reported.
 
-* **Cut-edge message fraction** — for each partitioner strategy
-  (``contiguous``, ``bfs``), the fraction of protocol messages that
-  crossed a shard boundary (measured with
-  :class:`repro.congest.sharding.ShardingStats`) next to the static
-  edge-cut fraction of the :class:`repro.congest.sharding.ShardPlan`.
-  This is the quantity a multi-process or multi-host sharding would pay
-  serialisation for, so it is the figure of merit for partitioner quality.
+* **Cut-edge message fraction** — for each shard count of the contiguous
+  plan, the fraction of protocol messages that crossed a shard boundary
+  (measured with :class:`repro.congest.sharding.ShardingStats`) next to
+  the static edge-cut fraction of the
+  :class:`repro.congest.sharding.ShardPlan`.  This is the quantity the
+  process backend pays serialisation for.
 
 Quick mode (``REPRO_BENCH_QUICK=1`` or ``--quick``) shrinks the workload so
 the benchmark doubles as a CI gate: serial-mode bit-identity and the
-refinement sweep's cut bound are always checked.
+stats' agreement with the run's metrics and the plan are always checked.
 
 Run directly (``python benchmarks/bench_e14_sharded_throughput.py``) or via
 the pytest-benchmark harness like the other experiments.
@@ -38,7 +37,7 @@ import time
 from repro.analysis import tables
 from repro.congest.config import CongestConfig
 from repro.congest.network import Network
-from repro.congest.sharding import PARTITION_STRATEGIES, ShardedEngine, partition_network
+from repro.congest.sharding import ShardedEngine, partition_network
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.graphs import generators
 
@@ -124,26 +123,19 @@ def _throughput_table(name, graph, quick):
 
 
 def _cut_overhead_table(name, graph):
-    """Cut statistics and measured cross-shard traffic per strategy.
-
-    Iterates every registered strategy, so ``bfs+refine`` (the FM-style
-    boundary-refinement sweep) reports next to plain ``bfs``; the explicit
-    reduction line below quantifies the partitioner-quality ROADMAP item.
-    """
+    """Cut statistics and measured cross-shard traffic per shard count."""
     sample = sorted(random.Random(1).sample(sorted(graph.nodes()), 7))
     rows = []
-    cut_by_strategy = {}
-    for strategy in PARTITION_STRATEGIES:
-        engine = ShardedEngine(shards=SHARDS, strategy=strategy, collect_stats=True)
-        plan = partition_network(
-            Network(graph, seed=0), SHARDS, strategy=strategy
-        )
+    for shards in (2, SHARDS, 2 * SHARDS):
+        engine = ShardedEngine(shards=shards, collect_stats=True)
+        plan = partition_network(Network(graph, seed=0), shards)
         _, result = _run_once(graph, sample, engine=engine)
         stats = engine.stats
-        cut_by_strategy[strategy] = plan.cut_edges
+        assert stats.protocol_messages == result.metrics.total_messages
+        assert stats.plan == plan
         rows.append(
             [
-                strategy,
+                shards,
                 "%d/%d" % (plan.cut_edges, plan.total_edges),
                 round(plan.cut_fraction, 3),
                 stats.protocol_messages,
@@ -151,10 +143,9 @@ def _cut_overhead_table(name, graph):
                 round(stats.cross_shard_fraction, 3),
             ]
         )
-        assert stats.protocol_messages == result.metrics.total_messages
     tables.print_table(
         [
-            "strategy",
+            "shards",
             "cut edges",
             "edge cut frac",
             "messages",
@@ -162,24 +153,8 @@ def _cut_overhead_table(name, graph):
             "msg cut frac",
         ],
         rows,
-        title="E14  %s — cut-edge overhead per partitioner strategy (%d shards)"
-        % (name, SHARDS),
+        title="E14  %s — cut-edge overhead of the contiguous plan" % name,
     )
-    if cut_by_strategy.get("bfs"):
-        reduction = 1.0 - cut_by_strategy["bfs+refine"] / float(
-            cut_by_strategy["bfs"]
-        )
-        print(
-            "bfs+refine cut-edge reduction vs bfs: %.1f%% (%d -> %d edges)"
-            % (
-                100.0 * reduction,
-                cut_by_strategy["bfs"],
-                cut_by_strategy["bfs+refine"],
-            )
-        )
-        assert cut_by_strategy["bfs+refine"] <= cut_by_strategy["bfs"], (
-            "the refinement sweep may never increase the cut"
-        )
     return rows
 
 

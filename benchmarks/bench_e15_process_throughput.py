@@ -20,12 +20,11 @@ of that trade on a large chatty workload:
   mode).  On a single-CPU host the timing gate is skipped — worker
   processes cannot show parallelism there, only pipe overhead.
 
-* **Boundary bytes per round** — for each partitioner strategy, the packed
-  wire bytes crossing the round barrier per round
+* **Boundary bytes per round** — the packed wire bytes crossing the round
+  barrier per round
   (:attr:`repro.congest.sharding.ShardingStats.bytes_per_round`) next to
-  the cut fraction.  This is the serialization bill the partitioner
-  quality item exists to shrink: ``bfs+refine`` should ship fewer bytes
-  than ``bfs`` wherever it cuts fewer edges.
+  the contiguous plan's cut fraction: the serialization bill of the
+  process backend.
 
 Run directly (``python benchmarks/bench_e15_process_throughput.py``) or via
 the pytest-benchmark harness like the other experiments; quick mode
@@ -46,7 +45,7 @@ from repro.analysis import tables
 from repro.congest.config import CongestConfig
 from repro.congest.network import Network
 from repro.congest.scheduler import run_protocol
-from repro.congest.sharding import PARTITION_STRATEGIES, ShardedEngine
+from repro.congest.sharding import ShardedEngine
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 from repro.primitives.leader_election import MinIdFloodingProtocol
 
@@ -172,46 +171,31 @@ def _throughput_table(name, graph, quick):
 
 
 def _boundary_bytes_table(name, graph):
-    """Packed boundary traffic per strategy: the serialization bill."""
+    """Packed boundary traffic of the contiguous plan: the serialization bill."""
     per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
-    rows = []
-    reduction_baseline = None
-    for strategy in PARTITION_STRATEGIES:
-        engine = ShardedEngine(
-            shards=SHARDS, strategy=strategy, backend="process", collect_stats=True
-        )
-        network = Network(graph, seed=9)
-        result = run_protocol(
-            network,
-            MinIdBFSTreeProtocol(),
-            config=CongestConfig().with_log_budget(graph.number_of_nodes()),
-            per_node_inputs=per_node,
-            engine=engine,
-        )
-        stats = engine.stats
-        assert stats.protocol_messages == result.metrics.total_messages
-        assert stats.barrier_rounds > 0 and stats.boundary_bytes > 0
-        plan = stats.plans[0]
-        if strategy == "bfs":
-            reduction_baseline = plan.cut_edges
-        rows.append(
-            [
-                strategy,
-                "%d/%d" % (plan.cut_edges, plan.total_edges),
-                round(plan.cut_fraction, 3),
-                round(stats.cross_shard_fraction, 3),
-                stats.boundary_bytes,
-                int(stats.bytes_per_round),
-            ]
-        )
-        if strategy == "bfs+refine" and reduction_baseline:
-            print(
-                "bfs+refine cut-edge reduction vs bfs: %.1f%%"
-                % (100.0 * (1.0 - plan.cut_edges / float(reduction_baseline)))
-            )
+    engine = ShardedEngine(shards=SHARDS, backend="process", collect_stats=True)
+    result = run_protocol(
+        Network(graph, seed=9),
+        MinIdBFSTreeProtocol(),
+        config=CongestConfig().with_log_budget(graph.number_of_nodes()),
+        per_node_inputs=per_node,
+        engine=engine,
+    )
+    stats = engine.stats
+    assert stats.protocol_messages == result.metrics.total_messages
+    assert stats.barrier_rounds > 0 and stats.boundary_bytes > 0
+    plan = stats.plan
+    rows = [
+        [
+            "%d/%d" % (plan.cut_edges, plan.total_edges),
+            round(plan.cut_fraction, 3),
+            round(stats.cross_shard_fraction, 3),
+            stats.boundary_bytes,
+            int(stats.bytes_per_round),
+        ]
+    ]
     tables.print_table(
         [
-            "strategy",
             "cut edges",
             "edge cut frac",
             "msg cut frac",
@@ -219,8 +203,8 @@ def _boundary_bytes_table(name, graph):
             "bytes/round",
         ],
         rows,
-        title="E15  %s — packed boundary traffic per partitioner strategy "
-        "(%d shards, process backend)" % (name, SHARDS),
+        title="E15  %s — packed boundary traffic (%d shards, process backend)"
+        % (name, SHARDS),
     )
     return rows
 

@@ -25,8 +25,8 @@ This package simulates that model in-process.  The pieces are:
 ``Network``
     The communication graph plus per-node state containers.
 
-``SynchronousScheduler`` / ``run_protocol``
-    The round-driving entry points, including congestion enforcement (at
+``run_protocol``
+    The round-driving entry point, including congestion enforcement (at
     most one message per edge direction per round) and message-size checks.
 
 ``Engine`` and its implementations
@@ -90,9 +90,8 @@ from repro.congest.message import Inbound, Message, estimate_payload_bits, id_bi
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
 from repro.congest.node import NodeContext, Protocol
-from repro.congest.scheduler import RunResult, SynchronousScheduler, run_protocol
+from repro.congest.scheduler import RunResult, run_protocol
 from repro.congest.sharding import (
-    PARTITION_STRATEGIES,
     SHARD_BACKENDS,
     ShardPlan,
     ShardedEngine,
@@ -116,7 +115,6 @@ __all__ = [
     "Network",
     "NodeContext",
     "Protocol",
-    "SynchronousScheduler",
     "RunResult",
     "run_protocol",
     "Engine",
@@ -126,7 +124,6 @@ __all__ = [
     "ShardPlan",
     "ShardingStats",
     "ShardWorkerError",
-    "PARTITION_STRATEGIES",
     "SHARD_BACKENDS",
     "partition_network",
     "available_engines",

@@ -73,7 +73,7 @@ class RetryPolicy:
 
 @dataclass
 class CongestConfig:
-    """Configuration for a :class:`repro.congest.scheduler.SynchronousScheduler`.
+    """Configuration for :func:`repro.congest.scheduler.run_protocol` and the engines.
 
     Parameters
     ----------
@@ -112,11 +112,9 @@ class CongestConfig:
         a throughput knob.
     shards:
         Shard count for ``engine="sharded"`` (ignored by the other
-        engines).  May exceed the node count; surplus shards are empty.
-    shard_strategy:
-        Partitioner strategy for the sharded engine — one of
-        :data:`repro.congest.sharding.PARTITION_STRATEGIES`
-        (``"contiguous"``, ``"bfs"``, ``"bfs+refine"``).
+        engines).  The shards are contiguous blocks of the dense node
+        index (:mod:`repro.congest.sharding.partition`).  May exceed the
+        node count; surplus shards are empty.
     shard_backend:
         Execution backend of the sharded engine:
 
@@ -181,7 +179,6 @@ class CongestConfig:
     record_round_metrics: bool = True
     engine: str = "vectorized"
     shards: int = 4
-    shard_strategy: str = "contiguous"
     shard_backend: str = "serial"
     round_timeout: Optional[float] = None
     worker_join_timeout: float = 5.0
@@ -191,7 +188,7 @@ class CongestConfig:
     pipeline_mode: InitVar[str] = "fuse"
 
     def __post_init__(self, session_mode: str, pipeline_mode: str) -> None:
-        # ``engine`` / ``shard_backend`` / ``shard_strategy`` are validated
+        # ``engine`` / ``shard_backend`` are validated
         # with their allowed values listed when they are resolved (the
         # registry lookup, ``ShardedEngine.resolve_structure``).
         if session_mode != "persistent":
@@ -268,7 +265,6 @@ class CongestConfig:
     def with_sharding(
         self,
         shards: Optional[int] = None,
-        strategy: Optional[str] = None,
         backend: Optional[str] = None,
     ) -> "CongestConfig":
         """Return a copy selecting the sharded engine with the given knobs.
@@ -280,7 +276,6 @@ class CongestConfig:
             self,
             engine="sharded",
             shards=self.shards if shards is None else shards,
-            shard_strategy=self.shard_strategy if strategy is None else strategy,
             shard_backend=self.shard_backend if backend is None else backend,
         )
 

@@ -67,7 +67,7 @@ class AppliedDelta:
     epoch:
         The network's :attr:`Network.delta_epoch` after this application —
         a monotone counter execution sessions compare against their own
-        watermark to tell "mutated via the delta API" (repairable) from
+        watermark to tell "mutated via the delta API" (absorbed) from
         "mutated behind the API" (fatal).
     added / removed:
         The *effective* edge sets, canonically oriented (``u < v``): no-op
@@ -75,11 +75,11 @@ class AppliedDelta:
         are dropped during normalisation.
     touched:
         Endpoints of the effective edges — the dirty-node seed set for
-        shard repair and incremental recomputation.
+        incremental recomputation.
     fingerprint_after:
-        :meth:`Network.csr_fingerprint` immediately after the splice; a
-        session whose live fingerprint matches the last record's value
-        knows the divergence is fully explained by the delta ledger.
+        :meth:`Network.csr_fingerprint` immediately after the splice (the
+        value :attr:`Network.delta_fingerprint` holds until the next
+        effective delta).
     """
 
     epoch: int
@@ -479,7 +479,7 @@ class Network:
         self._contexts: Optional[ContextRegistry] = None
         self._ctx_epoch = 0
         self._delta_epoch = 0
-        self._delta_log: List[AppliedDelta] = []
+        self._delta_fingerprint: Optional[Tuple[int, int, int]] = None
 
     def _read_pairs(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The pair-array front-end: assign ids, return the dense ``src → dst`` pairs.
@@ -654,14 +654,14 @@ class Network:
 
         The checksum is computed on the first read after the CSR arrays
         change (construction and every effective :meth:`apply_delta`,
-        which reads it for its ledger record) and cached, so a network
+        which reads it for :attr:`delta_fingerprint`) and cached, so a network
         that nothing keys on never pays for it.  The checksum
         covers both arrays, so it tells any two topologies apart that differ
         in an edge — count-preserving swaps included — up to CRC collisions.
         It is the key :func:`repro.congest.sharding.partition.cached_partition`
         memoises plans under and the value execution sessions compare
-        against the delta ledger to detect a network that changed between
-        phases.
+        against :attr:`delta_fingerprint` to detect a network that changed
+        between phases.
         """
         if self._fingerprint is None:
             self._fingerprint = self._counts + (
@@ -709,17 +709,20 @@ class Network:
         """Counter bumped by every effective :meth:`apply_delta` call.
 
         Execution sessions keep a watermark of this counter: a changed CSR
-        fingerprint whose divergence is fully explained by ledger entries
-        above the watermark is a *repairable* delta; a changed fingerprint
-        with no such entries is an external mutation and stays fatal.
+        fingerprint equal to :attr:`delta_fingerprint`, with the epoch above
+        the watermark, is a delta the session absorbs; any other changed
+        fingerprint is an external mutation and stays fatal.
         """
         return self._delta_epoch
 
-    def deltas_since(self, epoch: int) -> Tuple[AppliedDelta, ...]:
-        """The applied-delta records with :attr:`AppliedDelta.epoch` > *epoch*."""
-        return tuple(
-            record for record in self._delta_log if record.epoch > epoch
-        )
+    @property
+    def delta_fingerprint(self) -> Optional[Tuple[int, int, int]]:
+        """The :meth:`csr_fingerprint` the latest effective delta produced.
+
+        ``None`` before the first effective :meth:`apply_delta`.  It is the
+        only per-delta value the network keeps.
+        """
+        return self._delta_fingerprint
 
     def _normalize_delta_edges(
         self, edges: Iterable[Tuple[int, int]], kind: str
@@ -772,12 +775,13 @@ class Network:
         contexts of touched nodes have their ``neighbors`` view refreshed
         *in place* (state, output and RNG streams are
         preserved — an evolving-graph service keeps its nodes), the delta
-        epoch advances and the application is recorded on the ledger for
-        sessions to reconcile against.
+        epoch advances and the new fingerprint is kept as
+        :attr:`delta_fingerprint` for sessions to check against.
 
         ``context_epoch`` is deliberately *not* bumped: contexts were
         patched, not rebuilt, and process sessions detect the topology
-        change through the CSR fingerprint + delta ledger instead.
+        change through the CSR fingerprint and :attr:`delta_fingerprint`
+        instead.
         """
         added = self._normalize_delta_edges(additions, "addition")
         removed = self._normalize_delta_edges(removals, "removal")
@@ -814,15 +818,14 @@ class Network:
                 # patched view is authoritative.
                 ctx.state.pop("__neighbor_set", None)
         self._delta_epoch += 1
-        record = AppliedDelta(
+        self._delta_fingerprint = self.csr_fingerprint()
+        return AppliedDelta(
             epoch=self._delta_epoch,
             added=tuple(added),
             removed=tuple(removed),
             touched=touched,
-            fingerprint_after=self.csr_fingerprint(),
+            fingerprint_after=self._delta_fingerprint,
         )
-        self._delta_log.append(record)
-        return record
 
     def _splice_rows(self, rows: Dict[int, set]) -> None:
         """Replace the CSR rows of the nodes in *rows* (id → new neighbour set)."""

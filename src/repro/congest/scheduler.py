@@ -50,81 +50,9 @@ from repro.congest.node import Protocol
 
 __all__ = [
     "RunResult",
-    "SynchronousScheduler",
     "run_protocol",
     "_STALL_LIMIT",
 ]
-
-
-class SynchronousScheduler:
-    """Run one protocol on one network under a :class:`CongestConfig`.
-
-    Parameters
-    ----------
-    network, protocol, config, global_inputs, per_node_inputs, reuse_contexts:
-        As documented on :func:`run_protocol`.
-    engine:
-        Execution-engine selector — a registry name (``"reference"``,
-        ``"vectorized"``, ``"sharded"``), an
-        :class:`repro.congest.engine.Engine` instance, or ``None`` to use
-        ``config.engine``.
-    session:
-        An open :class:`repro.congest.engine.CongestSession` to run inside.
-        Must be bound to the same *network*; when given, the session's
-        engine drives the run (``engine`` is ignored) and per-``execute``
-        setup the session persists — worker pools, shared-memory CSR
-        mappings — is reused instead of rebuilt.  When ``config`` is
-        omitted the session's configuration applies.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        protocol: Protocol,
-        config: Optional[CongestConfig] = None,
-        global_inputs: Optional[Dict[str, Any]] = None,
-        per_node_inputs: Optional[Dict[int, Dict[str, Any]]] = None,
-        reuse_contexts: bool = False,
-        engine: Union[None, str, Engine] = None,
-        session: Optional[CongestSession] = None,
-    ) -> None:
-        self.network = network
-        self.protocol = protocol
-        self.config = config or CongestConfig()
-        self._config_given = config is not None
-        self.global_inputs = global_inputs
-        self.per_node_inputs = per_node_inputs
-        self.reuse_contexts = reuse_contexts
-        self.engine = engine
-        self.session = session
-
-    # ------------------------------------------------------------------
-    def run(self) -> RunResult:
-        """Execute the protocol to termination and return its result."""
-        if self.session is not None:
-            if self.session.network is not self.network:
-                raise ValueError(
-                    "the scheduler's network is not the network the session "
-                    "was opened on; open one session per network"
-                )
-            return self.session.execute(
-                self.protocol,
-                config=self.config if self._config_given else None,
-                global_inputs=self.global_inputs,
-                per_node_inputs=self.per_node_inputs,
-                reuse_contexts=self.reuse_contexts,
-            )
-        engine = get_engine(
-            self.engine if self.engine is not None else self.config.engine
-        )
-        return engine.execute(
-            self.network,
-            self.protocol,
-            config=self.config,
-            global_inputs=self.global_inputs,
-            per_node_inputs=self.per_node_inputs,
-            reuse_contexts=self.reuse_contexts,
-        )
 
 
 def run_protocol(
@@ -137,15 +65,53 @@ def run_protocol(
     engine: Union[None, str, Engine] = None,
     session: Optional[CongestSession] = None,
 ) -> RunResult:
-    """Convenience wrapper: build a scheduler and run it once."""
-    scheduler = SynchronousScheduler(
-        network=network,
-        protocol=protocol,
+    """Run *protocol* on *network* to termination and return its result.
+
+    Parameters
+    ----------
+    network, protocol:
+        The communication graph and the per-node state machine to drive.
+    config:
+        The :class:`CongestConfig`; ``None`` means the defaults (or, with a
+        *session*, the session's configuration).
+    global_inputs / per_node_inputs:
+        Values written into every context's globals / the named nodes'
+        state before the run.
+    reuse_contexts:
+        Keep the contexts of the previous run on *network* (composite
+        pipelines chain protocols over the same state) instead of building
+        fresh ones.
+    engine:
+        Execution-engine selector — a registry name (``"reference"``,
+        ``"vectorized"``, ``"sharded"``), an
+        :class:`repro.congest.engine.Engine` instance, or ``None`` to use
+        ``config.engine``.
+    session:
+        An open :class:`repro.congest.engine.CongestSession` to run inside.
+        Must be bound to the same *network*; when given, the session's
+        engine drives the run (``engine`` is ignored) and per-``execute``
+        setup the session persists — worker pools, shared-memory CSR
+        mappings — is reused instead of rebuilt.
+    """
+    if session is not None:
+        if session.network is not network:
+            raise ValueError(
+                "the scheduler's network is not the network the session "
+                "was opened on; open one session per network"
+            )
+        return session.execute(
+            protocol,
+            config=config,
+            global_inputs=global_inputs,
+            per_node_inputs=per_node_inputs,
+            reuse_contexts=reuse_contexts,
+        )
+    config = config or CongestConfig()
+    return get_engine(engine if engine is not None else config.engine).execute(
+        network,
+        protocol,
         config=config,
         global_inputs=global_inputs,
         per_node_inputs=per_node_inputs,
         reuse_contexts=reuse_contexts,
-        engine=engine,
-        session=session,
     )
-    return scheduler.run()

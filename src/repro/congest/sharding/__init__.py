@@ -7,10 +7,9 @@ round independently, and exchange only the messages that cross a region
 boundary at the round barrier.  This package provides:
 
 :mod:`repro.congest.sharding.partition`
-    :func:`partition_network` splits a network into ``k`` shards over its
-    CSR arrays (deterministic, seeded; ``"contiguous"`` and ``"bfs"``
-    strategies) and returns a :class:`ShardPlan` recording owned nodes,
-    boundary edges and cut statistics.
+    :func:`partition_network` splits a network's dense CSR index into ``k``
+    contiguous blocks and returns a :class:`ShardPlan` recording owned
+    nodes, boundary edges and cut statistics.
 
 :mod:`repro.congest.sharding.engine`
     :class:`ShardedEngine` (``engine="sharded"``) executes a protocol shard
@@ -19,7 +18,7 @@ boundary at the round barrier.  This package provides:
     the serial deterministic mode (what the differential harness runs) or
     one worker process per shard for multi-core execution.  Bit-identical to
     :class:`repro.congest.engine.ReferenceEngine` by the engine contract,
-    for every shard count, strategy and backend.
+    for every shard count and backend.
 
 :mod:`repro.congest.sharding.wire`
     The packed wire format boundary traffic travels in between worker
@@ -49,19 +48,15 @@ from repro.congest.sharding.engine import (
     ShardingStats,
 )
 from repro.congest.sharding.partition import (
-    PARTITION_STRATEGIES,
     ShardPlan,
     cached_partition,
     invalidate_partition_cache,
     partition_network,
-    repair_plan,
-    shard_fingerprints,
 )
 from repro.congest.sharding.shm import SharedCSR
 from repro.congest.sharding.wire import WireBatch, WireDecoder, WireEncoder
 
 __all__ = [
-    "PARTITION_STRATEGIES",
     "SHARD_BACKENDS",
     "SessionPhaseStats",
     "SharedCSR",
@@ -74,6 +69,4 @@ __all__ = [
     "cached_partition",
     "invalidate_partition_cache",
     "partition_network",
-    "repair_plan",
-    "shard_fingerprints",
 ]

@@ -1,8 +1,9 @@
 """Partition-parallel execution of the synchronous round loop.
 
 :class:`ShardedEngine` (``engine="sharded"``) splits the network into ``k``
-shards with :func:`repro.congest.sharding.partition.partition_network` and
-steps each shard's frontier independently within a round, exchanging the
+contiguous shards with
+:func:`repro.congest.sharding.partition.partition_network` and steps each
+shard's frontier independently within a round, exchanging the
 messages that cross a shard boundary at the round barrier.  Per shard the
 machinery is the vectorized engine's callback loop design — dense
 CSR indices, reused inbox buffers, per-sender ``Inbound`` interning, an
@@ -11,18 +12,19 @@ incremental active frontier — restricted to the shard's owned nodes.
 **The engine contract applies** (module docstring of
 :mod:`repro.congest.engine`): outputs, round count and protocol
 message/bit metrics — including the per-round trace — are bit-identical to
-:class:`repro.congest.engine.ReferenceEngine` for every shard count,
-strategy and execution backend, and the model rules raise the same
+:class:`repro.congest.engine.ReferenceEngine` for every shard count and
+execution backend, and the model rules raise the same
 :class:`repro.congest.errors.MessageSizeViolation` /
 :class:`repro.congest.errors.CongestionViolation` types from the shard-local
 drain.  Two mechanisms make the partition invisible:
 
-* *Inbox-order repair.*  Within one shard, nodes drain in ascending dense
+* *Ordered delivery.*  Within one shard, nodes drain in ascending dense
   index, so a receiver's inbox arrives grouped by sender ascending — the
   contract order — for free.  Senders owned by *other* shards arrive at the
-  barrier in source-shard order, so any inbox that received boundary mail is
-  stably re-sorted by sender id before delivery (stability preserves the
-  per-sender send order; a sender's messages all originate in one shard).
+  barrier grouped by source shard, and delivery walks those groups (and the
+  shard's own mail) in ascending shard order; the shards are contiguous
+  blocks of the dense index, so that order *is* ascending-sender order and
+  no inbox needs a sort.
 * *Barrier-time aggregation.*  Round metrics are accumulated per shard and
   folded in ascending shard order at the barrier — sums for message/bit
   counts, ``max`` for the message-size peak — so the global
@@ -64,7 +66,6 @@ per-node outputs and metrics remain bit-identical in every backend.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -93,10 +94,6 @@ from repro.congest.sharding.partition import (
 #: Execution backends accepted by ``CongestConfig.shard_backend`` and the
 #: engine's ``backend=`` constructor argument.
 SHARD_BACKENDS: Tuple[str, ...] = ("serial", "process")
-
-#: Stable-sort key restoring the contract's ascending-sender inbox order
-#: (C-implemented: this runs on every boundary inbox every round).
-_sender_key = operator.attrgetter("sender")
 
 
 class _ShardState:
@@ -199,9 +196,8 @@ class ShardingStats:
     ``collect_stats=True`` (the registry instance does not collect, keeping
     it stateless) and by process sessions, which expose an instance as
     :attr:`repro.congest.engine.CongestSession.stats`; the E14/E15
-    benchmarks use this to report the cut-edge message fraction per
-    partitioner strategy and the serialized boundary traffic of the process
-    backend.
+    benchmarks use this to report the cut-edge message fraction and the
+    serialized boundary traffic of the process backend.
 
     Attributes
     ----------
@@ -218,6 +214,9 @@ class ShardingStats:
     phases:
         Per-``execute`` partials (:class:`SessionPhaseStats`), appended by
         sessions in phase order; the counters above are the session totals.
+    plan:
+        The :class:`ShardPlan` of the latest recorded execution (``None``
+        before the first).
     rearms / fused_phases:
         Pool-wide protocol ships (one per ``arm``/``arm-seq`` that crossed
         the pipes) and re-arms *elided* by the pipeline compiler's phase
@@ -251,7 +250,7 @@ class ShardingStats:
         self.retries = 0
         self.degradations = 0
         self.recovery_events: List[RecoveryEvent] = []
-        self.plans: List[ShardPlan] = []
+        self.plan: Optional[ShardPlan] = None
         self.phases: List[SessionPhaseStats] = []
 
     @property
@@ -298,7 +297,7 @@ class ShardingStats:
         self.barrier_rounds += barrier_rounds
         self.setup_seconds += setup_seconds
         if plan is not None:
-            self.plans.append(plan)
+            self.plan = plan
 
     def observe_phase(
         self,
@@ -359,14 +358,12 @@ class _ShardStepper:
         ctx_list: List[Optional[NodeContext]],
         index_of: Dict[int, int],
         owner: Sequence[int],
-        ordered_delivery: bool,
         inbox_buffers: Optional[List[List[Inbound]]] = None,
     ) -> None:
         self.protocol = protocol
         self.ctx_list = ctx_list
         self.index_of = index_of
         self.owner = owner
-        self.ordered_delivery = ordered_delivery
         # A session worker re-arms a fresh stepper per phase but keeps its
         # (empty-between-runs) inbox buffers, so passing them in avoids n
         # list allocations per phase.
@@ -381,17 +378,6 @@ class _ShardStepper:
         self.budget = budget
         self.budget_limit: float = float("inf") if budget is None else budget
         self.fast_finished = type(protocol).finished is Protocol.finished
-
-    @staticmethod
-    def ranges_are_ordered(plan: ShardPlan) -> bool:
-        """True when shard id ranges are disjoint and ascending.
-
-        Always true for the contiguous strategy: delivering the per-source
-        message groups in shard order then yields each inbox already in
-        ascending-sender order, so no per-box sort is needed.
-        """
-        ranges = [(owned[0], owned[-1]) for owned in plan.shards if owned]
-        return all(ranges[i][1] < ranges[i + 1][0] for i in range(len(ranges) - 1))
 
     # ------------------------------------------------------------------
     def drain(
@@ -499,17 +485,10 @@ class _ShardStepper:
 
         # --- delivery -----------------------------------------------------
         # Local pending and the barrier-routed boundary groups are walked in
-        # ascending source-shard order; when the shard id ranges are ordered
-        # (``ordered_delivery``) that *is* ascending-sender order and the
-        # boxes come out contract-ordered for free.  Otherwise any box that
-        # received boundary mail is stably re-sorted by sender id below —
-        # stability keeps each sender's messages in send order (a sender's
-        # messages all originate in one shard).
+        # ascending source-shard order, which over contiguous shards *is*
+        # ascending-sender order: the boxes come out contract-ordered.
         remote_from = shard.remote_from
         own_index = shard.index
-        dirty: Optional[Set[int]] = (
-            None if self.ordered_delivery else set()
-        )
         for source in range(len(remote_from)):
             if source == own_index:
                 for receiver_index, inbound in zip(
@@ -523,25 +502,12 @@ class _ShardStepper:
             group_indices, group_inbound = remote_from[source]
             if not group_indices:
                 continue
-            if dirty is None:
-                for receiver_index, inbound in zip(group_indices, group_inbound):
-                    box = buffers[receiver_index]
-                    if not box:
-                        touched.append(receiver_index)
-                    box.append(inbound)
-            else:
-                for receiver_index, inbound in zip(group_indices, group_inbound):
-                    box = buffers[receiver_index]
-                    if not box:
-                        touched.append(receiver_index)
-                    box.append(inbound)
-                    dirty.add(receiver_index)
-            remote_from[source] = ([], [])
-        if dirty:
-            for receiver_index in dirty:
+            for receiver_index, inbound in zip(group_indices, group_inbound):
                 box = buffers[receiver_index]
-                if len(box) > 1:
-                    box.sort(key=_sender_key)
+                if not box:
+                    touched.append(receiver_index)
+                box.append(inbound)
+            remote_from[source] = ([], [])
         shard.pending_index = []
         shard.pending_inbound = []
         shard.interned.clear()
@@ -611,7 +577,6 @@ class _ShardedRun(_ShardStepper):
             ctx_list=contexts.materialize(),
             index_of=network.node_index_of,
             owner=plan.owner,
-            ordered_delivery=self.ranges_are_ordered(plan),
         )
         self.network = network
         self.config = config
@@ -742,18 +707,15 @@ class ShardedEngine(Engine):
 
     Selectable as ``engine="sharded"``.  The registry instance reads every
     knob from the configuration (``CongestConfig.shards``,
-    ``CongestConfig.shard_strategy``, ``CongestConfig.shard_backend``);
-    constructor arguments override the configuration for callers that build
-    their own instance (the E14/E15 benchmarks, tests).
+    ``CongestConfig.shard_backend``); constructor arguments override the
+    configuration for callers that build their own instance (the E14/E15
+    benchmarks, tests).
 
     Parameters
     ----------
-    shards / strategy / backend:
-        Shard count, partitioner strategy and execution backend (one of
-        :data:`SHARD_BACKENDS`).  ``None`` defers to the configuration.
-    partition_seed:
-        Seed of the partitioner's RNG (plans are deterministic for a fixed
-        seed).
+    shards / backend:
+        Shard count and execution backend (one of :data:`SHARD_BACKENDS`).
+        ``None`` defers to the configuration.
     collect_stats:
         When True, accumulate cross-shard traffic statistics into
         :attr:`stats` across executions.  Off for the registry instance —
@@ -766,9 +728,7 @@ class ShardedEngine(Engine):
     def __init__(
         self,
         shards: Optional[int] = None,
-        strategy: Optional[str] = None,
         backend: Optional[str] = None,
-        partition_seed: int = 0,
         collect_stats: bool = False,
     ) -> None:
         if shards is not None and shards < 1:
@@ -779,18 +739,14 @@ class ShardedEngine(Engine):
                 % (backend, ", ".join(SHARD_BACKENDS))
             )
         self.shards = shards
-        self.strategy = strategy
         self.backend = backend
-        self.partition_seed = partition_seed
         self.stats: Optional[ShardingStats] = (
             ShardingStats() if collect_stats else None
         )
 
     # ------------------------------------------------------------------
-    def resolve_structure(
-        self, config: CongestConfig
-    ) -> Tuple[int, str, str]:
-        """``(shards, strategy, backend)`` for *config* under this instance.
+    def resolve_structure(self, config: CongestConfig) -> Tuple[int, str]:
+        """``(shards, backend)`` for *config* under this instance.
 
         Instance constructor arguments override the configuration's
         fields.  This is the single resolution used by :meth:`execute`,
@@ -798,9 +754,6 @@ class ShardedEngine(Engine):
         validation, so the three can never drift.
         """
         shards = self.shards if self.shards is not None else config.shards
-        strategy = (
-            self.strategy if self.strategy is not None else config.shard_strategy
-        )
         backend = self.backend if self.backend is not None else config.shard_backend
         if backend not in SHARD_BACKENDS:
             raise ValueError(
@@ -809,7 +762,7 @@ class ShardedEngine(Engine):
             )
         if shards < 1:
             raise ValueError("shards must be at least 1, got %r" % (shards,))
-        return shards, strategy, backend
+        return shards, backend
 
     # ------------------------------------------------------------------
     def execute(
@@ -822,7 +775,7 @@ class ShardedEngine(Engine):
         reuse_contexts: bool = False,
     ) -> RunResult:
         config = config or CongestConfig()
-        shards, strategy, backend = self.resolve_structure(config)
+        shards, backend = self.resolve_structure(config)
         if backend == "process":
             # A one-shot session: spawned, run and closed (workers reaped,
             # shared-memory segment unlinked) on every exit path.
@@ -845,9 +798,7 @@ class ShardedEngine(Engine):
                     plan=session.plan,
                 )
             return result
-        plan = cached_partition(
-            network, shards, strategy=strategy, seed=self.partition_seed
-        )
+        plan = cached_partition(network, shards)
         contexts = network.build_contexts(
             global_inputs=global_inputs,
             per_node_inputs=per_node_inputs,
@@ -882,7 +833,7 @@ class ShardedEngine(Engine):
         memoised per network), so it gets the default session.
         """
         config = config or CongestConfig()
-        shards, strategy, backend = self.resolve_structure(config)
+        shards, backend = self.resolve_structure(config)
         if backend == "process":
             # Imported lazily: workers.py needs this module's stepper.
             from repro.congest.sharding.workers import ProcessSession
@@ -892,8 +843,6 @@ class ShardedEngine(Engine):
                 network=network,
                 config=config,
                 shards=shards,
-                strategy=strategy,
-                partition_seed=self.partition_seed,
             )
         return super().open_session(network, config)
 

@@ -146,7 +146,6 @@ from repro.congest.sharding.partition import (
     ShardPlan,
     cached_partition,
     invalidate_partition_cache,
-    repair_plan,
 )
 from repro.congest.sharding.shm import SharedCSR
 from repro.congest.sharding.wire import WireBatch, WireDecoder, WireEncoder
@@ -286,7 +285,6 @@ class _WorkerHarness:
         self.shard_index: int = init["shard_index"]
         self.owned: Tuple[int, ...] = tuple(init["owned"])
         self.n_shards: int = init["n_shards"]
-        self.ordered_delivery: bool = init["ordered_delivery"]
         self.inbox_buffers: List[List] = [[] for _ in ctx_list]
         # One wire channel per (this shard → destination) and per
         # (source → this shard); kind-interning tables stay synchronized
@@ -336,7 +334,6 @@ class _WorkerHarness:
             ctx_list=ctx_list,
             index_of=self.index_of,
             owner=self.owner,
-            ordered_delivery=self.ordered_delivery,
             inbox_buffers=self.inbox_buffers,
         )
         self.shard = _ShardState(self.shard_index, self.owned, self.n_shards)
@@ -647,7 +644,6 @@ def _reap(
 def _spawn_workers(
     plan: ShardPlan,
     ids: Sequence[int],
-    ordered_delivery: bool,
     contexts: ContextRegistry,
     shared_csr: SharedCSR,
 ) -> List[_WorkerHandle]:
@@ -665,7 +661,6 @@ def _spawn_workers(
     init_common: Dict[str, Any] = {
         "n": len(ids),
         "n_shards": plan.n_shards,
-        "ordered_delivery": ordered_delivery,
         "shm_name": shared_csr.name,
     }
     for shard_index, owned in enumerate(plan.shards):
@@ -1149,15 +1144,15 @@ class ProcessSession(CongestSession):
     * any error escaping an ``execute`` — model violations, worker deaths —
       tears the pool down *immediately*; the next ``execute`` (if any)
       starts a fresh pool, and ``close`` is then a no-op for workers;
-    * a network whose CSR fingerprint changed mid-session is reconciled
-      against the network's delta ledger: a change fully explained by
-      :meth:`repro.congest.network.Network.apply_delta` calls is *absorbed*
-      — the shard plan is repaired incrementally around the touched nodes,
-      the shm mapping rebuilt, and only dirty shards' workers respawned at
-      the next execute — while any unexplained change (one made behind
-      the delta API) invalidates the partition memo and raises,
-      because the plan, the mapping and the worker routing tables all
-      describe a topology nobody can account for.
+    * a network whose CSR fingerprint changed mid-session is checked
+      against the fingerprint its latest
+      :meth:`repro.congest.network.Network.apply_delta` produced: a change
+      that delta explains is *absorbed* — the plan is rebuilt through the
+      partition memo, the shm mapping dropped and the whole pool respawned
+      at the next execute — while any other change (one made behind the
+      delta API) invalidates the partition memo and raises, because the
+      plan, the mapping and the worker routing tables all describe a
+      topology nobody can account for.
 
     Per-phase partials and session totals (boundary bytes, barrier rounds,
     setup seconds, shm bytes) are exposed as :attr:`stats`, a
@@ -1170,8 +1165,6 @@ class ProcessSession(CongestSession):
         network: Network,
         config: CongestConfig,
         shards: int,
-        strategy: str,
-        partition_seed: int,
     ) -> None:
         super().__init__(engine, network, config)
         ids, _indptr, _indices = network.csr()
@@ -1183,40 +1176,19 @@ class ProcessSession(CongestSession):
         self._ids = ids
         self.stats = ShardingStats()
         self._shards = shards
-        self._strategy = strategy
-        self._partition_seed = partition_seed
         self._fingerprint = network.csr_fingerprint()
-        self.plan = cached_partition(
-            network,
-            shards,
-            strategy=strategy,
-            seed=partition_seed,
-            fingerprint=self._fingerprint,
+        self.plan = self.stats.plan = cached_partition(
+            network, shards, fingerprint=self._fingerprint
         )
-        self.stats.plans.append(self.plan)
-        self._ordered = _ShardStepper.ranges_are_ordered(self.plan)
         self._pool: Optional[_WorkerPool] = None
         self.shared_csr: Optional[SharedCSR] = None
         #: ``network.context_epoch`` as of the last execute whose fold-back
         #: synchronised parent and worker context state; ``None`` until the
         #: first execute completes.
         self._epoch: Optional[int] = None
-        #: ``network.delta_epoch`` watermark: ledger entries above it are
-        #: deltas this session has not yet absorbed.
+        #: ``network.delta_epoch`` watermark: a delta above it is one this
+        #: session has not yet absorbed.
         self._delta_epoch: int = network.delta_epoch
-        #: Shards whose workers must be respawned at the next execute
-        #: because an absorbed delta dirtied them (``None``: no partial
-        #: respawn pending).
-        self._dirty_shards: Optional[Tuple[int, ...]] = None
-        #: ``(touched_indices, dirty_shards)`` of the last absorbed delta,
-        #: or ``None``; regression tests and the service's stats read it.
-        self.last_repair: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
-        #: Shard indices whose worker was (re)spawned by the last execute
-        #: (empty tuple: light re-arm only) — the "recomputed only the
-        #: dirty shard" assertion the acceptance tests make.
-        self.last_respawned_shards: Tuple[int, ...] = ()
-        #: Count of deltas absorbed via incremental repair.
-        self.repairs: int = 0
         #: True once supervised retry exhausted its attempts and the
         #: session fell back to the serial in-process sharded backend —
         #: sticky for the rest of the session (the condition that killed
@@ -1226,23 +1198,13 @@ class ProcessSession(CongestSession):
     # ------------------------------------------------------------------
     def _check_config(self, config: CongestConfig) -> None:
         """Reject per-execute overrides that conflict with the fixed plan."""
-        shards, strategy, backend = self.engine.resolve_structure(config)
-        if (shards, strategy, backend) != (
-            self._shards,
-            self._strategy,
-            "process",
-        ):
+        shards, backend = self.engine.resolve_structure(config)
+        if (shards, backend) != (self._shards, "process"):
             raise ValueError(
-                "per-execute config resolves to %r shards / %r strategy / %r "
-                "backend, but this session was opened with %r / %r / "
-                "'process'; structural knobs are fixed for a session's "
-                "lifetime" % (
-                    shards,
-                    strategy,
-                    backend,
-                    self._shards,
-                    self._strategy,
-                )
+                "per-execute config resolves to %r shards / %r backend, but "
+                "this session was opened with %r / 'process'; structural "
+                "knobs are fixed for a session's lifetime"
+                % (shards, backend, self._shards)
             )
 
     def _teardown_pool(self, force: bool = False) -> None:
@@ -1291,26 +1253,8 @@ class ProcessSession(CongestSession):
         reuse_contexts: bool,
     ) -> RunResult:
         self._check_config(config)
+        self._reconcile_topology()
         network = self.network
-        fingerprint = network.csr_fingerprint()
-        if fingerprint != self._fingerprint:
-            # Repairable iff the divergence is fully explained by deltas
-            # applied through Network.apply_delta since the session's
-            # watermark; anything else is an external structural override
-            # (one made behind the delta API) and stays fatal —
-            # the plan, the shm mapping and the worker routing tables all
-            # describe a topology nobody can account for.
-            if not self._absorb_delta(fingerprint):
-                invalidate_partition_cache(network)
-                raise ProtocolError(
-                    "the network mutated during an execution session: its CSR "
-                    "fingerprint no longer matches the shard plan the session "
-                    "was opened with, and the change is not explained by "
-                    "Network.apply_delta (the partition memo has been "
-                    "invalidated; open a new session on a freshly built "
-                    "Network, or mutate through apply_delta so the session "
-                    "can repair incrementally)"
-                )
 
         # Contexts mutated outside the session (a direct build_contexts
         # call between phases) make worker-held state stale; detect via the
@@ -1329,16 +1273,14 @@ class ProcessSession(CongestSession):
 
         # Supervised retry: each attempt runs the phase on a pool; a
         # ShardWorkerError (timeouts included) with a retry_policy set
-        # tears the pool down and *replays the phase* — the fingerprint /
-        # delta / epoch reconciliation and build_contexts above ran once,
+        # tears the pool down and *replays the phase* — the topology /
+        # epoch reconciliation and build_contexts above ran once,
         # and the parent's contexts are bit-identical to the phase start
         # because the harvest folds worker state back only after every
         # worker reported.  The respawned pool re-ships those pristine
-        # contexts (the arm after a spawn replays no inputs), so the replay is deterministic by
-        # the engine contract.  Wire-codec interning state is per pool,
-        # so a retry must always respawn the *whole* pool: a partial
-        # respawn would desynchronize surviving encoders from fresh
-        # decoders.
+        # contexts (the arm after a spawn replays no inputs), so the replay
+        # is deterministic by the engine contract.  Wire-codec interning
+        # state is per pool, which is why a retry respawns the whole pool.
         plan_faults = config.fault_plan
         attempt = 0
         while True:
@@ -1434,25 +1376,9 @@ class ProcessSession(CongestSession):
         network = self.network
         setup_started = time.perf_counter()
         if self._pool is None or not reuse_contexts or external:
-            self._teardown_pool()
-            self._dirty_shards = None
-            if self.shared_csr is None:
-                self.shared_csr = SharedCSR.create(network, self.plan)
-                self.stats.shm_bytes = self.shared_csr.nbytes
-            handles = _spawn_workers(
-                self.plan,
-                self._ids,
-                self._ordered,
-                contexts,
-                shared_csr=self.shared_csr,
-            )
-            self._pool = _WorkerPool(handles, config.worker_join_timeout)
+            self._spawn_pool(config, contexts)
             self._pool.rearm(protocol, config)
-            self.last_respawned_shards = tuple(
-                handle.shard_index for handle in handles
-            )
         else:
-            self.last_respawned_shards = self._respawn_dirty_shards(contexts)
             self._pool.rearm(
                 protocol,
                 config,
@@ -1526,20 +1452,8 @@ class ProcessSession(CongestSession):
         reuse_contexts: bool,
     ) -> List[RunResult]:
         self._check_config(config)
+        self._reconcile_topology()
         network = self.network
-        fingerprint = network.csr_fingerprint()
-        if fingerprint != self._fingerprint:
-            if not self._absorb_delta(fingerprint):
-                invalidate_partition_cache(network)
-                raise ProtocolError(
-                    "the network mutated during an execution session: its CSR "
-                    "fingerprint no longer matches the shard plan the session "
-                    "was opened with, and the change is not explained by "
-                    "Network.apply_delta (the partition memo has been "
-                    "invalidated; open a new session on a freshly built "
-                    "Network, or mutate through apply_delta so the session "
-                    "can repair incrementally)"
-                )
         external = self._epoch is None or network.context_epoch != self._epoch
         contexts = network.build_contexts(fresh=not reuse_contexts)
 
@@ -1629,26 +1543,8 @@ class ProcessSession(CongestSession):
         network = self.network
         setup_started = time.perf_counter()
         if self._pool is None or not reuse_contexts or external:
-            self._teardown_pool()
-            self._dirty_shards = None
-            if self.shared_csr is None:
-                self.shared_csr = SharedCSR.create(network, self.plan)
-                self.stats.shm_bytes = self.shared_csr.nbytes
-            handles = _spawn_workers(
-                self.plan,
-                self._ids,
-                self._ordered,
-                contexts,
-                shared_csr=self.shared_csr,
-            )
-            self._pool = _WorkerPool(handles, config.worker_join_timeout)
-            self._pool.rearm_sequence(protocols, config)
-            self.last_respawned_shards = tuple(
-                handle.shard_index for handle in handles
-            )
-        else:
-            self.last_respawned_shards = self._respawn_dirty_shards(contexts)
-            self._pool.rearm_sequence(protocols, config)
+            self._spawn_pool(config, contexts)
+        self._pool.rearm_sequence(protocols, config)
         self.stats.rearms += 1
         self.stats.fused_phases += len(protocols) - 1
         setup_seconds = time.perf_counter() - setup_started
@@ -1682,108 +1578,60 @@ class ProcessSession(CongestSession):
         return results
 
     # ------------------------------------------------------------------
-    def _absorb_delta(self, fingerprint: Tuple[int, int, int]) -> bool:
-        """Reconcile the session with deltas applied via ``apply_delta``.
-
-        Returns True when the fingerprint change is fully explained by the
-        network's delta ledger above this session's watermark — in which
-        case the shard plan is repaired *incrementally* around the touched
-        nodes (:func:`repro.congest.sharding.partition.repair_plan`), the
-        shared-memory CSR mapping is scheduled for rebuild, and only the
-        dirty shards' workers are marked for respawn (full respawn when
-        ownership moved, since every worker's routing tables embed the
-        owner array).  Returns False — leaving the session untouched — for
-        any divergence the ledger cannot account for.
-        """
-        network = self.network
-        pending = network.deltas_since(self._delta_epoch)
-        if not pending or pending[-1].fingerprint_after != fingerprint:
-            return False
-        index_of = network.node_index_of
-        touched = tuple(
-            sorted({index_of[v] for record in pending for v in record.touched})
-        )
-        # Plans memoised for the pre-delta topology must never be served
-        # again; the repaired plan below belongs to the session, not the
-        # global memo (a fresh caller recomputes from scratch).
-        invalidate_partition_cache(network)
-        old_plan = self.plan
-        new_plan, dirty = repair_plan(network, old_plan, touched)
-        self.plan = new_plan
-        self._ordered = _ShardStepper.ranges_are_ordered(new_plan)
-        self._fingerprint = fingerprint
-        self._delta_epoch = network.delta_epoch
-        self.stats.plans.append(new_plan)
-        self.repairs += 1
-        self.last_repair = (touched, dirty)
-        # The mapping packs the CSR arrays, which just changed; drop it and
-        # let the next spawn rebuild.  Unlink is safe while clean workers
-        # stay attached — their mapping lives until they exit, and they
-        # only ever read the id/owner tables, which are unchanged whenever
-        # they are kept.
-        if self.shared_csr is not None:
-            shared, self.shared_csr = self.shared_csr, None
-            shared.destroy()
-        if self._pool is not None and new_plan.owner == old_plan.owner:
-            self._dirty_shards = dirty
-        else:
-            # Ownership moved (or no pool yet): surviving workers would
-            # hold stale owner tables, so everyone respawns.
-            self._teardown_pool()
-            self._dirty_shards = None
-        return True
-
-    def _respawn_dirty_shards(
-        self, contexts: ContextRegistry
-    ) -> Tuple[int, ...]:
-        """Mid-pipeline delta absorption before a re-arm; returns the respawned shards.
-
-        Only the dirty shards' workers are respawned (their contexts'
-        neighbour views and adjacency rows changed); clean shards keep
-        their processes and take the usual re-arm.
-        """
-        if self._dirty_shards is None:
-            return ()
-        dirty, self._dirty_shards = self._dirty_shards, None
+    def _spawn_pool(
+        self, config: CongestConfig, contexts: ContextRegistry
+    ) -> None:
+        """Replace the pool with one fresh worker per non-empty shard."""
+        self._teardown_pool()
         if self.shared_csr is None:
             self.shared_csr = SharedCSR.create(self.network, self.plan)
             self.stats.shm_bytes = self.shared_csr.nbytes
-        self._respawn_shards(dirty, contexts)
-        return tuple(dirty)
+        handles = _spawn_workers(
+            self.plan, self._ids, contexts, shared_csr=self.shared_csr
+        )
+        self._pool = _WorkerPool(handles, config.worker_join_timeout)
 
-    def _respawn_shards(
-        self, dirty: Tuple[int, ...], contexts: ContextRegistry
-    ) -> None:
-        """Replace the workers of *dirty* shards, keeping every other one.
+    def _reconcile_topology(self) -> None:
+        """Absorb an ``apply_delta`` mutation; refuse any other topology change.
 
-        Only valid when the plan's owner array is unchanged (checked by the
-        caller via :meth:`_absorb_delta`): surviving workers keep their
-        id→index and owner tables and their attachment to the retired shm
-        segment, both still accurate.  The dirty shards' new workers attach
-        the rebuilt segment and inherit the parent's (already patched)
-        contexts.
+        A changed CSR fingerprint is explained when it is the one the
+        network's latest :meth:`~repro.congest.network.Network.apply_delta`
+        produced and that delta came after the session's watermark.  The
+        session then rebuilds its plan through the partition memo (the
+        contiguous owner array is unchanged, the cut statistics are not),
+        drops the shared-memory mapping, whose CSR columns are stale, and
+        tears the pool down: the next execute respawns every worker from
+        the parent's contexts, whose neighbour views the delta patched.
+        Any other change invalidates the partition memo and raises — the
+        plan, the mapping and the worker routing tables all describe a
+        topology nobody can account for.
         """
-        pool = self._pool
-        dirty_set = set(dirty)
-        keep = [h for h in pool.handles if h.shard_index not in dirty_set]
-        drop = [h for h in pool.handles if h.shard_index in dirty_set]
-        _reap(drop, pool.join_timeout)
-        masked = replace(
-            self.plan,
-            shards=tuple(
-                owned if shard in dirty_set else ()
-                for shard, owned in enumerate(self.plan.shards)
-            ),
-        )
-        fresh = _spawn_workers(
-            masked,
-            self._ids,
-            self._ordered,
-            contexts,
-            shared_csr=self.shared_csr,
-        )
-        pool.handles = sorted(
-            keep + fresh, key=lambda handle: handle.shard_index
+        network = self.network
+        fingerprint = network.csr_fingerprint()
+        if fingerprint == self._fingerprint:
+            return
+        if (
+            network.delta_epoch <= self._delta_epoch
+            or network.delta_fingerprint != fingerprint
+        ):
+            invalidate_partition_cache(network)
+            raise ProtocolError(
+                "the network mutated during an execution session: its CSR "
+                "fingerprint no longer matches the shard plan the session "
+                "was opened with, and the change is not explained by "
+                "Network.apply_delta (the partition memo has been "
+                "invalidated; open a new session on a freshly built "
+                "Network, or mutate through apply_delta so the session "
+                "can absorb the change)"
+            )
+        self._teardown_pool()
+        if self.shared_csr is not None:
+            shared, self.shared_csr = self.shared_csr, None
+            shared.destroy()
+        self._fingerprint = fingerprint
+        self._delta_epoch = network.delta_epoch
+        self.plan = self.stats.plan = cached_partition(
+            network, self._shards, fingerprint=fingerprint
         )
 
     # ------------------------------------------------------------------

@@ -29,16 +29,14 @@ Three layers, each usable on its own:
 
 :mod:`repro.service.stats`
     :class:`ServiceStats` / :class:`QueryRecord` — lifetime counters and
-    the per-query record (full / incremental / cached, nodes recomputed,
-    dirty shards) the acceptance tests assert against.
+    the per-query record (full / incremental / cached, nodes recomputed)
+    the acceptance tests assert against.
 
 The underlying delta machinery lives with the structures it mutates:
 :meth:`Network.apply_delta <repro.congest.network.Network.apply_delta>`
-(validated batch updates, amortised CSR rebuild, the applied-delta
-ledger), :func:`repair_plan <repro.congest.sharding.repair_plan>`
-(incremental FM repair of a shard plan around the touched nodes) and the
-persistent ``ProcessSession``'s delta absorption (respawn only the dirty
-shards' workers).
+(validated batch updates that splice only the touched CSR rows) and the
+persistent ``ProcessSession``, which absorbs a delta by rebuilding its
+shard plan and respawning its worker pool at the next full query.
 """
 
 from repro.service.daemon import NearCliqueDaemon

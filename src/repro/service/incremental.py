@@ -273,7 +273,6 @@ class NearCliqueService:
             kind="full",
             recomputed_nodes=self.network.n,
             total_nodes=self.network.n,
-            dirty_shards=self._shards_of(self.network.node_ids),
         )
         return self._finish(result, seed, record)
 
@@ -328,7 +327,6 @@ class NearCliqueService:
             kind="incremental",
             recomputed_nodes=len(region),
             total_nodes=network.n,
-            dirty_shards=self._shards_of(region),
         )
 
         if sub_result.aborted:
@@ -412,21 +410,3 @@ class NearCliqueService:
             sample_probability=cached.sample_probability,
             metrics=sub_result.metrics,
         )
-
-    # ------------------------------------------------------------------
-    def _shards_of(self, nodes: Iterable[int]) -> Tuple[int, ...]:
-        """Shards of the service's plan owning *nodes* (sharded engine only)."""
-        if self.config.engine != "sharded":
-            return ()
-        plan = getattr(self._session, "plan", None)
-        if plan is None:
-            from repro.congest.sharding import cached_partition
-            from repro.congest.sharding.engine import ShardedEngine
-
-            engine = self._engine
-            if not isinstance(engine, ShardedEngine):  # pragma: no cover
-                return ()
-            shards, strategy, _backend = engine.resolve_structure(self.config)
-            plan = cached_partition(self.network, shards, strategy)
-        index_of = self.network.node_index_of
-        return tuple(sorted({plan.owner[index_of[v]] for v in nodes}))

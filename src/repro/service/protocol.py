@@ -306,7 +306,6 @@ def record_payload(record: QueryRecord) -> Dict[str, Any]:
         "kind": record.kind,
         "recomputed_nodes": record.recomputed_nodes,
         "total_nodes": record.total_nodes,
-        "dirty_shards": list(record.dirty_shards),
     }
 
 

@@ -32,15 +32,11 @@ class QueryRecord:
     recomputed_nodes / total_nodes:
         Size of the region the CONGEST pipeline actually ran on versus the
         system size — the incremental win is their ratio.
-    dirty_shards:
-        Shards (of the service's partition plan) owning recomputed nodes;
-        empty when the configured engine is not sharded or nothing ran.
     """
 
     kind: str
     recomputed_nodes: int
     total_nodes: int
-    dirty_shards: Tuple[int, ...] = ()
 
     @property
     def recomputed_fraction(self) -> float:

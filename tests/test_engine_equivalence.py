@@ -16,7 +16,7 @@ test id — which is also what lets CI run the suite once per engine with
 ``-k <engine>``.  The sharded engine's process backend (worker processes
 exchanging packed boundary batches) runs as one more arm, ``process``, of
 the engine-parametrized classes, and :class:`TestProcessBackend` adds its
-shard-count, strategy and whole-pipeline cases; their ids carry
+shard-count and whole-pipeline cases; their ids carry
 ``process`` for the same reason.  The tests that run the runner's
 kernel-covered phases add a ``callbacks`` arm: the vectorized engine with
 every kernel suppressed, so the callback loop runs those phases too.
@@ -341,27 +341,24 @@ class TestWrapperEquivalence:
 
 
 class TestShardedConfigurations:
-    """The sharded engine across shard counts and strategies.
+    """The sharded engine across shard counts.
 
     The engine-parametrized classes above already run ``"sharded"`` at its
-    default configuration (4 contiguous shards, serial); these tests pin
-    the contract for every shard count in {1, 2, 4} — including the
-    single-shard case, which must degenerate to the callback loop's semantics —
-    and both partitioner strategies.
+    default configuration (4 shards, serial); these tests pin the contract
+    for every shard count in {1, 2, 4, 64} — including the single-shard
+    case, which must degenerate to the callback loop's semantics, and more
+    shards than nodes.
     """
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("strategy", ["contiguous", "bfs"])
-    def test_shard_counts_identical_to_reference(self, shards, strategy):
+    @pytest.mark.parametrize("shards", [1, 2, 4, 64])
+    def test_shard_counts_identical_to_reference(self, shards):
         graph, _ = generators.planted_near_clique(
             n=40, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=7
         )
         reference = _run_primitive_suite(graph, "reference")
-        candidate = _run_primitive_suite(
-            graph, "sharded", shards=shards, shard_strategy=strategy
-        )
+        candidate = _run_primitive_suite(graph, "sharded", shards=shards)
         assert candidate == reference, (
-            "sharded engine diverged with %d %s shards" % (shards, strategy)
+            "sharded engine diverged with %d shards" % shards
         )
 
     @pytest.mark.parametrize("graph", [g for _, g in GRAPHS], ids=GRAPH_IDS)
@@ -396,21 +393,16 @@ class TestProcessBackend:
     """
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("strategy", ["contiguous", "bfs", "bfs+refine"])
-    def test_process_shards_and_strategies(self, shards, strategy):
+    def test_process_shard_counts(self, shards):
         graph, _ = generators.planted_near_clique(
             n=40, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=7
         )
         reference = _run_primitive_suite(graph, "reference")
         candidate = _run_primitive_suite(
-            graph,
-            "sharded",
-            shards=shards,
-            shard_strategy=strategy,
-            shard_backend="process",
+            graph, "sharded", shards=shards, shard_backend="process"
         )
         assert candidate == reference, (
-            "process backend diverged with %d %s shards" % (shards, strategy)
+            "process backend diverged with %d shards" % shards
         )
 
     def test_full_runner_identical_process(self):
@@ -622,8 +614,7 @@ class TestEngineRegistry:
         assert config.with_max_rounds(5).engine == "vectorized"
 
     def test_config_with_sharding(self):
-        config = CongestConfig().with_sharding(shards=2, strategy="bfs")
+        config = CongestConfig().with_sharding(shards=2)
         assert config.engine == "sharded"
         assert config.shards == 2
-        assert config.shard_strategy == "bfs"
         assert config.with_log_budget(64).shards == 2

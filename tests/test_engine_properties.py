@@ -41,7 +41,7 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.congest.scheduler import _STALL_LIMIT, run_protocol
-from repro.congest.sharding import PARTITION_STRATEGIES, SHARD_BACKENDS
+from repro.congest.sharding import SHARD_BACKENDS
 
 #: Engine configurations by arm id.
 ARMS = {name: {"engine": name} for name in available_engines()}
@@ -310,15 +310,14 @@ class TestPartitionInvisible:
     """How the sharded engine partitions the graph is invisible to the
     protocol: every node sees the same traffic, in the same order, in the
     same rounds, as under the vectorized engine — whichever backend steps the
-    shards, however many there are and whichever strategy cut them."""
+    shards and however many there are, more than the nodes included."""
 
     # Ids name the arm the CI engine matrix selects ("sharded", "process").
     @pytest.mark.parametrize(
         "backend", SHARD_BACKENDS, ids=["sharded-serial", "process"]
     )
-    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
-    @pytest.mark.parametrize("shards", [2, 5])
-    def test_traffic_is_partition_independent(self, shards, strategy, backend):
+    @pytest.mark.parametrize("shards", [2, 5, 24])
+    def test_traffic_is_partition_independent(self, shards, backend):
         seed = shards + 2
         graph = nx.gnp_random_graph(18, 0.3, seed=seed)
         graph.add_edges_from(nx.path_graph(18).edges())
@@ -327,9 +326,7 @@ class TestPartitionInvisible:
             ("vectorized", CongestConfig(engine="vectorized")),
             (
                 "sharded",
-                CongestConfig().with_sharding(
-                    shards=shards, strategy=strategy, backend=backend
-                ),
+                CongestConfig().with_sharding(shards=shards, backend=backend),
             ),
         ):
             result = run_protocol(

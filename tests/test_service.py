@@ -79,16 +79,20 @@ def _assert_identical(result, oracle):
 # the Network delta API
 # ----------------------------------------------------------------------
 class TestNetworkDeltaAPI:
-    def test_effective_delta_updates_graph_and_ledger(self):
+    def test_effective_delta_updates_graph_and_fingerprint(self):
         network = Network(nx.path_graph(6), seed=0)
+        assert network.delta_fingerprint is None
         record = network.apply_delta(additions=[(0, 5)], removals=[(2, 3)])
         assert record.epoch == 1 == network.delta_epoch
         assert record.added == ((0, 5),)
         assert record.removed == ((2, 3),)
         assert record.touched == frozenset({0, 2, 3, 5})
         assert network.has_edge(0, 5) and not network.has_edge(2, 3)
-        assert network.deltas_since(0) == (record,)
-        assert network.deltas_since(1) == ()
+        assert (
+            network.delta_fingerprint
+            == record.fingerprint_after
+            == network.csr_fingerprint()
+        )
 
     def test_noop_entries_are_dropped_without_epoch_bump(self):
         network = Network(nx.path_graph(4), seed=0)
@@ -96,7 +100,32 @@ class TestNetworkDeltaAPI:
         assert record.edges_changed == 0
         assert record.touched == frozenset()
         assert network.delta_epoch == 0
-        assert network.deltas_since(0) == ()
+        assert network.delta_fingerprint is None
+
+    def test_thousand_deltas_leave_no_per_delta_records(self):
+        # The network keeps one value per delta stream (the latest
+        # fingerprint), not one record per delta: after 1000 deltas that
+        # end on the starting topology, every container it holds has the
+        # size it had before.
+        def sizes(network):
+            return {
+                name: len(value)
+                for name, value in vars(network).items()
+                if isinstance(value, (list, tuple, dict, set, frozenset))
+            }
+
+        network = Network(nx.path_graph(6), seed=0)
+        network.apply_delta(additions=[(0, 5)])
+        network.apply_delta(removals=[(0, 5)])
+        before = sizes(network)
+        for i in range(1000):
+            if i % 2:
+                network.apply_delta(removals=[(0, 5)])
+            else:
+                network.apply_delta(additions=[(0, 5)])
+        assert network.delta_epoch == 1002
+        assert sizes(network) == before
+        assert network.delta_fingerprint == network.csr_fingerprint()
 
     def test_validation_precedes_mutation(self):
         network = Network(nx.path_graph(4), seed=0)
@@ -274,7 +303,7 @@ class TestServiceQueries:
         assert stats.deltas == 1
         assert stats.nodes_recomputed == 16 + 8
 
-    def test_sharded_record_names_only_dirty_shards(self, monkeypatch):
+    def test_region_reruns_on_the_default_engine(self, monkeypatch):
         # The full query runs on the service's engine; the dirty region
         # runs in-process on the default one.
         engines = []
@@ -292,12 +321,10 @@ class TestServiceQueries:
         )
         service = NearCliqueService(graph, PARAMS, config=config)
         with service:
-            full = service.query(seed=3)
-            assert full.record.dirty_shards == (0, 1, 2)
+            assert service.query(seed=3).record.kind == "full"
             service.apply_delta(removals=[(22, 23)])
             outcome = service.query(seed=3)
             assert outcome.record.kind == "incremental"
-            assert outcome.record.dirty_shards == (2,)
             assert outcome.record.recomputed_nodes == 10
         assert engines == ["sharded", DEFAULT_ENGINE]
 
@@ -305,7 +332,7 @@ class TestServiceQueries:
 class TestServicePersistentSession:
     """The service over one long-lived process-backend session."""
 
-    def test_session_incremental_query_recomputes_only_dirty_shard(self):
+    def test_session_incremental_query_then_absorbed_full_query(self):
         graph = _block_graph([10, 10, 10])
         config = CongestConfig(
             engine="sharded", shards=3, shard_backend="process"
@@ -320,19 +347,18 @@ class TestServicePersistentSession:
             graph.remove_edge(22, 23)
             outcome = service.query(seed=3)
             assert outcome.record.kind == "incremental"
-            assert outcome.record.dirty_shards == (2,)
             assert outcome.record.recomputed_nodes == 10
             _assert_identical(outcome.result, _fresh(graph, 3))
 
             # A reseeded full query goes through the long-lived session,
-            # which absorbs the pending delta by repairing its plan.
+            # which absorbs the pending delta: its plan now describes the
+            # post-delta topology.
+            session = service.session
             follow = service.query(seed=8)
             assert follow.record.kind == "full"
             _assert_identical(follow.result, _fresh(graph, 8))
-            assert service.session.repairs == 1
-            touched, dirty = service.session.last_repair
-            assert set(touched) == {22, 23}
-            assert dirty == (2,)
+            assert service.session is session
+            assert session.plan.total_edges == service.network.number_of_edges()
 
 
 # ----------------------------------------------------------------------
@@ -663,7 +689,6 @@ def _legacy_query_line(outcome) -> str:
             "kind": record.kind,
             "recomputed_nodes": record.recomputed_nodes,
             "total_nodes": record.total_nodes,
-            "dirty_shards": list(record.dirty_shards),
         },
     }
     if result.metrics is not None:

@@ -1,10 +1,10 @@
 """Tests for the sharding subsystem: partitioner, plan invariants, engine knobs.
 
 The differential suite (``tests/test_engine_equivalence.py``) already holds
-``engine="sharded"`` to the bit-identical contract across protocols, shard
-counts and strategies; this module covers the partitioner itself — plan
-invariants on awkward graphs (disconnected, k > n, mixed labels),
-determinism under a fixed seed, cut statistics — the engine's
+``engine="sharded"`` to the bit-identical contract across protocols and
+shard counts; this module covers the partitioner itself — plan invariants
+on awkward graphs (disconnected, k > n, mixed labels), determinism, cut
+statistics — the engine's
 configuration surface (single shard degenerating to the vectorized engine,
 traffic statistics), and the process backend's workers and sessions.
 """
@@ -39,7 +39,6 @@ from repro.congest.node import Protocol
 from repro.congest.pipeline import compile_pipeline
 from repro.congest.scheduler import run_protocol
 from repro.congest.sharding import (
-    PARTITION_STRATEGIES,
     SHARD_BACKENDS,
     SharedCSR,
     ShardPlan,
@@ -48,9 +47,8 @@ from repro.congest.sharding import (
     cached_partition,
     invalidate_partition_cache,
     partition_network,
-    repair_plan,
-    shard_fingerprints,
 )
+from repro.congest.sharding.engine import _ShardStepper
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 
@@ -58,7 +56,7 @@ from conftest import run_fingerprint
 
 
 def _check_plan_invariants(plan: ShardPlan, network: Network) -> None:
-    """The structural promises every plan makes, regardless of strategy."""
+    """The structural promises every plan makes."""
     n = network.n
     assert plan.n == n
     assert len(plan.shards) == plan.n_shards
@@ -83,64 +81,53 @@ def _check_plan_invariants(plan: ShardPlan, network: Network) -> None:
         assert plan.cut_fraction == 0.0
 
 
-@pytest.fixture(params=PARTITION_STRATEGIES)
-def strategy(request):
-    return request.param
-
-
 class TestPartitioner:
-    def test_invariants_on_random_graph(self, strategy):
+    def test_invariants_on_random_graph(self):
         network = Network(nx.gnp_random_graph(40, 0.15, seed=2), seed=1)
         for k in (1, 2, 3, 7):
-            plan = partition_network(network, k, strategy=strategy, seed=5)
+            plan = partition_network(network, k)
             _check_plan_invariants(plan, network)
 
-    def test_disconnected_graph_fully_assigned(self, strategy):
-        # Three components plus isolated nodes: every node must land in a
-        # shard even when no BFS seed reaches its component.
+    def test_disconnected_graph_fully_assigned(self):
+        # Three components plus isolated nodes: every node lands in a shard.
         graph = nx.Graph()
         graph.add_edges_from(nx.path_graph(6).edges())
         graph.add_edges_from((10 + u, 10 + v) for u, v in nx.cycle_graph(5).edges())
         graph.add_edges_from([(20, 21), (21, 22)])
         graph.add_nodes_from([30, 31, 32])
         network = Network(graph, seed=0)
-        plan = partition_network(network, 3, strategy=strategy, seed=4)
+        plan = partition_network(network, 3)
         _check_plan_invariants(plan, network)
 
-    def test_more_shards_than_nodes(self, strategy):
+    def test_more_shards_than_nodes(self):
         network = Network(nx.path_graph(3), seed=0)
-        plan = partition_network(network, 8, strategy=strategy, seed=1)
+        plan = partition_network(network, 8)
         _check_plan_invariants(plan, network)
         assert plan.n_shards == 8
         # Exactly n shards are non-empty; the surplus shards are empty.
         assert sum(1 for owned in plan.shards if owned) == 3
 
-    def test_mixed_label_network(self, strategy):
+    def test_mixed_label_network(self):
         # Mixed int/str labels exercise the deterministic relabelling; the
         # partitioner only ever sees the dense CSR index.
         graph = nx.Graph([("a", 3), (3, "b"), ("b", 7), (7, "a"), ("c", 3)])
         network = Network(graph, seed=9)
-        plan = partition_network(network, 2, strategy=strategy, seed=2)
+        plan = partition_network(network, 2)
         _check_plan_invariants(plan, network)
 
-    def test_deterministic_under_fixed_seed(self, strategy):
+    def test_deterministic(self):
         graph = nx.gnp_random_graph(36, 0.2, seed=6)
-        for seed in (0, 1, 17):
-            plans = [
-                partition_network(Network(graph, seed=3), 4, strategy=strategy, seed=seed)
-                for _ in range(2)
-            ]
-            assert plans[0] == plans[1]
+        plans = [partition_network(Network(graph, seed=3), 4) for _ in range(2)]
+        assert plans[0] == plans[1]
 
-    def test_bfs_seed_moves_the_plan(self):
-        # Not a hard guarantee on every graph, but on a sparse random graph
-        # two far-apart seed draws should place regions differently.
-        network = Network(nx.gnp_random_graph(60, 0.08, seed=3), seed=0)
-        plans = {
-            partition_network(network, 4, strategy="bfs", seed=seed).owner
-            for seed in range(6)
-        }
-        assert len(plans) > 1
+    def test_owner_depends_only_on_node_count_and_shards(self):
+        # The node set is fixed, so the owner array survives any delta; only
+        # the cut statistics follow the edges.
+        sparse = partition_network(Network(nx.path_graph(30), seed=0), 4)
+        dense = partition_network(Network(nx.complete_graph(30), seed=0), 4)
+        assert sparse.owner == dense.owner
+        assert sparse.shards == dense.shards
+        assert sparse.cut_edges == 3 and dense.cut_edges > sparse.cut_edges
 
     def test_contiguous_blocks_are_contiguous_and_balanced(self):
         network = Network(nx.path_graph(10), seed=0)
@@ -149,68 +136,15 @@ class TestPartitioner:
         # A path cut into 3 blocks crosses exactly 2 edges.
         assert plan.cut_edges == 2
 
-    def test_balanced_sizes(self, strategy):
+    def test_balanced_sizes(self):
         network = Network(nx.gnp_random_graph(41, 0.2, seed=8), seed=0)
-        plan = partition_network(network, 4, strategy=strategy, seed=0)
-        sizes = plan.shard_sizes
-        assert sum(sizes) == 41
-        assert max(sizes) - min(sizes) <= 11  # ceil(n/k) capacity bound
+        sizes = partition_network(network, 4).shard_sizes
+        assert sizes == (11, 10, 10, 10)
 
     def test_rejects_bad_inputs(self):
         network = Network(nx.path_graph(4), seed=0)
         with pytest.raises(ValueError, match="at least 1"):
             partition_network(network, 0)
-        with pytest.raises(ValueError, match="unknown partition strategy"):
-            partition_network(network, 2, strategy="metis")
-
-    def test_describe_mentions_cut(self):
-        network = Network(nx.cycle_graph(8), seed=0)
-        text = partition_network(network, 2).describe()
-        assert "cut" in text and "contiguous" in text
-
-
-class TestRefinedPartitioner:
-    """The FM-style boundary-refinement sweep behind ``"bfs+refine"``."""
-
-    def _shuffled_gnp(self, n=200, p=0.05, seed=5):
-        # Relabel randomly so node ids carry no locality — the workload the
-        # refinement sweep exists for (real edge lists).
-        graph = nx.gnp_random_graph(n, p, seed=seed)
-        permutation = list(graph.nodes())
-        random.Random(seed).shuffle(permutation)
-        return nx.relabel_nodes(
-            graph, dict(zip(graph.nodes(), permutation))
-        )
-
-    @pytest.mark.parametrize("k", [2, 4, 8])
-    def test_never_cuts_more_than_bfs(self, k):
-        network = Network(self._shuffled_gnp(), seed=0)
-        bfs = partition_network(network, k, strategy="bfs", seed=3)
-        refined = partition_network(network, k, strategy="bfs+refine", seed=3)
-        assert refined.cut_edges <= bfs.cut_edges
-
-    def test_reduces_cut_on_locality_free_ids(self):
-        # Not a theorem on every graph, but on a shuffled G(n, p) the sweep
-        # must find strictly positive-gain moves.
-        network = Network(self._shuffled_gnp(), seed=0)
-        bfs = partition_network(network, 4, strategy="bfs", seed=3)
-        refined = partition_network(network, 4, strategy="bfs+refine", seed=3)
-        assert refined.cut_edges < bfs.cut_edges
-
-    def test_refined_plan_respects_balance_tolerance(self):
-        network = Network(self._shuffled_gnp(n=101), seed=0)
-        plan = partition_network(network, 4, strategy="bfs+refine", seed=1)
-        base_capacity = -(-101 // 4)  # ceil
-        assert max(plan.shard_sizes) <= base_capacity + max(1, base_capacity // 20)
-        assert min(plan.shard_sizes) >= 1
-
-    def test_refine_deterministic(self):
-        graph = self._shuffled_gnp(n=120)
-        plans = [
-            partition_network(Network(graph, seed=2), 4, strategy="bfs+refine", seed=9)
-            for _ in range(2)
-        ]
-        assert plans[0] == plans[1]
 
 
 class _PingAll(Protocol):
@@ -245,7 +179,7 @@ class TestShardedEngineKnobs:
         assert sharded == vectorized
 
     def test_engine_instance_overrides_config(self):
-        engine = ShardedEngine(shards=2, strategy="bfs", partition_seed=7)
+        engine = ShardedEngine(shards=2)
         network = Network(nx.cycle_graph(10), seed=1)
         result = run_protocol(
             network,
@@ -271,19 +205,29 @@ class TestShardedEngineKnobs:
         assert stats.protocol_messages == result.metrics.total_messages == 20
         assert stats.cross_shard_messages == 4  # 2 cut edges x 2 directions
         assert stats.cross_shard_fraction == pytest.approx(0.2)
-        assert stats.plans[0].cut_edges == 2
+        assert stats.plan.cut_edges == 2
+
+    def test_stats_keep_one_plan_across_executes(self):
+        # The plan is memoised per network: twenty executes record twenty
+        # runs and still hold exactly one plan, not a list of twenty.
+        engine = ShardedEngine(shards=2, collect_stats=True)
+        network = Network(nx.cycle_graph(10), seed=1)
+        for _ in range(20):
+            run_protocol(network, _PingAll(), config=CongestConfig(), engine=engine)
+        stats = engine.stats
+        assert stats.runs == 20
+        assert stats.plan is cached_partition(network, 2)
+        assert not hasattr(stats, "plans")
 
     def test_registry_instance_collects_no_stats(self):
         from repro.congest.engine import get_engine
 
         assert get_engine("sharded").stats is None
 
-    def test_empty_network(self, strategy):
+    def test_empty_network(self):
         network = Network(nx.Graph(), seed=0)
         result = run_protocol(
-            network,
-            _PingAll(),
-            config=CongestConfig().with_sharding(shards=4, strategy=strategy),
+            network, _PingAll(), config=CongestConfig().with_sharding(shards=4)
         )
         assert result.outputs == {}
         assert result.metrics.rounds == 0
@@ -964,32 +908,29 @@ def _three_cliques() -> nx.Graph:
 class TestSessionDeltaAbsorption:
     """A process session absorbs ``Network.apply_delta`` mutations.
 
-    The fingerprint check distinguishes two divergences: one fully
-    explained by the network's delta ledger (repair the plan, respawn
-    only the dirty shards' workers) and an external mutation behind the
-    API (still fatal, as ever).  Names carry ``session`` so CI's session
-    job runs these alongside the differential arm.
+    The fingerprint check distinguishes two divergences: one explained by
+    the network's latest delta (rebuild the plan, respawn the pool) and an
+    external mutation behind the API (still fatal, as ever).  Names carry
+    ``session`` so CI's session job runs these alongside the differential
+    arm.
     """
 
-    def test_session_absorbs_delta_respawning_only_dirty_shards(self):
+    def test_session_absorbs_delta_respawning_the_pool(self):
         network = Network(_three_cliques(), seed=0)
         session, _config = _open_process_session(network)
         with session:
             before = dict(session.execute(_OutputIsPid()).outputs)
-            network.apply_delta(removals=[(25, 26)])
+            opened_plan = session.plan
+            network.apply_delta(additions=[(5, 25)])
             after = dict(
                 session.execute(_OutputIsPid(), reuse_contexts=True).outputs
             )
-            assert session.repairs == 1
-            touched, dirty = session.last_repair
-            assert set(touched) == {25, 26}
-            assert dirty == (2,)
-            assert session.last_respawned_shards == (2,)
-            # Clean shards kept their worker processes; the dirty shard
-            # got a fresh one.
-            for node in range(20):
-                assert before[node] == after[node], "clean worker respawned"
-            assert before[25] != after[25], "dirty worker not respawned"
+            # Every worker is fresh; the plan keeps its owners and counts
+            # the new cut edge.
+            assert not set(before.values()) & set(after.values())
+            assert session.plan.owner == opened_plan.owner
+            assert session.plan.cut_edges == opened_plan.cut_edges + 1
+            assert session.stats.plan is session.plan
         _assert_no_worker_processes()
 
     def test_session_absorbed_delta_outputs_match_reference(self):
@@ -1009,25 +950,10 @@ class TestSessionDeltaAbsorption:
         assert got == expected
         _assert_no_worker_processes()
 
-    def test_session_cross_shard_delta_respawns_both_owners(self):
-        network = Network(_three_cliques(), seed=0)
-        session, _config = _open_process_session(network)
-        with session:
-            before = dict(session.execute(_OutputIsPid()).outputs)
-            network.apply_delta(additions=[(5, 25)])
-            after = dict(
-                session.execute(_OutputIsPid(), reuse_contexts=True).outputs
-            )
-            assert set(session.last_respawned_shards) >= {0, 2}
-            assert 1 not in session.last_respawned_shards
-            for node in range(10, 20):
-                assert before[node] == after[node]
-        _assert_no_worker_processes()
-
     def test_session_external_mutation_after_delta_still_raises(self, monkeypatch):
-        # A delta followed by an unexplained change: the ledger's last
-        # fingerprint no longer matches the live one, so the divergence is
-        # not explained and the session must refuse, not "repair".
+        # A delta followed by an unexplained change: the fingerprint the
+        # delta produced no longer matches the live one, so the divergence
+        # is not explained and the session must refuse, not absorb.
         network = Network(_three_cliques(), seed=0)
         session, _config = _open_process_session(network)
         with session:
@@ -1042,20 +968,8 @@ class TestSessionDeltaAbsorption:
             _assert_no_worker_processes()
         _assert_no_worker_processes()
 
-    def test_session_repaired_plan_keeps_invariants_and_fingerprints(self):
-        network = Network(_three_cliques(), seed=0)
-        plan = partition_network(network, 3)
-        before = shard_fingerprints(network, plan)
-        network.apply_delta(removals=[(25, 26)])
-        repaired, dirty = repair_plan(network, plan, {25, 26})
-        _check_plan_invariants(repaired, network)
-        assert dirty == (2,)
-        after = shard_fingerprints(network, repaired)
-        assert before[0] == after[0] and before[1] == after[1]
-        assert before[2] != after[2]
-
     def test_session_serial_sharded_recomputes_after_delta(self):
-        # The serial sharded engine has no pool to repair; it must simply
+        # The serial sharded engine has no pool to respawn; it must simply
         # not serve a stale memoised plan after a delta.
         graph = _three_cliques()
         network = Network(graph, seed=0)
@@ -1235,7 +1149,7 @@ class TestRetiredModeConstructionValidation:
             session_mode="persistent",
             pipeline_mode="fuse",
         )
-        assert len(dataclasses.fields(CongestConfig)) == 13
+        assert len(dataclasses.fields(CongestConfig)) == 12
         assert "session_mode" not in vars(config)
         assert "pipeline_mode" not in vars(config)
         assert config.with_log_budget(100) == dataclasses.replace(
@@ -1247,9 +1161,11 @@ class TestRemovedSurfaceStaysRemoved:
     """The deleted execution features left no name or keyword behind.
 
     The async engine, the thread backend's pool, per-call pools, the
-    unfused pipeline mode, the artifact cache and the ``nx.Graph``-building
-    induced subgraph were deleted, not deprecated: an old spelling fails
-    loudly instead of being ignored.
+    unfused pipeline mode, the artifact cache, the ``nx.Graph``-building
+    induced subgraph, the scheduler class, the non-contiguous partitioners
+    with incremental plan repair and the network's delta ledger were
+    deleted, not deprecated: an old spelling fails loudly instead of being
+    ignored.
     """
 
     def test_synchronizer_module_is_gone(self):
@@ -1276,6 +1192,26 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.congest.pipeline", "snapshot_contexts"),
             ("repro.congest.pipeline", "restore_contexts"),
             ("repro.congest.network:Network", "induced_subgraph"),
+            ("repro.congest", "SynchronousScheduler"),
+            ("repro.congest.scheduler", "SynchronousScheduler"),
+            ("repro.congest", "PARTITION_STRATEGIES"),
+            ("repro.congest.sharding", "PARTITION_STRATEGIES"),
+            ("repro.congest.sharding", "repair_plan"),
+            ("repro.congest.sharding", "shard_fingerprints"),
+            ("repro.congest.sharding.partition", "PARTITION_STRATEGIES"),
+            ("repro.congest.sharding.partition", "repair_plan"),
+            ("repro.congest.sharding.partition", "shard_fingerprints"),
+            ("repro.congest.sharding.partition", "_bfs_owners"),
+            ("repro.congest.sharding.partition", "_refine_owners"),
+            ("repro.congest.sharding.partition:ShardPlan", "repair"),
+            ("repro.congest.sharding.engine", "_sender_key"),
+            ("repro.congest.sharding.engine:_ShardStepper", "ranges_are_ordered"),
+            ("repro.congest.sharding.workers:ProcessSession", "_absorb_delta"),
+            ("repro.congest.sharding.workers:ProcessSession", "_respawn_dirty_shards"),
+            ("repro.congest.sharding.workers:ProcessSession", "_respawn_shards"),
+            ("repro.congest.config:CongestConfig", "shard_strategy"),
+            ("repro.congest.network:Network", "deltas_since"),
+            ("repro.service.incremental:NearCliqueService", "_shards_of"),
         ],
         ids=lambda part: part.replace(":", "."),
     )
@@ -1301,11 +1237,62 @@ class TestRemovedSurfaceStaysRemoved:
                 ),
                 id="DistNearCliqueRunner-artifact_cache",
             ),
+            pytest.param(lambda: ShardedEngine(strategy="bfs"), id="ShardedEngine-strategy"),
+            pytest.param(
+                lambda: _ShardStepper(ordered_delivery=True),
+                id="_ShardStepper-ordered_delivery",
+            ),
+            pytest.param(
+                lambda: ShardedEngine(partition_seed=1), id="ShardedEngine-partition_seed"
+            ),
+            pytest.param(
+                lambda: CongestConfig(shard_strategy="bfs"), id="CongestConfig-shard_strategy"
+            ),
+            pytest.param(
+                lambda: CongestConfig().with_sharding(strategy="bfs"),
+                id="with_sharding-strategy",
+            ),
+            pytest.param(
+                lambda: partition_network(Network(nx.path_graph(3)), 2, strategy="bfs"),
+                id="partition_network-strategy",
+            ),
+            pytest.param(
+                lambda: cached_partition(Network(nx.path_graph(3)), 2, seed=0),
+                id="cached_partition-seed",
+            ),
         ],
     )
     def test_removed_keyword_is_rejected(self, call):
         with pytest.raises(TypeError, match="unexpected keyword"):
             call()
+
+    def test_removed_instance_attributes_are_gone(self):
+        # Instance state of the deleted strategies, repair path, ledger and
+        # per-query shard report; opening a process session spawns nothing.
+        network = Network(_three_cliques(), seed=0)
+        plan = partition_network(network, 3)
+        for name in ("strategy", "seed"):
+            assert not hasattr(plan, name)
+        assert not hasattr(ShardingStats(), "plans")
+        network.apply_delta(removals=[(0, 1)])
+        assert not hasattr(network, "_delta_log")
+        session, _config = _open_process_session(network)
+        with session:
+            for name in (
+                "_dirty_shards",
+                "last_repair",
+                "last_respawned_shards",
+                "repairs",
+                "_strategy",
+                "_partition_seed",
+                "_ordered",
+            ):
+                assert not hasattr(session, name), name
+        from repro.service.stats import QueryRecord
+
+        record = QueryRecord(kind="full", recomputed_nodes=1, total_nodes=1)
+        assert not hasattr(record, "dirty_shards")
+        _assert_no_worker_processes()
 
 
 class TestShardingKnobConstructionValidation:
