@@ -537,6 +537,20 @@ class TestPartitionCacheStaleness:
                 session.execute(_PingAll(), reuse_contexts=True)
         _assert_no_worker_processes()
 
+    def test_memo_rebuilds_plan_after_delta(self):
+        # A delta moves the fingerprint, so the memo builds a new plan: the
+        # owners stay, the cut statistics follow the new edges.
+        network = Network(nx.path_graph(12), seed=0)
+        before = cached_partition(network, 3)
+        network.apply_delta(additions=[(0, 11)], removals=[(3, 4)])
+        after = cached_partition(network, 3)
+        assert after is not before
+        assert after.owner == before.owner
+        assert (before.cut_edges, after.cut_edges) == (2, 2)
+        assert after.boundary_edges == ((0, 11), (7, 8))
+        _check_plan_invariants(after, network)
+        assert cached_partition(network, 3) is after
+
     def test_invalidate_drops_the_memo(self):
         network = Network(nx.cycle_graph(8), seed=0)
         first = cached_partition(network, 2)
@@ -948,6 +962,76 @@ class TestSessionDeltaAbsorption:
             fresh, _PingAll(), config=CongestConfig(engine="reference")
         ).outputs
         assert got == expected
+        _assert_no_worker_processes()
+
+    def test_session_several_deltas_between_executes_absorbed(self):
+        # Only the latest delta's fingerprint is kept; it explains the
+        # cumulative change because it was taken after every earlier one.
+        graph = _three_cliques()
+        network = Network(graph, seed=0)
+        session, _config = _open_process_session(network)
+        with session:
+            session.execute(_PingAll())
+            network.apply_delta(additions=[(9, 10)])
+            network.apply_delta(removals=[(0, 1)], additions=[(19, 29)])
+            got = session.execute(_PingAll(), reuse_contexts=True).outputs
+            plan = session.plan
+        graph.add_edges_from([(9, 10), (19, 29)])
+        graph.remove_edge(0, 1)
+        assert got == dict(graph.degree())
+        fresh = partition_network(Network(graph, seed=0), 3)
+        assert plan.owner == fresh.owner
+        assert plan.cut_edges == fresh.cut_edges == 2
+        _check_plan_invariants(plan, network)
+        _assert_no_worker_processes()
+
+    def test_session_no_op_delta_keeps_the_pool(self):
+        # Re-adding a present edge and removing an absent one change
+        # nothing, so the fingerprint matches and the workers survive.
+        network = Network(_three_cliques(), seed=0)
+        session, _config = _open_process_session(network)
+        with session:
+            before = dict(session.execute(_OutputIsPid()).outputs)
+            opened_plan = session.plan
+            network.apply_delta(additions=[(0, 1)], removals=[(0, 25)])
+            after = dict(
+                session.execute(_OutputIsPid(), reuse_contexts=True).outputs
+            )
+            assert before == after
+            assert session.plan is opened_plan
+        _assert_no_worker_processes()
+
+    def test_session_delta_and_its_inverse_keep_the_pool(self):
+        # Adding an edge and removing it again before the next execute
+        # restores the fingerprint the session holds: nothing to absorb.
+        network = Network(_three_cliques(), seed=0)
+        session, _config = _open_process_session(network)
+        with session:
+            before = dict(session.execute(_OutputIsPid()).outputs)
+            network.apply_delta(additions=[(5, 25)])
+            network.apply_delta(removals=[(5, 25)])
+            after = dict(
+                session.execute(_OutputIsPid(), reuse_contexts=True).outputs
+            )
+            assert before == after
+            got = session.execute(_PingAll(), reuse_contexts=True).outputs
+        assert got == dict(_three_cliques().degree())
+        _assert_no_worker_processes()
+
+    def test_session_fused_execute_absorbs_delta(self):
+        # execute_fused runs the same topology check as execute.
+        graph = _three_cliques()
+        network = Network(graph, seed=0)
+        session, _config = _open_process_session(network)
+        with session:
+            before = dict(session.execute(_OutputIsPid()).outputs)
+            network.apply_delta(additions=[(5, 25)], removals=[(11, 12)])
+            results = session.execute_fused([_OutputIsPid(), _PingAll()])
+            assert not set(before.values()) & set(results[0].outputs.values())
+            assert session.plan.cut_edges == 1
+        graph.add_edge(5, 25)
+        graph.remove_edge(11, 12)
+        assert results[1].outputs == dict(graph.degree())
         _assert_no_worker_processes()
 
     def test_session_external_mutation_after_delta_still_raises(self, monkeypatch):
