@@ -11,7 +11,7 @@ Approach*) is the execution model assumed by the paper (Section 2):
   the previous round, and performs local computation;
 * every message carries O(log n) bits.
 
-This package simulates that model in-process.  The pieces are:
+This package is an in-process simulator of that model.  The pieces are:
 
 ``Message`` / ``Inbound``
     The unit of communication, with explicit bit-size accounting.

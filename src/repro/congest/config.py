@@ -11,17 +11,25 @@ import math
 from dataclasses import InitVar, dataclass, replace
 from typing import Any, Optional
 
+#: The constant in front of log n in :meth:`CongestConfig.with_log_budget`.
+#: The protocols in this package fit comfortably within 12·log2(n) bits per
+#: message (a constant number of identifiers and counters plus a constant
+#: header).
+LOG_BUDGET_MULTIPLIER = 12.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Supervised-retry policy for process sessions.
 
-    When an ``execute`` of a :class:`~repro.congest.sharding.workers.ProcessSession`
-    dies with a :class:`~repro.congest.errors.ShardWorkerError` (a crashed,
-    hung or corrupt-wire worker — infrastructure failures, never model-rule
-    violations), the session respawns the pool and **replays the phase from
-    its pre-phase context snapshot**.  Replay is provably safe: the parent's
+    When a phase group of a :class:`~repro.congest.sharding.workers.ProcessSession`
+    (a fused group, or the group of one an ``execute`` runs) dies with a
+    :class:`~repro.congest.errors.ShardWorkerError` (a crashed, hung or
+    corrupt-wire worker — infrastructure failures, never model-rule
+    violations), the session respawns the pool and **replays the group
+    from its starting contexts**.  Replay is provably safe: the parent's
     contexts are only folded after *every* worker reported, so a failed
-    phase left them bit-identical to its start, and the engine contract
+    group left them bit-identical to its start, and the engine contract
     makes the replay deterministic.  Defined here (not in the sharding
     package) so :class:`CongestConfig` can carry a policy without an import
     cycle.
@@ -29,14 +37,14 @@ class RetryPolicy:
     Parameters
     ----------
     max_attempts:
-        Total attempts per phase, the first one included (``2`` = one
+        Total attempts per group, the first one included (``2`` = one
         retry).  Must be at least 1.
     backoff_seconds / backoff_multiplier:
         Deterministic delay before retry *k* (1-based):
         ``backoff_seconds * backoff_multiplier ** (k - 1)``.  The default
         0.0 retries immediately — respawning a pool is already a pause.
     degrade:
-        After exhausting the attempts, complete the phase (and every later
+        After exhausting the attempts, complete the group (and every later
         one of the session) on the serial in-process sharded backend
         instead of raising — slower, but bit-identical by the engine
         contract, and immune to worker-process failures.  ``False`` lets
@@ -92,12 +100,7 @@ class CongestConfig:
         LOCAL-model neighbours'-neighbours baseline, whose whole point is
         that its messages are *not* O(log n) bits).  Use
         :meth:`CongestConfig.with_log_budget` to derive a budget of
-        ``budget_multiplier * ceil(log2 n)`` bits.
-    budget_multiplier:
-        The constant in front of log n used by :meth:`with_log_budget`.
-        The protocols in this package fit comfortably within 12·log2(n) bits
-        per message (a constant number of identifiers and counters plus a
-        constant header).
+        ``LOG_BUDGET_MULTIPLIER * ceil(log2 n)`` bits.
     record_round_metrics:
         When True the scheduler keeps a per-round metrics trace; disable for
         very long runs to save memory.
@@ -144,15 +147,7 @@ class CongestConfig:
         :class:`~repro.congest.errors.ShardWorkerTimeout` — with a
         liveness probe distinguishing hung from silently-dead workers —
         instead of blocking the barrier.  In-process backends have no
-        cross-process barrier to time out; there the knob only bounds
-        *simulated* hang faults (see ``fault_plan``).
-    worker_join_timeout:
-        Seconds a process-backend worker gets to exit after its pipe is
-        closed before pool teardown escalates to ``terminate``.  A healthy
-        worker exits on the EOF immediately; only one stuck in protocol
-        code ever waits this long (and a teardown forced by a watchdog
-        timeout terminates straight away, skipping the wait).  Must be
-        positive.
+        cross-process barrier to time out and ignore the knob.
     retry_policy:
         Optional :class:`RetryPolicy` enabling supervised retry (and, by
         default, graceful degradation to the serial sharded backend) for
@@ -161,7 +156,8 @@ class CongestConfig:
     fault_plan:
         Optional :class:`repro.congest.sharding.faults.FaultPlan` injecting
         deterministic failures into the sharded execution stack — worker
-        crash/hang/pipe-EOF at named points, corrupted wire batches.
+        crash/hang/pipe-EOF at named points, corrupted wire batches.  Only
+        process-backend workers read it; the serial backend runs clean.
         Testing machinery: ``None`` (always the default outside tests)
         injects nothing and costs nothing.  Typed loosely to keep this
         module import-cycle-free; validated structurally at construction.
@@ -175,13 +171,11 @@ class CongestConfig:
     max_rounds: Optional[int] = None
     enforce_congestion: bool = True
     message_bit_budget: Optional[int] = None
-    budget_multiplier: float = 12.0
     record_round_metrics: bool = True
     engine: str = "vectorized"
     shards: int = 4
     shard_backend: str = "serial"
     round_timeout: Optional[float] = None
-    worker_join_timeout: float = 5.0
     retry_policy: Optional[RetryPolicy] = None
     fault_plan: Optional[Any] = None
     session_mode: InitVar[str] = "persistent"
@@ -220,12 +214,6 @@ class CongestConfig:
                 "round_timeout must be positive or None (got %r); None "
                 "disables the barrier watchdog" % (self.round_timeout,)
             )
-        if not self.worker_join_timeout > 0:
-            raise ValueError(
-                "worker_join_timeout must be positive (got %r); a "
-                "non-positive grace period would terminate healthy workers "
-                "before their EOF exit" % (self.worker_join_timeout,)
-            )
         if self.retry_policy is not None and not isinstance(
             self.retry_policy, RetryPolicy
         ):
@@ -246,12 +234,12 @@ class CongestConfig:
             )
 
     def with_log_budget(self, n: int) -> "CongestConfig":
-        """Return a copy whose message budget is ``budget_multiplier * log2 n``.
+        """Return a copy whose message budget is ``LOG_BUDGET_MULTIPLIER * log2 n``.
 
         The budget never drops below 32 bits so that tiny test graphs (n of a
         few nodes) do not spuriously reject constant-size headers.
         """
-        budget = max(32, int(math.ceil(self.budget_multiplier * math.log2(max(2, n)))))
+        budget = max(32, int(math.ceil(LOG_BUDGET_MULTIPLIER * math.log2(max(2, n)))))
         return replace(self, message_bit_budget=budget)
 
     def with_max_rounds(self, max_rounds: Optional[int]) -> "CongestConfig":

@@ -85,7 +85,6 @@ from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import ContextRegistry, Network
 from repro.congest.node import NodeContext, Protocol, reset_in_scope
-from repro.congest.sharding.faults import SimulatedFaults
 from repro.congest.sharding.partition import (
     ShardPlan,
     cached_partition,
@@ -218,8 +217,7 @@ class ShardingStats:
         The :class:`ShardPlan` of the latest recorded execution (``None``
         before the first).
     rearms / fused_phases:
-        Pool-wide protocol ships (one per ``arm``/``arm-seq`` that crossed
-        the pipes) and re-arms *elided* by the pipeline compiler's phase
+        Pool-wide protocol ships (one per ``arm`` that crossed the pipes) and re-arms *elided* by the pipeline compiler's phase
         fusion (``len(group) - 1`` per fused group).  Under full fusion a
         composite's ``rearms`` stays strictly below its phase count — the
         invariant ``tests/test_sharding.py`` pins.
@@ -631,24 +629,6 @@ class _ShardedRun(_ShardStepper):
         protocol = self.protocol
         ctx_list = self.ctx_list
         metrics = RunMetrics()
-        # Simulated fault injection (chaos matrix on the serial backend):
-        # only a plan that explicitly opted in via
-        # ``simulate=True`` is honoured here, so a process-backend plan
-        # carried by a config that degraded to serial does not re-inject
-        # the fault it is recovering from.  ``fault_plan=None`` — the
-        # default everywhere outside tests — costs nothing.
-        plan_faults = getattr(config, "fault_plan", None)
-        faults = None
-        if plan_faults is not None and getattr(plan_faults, "simulate", False):
-            faults = SimulatedFaults(
-                plan_faults,
-                [shard.index for shard in self.shards if shard.owned],
-                config.round_timeout,
-                protocol.name,
-            )
-        if faults is not None:
-            faults.check("arm")
-            faults.check("start")
         startup_metrics = RoundMetrics(round_index=0)
         in_flight = self._barrier(
             self._run_shards(self.start_shard), startup_metrics
@@ -677,8 +657,6 @@ class _ShardedRun(_ShardStepper):
                 break
 
             rounds += 1
-            if faults is not None:
-                faults.check("round", rounds)
             round_metrics = RoundMetrics(round_index=rounds)
             if rounds == 1:
                 merge_startup_metrics(round_metrics, startup_metrics)
@@ -690,8 +668,6 @@ class _ShardedRun(_ShardStepper):
                 round_metrics,
             )
             metrics.absorb_round(round_metrics, config.record_round_metrics)
-        if faults is not None:
-            faults.check("finish")
 
         outputs = harvest_outputs(
             protocol,

@@ -51,19 +51,12 @@ plan will re-fire in every later phase after a respawn, which is exactly
 what you want for "this shard always crashes" torture tests and exactly
 what you do not want in a differential suite.
 
-In-process simulation
----------------------
-The thread/serial backends have no worker processes to kill, but the
-chaos matrix still wants the same scenarios there.  ``simulate=True``
-lets :class:`SimulatedFaults` raise the *equivalent typed errors*
-in-process from :class:`~repro.congest.sharding.engine._ShardedRun`:
-crash/eof become :class:`~repro.congest.errors.ShardWorkerError`,
-corrupt becomes :class:`~repro.congest.errors.WireCorruptionError`, and
-hang sleeps (bounded by ``round_timeout`` when set, then raising
-:class:`~repro.congest.errors.ShardWorkerTimeout`).  Plans without
-``simulate`` are ignored by the in-process backends, so a process-backend
-plan can be carried by a config that later degrades to serial without
-re-injecting the fault it is recovering from.
+Only worker processes fail
+--------------------------
+Faults fire inside process-backend workers and nowhere else.  The serial
+backend has no worker process to lose and no supervisor to exercise, so
+it ignores any plan — which is also what lets a config carrying a plan
+degrade to serial without re-injecting the fault it is recovering from.
 """
 
 from __future__ import annotations
@@ -74,19 +67,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-from repro.congest.errors import (
-    ShardWorkerError,
-    ShardWorkerTimeout,
-    WireCorruptionError,
-)
-
 __all__ = [
     "FAULT_KINDS",
     "FAULT_POINTS",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "SimulatedFaults",
 ]
 
 #: Protocol points where a fault may fire, matching the worker command loop.
@@ -168,15 +154,14 @@ class FaultPlan:
     it is frozen and built only from picklable primitives.  ``attempt`` is
     the supervised-retry loop's cursor: a spec fires only when its own
     ``attempt`` equals the plan's, and :meth:`for_attempt` re-threads the
-    cursor without touching the specs.  ``simulate`` opts the in-process
-    backends into raising the equivalent typed errors (see the module
-    docstring); the process backend ignores it.
+    cursor without touching the specs.  Only process-backend workers read
+    a plan; the serial backend runs clean under any plan (see the module
+    docstring).
     """
 
     specs: Tuple[FaultSpec, ...] = ()
     seed: Optional[int] = None
     attempt: int = 0
-    simulate: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
@@ -204,7 +189,6 @@ class FaultPlan:
         faults: int = 2,
         kinds: Sequence[str] = ("crash", "eof", "corrupt"),
         hang_seconds: float = 60.0,
-        simulate: bool = False,
     ) -> "FaultPlan":
         """Draw a random plan of *faults* specs, reproducibly from *seed*.
 
@@ -242,7 +226,7 @@ class FaultPlan:
                     hang_seconds=hang_seconds,
                 )
             )
-        return cls(specs=tuple(specs), seed=seed, simulate=simulate)
+        return cls(specs=tuple(specs), seed=seed)
 
 
 class FaultInjector:
@@ -326,59 +310,3 @@ class FaultInjector:
         # first table entry's decode raises.
         return batch._replace(payloads=b"\xff" * max(1, len(batch.payloads)))
 
-
-class SimulatedFaults:
-    """In-process stand-in for worker faults (thread/serial backends).
-
-    Built by :class:`~repro.congest.sharding.engine._ShardedRun` only when
-    the plan carries ``simulate=True``.  ``check`` raises the typed error
-    a real worker fault would have surfaced: the differential value is
-    that the *coordinator-side* handling (typed propagation, retry,
-    stats) is identical whether the failure was a process or a
-    simulation.
-    """
-
-    __slots__ = ("plan", "shard_indices", "round_timeout", "injectors")
-
-    def __init__(
-        self,
-        plan: FaultPlan,
-        shard_indices: Sequence[int],
-        round_timeout: Optional[float],
-        phase: str,
-    ) -> None:
-        self.plan = plan
-        self.round_timeout = round_timeout
-        self.shard_indices = tuple(shard_indices)
-        self.injectors = {}
-        for shard in self.shard_indices:
-            injector = FaultInjector(plan, shard)
-            injector.begin_phase(phase)
-            self.injectors[shard] = injector
-
-    def check(self, point: str, round_index: Optional[int] = None) -> None:
-        """Raise the typed error for any spec matching *point*."""
-        for shard, injector in self.injectors.items():
-            spec = injector._match(
-                point, round_index, ("crash", "hang", "eof", "corrupt")
-            )
-            if spec is None:
-                continue
-            injector._fired.add(spec)
-            if spec.kind == "hang":
-                timeout = self.round_timeout
-                if timeout is not None:
-                    time.sleep(min(spec.hang_seconds, timeout))
-                    raise ShardWorkerTimeout(
-                        (shard,), timeout, alive_shards=(shard,)
-                    )
-                time.sleep(spec.hang_seconds)
-                continue
-            if spec.kind == "corrupt":
-                raise WireCorruptionError(
-                    "simulated corrupt batch for shard %d at %s" % (shard, point)
-                )
-            raise ShardWorkerError(
-                "simulated worker %s for shard %d at %s"
-                % (spec.kind, shard, point)
-            )

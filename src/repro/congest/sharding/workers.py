@@ -13,28 +13,35 @@ and the round cap are evaluated centrally on the aggregated view — so the
 process boundary is invisible to the engine contract (same outputs, same
 round counts, same metrics, same exception types).
 
-Protocol of one execution (all traffic over one duplex pipe per worker)::
+Protocol of one phase group (all traffic over one duplex pipe per worker)::
 
     coordinator                         worker
     -----------                         ------
     init payload  ────────────────────▶ build harness (contexts + tables)
-    ("arm", protocol, config, ...) ───▶ build stepper, reset shard state
+    ("arm", protocols, config, ...) ──▶ apply inputs, arm protocols[0]
     ("start",)    ────────────────────▶ on_start + drain owned nodes
                   ◀──────────────────── ("ok", metrics, pending, open, batches)
     ("round", r, batches) ────────────▶ deliver + step + drain
                   ◀──────────────────── ("ok", metrics, pending, open, batches)
     ...                                 ...
-    ("finish", r) ────────────────────▶ collect started outputs + state
+    ("finish", r, fold) ──────────────▶ collect started outputs (+ state)
                   ◀──────────────────── ("done", outputs, states, traffic)
-    (worker stays; next "arm" starts the next execute, EOF exits)
+                                        arm the next queued protocol, if any
+    ("start",) ... for each further protocol of the group
+    (worker stays; the next "arm" starts the next group, EOF exits)
+
+``protocols`` is a tuple: a plain ``execute`` ships a group of one, a
+fused group (``execute_fused``) ships the whole sequence once.  Only the
+group-final ``finish`` carries ``fold=True`` and ships per-node state
+back; before it the state stays worker-side for the next queued phase.
 
 Every pool lives in a :class:`ProcessSession`, which keeps one
-:class:`_WorkerPool` alive across the ``execute`` calls of a composite
-pipeline and **re-arms** it between phases: the ``("arm", ...)`` command
-above carries the next protocol, the model-rule knobs and the context
-*deltas* (the per-execute inputs; each worker's ``start_shard`` resets the
-nodes it starts), so neither processes nor per-node state are re-shipped
-for ``reuse_contexts`` phases.  A direct
+:class:`_WorkerPool` alive across the calls of a composite pipeline and
+**re-arms** it between groups: the ``("arm", ...)`` command above carries
+the protocols, the model-rule knobs and the context *deltas* (the
+per-execute inputs; each worker's ``start_shard`` resets the nodes it
+starts), so neither processes nor per-node state are re-shipped for
+``reuse_contexts`` phases.  A direct
 :meth:`~repro.congest.sharding.engine.ShardedEngine.execute` on the process
 backend is a one-shot session: opened, run once and closed.  The session's
 routing tables live in one :mod:`multiprocessing.shared_memory` CSR mapping
@@ -67,27 +74,25 @@ probe of the missing workers (hung vs silently dead).  Workers are
 daemonic and the sessions context-managed: closing a pool closes the pipes
 (unblocking any worker still waiting on a command) and joins, escalating
 to ``terminate`` only for processes that ignore the EOF within
-``CongestConfig.worker_join_timeout`` seconds — except after a watchdog
-timeout, where still-alive workers are known-stuck and terminated
-straight away.  A session never leaks its pool or its shared-memory
-segment past ``close`` — including violation and worker-crash paths,
-where the session tears the pool down immediately rather than waiting for
-the context exit.
+``_JOIN_TIMEOUT`` seconds — except after a watchdog timeout, where
+still-alive workers are known-stuck and terminated straight away.  A
+session never leaks its pool or its shared-memory segment past ``close``
+— including violation and worker-crash paths, where the session tears
+the pool down immediately rather than waiting for the context exit.
 
 Supervised retry and degradation
 --------------------------------
 A :class:`ProcessSession` given a ``CongestConfig.retry_policy``
-supervises its executes: a :class:`~repro.congest.errors.ShardWorkerError`
-(timeouts included) no longer aborts the phase — the session tears the
-pool down, respawns it fresh and **replays the phase from the parent's
-contexts**, which are
-bit-identical to the phase's start because the harvest below folds
-worker state back only after *every* worker reported.  After exhausting
-``max_attempts`` the session (by default) *degrades*: the phase — and
-every later phase of the session — completes on the serial in-process
-sharded backend, bit-identical by the engine contract and immune to
-worker-process failures.  Every failure and the supervisor's decision is
-recorded as a
+supervises its groups: a :class:`~repro.congest.errors.ShardWorkerError`
+(timeouts included) no longer aborts the group — the session tears the
+pool down, respawns it fresh and **replays the group from the parent's
+contexts**, which are bit-identical to the group's start because the
+harvest below folds worker state back only after *every* worker reported.
+After exhausting ``max_attempts`` the session (by default) *degrades*:
+the group — and every later group of the session — completes on the
+serial in-process sharded backend, bit-identical by the engine contract
+and immune to worker-process failures.  Every failure and the
+supervisor's decision is recorded as a
 :class:`~repro.congest.sharding.engine.RecoveryEvent` on the session's
 stats.  Deterministic fault injection for all of these paths lives in
 :mod:`repro.congest.sharding.faults` (``CongestConfig.fault_plan``).
@@ -152,11 +157,9 @@ from repro.congest.sharding.wire import WireBatch, WireDecoder, WireEncoder
 
 __all__ = ["ProcessSession", "ProcessShardedRun"]
 
-#: Default seconds a worker gets to exit after its pipe is closed before
-#: the pool escalates to ``terminate``.  Generous: a healthy worker exits
-#: on EOF immediately; only a worker stuck in protocol code ever waits
-#: this long.  Configurable per run via ``CongestConfig.worker_join_timeout``
-#: (this constant is its default value).
+#: Seconds a worker gets to exit after its pipe is closed before the pool
+#: escalates to ``terminate``.  Generous: a healthy worker exits on EOF
+#: immediately; only a worker stuck in protocol code ever waits this long.
 _JOIN_TIMEOUT = 5.0
 
 #: Parent-side pipe ends of every live worker of every pool in this
@@ -298,22 +301,22 @@ class _WorkerHarness:
         #: rebuilt lazily at arm time; ``None`` whenever the armed config
         #: carries no plan — the universal production case.
         self.injector: Optional[FaultInjector] = None
-        #: Fused-group continuation: protocols still to run after the
-        #: currently armed one (``arm_sequence``), self-armed worker-side
-        #: right after each ``finish-light`` report so the next phase's
-        #: arm overlaps the coordinator's fold.
+        #: Protocols of the armed group still to run, and their config:
+        #: :meth:`arm_next` promotes them one at a time — at ``arm``, then
+        #: right after each ``finish`` report, so a fused group's next
+        #: phase arms while the coordinator folds the previous one.
         self._queue: List[Protocol] = []
-        self._queue_config: Optional[CongestConfig] = None
+        self._config: Optional[CongestConfig] = None
 
     # ------------------------------------------------------------------
     def arm(
         self,
-        protocol: Protocol,
+        protocols: Sequence[Protocol],
         config: CongestConfig,
         global_inputs: Optional[Dict[str, Any]],
         per_node_state: Optional[Dict[int, Dict[str, Any]]],
     ) -> None:
-        """Prepare one ``execute``: protocol, knobs, context deltas.
+        """Prepare one phase group: context deltas, then its first protocol.
 
         The inputs replay exactly what the parent's ``build_contexts``
         applied; a worker whose contexts were inherited after that call
@@ -328,16 +331,31 @@ class _WorkerHarness:
             index_of = self.index_of
             for node_id, inputs in per_node_state.items():
                 ctx_list[index_of[node_id]].state.update(inputs)
+        self._queue = list(protocols)
+        self._config = config
+        self.arm_next()
+
+    def arm_next(self) -> bool:
+        """Arm the next queued protocol of the group, if any.
+
+        No input deltas exist mid-group, so this is exactly what the
+        parent's ``build_contexts(fresh=False)`` would have done between
+        unfused phases: nothing to replay.
+        """
+        if not self._queue:
+            return False
+        protocol = self._queue.pop(0)
+        config = self._config
         self.stepper = _ShardStepper(
             protocol=protocol,
             config=config,
-            ctx_list=ctx_list,
+            ctx_list=self.ctx_list,
             index_of=self.index_of,
             owner=self.owner,
             inbox_buffers=self.inbox_buffers,
         )
         self.shard = _ShardState(self.shard_index, self.owned, self.n_shards)
-        plan = getattr(config, "fault_plan", None)
+        plan = config.fault_plan
         if plan is None:
             self.injector = None
         else:
@@ -348,6 +366,7 @@ class _WorkerHarness:
             if self.injector is None or self.injector.plan != plan:
                 self.injector = FaultInjector(plan, self.shard_index)
             self.injector.begin_phase(protocol.name)
+        return True
 
     # ------------------------------------------------------------------
     def _report(self, rm: RoundMetrics) -> Tuple:
@@ -404,78 +423,37 @@ class _WorkerHarness:
             shard.remote_from[source] = decoder.decode(batch)
         return self._report(self.stepper.step_shard(shard, rounds))
 
-    def finish(self, rounds: int) -> Tuple:
+    def finish(self, rounds: int, fold: bool) -> Tuple:
+        """Report the phase's outputs and traffic, plus state when *fold*.
+
+        Without *fold* (every phase of a fused group but the last) the
+        per-node state stays here: the next queued phase arms on it, and
+        only the group-final ``finish`` ships it back to the parent.
+        """
         stepper = self.stepper
         ctx_list = stepper.ctx_list
-        protocol = stepper.protocol
-        owned = [ctx_list[i] for i in self.shard.owned]
         # The parent aligns the round counters when it folds the states.
-        outputs = collect_outputs(
-            protocol, map(ctx_list.__getitem__, self.shard.started), {}
-        )
-        states: Dict[int, Tuple] = {}
-        for ctx in owned:
-            # Only RNGs this worker actually built ship a state: an unbuilt
-            # one is still at its seed, which the parent context holds too.
-            states[ctx.node_id] = (
-                ctx.state,
-                ctx.output,
-                ctx._halted,
-                ctx.globals,
-                _pack_rng_state(ctx._rng.getstate())
-                if ctx._rng is not None
-                else None,
-            )
-        traffic = (self.shard.local_messages, self.shard.remote_messages)
-        return ("done", outputs, states, traffic)
-
-    # ------------------------------------------------------------------
-    def arm_sequence(
-        self,
-        protocols: Sequence[Protocol],
-        config: CongestConfig,
-        global_inputs: Optional[Dict[str, Any]],
-        per_node_state: Optional[Dict[int, Dict[str, Any]]],
-    ) -> None:
-        """Arm a fused phase group: one ship, ``len(protocols)`` phases.
-
-        The first protocol is armed exactly like :meth:`arm`; the rest are
-        queued, and :meth:`arm_next_queued` promotes them one at a time
-        right after each ``finish-light`` report — the re-arms the
-        pipeline compiler elides never cross the pipe.
-        """
-        self._queue = list(protocols[1:])
-        self._queue_config = config
-        self.arm(protocols[0], config, global_inputs, per_node_state)
-
-    def arm_next_queued(self) -> bool:
-        """Self-arm the next queued protocol of a fused group, if any.
-
-        No global or per-node input deltas exist mid-group, so this is
-        exactly what the parent's ``build_contexts(fresh=False)`` would
-        have done between unfused phases: nothing to replay.
-        """
-        if not self._queue:
-            return False
-        protocol = self._queue.pop(0)
-        self.arm(protocol, self._queue_config, None, None)
-        return True
-
-    def finish_light(self, rounds: int) -> Tuple:
-        """Like :meth:`finish`, but keep the context state worker-side.
-
-        Mid-group harvest of a fused run: outputs and traffic still travel
-        (per-phase results and accounting stay bit-identical), but the
-        per-node state stays here — the next queued phase re-arms on it,
-        and only the group-final ``finish`` folds it back to the parent.
-        """
-        stepper = self.stepper
-        ctx_list = stepper.ctx_list
         outputs = collect_outputs(
             stepper.protocol, map(ctx_list.__getitem__, self.shard.started), {}
         )
+        states: Dict[int, Tuple] = {}
+        if fold:
+            for i in self.shard.owned:
+                ctx = ctx_list[i]
+                # Only RNGs this worker actually built ship a state: an
+                # unbuilt one is still at its seed, which the parent
+                # context holds too.
+                states[ctx.node_id] = (
+                    ctx.state,
+                    ctx.output,
+                    ctx._halted,
+                    ctx.globals,
+                    _pack_rng_state(ctx._rng.getstate())
+                    if ctx._rng is not None
+                    else None,
+                )
         traffic = (self.shard.local_messages, self.shard.remote_messages)
-        return ("done", outputs, {}, traffic)
+        return ("done", outputs, states, traffic)
 
 
 def _send_error(conn, exc: BaseException) -> None:
@@ -539,38 +517,13 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
                 _send_error(conn, exc)
                 break
             op = command[0]
+            injector = harness.injector
+            response = None
             try:
                 if op == "arm":
+                    # No response: the coordinator pipelines "start".
                     harness.arm(command[1], command[2], command[3], command[4])
-                    if harness.injector is not None and harness.injector.fire("arm"):
-                        break  # injected eof: close the pipe and exit
-                    continue  # no response: the coordinator pipelines start
-                if op == "arm-seq":
-                    harness.arm_sequence(
-                        command[1], command[2], command[3], command[4]
-                    )
-                    if harness.injector is not None and harness.injector.fire("arm"):
-                        break
-                    continue  # no response, like "arm"
-                if op == "finish-light":
-                    injector = harness.injector
-                    if injector is not None and injector.fire("finish"):
-                        break
-                    response = harness.finish_light(command[1])
-                    # Report *first*, then self-arm the next queued phase:
-                    # the elided re-arm overlaps the coordinator's output
-                    # merge instead of delaying its barrier.
-                    try:
-                        conn.send(response)
-                    except (BrokenPipeError, OSError):
-                        break
-                    if harness.arm_next_queued():
-                        injector = harness.injector
-                        if injector is not None and injector.fire("arm"):
-                            break  # injected eof, same as a shipped arm
-                    continue
-                injector = harness.injector
-                if op == "start":
+                elif op == "start":
                     if injector is not None and injector.fire("start"):
                         break
                     response = harness.start()
@@ -581,18 +534,24 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
                 elif op == "finish":
                     if injector is not None and injector.fire("finish"):
                         break
-                    # Report and stay armed-able: a session's next execute
-                    # re-arms this same process.
-                    response = harness.finish(command[1])
+                    response = harness.finish(command[1], command[2])
                 else:  # "abort" or anything unrecognized: exit quietly
                     break
             except BaseException as exc:
                 _send_error(conn, exc)
                 break
-            try:
-                conn.send(response)
-            except (BrokenPipeError, OSError):
-                break  # coordinator aborted mid-report
+            if response is not None:
+                try:
+                    conn.send(response)
+                except (BrokenPipeError, OSError):
+                    break  # coordinator aborted mid-report
+            # A shipped arm, or the self-arm of a group's next phase right
+            # after its predecessor reported (overlapping the coordinator's
+            # fold), is the "arm" fault point.
+            if op == "arm" or (op == "finish" and harness.arm_next()):
+                injector = harness.injector
+                if injector is not None and injector.fire("arm"):
+                    break  # injected eof: close the pipe and exit
     finally:
         conn.close()
 
@@ -609,32 +568,25 @@ class _WorkerHandle:
         self.conn = conn
 
 
-def _reap(
-    handles: List[_WorkerHandle],
-    join_timeout: Optional[float] = None,
-    force: bool = False,
-) -> None:
+def _reap(handles: List[_WorkerHandle], force: bool = False) -> None:
     """Tear down workers: close pipes, join, escalate to terminate.
 
     Closing the pipe first unblocks any worker waiting in ``recv`` (it
-    exits on the EOF); a worker that ignores the EOF past *join_timeout*
-    (``CongestConfig.worker_join_timeout``; ``None`` keeps the 5 s
-    default) is terminated.  *force* skips the grace period for workers
-    already known to be stuck — the barrier watchdog's teardown path,
-    where waiting the join timeout on a worker that just missed a round
-    deadline would only stack delays.  ``Process.close`` releases the fds
-    eagerly rather than at garbage collection, which keeps
-    ``active_children()`` truthful — the leak regressions in
+    exits on the EOF); a worker that ignores the EOF past
+    :data:`_JOIN_TIMEOUT` is terminated.  *force* skips the grace period
+    for workers already known to be stuck — the barrier watchdog's
+    teardown path, where waiting the join timeout on a worker that just
+    missed a round deadline would only stack delays.  ``Process.close``
+    releases the fds eagerly rather than at garbage collection, which
+    keeps ``active_children()`` truthful — the leak regressions in
     ``tests/test_sharding.py`` rely on it.
     """
-    if join_timeout is None:
-        join_timeout = _JOIN_TIMEOUT
     for handle in handles:
         _close_and_unregister_parent_conn(handle.conn)
     for handle in handles:
         if force and handle.process.is_alive():
             handle.process.terminate()
-        handle.process.join(timeout=join_timeout)
+        handle.process.join(timeout=_JOIN_TIMEOUT)
         if handle.process.is_alive():  # pragma: no cover - stuck worker
             handle.process.terminate()
             handle.process.join()
@@ -757,64 +709,29 @@ class _WorkerPool:
     the engine).
     """
 
-    def __init__(
-        self,
-        handles: List[_WorkerHandle],
-        join_timeout: float = _JOIN_TIMEOUT,
-    ) -> None:
+    def __init__(self, handles: List[_WorkerHandle]) -> None:
         self.handles = handles
-        self.join_timeout = join_timeout
         self.closed = False
 
     # ------------------------------------------------------------------
     def rearm(
-        self,
-        protocol: Protocol,
-        config: CongestConfig,
-        global_inputs: Optional[Dict[str, Any]] = None,
-        per_shard_state: Optional[Dict[int, Dict[int, Dict[str, Any]]]] = None,
-    ) -> None:
-        """Arm every worker for the next ``execute``.
-
-        The first arm after a spawn passes no inputs (the inherited
-        contexts are current); a session's light re-arm passes the
-        per-execute input deltas, routed per shard.  A failed ship — an
-        unpicklable protocol, a dead worker — surfaces as
-        :class:`ShardWorkerError`; callers tear the pool down on it.
-        """
-        for handle in self.handles:
-            inputs = (
-                per_shard_state.get(handle.shard_index)
-                if per_shard_state
-                else None
-            )
-            try:
-                handle.conn.send(("arm", protocol, config, global_inputs, inputs))
-            except Exception as exc:
-                if isinstance(exc, (BrokenPipeError, OSError)):
-                    _raise_buffered_error(handle.conn, handle.shard_index)
-                raise ShardWorkerError(
-                    "failed to ship the protocol to the shard %d worker: %s "
-                    "(process-backend protocols and per-node state must be "
-                    "picklable)" % (handle.shard_index, exc)
-                ) from exc
-
-    # ------------------------------------------------------------------
-    def rearm_sequence(
         self,
         protocols: Sequence[Protocol],
         config: CongestConfig,
         global_inputs: Optional[Dict[str, Any]] = None,
         per_shard_state: Optional[Dict[int, Dict[int, Dict[str, Any]]]] = None,
     ) -> None:
-        """Arm every worker for a fused phase group in one ship.
+        """Arm every worker for the next phase group in one ship.
 
-        Mirrors :meth:`rearm`, but the whole protocol sequence crosses the
-        pipe once; workers self-arm each follow-on phase after reporting
-        the previous one (``finish-light``), so the group costs one pool
-        re-arm however many phases it fuses.
+        The first arm after a spawn passes no inputs (the inherited
+        contexts are current); a session's light re-arm passes the
+        per-execute input deltas, routed per shard.  Workers self-arm each
+        follow-on phase after reporting the previous one, so a group costs
+        one pool re-arm however many phases it fuses.  A failed ship — an
+        unpicklable protocol, a dead worker — surfaces as
+        :class:`ShardWorkerError`; callers tear the pool down on it.
         """
-        protocols = list(protocols)
+        protocols = tuple(protocols)
         for handle in self.handles:
             inputs = (
                 per_shard_state.get(handle.shard_index)
@@ -823,15 +740,15 @@ class _WorkerPool:
             )
             try:
                 handle.conn.send(
-                    ("arm-seq", protocols, config, global_inputs, inputs)
+                    ("arm", protocols, config, global_inputs, inputs)
                 )
             except Exception as exc:
                 if isinstance(exc, (BrokenPipeError, OSError)):
                     _raise_buffered_error(handle.conn, handle.shard_index)
                 raise ShardWorkerError(
-                    "failed to ship the fused phase group to the shard %d "
-                    "worker: %s (process-backend protocols and per-node "
-                    "state must be picklable)" % (handle.shard_index, exc)
+                    "failed to ship the protocol to the shard %d worker: %s "
+                    "(process-backend protocols and per-node state must be "
+                    "picklable)" % (handle.shard_index, exc)
                 ) from exc
 
     # ------------------------------------------------------------------
@@ -845,7 +762,7 @@ class _WorkerPool:
         if self.closed:
             return
         self.closed = True
-        _reap(self.handles, self.join_timeout, force=force)
+        _reap(self.handles, force=force)
 
 
 class ProcessShardedRun:
@@ -882,9 +799,9 @@ class ProcessShardedRun:
         self.contexts = contexts
         self.pool = pool
         #: ``False`` for every phase of a fused group except the last: the
-        #: harvest ships outputs and traffic only (``finish-light``); the
-        #: per-node state stays worker-side for the self-armed next phase
-        #: and is folded back by the group-final phase's full ``finish``.
+        #: ``finish`` harvest ships outputs and traffic only; the per-node
+        #: state stays worker-side for the self-armed next phase and is
+        #: folded back by the group-final phase's ``finish``.
         self.fold_contexts = fold_contexts
         self.quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
         self.fast_finished = type(protocol).finished is Protocol.finished
@@ -1089,9 +1006,8 @@ class ProcessShardedRun:
         # Workers report only the nodes they started; every other node
         # was out of scope and reports None.
         outputs: Dict[int, Any] = self.contexts.blank_outputs()
-        harvest = "finish" if self.fold_contexts else "finish-light"
         for handle in handles:
-            self._send(handle, (harvest, rounds))
+            self._send(handle, ("finish", rounds, self.fold_contexts))
         reports = self._collect(handles)
         for report in reports:
             _op, started_outputs, states, traffic = report
@@ -1224,187 +1140,11 @@ class ProcessSession(CongestSession):
     ) -> RunResult:
         if self.closed:
             raise ProtocolError("execute on a closed CongestSession")
-        # Fail fast on *every* escaping error — config rejection, a bad
-        # per-node input, model violations, worker deaths: the pool is
-        # torn down here, not deferred to close(), so the teardown
-        # guarantee holds after any failed execute.  The next execute (if
-        # any) respawns.
-        try:
-            return self._execute(
-                protocol,
-                config if config is not None else self.config,
-                global_inputs,
-                per_node_inputs,
-                reuse_contexts,
-            )
-        except BaseException as exc:
-            # A watchdog timeout marks still-alive workers as known-stuck:
-            # terminate them immediately instead of granting the EOF grace
-            # period they would sit out anyway.
-            self._teardown_pool(force=isinstance(exc, ShardWorkerTimeout))
-            raise
-
-    def _execute(
-        self,
-        protocol: Protocol,
-        config: CongestConfig,
-        global_inputs: Optional[Dict[str, Any]],
-        per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
-        reuse_contexts: bool,
-    ) -> RunResult:
-        self._check_config(config)
-        self._reconcile_topology()
-        network = self.network
-
-        # Contexts mutated outside the session (a direct build_contexts
-        # call between phases) make worker-held state stale; detect via the
-        # epoch and fall back to a respawn, which re-ships them.
-        external = self._epoch is None or network.context_epoch != self._epoch
-        contexts = network.build_contexts(
-            global_inputs=global_inputs,
-            per_node_inputs=per_node_inputs,
-            fresh=not reuse_contexts,
-        )
-
-        if self._degraded or not any(self.plan.shards):
-            # Serial fallback: an empty network has nothing to keep a pool
-            # for, and a degraded session has proven it cannot keep one.
-            return self._run_serial(protocol, config, contexts)
-
-        # Supervised retry: each attempt runs the phase on a pool; a
-        # ShardWorkerError (timeouts included) with a retry_policy set
-        # tears the pool down and *replays the phase* — the topology /
-        # epoch reconciliation and build_contexts above ran once,
-        # and the parent's contexts are bit-identical to the phase start
-        # because the harvest folds worker state back only after every
-        # worker reported.  The respawned pool re-ships those pristine
-        # contexts (the arm after a spawn replays no inputs), so the replay
-        # is deterministic by the engine contract.  Wire-codec interning
-        # state is per pool, which is why a retry respawns the whole pool.
-        plan_faults = config.fault_plan
-        attempt = 0
-        while True:
-            attempt_config = config
-            if plan_faults is not None and plan_faults.attempt != attempt:
-                attempt_config = replace(
-                    config, fault_plan=plan_faults.for_attempt(attempt)
-                )
-            try:
-                return self._execute_on_pool(
-                    protocol,
-                    attempt_config,
-                    global_inputs,
-                    per_node_inputs,
-                    reuse_contexts,
-                    external,
-                    contexts,
-                )
-            except ShardWorkerError as exc:
-                timed_out = isinstance(exc, ShardWorkerTimeout)
-                self._teardown_pool(force=timed_out)
-                policy = config.retry_policy
-                if policy is None:
-                    raise
-                if attempt + 1 < policy.max_attempts:
-                    action = "retry"
-                elif policy.degrade:
-                    action = "degrade"
-                else:
-                    action = "abort"
-                self.stats.observe_recovery(
-                    RecoveryEvent(
-                        phase=protocol.name,
-                        error="%s: %s" % (type(exc).__name__, exc),
-                        action=action,
-                        attempt=attempt,
-                        timed_out=timed_out,
-                    )
-                )
-                if action == "abort":
-                    raise
-                if action == "degrade":
-                    self._degraded = True
-                    if self.shared_csr is not None:
-                        shared, self.shared_csr = self.shared_csr, None
-                        shared.destroy()
-                    return self._run_serial(protocol, config, contexts)
-                attempt += 1
-                delay = policy.delay_before(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-
-    def _run_serial(
-        self,
-        protocol: Protocol,
-        config: CongestConfig,
-        contexts: ContextRegistry,
-    ) -> RunResult:
-        """Complete one phase on the serial in-process sharded backend.
-
-        The degradation target (and the empty-network path): bit-identical
-        to the pool by the engine contract, immune to worker-process
-        failures.  Any fault plan is stripped — the plan describes
-        *worker* faults, and re-simulating the failure the session just
-        degraded away from would defeat the ladder's whole point.
-        """
-        if getattr(config, "fault_plan", None) is not None:
-            config = replace(config, fault_plan=None)
-        run = _ShardedRun(
-            network=self.network,
-            protocol=protocol,
-            config=config,
-            contexts=contexts,
-            plan=self.plan,
-        )
-        result = run.run()
-        self._epoch = self.network.context_epoch
-        total, cross = run.traffic_totals()
-        self.stats.observe_phase(protocol.name, total, cross, 0, 0, 0.0)
-        return result
-
-    def _execute_on_pool(
-        self,
-        protocol: Protocol,
-        config: CongestConfig,
-        global_inputs: Optional[Dict[str, Any]],
-        per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
-        reuse_contexts: bool,
-        external: bool,
-        contexts: ContextRegistry,
-    ) -> RunResult:
-        """One attempt of one phase on the (spawned or re-armed) pool."""
-        network = self.network
-        setup_started = time.perf_counter()
-        if self._pool is None or not reuse_contexts or external:
-            self._spawn_pool(config, contexts)
-            self._pool.rearm(protocol, config)
-        else:
-            self._pool.rearm(
-                protocol,
-                config,
-                global_inputs=global_inputs,
-                per_shard_state=self._split_inputs(per_node_inputs),
-            )
-        self.stats.rearms += 1
-        setup_seconds = time.perf_counter() - setup_started
-
-        run = ProcessShardedRun(
-            protocol=protocol, config=config, contexts=contexts, pool=self._pool
-        )
-        result = run.run()
-        self._epoch = network.context_epoch
-        total, cross = run.traffic_totals()
-        self.stats.observe_phase(
-            protocol.name,
-            total,
-            cross,
-            run.boundary_bytes,
-            run.barrier_rounds,
-            setup_seconds,
+        (result,) = self._run_group(
+            [protocol], config, global_inputs, per_node_inputs, reuse_contexts
         )
         return result
 
-    # ------------------------------------------------------------------
     def execute_fused(
         self,
         protocols: Sequence[Protocol],
@@ -1414,137 +1154,188 @@ class ProcessSession(CongestSession):
     ) -> List[RunResult]:
         """Run a fused phase group: one pool re-arm for the whole group.
 
-        The protocol sequence is shipped once (``arm-seq``); workers
-        self-arm each follow-on phase right after its predecessor's
-        ``finish-light`` report, overlapping the elided re-arm with the
-        coordinator's output merge.  Context state stays worker-side until
-        the group-final phase's full ``finish`` folds it back — so each
-        phase still runs the exact round loop, metrics and outputs it
-        would have run unfused, and a mid-group failure leaves the
-        parent's contexts bit-identical to the group start (a supervised
-        retry replays the *whole group* transactionally).
+        The protocol tuple ships with one ``arm``; workers self-arm each
+        follow-on phase right after its predecessor's ``finish`` report,
+        overlapping the elided re-arm with the coordinator's output merge.
+        Context state stays worker-side until the group-final phase's
+        ``finish`` folds it back — so each phase still runs the exact
+        round loop, metrics and outputs it would have run unfused, and a
+        mid-group failure leaves the parent's contexts bit-identical to
+        the group start (a supervised retry replays the *whole group*
+        transactionally).
         """
         if self.closed:
             raise ProtocolError("execute_fused on a closed CongestSession")
         protocols = list(protocols)
         if not protocols:
             return []
-        if len(protocols) == 1:
-            return [
-                self.execute(
-                    protocols[0], config=config, reuse_contexts=reuse_contexts
-                )
-            ]
+        return self._run_group(protocols, config, None, None, reuse_contexts)
+
+    def _run_group(
+        self,
+        protocols: List[Protocol],
+        config: Optional[CongestConfig],
+        global_inputs: Optional[Dict[str, Any]],
+        per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
+        reuse_contexts: bool,
+    ) -> List[RunResult]:
+        """The session's one execution path; ``execute`` is a group of one.
+
+        Fails fast on *every* escaping error — config rejection, a bad
+        per-node input, model violations, worker deaths: the pool is torn
+        down here, not deferred to close(), so the teardown guarantee
+        holds after any failed call.  The next call (if any) respawns.
+        """
+        config = config if config is not None else self.config
         try:
-            return self._execute_fused(
-                protocols,
-                config if config is not None else self.config,
-                reuse_contexts,
+            self._check_config(config)
+            self._reconcile_topology()
+            network = self.network
+            # Contexts mutated outside the session (a direct
+            # build_contexts call between phases) make worker-held state
+            # stale; detect via the epoch and respawn, which re-ships them.
+            external = (
+                self._epoch is None or network.context_epoch != self._epoch
             )
+            contexts = network.build_contexts(
+                global_inputs=global_inputs,
+                per_node_inputs=per_node_inputs,
+                fresh=not reuse_contexts,
+            )
+            if self._degraded or not any(self.plan.shards):
+                # Serial fallback: an empty network has nothing to keep a
+                # pool for, and a degraded session has proven it cannot
+                # keep one.
+                return self._run_serial(protocols, config, contexts)
+
+            # Supervised retry: each attempt runs the group on a pool; a
+            # ShardWorkerError (timeouts included) with a retry_policy set
+            # tears the pool down and *replays the group* — the
+            # reconciliation and build_contexts above ran once, and the
+            # parent's contexts are bit-identical to the group start
+            # because only the group-final harvest folds worker state
+            # back, after every worker reported.  The respawned pool
+            # re-ships those pristine contexts (the arm after a spawn
+            # replays no inputs), so the replay is deterministic by the
+            # engine contract.  Wire-codec interning state is per pool,
+            # which is why a retry respawns the whole pool.
+            plan_faults = config.fault_plan
+            attempt = 0
+            while True:
+                attempt_config = config
+                if plan_faults is not None and plan_faults.attempt != attempt:
+                    attempt_config = replace(
+                        config, fault_plan=plan_faults.for_attempt(attempt)
+                    )
+                try:
+                    return self._run_on_pool(
+                        protocols,
+                        attempt_config,
+                        global_inputs,
+                        per_node_inputs,
+                        reuse_contexts,
+                        external,
+                        contexts,
+                    )
+                except ShardWorkerError as exc:
+                    timed_out = isinstance(exc, ShardWorkerTimeout)
+                    self._teardown_pool(force=timed_out)
+                    policy = config.retry_policy
+                    if policy is None:
+                        raise
+                    if attempt + 1 < policy.max_attempts:
+                        action = "retry"
+                    elif policy.degrade:
+                        action = "degrade"
+                    else:
+                        action = "abort"
+                    self.stats.observe_recovery(
+                        RecoveryEvent(
+                            phase="+".join(p.name for p in protocols),
+                            error="%s: %s" % (type(exc).__name__, exc),
+                            action=action,
+                            attempt=attempt,
+                            timed_out=timed_out,
+                        )
+                    )
+                    if action == "abort":
+                        raise
+                    if action == "degrade":
+                        self._degraded = True
+                        if self.shared_csr is not None:
+                            shared, self.shared_csr = self.shared_csr, None
+                            shared.destroy()
+                        return self._run_serial(protocols, config, contexts)
+                    attempt += 1
+                    delay = policy.delay_before(attempt)
+                    if delay > 0:
+                        time.sleep(delay)
         except BaseException as exc:
+            # A watchdog timeout marks still-alive workers as known-stuck:
+            # terminate them immediately instead of granting the EOF grace
+            # period they would sit out anyway.
             self._teardown_pool(force=isinstance(exc, ShardWorkerTimeout))
             raise
 
-    def _execute_fused(
-        self,
-        protocols: List[Protocol],
-        config: CongestConfig,
-        reuse_contexts: bool,
-    ) -> List[RunResult]:
-        self._check_config(config)
-        self._reconcile_topology()
-        network = self.network
-        external = self._epoch is None or network.context_epoch != self._epoch
-        contexts = network.build_contexts(fresh=not reuse_contexts)
-
-        if self._degraded or not any(self.plan.shards):
-            return self._run_serial_group(protocols, config, contexts)
-
-        plan_faults = config.fault_plan
-        attempt = 0
-        while True:
-            attempt_config = config
-            if plan_faults is not None and plan_faults.attempt != attempt:
-                attempt_config = replace(
-                    config, fault_plan=plan_faults.for_attempt(attempt)
-                )
-            try:
-                return self._fused_on_pool(
-                    protocols, attempt_config, reuse_contexts, external, contexts
-                )
-            except ShardWorkerError as exc:
-                timed_out = isinstance(exc, ShardWorkerTimeout)
-                self._teardown_pool(force=timed_out)
-                policy = config.retry_policy
-                if policy is None:
-                    raise
-                if attempt + 1 < policy.max_attempts:
-                    action = "retry"
-                elif policy.degrade:
-                    action = "degrade"
-                else:
-                    action = "abort"
-                self.stats.observe_recovery(
-                    RecoveryEvent(
-                        phase="+".join(p.name for p in protocols),
-                        error="%s: %s" % (type(exc).__name__, exc),
-                        action=action,
-                        attempt=attempt,
-                        timed_out=timed_out,
-                    )
-                )
-                if action == "abort":
-                    raise
-                if action == "degrade":
-                    self._degraded = True
-                    if self.shared_csr is not None:
-                        shared, self.shared_csr = self.shared_csr, None
-                        shared.destroy()
-                    return self._run_serial_group(protocols, config, contexts)
-                attempt += 1
-                delay = policy.delay_before(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-
-    def _run_serial_group(
+    def _run_serial(
         self,
         protocols: List[Protocol],
         config: CongestConfig,
         contexts: ContextRegistry,
     ) -> List[RunResult]:
-        """Degradation target of a fused group: phase-by-phase, serial.
+        """Complete a group phase by phase on the serial sharded backend.
 
-        The parent's contexts are bit-identical to the group start when
-        this runs (the group-final fold never happened), so replaying the
-        whole group serially is exactly the unfused composite — including
-        the ``build_contexts(fresh=False)`` call between phases.
+        The degradation target (and the empty-network path): bit-identical
+        to the pool by the engine contract, immune to worker-process
+        failures.  The parent's contexts are at the group start when this
+        runs (the group-final fold never happened), so the serial replay
+        is exactly the unfused composite — including the
+        ``build_contexts(fresh=False)`` call between phases.
         """
         results: List[RunResult] = []
         for i, protocol in enumerate(protocols):
             if i:
                 contexts = self.network.build_contexts(fresh=False)
-            results.append(self._run_serial(protocol, config, contexts))
+            run = _ShardedRun(
+                network=self.network,
+                protocol=protocol,
+                config=config,
+                contexts=contexts,
+                plan=self.plan,
+            )
+            results.append(run.run())
+            self._epoch = self.network.context_epoch
+            total, cross = run.traffic_totals()
+            self.stats.observe_phase(protocol.name, total, cross, 0, 0, 0.0)
         return results
 
-    def _fused_on_pool(
+    def _run_on_pool(
         self,
         protocols: List[Protocol],
         config: CongestConfig,
+        global_inputs: Optional[Dict[str, Any]],
+        per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
         reuse_contexts: bool,
         external: bool,
         contexts: ContextRegistry,
     ) -> List[RunResult]:
-        """One attempt of one fused group on the (spawned or re-armed) pool.
+        """One attempt of one group on the (spawned or re-armed) pool.
 
         Per-phase stats are buffered and flushed only after the group-final
-        fold: a mid-group failure then records nothing, so a retry's replay
-        cannot double-count phases that completed before the failure.
+        fold: a failure then records nothing, so a retry's replay cannot
+        double-count phases that completed before the failure.
         """
-        network = self.network
         setup_started = time.perf_counter()
         if self._pool is None or not reuse_contexts or external:
-            self._spawn_pool(config, contexts)
-        self._pool.rearm_sequence(protocols, config)
+            self._spawn_pool(contexts)
+            self._pool.rearm(protocols, config)
+        else:
+            self._pool.rearm(
+                protocols,
+                config,
+                global_inputs=global_inputs,
+                per_shard_state=self._split_inputs(per_node_inputs),
+            )
         self.stats.rearms += 1
         self.stats.fused_phases += len(protocols) - 1
         setup_seconds = time.perf_counter() - setup_started
@@ -1572,15 +1363,13 @@ class ProcessSession(CongestSession):
                     setup_seconds if i == 0 else 0.0,
                 )
             )
-        self._epoch = network.context_epoch
+        self._epoch = self.network.context_epoch
         for packed in phase_stats:
             self.stats.observe_phase(*packed)
         return results
 
     # ------------------------------------------------------------------
-    def _spawn_pool(
-        self, config: CongestConfig, contexts: ContextRegistry
-    ) -> None:
+    def _spawn_pool(self, contexts: ContextRegistry) -> None:
         """Replace the pool with one fresh worker per non-empty shard."""
         self._teardown_pool()
         if self.shared_csr is None:
@@ -1589,7 +1378,7 @@ class ProcessSession(CongestSession):
         handles = _spawn_workers(
             self.plan, self._ids, contexts, shared_csr=self.shared_csr
         )
-        self._pool = _WorkerPool(handles, config.worker_join_timeout)
+        self._pool = _WorkerPool(handles)
 
     def _reconcile_topology(self) -> None:
         """Absorb an ``apply_delta`` mutation; refuse any other topology change.

@@ -500,8 +500,8 @@ class TestSessionMode:
     )
     def test_full_runner_identical_in_session(self, engine, fields):
         # The runner compiles the composite into fused groups
-        # (``execute_fused``; on the process backend one arm-seq plus a
-        # finish-light chain per group, context fold-back only at the group
+        # (``execute_fused``; on the process backend one arm plus a chain
+        # of finish reports per group, context fold-back only at the group
         # boundary).  Fusion elides coordination, never semantics: outputs,
         # rounds and the full per-round trace must stay bit-identical to
         # the reference engine.

@@ -16,7 +16,7 @@ The claims under test, in increasing order of machinery:
    implementation detail, not an observable event.
 
 The matrix class at the bottom is the CI chaos job's entry point — it
-selects one (scenario, backend) cell per job with ``-k``.
+selects one scenario cell per job with ``-k``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import networkx as nx
 import pytest
 
 from repro.congest.config import CongestConfig, RetryPolicy
+from repro.congest.engine import get_engine
 from repro.congest.errors import (
     ShardWorkerError,
     ShardWorkerTimeout,
@@ -181,14 +182,6 @@ class TestFaultPlan:
 # the config surface
 # ----------------------------------------------------------------------
 class TestConfigKnobs:
-    def test_worker_join_timeout_must_be_positive(self):
-        assert CongestConfig().worker_join_timeout == 5.0
-        assert CongestConfig(worker_join_timeout=0.25).worker_join_timeout == 0.25
-        with pytest.raises(ValueError, match="worker_join_timeout"):
-            CongestConfig(worker_join_timeout=0.0)
-        with pytest.raises(ValueError, match="worker_join_timeout"):
-            CongestConfig(worker_join_timeout=-1.0)
-
     def test_round_timeout_none_or_positive(self):
         assert CongestConfig().round_timeout is None
         assert CongestConfig(round_timeout=2.5).round_timeout == 2.5
@@ -255,7 +248,7 @@ class TestWireCorruption:
 
 
 # ----------------------------------------------------------------------
-# in-process fault simulation (serial backend)
+# the serial backend has no worker to fail
 # ----------------------------------------------------------------------
 def _bfs_inputs(graph):
     return {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
@@ -272,7 +265,7 @@ class TestInProcessSimulation:
     def test_empty_simulated_plan_is_bit_identical_noop(self):
         graph = nx.gnp_random_graph(30, 0.2, seed=12)
         results = {}
-        for plan in (None, FaultPlan(simulate=True)):
+        for plan in (None, FaultPlan()):
             network = Network(graph, seed=2)
             result = run_protocol(
                 network,
@@ -543,6 +536,66 @@ class TestSupervisedRetry:
             _run_pipeline(graph, config)
         _assert_no_worker_processes()
 
+    def test_light_rearm_with_inputs_replays_and_matches_fused_group_of_one(self):
+        # A crash in a phase whose inputs travel on the light re-arm: the
+        # replay respawns from the parent's contexts, which already hold
+        # those inputs, and must answer as the reference engine does.
+        graph = self._graph()
+        phase = MinIdBFSTreeProtocol()
+        first = _bfs_inputs(graph)
+        second = {v: {KEY_PARTICIPANT: v % 4 != 1} for v in graph.nodes()}
+
+        def two_runs(session, config=None):
+            session.execute(phase, per_node_inputs=first)
+            result = session.execute(
+                phase,
+                config=config,
+                reuse_contexts=True,
+                per_node_inputs=second,
+                global_inputs={"bfs-epoch": 2},
+            )
+            metrics = result.metrics
+            return (
+                dict(result.outputs),
+                metrics.rounds,
+                metrics.total_messages,
+                metrics.total_bits,
+            )
+
+        reference = CongestConfig(engine="reference").with_log_budget(self.N)
+        network = Network(graph, seed=2)
+        with get_engine("reference").open_session(network, reference) as session:
+            oracle = two_runs(session)
+
+        clean = _faulty_config(self.N, None, retry=RetryPolicy(max_attempts=2))
+        crash = FaultSpec(
+            point="round", kind="crash", shard=1, phase=phase.name, round_index=1
+        )
+        faulty = dataclasses.replace(clean, fault_plan=FaultPlan(specs=(crash,)))
+        network = Network(graph, seed=2)
+        with get_engine("sharded").open_session(network, clean) as session:
+            assert two_runs(session, faulty) == oracle
+            stats = session.stats
+            events = [(e.phase, e.action) for e in stats.recovery_events]
+            assert events == [(phase.name, "retry")]
+
+            # execute(p) and execute_fused([p]) are one group of one.
+            def delta(run):
+                before = (stats.rearms, stats.fused_phases, len(stats.phases))
+                run()
+                (partial,) = stats.phases[before[2]:]
+                return (
+                    stats.rearms - before[0],
+                    stats.fused_phases - before[1],
+                    dataclasses.replace(partial, setup_seconds=0.0),
+                )
+
+            single = delta(lambda: session.execute(phase, reuse_contexts=True))
+            fused = delta(lambda: session.execute_fused([phase]))
+        assert single == fused
+        assert single[:2] == (1, 0)
+        _assert_no_worker_processes()
+
 
 class TestChaosDifferential:
     """Randomised plans: whatever the seed injects, the answer is the oracle's."""
@@ -709,10 +762,9 @@ class TestDaemonHardening:
 
 
 # ----------------------------------------------------------------------
-# the CI chaos matrix: one (scenario, backend) cell per job via -k
+# the CI chaos matrix: one scenario cell per job via -k
 # ----------------------------------------------------------------------
-def _matrix_plan(scenario: str, backend: str) -> FaultPlan:
-    hang_seconds = 30.0 if backend == "process" else 5.0
+def _matrix_plan(scenario: str) -> FaultPlan:
     specs = {
         "crash_arm": FaultSpec(point="arm", kind="crash", shard=1),
         "crash_round": FaultSpec(
@@ -723,11 +775,11 @@ def _matrix_plan(scenario: str, backend: str) -> FaultPlan:
             kind="hang",
             shard=0,
             round_index=1,
-            hang_seconds=hang_seconds,
+            hang_seconds=30.0,
         ),
         "corrupt_wire": FaultSpec(point="round", kind="corrupt", shard=0),
     }
-    return FaultPlan(specs=(specs[scenario],), simulate=backend == "serial")
+    return FaultPlan(specs=(specs[scenario],))
 
 
 EXPECTED_ERROR = {
@@ -739,19 +791,19 @@ EXPECTED_ERROR = {
 
 
 class TestFaultMatrix:
-    """Every fault kind surfaces as its typed error on both backends.
+    """Every fault kind surfaces as its typed error on the process backend.
 
     CI runs each cell as its own job:
-    ``pytest tests/test_faults.py -k "<scenario> and <backend>"``.
+    ``pytest tests/test_faults.py -k "<scenario> and process"``.
     """
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize(
         "scenario", ["crash_arm", "crash_round", "hang", "corrupt_wire"]
     )
     def test_fault_surfaces_as_typed_error(self, scenario, backend):
         graph = _connected_gnp(24, 0.15, seed=3)
-        plan = _matrix_plan(scenario, backend)
+        plan = _matrix_plan(scenario)
         config = CongestConfig().with_sharding(shards=3, backend=backend)
         round_timeout = 1.5 if scenario == "hang" else None
         config = dataclasses.replace(
@@ -766,5 +818,4 @@ class TestFaultMatrix:
                 per_node_inputs=_bfs_inputs(graph),
             )
         assert time.time() - started < 30.0
-        if backend == "process":
-            _assert_no_worker_processes()
+        _assert_no_worker_processes()

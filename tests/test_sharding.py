@@ -1161,7 +1161,7 @@ class TestPipelineFusionSession:
 
     Bit-identity of fused *results* lives in the differential suite; this
     class pins the coordination claim itself: the composite runner ships
-    whole fused groups (one ``arm-seq``, workers self-arm between phases),
+    whole fused groups (one ``arm``, workers self-arm between phases),
     so the session's pool re-arms stay strictly below the phases executed.
     Test names carry ``session`` so CI's session job selects them.
     """
@@ -1183,7 +1183,7 @@ class TestPipelineFusionSession:
         phases_executed = len(stats.phases)
         # The satellite invariant: strictly fewer pool re-arms than phases.
         assert stats.rearms < phases_executed
-        # And the exact plan shape: the sampling phase plus one arm-seq
+        # And the exact plan shape: the sampling phase plus one arm
         # covering the entire fused exploration+decision suffix.
         assert stats.rearms == 2
         assert stats.fused_phases == phases_executed - stats.rearms
@@ -1233,7 +1233,7 @@ class TestRetiredModeConstructionValidation:
             session_mode="persistent",
             pipeline_mode="fuse",
         )
-        assert len(dataclasses.fields(CongestConfig)) == 12
+        assert len(dataclasses.fields(CongestConfig)) == 10
         assert "session_mode" not in vars(config)
         assert "pipeline_mode" not in vars(config)
         assert config.with_log_budget(100) == dataclasses.replace(
@@ -1247,8 +1247,9 @@ class TestRemovedSurfaceStaysRemoved:
     The async engine, the thread backend's pool, per-call pools, the
     unfused pipeline mode, the artifact cache, the ``nx.Graph``-building
     induced subgraph, the scheduler class, the non-contiguous partitioners
-    with incremental plan repair and the network's delta ledger were
-    deleted, not deprecated: an old spelling fails loudly instead of being
+    with incremental plan repair, the network's delta ledger, the
+    in-process fault simulator and the process session's second (fused)
+    execution path were deleted, not deprecated: an old spelling fails loudly instead of being
     ignored.
     """
 
@@ -1296,6 +1297,13 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.congest.config:CongestConfig", "shard_strategy"),
             ("repro.congest.network:Network", "deltas_since"),
             ("repro.service.incremental:NearCliqueService", "_shards_of"),
+            ("repro.congest.config:CongestConfig", "budget_multiplier"),
+            ("repro.congest.config:CongestConfig", "worker_join_timeout"),
+            ("repro.congest.sharding.faults", "SimulatedFaults"),
+            ("repro.congest.sharding.faults:FaultPlan", "simulate"),
+            ("repro.congest.sharding.workers:_WorkerHarness", "arm_sequence"),
+            ("repro.congest.sharding.workers:_WorkerHarness", "finish_light"),
+            ("repro.congest.sharding.workers:_WorkerPool", "rearm_sequence"),
         ],
         ids=lambda part: part.replace(":", "."),
     )
