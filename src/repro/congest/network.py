@@ -25,10 +25,16 @@ a node's sorted neighbour tuple is sliced from them on first access and
 cached, the ``array('q')`` pair :meth:`Network.csr` returns is copied once
 per topology, and the read-only :attr:`Network.graph` view is built on
 first access and dropped by every delta.  :meth:`Network.apply_delta`
-splices only the rows of the touched nodes and replaces only their cached
-tuples.  The topology fingerprint (node count, edge count, CRC of the
-arrays) takes its counts whenever the arrays change and its CRC on the
-first read after that.
+costs the degree of the touched nodes: it writes their new tuples into
+the cache and marks those rows stale, so the cache is an overlay over
+the arrays.  Every reader of single rows (:meth:`Network.neighbors`,
+:meth:`Network.induced`, the contexts, :attr:`Network.graph`) reads the
+overlay; the first whole-graph read (:meth:`Network.csr`,
+:meth:`Network.csr_numpy`, :meth:`Network.csr_fingerprint`) compacts
+every stale row into the arrays in one splice.  The topology fingerprint
+(node count, edge count, CRC of the arrays) is computed on the first
+read after the topology changes, so a network nothing keys on never
+pays for it.
 
 Per-node contexts live in a :class:`ContextRegistry`, which builds a
 :class:`NodeContext` on first touch.  After sampling, a ``DistNearClique``
@@ -76,17 +82,15 @@ class AppliedDelta:
     touched:
         Endpoints of the effective edges — the dirty-node seed set for
         incremental recomputation.
-    fingerprint_after:
-        :meth:`Network.csr_fingerprint` immediately after the splice (the
-        value :attr:`Network.delta_fingerprint` holds until the next
-        effective delta).
+
+    The topology's fingerprint after the delta is not part of the record:
+    it is :attr:`Network.delta_fingerprint`, computed on first read.
     """
 
     epoch: int
     added: Tuple[Tuple[int, int], ...]
     removed: Tuple[Tuple[int, int], ...]
     touched: frozenset = field(repr=False)
-    fingerprint_after: Tuple[int, int, int] = field(repr=False)
 
     @property
     def edges_changed(self) -> int:
@@ -161,9 +165,12 @@ def _compact_ids(pairs: np.ndarray) -> Tuple[List[int], np.ndarray]:
 class _NeighborRows:
     """Neighbour tuples sliced from the CSR arrays on first access, by node id.
 
-    Shared by a network and its context registries, so a registry can build
-    contexts without holding the network (which would make a reference
-    cycle that only the cyclic collector frees).
+    A delta writes the new tuples of the nodes it touches into the cache
+    before the arrays catch up (:meth:`Network.apply_delta`), so a cached
+    tuple is always current, and the arrays are current for every row
+    that is not cached.  Shared by a network and its context registries,
+    so a registry can build contexts without holding the network (which
+    would make a reference cycle that only the cyclic collector frees).
     """
 
     __slots__ = ("ids", "index_of", "dense_ids", "indptr", "indices", "cache")
@@ -188,16 +195,22 @@ class _NeighborRows:
         return row
 
     def all(self) -> Iterator[Tuple[int, ...]]:
-        """Every tuple in dense-index order, sliced in one bulk pass."""
+        """Every tuple in dense-index order, sliced in one bulk pass.
+
+        The tuples already cached win over the arrays: a row a delta
+        changed is cached and not yet compacted into them.
+        """
         if len(self.cache) < len(self.ids):
             flat = self.indices.tolist()
             if not self.dense_ids:
                 flat = list(map(self.ids.__getitem__, flat))
             bounds = self.indptr.tolist()
-            self.cache = {
+            cache = {
                 node_id: tuple(flat[bounds[index] : bounds[index + 1]])
                 for index, node_id in enumerate(self.ids)
             }
+            cache.update(self.cache)
+            self.cache = cache
         return map(self.cache.__getitem__, self.ids)
 
 
@@ -436,12 +449,13 @@ class Network:
         system's ``n`` so identifier widths and message-bit accounting
         match the full run exactly.
 
-    The topology is stored as int64 CSR arrays only (see the module
-    docstring).  A node's neighbour tuple is sliced from them on first
-    access (:meth:`neighbors`, :meth:`degree`, :meth:`has_edge`, a built
-    context's ``neighbors``) and cached.  :attr:`graph` is a frozen
-    ``networkx`` view built from them on demand; the topology changes only
-    through :meth:`apply_delta`.
+    The topology is stored as int64 CSR arrays, plus the cached tuples of
+    the rows deltas changed since the last whole-graph read (see the
+    module docstring).  A node's neighbour tuple is sliced from the arrays
+    on first access (:meth:`neighbors`, :meth:`degree`, :meth:`has_edge`,
+    a built context's ``neighbors``) and cached.  :attr:`graph` is a
+    frozen ``networkx`` view built from the tuples on demand; the topology
+    changes only through :meth:`apply_delta`.
 
     Contexts are built on first touch (:class:`ContextRegistry`): a fresh
     :meth:`build_contexts` builds a context only for the nodes with
@@ -472,6 +486,8 @@ class Network:
     ) -> None:
         """Build the CSR from the dense pairs of the assigned ids; reset the rest."""
         self._rows = _NeighborRows(self._ids, self._index_of, self._dense_ids)
+        #: Ids whose cached row a delta changed and the arrays do not hold yet.
+        self._stale: set = set()
         self._install(*_build_csr(len(self._ids), src, dst))
 
         self.reseed(seed)
@@ -479,6 +495,7 @@ class Network:
         self._contexts: Optional[ContextRegistry] = None
         self._ctx_epoch = 0
         self._delta_epoch = 0
+        # The latest effective delta's fingerprint once read (None before).
         self._delta_fingerprint: Optional[Tuple[int, int, int]] = None
 
     def _read_pairs(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -567,18 +584,52 @@ class Network:
             self._index_of = {node_id: index for index, node_id in enumerate(self._ids)}
 
     def _install(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        # Kernels read these arrays in place; a delta installs new ones
-        # instead of writing into them.
+        # Kernels read these arrays in place; compaction installs new
+        # ones instead of writing into them.
         indptr.flags.writeable = indices.flags.writeable = False
         self._indptr = self._rows.indptr = indptr
         self._indices = self._rows.indices = indices
-        # Derived views, rebuilt on demand from the arrays above.
+        self._counts = (len(self._ids), len(indices) // 2)
+        self._drop_views()
+
+    def _drop_views(self) -> None:
+        # Derived views, rebuilt on demand: the array('q') copies, the
+        # frozen graph, and the fingerprint caches and execution sessions
+        # key on (the counts are kept current, the checksum is taken on
+        # first read).
         self._csr_arrays: Optional[Tuple[array, array]] = None
         self._graph_view: Optional[nx.Graph] = None
-        # The topology fingerprint caches and execution sessions key on:
-        # the counts now, the checksum on first read.
-        self._counts = (len(self._ids), len(indices) // 2)
         self._fingerprint: Optional[Tuple[int, int, int]] = None
+
+    def _compact(self) -> None:
+        """Splice every stale row's cached tuple into the CSR arrays, in one pass.
+
+        Only whole-graph reads call this; a row reader takes the tuple.
+        """
+        if not self._stale:
+            return
+        index_of, cache = self._index_of, self._rows.cache
+        indptr, indices = self._indptr, self._indices
+        degrees = np.diff(indptr)
+        pieces: List[np.ndarray] = []
+        cursor = 0
+        for index in sorted(map(index_of.__getitem__, self._stale)):
+            neighbours = cache[self._ids[index]]
+            pieces.append(indices[cursor : indptr[index]])
+            pieces.append(
+                np.fromiter(
+                    map(index_of.__getitem__, neighbours),
+                    dtype=np.int64,
+                    count=len(neighbours),
+                )
+            )
+            cursor = indptr[index + 1]
+            degrees[index] = len(neighbours)
+        pieces.append(indices[cursor:])
+        new_indptr = np.zeros_like(indptr)
+        np.cumsum(degrees, out=new_indptr[1:])
+        self._install(new_indptr, np.concatenate(pieces))
+        self._stale = set()
 
     # ------------------------------------------------------------------
     # topology accessors
@@ -633,6 +684,7 @@ class Network:
         ``array('q')`` copies of the int64 storage, made once per topology
         and shared — callers must not mutate them.
         """
+        self._compact()
         if self._csr_arrays is None:
             indptr, indices = array("q"), array("q")
             indptr.frombytes(self._indptr.tobytes())
@@ -645,24 +697,28 @@ class Network:
 
         No copies are made; the arrays are flagged read-only.  Node ids
         have no int64 column (they may not fit one): ``ids[i]`` is
-        ``node_ids[i]``.
+        ``node_ids[i]``.  The rows deltas changed since the last
+        whole-graph read are spliced in first.
         """
+        self._compact()
         return self._indptr, self._indices
 
     def csr_fingerprint(self) -> Tuple[int, int, int]:
         """Fingerprint of the current topology: ``(nodes, edges, CSR checksum)``.
 
-        The checksum is computed on the first read after the CSR arrays
-        change (construction and every effective :meth:`apply_delta`,
-        which reads it for :attr:`delta_fingerprint`) and cached, so a network
-        that nothing keys on never pays for it.  The checksum
-        covers both arrays, so it tells any two topologies apart that differ
-        in an edge — count-preserving swaps included — up to CRC collisions.
-        It is the key :func:`repro.congest.sharding.partition.cached_partition`
+        A whole-graph read: it compacts the rows deltas changed into the
+        arrays, then takes the checksum on the first read after the
+        topology changes (construction or an effective
+        :meth:`apply_delta`) and caches it, so a network that nothing keys
+        on never pays for it.  The checksum covers both arrays, so it
+        tells any two topologies apart that differ in an edge —
+        count-preserving swaps included — up to CRC collisions.  It is the
+        key :func:`repro.congest.sharding.partition.cached_partition`
         memoises plans under and the value execution sessions compare
         against :attr:`delta_fingerprint` to detect a network that changed
         between phases.
         """
+        self._compact()
         if self._fingerprint is None:
             self._fingerprint = self._counts + (
                 zlib.crc32(self._indices, zlib.crc32(self._indptr)),
@@ -720,8 +776,11 @@ class Network:
         """The :meth:`csr_fingerprint` the latest effective delta produced.
 
         ``None`` before the first effective :meth:`apply_delta`.  It is the
-        only per-delta value the network keeps.
+        only per-delta value the network keeps, computed (and the stale
+        rows compacted) on the first read after each effective delta.
         """
+        if self._delta_fingerprint is None and self._delta_epoch:
+            self._delta_fingerprint = self.csr_fingerprint()
         return self._delta_fingerprint
 
     def _normalize_delta_edges(
@@ -768,15 +827,18 @@ class Network:
         :class:`repro.congest.errors.DeltaError` leaves the network
         untouched.  No-op entries (adding a present edge, removing an
         absent one) are dropped; an edge named in both lists is rejected
-        as ambiguous.  On an effective change only the touched nodes' rows
-        are rebuilt and spliced between the untouched ``indices`` slices;
-        ``indptr`` is redone from the degree column, the touched rows'
-        cached tuples are replaced and the fingerprint recomputed.  Built
-        contexts of touched nodes have their ``neighbors`` view refreshed
-        *in place* (state, output and RNG streams are
-        preserved — an evolving-graph service keeps its nodes), the delta
-        epoch advances and the new fingerprint is kept as
-        :attr:`delta_fingerprint` for sessions to check against.
+        as ambiguous.  An effective change costs the degree of the touched
+        nodes, not the size of the graph: their new sorted tuples replace
+        their cached ones and their rows are marked stale, the edge count
+        is updated and the derived views (``array('q')`` copies, graph
+        view, fingerprint) are dropped.  The CSR arrays are left as they
+        are until the next whole-graph read (:meth:`csr`,
+        :meth:`csr_numpy`, :meth:`csr_fingerprint`), which splices every
+        stale row in at once.  Built contexts of touched nodes have their
+        ``neighbors`` view refreshed *in place* (state, output and RNG
+        streams are preserved — an evolving-graph service keeps its
+        nodes), and the delta epoch advances; :attr:`delta_fingerprint`
+        is the new topology's fingerprint, taken when first read.
 
         ``context_epoch`` is deliberately *not* bumped: contexts were
         patched, not rebuilt, and process sessions detect the topology
@@ -795,11 +857,7 @@ class Network:
         removed = [edge for edge in removed if self.has_edge(*edge)]
         if not added and not removed:
             return AppliedDelta(
-                epoch=self._delta_epoch,
-                added=(),
-                removed=(),
-                touched=frozenset(),
-                fingerprint_after=self.csr_fingerprint(),
+                epoch=self._delta_epoch, added=(), removed=(), touched=frozenset()
             )
         touched = frozenset(v for edge in added + removed for v in edge)
         rows = {node_id: set(self.neighbors(node_id)) for node_id in touched}
@@ -809,48 +867,28 @@ class Network:
         for u, v in removed:
             rows[u].remove(v)
             rows[v].remove(u)
-        self._splice_rows(rows)
+        cache = self._rows.cache
+        for node_id, neighbours in rows.items():
+            cache[node_id] = tuple(sorted(neighbours))
+        self._stale.update(touched)
+        nodes, edges = self._counts
+        self._counts = (nodes, edges + len(added) - len(removed))
+        self._drop_views()
         for node_id in touched if self._contexts is not None else ():
             ctx = self._contexts.get_live(node_id)
             if ctx is not None:
-                ctx.neighbors = self._rows.cache[node_id]
+                ctx.neighbors = cache[node_id]
                 # is_neighbor caches a frozenset in state; drop it so the
                 # patched view is authoritative.
                 ctx.state.pop("__neighbor_set", None)
         self._delta_epoch += 1
-        self._delta_fingerprint = self.csr_fingerprint()
+        self._delta_fingerprint = None
         return AppliedDelta(
             epoch=self._delta_epoch,
             added=tuple(added),
             removed=tuple(removed),
             touched=touched,
-            fingerprint_after=self._delta_fingerprint,
         )
-
-    def _splice_rows(self, rows: Dict[int, set]) -> None:
-        """Replace the CSR rows of the nodes in *rows* (id → new neighbour set)."""
-        index_of = self._index_of
-        indptr, indices = self._indptr, self._indices
-        degrees = np.diff(indptr)
-        pieces: List[np.ndarray] = []
-        cursor = 0
-        for node_id in sorted(rows, key=index_of.__getitem__):
-            neighbours = self._rows.cache[node_id] = tuple(sorted(rows[node_id]))
-            index = index_of[node_id]
-            pieces.append(indices[cursor : indptr[index]])
-            pieces.append(
-                np.fromiter(
-                    map(index_of.__getitem__, neighbours),
-                    dtype=np.int64,
-                    count=len(neighbours),
-                )
-            )
-            cursor = indptr[index + 1]
-            degrees[index] = len(neighbours)
-        pieces.append(indices[cursor:])
-        new_indptr = np.zeros_like(indptr)
-        np.cumsum(degrees, out=new_indptr[1:])
-        self._install(new_indptr, np.concatenate(pieces))
 
     def reseed(self, seed: Optional[int]) -> None:
         """Set the run seed the next :meth:`build_contexts` derives node seeds from.
@@ -957,24 +995,42 @@ class Network:
         ids, no relabelling) with the given run *seed* and *announced_n*,
         built without one: the kept rows are gathered, neighbours outside
         the set masked out and the survivors renumbered to local indices.
+        A kept row a delta changed is read from the cached tuples, so the
+        cost stays that of the kept rows: nothing is compacted.
         """
         index_of = self._index_of
         rows = np.array(
             sorted({index_of[v] for v in nodes if v in index_of}), dtype=np.int64
         )
         sub = Network.__new__(Network)
-        sub._assign_ids([self._ids[i] for i in rows.tolist()])
+        kept = [self._ids[i] for i in rows.tolist()]
+        sub._assign_ids(kept)
         starts = self._indptr[rows]
         degrees = self._indptr[rows + 1] - starts
+        stale = [pos for pos, v in enumerate(kept) if v in self._stale]
+        # Stale rows take no entries from the arrays; their cached tuples
+        # are appended after the gather.
+        degrees[stale] = 0
         # Positions of the kept rows' entries in ``indices``: each row's
         # start, plus 0..degree-1.
         firsts = np.cumsum(degrees) - degrees
         at = np.arange(int(degrees.sum()), dtype=np.int64)
         at += np.repeat(starts - firsts, degrees)
+        dst = self._indices[at]
+        src = np.repeat(np.arange(len(rows), dtype=np.int64), degrees)
+        if stale:
+            overlay = [self._rows.cache[kept[pos]] for pos in stale]
+            lengths = list(map(len, overlay))
+            ends = np.fromiter(
+                map(index_of.__getitem__, chain.from_iterable(overlay)),
+                dtype=np.int64,
+                count=sum(lengths),
+            )
+            dst = np.concatenate((dst, ends))
+            src = np.concatenate((src, np.repeat(np.array(stale, dtype=np.int64), lengths)))
         local = np.full(self.n, -1, dtype=np.int64)
         local[rows] = np.arange(len(rows), dtype=np.int64)
-        dst = local[self._indices[at]]
-        src = np.repeat(np.arange(len(rows), dtype=np.int64), degrees)
+        dst = local[dst]
         inside = dst >= 0
         sub._finish_init(src[inside], dst[inside], seed, announced_n)
         return sub

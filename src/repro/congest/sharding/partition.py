@@ -148,10 +148,12 @@ def cached_partition(
     stale plans are dropped and the partition is recomputed.  A caller that
     already holds the current fingerprint (a session opening) may pass it.
 
-    The fingerprint is cached until the CSR changes, so a repeated probe is
-    O(1); its checksum covers the arrays, so a count-preserving delta (an edge
-    swapped for another) still misses the memo (pinned by
-    ``TestPartitionCacheStaleness``).
+    Reading the fingerprint is a whole-graph read: the first one after a
+    delta compacts the rows the delta changed into the CSR and takes the
+    checksum, and later ones are O(1) until the next delta.  The memo, not
+    the delta, pays for it.  The checksum covers the arrays, so a
+    count-preserving delta (an edge swapped for another) still misses the
+    memo (pinned by ``TestPartitionCacheStaleness``).
     """
     if fingerprint is None:
         fingerprint = network.csr_fingerprint()

@@ -34,7 +34,8 @@ Three layers, each usable on its own:
 
 The underlying delta machinery lives with the structures it mutates:
 :meth:`Network.apply_delta <repro.congest.network.Network.apply_delta>`
-(validated batch updates that splice only the touched CSR rows) and the
+(validated batch updates that cost the touched nodes' degree: their rows
+stay an overlay until a whole-graph read compacts the CSR) and the
 persistent ``ProcessSession``, which absorbs a delta by rebuilding its
 shard plan and respawning its worker pool at the next full query.
 """

@@ -203,6 +203,15 @@ class TestOverriddenFinishedEquivalence:
         assert fingerprints[engine] == fingerprints["reference"]
 
 
+def _independent_sample(graph: nx.Graph, size: int, rng: random.Random):
+    """*size* pairwise non-adjacent nodes of *graph*, drawn by rejection."""
+    nodes = sorted(graph.nodes())
+    while True:
+        sample = sorted(rng.sample(nodes, size))
+        if not any(graph.has_edge(u, v) for i, u in enumerate(sample) for v in sample[i + 1 :]):
+            return sample
+
+
 class TestRunnerEquivalence:
     """The whole 14-phase DistNearClique pipeline, sampled and forced."""
 
@@ -212,6 +221,11 @@ class TestRunnerEquivalence:
         graph, _ = generators.planted_near_clique(
             n=60, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=seed
         )
+        # Seed 0's coins fall into one large sampled component, and a run
+        # costs 2^|S_i| in its largest one: it gets a forced independent
+        # sample of fixed size instead (singleton components).  Seeds 1-4
+        # keep flipping coins, so both sampling paths stay compared.
+        sample = _independent_sample(graph, 6, random.Random(seed)) if seed == 0 else None
         results = {}
         for name in ("reference", engine):
             runner = DistNearCliqueRunner(
@@ -220,7 +234,7 @@ class TestRunnerEquivalence:
                 rng=random.Random(1000 + seed),
                 config=_config(name).with_log_budget(graph.number_of_nodes()),
             )
-            result = runner.run(graph)
+            result = runner.run(graph, sample=sample)
             results[name] = (
                 result.labels,
                 result.sample,

@@ -434,9 +434,11 @@ class TestLazyFingerprint:
         assert network.number_of_edges() == 5 and not calls
         first = network.csr_fingerprint()
         assert len(calls) == 2 and network.csr_fingerprint() == first and len(calls) == 2
-        record = network.apply_delta(additions=[(0, 5)])
-        assert len(calls) == 4 and record.fingerprint_after == network.csr_fingerprint()
-        assert record.fingerprint_after == eager_fingerprint(network) != first
+        network.apply_delta(additions=[(0, 5)])
+        assert len(calls) == 2  # the delta takes no checksum
+        assert network.delta_fingerprint == network.csr_fingerprint() and len(calls) == 4
+        assert network.delta_fingerprint == eager_fingerprint(network) != first
+        assert len(calls) == 4
 
 
 class TestDeltasMatchAFreshBuild:
@@ -457,11 +459,101 @@ class TestDeltasMatchAFreshBuild:
             fresh = Network(mirror)
             assert network.csr() == fresh.csr()
             assert network.csr_fingerprint() == fresh.csr_fingerprint()
-            assert record.fingerprint_after == fresh.csr_fingerprint()
+            assert network.delta_fingerprint == (
+                fresh.csr_fingerprint() if network.delta_epoch else None
+            )
             assert network.csr_fingerprint() == eager_fingerprint(network)
             for node_id in record.touched:
                 assert contexts[node_id].neighbors == fresh.neighbors(node_id)
         assert_matches_reference(network, reference_build(mirror))
+
+
+class TestDeltaOverlay:
+    """Rows a delta changed are read from the overlay until a whole-graph read."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(delta_scripts(), st.data())
+    def test_every_row_reader_sees_the_overlay(self, script, data):
+        graph, steps = script
+        network = Network(graph.copy())
+        mirror = graph.copy()
+        ids = network.node_ids
+        for additions, removals in steps:
+            added = {tuple(sorted(edge)) for edge in additions}
+            removals = [edge for edge in removals if tuple(sorted(edge)) not in added]
+            arrays = network._indptr, network._indices
+            record = network.apply_delta(additions=additions, removals=removals)
+            mirror.add_edges_from(additions)
+            mirror.remove_edges_from(removals)
+            fresh = Network(mirror)
+            # Contexts first: after the first delta the cache is partial,
+            # so materialize slices every row from the arrays and must
+            # keep the overlay.
+            contexts = network.build_contexts().materialize()
+            assert [ctx.neighbors for ctx in contexts] == list(map(fresh.neighbors, ids))
+            assert sorted(network.graph.edges()) == sorted(fresh.graph.edges())
+            chosen = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids)))
+            region = sorted(set(chosen) | record.touched)
+            sub = network.induced(region, seed=5)
+            assert sub.node_ids == region
+            assert sub.csr() == Network(nx.Graph(mirror.subgraph(region))).csr()
+            for u in ids:
+                assert network.neighbors(u) == fresh.neighbors(u)
+                for v in ids:
+                    assert network.has_edge(u, v) == fresh.has_edge(u, v)
+            assert network.number_of_edges() == fresh.number_of_edges()
+            # None of the reads above compacted the overlay.
+            assert all(a is b for a, b in zip((network._indptr, network._indices), arrays))
+            if data.draw(st.booleans()):  # stale rows may pile up over deltas
+                assert network.csr() == fresh.csr()
+        assert network.csr() == Network(mirror).csr()
+        assert network.csr_fingerprint() == Network(mirror).csr_fingerprint()
+
+    def test_delta_does_no_whole_graph_work(self, monkeypatch):
+        numpy_reads = []
+        crc_calls = []
+        installs = []
+
+        class WatchedNumpy:
+            def __getattr__(self, name):
+                numpy_reads.append(name)
+                return getattr(np, name)
+
+        class WatchedZlib:
+            @staticmethod
+            def crc32(data, value=0):
+                crc_calls.append(len(data))
+                return zlib.crc32(data, value)
+
+        real_install = Network._install
+
+        def counting_install(self, indptr, indices):
+            installs.append(len(indices))
+            real_install(self, indptr, indices)
+
+        network = Network(nx.path_graph(50))
+        network.csr_fingerprint()
+        patched = network.build_contexts()[3]
+        arrays = network.csr_numpy()
+        monkeypatch.setattr(network_module, "np", WatchedNumpy())
+        monkeypatch.setattr(network_module, "zlib", WatchedZlib)
+        monkeypatch.setattr(Network, "_install", counting_install)
+        network.apply_delta(additions=[(0, 49)], removals=[(10, 11)])
+        network.apply_delta(additions=[(10, 11), (3, 30)])
+        network.apply_delta(removals=[(0, 49)])
+        assert numpy_reads == [] and crc_calls == [] and installs == []
+        assert patched.neighbors == (2, 4, 30)
+        assert network.number_of_edges() == 50
+        monkeypatch.setattr(network_module, "np", np)
+        indptr, indices = network.csr_numpy()
+        assert installs == [100] and indices is not arrays[1]
+        assert all(a is b for a, b in zip(network.csr_numpy(), (indptr, indices)))
+        assert installs == [100]
+        assert crc_calls == []
+        expected = nx.path_graph(50)
+        expected.add_edge(3, 30)
+        assert network.csr() == Network(expected).csr()
+        assert network.csr_fingerprint() == Network(expected).csr_fingerprint()
 
 
 class TestLazyNodeRngs:

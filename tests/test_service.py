@@ -88,11 +88,7 @@ class TestNetworkDeltaAPI:
         assert record.removed == ((2, 3),)
         assert record.touched == frozenset({0, 2, 3, 5})
         assert network.has_edge(0, 5) and not network.has_edge(2, 3)
-        assert (
-            network.delta_fingerprint
-            == record.fingerprint_after
-            == network.csr_fingerprint()
-        )
+        assert network.delta_fingerprint == network.csr_fingerprint()
 
     def test_noop_entries_are_dropped_without_epoch_bump(self):
         network = Network(nx.path_graph(4), seed=0)
@@ -508,6 +504,45 @@ def _drive(service, requests):
     )
     served = daemon.serve_forever()
     return served, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+class TestIncrementalPathIsLocal:
+    """Delta/query cycles through the daemon never touch the whole graph."""
+
+    def test_thirty_cycles_leave_the_installed_csr_alone(self):
+        parameters = AlgorithmParameters(
+            epsilon=0.3, sample_probability=0.25, max_sample_size=None
+        )
+        graph = _block_graph([10] * 6, p=0.85, seed=5)
+        service = NearCliqueService(graph.copy(), parameters)
+        daemon = NearCliqueDaemon(service, reader=io.StringIO(), writer=io.StringIO())
+        query = json.dumps({"cmd": "query", "seed": 4})
+        assert daemon.handle_line(query)["query"]["kind"] == "full"
+        network = service.network
+        installed = network._indptr, network._indices
+        rng = random.Random(27)
+        with service:
+            for _ in range(30):
+                base = 10 * rng.randrange(6)
+                u, v = sorted(rng.sample(range(base, base + 10), 2))
+                if graph.has_edge(u, v):
+                    graph.remove_edge(u, v)
+                    delta = {"cmd": "delta", "remove": [[u, v]]}
+                else:
+                    graph.add_edge(u, v)
+                    delta = {"cmd": "delta", "add": [[u, v]]}
+                response = daemon.handle_line(json.dumps(delta))
+                assert response["added"] + response["removed"] == 1
+                answers = [daemon.handle_line(query) for _ in range(2)]
+                kinds = [answer["query"]["kind"] for answer in answers]
+                assert kinds == ["incremental", "cached"]
+                assert network._indptr is installed[0]
+                assert network._indices is installed[1]
+            assert daemon.handle_line('{"cmd":"stats"}')["incremental_queries"] == 30
+        fresh = DistNearCliqueRunner(parameters=parameters).run(
+            network=Network(graph, seed=4)
+        )
+        assert dict(answers[-1]["labels"]) == fresh.labels
 
 
 class TestDaemon:

@@ -1042,8 +1042,8 @@ class TestSessionDeltaAbsorption:
         session, _config = _open_process_session(network)
         with session:
             session.execute(_PingAll())
-            record = network.apply_delta(removals=[(3, 4)])
-            nodes, edges, crc = record.fingerprint_after
+            network.apply_delta(removals=[(3, 4)])
+            nodes, edges, crc = network.delta_fingerprint
             monkeypatch.setattr(
                 network, "csr_fingerprint", lambda: (nodes, edges, crc ^ 1)
             )
