@@ -996,7 +996,8 @@ class Network:
         built without one: the kept rows are gathered, neighbours outside
         the set masked out and the survivors renumbered to local indices.
         A kept row a delta changed is read from the cached tuples, so the
-        cost stays that of the kept rows: nothing is compacted.
+        cost stays that of the kept rows: nothing is compacted, and no
+        array of the whole network's size is allocated.
         """
         index_of = self._index_of
         rows = np.array(
@@ -1028,9 +1029,9 @@ class Network:
             )
             dst = np.concatenate((dst, ends))
             src = np.concatenate((src, np.repeat(np.array(stale, dtype=np.int64), lengths)))
-        local = np.full(self.n, -1, dtype=np.int64)
-        local[rows] = np.arange(len(rows), dtype=np.int64)
-        dst = local[dst]
-        inside = dst >= 0
-        sub._finish_init(src[inside], dst[inside], seed, announced_n)
+        # ``rows`` is sorted, so a neighbour's local index is its rank in
+        # it; a neighbour whose rank points at another row is outside.
+        local = np.searchsorted(rows, dst)
+        inside = rows[np.minimum(local, len(rows) - 1)] == dst
+        sub._finish_init(src[inside], local[inside], seed, announced_n)
         return sub

@@ -190,9 +190,9 @@ class NearCliqueDaemon:
 
         A cached answer (the same result object as the last query) reuses
         the last payload with only its ``query`` record replaced; an
-        incremental answer spliced from the last answered result encodes
-        only its region's labels into a copy of the last ``labels``.  Any
-        other answer encodes every label.
+        incremental answer spliced from the last answered result patches
+        the last ``labels`` with its region's labels, re-encoding only the
+        chunks whose labels moved.  Any other answer encodes every label.
         """
         outcome = self.service.query(seed=seed)
         result = outcome.result

@@ -45,11 +45,13 @@ that order once per service (:class:`LabelOrder`), so a query costs one
 pass over the labels, not a sort.
 
 That list is an :class:`EncodedLabels`: a read-only list of pairs that
-also carries its JSON text, one fragment per pair, and
-:func:`encode_response` splices the text in instead of re-encoding the
-pairs.  An answer patched from an earlier one (an incremental answer
-re-encodes only its dirty region) copies the earlier pairs and fragments
-and never mutates the earlier answer.
+also carries its JSON text in chunks of about sqrt(n) consecutive pairs,
+and :func:`encode_response` splices the text in instead of re-encoding
+the pairs.  An answer patched from an earlier one (an incremental answer
+re-encodes only its dirty region) copies the earlier pair list once,
+rebuilds only the chunks holding a label that changed and shares every
+other chunk; it never mutates the earlier answer, and a region whose
+labels all stayed put is answered with the earlier list itself.
 
 The dicts the daemon's ``handle_line`` returns are read-only: a cached
 answer's response shares its ``labels`` list (and the rest of its
@@ -59,6 +61,7 @@ payload) with the previous response.
 from __future__ import annotations
 
 import json
+from math import isqrt
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.result import NearCliqueResult
@@ -169,19 +172,40 @@ def _json_text(value: Any) -> str:
 class EncodedLabels(list):
     """A ``labels`` list of ``(node, label)`` pairs that carries its text.
 
-    ``fragments[i]`` is the JSON text of pair ``i`` and :attr:`text` the
-    text of the whole list, the bytes the encoder would write for it.
-    Read-only: the text is not kept in step with later mutation.
+    ``chunks[c]`` is the comma-joined JSON text of the ``c``-th run of
+    :attr:`LabelOrder.size` consecutive pairs, and :attr:`text` the text
+    of the whole list, the bytes the encoder would write for it.
+    Read-only: the text is not kept in step with later mutation, and an
+    answer patched from this one shares its unchanged chunks.
     """
 
-    __slots__ = ("fragments", "text")
+    __slots__ = ("chunks", "_text")
 
-    def __init__(
-        self, pairs: Iterable[Tuple[Any, Any]], fragments: List[str]
-    ) -> None:
+    def __init__(self, pairs: Iterable[Tuple[Any, Any]], chunks: List[str]) -> None:
         super().__init__(pairs)
-        self.fragments = fragments
-        self.text = "[%s]" % ",".join(fragments)
+        self.chunks = chunks
+        self._text: Optional[str] = None
+
+    @property
+    def text(self) -> str:
+        """The chunks joined, once: a cached answer reuses the join."""
+        if self._text is None:
+            self._text = "[" + ",".join(self.chunks) + "]"
+        return self._text
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``function(key)``, computed once per key."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function: Any) -> None:
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.function(key)
+        return value
 
 
 def encode_response(payload: Dict[str, Any]) -> str:
@@ -245,7 +269,7 @@ class LabelOrder:
     ``[json_node, None]`` without the rest) gives the same order.
     """
 
-    __slots__ = ("nodes", "json_nodes", "prefixes", "position")
+    __slots__ = ("nodes", "json_nodes", "prefixes", "position", "size")
 
     def __init__(self, nodes: Iterable[Any]) -> None:
         keyed = sorted(
@@ -259,6 +283,9 @@ class LabelOrder:
             "[" + _json_text(json_node) + "," for json_node in self.json_nodes
         ]
         self.position = {node: i for i, node in enumerate(self.nodes)}
+        #: Pairs per text chunk: a patch rebuilds a chunk per changed
+        #: label and copies the list of chunks, O(sqrt(n)) each.
+        self.size = max(1, isqrt(len(self.nodes)))
 
     def encode(
         self,
@@ -268,36 +295,68 @@ class LabelOrder:
     ) -> EncodedLabels:
         """The ``labels`` pairs of *labels* (node -> label), with their text.
 
-        With *base* — the pairs of an earlier labelling of the same nodes —
-        only the nodes in *changed* are encoded; the caller vouches that
-        every other node's label equals its label in *base*.  *base* is
-        copied, never mutated.  Label texts are memoised per call: a label
-        is a component root or null, so a labelling has few distinct ones.
+        With *base* — the pairs this order encoded for an earlier
+        labelling of the same nodes — only the nodes in *changed* are
+        looked at; the caller vouches that every other node's label equals
+        its label in *base*.  A node whose JSON label equals its label in
+        *base*, type included, is skipped; if none is left, *base* itself
+        is returned.  Otherwise the result is a copy of *base* with the
+        changed pairs written and only their chunks rebuilt: every other
+        chunk is the same string as in *base*, which is never mutated.
+        Label texts are memoised per call: a labelling's labels are nodes
+        of one graph or null, so it has few distinct ones.
         """
-        nodes = self.nodes
+        nodes, json_nodes = self.nodes, self.json_nodes
         if len(nodes) != len(labels):
             raise ValueError(
                 "label order covers %d nodes, the result %d"
                 % (len(nodes), len(labels))
             )
+        json_labels = _Memo(_jsonable_label)
+        texts = _Memo(_json_text)
+        size = self.size
         if base is None:
-            pairs: List[Any] = [None] * len(nodes)
-            fragments: List[str] = [""] * len(nodes)
-            positions: Iterable[int] = range(len(nodes))
-        else:
-            pairs, fragments = list(base), list(base.fragments)
-            positions = [self.position[node] for node in changed]
-        json_nodes, prefixes = self.json_nodes, self.prefixes
-        texts: Dict[Any, Tuple[Any, str]] = {}
-        for i in positions:
-            label = labels[nodes[i]]
-            memo = texts.get(label)
-            if memo is None:
-                json_label = _jsonable_label(label)
-                memo = texts[label] = (json_label, _json_text(json_label))
-            pairs[i] = (json_nodes[i], memo[0])
-            fragments[i] = prefixes[i] + memo[1] + "]"
-        return EncodedLabels(pairs, fragments)
+            pairs = [
+                (json_node, json_labels[labels[node]])
+                for node, json_node in zip(nodes, json_nodes)
+            ]
+            return EncodedLabels(
+                pairs,
+                [
+                    self._chunk_text(pairs, lo, texts)
+                    for lo in range(0, len(pairs), size)
+                ],
+            )
+        position = self.position
+        moved: Dict[int, Any] = {}
+        for node in changed:
+            i = position[node]
+            json_label = json_labels[labels[node]]
+            old = base[i][1]
+            # Types too: were a float label ever kept as a number, 1.0
+            # would equal 1 and keep the text "1".
+            if type(old) is not type(json_label) or old != json_label:
+                moved[i] = json_label
+        if not moved:
+            return base
+        encoded = EncodedLabels(base, list(base.chunks))
+        for i, json_label in moved.items():
+            encoded[i] = (json_nodes[i], json_label)
+        for c in {i // size for i in moved}:
+            encoded.chunks[c] = self._chunk_text(encoded, c * size, texts)
+        return encoded
+
+    def _chunk_text(
+        self, pairs: List[Tuple[Any, Any]], lo: int, texts: _Memo
+    ) -> str:
+        """The text of the chunk of *pairs* that starts at position *lo*."""
+        hi = lo + self.size
+        return ",".join(
+            [
+                prefix + texts[pair[1]] + "]"
+                for prefix, pair in zip(self.prefixes[lo:hi], pairs[lo:hi])
+            ]
+        )
 
 
 def record_payload(record: QueryRecord) -> Dict[str, Any]:
@@ -322,11 +381,13 @@ def result_payload(
     pairs (JSON object keys must be strings, which would silently
     stringify integer node labels) in :class:`LabelOrder`; pass *order* to
     reuse one computed for the same node set, and *base* / *changed* to
-    patch an earlier answer's labels (:meth:`LabelOrder.encode`).  The
-    pairs are tuples, which encode as the same JSON arrays: a tuple of
-    scalars drops out of the garbage collector's tracking after its first
-    collection, a list never does, so retained payloads do not make later
-    collections slower.  Candidates carry the fields the experiments read.
+    patch an earlier answer's labels in O(region + sqrt(n)): the result
+    shares *base*'s unchanged chunks, or is *base* itself when no label in
+    *changed* moved (:meth:`LabelOrder.encode`).  The pairs are tuples,
+    which encode as the same JSON arrays: a tuple of scalars drops out of
+    the garbage collector's tracking after its first collection, a list
+    never does, so retained payloads do not make later collections
+    slower.  Candidates carry the fields the experiments read.
     """
     if order is None:
         order = LabelOrder(result.labels)

@@ -27,7 +27,7 @@ class QueryRecord:
     kind:
         ``"full"`` (complete pipeline over the whole network),
         ``"incremental"`` (pipeline over the dirty region only, spliced
-        with cached fragments) or ``"cached"`` (no dirty nodes: the cached
+        into the cached result) or ``"cached"`` (no dirty nodes: the cached
         result returned as-is).
     recomputed_nodes / total_nodes:
         Size of the region the CONGEST pipeline actually ran on versus the

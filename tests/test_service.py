@@ -17,6 +17,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import network as network_module
 from repro.congest.config import CongestConfig
@@ -32,6 +34,7 @@ from repro.service import (
     parse_request,
 )
 from repro.service.protocol import (
+    LabelOrder,
     delta_edges,
     encode_response,
     error_response,
@@ -928,6 +931,32 @@ class TestDaemonWireBytes:
         assert again["labels"] is first["labels"]
         assert first["query"]["kind"] == "full"
 
+    def test_incremental_answer_rebuilds_only_the_chunks_that_moved(self):
+        daemon = NearCliqueDaemon(
+            NearCliqueService(_block_graph([12, 12, 12]), PARAMS)
+        )
+        query = '{"cmd": "query", "seed": 3}'
+        with daemon.service:
+            first = daemon.handle_line(query)
+            daemon.handle_line(
+                json.dumps({"cmd": "delta", "remove": _HALF_OF_BLOCK_0})
+            )
+            second = daemon.handle_line(query)
+            daemon.handle_line('{"cmd": "delta", "remove": [[24, 35]]}')
+            third = daemon.handle_line(query)
+        assert [second["query"]["kind"], third["query"]["kind"]] == [
+            "incremental", "incremental"
+        ]
+        # Block 0's labels go null; the edge cut in block 2 moves none.
+        old, new = first["labels"], second["labels"]
+        size = daemon._label_order.size
+        moved = {i // size for i in range(len(old)) if old[i] != new[i]}
+        assert moved
+        assert moved == {
+            c for c, chunk in enumerate(new.chunks) if chunk is not old.chunks[c]
+        }
+        assert third["labels"] is second["labels"]
+
 
 # ----------------------------------------------------------------------
 # wire-protocol units
@@ -961,3 +990,73 @@ class TestProtocol:
         decoded = json.loads(encoded)
         assert decoded["sample"] == sorted(result.sample)
         assert len(decoded["labels"]) == 8
+
+    # Nodes and labels mix ints, strings and tuples.  Labels are nodes of
+    # one graph or null, so no two labels are equal with distinct texts
+    # (the encoder memoises a labelling's label texts on that contract).
+    _NODES = [v for block in _MIXED_BLOCKS for v in block] + list(range(300, 310))
+    _LABEL = st.one_of(st.none(), st.sampled_from(_NODES))
+
+    @staticmethod
+    def _exact(pairs):
+        return [(type(v), v, type(label), label) for v, label in pairs]
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 2, 25, 26, 37]), data=st.data())
+    def test_patched_encode_matches_a_full_encode(self, n, data):
+        # 25 and 26 are size^2 and size^2 + 1 for the chunk size 5.
+        nodes = self._NODES[:n]
+        order = LabelOrder(nodes)
+        labels = {v: data.draw(self._LABEL) for v in nodes}
+        base = order.encode(labels)
+        assert base.text == json.dumps(list(base), separators=(",", ":"))
+        for _ in range(data.draw(st.integers(1, 5))):
+            region = data.draw(st.lists(st.sampled_from(nodes), unique=True))
+            labels = dict(labels)
+            for v in region:
+                if data.draw(st.booleans()):
+                    labels[v] = data.draw(self._LABEL)
+            text, chunks, pairs = base.text, list(base.chunks), self._exact(base)
+            patched = order.encode(labels, base, region)
+            full = order.encode(labels)
+            assert patched.text == full.text
+            assert patched.chunks == full.chunks
+            assert self._exact(patched) == self._exact(full)
+            assert (base.text, base.chunks, self._exact(base)) == (
+                text, chunks, pairs
+            )
+            base = patched
+
+    def test_a_one_label_patch_rebuilds_one_chunk(self):
+        nodes = list(range(37))
+        order = LabelOrder(nodes)
+        assert order.size == 6
+        labels = dict.fromkeys(nodes)
+        base = order.encode(labels)
+        labels[17] = 4
+        patched = order.encode(labels, base, [16, 17, 18])
+        assert patched.text == order.encode(labels).text
+        fresh = [
+            c for c, chunk in enumerate(patched.chunks)
+            if chunk is not base.chunks[c]
+        ]
+        assert fresh == [order.position[17] // order.size]
+        assert len(patched.chunks) == len(base.chunks) == 7
+
+    def test_a_patch_that_moves_no_label_returns_the_base(self):
+        nodes = list(range(10))
+        order = LabelOrder(nodes)
+        labels = {v: v // 5 * 5 for v in nodes}
+        base = order.encode(labels)
+        assert order.encode(dict(labels), base, [0, 1, 7]) is base
+        assert order.encode(labels, base, []) is base
+
+    def test_equal_labels_of_another_type_are_re_encoded(self):
+        order = LabelOrder(["x", "y"])
+        base = order.encode({"x": 1, "y": None})
+        for label in (True, 1.0, "1"):
+            labels = {"x": label, "y": None}
+            patched = order.encode(labels, base, ["x", "y"])
+            assert patched is not base
+            assert patched.text == order.encode(labels).text
+            assert base.text == '[["x",1],["y",null]]'
