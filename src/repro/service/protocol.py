@@ -179,33 +179,12 @@ class EncodedLabels(list):
     answer patched from this one shares its unchanged chunks.
     """
 
-    __slots__ = ("chunks", "_text")
+    __slots__ = ("chunks", "text")
 
     def __init__(self, pairs: Iterable[Tuple[Any, Any]], chunks: List[str]) -> None:
         super().__init__(pairs)
         self.chunks = chunks
-        self._text: Optional[str] = None
-
-    @property
-    def text(self) -> str:
-        """The chunks joined, once: a cached answer reuses the join."""
-        if self._text is None:
-            self._text = "[" + ",".join(self.chunks) + "]"
-        return self._text
-
-
-class _Memo(dict):
-    """``memo[key]`` is ``function(key)``, computed once per key."""
-
-    __slots__ = ("function",)
-
-    def __init__(self, function: Any) -> None:
-        super().__init__()
-        self.function = function
-
-    def __missing__(self, key: Any) -> Any:
-        value = self[key] = self.function(key)
-        return value
+        self.text = "[%s]" % ",".join(chunks)
 
 
 def encode_response(payload: Dict[str, Any]) -> str:
@@ -299,12 +278,12 @@ class LabelOrder:
         labelling of the same nodes — only the nodes in *changed* are
         looked at; the caller vouches that every other node's label equals
         its label in *base*.  A node whose JSON label equals its label in
-        *base*, type included, is skipped; if none is left, *base* itself
-        is returned.  Otherwise the result is a copy of *base* with the
-        changed pairs written and only their chunks rebuilt: every other
-        chunk is the same string as in *base*, which is never mutated.
-        Label texts are memoised per call: a labelling's labels are nodes
-        of one graph or null, so it has few distinct ones.
+        *base* is skipped; if none is left, *base* itself is returned.
+        Otherwise the result is a copy of *base* with the changed pairs
+        written and only their chunks rebuilt: every other chunk is the
+        same string as in *base*, which is never mutated.  Label texts
+        are memoised per call: a labelling's labels are nodes of one graph
+        or null, so it has few distinct ones.
         """
         nodes, json_nodes = self.nodes, self.json_nodes
         if len(nodes) != len(labels):
@@ -312,51 +291,57 @@ class LabelOrder:
                 "label order covers %d nodes, the result %d"
                 % (len(nodes), len(labels))
             )
-        json_labels = _Memo(_jsonable_label)
-        texts = _Memo(_json_text)
         size = self.size
+        texts: Dict[Any, Tuple[Any, str]] = {}
         if base is None:
-            pairs = [
-                (json_node, json_labels[labels[node]])
-                for node, json_node in zip(nodes, json_nodes)
+            chunks = [
+                self._chunk_text(labels, lo, texts)
+                for lo in range(0, len(nodes), size)
             ]
             return EncodedLabels(
-                pairs,
                 [
-                    self._chunk_text(pairs, lo, texts)
-                    for lo in range(0, len(pairs), size)
+                    (json_node, texts[labels[node]][0])
+                    for node, json_node in zip(nodes, json_nodes)
                 ],
+                chunks,
             )
         position = self.position
         moved: Dict[int, Any] = {}
         for node in changed:
             i = position[node]
-            json_label = json_labels[labels[node]]
-            old = base[i][1]
-            # Types too: were a float label ever kept as a number, 1.0
-            # would equal 1 and keep the text "1".
-            if type(old) is not type(json_label) or old != json_label:
+            json_label = _jsonable_label(labels[node])
+            if base[i][1] != json_label:
                 moved[i] = json_label
         if not moved:
             return base
-        encoded = EncodedLabels(base, list(base.chunks))
+        chunks = list(base.chunks)
+        for c in {i // size for i in moved}:
+            chunks[c] = self._chunk_text(labels, c * size, texts)
+        encoded = EncodedLabels(base, chunks)
         for i, json_label in moved.items():
             encoded[i] = (json_nodes[i], json_label)
-        for c in {i // size for i in moved}:
-            encoded.chunks[c] = self._chunk_text(encoded, c * size, texts)
         return encoded
 
     def _chunk_text(
-        self, pairs: List[Tuple[Any, Any]], lo: int, texts: _Memo
+        self,
+        labels: Mapping[Any, Any],
+        lo: int,
+        texts: Dict[Any, Tuple[Any, str]],
     ) -> str:
-        """The text of the chunk of *pairs* that starts at position *lo*."""
+        """The text of the chunk of *labels* that starts at position *lo*.
+
+        *texts* memoises each label's ``(json_label, text)``.
+        """
         hi = lo + self.size
-        return ",".join(
-            [
-                prefix + texts[pair[1]] + "]"
-                for prefix, pair in zip(self.prefixes[lo:hi], pairs[lo:hi])
-            ]
-        )
+        parts = []
+        for prefix, node in zip(self.prefixes[lo:hi], self.nodes[lo:hi]):
+            label = labels[node]
+            memo = texts.get(label)
+            if memo is None:
+                json_label = _jsonable_label(label)
+                memo = texts[label] = (json_label, _json_text(json_label))
+            parts.append(prefix + memo[1] + "]")
+        return ",".join(parts)
 
 
 def record_payload(record: QueryRecord) -> Dict[str, Any]:
@@ -381,9 +366,9 @@ def result_payload(
     pairs (JSON object keys must be strings, which would silently
     stringify integer node labels) in :class:`LabelOrder`; pass *order* to
     reuse one computed for the same node set, and *base* / *changed* to
-    patch an earlier answer's labels in O(region + sqrt(n)): the result
-    shares *base*'s unchanged chunks, or is *base* itself when no label in
-    *changed* moved (:meth:`LabelOrder.encode`).  The pairs are tuples,
+    patch an earlier answer's labels, re-encoding O(region + sqrt(n))
+    of them: the result shares *base*'s unchanged chunks, or is *base*
+    itself when no label in *changed* moved (:meth:`LabelOrder.encode`).  The pairs are tuples,
     which encode as the same JSON arrays: a tuple of scalars drops out of
     the garbage collector's tracking after its first collection, a list
     never does, so retained payloads do not make later collections

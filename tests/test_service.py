@@ -1050,13 +1050,3 @@ class TestProtocol:
         base = order.encode(labels)
         assert order.encode(dict(labels), base, [0, 1, 7]) is base
         assert order.encode(labels, base, []) is base
-
-    def test_equal_labels_of_another_type_are_re_encoded(self):
-        order = LabelOrder(["x", "y"])
-        base = order.encode({"x": 1, "y": None})
-        for label in (True, 1.0, "1"):
-            labels = {"x": label, "y": None}
-            patched = order.encode(labels, base, ["x", "y"])
-            assert patched is not base
-            assert patched.text == order.encode(labels).text
-            assert base.text == '[["x",1],["y",null]]'
