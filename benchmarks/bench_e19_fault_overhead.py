@@ -24,9 +24,8 @@ Bit-identity of both arms against the vectorized oracle is asserted before
 any timing is reported, then an interleaved best-of-N gates the
 supervised/baseline wall-clock ratio at ``OVERHEAD_CEILING`` (full) /
 ``QUICK_OVERHEAD_CEILING`` (quick CI mode; shared runners are noisy).
-Unlike E15's speedup gate this one needs no CPU-count escape hatch: both
-arms run the same backend on the same host, so the ratio is meaningful
-anywhere.
+The gate needs no CPU-count escape hatch: both arms run the same engine
+on the same host, so the ratio is meaningful anywhere.
 
 Run directly (``python benchmarks/bench_e19_fault_overhead.py``) or via
 the pytest-benchmark harness; quick mode (``REPRO_BENCH_QUICK=1`` or
@@ -104,7 +103,6 @@ def _config(n: int, supervised: bool) -> CongestConfig:
     config = CongestConfig(
         engine="sharded",
         shards=SHARDS,
-        shard_backend="process",
         round_timeout=ROUND_TIMEOUT if supervised else None,
         retry_policy=RetryPolicy(max_attempts=3) if supervised else None,
     ).with_log_budget(n)

@@ -85,25 +85,25 @@ def main() -> None:
     # The round loop is pluggable: the same algorithm runs under any of the
     # registered execution engines (the vectorized fast path — the
     # default: columnar kernels plus a CSR callback loop —, the reference
-    # oracle, or partition-parallel sharded execution), and every engine is
-    # bit-identical in outputs and metrics by contract.
+    # oracle, or sharded execution in worker processes), and every engine
+    # is bit-identical in outputs and metrics by contract.
     print()
     print("Available CONGEST engines:", ", ".join(available_engines()))
-    sharded_config = CongestConfig().with_sharding(shards=4).with_log_budget(n)
-    sharded = DistNearCliqueRunner(
+    reference_config = CongestConfig(engine="reference").with_log_budget(n)
+    reference = DistNearCliqueRunner(
         epsilon=epsilon,
         sample_probability=8.0 / n,
         max_sample_size=13,
         rng=random.Random(seed),      # same seed -> same coins
-        config=sharded_config,
+        config=reference_config,
     ).run(graph)
-    assert sharded.labels == result.labels
-    assert sharded.metrics.rounds == result.metrics.rounds
-    assert sharded.metrics.total_bits == result.metrics.total_bits
+    assert reference.labels == result.labels
+    assert reference.metrics.rounds == result.metrics.rounds
+    assert reference.metrics.total_bits == result.metrics.total_bits
     print(
-        "Re-run with engine='sharded' (4 shards): identical labels, "
-        "%d rounds, %d bits — the engine contract in action."
-        % (sharded.metrics.rounds, sharded.metrics.total_bits)
+        "Re-run with engine='reference' (the per-object oracle): identical "
+        "labels, %d rounds, %d bits — the engine contract in action."
+        % (reference.metrics.rounds, reference.metrics.total_bits)
     )
 
     print()

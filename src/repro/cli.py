@@ -19,9 +19,9 @@ Three subcommands cover the common workflows without writing any Python:
     Start the long-lived query daemon of :mod:`repro.service`: one request
     per line on stdin (JSON: ``query`` / ``delta`` / ``stats`` /
     ``shutdown``), one JSON response per line on stdout.  Topology deltas
-    stream in while the daemon holds one persistent execution session;
-    queries after small deltas are answered incrementally (dirty region
-    only) yet bit-identical to a fresh full run.
+    stream in between queries; queries after small deltas are answered
+    incrementally (dirty region only) yet bit-identical to a fresh full
+    run.
 
 ``repro-nearclique lint``
     Run the static protocol-contract analyzer (:mod:`repro.lint`) over a
@@ -47,7 +47,6 @@ import networkx as nx
 from repro.analysis import tables
 from repro.congest.config import CongestConfig, RetryPolicy
 from repro.congest.engine import available_engines
-from repro.congest.sharding import SHARD_BACKENDS
 from repro.core import near_clique
 from repro.core.boosting import BoostedNearCliqueRunner
 from repro.core.dist_near_clique import DistNearCliqueRunner
@@ -101,31 +100,24 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         "(bit-identical results; 'vectorized' is the fast path and the "
         "default: it runs kernel-covered phases as whole-phase numpy array "
         "operations and the rest on a CSR callback loop; 'reference' is "
-        "the semantics oracle, 'sharded' steps graph partitions — see "
-        "--shards/--shard-backend)",
+        "the semantics oracle, 'sharded' steps graph partitions in worker "
+        "processes — see --shards)",
     )
     parser.add_argument(
         "--shards",
         type=_positive_int,
         default=CongestConfig().shards,
-        help="shard count for --congest-engine sharded",
-    )
-    parser.add_argument(
-        "--shard-backend",
-        choices=SHARD_BACKENDS,
-        default=CongestConfig().shard_backend,
-        help="execution backend for --congest-engine sharded: 'serial' "
-        "(in-process, deterministic; the default) or 'process' (one "
-        "worker process per shard, kept alive across all phases of a run "
-        "with one shared-memory CSR mapping; boundary traffic in a packed "
-        "wire format, session totals added to the run summary)",
+        help="shard count for --congest-engine sharded: one worker "
+        "process per shard, kept alive across all phases of a run with one "
+        "shared-memory CSR mapping; boundary traffic in a packed wire "
+        "format, session totals added to the run summary",
     )
     parser.add_argument(
         "--round-timeout",
         type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="barrier-watchdog deadline for the sharded process backend: a "
+        help="barrier-watchdog deadline for the sharded engine: a "
         "worker that misses a per-round barrier by this many seconds is "
         "declared hung and the phase fails fast with a typed timeout "
         "instead of blocking forever (default: no deadline)",
@@ -136,7 +128,7 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         default=0,
         help="supervised-retry budget for shard-worker failures: replay "
         "the failing phase on a fresh pool up to this many times, then "
-        "degrade to the serial sharded backend (bit-identical either "
+        "degrade to the in-process vectorized engine (bit-identical either "
         "way); 0 disables supervision and failures propagate (default)",
     )
 
@@ -284,7 +276,6 @@ def _cmd_find(args) -> int:
     congest_config = CongestConfig(
         engine=args.congest_engine,
         shards=args.shards,
-        shard_backend=args.shard_backend,
         round_timeout=args.round_timeout,
         retry_policy=_retry_policy_from_args(args),
     ).with_log_budget(max(2, n))
@@ -410,7 +401,6 @@ def _cmd_serve(args) -> int:
     congest_config = CongestConfig(
         engine=args.congest_engine,
         shards=args.shards,
-        shard_backend=args.shard_backend,
         round_timeout=args.round_timeout,
         retry_policy=_retry_policy_from_args(args),
     ).with_log_budget(max(2, n))
@@ -426,7 +416,7 @@ def _cmd_serve(args) -> int:
     stats = service.stats
     print(
         "served %d requests: %d queries (%d full / %d incremental / %d cached), "
-        "%d deltas, %d worker crashes survived"
+        "%d deltas"
         % (
             served,
             stats.queries,
@@ -434,17 +424,9 @@ def _cmd_serve(args) -> int:
             stats.incremental_queries,
             stats.cached_hits,
             stats.deltas,
-            stats.worker_crashes,
         ),
         file=sys.stderr,
     )
-    if stats.retries or stats.worker_timeouts or stats.degradations:
-        print(
-            "fault supervision: %d phases retried, %d worker timeouts, "
-            "%d degradations to the serial backend"
-            % (stats.retries, stats.worker_timeouts, stats.degradations),
-            file=sys.stderr,
-        )
     return 0
 
 

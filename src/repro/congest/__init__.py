@@ -48,18 +48,16 @@ This package is an in-process simulator of that model.  The pieces are:
                                             rest.  The default.
     ``sharded``     ``ShardedEngine``       partition-parallel execution:
                                             ``shards`` regions step their
-                                            own frontier (serially, or in
-                                            worker processes —
-                                            ``shard_backend``) and trade
-                                            boundary messages at round
-                                            barriers (packed wire format
-                                            across the process boundary)
+                                            own frontier in worker
+                                            processes and trade boundary
+                                            messages at round barriers
+                                            (packed wire format)
     ==============  ======================  ==================================
 
 ``CongestSession`` / ``Engine.open_session``
     Engine state shared across the ``execute`` calls of a composite
     pipeline.  The default session is a thin wrapper that delegates to the
-    engine; the sharded engine's process backend returns a session that
+    engine; the sharded engine returns a session that
     keeps its worker pool and shared-memory CSR mapping alive, re-arming
     workers between phases.  Bit-identical either way (the differential
     suite has a session arm).
@@ -92,7 +90,6 @@ from repro.congest.network import Network
 from repro.congest.node import NodeContext, Protocol
 from repro.congest.scheduler import RunResult, run_protocol
 from repro.congest.sharding import (
-    SHARD_BACKENDS,
     ShardPlan,
     ShardedEngine,
     ShardingStats,
@@ -124,7 +121,6 @@ __all__ = [
     "ShardPlan",
     "ShardingStats",
     "ShardWorkerError",
-    "SHARD_BACKENDS",
     "partition_network",
     "available_engines",
     "get_engine",

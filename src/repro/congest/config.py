@@ -45,10 +45,9 @@ class RetryPolicy:
         0.0 retries immediately — respawning a pool is already a pause.
     degrade:
         After exhausting the attempts, complete the group (and every later
-        one of the session) on the serial in-process sharded backend
-        instead of raising — slower, but bit-identical by the engine
-        contract, and immune to worker-process failures.  ``False`` lets
-        the final error escape.
+        one of the session) in-process on the vectorized engine instead of
+        raising — bit-identical by the engine contract, and immune to
+        worker-process failures.  ``False`` lets the final error escape.
     """
 
     max_attempts: int = 2
@@ -109,36 +108,27 @@ class CongestConfig:
         ``"vectorized"`` (columnar kernels, a CSR callback loop for the
         phases without one; the default), ``"reference"`` (the per-object
         semantics oracle kept for the differential harness) or
-        ``"sharded"`` (partition-parallel execution over ``shards`` shards);
-        see :mod:`repro.congest.engine`.  All engines are guaranteed to
-        produce bit-identical outputs and protocol metrics, so the choice is
-        a throughput knob.
+        ``"sharded"`` (one worker process per shard over ``shards``
+        shards); see :mod:`repro.congest.engine`.  All engines are
+        guaranteed to produce bit-identical outputs and protocol metrics,
+        so the choice is a throughput knob.
     shards:
         Shard count for ``engine="sharded"`` (ignored by the other
         engines).  The shards are contiguous blocks of the dense node
         index (:mod:`repro.congest.sharding.partition`).  May exceed the
-        node count; surplus shards are empty.
-    shard_backend:
-        Execution backend of the sharded engine:
-
-        ``"serial"`` (the default)
-            Shards step in-process, one after another in ascending shard
-            order — fully deterministic.
-        ``"process"``
-            One long-lived worker process per non-empty shard, each owning
-            its shard's contexts and inbox buffers, inside a
-            :class:`~repro.congest.sharding.workers.ProcessSession`: a
-            composite runner's session keeps one worker pool and one
-            shared-memory CSR mapping across its phases, re-armed between
-            them, and a direct ``execute`` opens a one-shot session.
-            Boundary traffic crosses the round barrier in the packed wire
-            format of :mod:`repro.congest.sharding.wire`.  Requires the
-            protocol object and all per-node state to be picklable.
-            Outputs, round counts and protocol metrics remain
-            bit-identical by the engine contract.
+        node count; surplus shards are empty.  The sharded engine runs one
+        long-lived worker process per non-empty shard, each owning its
+        shard's contexts and inbox buffers, inside a
+        :class:`~repro.congest.sharding.workers.ProcessSession`: a
+        composite runner's session keeps one worker pool and one
+        shared-memory CSR mapping across its phases, re-armed between
+        them, and a direct ``execute`` opens a one-shot session.  Boundary
+        traffic crosses the round barrier in the packed wire format of
+        :mod:`repro.congest.sharding.wire`.  Requires the protocol object
+        and all per-node state to be picklable.
     round_timeout:
         Per-round barrier deadline in seconds for the sharded engine's
-        ``"process"`` backend.  ``None`` (the default) keeps the original
+        worker processes.  ``None`` (the default) keeps the original
         blocking barrier: a worker that hangs in protocol code is
         indistinguishable from a slow round and is waited on forever.
         A positive value arms a coordinator-side watchdog
@@ -146,26 +136,27 @@ class CongestConfig:
         a worker missing the deadline raises
         :class:`~repro.congest.errors.ShardWorkerTimeout` — with a
         liveness probe distinguishing hung from silently-dead workers —
-        instead of blocking the barrier.  In-process backends have no
+        instead of blocking the barrier.  In-process engines have no
         cross-process barrier to time out and ignore the knob.
     retry_policy:
         Optional :class:`RetryPolicy` enabling supervised retry (and, by
-        default, graceful degradation to the serial sharded backend) for
-        process sessions.  ``None`` (the default) keeps the original
+        default, graceful degradation to the in-process vectorized engine)
+        for process sessions.  ``None`` (the default) keeps the original
         fail-fast semantics: any worker failure aborts the ``execute``.
     fault_plan:
         Optional :class:`repro.congest.sharding.faults.FaultPlan` injecting
         deterministic failures into the sharded execution stack — worker
         crash/hang/pipe-EOF at named points, corrupted wire batches.  Only
-        process-backend workers read it; the serial backend runs clean.
+        the worker processes read it; a degraded in-process run is clean.
         Testing machinery: ``None`` (always the default outside tests)
         injects nothing and costs nothing.  Typed loosely to keep this
         module import-cycle-free; validated structurally at construction.
-    session_mode / pipeline_mode:
+    shard_backend / session_mode / pipeline_mode:
         Accepted for backward compatibility only, and only with the values
-        ``"persistent"`` / ``"fuse"`` — the sole behaviour left: a process
-        backend always runs inside a session, and composite runners always
-        execute the fused plan.  Neither is stored.
+        ``"process"`` / ``"persistent"`` / ``"fuse"`` — the sole behaviour
+        left: the sharded engine always runs worker processes inside a
+        session, and composite runners always execute the fused plan.
+        None is stored.
     """
 
     max_rounds: Optional[int] = None
@@ -174,17 +165,23 @@ class CongestConfig:
     record_round_metrics: bool = True
     engine: str = "vectorized"
     shards: int = 4
-    shard_backend: str = "serial"
     round_timeout: Optional[float] = None
     retry_policy: Optional[RetryPolicy] = None
     fault_plan: Optional[Any] = None
+    shard_backend: InitVar[str] = "process"
     session_mode: InitVar[str] = "persistent"
     pipeline_mode: InitVar[str] = "fuse"
 
-    def __post_init__(self, session_mode: str, pipeline_mode: str) -> None:
-        # ``engine`` / ``shard_backend`` are validated
-        # with their allowed values listed when they are resolved (the
-        # registry lookup, ``ShardedEngine.resolve_structure``).
+    def __post_init__(
+        self, shard_backend: str, session_mode: str, pipeline_mode: str
+    ) -> None:
+        # ``engine`` is validated with its allowed values listed when the
+        # registry resolves it.
+        if shard_backend != "process":
+            raise ValueError(
+                "unknown shard backend %r; the serial backend was removed "
+                "and the only shard backend is 'process'" % (shard_backend,)
+            )
         if session_mode != "persistent":
             raise ValueError(
                 "unknown session mode %r; the only session mode is "
@@ -250,21 +247,16 @@ class CongestConfig:
         """Return a copy that selects a different execution engine."""
         return replace(self, engine=engine)
 
-    def with_sharding(
-        self,
-        shards: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> "CongestConfig":
-        """Return a copy selecting the sharded engine with the given knobs.
+    def with_sharding(self, shards: Optional[int] = None) -> "CongestConfig":
+        """Return a copy selecting the sharded engine with *shards* shards.
 
-        ``None`` keeps the current value of the corresponding field; the
-        engine is always switched to ``"sharded"``.
+        ``None`` keeps the current shard count; the engine is always
+        switched to ``"sharded"``.
         """
         return replace(
             self,
             engine="sharded",
             shards=self.shards if shards is None else shards,
-            shard_backend=self.shard_backend if backend is None else backend,
         )
 
     @staticmethod

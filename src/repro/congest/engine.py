@@ -43,12 +43,10 @@ ship today:
 :mod:`repro.congest.sharding`)
     Partition-parallel execution: the network is split into ``k`` shards
     (:func:`repro.congest.sharding.partition_network`) and each shard steps
-    its own frontier with the callback loop's machinery, exchanging
-    boundary-edge messages at the round barrier.
-    ``CongestConfig.shard_backend`` selects serial execution (the
-    deterministic mode the differential harness runs) or one worker
-    process per shard — multi-core execution with boundary traffic in the
-    packed wire format of :mod:`repro.congest.sharding.wire`.
+    its own frontier with the callback loop's machinery in one worker
+    process per shard, exchanging boundary-edge messages at the round
+    barrier in the packed wire format of
+    :mod:`repro.congest.sharding.wire`.
 
 **The reference-vs-fast-path contract.**  For every protocol, graph, seed
 and configuration, every non-reference engine must produce bit-identical
@@ -84,7 +82,7 @@ round, exactly like the reference.
 :meth:`Engine.open_session` returns a :class:`CongestSession` that owns
 whatever engine state is worth keeping alive across those ``execute``
 calls.  The default session is a thin wrapper (bit-identical to calling
-the engine directly); the sharded engine's process backend keeps its
+the engine directly); the sharded engine keeps its
 worker pool and shared-memory CSR mapping for the session's lifetime and
 re-arms the workers between phases (:mod:`repro.congest.sharding.workers`).
 """
@@ -279,7 +277,7 @@ class CongestSession:
 
     The paper's algorithm is a *composite* of ~14 pipelined CONGEST phases
     over one fixed network; an engine whose per-``execute`` setup is
-    expensive (spawning the process backend's worker pool, shipping CSR
+    expensive (spawning the sharded engine's worker pool, shipping CSR
     slices) pays it once per phase unless something owns that setup across
     the phases.  A session is that owner: open it once per (network,
     configuration), run every phase through :meth:`execute`, and close it
@@ -292,8 +290,8 @@ class CongestSession:
     default session is byte-for-byte a sequence of direct executes.
     Engines with setup worth amortising override :meth:`Engine.open_session`
     to return a richer session (today:
-    :class:`repro.congest.sharding.workers.ProcessSession`, for the process
-    shard backend).  The engine contract is unchanged in either case:
+    :class:`repro.congest.sharding.workers.ProcessSession`, for the sharded
+    engine).  The engine contract is unchanged in either case:
     outputs, round counts and protocol metrics are bit-identical to
     ``ReferenceEngine`` in session mode, enforced by the differential
     suite's session arm.
@@ -430,8 +428,8 @@ class Engine:
 
         The default implementation returns the thin
         :class:`CongestSession` — engines without per-``execute`` setup
-        have nothing to persist.  Engines that do (the sharded engine's
-        process backend) override this.
+        have nothing to persist.  Engines that do (the sharded engine)
+        override this.
         """
         return CongestSession(self, network, config)
 

@@ -12,13 +12,11 @@ boundary at the round barrier.  This package provides:
     nodes, boundary edges and cut statistics.
 
 :mod:`repro.congest.sharding.engine`
-    :class:`ShardedEngine` (``engine="sharded"``) executes a protocol shard
-    by shard — reusing the callback loop's CSR/inbox-buffer machinery per
-    shard — under one of two backends (``CongestConfig.shard_backend``):
-    the serial deterministic mode (what the differential harness runs) or
-    one worker process per shard for multi-core execution.  Bit-identical to
+    :class:`ShardedEngine` (``engine="sharded"``) executes a protocol in
+    one worker process per shard, reusing the callback loop's
+    CSR/inbox-buffer machinery per shard.  Bit-identical to
     :class:`repro.congest.engine.ReferenceEngine` by the engine contract,
-    for every shard count and backend.
+    for every shard count.
 
 :mod:`repro.congest.sharding.wire`
     The packed wire format boundary traffic travels in between worker
@@ -26,7 +24,7 @@ boundary at the round barrier.  This package provides:
     kinds interned to small integers per channel.
 
 :mod:`repro.congest.sharding.workers`
-    The worker-process side of the ``"process"`` backend, its coordinator,
+    The worker-process side of the engine, its coordinator,
     the re-armable worker pool and the ``ProcessSession`` that keeps pool
     plus shared-memory CSR mapping alive across the phases of a composite
     pipeline (a direct ``execute`` runs in a one-shot session).
@@ -42,7 +40,6 @@ no matter which module a caller reaches first.
 """
 
 from repro.congest.sharding.engine import (
-    SHARD_BACKENDS,
     SessionPhaseStats,
     ShardedEngine,
     ShardingStats,
@@ -57,7 +54,6 @@ from repro.congest.sharding.shm import SharedCSR
 from repro.congest.sharding.wire import WireBatch, WireDecoder, WireEncoder
 
 __all__ = [
-    "SHARD_BACKENDS",
     "SessionPhaseStats",
     "SharedCSR",
     "ShardPlan",

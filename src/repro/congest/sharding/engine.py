@@ -12,8 +12,8 @@ incremental active frontier — restricted to the shard's owned nodes.
 **The engine contract applies** (module docstring of
 :mod:`repro.congest.engine`): outputs, round count and protocol
 message/bit metrics — including the per-round trace — are bit-identical to
-:class:`repro.congest.engine.ReferenceEngine` for every shard count and
-execution backend, and the model rules raise the same
+:class:`repro.congest.engine.ReferenceEngine` for every shard count, and
+the model rules raise the same
 :class:`repro.congest.errors.MessageSizeViolation` /
 :class:`repro.congest.errors.CongestionViolation` types from the shard-local
 drain.  Two mechanisms make the partition invisible:
@@ -34,34 +34,25 @@ drain.  Two mechanisms make the partition invisible:
   are evaluated by the coordinator on the aggregated view, exactly like the
   single-shard engines.
 
-Execution backends (``CongestConfig.shard_backend``)
-----------------------------------------------------
-``"serial"`` (the default)
-    In-process execution: the shards step sequentially in ascending shard
-    order — fully deterministic, which is what the differential harness
-    runs, and the degradation target of a supervised process session.
-
-``"process"``
-    Multi-core execution (:mod:`repro.congest.sharding.workers`): one
-    long-lived worker process per non-empty shard owns that shard's
-    contexts, CSR slice and inbox buffers; only boundary traffic crosses
-    the round barrier, packed by :mod:`repro.congest.sharding.wire` into
-    flat arrays instead of pickled per-message objects.  Requires the
-    protocol object and all per-node state to be picklable.  Model-rule
-    violations cross the process boundary with their in-process exception
-    types; a worker that dies without reporting raises
-    :class:`repro.congest.errors.ShardWorkerError` instead of hanging the
-    barrier.  The workers always live in a
-    :class:`~repro.congest.sharding.workers.ProcessSession`: a composite
-    runner's session keeps them across its phases, and a direct
-    :meth:`ShardedEngine.execute` opens a one-shot session and closes it
-    before returning — the registry's shared engine singleton never holds
-    live workers.
+Execution (:mod:`repro.congest.sharding.workers`): one long-lived worker
+process per non-empty shard owns that shard's contexts, CSR slice and inbox
+buffers; only boundary traffic crosses the round barrier, packed by
+:mod:`repro.congest.sharding.wire` into flat arrays instead of pickled
+per-message objects.  Requires the protocol object and all per-node state
+to be picklable.  Model-rule violations cross the process boundary with
+their in-process exception types; a worker that dies without reporting
+raises :class:`repro.congest.errors.ShardWorkerError` instead of hanging
+the barrier.  The workers always live in a
+:class:`~repro.congest.sharding.workers.ProcessSession`: a composite
+runner's session keeps them across its phases, and a direct
+:meth:`ShardedEngine.execute` opens a one-shot session and closes it before
+returning — the registry's shared engine singleton never holds live
+workers.
 
 Note that a *protocol* mutating shared instrumentation state in its
 callbacks (for example a test harness appending to one global log) will
-observe fully isolated per-worker copies under the process backend;
-per-node outputs and metrics remain bit-identical in every backend.
+observe fully isolated per-worker copies; per-node outputs and metrics
+remain bit-identical.
 """
 
 from __future__ import annotations
@@ -75,24 +66,14 @@ from repro.congest.engine import (
     CongestSession,
     Engine,
     RunResult,
-    coordinator_should_stop,
-    harvest_outputs,
-    merge_startup_metrics,
     register_engine,
 )
 from repro.congest.errors import CongestionViolation, MessageSizeViolation
 from repro.congest.message import Inbound
-from repro.congest.metrics import RoundMetrics, RunMetrics
-from repro.congest.network import ContextRegistry, Network
+from repro.congest.metrics import RoundMetrics
+from repro.congest.network import Network
 from repro.congest.node import NodeContext, Protocol, reset_in_scope
-from repro.congest.sharding.partition import (
-    ShardPlan,
-    cached_partition,
-)
-
-#: Execution backends accepted by ``CongestConfig.shard_backend`` and the
-#: engine's ``backend=`` constructor argument.
-SHARD_BACKENDS: Tuple[str, ...] = ("serial", "process")
+from repro.congest.sharding.partition import ShardPlan
 
 
 class _ShardState:
@@ -100,8 +81,8 @@ class _ShardState:
 
     A shard owns a subset of the dense indices; during a round it reads and
     writes only the contexts and inbox buffers of its owned nodes plus its
-    own outbound buckets, which is the disjointness that makes process-mode
-    execution possible with no shared memory at all.
+    own outbound buckets, which is the disjointness that lets each shard
+    live in its own worker process with no shared mutable memory.
     """
 
     __slots__ = (
@@ -152,9 +133,6 @@ class _ShardState:
     def out_bucket_total(self) -> int:
         return sum(len(indices) for indices, _ in self.out_buckets)
 
-    def remote_total(self) -> int:
-        return sum(len(indices) for indices, _ in self.remote_from)
-
 
 @dataclass
 class SessionPhaseStats:
@@ -174,7 +152,7 @@ class RecoveryEvent:
 
     ``action`` is what the retry loop decided: ``"retry"`` (the phase was
     replayed on a fresh pool), ``"degrade"`` (attempts exhausted, the
-    session fell back to the serial sharded backend) or ``"abort"`` (no
+    session fell back to the in-process vectorized engine) or ``"abort"`` (no
     policy, or a policy with ``degrade=False`` out of attempts — the error
     escaped to the caller).  ``attempt`` is the 0-based attempt that
     failed; ``timed_out`` marks failures surfaced by the barrier watchdog
@@ -194,16 +172,16 @@ class ShardingStats:
     Populated by :class:`ShardedEngine` when constructed with
     ``collect_stats=True`` (the registry instance does not collect, keeping
     it stateless) and by process sessions, which expose an instance as
-    :attr:`repro.congest.engine.CongestSession.stats`; the E14/E15
-    benchmarks use this to report the cut-edge message fraction and the
-    serialized boundary traffic of the process backend.
+    :attr:`repro.congest.engine.CongestSession.stats`; the E15 benchmark
+    uses this to report the cut-edge message fraction and the serialized
+    boundary traffic.
 
     Attributes
     ----------
     boundary_bytes / barrier_rounds:
         Packed wire bytes shipped across round barriers and the number of
-        barriers that shipped them.  Only the process backend serializes
-        boundary traffic, so both stay zero for the serial backend.
+        barriers that shipped them.  Both stay zero for phases a degraded
+        session ran in-process.
     setup_seconds:
         Coordinator-side seconds spent on per-``execute`` setup (worker
         spawn, arming) summed over the recorded runs.
@@ -226,11 +204,10 @@ class ShardingStats:
         sessions via :meth:`observe_recovery`: every observed worker
         failure (``worker_failures``), how many were barrier-watchdog
         timeouts (``timeouts``), and how many led to a phase replay
-        (``retries``) or to the session degrading to the serial backend
-        (``degradations``).  ``recovery_events`` keeps the full
-        per-failure :class:`RecoveryEvent` records in observation order —
-        the service layer harvests them into its own
-        :class:`repro.service.stats.ServiceStats` ledger.
+        (``retries``) or to the session degrading to the in-process
+        vectorized engine (``degradations``).  ``recovery_events`` keeps
+        the full per-failure :class:`RecoveryEvent` records in observation
+        order.
     """
 
     def __init__(self) -> None:
@@ -342,9 +319,7 @@ class _ShardStepper:
 
     Everything a single shard needs to start, step and drain its owned
     nodes: the dense context list, the shared inbox buffers, the routing
-    tables and the model-rule knobs.  The serial coordinator
-    (:class:`_ShardedRun`) holds one stepper for all shards; each worker
-    process of the ``"process"`` backend
+    tables and the model-rule knobs.  Each worker process
     (:mod:`repro.congest.sharding.workers`) holds a stepper whose
     ``ctx_list`` is populated only at its own shard's indices.
     """
@@ -558,140 +533,18 @@ class _ShardStepper:
         return rm
 
 
-class _ShardedRun(_ShardStepper):
-    """One in-process sharded execution (the serial backend)."""
-
-    def __init__(
-        self,
-        network: Network,
-        protocol: Protocol,
-        config: CongestConfig,
-        contexts: ContextRegistry,
-        plan: ShardPlan,
-    ) -> None:
-        super().__init__(
-            protocol=protocol,
-            config=config,
-            ctx_list=contexts.materialize(),
-            index_of=network.node_index_of,
-            owner=plan.owner,
-        )
-        self.network = network
-        self.config = config
-        self.contexts = contexts
-        self.plan = plan
-        self.quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
-
-        self.shards = [
-            _ShardState(index, owned, plan.n_shards)
-            for index, owned in enumerate(plan.shards)
-        ]
-
-    # ------------------------------------------------------------------
-    def _run_shards(self, step) -> List[RoundMetrics]:
-        """Apply *step* to every non-empty shard, in ascending shard order."""
-        return [step(shard) for shard in self.shards if shard.owned]
-
-    def _barrier(self, partials: List[RoundMetrics], into: RoundMetrics) -> int:
-        """Fold shard metrics, route boundary buckets, count mail in flight."""
-        for rm in partials:
-            into.messages_sent += rm.messages_sent
-            into.bits_sent += rm.bits_sent
-            into.edges_used += rm.edges_used
-            into.active_nodes += rm.active_nodes
-            if rm.max_message_bits > into.max_message_bits:
-                into.max_message_bits = rm.max_message_bits
-        shards = self.shards
-        for source in shards:
-            buckets = source.out_buckets
-            source_index = source.index
-            for destination_index, bucket in enumerate(buckets):
-                if bucket[0]:
-                    # Hand the lists over wholesale; the source starts the
-                    # next round with a fresh bucket.
-                    shards[destination_index].remote_from[source_index] = bucket
-                    buckets[destination_index] = ([], [])
-        return sum(
-            len(shard.pending_index) + shard.remote_total()
-            for shard in shards
-        )
-
-    # ------------------------------------------------------------------
-    def traffic_totals(self) -> Tuple[int, int]:
-        """(protocol messages, cross-shard messages) over the whole run."""
-        local = sum(shard.local_messages for shard in self.shards)
-        remote = sum(shard.remote_messages for shard in self.shards)
-        return local + remote, remote
-
-    # ------------------------------------------------------------------
-    def run(self) -> RunResult:
-        config = self.config
-        protocol = self.protocol
-        ctx_list = self.ctx_list
-        metrics = RunMetrics()
-        startup_metrics = RoundMetrics(round_index=0)
-        in_flight = self._barrier(
-            self._run_shards(self.start_shard), startup_metrics
-        )
-        startup_metrics.edges_used = 0  # startup edges are not counted
-        startup_metrics.active_nodes = 0
-
-        rounds = 0
-        silent_rounds = 0
-        while True:
-            if self.fast_finished:
-                all_done = not any(shard.frontier for shard in self.shards)
-            else:
-                finished = protocol.finished
-                all_done = all(finished(ctx) for ctx in ctx_list)
-            stop, silent_rounds = coordinator_should_stop(
-                all_done,
-                in_flight,
-                rounds,
-                silent_rounds,
-                self.quiesce_ok,
-                config.max_rounds,
-                protocol.name,
-            )
-            if stop:
-                break
-
-            rounds += 1
-            round_metrics = RoundMetrics(round_index=rounds)
-            if rounds == 1:
-                merge_startup_metrics(round_metrics, startup_metrics)
-            current_round = rounds
-            in_flight = self._barrier(
-                self._run_shards(
-                    lambda shard: self.step_shard(shard, current_round)
-                ),
-                round_metrics,
-            )
-            metrics.absorb_round(round_metrics, config.record_round_metrics)
-
-        outputs = harvest_outputs(
-            protocol,
-            self.contexts,
-            rounds,
-            (ctx_list[i] for shard in self.shards for i in shard.started),
-        )
-        return RunResult(outputs=outputs, metrics=metrics, contexts=self.contexts)
-
-
 class ShardedEngine(Engine):
     """Partition-parallel round loop; see the module docstring for details.
 
-    Selectable as ``engine="sharded"``.  The registry instance reads every
-    knob from the configuration (``CongestConfig.shards``,
-    ``CongestConfig.shard_backend``); constructor arguments override the
-    configuration for callers that build their own instance (the E14/E15
-    benchmarks, tests).
+    Selectable as ``engine="sharded"``.  The registry instance reads the
+    shard count from the configuration (``CongestConfig.shards``); the
+    constructor argument overrides it for callers that build their own
+    instance (the E15 benchmark, tests).
 
     Parameters
     ----------
-    shards / backend:
-        Shard count and execution backend (one of :data:`SHARD_BACKENDS`).
-        ``None`` defers to the configuration.
+    shards:
+        Shard count; ``None`` defers to the configuration.
     collect_stats:
         When True, accumulate cross-shard traffic statistics into
         :attr:`stats` across executions.  Off for the registry instance —
@@ -704,41 +557,28 @@ class ShardedEngine(Engine):
     def __init__(
         self,
         shards: Optional[int] = None,
-        backend: Optional[str] = None,
         collect_stats: bool = False,
     ) -> None:
         if shards is not None and shards < 1:
             raise ValueError("shards must be at least 1 when given")
-        if backend is not None and backend not in SHARD_BACKENDS:
-            raise ValueError(
-                "unknown shard backend %r; available backends: %s"
-                % (backend, ", ".join(SHARD_BACKENDS))
-            )
         self.shards = shards
-        self.backend = backend
         self.stats: Optional[ShardingStats] = (
             ShardingStats() if collect_stats else None
         )
 
     # ------------------------------------------------------------------
-    def resolve_structure(self, config: CongestConfig) -> Tuple[int, str]:
-        """``(shards, backend)`` for *config* under this instance.
+    def resolve_structure(self, config: CongestConfig) -> int:
+        """The shard count for *config* under this instance.
 
-        Instance constructor arguments override the configuration's
-        fields.  This is the single resolution used by :meth:`execute`,
-        :meth:`open_session` and a process session's per-execute config
-        validation, so the three can never drift.
+        The constructor argument overrides the configuration's field.  This
+        is the single resolution used by :meth:`open_session` and a process
+        session's per-execute config validation, so the two can never
+        drift.
         """
         shards = self.shards if self.shards is not None else config.shards
-        backend = self.backend if self.backend is not None else config.shard_backend
-        if backend not in SHARD_BACKENDS:
-            raise ValueError(
-                "unknown shard backend %r; available backends: %s"
-                % (backend, ", ".join(SHARD_BACKENDS))
-            )
         if shards < 1:
             raise ValueError("shards must be at least 1, got %r" % (shards,))
-        return shards, backend
+        return shards
 
     # ------------------------------------------------------------------
     def execute(
@@ -751,46 +591,26 @@ class ShardedEngine(Engine):
         reuse_contexts: bool = False,
     ) -> RunResult:
         config = config or CongestConfig()
-        shards, backend = self.resolve_structure(config)
-        if backend == "process":
-            # A one-shot session: spawned, run and closed (workers reaped,
-            # shared-memory segment unlinked) on every exit path.
-            with self.open_session(network, config) as session:
-                result = session.execute(
-                    protocol,
-                    config=config,
-                    global_inputs=global_inputs,
-                    per_node_inputs=per_node_inputs,
-                    reuse_contexts=reuse_contexts,
-                )
-            if self.stats is not None:
-                totals = session.stats
-                self.stats.observe_run(
-                    totals.protocol_messages,
-                    totals.cross_shard_messages,
-                    totals.boundary_bytes,
-                    totals.barrier_rounds,
-                    totals.setup_seconds,
-                    plan=session.plan,
-                )
-            return result
-        plan = cached_partition(network, shards)
-        contexts = network.build_contexts(
-            global_inputs=global_inputs,
-            per_node_inputs=per_node_inputs,
-            fresh=not reuse_contexts,
-        )
-        run = _ShardedRun(
-            network=network,
-            protocol=protocol,
-            config=config,
-            contexts=contexts,
-            plan=plan,
-        )
-        result = run.run()
+        # A one-shot session: spawned, run and closed (workers reaped,
+        # shared-memory segment unlinked) on every exit path.
+        with self.open_session(network, config) as session:
+            result = session.execute(
+                protocol,
+                config=config,
+                global_inputs=global_inputs,
+                per_node_inputs=per_node_inputs,
+                reuse_contexts=reuse_contexts,
+            )
         if self.stats is not None:
-            total, cross = run.traffic_totals()
-            self.stats.observe_run(total, cross, 0, 0, 0.0, plan=plan)
+            totals = session.stats
+            self.stats.observe_run(
+                totals.protocol_messages,
+                totals.cross_shard_messages,
+                totals.boundary_bytes,
+                totals.barrier_rounds,
+                totals.setup_seconds,
+                plan=session.plan,
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -799,28 +619,21 @@ class ShardedEngine(Engine):
         network: Network,
         config: Optional[CongestConfig] = None,
     ) -> CongestSession:
-        """Open an execution session on *network*.
+        """Open a :class:`repro.congest.sharding.workers.ProcessSession`.
 
-        On the ``"process"`` backend this returns a
-        :class:`repro.congest.sharding.workers.ProcessSession`: one worker
-        pool and one shared-memory CSR mapping serve every ``execute`` of
-        the session, re-armed between phases.  The serial backend has no
-        per-``execute`` setup worth keeping (the shard plan is already
-        memoised per network), so it gets the default session.
+        One worker pool and one shared-memory CSR mapping serve every
+        ``execute`` of the session, re-armed between phases.
         """
         config = config or CongestConfig()
-        shards, backend = self.resolve_structure(config)
-        if backend == "process":
-            # Imported lazily: workers.py needs this module's stepper.
-            from repro.congest.sharding.workers import ProcessSession
+        # Imported lazily: workers.py needs this module's stepper.
+        from repro.congest.sharding.workers import ProcessSession
 
-            return ProcessSession(
-                engine=self,
-                network=network,
-                config=config,
-                shards=shards,
-            )
-        return super().open_session(network, config)
+        return ProcessSession(
+            engine=self,
+            network=network,
+            config=config,
+            shards=self.resolve_structure(config),
+        )
 
 
 register_engine(ShardedEngine())

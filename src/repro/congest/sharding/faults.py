@@ -1,6 +1,6 @@
 """Deterministic fault injection for the sharded execution stack.
 
-The fault-tolerance machinery of the process backend — the barrier
+The fault-tolerance machinery of the sharded engine — the barrier
 watchdog (``CongestConfig.round_timeout``), supervised retry
 (``CongestConfig.retry_policy``) and the graceful degradation ladder —
 only earns trust if every failure path it guards is *reachable on
@@ -53,10 +53,11 @@ what you do not want in a differential suite.
 
 Only worker processes fail
 --------------------------
-Faults fire inside process-backend workers and nowhere else.  The serial
-backend has no worker process to lose and no supervisor to exercise, so
-it ignores any plan — which is also what lets a config carrying a plan
-degrade to serial without re-injecting the fault it is recovering from.
+Faults fire inside the sharded engine's worker processes and nowhere
+else.  A degraded session runs its phases in-process on the vectorized
+engine, which has no worker process to lose and ignores any plan — so a
+config carrying a plan degrades without re-injecting the fault it is
+recovering from.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ class FaultPlan:
     it is frozen and built only from picklable primitives.  ``attempt`` is
     the supervised-retry loop's cursor: a spec fires only when its own
     ``attempt`` equals the plan's, and :meth:`for_attempt` re-threads the
-    cursor without touching the specs.  Only process-backend workers read
-    a plan; the serial backend runs clean under any plan (see the module
+    cursor without touching the specs.  Only worker processes read a
+    plan; in-process engines run clean under any plan (see the module
     docstring).
     """
 

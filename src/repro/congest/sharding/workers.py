@@ -1,4 +1,4 @@
-"""Worker processes for the sharded engine's ``"process"`` backend.
+"""Worker processes of the sharded engine.
 
 One long-lived worker process per non-empty shard: the worker receives its
 shard's contexts and routing tables once at startup, is *armed* with a
@@ -6,7 +6,7 @@ protocol and configuration, then steps its frontier every round, exchanging
 only *boundary* traffic with the coordinator at the round barrier — packed
 by :mod:`repro.congest.sharding.wire` into flat arrays instead of pickled
 per-message objects.  The coordinator (:class:`ProcessShardedRun`) keeps
-the exact round-loop structure of the in-process sharded run: per-shard
+the round-loop structure of the single-process engines: per-shard
 :class:`repro.congest.metrics.RoundMetrics` partials are folded in ascending
 shard order at the barrier, and termination, quiescence, the stall counter
 and the round cap are evaluated centrally on the aggregated view — so the
@@ -42,8 +42,8 @@ the protocols, the model-rule knobs and the context *deltas* (the
 per-execute inputs; each worker's ``start_shard`` resets the nodes it
 starts), so neither processes nor per-node state are re-shipped for
 ``reuse_contexts`` phases.  A direct
-:meth:`~repro.congest.sharding.engine.ShardedEngine.execute` on the process
-backend is a one-shot session: opened, run once and closed.  The session's
+:meth:`~repro.congest.sharding.engine.ShardedEngine.execute` is a one-shot
+session: opened, run once and closed.  The session's
 routing tables live in one :mod:`multiprocessing.shared_memory` CSR mapping
 (:mod:`repro.congest.sharding.shm`) attached once per worker.  A fresh
 context build, or any ``build_contexts`` call outside the session
@@ -89,9 +89,9 @@ pool down, respawns it fresh and **replays the group from the parent's
 contexts**, which are bit-identical to the group's start because the
 harvest below folds worker state back only after *every* worker reported.
 After exhausting ``max_attempts`` the session (by default) *degrades*:
-the group — and every later group of the session — completes on the
-serial in-process sharded backend, bit-identical by the engine contract
-and immune to worker-process failures.  Every failure and the
+the group — and every later group of the session — completes in-process
+on the vectorized engine, bit-identical by the engine contract and immune
+to worker-process failures.  Every failure and the
 supervisor's decision is recorded as a
 :class:`~repro.congest.sharding.engine.RecoveryEvent` on the session's
 stats.  Deterministic fault injection for all of these paths lives in
@@ -129,6 +129,7 @@ from repro.congest.engine import (
     RunResult,
     collect_outputs,
     coordinator_should_stop,
+    get_engine,
     merge_startup_metrics,
 )
 from repro.congest.errors import (
@@ -142,7 +143,6 @@ from repro.congest.node import NodeContext, Protocol
 from repro.congest.sharding.engine import (
     RecoveryEvent,
     ShardingStats,
-    _ShardedRun,
     _ShardState,
     _ShardStepper,
 )
@@ -766,13 +766,13 @@ class _WorkerPool:
 
 
 class ProcessShardedRun:
-    """One process-backed sharded execution (the ``"process"`` backend).
+    """One process-backed sharded execution.
 
-    Mirrors the in-process ``_ShardedRun`` coordinator loop exactly —
-    startup barrier, per-round fold in ascending shard order, the same
-    termination / quiescence / stall / round-cap decisions — but the
-    shards live in worker processes and boundary buckets cross the barrier
-    as packed :class:`repro.congest.sharding.wire.WireBatch` columns.
+    The single-process engines' coordinator loop — startup barrier, the
+    same termination / quiescence / stall / round-cap decisions — with a
+    per-round fold in ascending shard order; the shards live in worker
+    processes and boundary buckets cross the barrier as packed
+    :class:`repro.congest.sharding.wire.WireBatch` columns.
 
     The :class:`ProcessSession` passes its (already armed) *pool*; the run
     only drives the round loop and leaves pool lifetime to the session.
@@ -948,10 +948,9 @@ class ProcessShardedRun:
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         # The termination decisions and the round-1 startup-metrics merge
-        # are the shared helpers of sharding/engine.py — evaluated here on
-        # worker-reported aggregates, in _ShardedRun on local state — so
-        # the engine contract's round counts cannot drift between the
-        # coordinators.
+        # are the helpers the single-process engines share — evaluated here
+        # on worker-reported aggregates — so the engine contract's round
+        # counts cannot drift between the coordinators.
         config = self.config
         handles = self.pool.handles
         metrics = RunMetrics()
@@ -1035,11 +1034,10 @@ class ProcessShardedRun:
 # Sessions
 # ----------------------------------------------------------------------
 class ProcessSession(CongestSession):
-    """A process-backend session: one pool, one shm CSR mapping.
+    """A sharded-engine session: one pool, one shm CSR mapping.
 
     Opened by :meth:`repro.congest.sharding.engine.ShardedEngine.open_session`
-    whenever the configuration resolves to the ``"process"`` backend (and,
-    as a one-shot session, by a direct ``execute`` on that backend).  The
+    (and, as a one-shot session, by a direct ``execute``).  The
     shard plan is fixed at open time; across the session's ``execute``
     calls:
 
@@ -1106,7 +1104,7 @@ class ProcessSession(CongestSession):
         #: session has not yet absorbed.
         self._delta_epoch: int = network.delta_epoch
         #: True once supervised retry exhausted its attempts and the
-        #: session fell back to the serial in-process sharded backend —
+        #: session fell back to the in-process vectorized engine —
         #: sticky for the rest of the session (the condition that killed
         #: the pool repeatedly is not expected to clear between phases).
         self._degraded: bool = False
@@ -1114,13 +1112,12 @@ class ProcessSession(CongestSession):
     # ------------------------------------------------------------------
     def _check_config(self, config: CongestConfig) -> None:
         """Reject per-execute overrides that conflict with the fixed plan."""
-        shards, backend = self.engine.resolve_structure(config)
-        if (shards, backend) != (self._shards, "process"):
+        shards = self.engine.resolve_structure(config)
+        if shards != self._shards:
             raise ValueError(
-                "per-execute config resolves to %r shards / %r backend, but "
-                "this session was opened with %r / 'process'; structural "
-                "knobs are fixed for a session's lifetime"
-                % (shards, backend, self._shards)
+                "per-execute config resolves to %r shards, but this session "
+                "was opened with %r; the shard count is fixed for a "
+                "session's lifetime" % (shards, self._shards)
             )
 
     def _teardown_pool(self, force: bool = False) -> None:
@@ -1203,10 +1200,10 @@ class ProcessSession(CongestSession):
                 fresh=not reuse_contexts,
             )
             if self._degraded or not any(self.plan.shards):
-                # Serial fallback: an empty network has nothing to keep a
-                # pool for, and a degraded session has proven it cannot
+                # In-process fallback: an empty network has nothing to keep
+                # a pool for, and a degraded session has proven it cannot
                 # keep one.
-                return self._run_serial(protocols, config, contexts)
+                return self._run_in_process(protocols, config)
 
             # Supervised retry: each attempt runs the group on a pool; a
             # ShardWorkerError (timeouts included) with a retry_policy set
@@ -1265,7 +1262,7 @@ class ProcessSession(CongestSession):
                         if self.shared_csr is not None:
                             shared, self.shared_csr = self.shared_csr, None
                             shared.destroy()
-                        return self._run_serial(protocols, config, contexts)
+                        return self._run_in_process(protocols, config)
                     attempt += 1
                     delay = policy.delay_before(attempt)
                     if delay > 0:
@@ -1277,36 +1274,30 @@ class ProcessSession(CongestSession):
             self._teardown_pool(force=isinstance(exc, ShardWorkerTimeout))
             raise
 
-    def _run_serial(
-        self,
-        protocols: List[Protocol],
-        config: CongestConfig,
-        contexts: ContextRegistry,
+    def _run_in_process(
+        self, protocols: List[Protocol], config: CongestConfig
     ) -> List[RunResult]:
-        """Complete a group phase by phase on the serial sharded backend.
+        """Complete a group phase by phase on the vectorized engine.
 
         The degradation target (and the empty-network path): bit-identical
         to the pool by the engine contract, immune to worker-process
-        failures.  The parent's contexts are at the group start when this
-        runs (the group-final fold never happened), so the serial replay
-        is exactly the unfused composite — including the
-        ``build_contexts(fresh=False)`` call between phases.
+        failures.  ``_run_group`` has already built the group's contexts,
+        and the parent's contexts are at the group start when this runs
+        (the group-final fold never happened), so every phase reuses them.
+        Each phase is recorded with its message count and no cross-shard
+        traffic.
         """
+        engine = get_engine("vectorized")
         results: List[RunResult] = []
-        for i, protocol in enumerate(protocols):
-            if i:
-                contexts = self.network.build_contexts(fresh=False)
-            run = _ShardedRun(
-                network=self.network,
-                protocol=protocol,
-                config=config,
-                contexts=contexts,
-                plan=self.plan,
+        for protocol in protocols:
+            result = engine.execute(
+                self.network, protocol, config=config, reuse_contexts=True
             )
-            results.append(run.run())
+            results.append(result)
             self._epoch = self.network.context_epoch
-            total, cross = run.traffic_totals()
-            self.stats.observe_phase(protocol.name, total, cross, 0, 0, 0.0)
+            self.stats.observe_phase(
+                protocol.name, result.metrics.total_messages, 0, 0, 0, 0.0
+            )
         return results
 
     def _run_on_pool(

@@ -124,10 +124,9 @@ class BoostedNearCliqueRunner:
         self.congest_engine = congest_engine
         #: Optional :class:`repro.congest.config.CongestConfig` for the
         #: "distributed" variant's simulations — the way to reach
-        #: engine-specific knobs such as ``shards`` and ``shard_backend``
-        #: (each distributed version runs its ~14 phases inside one
-        #: execution session, so the process backend's pool/shm setup is
-        #: paid once across them).
+        #: engine-specific knobs such as ``shards`` (each distributed
+        #: version runs its ~14 phases inside one execution session, so
+        #: the sharded engine's pool/shm setup is paid once across them).
         #: ``congest_engine`` (when given) still overrides the
         #: configuration's engine field.
         self.congest_config = congest_config

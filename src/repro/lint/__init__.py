@@ -1,9 +1,9 @@
 """``repro lint`` — static analysis of the engine stack's protocol contract.
 
-Every execution backend in this package (vectorized, sharded serial and
-process) leans on one safety net: a :class:`repro.congest.node.Protocol`
+Every execution engine in this package (vectorized and sharded) leans on
+one safety net: a :class:`repro.congest.node.Protocol`
 must be *deterministic* (same inputs, same ``ctx.rng`` draws → same traffic),
-*picklable* (the process backend ships protocol objects and per-node state
+*picklable* (the sharded engine ships protocol objects and per-node state
 across worker pipes), *wire-encodable* (payloads restricted to the vocabulary
 of :func:`repro.congest.message.estimate_payload_bits`) and *O(log n)-bounded*
 (the CONGEST bit budget).  Those obligations are enforced dynamically — by

@@ -7,8 +7,8 @@ module covers one family of engine invariants:
     Bit-identity across engines requires every random draw to come from
     ``ctx.rng`` and every send order to be deterministic.
 ``process_safety``  (PROC0xx)
-    The sharded process backend pickles protocol objects and per-node state
-    across worker pipes (``sharding/workers.py``).
+    The sharded engine pickles protocol objects and per-node state across
+    worker pipes (``sharding/workers.py``).
 ``wire``  (WIRE0xx)
     Payloads must stay inside the vocabulary the packed wire format
     round-trips (``sharding/wire.py``, property-tested in ``test_wire.py``).

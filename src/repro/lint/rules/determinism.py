@@ -1,7 +1,7 @@
 """Determinism rules (DET0xx).
 
-The engine contract demands bit-identical runs across every backend
-(reference, vectorized, sharded serial/process).
+The engine contract demands bit-identical runs across every engine
+(reference, vectorized, sharded).
 That only holds when protocol code draws randomness exclusively from the
 node's seeded ``ctx.rng`` stream and never lets interpreter-level accidents
 — set iteration order, object addresses, wall clocks — influence what goes

@@ -1,7 +1,7 @@
 """Process-safety rules (PROC0xx).
 
-The sharded engine's ``"process"`` backend (``sharding/workers.py``) ships
-the protocol object over a pipe at arm time and round-trips every node's
+The sharded engine (``sharding/workers.py``) ships the protocol object to
+its worker processes over a pipe at arm time and round-trips every node's
 ``ctx.state`` / ``ctx.output`` at phase finish — so everything a protocol
 stores must be picklable, and nothing may live in module globals (each
 worker process has its own copy, silently diverging from the coordinator's).

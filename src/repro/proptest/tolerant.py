@@ -65,11 +65,10 @@ class TolerantNearCliqueTester:
     congest_config:
         Optional :class:`repro.congest.config.CongestConfig` for
         :meth:`find_distributed` — the way to reach engine-specific knobs
-        such as ``shards`` and ``shard_backend``
-        (:meth:`find_distributed` runs the full pipeline inside one
-        execution session, so the process backend's worker-pool and
-        shared-memory setup is paid once across the ~14 phases; the
-        session's accounting is exposed afterwards as
+        such as ``shards`` (:meth:`find_distributed` runs the full
+        pipeline inside one execution session, so the sharded engine's
+        worker-pool and shared-memory setup is paid once across the ~14
+        phases; the session's accounting is exposed afterwards as
         :attr:`last_session_stats`).  ``congest_engine`` (when given)
         still overrides the configuration's engine field.
     """

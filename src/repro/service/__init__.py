@@ -7,8 +7,8 @@ Three layers, each usable on its own:
 
 :mod:`repro.service.incremental`
     :class:`NearCliqueService` — one long-lived
-    :class:`~repro.congest.network.Network`, one persistent execution
-    session, and the component-locality argument that lets a query after
+    :class:`~repro.congest.network.Network`, a cached last answer, and
+    the component-locality argument that lets a query after
     a delta re-run the CONGEST pipeline on the dirty region only, splice
     the cached clean components back in, and still be **bit-identical**
     to a fresh full run on the final edge set (that module's docstring
@@ -23,9 +23,9 @@ Three layers, each usable on its own:
 :mod:`repro.service.daemon`
     :class:`NearCliqueDaemon` — the serve loop behind the CLI's ``serve``
     subcommand.  No request kills it: bad input, rejected deltas and
-    shard-worker crashes each map to a typed error response and the loop
-    keeps serving (a crash tears down the worker pool; the next query
-    respawns it against the intact cached state).
+    simulator errors (shard-worker crashes included) each map to a typed
+    error response and the loop keeps serving against the intact cached
+    state.
 
 :mod:`repro.service.stats`
     :class:`ServiceStats` / :class:`QueryRecord` — lifetime counters and
@@ -35,9 +35,7 @@ Three layers, each usable on its own:
 The underlying delta machinery lives with the structures it mutates:
 :meth:`Network.apply_delta <repro.congest.network.Network.apply_delta>`
 (validated batch updates that cost the touched nodes' degree: their rows
-stay an overlay until a whole-graph read compacts the CSR) and the
-persistent ``ProcessSession``, which absorbs a delta by rebuilding its
-shard plan and respawning its worker pool at the next full query.
+stay an overlay until a whole-graph read compacts the CSR).
 """
 
 from repro.service.daemon import NearCliqueDaemon

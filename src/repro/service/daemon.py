@@ -10,12 +10,12 @@ Graceful degradation is the design centre: **no request kills the
 daemon**.  A malformed line answers ``bad-request`` — as does a line
 longer than ``max_line_length``, which is drained and rejected in bounded
 memory instead of buffered whole; a rejected delta answers ``bad-delta``
-(the graph provably untouched — validation precedes mutation); a shard
-worker crash mid-query answers ``worker-crash``, a barrier-watchdog
-timeout ``worker-timeout`` — both tear the session down and let the next
-query respawn a fresh pool against the unchanged cached state; anything
-else answers ``congest-error`` / ``internal-error``.  Only ``shutdown``
-(or EOF on the request stream) ends the loop.
+(the graph provably untouched — validation precedes mutation); any other
+simulator error — a shard worker's crash or watchdog timeout included —
+answers ``congest-error``, with the cached state unchanged (every query
+opens and closes its own execution session, so the next one starts a
+fresh worker pool); anything else answers ``internal-error``.  Only
+``shutdown`` (or EOF on the request stream) ends the loop.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, IO, Optional
 
-from repro.congest.errors import (
-    CongestError,
-    DeltaError,
-    ShardWorkerError,
-    ShardWorkerTimeout,
-)
+from repro.congest.errors import CongestError, DeltaError
 from repro.core.result import NearCliqueResult
 
 from repro.service import protocol
@@ -143,21 +138,6 @@ class NearCliqueDaemon:
             return self._dispatch(request)
         except DeltaError as exc:
             return protocol.error_response("bad-delta", str(exc))
-        except ShardWorkerTimeout as exc:
-            # The barrier watchdog gave up on a hung worker and the
-            # session's retry budget (if any) is spent.  Same recovery
-            # story as a crash — drop the session, keep the cached state —
-            # but the response names the distinct failure mode.
-            self.service.stats.observe_timeout()
-            self.service.recover()
-            return protocol.error_response("worker-timeout", str(exc))
-        except ShardWorkerError as exc:
-            # A worker died mid-query.  The cached result and pending
-            # dirty set are untouched; drop the session so the next query
-            # respawns a fresh pool, and keep serving.
-            self.service.stats.observe_crash()
-            self.service.recover()
-            return protocol.error_response("worker-crash", str(exc))
         except CongestError as exc:
             return protocol.error_response("congest-error", str(exc))
         except Exception as exc:  # pragma: no cover - defensive backstop

@@ -1,8 +1,11 @@
 """The incremental near-clique query service.
 
-:class:`NearCliqueService` owns one long-lived :class:`Network`, one
-persistent execution session, and the cache/repair logic that makes a
-query after a small topology delta cost a small fraction of a full run.
+:class:`NearCliqueService` owns one long-lived :class:`Network`, the last
+answer, and the cache/repair logic that makes a query after a small
+topology delta cost a small fraction of a full run.  A full query runs
+the pipeline through :class:`DistNearCliqueRunner`, which opens and closes
+its own execution session, so the service holds no session between
+queries.
 
 The incremental argument rests on *component locality*: CONGEST messages
 never cross connected components, and the algorithm's per-node behaviour
@@ -44,7 +47,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.congest.config import CongestConfig
-from repro.congest.engine import DEFAULT_ENGINE, CongestSession, get_engine
+from repro.congest.engine import DEFAULT_ENGINE
 from repro.congest.errors import DeltaError
 from repro.congest.network import AppliedDelta, Network
 from repro.core.dist_near_clique import DistNearCliqueRunner
@@ -115,19 +118,13 @@ class NearCliqueService:
         self.parameters = parameters
         self.network = Network(graph)
         self.config = config or CongestConfig().with_log_budget(self.network.n)
-        self._engine = get_engine(self.config.engine)
         self._runner = DistNearCliqueRunner(
             parameters=parameters, config=self.config
         )
-        self._session: Optional[CongestSession] = None
         self._cached: Optional[NearCliqueResult] = None
         self._cached_seed: Optional[int] = None
         self._dirty_ids: Set[int] = set()
         self.stats = ServiceStats()
-        #: How many of the live session's recovery events have already been
-        #: folded into :attr:`stats` (events below it are counted; see
-        #: :meth:`_harvest_recovery`).
-        self._recovery_watermark = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -139,52 +136,12 @@ class NearCliqueService:
         self.close()
 
     def close(self) -> None:
-        """Close the persistent execution session (idempotent)."""
-        session, self._session = self._session, None
-        if session is not None and not session.closed:
-            session.close()
+        """Release the service (idempotent).
 
-    def recover(self) -> None:
-        """Tear down a (possibly crashed) session; the next query respawns.
-
-        The daemon calls this after a :class:`ShardWorkerError`: the last
-        cached result stays valid (the crash happened mid-query, before
-        any output was published) and pending dirty nodes are retained, so
-        the retry repeats exactly the interrupted work on a fresh pool.
+        Every query opens and closes its own execution session, so there
+        is nothing left to release; the daemon's serve loop still calls
+        this when it ends.
         """
-        # Harvest before closing: a supervised session may have recorded
-        # retries on earlier phases of the very query whose final failure
-        # brought us here.
-        self._harvest_recovery()
-        self.close()
-        self.stats.observe_recovery()
-
-    def _harvest_recovery(self) -> None:
-        """Fold the session's new recovery events into the service stats.
-
-        Supervised sessions (``CongestConfig.retry_policy``) record every
-        worker failure and its outcome on their own stats; the watermark
-        makes each event count exactly once across the many queries one
-        session serves.
-        """
-        session = self._session
-        events = getattr(getattr(session, "stats", None), "recovery_events", None)
-        if not events:
-            return
-        for event in events[self._recovery_watermark:]:
-            self.stats.observe_recovery_event(event)
-        self._recovery_watermark = len(events)
-
-    def _ensure_session(self) -> CongestSession:
-        if self._session is None or self._session.closed:
-            self._session = self._engine.open_session(self.network, self.config)
-            self._recovery_watermark = 0
-        return self._session
-
-    @property
-    def session(self) -> Optional[CongestSession]:
-        """The live execution session, if one is open (tests introspect it)."""
-        return self._session
 
     # ------------------------------------------------------------------
     # deltas
@@ -198,7 +155,7 @@ class NearCliqueService:
 
         Validation happens before any mutation (unknown labels, self
         loops, an edge on both sides): a :class:`DeltaError` leaves the
-        graph, the cache and the session untouched.
+        graph and the cache untouched.
         """
         id_of = self.network.id_of
 
@@ -261,14 +218,11 @@ class NearCliqueService:
         self._cached_seed = seed
         self._dirty_ids.clear()
         self.stats.observe_query(record)
-        self._harvest_recovery()
         return QueryOutcome(result, record, base, region)
 
     def _full_query(self, seed: int) -> QueryOutcome:
         self.network.reseed(seed)
-        result = self._runner.run(
-            network=self.network, session=self._ensure_session()
-        )
+        result = self._runner.run(network=self.network)
         record = QueryRecord(
             kind="full",
             recomputed_nodes=self.network.n,

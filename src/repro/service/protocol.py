@@ -20,7 +20,7 @@ Every request is a JSON object with a ``"cmd"`` key:
     graph untouched and yields a ``bad-delta`` error response.
 
 ``{"cmd": "stats"}``
-    Lifetime service counters (queries by kind, deltas, crashes, …).
+    Lifetime service counters (queries by kind, deltas, nodes recomputed).
 
 ``{"cmd": "shutdown"}``
     Acknowledge and stop the serve loop.
@@ -31,10 +31,9 @@ Responses
 ``{"ok": false, "error": {"code": <code>, "message": <msg>}}`` on failure.
 Error codes: ``bad-request`` (unparseable/unknown command, or a request
 line exceeding the daemon's length bound), ``bad-delta`` (delta
-validation), ``worker-crash`` (a shard worker died mid-query; the daemon
-respawned and keeps serving), ``worker-timeout`` (the barrier watchdog
-gave up on a hung worker; same recovery as a crash), ``congest-error``
-(any other simulator-contract violation) and ``internal-error``.
+validation), ``congest-error`` (any other simulator error, a shard
+worker's crash or timeout included; the daemon keeps serving) and
+``internal-error``.
 Responses are emitted with sorted keys so transcripts are reproducible.
 
 A ``query`` response's ``labels`` is a list of ``[node, label-or-null]``
@@ -75,8 +74,6 @@ COMMANDS: Tuple[str, ...] = ("query", "delta", "stats", "shutdown")
 ERROR_CODES: Tuple[str, ...] = (
     "bad-request",
     "bad-delta",
-    "worker-crash",
-    "worker-timeout",
     "congest-error",
     "internal-error",
 )

@@ -178,11 +178,7 @@ class TestSessionAwareBoosting:
         baseline = self._fingerprint(self._run(graph))
         for config in (
             CongestConfig(engine="vectorized").with_log_budget(n),
-            CongestConfig(
-                engine="sharded",
-                shards=2,
-                shard_backend="process",
-            ).with_log_budget(n),
+            CongestConfig(engine="sharded", shards=2).with_log_budget(n),
         ):
             assert self._fingerprint(self._run(graph, config)) == baseline
 
@@ -190,11 +186,9 @@ class TestSessionAwareBoosting:
         from repro.congest.config import CongestConfig
 
         graph, _ = planted_workload
-        config = CongestConfig(
-            engine="sharded",
-            shards=2,
-            shard_backend="process",
-        ).with_log_budget(graph.number_of_nodes())
+        config = CongestConfig(engine="sharded", shards=2).with_log_budget(
+            graph.number_of_nodes()
+        )
         runner = BoostedNearCliqueRunner(
             epsilon=0.2,
             sample_probability=0.08,

@@ -11,6 +11,11 @@ from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import io
 
 
+def _without_session_report(report):
+    """*report* up to the Execution-session report the sharded engine appends."""
+    return report.split("Execution-session report")[0].rstrip()
+
+
 class TestGenerateCommand:
     @pytest.mark.parametrize("family", ["planted", "figure1", "path-of-cliques", "web"])
     def test_generates_every_family(self, tmp_path, family):
@@ -96,7 +101,7 @@ class TestFindCommand:
                 ]
             )
             assert exit_code == 0
-            reports[congest_engine] = capsys.readouterr().out
+            reports[congest_engine] = _without_session_report(capsys.readouterr().out)
         assert reports["vectorized"] == reports["reference"]
         assert reports["sharded"] == reports["reference"]
 
@@ -108,7 +113,7 @@ class TestFindCommand:
         reports = {}
         for name, extra in (
             ("vectorized", []),
-            ("sharded", ["--shards", shards, "--shard-backend", "serial"]),
+            ("sharded", ["--shards", shards]),
         ):
             exit_code = cli.main(
                 [
@@ -125,7 +130,7 @@ class TestFindCommand:
                 + extra
             )
             assert exit_code == 0
-            reports[name] = capsys.readouterr().out
+            reports[name] = _without_session_report(capsys.readouterr().out)
         assert reports["sharded"] == reports["vectorized"]
 
     def test_process_backend_session_report(self, capsys):
@@ -137,14 +142,7 @@ class TestFindCommand:
             ("default", []),
             (
                 "session",
-                [
-                    "--congest-engine",
-                    "sharded",
-                    "--shards",
-                    "2",
-                    "--shard-backend",
-                    "process",
-                ],
+                ["--congest-engine", "sharded", "--shards", "2"],
             ),
         ):
             exit_code = cli.main(
@@ -209,7 +207,8 @@ class TestArgumentValidation:
     >= 0, the planted generator wants its fraction in (0, 1], its defect in
     [0, 1) and a probability as its background, and the boosted runner at
     least one repetition.  The last cases are the removed async engine,
-    the folded callback engine, the thread backend and the mode flags.
+    the folded callback engine, the removed shard-backend flag and the
+    mode flags.
     """
 
     @pytest.mark.parametrize(
@@ -266,6 +265,8 @@ class TestArgumentValidation:
             ["find", "--shard-workers", "2"],
             ["find", "--shard-backend", "thread"],
             ["serve", "--shard-backend", "thread"],
+            ["find", "--shard-backend", "serial"],
+            ["serve", "--shard-backend", "process"],
             ["find", "--session-mode", "persistent"],
             ["find", "--pipeline-mode", "fuse"],
         ],
@@ -289,7 +290,6 @@ class TestArgumentValidation:
         (["find", "--shards", "1"], "shards", 1),
         (["find", "--round-timeout", "0.001"], "round_timeout", 0.001),
         (["find", "--retry-attempts", "0"], "retry_attempts", 0),
-        (["find", "--shard-backend", "process"], "shard_backend", "process"),
         (["find", "--delta", "1"], "delta", 1.0),
         (["serve", "--delta", "1e-9"], "delta", 1e-9),
         (["generate", "unused.edges", "--delta", "1"], "delta", 1.0),
@@ -449,6 +449,30 @@ class TestServeCommand:
         assert responses[3]["deltas"] == 1
         assert "serving near-clique queries" in err
         assert "served 5 requests" in err
+
+    def test_serve_summary_counts_queries_and_deltas_only(self, monkeypatch, capsys):
+        exit_code, responses, err = self._serve(
+            monkeypatch,
+            capsys,
+            [
+                {"cmd": "query", "seed": 1},
+                {"cmd": "delta", "remove": [[0, 1]]},
+                {"cmd": "query", "seed": 1},
+                {"cmd": "query", "seed": 1},
+            ],
+            argv=["--congest-engine", "sharded", "--shards", "2"],
+        )
+        assert exit_code == 0
+        assert [r["query"]["kind"] for r in responses if r["cmd"] == "query"] == [
+            "full",
+            "incremental",
+            "cached",
+        ]
+        summary = err.strip().splitlines()[-1]
+        assert summary == (
+            "served 4 requests: 3 queries (1 full / 1 incremental / 1 cached), "
+            "1 deltas"
+        )
 
     def test_serve_survives_bad_requests_and_eof(self, monkeypatch, capsys):
         import io as _io

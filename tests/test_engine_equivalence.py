@@ -13,11 +13,10 @@ each engine on a pool of seeded graphs and asserts exact equality.
 Every test that compares a backend against the reference is parametrized by
 the backend's registry name, so a failure names the diverging engine in its
 test id — which is also what lets CI run the suite once per engine with
-``-k <engine>``.  The sharded engine's process backend (worker processes
-exchanging packed boundary batches) runs as one more arm, ``process``, of
-the engine-parametrized classes, and :class:`TestProcessBackend` adds its
-shard-count and whole-pipeline cases; their ids carry
-``process`` for the same reason.  The tests that run the runner's
+``-k <engine>``.  The sharded engine (worker processes exchanging packed
+boundary batches) runs as the arm ``process`` of the engine-parametrized
+classes, and :class:`TestProcessBackend` adds its shard-count and
+whole-pipeline cases; their ids carry ``process`` for the same reason.  The tests that run the runner's
 kernel-covered phases add a ``callbacks`` arm: the vectorized engine with
 every kernel suppressed, so the callback loop runs those phases too.
 """
@@ -59,11 +58,11 @@ from repro.primitives.leader_election import MinIdFloodingProtocol
 
 from conftest import CallbacksEngine, round_trace, run_fingerprint
 
-#: Engine configurations by arm id: every registered engine at its default
-#: configuration, plus the sharded engine's process backend, whose direct
+#: Engine configurations by arm id: every in-process engine at its default
+#: configuration, plus the sharded engine on two shards, whose direct
 #: executes each run inside a one-shot worker session.
-ARMS = {name: {"engine": name} for name in available_engines()}
-ARMS["process"] = {"engine": "sharded", "shards": 2, "shard_backend": "process"}
+ARMS = {name: {"engine": name} for name in available_engines() if name != "sharded"}
+ARMS["process"] = {"engine": "sharded", "shards": 2}
 
 #: The arms differentially tested against the reference oracle.
 FAST_ENGINES = tuple(name for name in ARMS if name != ReferenceEngine.name)
@@ -354,18 +353,22 @@ class TestWrapperEquivalence:
         assert results[engine] == results["reference"]
 
 
-class TestShardedConfigurations:
-    """The sharded engine across shard counts.
+class TestProcessBackend:
+    """The sharded engine across shard counts: worker processes + wire codec.
 
-    The engine-parametrized classes above already run ``"sharded"`` at its
-    default configuration (4 shards, serial); these tests pin the contract
-    for every shard count in {1, 2, 4, 64} — including the single-shard
-    case, which must degenerate to the callback loop's semantics, and more
-    shards than nodes.
+    Every boundary message of these runs crosses a real process boundary in
+    the packed wire format, and every context round-trips through pickle at
+    the end of each execute — so this arm exercises serialization paths the
+    in-process engines never touch.  The graph-pool sweep is the
+    ``process`` arm of :class:`TestPrimitiveEquivalence`; these tests pin
+    the contract for 1 to 4 shards — including the single-shard case, which
+    must degenerate to the callback loop's semantics — and for more shards
+    than nodes.  Test ids contain ``process`` so the CI engine matrix
+    selects this arm with ``-k process``.
     """
 
-    @pytest.mark.parametrize("shards", [1, 2, 4, 64])
-    def test_shard_counts_identical_to_reference(self, shards):
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_process_shard_counts(self, shards):
         graph, _ = generators.planted_near_clique(
             n=40, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=7
         )
@@ -375,58 +378,30 @@ class TestShardedConfigurations:
             "sharded engine diverged with %d shards" % shards
         )
 
-    @pytest.mark.parametrize("graph", [g for _, g in GRAPHS], ids=GRAPH_IDS)
-    def test_two_shards_identical_on_graph_pool(self, graph):
+    # A triangle with a pendant node in 64 shards (four one-node shards,
+    # one worker each, and 60 empty ones), and a three-node path in 8.
+    @pytest.mark.parametrize(
+        "graph, shards",
+        [
+            (nx.Graph([(0, 1), (1, 2), (0, 2), (2, 3)]), 64),
+            (nx.path_graph(3), 8),
+        ],
+        ids=["paw-64", "path-8"],
+    )
+    def test_more_shards_than_nodes_process(self, graph, shards):
         reference = _run_primitive_suite(graph, "reference")
-        candidate = _run_primitive_suite(graph, "sharded", shards=2)
+        candidate = _run_primitive_suite(graph, "sharded", shards=shards)
         assert candidate == reference
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_full_runner_identical_across_shard_counts(self, shards):
+    def test_full_runner_identical_process(self, shards):
         graph, _ = generators.planted_near_clique(
             n=60, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=3
         )
         results = {}
         for name, config in (
             ("reference", CongestConfig(engine="reference")),
-            ("sharded", CongestConfig().with_sharding(shards=shards)),
-        ):
-            results[name] = _runner_fingerprint(graph, config)
-        assert results["sharded"] == results["reference"]
-
-
-class TestProcessBackend:
-    """The sharded engine's process backend: worker processes + wire codec.
-
-    Every boundary message of these runs crosses a real process boundary in
-    the packed wire format, and every context round-trips through pickle at
-    the end of each execute — so this arm exercises serialization paths the
-    in-process backends never touch.  The graph-pool sweep is the
-    ``process`` arm of :class:`TestPrimitiveEquivalence`.  Test ids contain
-    ``process`` so the CI engine matrix selects this arm with ``-k process``.
-    """
-
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_process_shard_counts(self, shards):
-        graph, _ = generators.planted_near_clique(
-            n=40, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=7
-        )
-        reference = _run_primitive_suite(graph, "reference")
-        candidate = _run_primitive_suite(
-            graph, "sharded", shards=shards, shard_backend="process"
-        )
-        assert candidate == reference, (
-            "process backend diverged with %d shards" % shards
-        )
-
-    def test_full_runner_identical_process(self):
-        graph, _ = generators.planted_near_clique(
-            n=60, clique_fraction=0.5, epsilon=0.008, background_p=0.05, seed=3
-        )
-        results = {}
-        for name, config in (
-            ("reference", CongestConfig(engine="reference")),
-            ("process", CongestConfig().with_sharding(shards=4, backend="process")),
+            ("process", CongestConfig().with_sharding(shards=shards)),
         ):
             results[name] = _runner_fingerprint(graph, config)
         assert results["process"] == results["reference"]
@@ -438,7 +413,7 @@ class TestProcessBackend:
         fingerprints = {}
         for name, config in (
             ("reference", CongestConfig(engine="reference")),
-            ("process", CongestConfig().with_sharding(shards=3, backend="process")),
+            ("process", CongestConfig().with_sharding(shards=3)),
         ):
             network = Network(graph, seed=4)
             result = run_protocol(
@@ -450,17 +425,12 @@ class TestProcessBackend:
         assert fingerprints["process"] == fingerprints["reference"]
 
 
-#: Backend configurations the session arm runs: every engine family, with
-#: the process backend (the one whose session keeps real state) carrying
-#: "process" in its id so CI's ``-k process`` job includes it.
+#: Engine configurations the session arm runs, with the sharded engine (the
+#: one whose session keeps real state) carrying "process" in its id so CI's
+#: ``-k process`` job includes it.
 SESSION_BACKENDS = [
     pytest.param("vectorized", {}, id="vectorized"),
-    pytest.param("sharded", {"shards": 3}, id="sharded-serial"),
-    pytest.param(
-        "sharded",
-        {"shards": 2, "shard_backend": "process"},
-        id="process",
-    ),
+    pytest.param("sharded", {"shards": 2}, id="process"),
 ]
 
 #: Graph subset for the session pipeline arm (the direct-execute arm already
@@ -546,7 +516,6 @@ class TestSessionMode:
             config = CongestConfig(
                 engine="reference" if name == "reference" else "sharded",
                 shards=3,
-                shard_backend="process",
             ).with_log_budget(20)
             with get_engine(config.engine).open_session(network, config) as session:
                 chain = []

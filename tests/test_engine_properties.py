@@ -11,13 +11,13 @@ guarantees on randomized workloads driven by stdlib ``random``:
   the next round, no matter how long the node has been silent;
 * the ``_STALL_LIMIT`` quiesce path: a protocol that is silent for exactly
   ``_STALL_LIMIT - 1`` rounds and then resumes is not declared stalled;
-* the sharded engine's partition — backend, shard count and strategy — is
-  invisible to the protocol: every node sees the vectorized engine's traffic.
+* the sharded engine's partition — however many shards — is invisible to
+  the protocol: every node sees the vectorized engine's traffic.
 
-The engine-parametrized tests below cover every registered engine because
+The engine-parametrized tests below cover every in-process engine because
 they iterate :func:`repro.congest.engine.available_engines`, plus the
-sharded engine's process backend (arm id ``process``), whose direct
-executes each run inside a one-shot worker session.  Protocol code there
+sharded engine on two shards (arm id ``process``), whose direct executes
+each run inside a one-shot worker session.  Protocol code there
 runs in worker processes, so every protocol below is defined at module
 level (workers unpickle it by name) and the traffic logs travel back as
 node outputs rather than as attributes of the protocol instance.
@@ -41,11 +41,10 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.congest.scheduler import _STALL_LIMIT, run_protocol
-from repro.congest.sharding import SHARD_BACKENDS
 
 #: Engine configurations by arm id.
-ARMS = {name: {"engine": name} for name in available_engines()}
-ARMS["process"] = {"engine": "sharded", "shards": 2, "shard_backend": "process"}
+ARMS = {name: {"engine": name} for name in available_engines() if name != "sharded"}
+ARMS["process"] = {"engine": "sharded", "shards": 2}
 ENGINES = tuple(ARMS)
 
 
@@ -309,15 +308,12 @@ class TestStallAndQuiesce:
 class TestPartitionInvisible:
     """How the sharded engine partitions the graph is invisible to the
     protocol: every node sees the same traffic, in the same order, in the
-    same rounds, as under the vectorized engine — whichever backend steps the
-    shards and however many there are, more than the nodes included."""
+    same rounds, as under the vectorized engine — however many shards there
+    are, more than the nodes included."""
 
-    # Ids name the arm the CI engine matrix selects ("sharded", "process").
-    @pytest.mark.parametrize(
-        "backend", SHARD_BACKENDS, ids=["sharded-serial", "process"]
-    )
-    @pytest.mark.parametrize("shards", [2, 5, 24])
-    def test_traffic_is_partition_independent(self, shards, backend):
+    # The id names the arm the CI engine matrix selects ("process").
+    @pytest.mark.parametrize("shards", [2, 5, 24], ids=lambda k: "process-%d" % k)
+    def test_traffic_is_partition_independent(self, shards):
         seed = shards + 2
         graph = nx.gnp_random_graph(18, 0.3, seed=seed)
         graph.add_edges_from(nx.path_graph(18).edges())
@@ -326,7 +322,7 @@ class TestPartitionInvisible:
             ("vectorized", CongestConfig(engine="vectorized")),
             (
                 "sharded",
-                CongestConfig().with_sharding(shards=shards, backend=backend),
+                CongestConfig().with_sharding(shards=shards),
             ),
         ):
             result = run_protocol(

@@ -10,7 +10,8 @@ The claims under test, in increasing order of machinery:
    worker process outlives the failed call.
 3. **Supervised retry is invisible in the output** — a process session
    that crashes, hangs or decodes garbage mid-pipeline and recovers
-   (phase replay on a fresh pool, or degradation to the serial backend)
+   (phase replay on a fresh pool, or degradation to the in-process
+   vectorized engine)
    produces a result *bit-identical* to a clean run on the reference
    engine.  That is the whole point of deterministic replay: recovery is an
    implementation detail, not an observable event.
@@ -53,6 +54,8 @@ from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.params import AlgorithmParameters
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 from repro.service import NearCliqueDaemon, NearCliqueService
+
+from conftest import run_fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -117,12 +120,30 @@ def _reference_fingerprint(graph, n, seed=5):
 def _faulty_config(n, fault_plan, *, round_timeout=None, retry=None, shards=3):
     return dataclasses.replace(
         CongestConfig()
-        .with_sharding(shards=shards, backend="process")
+        .with_sharding(shards=shards)
         .with_log_budget(n),
         fault_plan=fault_plan,
         round_timeout=round_timeout,
         retry_policy=retry,
     )
+
+
+def _assert_degraded_phases_recorded(stats, failing_phase):
+    """The phases from *failing_phase* on ran in-process and were recorded.
+
+    A degraded session records each phase it completes on the vectorized
+    engine with its message count and no cross-shard traffic; the failed
+    attempts recorded nothing, so every phase label appears once.
+    """
+    labels = [phase.label for phase in stats.phases]
+    assert len(labels) == len(set(labels))
+    degraded = stats.phases[labels.index(failing_phase):]
+    assert [phase.label for phase in degraded][-1] == "nc-final-labels"
+    for phase in degraded:
+        assert phase.cross_shard_messages == 0
+        assert phase.boundary_bytes == 0
+        assert phase.barrier_rounds == 0
+    assert any(phase.protocol_messages > 0 for phase in degraded)
 
 
 def _assert_no_worker_processes():
@@ -248,29 +269,25 @@ class TestWireCorruption:
 
 
 # ----------------------------------------------------------------------
-# the serial backend has no worker to fail
+# plans that inject nothing
 # ----------------------------------------------------------------------
 def _bfs_inputs(graph):
     return {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
 
 
-class TestInProcessSimulation:
-    def _serial_config(self, plan, *, round_timeout=None):
-        return dataclasses.replace(
-            CongestConfig().with_sharding(shards=3, backend="serial"),
-            fault_plan=plan,
-            round_timeout=round_timeout,
-        ).with_log_budget(30)
-
-    def test_empty_simulated_plan_is_bit_identical_noop(self):
+class TestCleanRuns:
+    def test_empty_plan_is_bit_identical_noop(self):
         graph = nx.gnp_random_graph(30, 0.2, seed=12)
         results = {}
         for plan in (None, FaultPlan()):
+            config = dataclasses.replace(
+                CongestConfig().with_sharding(shards=3), fault_plan=plan
+            ).with_log_budget(30)
             network = Network(graph, seed=2)
             result = run_protocol(
                 network,
                 MinIdBFSTreeProtocol(),
-                config=self._serial_config(plan),
+                config=config,
                 per_node_inputs=_bfs_inputs(graph),
             )
             results[plan is None] = (
@@ -279,21 +296,29 @@ class TestInProcessSimulation:
                 result.metrics.total_messages,
             )
         assert results[True] == results[False]
+        _assert_no_worker_processes()
 
-    def test_unsimulated_plan_is_ignored_off_process_backend(self):
-        # A real (simulate=False) plan only means something to process
-        # workers; the serial backend must run it clean, not crash.
+    def test_plan_is_ignored_by_the_vectorized_engine(self):
+        # A plan only means something to worker processes; an in-process
+        # engine must run it clean, not crash.
         graph = nx.gnp_random_graph(24, 0.2, seed=4)
         plan = FaultPlan(
             specs=(FaultSpec(point="round", kind="crash", shard=0),)
         )
-        result = run_protocol(
-            Network(graph, seed=2),
-            MinIdBFSTreeProtocol(),
-            config=self._serial_config(plan),
-            per_node_inputs=_bfs_inputs(graph),
-        )
-        assert result.outputs
+        results = {}
+        for fault_plan in (None, plan):
+            config = dataclasses.replace(
+                CongestConfig(engine="vectorized"), fault_plan=fault_plan
+            ).with_log_budget(24)
+            result = run_protocol(
+                Network(graph, seed=2),
+                MinIdBFSTreeProtocol(),
+                config=config,
+                per_node_inputs=_bfs_inputs(graph),
+            )
+            results[fault_plan is None] = run_fingerprint(result)
+        assert results[False] == results[True]
+        assert results[False][0]
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +327,7 @@ class TestInProcessSimulation:
 class TestWatchdog:
     def _config(self, plan, *, round_timeout=None, shards=3):
         return dataclasses.replace(
-            CongestConfig().with_sharding(shards=shards, backend="process"),
+            CongestConfig().with_sharding(shards=shards),
             fault_plan=plan,
             round_timeout=round_timeout,
         ).with_log_budget(30)
@@ -404,10 +429,10 @@ class TestSupervisedRetry:
         assert {event.action for event in stats.recovery_events} == {"retry"}
         _assert_no_worker_processes()
 
-    def test_persistent_failure_degrades_to_serial_bit_identically(self):
+    def test_persistent_failure_degrades_in_process_bit_identically(self):
         # The same phase fails on the first attempt AND its replay: the
-        # supervisor must fall back to the serial sharded backend and
-        # still answer bit-identically.
+        # supervisor must fall back to the in-process vectorized engine
+        # and still answer bit-identically.
         graph = self._graph()
         oracle = _reference_fingerprint(graph, self.N)
         specs = tuple(
@@ -432,6 +457,7 @@ class TestSupervisedRetry:
         assert stats.retries == 1  # first replay, which then failed too
         actions = [event.action for event in stats.recovery_events]
         assert actions == ["retry", "degrade"]
+        _assert_degraded_phases_recorded(stats, "nc-comp-dissemination")
         _assert_no_worker_processes()
 
     def test_fused_group_crash_replays_transactionally_bit_identically(self):
@@ -471,8 +497,8 @@ class TestSupervisedRetry:
 
     def test_fused_group_persistent_failure_degrades_bit_identically(self):
         # A mid-group phase that fails on the first attempt AND on the
-        # group's replay: the whole fused group degrades to the serial
-        # backend, still bit-identical to the reference engine.
+        # group's replay: the whole fused group degrades to the in-process
+        # vectorized engine, still bit-identical to the reference engine.
         graph = self._graph()
         oracle = _reference_fingerprint(graph, self.N)
         specs = tuple(
@@ -494,6 +520,27 @@ class TestSupervisedRetry:
         assert stats.degradations == 1
         actions = [event.action for event in stats.recovery_events]
         assert actions == ["retry", "degrade"]
+        _assert_degraded_phases_recorded(stats, "nc-vote")
+        _assert_no_worker_processes()
+
+    @pytest.mark.parametrize("phase", PIPELINE_PHASES)
+    def test_degrading_at_any_phase_answers_like_the_oracle(self, phase):
+        # Whichever phase keeps failing, the session finishes the pipeline
+        # in-process and the answer is the reference engine's.
+        graph = self._graph()
+        oracle = _reference_fingerprint(graph, self.N)
+        specs = tuple(
+            FaultSpec(point="start", kind="crash", shard=1, phase=phase, attempt=attempt)
+            for attempt in (0, 1)
+        )
+        config = _faulty_config(
+            self.N, FaultPlan(specs=specs), retry=RetryPolicy(max_attempts=2)
+        )
+        result, stats = _run_pipeline(graph, config)
+        assert _fingerprint(result) == oracle
+        actions = [event.action for event in stats.recovery_events]
+        assert actions == ["retry", "degrade"]
+        _assert_degraded_phases_recorded(stats, phase)
         _assert_no_worker_processes()
 
     def test_no_policy_means_failures_propagate(self):
@@ -687,7 +734,10 @@ class TestDaemonHardening:
         with pytest.raises(ValueError, match="max_line_length"):
             NearCliqueDaemon(service, max_line_length=0)
 
-    def test_worker_timeout_answers_typed_error_and_daemon_recovers(self):
+    def test_worker_timeout_answers_congest_error_and_daemon_recovers(self):
+        # A watchdog timeout is a CongestError: the daemon answers
+        # congest-error, keeps its cached state, and the retried query is
+        # answered in full and correctly.
         graph = _block_graph([10, 10])
         service = NearCliqueService(graph.copy(), PARAMS)
         real_run = service._runner.run
@@ -700,31 +750,26 @@ class TestDaemonHardening:
             return real_run(*args, **kwargs)
 
         service._runner.run = hang_once
-        out = io.StringIO()
-        requests = [
-            {"cmd": "query", "seed": 3},
-            {"cmd": "query", "seed": 3},
-            {"cmd": "stats"},
-            {"cmd": "shutdown"},
-        ]
-        daemon = NearCliqueDaemon(
+        responses = _serve(
             service,
-            reader=io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
-            writer=out,
+            [
+                {"cmd": "query", "seed": 3},
+                {"cmd": "query", "seed": 3},
+                {"cmd": "stats"},
+                {"cmd": "shutdown"},
+            ],
         )
-        served = daemon.serve_forever()
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert served == 4
+        assert len(responses) == 4
         assert responses[0]["ok"] is False
-        assert responses[0]["error"]["code"] == "worker-timeout"
+        assert responses[0]["error"]["code"] == "congest-error"
         assert responses[1]["ok"] is True
-        assert responses[2]["worker_timeouts"] == 1
-        assert responses[2]["worker_crashes"] == 0
+        assert responses[1]["query"]["kind"] == "full"
+        assert _served_labels(responses[1]) == _oracle_labels(graph, seed=3)
+        assert responses[2]["queries"] == 1
 
-    def test_session_retries_surface_in_service_stats(self):
+    def test_supervised_retry_answers_like_the_oracle(self):
         # A service configured with a retry policy absorbs an injected
-        # crash silently (the query succeeds); the recovery still shows
-        # up in the stats response, harvested from the session ledger.
+        # worker crash: the query succeeds and equals a fresh full run.
         graph = _block_graph([10, 10])
         n = graph.number_of_nodes()
         plan = FaultPlan(
@@ -742,23 +787,35 @@ class TestDaemonHardening:
         )
         config = _faulty_config(n, plan, retry=RetryPolicy(max_attempts=2))
         service = NearCliqueService(graph, PARAMS, config=config)
-        out = io.StringIO()
-        requests = [
-            {"cmd": "query", "seed": 3},
-            {"cmd": "stats"},
-            {"cmd": "shutdown"},
-        ]
-        daemon = NearCliqueDaemon(
-            service,
-            reader=io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
-            writer=out,
+        responses = _serve(
+            service, [{"cmd": "query", "seed": 3}, {"cmd": "shutdown"}]
         )
-        daemon.serve_forever()
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
         assert responses[0]["ok"] is True, responses[0]
-        assert responses[1]["retries"] == 1
-        assert responses[1]["worker_crashes"] == 0  # nothing escaped
-        assert responses[1]["degradations"] == 0
+        assert _served_labels(responses[0]) == _oracle_labels(graph, seed=3)
+        _assert_no_worker_processes()
+
+
+def _serve(service, requests):
+    """Run a daemon over *requests* and return its parsed responses."""
+    out = io.StringIO()
+    daemon = NearCliqueDaemon(
+        service,
+        reader=io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
+        writer=out,
+    )
+    daemon.serve_forever()
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _served_labels(response):
+    return {node: label for node, label in response["labels"]}
+
+
+def _oracle_labels(graph, seed):
+    result = DistNearCliqueRunner(parameters=PARAMS).run(
+        network=Network(graph, seed=seed)
+    )
+    return result.labels
 
 
 # ----------------------------------------------------------------------
@@ -791,20 +848,23 @@ EXPECTED_ERROR = {
 
 
 class TestFaultMatrix:
-    """Every fault kind surfaces as its typed error on the process backend.
+    """Every fault kind surfaces as its typed error from the workers.
 
     CI runs each cell as its own job:
     ``pytest tests/test_faults.py -k "<scenario> and process"``.
     """
 
-    @pytest.mark.parametrize("backend", ["process"])
+    # Ids carry "process", the word the CI cells select on with the
+    # scenario.
     @pytest.mark.parametrize(
-        "scenario", ["crash_arm", "crash_round", "hang", "corrupt_wire"]
+        "scenario",
+        ["crash_arm", "crash_round", "hang", "corrupt_wire"],
+        ids=lambda scenario: scenario + "-process",
     )
-    def test_fault_surfaces_as_typed_error(self, scenario, backend):
+    def test_fault_surfaces_as_typed_error(self, scenario):
         graph = _connected_gnp(24, 0.15, seed=3)
         plan = _matrix_plan(scenario)
-        config = CongestConfig().with_sharding(shards=3, backend=backend)
+        config = CongestConfig().with_sharding(shards=3)
         round_timeout = 1.5 if scenario == "hang" else None
         config = dataclasses.replace(
             config, fault_plan=plan, round_timeout=round_timeout

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import random
 
 import networkx as nx
@@ -23,7 +24,12 @@ from hypothesis import strategies as st
 from repro.congest import network as network_module
 from repro.congest.config import CongestConfig
 from repro.congest.engine import DEFAULT_ENGINE
-from repro.congest.errors import DeltaError, ShardWorkerError
+from repro.congest.errors import (
+    DeltaError,
+    ShardWorkerError,
+    ShardWorkerTimeout,
+    WireCorruptionError,
+)
 from repro.congest.network import Network
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.params import AlgorithmParameters
@@ -34,6 +40,7 @@ from repro.service import (
     parse_request,
 )
 from repro.service.protocol import (
+    ERROR_CODES,
     LabelOrder,
     delta_edges,
     encode_response,
@@ -303,8 +310,8 @@ class TestServiceQueries:
         assert stats.nodes_recomputed == 16 + 8
 
     def test_region_reruns_on_the_default_engine(self, monkeypatch):
-        # The full query runs on the service's engine; the dirty region
-        # runs in-process on the default one.
+        # The full query runs on the service's engine (here the reference
+        # oracle); the dirty region runs on the default one.
         engines = []
         run = DistNearCliqueRunner.run
 
@@ -314,10 +321,7 @@ class TestServiceQueries:
 
         monkeypatch.setattr(DistNearCliqueRunner, "run", spy)
         graph = _block_graph([10, 10, 10])
-        config = (
-            CongestConfig(engine="sharded", shards=3, shard_backend="serial")
-            .with_log_budget(30)
-        )
+        config = CongestConfig(engine="reference").with_log_budget(30)
         service = NearCliqueService(graph, PARAMS, config=config)
         with service:
             assert service.query(seed=3).record.kind == "full"
@@ -325,22 +329,22 @@ class TestServiceQueries:
             outcome = service.query(seed=3)
             assert outcome.record.kind == "incremental"
             assert outcome.record.recomputed_nodes == 10
-        assert engines == ["sharded", DEFAULT_ENGINE]
+        assert engines == ["reference", DEFAULT_ENGINE]
 
 
-class TestServicePersistentSession:
-    """The service over one long-lived process-backend session."""
+class TestServiceOnWorkerProcesses:
+    """The service over the sharded engine: each full query opens and
+    closes its own worker pool, so none outlives the query."""
 
-    def test_session_incremental_query_then_absorbed_full_query(self):
+    def test_process_incremental_query_then_full_query_after_delta(self):
         graph = _block_graph([10, 10, 10])
-        config = CongestConfig(
-            engine="sharded", shards=3, shard_backend="process"
-        ).with_log_budget(30)
+        config = CongestConfig(engine="sharded", shards=3).with_log_budget(30)
         service = NearCliqueService(graph.copy(), PARAMS, config=config)
         with service:
             first = service.query(seed=3)
             assert first.record.kind == "full"
             _assert_identical(first.result, _fresh(graph, 3))
+            assert multiprocessing.active_children() == []
 
             service.apply_delta(removals=[(22, 23)])
             graph.remove_edge(22, 23)
@@ -349,15 +353,12 @@ class TestServicePersistentSession:
             assert outcome.record.recomputed_nodes == 10
             _assert_identical(outcome.result, _fresh(graph, 3))
 
-            # A reseeded full query goes through the long-lived session,
-            # which absorbs the pending delta: its plan now describes the
+            # A reseeded full query runs on a fresh pool over the
             # post-delta topology.
-            session = service.session
             follow = service.query(seed=8)
             assert follow.record.kind == "full"
             _assert_identical(follow.result, _fresh(graph, 8))
-            assert service.session is session
-            assert session.plan.total_edges == service.network.number_of_edges()
+            assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -387,17 +388,11 @@ def _random_delta(rng: random.Random, graph: nx.Graph, blocks):
 SERVICE_CONFIGS = [
     pytest.param(None, id="vectorized"),
     pytest.param(
-        CongestConfig(engine="sharded", shards=3, shard_backend="serial")
-        .with_log_budget(30),
-        id="sharded-serial",
+        CongestConfig(engine="reference").with_log_budget(30), id="reference"
     ),
     pytest.param(
-        CongestConfig(
-            engine="sharded",
-            shards=3,
-            shard_backend="process",
-        ).with_log_budget(30),
-        id="session-process",
+        CongestConfig(engine="sharded", shards=3).with_log_budget(30),
+        id="process",
     ),
 ]
 
@@ -509,6 +504,19 @@ def _drive(service, requests):
     return served, [json.loads(line) for line in out.getvalue().splitlines()]
 
 
+def _spy_close(service):
+    """Record each ``close`` call on *service*; returns the record list."""
+    calls = []
+    close = service.close
+
+    def spy():
+        calls.append(True)
+        close()
+
+    service.close = spy
+    return calls
+
+
 class TestIncrementalPathIsLocal:
     """Delta/query cycles through the daemon never touch the whole graph."""
 
@@ -552,6 +560,7 @@ class TestDaemon:
     def test_transcript_query_delta_query_stats_shutdown(self):
         graph = _block_graph([10, 10])
         service = NearCliqueService(graph, PARAMS)
+        closed = _spy_close(service)
         served, responses = _drive(
             service,
             [
@@ -570,8 +579,8 @@ class TestDaemon:
         assert responses[2]["query"]["recomputed_nodes"] == 10
         assert responses[3]["queries"] == 2
         assert responses[3]["deltas"] == 1
-        # the loop closed the service's session on the way out
-        assert service.session is None or service.session.closed
+        # the loop closed the service on the way out
+        assert closed == [True]
 
     def test_bad_requests_answer_typed_errors_and_keep_serving(self):
         service = NearCliqueService(_block_graph([8]), PARAMS)
@@ -616,16 +625,17 @@ class TestDaemon:
 
     def test_eof_without_shutdown_still_closes_the_service(self):
         service = NearCliqueService(_block_graph([8]), PARAMS)
+        closed = _spy_close(service)
         served, responses = _drive(service, [{"cmd": "query"}])
         assert served == 1 and responses[0]["ok"]
-        assert service.session is None or service.session.closed
+        assert closed == [True]
 
-    def test_worker_crash_answers_typed_error_and_daemon_recovers(self):
+    def test_worker_crash_answers_congest_error_and_daemon_recovers(self):
         # The crash surface is exercised for real at the session layer
         # (test_sharding.py::test_session_worker_crash_is_clean_error);
         # here the first query raises the same typed error from inside
-        # the service, and the daemon must answer "worker-crash", drop
-        # the session, and serve the retry correctly.
+        # the service.  A worker failure is a CongestError, so the daemon
+        # answers "congest-error" and serves the retry correctly.
         graph = _block_graph([10, 10])
         service = NearCliqueService(graph.copy(), PARAMS)
         real_run = service._runner.run
@@ -649,14 +659,82 @@ class TestDaemon:
         )
         assert served == 4
         assert responses[0]["ok"] is False
-        assert responses[0]["error"]["code"] == "worker-crash"
+        assert responses[0]["error"]["code"] == "congest-error"
+        assert "died" in responses[0]["error"]["message"]
         assert responses[1]["ok"] is True
-        assert responses[2]["worker_crashes"] == 1
-        assert responses[2]["recoveries"] == 1
+        assert responses[1]["query"]["kind"] == "full"
+        assert responses[2]["queries"] == 1
         # the retry's answer is still the oracle's
         fresh = _fresh(graph, 3)
-        sample = sorted(fresh.sample)
-        assert responses[1]["sample"] == sample
+        assert responses[1]["sample"] == sorted(fresh.sample)
+        assert dict(responses[1]["labels"]) == fresh.labels
+
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ShardWorkerError("shard worker for shard 1 died"),
+            ShardWorkerTimeout((1,), 2.0, alive_shards=(1,)),
+            WireCorruptionError("truncated varint"),
+        ],
+        ids=["crash", "timeout", "corrupt-wire"],
+    )
+    def test_every_worker_failure_answers_congest_error(self, error):
+        # Crash, watchdog timeout and a corrupt wire batch are all
+        # CongestErrors: one code, the cached state untouched.
+        service = NearCliqueService(_block_graph([10, 10]), PARAMS)
+        first = service.query(seed=3)
+
+        def fail(*args, **kwargs):
+            raise error
+
+        service._runner.run = fail
+        served, responses = _drive(
+            service,
+            [
+                {"cmd": "delta", "remove": [[0, 1]]},
+                {"cmd": "query", "seed": 5},
+                {"cmd": "query", "seed": 3},
+                {"cmd": "stats"},
+            ],
+        )
+        assert served == 4
+        assert responses[1]["error"] == {
+            "code": "congest-error",
+            "message": str(error),
+        }
+        # The same-seed query is still answered from the cached result.
+        assert responses[2]["query"]["kind"] == "incremental"
+        assert responses[3]["full_queries"] == 1
+        assert first.record.kind == "full"
+
+    def test_close_is_idempotent_and_holds_no_session(self):
+        service = NearCliqueService(_block_graph([8]), PARAMS)
+        service.query(seed=1)
+        service.close()
+        service.close()
+        for name in ("_session", "_recovery_watermark", "_engine"):
+            assert not hasattr(service, name), name
+        assert service.query(seed=1).record.kind == "cached"
+
+    def test_stats_response_carries_exactly_the_service_counters(self):
+        service = NearCliqueService(_block_graph([8]), PARAMS)
+        _served, responses = _drive(service, [{"cmd": "query"}, {"cmd": "stats"}])
+        stats = responses[1]
+        assert sorted(stats) == sorted(
+            [
+                "ok",
+                "cmd",
+                "queries",
+                "full_queries",
+                "incremental_queries",
+                "cached_hits",
+                "deltas",
+                "edges_changed",
+                "nodes_recomputed",
+            ]
+        )
+        assert stats["queries"] == stats["full_queries"] == 1
 
 
 # The mixed-label graph of the wire-bytes tests: ints whose reprs share
@@ -962,6 +1040,14 @@ class TestDaemonWireBytes:
 # wire-protocol units
 # ----------------------------------------------------------------------
 class TestProtocol:
+    def test_error_codes_are_the_four_failure_kinds(self):
+        assert ERROR_CODES == (
+            "bad-request",
+            "bad-delta",
+            "congest-error",
+            "internal-error",
+        )
+
     def test_parse_validates_commands_and_arguments(self):
         assert parse_request('{"cmd": "stats"}')["cmd"] == "stats"
         request = parse_request('{"cmd": "delta", "add": [[1, 2]]}')

@@ -6,7 +6,7 @@ shard counts; this module covers the partitioner itself — plan invariants
 on awkward graphs (disconnected, k > n, mixed labels), determinism, cut
 statistics — the engine's
 configuration surface (single shard degenerating to the vectorized engine,
-traffic statistics), and the process backend's workers and sessions.
+traffic statistics), and the engine's worker processes and sessions.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.congest.node import Protocol
 from repro.congest.pipeline import compile_pipeline
 from repro.congest.scheduler import run_protocol
 from repro.congest.sharding import (
-    SHARD_BACKENDS,
     SharedCSR,
     ShardPlan,
     ShardedEngine,
@@ -48,7 +47,7 @@ from repro.congest.sharding import (
     invalidate_partition_cache,
     partition_network,
 )
-from repro.congest.sharding.engine import _ShardStepper
+from repro.congest.sharding.engine import _ShardState, _ShardStepper
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 
@@ -232,21 +231,6 @@ class TestShardedEngineKnobs:
         assert result.outputs == {}
         assert result.metrics.rounds == 0
 
-    # "thread" names the deleted thread-pool backend.
-    @pytest.mark.parametrize("backend", ["gpu", "thread"])
-    def test_unknown_backend_rejected(self, backend):
-        assert SHARD_BACKENDS == ("serial", "process")
-        listed = "available backends: serial, process"
-        with pytest.raises(ValueError, match="unknown shard backend.*" + listed):
-            ShardedEngine(backend=backend)
-        network = Network(nx.path_graph(4), seed=0)
-        with pytest.raises(ValueError, match="unknown shard backend.*" + listed):
-            run_protocol(
-                network,
-                _PingAll(),
-                config=CongestConfig().with_sharding(backend=backend),
-            )
-
 
 class _CrashInWorker(Protocol):
     """Hard-kills the process executing the victim node's second round.
@@ -328,7 +312,7 @@ class TestProcessBackendInfrastructure:
     """
 
     def _config(self, shards=3):
-        return CongestConfig().with_sharding(shards=shards, backend="process")
+        return CongestConfig().with_sharding(shards=shards)
 
     def test_nodes_really_run_in_worker_processes(self):
         network = Network(nx.cycle_graph(12), seed=0)
@@ -422,31 +406,23 @@ class TestProcessBackendInfrastructure:
             assert str(clone) == str(exc)
             assert clone.__dict__ == exc.__dict__
 
-    def test_stats_report_boundary_bytes_for_process_only(self):
-        results = {}
-        for backend in ("serial", "process"):
-            engine = ShardedEngine(shards=2, backend=backend, collect_stats=True)
-            network = Network(nx.cycle_graph(10), seed=1)
-            result = run_protocol(network, _PingAll(), engine=engine)
-            stats = engine.stats
-            results[backend] = (result, stats)
-            # Cross-shard accounting is backend-independent: 2 cut edges of
-            # the two-arc cycle partition, both directions.
-            assert stats.protocol_messages == result.metrics.total_messages == 20
-            assert stats.cross_shard_messages == 4
-        serial_stats = results["serial"][1]
-        process_stats = results["process"][1]
-        assert serial_stats.boundary_bytes == 0
-        assert serial_stats.bytes_per_round == 0.0
-        assert process_stats.boundary_bytes > 0
-        assert process_stats.barrier_rounds > 0
-        assert process_stats.bytes_per_round > 0.0
+    def test_stats_report_boundary_bytes(self):
+        engine = ShardedEngine(shards=2, collect_stats=True)
+        network = Network(nx.cycle_graph(10), seed=1)
+        result = run_protocol(network, _PingAll(), engine=engine)
+        stats = engine.stats
+        # 2 cut edges of the two-arc cycle partition, both directions.
+        assert stats.protocol_messages == result.metrics.total_messages == 20
+        assert stats.cross_shard_messages == 4
+        assert stats.boundary_bytes > 0
+        assert stats.barrier_rounds > 0
+        assert stats.bytes_per_round > 0.0
         _assert_no_worker_processes()
 
     def test_single_nonempty_shard_process_degenerates_to_fast_path(self):
         # One shard == the whole network in one worker; must equal the
-        # in-process fast path exactly.  (Keep engine keywords of OTHER
-        # backends out of this test's name: CI's matrix selects by -k.)
+        # in-process fast path exactly.  (Keep the names of OTHER engines
+        # out of this test's name: CI's matrix selects by -k.)
         graph = nx.gnp_random_graph(18, 0.3, seed=2)
         per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
         fingerprints = {}
@@ -474,6 +450,176 @@ class TestProcessBackendInfrastructure:
         assert result.outputs == {}
         assert result.metrics.rounds == 0
         _assert_no_worker_processes()
+
+
+class _RecordSenders(Protocol):
+    """Every node pings its neighbours once; each records whom it heard."""
+
+    name = "record-senders"
+    quiesce_terminates = True
+
+    def on_start(self, ctx):
+        ctx.send_all(Message(kind="ping"))
+
+    def on_round(self, ctx, inbox):
+        ctx.write_output([inbound.sender for inbound in inbox])
+        ctx.halt()
+
+
+class _AnswerTwice(Protocol):
+    """Pings once, then answers every neighbour twice on one edge direction."""
+
+    name = "answer-twice"
+    quiesce_terminates = True
+
+    def on_start(self, ctx):
+        ctx.send_all(Message(kind="ping"))
+
+    def on_round(self, ctx, inbox):
+        if inbox and ctx.round_index == 1:
+            ctx.send_all(Message(kind="a"))
+            ctx.send_all(Message(kind="b"))
+        ctx.halt()
+
+
+class _DoneAfterOneRound(Protocol):
+    """Overrides ``finished``: a node is done once it has written an output."""
+
+    name = "done-after-one-round"
+    quiesce_terminates = True
+
+    def on_start(self, ctx):
+        ctx.send_all(Message(kind="ping"))
+
+    def on_round(self, ctx, inbox):
+        ctx.write_output(1)
+
+    def finished(self, ctx):
+        return ctx.output is not None
+
+
+def _stepper_over(graph, protocol, shards, config=None):
+    """One in-process stepper over every shard of *graph*'s contiguous plan."""
+    network = Network(graph, seed=0)
+    ctx_list = network.build_contexts().materialize()
+    plan = partition_network(network, shards)
+    stepper = _ShardStepper(
+        protocol,
+        config or CongestConfig(),
+        ctx_list,
+        network.node_index_of,
+        plan.owner,
+    )
+    states = [
+        _ShardState(index, owned, plan.n_shards)
+        for index, owned in enumerate(plan.shards)
+    ]
+    return plan, stepper, states
+
+
+def _route(states):
+    """The round barrier: hand every outbound bucket to its destination.
+
+    Sources are walked in descending order, so a delivery order that
+    depended on the routing order would show.
+    """
+    for source in reversed(states):
+        for destination, bucket in enumerate(source.out_buckets):
+            if bucket[0]:
+                states[destination].remote_from[source.index] = bucket
+                source.out_buckets[destination] = ([], [])
+
+
+class TestShardStepperInProcess:
+    """The per-shard round machinery every worker runs, driven in-process.
+
+    The workers' ``_ShardStepper`` is the code that starts, steps and
+    drains a shard; these tests run it in this process, shard by shard,
+    so its routing, delivery order and rule checks are pinned without a
+    worker pool.
+    """
+
+    # 16 shards over 12 nodes leaves four shards empty.
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4, 6, 16])
+    @pytest.mark.parametrize(
+        "graph", [nx.path_graph(12), nx.cycle_graph(12)], ids=["path", "cycle"]
+    )
+    def test_start_routes_exactly_the_cut_edge_messages_off_shard(self, graph, shards):
+        plan, stepper, states = _stepper_over(graph, _PingAll(), shards)
+        partials = [stepper.start_shard(state) for state in states]
+        remote = sum(state.remote_messages for state in states)
+        local = sum(state.local_messages for state in states)
+        assert remote == 2 * plan.cut_edges
+        assert local + remote == 2 * graph.number_of_edges()
+        assert sum(rm.messages_sent for rm in partials) == local + remote
+        for state in states:
+            assert state.out_bucket_total() == state.remote_messages
+            assert len(state.pending_index) == state.local_messages
+            for destination, (indices, _inbound) in enumerate(state.out_buckets):
+                assert all(plan.owner[i] == destination for i in indices)
+            assert not state.out_buckets[state.index][0]
+
+    @pytest.mark.parametrize("shards", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_round_delivers_every_inbox_in_ascending_sender_order(
+        self, seed, shards
+    ):
+        graph = nx.gnp_random_graph(20, 0.3, seed=seed)
+        _plan, stepper, states = _stepper_over(graph, _RecordSenders(), shards)
+        for state in states:
+            stepper.start_shard(state)
+        _route(states)
+        partials = [stepper.step_shard(state, 1) for state in states]
+        assert sum(rm.active_nodes for rm in partials) == 20
+        assert sum(rm.messages_sent for rm in partials) == 0
+        for v in graph.nodes():
+            ctx = stepper.ctx_list[v]
+            assert ctx.output == sorted(graph.neighbors(v)), v
+        assert all(not state.frontier for state in states)
+        # Delivery consumed every routed group.
+        assert all(
+            not indices for state in states for indices, _ in state.remote_from
+        )
+
+    def test_unenforced_congestion_counts_distinct_edges(self):
+        # Without enforcement two messages may share an edge direction;
+        # edges_used then counts the distinct (sender, receiver) pairs.
+        graph = nx.cycle_graph(6)
+        config = CongestConfig(enforce_congestion=False)
+        _plan, stepper, states = _stepper_over(graph, _AnswerTwice(), 2, config)
+        for state in states:
+            stepper.start_shard(state)
+        _route(states)
+        partials = [stepper.step_shard(state, 1) for state in states]
+        assert sum(rm.messages_sent for rm in partials) == 2 * 12
+        assert sum(rm.edges_used for rm in partials) == 12
+
+    def test_overridden_finished_scans_every_owned_node(self):
+        # A protocol with its own ``finished`` has no frontier: each round
+        # asks every owned node, and only unfinished ones are invoked.
+        graph = nx.path_graph(6)
+        _plan, stepper, states = _stepper_over(graph, _DoneAfterOneRound(), 3)
+        for state in states:
+            stepper.start_shard(state)
+            assert state.frontier == []
+        _route(states)
+        first = [stepper.step_shard(state, 1) for state in states]
+        assert sum(rm.active_nodes for rm in first) == 6
+        _route(states)
+        second = [stepper.step_shard(state, 2) for state in states]
+        assert sum(rm.active_nodes for rm in second) == 0
+        assert [stepper.ctx_list[v].output for v in graph.nodes()] == [1] * 6
+
+    def test_double_send_raises_congestion_violation(self):
+        _plan, stepper, states = _stepper_over(nx.path_graph(4), _DoubleSend(), 2)
+        with pytest.raises(CongestionViolation):
+            stepper.start_shard(states[0])
+
+    def test_oversized_message_raises_message_size_violation(self):
+        config = CongestConfig(message_bit_budget=1)
+        _plan, stepper, states = _stepper_over(nx.path_graph(4), _PingAll(), 2, config)
+        with pytest.raises(MessageSizeViolation):
+            stepper.start_shard(states[0])
 
 
 class TestPartitionCacheStaleness:
@@ -579,7 +725,7 @@ class Ping(Protocol):
         ctx.halt()
 
 network = Network(nx.cycle_graph(9), seed=0)
-config = CongestConfig().with_sharding(shards=3, backend="process")
+config = CongestConfig().with_sharding(shards=3)
 session = get_engine("sharded").open_session(network, config)
 session.execute(Ping())
 print(session.shared_csr.name, flush=True)
@@ -602,7 +748,7 @@ def _run_session_subprocess(tail: str) -> "subprocess.CompletedProcess":
 
 
 def _process_config(shards=3, **fields):
-    return CongestConfig(**fields).with_sharding(shards=shards, backend="process")
+    return CongestConfig(**fields).with_sharding(shards=shards)
 
 
 def _open_process_session(network, shards=3, **fields):
@@ -881,17 +1027,71 @@ class TestExecutionSessions:
                 session.execute(_PingAll())
         _assert_no_worker_processes()
 
+    def test_empty_network_session_records_each_phase_in_process(self):
+        # An empty plan has nothing to keep a pool for: the group runs on
+        # the vectorized engine and each phase is recorded with no traffic.
+        network = Network(nx.Graph(), seed=0)
+        session, _config = _open_process_session(network)
+        with session:
+            results = session.execute_fused([_PingAll(), _RecordSenders()])
+            assert [r.outputs for r in results] == [{}, {}]
+            stats = session.stats
+            assert [phase.label for phase in stats.phases] == [
+                "ping-all",
+                "record-senders",
+            ]
+            assert stats.rearms == 0 and stats.shm_bytes == 0
+            assert session.shared_csr is None
+        _assert_no_worker_processes()
+
+    def test_degraded_session_runs_later_groups_in_process(self):
+        # A worker that crashes while arming on both attempts makes the
+        # session degrade; the group and every later one then run on the
+        # vectorized engine, bit-identical to it and with no pool.
+        from repro.congest.config import RetryPolicy
+        from repro.congest.sharding.faults import FaultPlan, FaultSpec
+
+        graph = nx.gnp_random_graph(16, 0.3, seed=5)
+        plan = FaultPlan(
+            specs=tuple(
+                FaultSpec(point="arm", kind="crash", shard=0, phase="ping-all", attempt=a)
+                for a in (0, 1)
+            )
+        )
+        network = Network(graph, seed=3)
+        session, _config = _open_process_session(
+            network,
+            shards=2,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_attempts=2),
+        )
+        expected = {}
+        for protocol in (_PingAll(), _RecordSenders()):
+            expected[protocol.name] = run_protocol(
+                Network(graph, seed=3), protocol, config=CongestConfig()
+            )
+        with session:
+            first = session.execute(_PingAll())
+            second = session.execute(_RecordSenders())
+            assert session._pool is None
+            _assert_no_worker_processes()
+            stats = session.stats
+        for result in (first, second):
+            name = "ping-all" if result is first else "record-senders"
+            assert run_fingerprint(result) == run_fingerprint(expected[name])
+        assert [e.action for e in stats.recovery_events] == ["retry", "degrade"]
+        assert [phase.label for phase in stats.phases] == ["ping-all", "record-senders"]
+        for phase, result in zip(stats.phases, (first, second)):
+            assert phase.protocol_messages == result.metrics.total_messages
+            assert phase.cross_shard_messages == phase.boundary_bytes == 0
+            assert phase.barrier_rounds == 0
+
     def test_session_default_is_thin_wrapper(self):
-        # Engines without per-execute setup return the base session; the
-        # serial sharded backend likewise.
+        # Engines without per-execute setup return the base session.
         network = Network(nx.cycle_graph(6), seed=0)
         thin = get_engine("vectorized").open_session(network, CongestConfig())
         assert type(thin) is CongestSession
         assert thin.stats is None
-        serial = get_engine("sharded").open_session(
-            network, CongestConfig().with_sharding(shards=2, backend="serial")
-        )
-        assert type(serial) is CongestSession
         with thin:
             result = thin.execute(_PingAll())
         assert result.outputs == {v: 2 for v in range(6)}
@@ -1052,14 +1252,12 @@ class TestSessionDeltaAbsorption:
             _assert_no_worker_processes()
         _assert_no_worker_processes()
 
-    def test_session_serial_sharded_recomputes_after_delta(self):
-        # The serial sharded engine has no pool to respawn; it must simply
-        # not serve a stale memoised plan after a delta.
+    def test_one_shot_session_recomputes_after_delta(self):
+        # Direct executes open a fresh one-shot session each; the second
+        # must not be served the memoised plan of the first after a delta.
         graph = _three_cliques()
         network = Network(graph, seed=0)
-        config = CongestConfig(engine="sharded").with_sharding(
-            shards=3, backend="serial"
-        )
+        config = CongestConfig().with_sharding(shards=3)
         first = run_protocol(network, _PingAll(), config=config).outputs
         network.apply_delta(additions=[(0, 15)])
         second = run_protocol(network, _PingAll(), config=config).outputs
@@ -1108,8 +1306,8 @@ class TestShardingStatsAccounting:
         assert stats.cross_shard_fraction == 0.0
         assert stats.bytes_per_round == 0.0
         assert stats.setup_seconds_per_phase == 0.0
-        # A recorded run with zero barriers/messages (empty network, or an
-        # in-process backend that never serializes) must not divide by zero.
+        # A recorded run with zero barriers/messages (empty network, or a
+        # phase a degraded session ran in-process) must not divide by zero.
         stats.observe_phase("empty", 0, 0, 0, 0, 0.0)
         assert stats.runs == 1
         assert stats.cross_shard_fraction == 0.0
@@ -1168,7 +1366,7 @@ class TestPipelineFusionSession:
 
     def test_session_fused_composite_elides_rearms(self):
         graph = nx.connected_caveman_graph(2, 8)
-        config = CongestConfig(engine="sharded", shards=2, shard_backend="process")
+        config = CongestConfig(engine="sharded", shards=2)
         runner = DistNearCliqueRunner(
             epsilon=0.25,
             sample_probability=0.05,
@@ -1200,13 +1398,23 @@ class TestPipelineFusionSession:
 
 
 class TestRetiredModeConstructionValidation:
-    """``session_mode`` / ``pipeline_mode`` survive only as their one value.
+    """``shard_backend`` / ``session_mode`` / ``pipeline_mode`` survive only
+    as their one value.
 
-    The constructor still accepts ``session_mode="persistent"`` and
-    ``pipeline_mode="fuse"`` (the only behaviour left) without storing
-    them; any other value — a typo or a deleted mode — fails at
-    construction.
+    The constructor still accepts ``shard_backend="process"``,
+    ``session_mode="persistent"`` and ``pipeline_mode="fuse"`` (the only
+    behaviour left) without storing them; any other value — a typo or a
+    deleted backend or mode — fails at construction.
     """
+
+    # "serial" names the deleted in-process sharded backend, "thread" the
+    # deleted thread-pool backend.
+    @pytest.mark.parametrize("backend", ["serial", "thread", "gpu"])
+    def test_constructor_rejects_other_shard_backends(self, backend):
+        with pytest.raises(ValueError, match="unknown shard backend") as excinfo:
+            CongestConfig(shard_backend=backend)
+        assert "serial backend was removed" in str(excinfo.value)
+        assert "only shard backend is 'process'" in str(excinfo.value)
 
     @pytest.mark.parametrize("mode", ["presistent", "per-call"])
     def test_constructor_rejects_other_session_modes(self, mode):
@@ -1220,6 +1428,8 @@ class TestRetiredModeConstructionValidation:
 
     def test_replace_reruns_validation(self):
         config = CongestConfig(session_mode="persistent")
+        with pytest.raises(ValueError, match="unknown shard backend"):
+            dataclasses.replace(config, shard_backend="serial")
         with pytest.raises(ValueError, match="unknown session mode"):
             dataclasses.replace(config, session_mode="per-call")
         with pytest.raises(ValueError, match="unknown pipeline mode"):
@@ -1233,7 +1443,8 @@ class TestRetiredModeConstructionValidation:
             session_mode="persistent",
             pipeline_mode="fuse",
         )
-        assert len(dataclasses.fields(CongestConfig)) == 10
+        assert len(dataclasses.fields(CongestConfig)) == 9
+        assert "shard_backend" not in vars(config)
         assert "session_mode" not in vars(config)
         assert "pipeline_mode" not in vars(config)
         assert config.with_log_budget(100) == dataclasses.replace(
@@ -1248,9 +1459,10 @@ class TestRemovedSurfaceStaysRemoved:
     unfused pipeline mode, the artifact cache, the ``nx.Graph``-building
     induced subgraph, the scheduler class, the non-contiguous partitioners
     with incremental plan repair, the network's delta ledger, the
-    in-process fault simulator and the process session's second (fused)
-    execution path were deleted, not deprecated: an old spelling fails loudly instead of being
-    ignored.
+    in-process fault simulator, the process session's second (fused)
+    execution path, the serial sharded backend and the service's
+    worker-recovery layer were deleted, not deprecated: an old spelling
+    fails loudly instead of being ignored.
     """
 
     def test_synchronizer_module_is_gone(self):
@@ -1304,6 +1516,24 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.congest.sharding.workers:_WorkerHarness", "arm_sequence"),
             ("repro.congest.sharding.workers:_WorkerHarness", "finish_light"),
             ("repro.congest.sharding.workers:_WorkerPool", "rearm_sequence"),
+            ("repro.congest", "SHARD_BACKENDS"),
+            ("repro.congest.sharding", "SHARD_BACKENDS"),
+            ("repro.congest.sharding.engine", "SHARD_BACKENDS"),
+            ("repro.congest.sharding.engine", "_ShardedRun"),
+            ("repro.congest.sharding.workers:ProcessSession", "_run_serial"),
+            ("repro.service.incremental:NearCliqueService", "recover"),
+            ("repro.service.incremental:NearCliqueService", "session"),
+            ("repro.service.incremental:NearCliqueService", "_ensure_session"),
+            ("repro.service.incremental:NearCliqueService", "_harvest_recovery"),
+            ("repro.service.stats:ServiceStats", "worker_crashes"),
+            ("repro.service.stats:ServiceStats", "recoveries"),
+            ("repro.service.stats:ServiceStats", "retries"),
+            ("repro.service.stats:ServiceStats", "worker_timeouts"),
+            ("repro.service.stats:ServiceStats", "degradations"),
+            ("repro.service.stats:ServiceStats", "observe_crash"),
+            ("repro.service.stats:ServiceStats", "observe_recovery"),
+            ("repro.service.stats:ServiceStats", "observe_timeout"),
+            ("repro.service.stats:ServiceStats", "observe_recovery_event"),
         ],
         ids=lambda part: part.replace(":", "."),
     )
@@ -1352,6 +1582,13 @@ class TestRemovedSurfaceStaysRemoved:
                 lambda: cached_partition(Network(nx.path_graph(3)), 2, seed=0),
                 id="cached_partition-seed",
             ),
+            pytest.param(
+                lambda: ShardedEngine(backend="process"), id="ShardedEngine-backend"
+            ),
+            pytest.param(
+                lambda: CongestConfig().with_sharding(shards=2, backend="process"),
+                id="with_sharding-backend",
+            ),
         ],
     )
     def test_removed_keyword_is_rejected(self, call):
@@ -1380,11 +1617,35 @@ class TestRemovedSurfaceStaysRemoved:
                 "_ordered",
             ):
                 assert not hasattr(session, name), name
-        from repro.service.stats import QueryRecord
+        from repro.service.stats import QueryRecord, ServiceStats
 
         record = QueryRecord(kind="full", recomputed_nodes=1, total_nodes=1)
         assert not hasattr(record, "dirty_shards")
+        counters = ServiceStats().as_dict()
+        for name in (
+            "worker_crashes",
+            "recoveries",
+            "retries",
+            "worker_timeouts",
+            "degradations",
+        ):
+            assert name not in counters, name
         _assert_no_worker_processes()
+
+    def test_removed_error_codes_are_gone(self):
+        from repro.service.protocol import ERROR_CODES
+
+        assert "worker-crash" not in ERROR_CODES
+        assert "worker-timeout" not in ERROR_CODES
+
+    def test_removed_cli_flag_is_rejected(self, capsys):
+        from repro.cli import main
+
+        for command in ("find", "serve"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--shard-backend", "process"])
+            assert excinfo.value.code == 2
+            assert "--shard-backend" in capsys.readouterr().err
 
 
 class TestShardingKnobConstructionValidation:
@@ -1421,3 +1682,29 @@ class TestShardingKnobConstructionValidation:
     def test_valid_boundary_values_construct(self):
         assert CongestConfig(shards=1).shards == 1
         assert CongestConfig().with_sharding(shards=1).shards == 1
+
+    def test_with_sharding_keeps_the_other_knobs(self):
+        config = CongestConfig(shards=3, round_timeout=2.0).with_log_budget(64)
+        sharded = config.with_sharding()
+        assert sharded.engine == "sharded"
+        assert sharded == dataclasses.replace(config, engine="sharded")
+        assert config.with_sharding(5).shards == 5
+
+    def test_stored_fields_are_the_nine_knobs(self):
+        assert [field.name for field in dataclasses.fields(CongestConfig)] == [
+            "max_rounds",
+            "enforce_congestion",
+            "message_bit_budget",
+            "record_round_metrics",
+            "engine",
+            "shards",
+            "round_timeout",
+            "retry_policy",
+            "fault_plan",
+        ]
+
+    def test_engine_resolves_the_shard_count(self):
+        # The instance argument overrides the configuration; the result is
+        # the shard count alone.
+        assert ShardedEngine().resolve_structure(CongestConfig(shards=3)) == 3
+        assert ShardedEngine(shards=2).resolve_structure(CongestConfig(shards=3)) == 2

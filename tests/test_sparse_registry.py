@@ -28,22 +28,16 @@ from repro.graphs import generators
 
 from conftest import CallbacksEngine
 
-#: The three in-process engines (the sharded one on its serial backend).
-ENGINE_ARMS = {
+#: The two in-process engines, the vectorized engine with every kernel
+#: suppressed (so the callback loop runs the kernel-covered phases on zero
+#: nodes too), and the sharded engine: a zero-node network still opens (and
+#: closes) its session, which runs the phases in-process.
+EMPTY_GRAPH_ARMS = {
     "reference": dict(engine="reference"),
     "vectorized": dict(engine="vectorized"),
-    "sharded": dict(engine="sharded", shards=2, shard_backend="serial"),
+    "callbacks": dict(engine=CallbacksEngine()),
+    "process": dict(engine="sharded", shards=2),
 }
-
-#: ... the vectorized engine with every kernel suppressed, so the callback
-#: loop runs the kernel-covered phases on zero nodes too, and the process
-#: backend: a zero-node network still opens (and closes) a one-shot worker
-#: session.
-EMPTY_GRAPH_ARMS = dict(
-    ENGINE_ARMS,
-    callbacks=dict(engine=CallbacksEngine()),
-    process=dict(engine="sharded", shards=2, shard_backend="process"),
-)
 
 
 def _block_pairs(n=20000, blocks=20, seed=16):

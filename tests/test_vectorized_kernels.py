@@ -44,6 +44,7 @@ from repro.congest.errors import (
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
+from repro.congest.sharding.engine import _ShardState, _ShardStepper
 from repro.congest.vectorized import KernelFrame
 from repro.core import phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
@@ -143,13 +144,13 @@ DEEP_IDS = [name for name, _, _ in DEEP_GRAPHS]
 #: Engine configurations held to the reference by the chain tests.  The
 #: ``callbacks`` arm runs the vectorized engine with every phase's kernel
 #: suppressed (:func:`conftest.without_kernel`), so the callback loop runs
-#: the kernel-covered phases too; the serial sharded arm covers
-#: ``start_shard``'s scope path.
+#: the kernel-covered phases too; the ``process`` arm (the sharded engine)
+#: covers the workers' ``start_shard`` scope path and the context fold-back.
 CHAIN_ARMS = {
     "reference": dict(engine="reference"),
     "callbacks": dict(engine="vectorized"),
     "vectorized": dict(engine="vectorized"),
-    "sharded": dict(engine="sharded", shards=3, shard_backend="serial"),
+    "process": dict(engine="sharded", shards=3),
 }
 
 
@@ -262,7 +263,7 @@ class TestKernelCallbackChain:
     def test_full_phase_chain_matches_reference(self, graph, forced):
         reference = _run_chain(graph, "reference", forced_sample=forced)
         assert len(reference) == 1 + len(DistNearCliqueRunner._phase_sequence())
-        for arm in ("vectorized", "sharded"):
+        for arm in ("vectorized", "process"):
             candidate = _run_chain(graph, arm, forced_sample=forced)
             assert len(candidate) == len(reference)
             for (ref_name, ref_fp, ref_state), (cand_name, cand_fp, cand_state) in zip(
@@ -354,7 +355,7 @@ class TestKernelCallbackChain:
         reference = _run_chain(
             graph, "reference", forced_sample=forced, members_only=members_only
         )
-        for arm in ("callbacks", "vectorized", "sharded"):
+        for arm in ("callbacks", "vectorized", "process"):
             assert (
                 _run_chain(graph, arm, forced_sample=forced, members_only=members_only)
                 == reference
@@ -491,7 +492,10 @@ class TestScopeContract:
         with pytest.raises(ProtocolError, match="outside the declared scope.*" + words):
             self._run("reference", _MisScoped(breach))
 
-    @pytest.mark.parametrize("engine_name", ["vectorized", "sharded"])
+    # The sharded engine starts its nodes in worker processes, where this
+    # process cannot see the protocol's record; its scope pass is pinned
+    # in-process by ``test_shard_stepper_starts_only_in_scope_nodes``.
+    @pytest.mark.parametrize("engine_name", ["vectorized"])
     def test_fast_engines_start_only_in_scope_nodes(self, engine_name):
         reference, candidate = _MisScoped(), _MisScoped()
         expected = self._run("reference", reference)
@@ -505,7 +509,7 @@ class TestScopeContract:
         with pytest.raises(ProtocolError, match="outside the declared scope.*reports"):
             self._run("reference", _LeakyOutput())
 
-    @pytest.mark.parametrize("arm", ["callbacks", "vectorized", "sharded"])
+    @pytest.mark.parametrize("arm", ["callbacks", "vectorized"])
     def test_fast_engines_neither_start_nor_harvest_out_of_scope_nodes(self, arm):
         protocol = _CallCounting()
         config = CongestConfig(**CHAIN_ARMS[arm])
@@ -520,6 +524,36 @@ class TestScopeContract:
         assert list(result.outputs.items()) == [
             (0, None), (1, None), (2, 2), (3, None), (4, None), (5, None)
         ]
+        assert all(result.contexts.peek(v).halted for v in result.contexts)
+
+    @pytest.mark.parametrize(
+        "protocol_class", [_MisScoped, _CallCounting], ids=["mis-scoped", "call-counting"]
+    )
+    def test_shard_stepper_starts_only_in_scope_nodes(self, protocol_class):
+        # The scope pass every worker runs, here in this process: one shard
+        # owning the whole path.
+        network = Network(nx.path_graph(4), seed=1)
+        contexts = network.build_contexts(per_node_inputs={2: {"flag": True}})
+        protocol = protocol_class()
+        ctx_list = contexts.materialize()
+        stepper = _ShardStepper(
+            protocol, CongestConfig(), ctx_list, network.node_index_of, [0] * 4
+        )
+        shard = _ShardState(0, range(4), 1)
+        stepper.start_shard(shard)
+        assert protocol.started == [2]
+        assert shard.started == [network.node_index_of[2]]
+        assert all(ctx.halted for ctx in ctx_list)
+
+    @pytest.mark.parametrize(
+        "protocol_class",
+        [_MisScoped, _CallCounting],
+        ids=["mis-scoped-process", "call-counting-process"],
+    )
+    def test_sharded_engine_harvests_only_in_scope_nodes(self, protocol_class):
+        expected = self._run("reference", protocol_class())
+        result = self._run("sharded", protocol_class())
+        assert result.outputs == expected.outputs == {0: None, 1: None, 2: 2, 3: None}
         assert all(result.contexts.peek(v).halted for v in result.contexts)
 
     @pytest.mark.parametrize("engine_name", ["vectorized", "sharded"])
