@@ -41,9 +41,9 @@ import networkx as nx
 
 from repro.analysis import tables
 from repro.congest.config import CongestConfig
+from repro.congest.engine import get_engine
 from repro.congest.network import Network
 from repro.congest.scheduler import run_protocol
-from repro.congest.sharding import ShardedEngine
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 from repro.primitives.leader_election import MinIdFloodingProtocol
 
@@ -147,15 +147,12 @@ def _throughput_table(name, graph, quick):
 def _boundary_bytes_table(name, graph):
     """Packed boundary traffic of the contiguous plan: the serialization bill."""
     per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
-    engine = ShardedEngine(shards=SHARDS, collect_stats=True)
-    result = run_protocol(
-        Network(graph, seed=9),
-        MinIdBFSTreeProtocol(),
-        config=CongestConfig().with_log_budget(graph.number_of_nodes()),
-        per_node_inputs=per_node,
-        engine=engine,
-    )
-    stats = engine.stats
+    network = Network(graph, seed=9)
+    config = CongestConfig().with_sharding(SHARDS)
+    config = config.with_log_budget(graph.number_of_nodes())
+    with get_engine("sharded").open_session(network, config) as session:
+        result = session.execute(MinIdBFSTreeProtocol(), per_node_inputs=per_node)
+    stats = session.stats
     assert stats.protocol_messages == result.metrics.total_messages
     assert stats.barrier_rounds > 0 and stats.boundary_bytes > 0
     plan = stats.plan

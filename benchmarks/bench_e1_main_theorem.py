@@ -13,7 +13,7 @@ sample grows.
 
 from __future__ import annotations
 
-from repro.analysis import experiment, tables, theory
+from repro.analysis import experiment, tables
 from repro.core import near_clique
 
 

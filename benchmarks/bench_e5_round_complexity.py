@@ -9,10 +9,9 @@ against the e^{−pn/3} bound of Lemma 5.2.
 
 from __future__ import annotations
 
-import math
 import random
 
-from repro.analysis import stats, tables, theory
+from repro.analysis import tables, theory
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.graphs import generators
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from repro.analysis import stats, tables
+from repro.analysis import tables
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.graphs import generators
 

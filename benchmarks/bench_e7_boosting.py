@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from repro.analysis import stats, tables, theory
+from repro.analysis import tables, theory
 from repro.core.boosting import BoostedNearCliqueRunner
 from repro.graphs import generators
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core import near_clique
 from repro.core.params import expected_sample_size

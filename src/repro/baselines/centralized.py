@@ -23,7 +23,7 @@ Objectives differ subtly and matter for interpreting E10:
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 import networkx as nx
 

@@ -40,7 +40,7 @@ import argparse
 import operator
 import random
 import sys
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import networkx as nx
 

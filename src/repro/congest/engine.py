@@ -139,10 +139,9 @@ def coordinator_should_stop(
     """The fast engines' termination decision, in one place.
 
     Evaluated at the top of every round: by the vectorized engine's
-    callback loop, and on the barrier-aggregated view by both sharded
-    coordinators (:class:`repro.congest.sharding.engine._ShardedRun` and
-    :class:`repro.congest.sharding.workers.ProcessShardedRun`), so the
-    engine contract's round counts cannot drift between them.  Returns
+    callback loop, and on the barrier-aggregated view by the process
+    coordinator (:class:`repro.congest.sharding.workers.ProcessShardedRun`),
+    so the engine contract's round counts cannot drift between them.  Returns
     ``(stop, new_silent_rounds)``; raises :class:`ProtocolError` on a
     stall and :class:`RoundLimitExceeded` at the round cap — mirroring
     :class:`ReferenceEngine` exactly.

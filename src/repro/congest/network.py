@@ -20,21 +20,16 @@ order, built in one sort plus a ``bincount`` / ``cumsum`` pass from the
 graph's adjacency or, for a pair array, from both orientations of every
 row once its ids are compacted to dense indices (a linear presence table
 for non-negative ids in a narrow range, ``np.unique`` otherwise).  No
-copy of the input is kept.  Everything else is derived from those arrays:
-a node's sorted neighbour tuple is sliced from them on first access and
-cached, the ``array('q')`` pair :meth:`Network.csr` returns is copied once
-per topology, and the read-only :attr:`Network.graph` view is built on
-first access and dropped by every delta.  :meth:`Network.apply_delta`
-costs the degree of the touched nodes: it writes their new tuples into
-the cache and marks those rows stale, so the cache is an overlay over
-the arrays.  Every reader of single rows (:meth:`Network.neighbors`,
-:meth:`Network.induced`, the contexts, :attr:`Network.graph`) reads the
-overlay; the first whole-graph read (:meth:`Network.csr`,
-:meth:`Network.csr_numpy`, :meth:`Network.csr_fingerprint`) compacts
-every stale row into the arrays in one splice.  The topology fingerprint
-(node count, edge count, CRC of the arrays) is computed on the first
-read after the topology changes, so a network nothing keys on never
-pays for it.
+copy of the input is kept, and the arrays are the network's one
+topology: a node's sorted neighbour tuple is sliced from them on first
+access and cached.  :meth:`Network.apply_delta` costs the degree of the
+touched nodes: it writes their new tuples into the cache and marks those
+rows stale, so the cache is an overlay over the arrays.  Every reader of
+single rows (:meth:`Network.neighbors`, :meth:`Network.induced`, the
+contexts) reads the overlay; the one whole-graph read,
+:meth:`Network.csr_numpy`, first compacts every stale row into the arrays
+in one splice.  Whether the topology changed is one counter,
+:attr:`Network.delta_epoch`.
 
 Per-node contexts live in a :class:`ContextRegistry`, which builds a
 :class:`NodeContext` on first touch.  After sampling, a ``DistNearClique``
@@ -48,8 +43,6 @@ node's seed is a function of the run seed and its id
 from __future__ import annotations
 
 import random
-import zlib
-from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -71,10 +64,8 @@ class AppliedDelta:
     Attributes
     ----------
     epoch:
-        The network's :attr:`Network.delta_epoch` after this application —
-        a monotone counter execution sessions compare against their own
-        watermark to tell "mutated via the delta API" (absorbed) from
-        "mutated behind the API" (fatal).
+        The network's :attr:`Network.delta_epoch` after this application,
+        a monotone counter of effective deltas.
     added / removed:
         The *effective* edge sets, canonically oriented (``u < v``): no-op
         entries (an addition already present, a removal already absent)
@@ -82,9 +73,6 @@ class AppliedDelta:
     touched:
         Endpoints of the effective edges — the dirty-node seed set for
         incremental recomputation.
-
-    The topology's fingerprint after the delta is not part of the record:
-    it is :attr:`Network.delta_fingerprint`, computed on first read.
     """
 
     epoch: int
@@ -429,11 +417,10 @@ class Network:
         to one link, so an array and the ``nx.Graph`` of the same pairs
         build the same network.  The network keeps no reference to the
         input.  Any other array dtype or shape raises ``ValueError``.
-    relabel:
-        When True (default) and the graph's labels are not all integers, the
-        nodes are relabelled ``0..n-1`` in (type name, repr) order — a total
-        order that is well-defined even when integer and string labels are
-        mixed in one graph.  The mapping is available as :attr:`label_of` /
+        When the graph's labels are not all integers, the nodes are
+        relabelled ``0..n-1`` in (type name, repr) order — a total order
+        that is well-defined even when integer and string labels are mixed
+        in one graph.  The mapping is available as :attr:`label_of` /
         :attr:`id_of` and depends only on the label set, never on insertion
         order.
     seed:
@@ -453,9 +440,8 @@ class Network:
     the rows deltas changed since the last whole-graph read (see the
     module docstring).  A node's neighbour tuple is sliced from the arrays
     on first access (:meth:`neighbors`, :meth:`degree`, :meth:`has_edge`,
-    a built context's ``neighbors``) and cached.  :attr:`graph` is a
-    frozen ``networkx`` view built from the tuples on demand; the topology
-    changes only through :meth:`apply_delta`.
+    a built context's ``neighbors``) and cached.  The topology changes
+    only through :meth:`apply_delta`, which advances :attr:`delta_epoch`.
 
     Contexts are built on first touch (:class:`ContextRegistry`): a fresh
     :meth:`build_contexts` builds a context only for the nodes with
@@ -467,14 +453,13 @@ class Network:
     def __init__(
         self,
         graph: Union[nx.Graph, np.ndarray],
-        relabel: bool = True,
         seed: Optional[int] = None,
         announced_n: Optional[int] = None,
     ) -> None:
         if isinstance(graph, np.ndarray):
             src, dst = self._read_pairs(graph)
         else:
-            src, dst = self._read_adjacency(graph, relabel)
+            src, dst = self._read_adjacency(graph)
         self._finish_init(src, dst, seed, announced_n)
 
     def _finish_init(
@@ -495,8 +480,6 @@ class Network:
         self._contexts: Optional[ContextRegistry] = None
         self._ctx_epoch = 0
         self._delta_epoch = 0
-        # The latest effective delta's fingerprint once read (None before).
-        self._delta_fingerprint: Optional[Tuple[int, int, int]] = None
 
     def _read_pairs(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The pair-array front-end: assign ids, return the dense ``src → dst`` pairs.
@@ -519,7 +502,7 @@ class Network:
         dst = np.concatenate((inverse[:, 1], inverse[:, 0]))
         return src, dst
 
-    def _read_adjacency(self, graph: nx.Graph, relabel: bool) -> Tuple[np.ndarray, np.ndarray]:
+    def _read_adjacency(self, graph: nx.Graph) -> Tuple[np.ndarray, np.ndarray]:
         """The ``nx.Graph`` front-end: assign ids, return the dense ``src → dst`` pairs."""
         if graph.is_directed():
             raise ValueError("the CONGEST simulator models undirected networks")
@@ -531,16 +514,11 @@ class Network:
         all_int = all(isinstance(label, int) for label in labels)
         if all_int:
             self._assign_ids(sorted(labels))
-        elif relabel:
+        else:
             ordered = sorted(labels, key=_relabel_sort_key)
             self._assign_ids(
                 list(range(len(ordered))),
                 {label: index for index, label in enumerate(ordered)},
-            )
-        else:
-            raise ValueError(
-                "node labels must be integers when relabel=False; got %r"
-                % (sorted(map(type, labels), key=repr)[:3],)
             )
 
         # Labels -> dense indices.  Integer labels 0..n-1 are their own
@@ -590,16 +568,6 @@ class Network:
         self._indptr = self._rows.indptr = indptr
         self._indices = self._rows.indices = indices
         self._counts = (len(self._ids), len(indices) // 2)
-        self._drop_views()
-
-    def _drop_views(self) -> None:
-        # Derived views, rebuilt on demand: the array('q') copies, the
-        # frozen graph, and the fingerprint caches and execution sessions
-        # key on (the counts are kept current, the checksum is taken on
-        # first read).
-        self._csr_arrays: Optional[Tuple[array, array]] = None
-        self._graph_view: Optional[nx.Graph] = None
-        self._fingerprint: Optional[Tuple[int, int, int]] = None
 
     def _compact(self) -> None:
         """Splice every stale row's cached tuple into the CSR arrays, in one pass.
@@ -635,26 +603,6 @@ class Network:
     # topology accessors
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> nx.Graph:
-        """A frozen ``networkx`` view of the topology (integer node ids).
-
-        Built from the CSR arrays on first access and dropped by every
-        delta; mutating it raises ``networkx.NetworkXError`` — change the
-        topology through :meth:`apply_delta`.
-        """
-        if self._graph_view is None:
-            view = nx.Graph()
-            view.add_nodes_from(self._ids)
-            view.add_edges_from(
-                (u, v)
-                for u, neighbours in zip(self._ids, self._rows.all())
-                for v in neighbours
-                if u < v
-            )
-            self._graph_view = nx.freeze(view)
-        return self._graph_view
-
-    @property
     def n(self) -> int:
         """Number of nodes."""
         return len(self._ids)
@@ -675,55 +623,18 @@ class Network:
         """
         return self._index_of
 
-    def csr(self) -> Tuple[Tuple[int, ...], array, array]:
-        """The flat-array adjacency: ``(ids, indptr, indices)``.
-
-        ``ids[i]`` is the node id at dense index ``i`` (ascending id order);
-        the neighbours of dense index ``i`` are the dense indices
-        ``indices[indptr[i]:indptr[i + 1]]``, also ascending.  The arrays are
-        ``array('q')`` copies of the int64 storage, made once per topology
-        and shared — callers must not mutate them.
-        """
-        self._compact()
-        if self._csr_arrays is None:
-            indptr, indices = array("q"), array("q")
-            indptr.frombytes(self._indptr.tobytes())
-            indices.frombytes(self._indices.tobytes())
-            self._csr_arrays = (indptr, indices)
-        return (self._ids,) + self._csr_arrays
-
     def csr_numpy(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The int64 storage itself: ``(indptr, indices)`` of :meth:`csr`.
+        """The int64 CSR storage itself: ``(indptr, indices)``.
 
-        No copies are made; the arrays are flagged read-only.  Node ids
-        have no int64 column (they may not fit one): ``ids[i]`` is
+        The neighbours of dense index ``i`` are the dense indices
+        ``indices[indptr[i]:indptr[i + 1]]``, ascending.  No copies are
+        made; the arrays are flagged read-only.  Node ids have no int64
+        column (they may not fit one): the id at dense index ``i`` is
         ``node_ids[i]``.  The rows deltas changed since the last
         whole-graph read are spliced in first.
         """
         self._compact()
         return self._indptr, self._indices
-
-    def csr_fingerprint(self) -> Tuple[int, int, int]:
-        """Fingerprint of the current topology: ``(nodes, edges, CSR checksum)``.
-
-        A whole-graph read: it compacts the rows deltas changed into the
-        arrays, then takes the checksum on the first read after the
-        topology changes (construction or an effective
-        :meth:`apply_delta`) and caches it, so a network that nothing keys
-        on never pays for it.  The checksum covers both arrays, so it
-        tells any two topologies apart that differ in an edge —
-        count-preserving swaps included — up to CRC collisions.  It is the
-        key :func:`repro.congest.sharding.partition.cached_partition`
-        memoises plans under and the value execution sessions compare
-        against :attr:`delta_fingerprint` to detect a network that changed
-        between phases.
-        """
-        self._compact()
-        if self._fingerprint is None:
-            self._fingerprint = self._counts + (
-                zlib.crc32(self._indices, zlib.crc32(self._indptr)),
-            )
-        return self._fingerprint
 
     @property
     def context_epoch(self) -> int:
@@ -764,24 +675,11 @@ class Network:
     def delta_epoch(self) -> int:
         """Counter bumped by every effective :meth:`apply_delta` call.
 
-        Execution sessions keep a watermark of this counter: a changed CSR
-        fingerprint equal to :attr:`delta_fingerprint`, with the epoch above
-        the watermark, is a delta the session absorbs; any other changed
-        fingerprint is an external mutation and stays fatal.
+        The one answer to "has the topology changed?": a process session
+        refuses to run once it differs from its value at open, and the
+        service daemon reports it as its ``epoch``.
         """
         return self._delta_epoch
-
-    @property
-    def delta_fingerprint(self) -> Optional[Tuple[int, int, int]]:
-        """The :meth:`csr_fingerprint` the latest effective delta produced.
-
-        ``None`` before the first effective :meth:`apply_delta`.  It is the
-        only per-delta value the network keeps, computed (and the stale
-        rows compacted) on the first read after each effective delta.
-        """
-        if self._delta_fingerprint is None and self._delta_epoch:
-            self._delta_fingerprint = self.csr_fingerprint()
-        return self._delta_fingerprint
 
     def _normalize_delta_edges(
         self, edges: Iterable[Tuple[int, int]], kind: str
@@ -829,21 +727,17 @@ class Network:
         absent one) are dropped; an edge named in both lists is rejected
         as ambiguous.  An effective change costs the degree of the touched
         nodes, not the size of the graph: their new sorted tuples replace
-        their cached ones and their rows are marked stale, the edge count
-        is updated and the derived views (``array('q')`` copies, graph
-        view, fingerprint) are dropped.  The CSR arrays are left as they
-        are until the next whole-graph read (:meth:`csr`,
-        :meth:`csr_numpy`, :meth:`csr_fingerprint`), which splices every
+        their cached ones and their rows are marked stale, and the edge
+        count is updated.  The CSR arrays are left as they are until the
+        next whole-graph read (:meth:`csr_numpy`), which splices every
         stale row in at once.  Built contexts of touched nodes have their
         ``neighbors`` view refreshed *in place* (state, output and RNG
         streams are preserved — an evolving-graph service keeps its
-        nodes), and the delta epoch advances; :attr:`delta_fingerprint`
-        is the new topology's fingerprint, taken when first read.
+        nodes), and :attr:`delta_epoch` advances.
 
         ``context_epoch`` is deliberately *not* bumped: contexts were
-        patched, not rebuilt, and process sessions detect the topology
-        change through the CSR fingerprint and :attr:`delta_fingerprint`
-        instead.
+        patched, not rebuilt.  A process session open on this network
+        sees the moved :attr:`delta_epoch` and refuses to run.
         """
         added = self._normalize_delta_edges(additions, "addition")
         removed = self._normalize_delta_edges(removals, "removal")
@@ -873,7 +767,6 @@ class Network:
         self._stale.update(touched)
         nodes, edges = self._counts
         self._counts = (nodes, edges + len(added) - len(removed))
-        self._drop_views()
         for node_id in touched if self._contexts is not None else ():
             ctx = self._contexts.get_live(node_id)
             if ctx is not None:
@@ -882,7 +775,6 @@ class Network:
                 # patched view is authoritative.
                 ctx.state.pop("__neighbor_set", None)
         self._delta_epoch += 1
-        self._delta_fingerprint = None
         return AppliedDelta(
             epoch=self._delta_epoch,
             added=tuple(added),

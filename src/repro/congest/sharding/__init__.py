@@ -46,8 +46,6 @@ from repro.congest.sharding.engine import (
 )
 from repro.congest.sharding.partition import (
     ShardPlan,
-    cached_partition,
-    invalidate_partition_cache,
     partition_network,
 )
 from repro.congest.sharding.shm import SharedCSR
@@ -62,7 +60,5 @@ __all__ = [
     "WireBatch",
     "WireDecoder",
     "WireEncoder",
-    "cached_partition",
-    "invalidate_partition_cache",
     "partition_network",
 ]

@@ -167,11 +167,9 @@ class RecoveryEvent:
 
 
 class ShardingStats:
-    """Cross-shard traffic accounting for one or more sharded executions.
+    """Cross-shard traffic accounting of one process session.
 
-    Populated by :class:`ShardedEngine` when constructed with
-    ``collect_stats=True`` (the registry instance does not collect, keeping
-    it stateless) and by process sessions, which expose an instance as
+    Populated by the session, which exposes it as
     :attr:`repro.congest.engine.CongestSession.stats`; the E15 benchmark
     uses this to report the cut-edge message fraction and the serialized
     boundary traffic.
@@ -192,8 +190,7 @@ class ShardingStats:
         Per-``execute`` partials (:class:`SessionPhaseStats`), appended by
         sessions in phase order; the counters above are the session totals.
     plan:
-        The :class:`ShardPlan` of the latest recorded execution (``None``
-        before the first).
+        The session's :class:`ShardPlan`, fixed when it opens.
     rearms / fused_phases:
         Pool-wide protocol ships (one per ``arm`` that crossed the pipes) and re-arms *elided* by the pipeline compiler's phase
         fusion (``len(group) - 1`` per fused group).  Under full fusion a
@@ -211,7 +208,6 @@ class ShardingStats:
     """
 
     def __init__(self) -> None:
-        self.runs = 0
         self.protocol_messages = 0
         self.cross_shard_messages = 0
         self.boundary_bytes = 0
@@ -249,31 +245,6 @@ class ShardingStats:
             return 0.0
         return self.setup_seconds / len(self.phases)
 
-    def observe_run(
-        self,
-        protocol_messages: int,
-        cross_shard_messages: int,
-        boundary_bytes: int,
-        barrier_rounds: int,
-        setup_seconds: float,
-        plan: Optional[ShardPlan] = None,
-    ) -> None:
-        """Fold one execution into the session totals.
-
-        The **only** accumulation path: :meth:`observe_phase` delegates
-        here, and :meth:`ShardedEngine.execute` calls this directly, so one
-        ``execute`` can never be added to the totals twice no matter which
-        observer fires.
-        """
-        self.runs += 1
-        self.protocol_messages += protocol_messages
-        self.cross_shard_messages += cross_shard_messages
-        self.boundary_bytes += boundary_bytes
-        self.barrier_rounds += barrier_rounds
-        self.setup_seconds += setup_seconds
-        if plan is not None:
-            self.plan = plan
-
     def observe_phase(
         self,
         label: str,
@@ -284,13 +255,11 @@ class ShardingStats:
         setup_seconds: float,
     ) -> None:
         """Record one session ``execute`` (partial plus session totals)."""
-        self.observe_run(
-            protocol_messages,
-            cross_shard_messages,
-            boundary_bytes,
-            barrier_rounds,
-            setup_seconds,
-        )
+        self.protocol_messages += protocol_messages
+        self.cross_shard_messages += cross_shard_messages
+        self.boundary_bytes += boundary_bytes
+        self.barrier_rounds += barrier_rounds
+        self.setup_seconds += setup_seconds
         self.phases.append(
             SessionPhaseStats(
                 label=label,
@@ -536,51 +505,13 @@ class _ShardStepper:
 class ShardedEngine(Engine):
     """Partition-parallel round loop; see the module docstring for details.
 
-    Selectable as ``engine="sharded"``.  The registry instance reads the
-    shard count from the configuration (``CongestConfig.shards``); the
-    constructor argument overrides it for callers that build their own
-    instance (the E15 benchmark, tests).
-
-    Parameters
-    ----------
-    shards:
-        Shard count; ``None`` defers to the configuration.
-    collect_stats:
-        When True, accumulate cross-shard traffic statistics into
-        :attr:`stats` across executions.  Off for the registry instance —
-        engines are stateless by convention — and not thread-safe across
-        concurrent ``execute`` calls.
+    Selectable as ``engine="sharded"``; the shard count is
+    ``CongestConfig.shards``.  Traffic statistics live on the session
+    (:attr:`repro.congest.engine.CongestSession.stats`).
     """
 
     name = "sharded"
 
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        collect_stats: bool = False,
-    ) -> None:
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be at least 1 when given")
-        self.shards = shards
-        self.stats: Optional[ShardingStats] = (
-            ShardingStats() if collect_stats else None
-        )
-
-    # ------------------------------------------------------------------
-    def resolve_structure(self, config: CongestConfig) -> int:
-        """The shard count for *config* under this instance.
-
-        The constructor argument overrides the configuration's field.  This
-        is the single resolution used by :meth:`open_session` and a process
-        session's per-execute config validation, so the two can never
-        drift.
-        """
-        shards = self.shards if self.shards is not None else config.shards
-        if shards < 1:
-            raise ValueError("shards must be at least 1, got %r" % (shards,))
-        return shards
-
-    # ------------------------------------------------------------------
     def execute(
         self,
         network: Network,
@@ -594,24 +525,13 @@ class ShardedEngine(Engine):
         # A one-shot session: spawned, run and closed (workers reaped,
         # shared-memory segment unlinked) on every exit path.
         with self.open_session(network, config) as session:
-            result = session.execute(
+            return session.execute(
                 protocol,
                 config=config,
                 global_inputs=global_inputs,
                 per_node_inputs=per_node_inputs,
                 reuse_contexts=reuse_contexts,
             )
-        if self.stats is not None:
-            totals = session.stats
-            self.stats.observe_run(
-                totals.protocol_messages,
-                totals.cross_shard_messages,
-                totals.boundary_bytes,
-                totals.barrier_rounds,
-                totals.setup_seconds,
-                plan=session.plan,
-            )
-        return result
 
     # ------------------------------------------------------------------
     def open_session(
@@ -629,10 +549,7 @@ class ShardedEngine(Engine):
         from repro.congest.sharding.workers import ProcessSession
 
         return ProcessSession(
-            engine=self,
-            network=network,
-            config=config,
-            shards=self.resolve_structure(config),
+            engine=self, network=network, config=config, shards=config.shards
         )
 
 

@@ -2,10 +2,11 @@
 
 A :class:`ShardPlan` splits a :class:`repro.congest.network.Network` into
 ``k`` shards over the network's dense CSR index (see
-:meth:`repro.congest.network.Network.csr`): every node is *owned* by exactly
-one shard, an edge whose endpoints live in different shards is a *boundary*
-(cut) edge, and the plan records the cut statistics that determine how much
-cross-shard traffic a sharded execution will pay per round.
+:meth:`repro.congest.network.Network.csr_numpy`): every node is *owned* by
+exactly one shard, an edge whose endpoints live in different shards is a
+*boundary* (cut) edge, and the plan records the cut statistics that
+determine how much cross-shard traffic a sharded execution will pay per
+round.
 
 The paper's algorithm is local by design — each node's work depends only on
 its neighbourhood — so any partition is *correct*; a partitioner could only
@@ -20,10 +21,9 @@ ascending-sender order.  A plan built twice for the same inputs is equal
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -120,58 +120,3 @@ def partition_network(network: Network, shards: int) -> ShardPlan:
         internal_edges=int(len(rows) - np.count_nonzero(cut)),
     )
 
-
-#: Per-network memo of computed plans, stored as ``(fingerprint, plans)``
-#: where the fingerprint is :meth:`repro.congest.network.Network.csr_fingerprint`
-#: at memoisation time and ``plans`` maps a shard count to its plan.  The
-#: owner array survives any ``Network.apply_delta``, but the cut statistics
-#: do not, so keying the entry by the fingerprint turns a delta into a
-#: recompute.  Keying weakly keeps retired networks collectable; plans are
-#: frozen, so sharing them is safe.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Network, Tuple[Tuple[int, ...], Dict[int, ShardPlan]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def cached_partition(
-    network: Network,
-    shards: int,
-    fingerprint: Optional[Tuple[int, ...]] = None,
-) -> ShardPlan:
-    """Memoised :func:`partition_network`.
-
-    The sharded engine partitions once per protocol execution; a composite
-    pipeline (the 14-phase ``DistNearClique`` runner) executes many
-    protocols on one network, so the plan is computed once and reused.  The
-    memo is keyed by the network's identity *and* its CSR fingerprint: if
-    the visible topology diverges from the one the memo was built for, the
-    stale plans are dropped and the partition is recomputed.  A caller that
-    already holds the current fingerprint (a session opening) may pass it.
-
-    Reading the fingerprint is a whole-graph read: the first one after a
-    delta compacts the rows the delta changed into the CSR and takes the
-    checksum, and later ones are O(1) until the next delta.  The memo, not
-    the delta, pays for it.  The checksum covers the arrays, so a
-    count-preserving delta (an edge swapped for another) still misses the
-    memo (pinned by ``TestPartitionCacheStaleness``).
-    """
-    if fingerprint is None:
-        fingerprint = network.csr_fingerprint()
-    entry = _PLAN_CACHE.get(network)
-    if entry is None or entry[0] != fingerprint:
-        entry = _PLAN_CACHE[network] = (fingerprint, {})
-    plan = entry[1].get(shards)
-    if plan is None:
-        plan = entry[1][shards] = partition_network(network, shards)
-    return plan
-
-
-def invalidate_partition_cache(network: Network) -> None:
-    """Drop every memoised plan for *network*.
-
-    Called by execution sessions when they detect that the network mutated
-    behind :meth:`repro.congest.network.Network.apply_delta` (the CSR
-    fingerprint changed unexplained), so no later caller can be served a
-    plan computed for the pre-mutation topology.
-    """
-    _PLAN_CACHE.pop(network, None)

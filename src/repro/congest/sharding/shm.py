@@ -171,13 +171,14 @@ class SharedCSR:
     @classmethod
     def create(cls, network: Network, plan: ShardPlan) -> "SharedCSR":
         """Pack *network*'s CSR and *plan*'s owner table into a new segment."""
-        ids, indptr, indices = network.csr()
+        indptr, indices = network.csr_numpy()
+        ids = network.node_ids
         n = len(ids)
         m = len(indices)
         columns = array("q", [n, m])
         columns.extend(ids)
-        columns.extend(indptr)
-        columns.extend(indices)
+        columns.frombytes(indptr.tobytes())
+        columns.frombytes(indices.tobytes())
         columns.extend(plan.owner)
         raw = columns.tobytes()
         with _TRACKER_PATCH_LOCK:

@@ -54,7 +54,10 @@ inheritance, paid only when state actually diverged.  The epoch observes
 travel through ``per_node_inputs`` / ``global_inputs`` or a
 ``build_contexts`` call (as every caller in this package does); poking a
 live context's ``state`` dict directly between phases is invisible to any
-engine-side check and unsupported in sessions.
+engine-side check and unsupported in sessions.  A session is bound to the
+topology it was opened on: after an effective
+:meth:`repro.congest.network.Network.apply_delta` (the network's
+``delta_epoch`` moves) its next ``execute`` raises ``ProtocolError``.
 
 A model-rule violation inside a worker (``CongestionViolation``,
 ``MessageSizeViolation``, ``ProtocolError``...) is pickled back and
@@ -147,11 +150,7 @@ from repro.congest.sharding.engine import (
     _ShardStepper,
 )
 from repro.congest.sharding.faults import FaultInjector
-from repro.congest.sharding.partition import (
-    ShardPlan,
-    cached_partition,
-    invalidate_partition_cache,
-)
+from repro.congest.sharding.partition import ShardPlan, partition_network
 from repro.congest.sharding.shm import SharedCSR
 from repro.congest.sharding.wire import WireBatch, WireDecoder, WireEncoder
 
@@ -1058,15 +1057,12 @@ class ProcessSession(CongestSession):
     * any error escaping an ``execute`` — model violations, worker deaths —
       tears the pool down *immediately*; the next ``execute`` (if any)
       starts a fresh pool, and ``close`` is then a no-op for workers;
-    * a network whose CSR fingerprint changed mid-session is checked
-      against the fingerprint its latest
-      :meth:`repro.congest.network.Network.apply_delta` produced: a change
-      that delta explains is *absorbed* — the plan is rebuilt through the
-      partition memo, the shm mapping dropped and the whole pool respawned
-      at the next execute — while any other change (one made behind the
-      delta API) invalidates the partition memo and raises, because the
-      plan, the mapping and the worker routing tables all describe a
-      topology nobody can account for.
+    * the session is bound to the topology it was opened on: once
+      :attr:`repro.congest.network.Network.delta_epoch` moves (an
+      effective :meth:`~repro.congest.network.Network.apply_delta`), every
+      later ``execute`` raises ``ProtocolError``, because the plan, the
+      mapping and the worker routing tables describe the old topology.
+      Open a new session on the changed network.
 
     Per-phase partials and session totals (boundary bytes, barrier rounds,
     setup seconds, shm bytes) are exposed as :attr:`stats`, a
@@ -1081,7 +1077,7 @@ class ProcessSession(CongestSession):
         shards: int,
     ) -> None:
         super().__init__(engine, network, config)
-        ids, _indptr, _indices = network.csr()
+        ids = network.node_ids
         if ids and not (-(1 << 63) <= ids[0] and ids[-1] < 1 << 63):
             raise ProtocolError(
                 "the process backend packs node ids into int64 shared memory; "
@@ -1090,18 +1086,14 @@ class ProcessSession(CongestSession):
         self._ids = ids
         self.stats = ShardingStats()
         self._shards = shards
-        self._fingerprint = network.csr_fingerprint()
-        self.plan = self.stats.plan = cached_partition(
-            network, shards, fingerprint=self._fingerprint
-        )
+        self.plan = self.stats.plan = partition_network(network, shards)
         self._pool: Optional[_WorkerPool] = None
         self.shared_csr: Optional[SharedCSR] = None
         #: ``network.context_epoch`` as of the last execute whose fold-back
         #: synchronised parent and worker context state; ``None`` until the
         #: first execute completes.
         self._epoch: Optional[int] = None
-        #: ``network.delta_epoch`` watermark: a delta above it is one this
-        #: session has not yet absorbed.
+        #: ``network.delta_epoch`` at open: the topology the plan describes.
         self._delta_epoch: int = network.delta_epoch
         #: True once supervised retry exhausted its attempts and the
         #: session fell back to the in-process vectorized engine —
@@ -1112,12 +1104,11 @@ class ProcessSession(CongestSession):
     # ------------------------------------------------------------------
     def _check_config(self, config: CongestConfig) -> None:
         """Reject per-execute overrides that conflict with the fixed plan."""
-        shards = self.engine.resolve_structure(config)
-        if shards != self._shards:
+        if config.shards != self._shards:
             raise ValueError(
                 "per-execute config resolves to %r shards, but this session "
                 "was opened with %r; the shard count is fixed for a "
-                "session's lifetime" % (shards, self._shards)
+                "session's lifetime" % (config.shards, self._shards)
             )
 
     def _teardown_pool(self, force: bool = False) -> None:
@@ -1178,16 +1169,20 @@ class ProcessSession(CongestSession):
     ) -> List[RunResult]:
         """The session's one execution path; ``execute`` is a group of one.
 
-        Fails fast on *every* escaping error — config rejection, a bad
-        per-node input, model violations, worker deaths: the pool is torn
+        Fails fast on *every* escaping error — a changed topology, config
+        rejection, a bad per-node input, model violations, worker deaths: the pool is torn
         down here, not deferred to close(), so the teardown guarantee
         holds after any failed call.  The next call (if any) respawns.
         """
         config = config if config is not None else self.config
         try:
-            self._check_config(config)
-            self._reconcile_topology()
             network = self.network
+            if network.delta_epoch != self._delta_epoch:
+                raise ProtocolError(
+                    "the network changed during an execution session; "
+                    "open a new session"
+                )
+            self._check_config(config)
             # Contexts mutated outside the session (a direct
             # build_contexts call between phases) make worker-held state
             # stale; detect via the epoch and respawn, which re-ships them.
@@ -1208,7 +1203,7 @@ class ProcessSession(CongestSession):
             # Supervised retry: each attempt runs the group on a pool; a
             # ShardWorkerError (timeouts included) with a retry_policy set
             # tears the pool down and *replays the group* — the
-            # reconciliation and build_contexts above ran once, and the
+            # build_contexts above ran once, and the
             # parent's contexts are bit-identical to the group start
             # because only the group-final harvest folds worker state
             # back, after every worker reported.  The respawned pool
@@ -1370,49 +1365,6 @@ class ProcessSession(CongestSession):
             self.plan, self._ids, contexts, shared_csr=self.shared_csr
         )
         self._pool = _WorkerPool(handles)
-
-    def _reconcile_topology(self) -> None:
-        """Absorb an ``apply_delta`` mutation; refuse any other topology change.
-
-        A changed CSR fingerprint is explained when it is the one the
-        network's latest :meth:`~repro.congest.network.Network.apply_delta`
-        produced and that delta came after the session's watermark.  The
-        session then rebuilds its plan through the partition memo (the
-        contiguous owner array is unchanged, the cut statistics are not),
-        drops the shared-memory mapping, whose CSR columns are stale, and
-        tears the pool down: the next execute respawns every worker from
-        the parent's contexts, whose neighbour views the delta patched.
-        Any other change invalidates the partition memo and raises — the
-        plan, the mapping and the worker routing tables all describe a
-        topology nobody can account for.
-        """
-        network = self.network
-        fingerprint = network.csr_fingerprint()
-        if fingerprint == self._fingerprint:
-            return
-        if (
-            network.delta_epoch <= self._delta_epoch
-            or network.delta_fingerprint != fingerprint
-        ):
-            invalidate_partition_cache(network)
-            raise ProtocolError(
-                "the network mutated during an execution session: its CSR "
-                "fingerprint no longer matches the shard plan the session "
-                "was opened with, and the change is not explained by "
-                "Network.apply_delta (the partition memo has been "
-                "invalidated; open a new session on a freshly built "
-                "Network, or mutate through apply_delta so the session "
-                "can absorb the change)"
-            )
-        self._teardown_pool()
-        if self.shared_csr is not None:
-            shared, self.shared_csr = self.shared_csr, None
-            shared.destroy()
-        self._fingerprint = fingerprint
-        self._delta_epoch = network.delta_epoch
-        self.plan = self.stats.plan = cached_partition(
-            network, self._shards, fingerprint=fingerprint
-        )
 
     # ------------------------------------------------------------------
     def _split_inputs(

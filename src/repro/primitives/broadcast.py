@@ -9,7 +9,7 @@ tree of depth h completes in O(m + h) rounds.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.congest.message import Inbound, Message, id_bits_for, KIND_TAG_BITS
 from repro.congest.node import NodeContext, Protocol

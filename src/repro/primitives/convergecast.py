@@ -39,7 +39,6 @@ from repro.primitives.bfs_tree import (
     KEY_CHILDREN,
     KEY_PARENT,
     KEY_PARTICIPANT,
-    KEY_ROOT,
 )
 from repro.primitives.pipelines import Outbox
 

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 import networkx as nx
 

@@ -9,7 +9,7 @@ In the dense-graph model the basic action of a tester is to ask "is the pair
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import networkx as nx
 

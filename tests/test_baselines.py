@@ -22,7 +22,6 @@ from repro.baselines.shingles import (
     shingles_run,
 )
 from repro.congest.config import CongestConfig
-from repro.congest.message import id_bits_for
 from repro.congest.network import Network
 from repro.congest.scheduler import run_protocol
 from repro.core import near_clique

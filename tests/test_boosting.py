@@ -12,7 +12,6 @@ from repro.core.boosting import (
     repetitions_for_failure_probability,
 )
 from repro.core.params import AlgorithmParameters
-from repro.graphs import generators
 
 
 class TestRepetitionFormula:

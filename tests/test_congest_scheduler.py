@@ -172,8 +172,9 @@ class TestNetwork:
 
     def test_csr_adjacency_matches_neighbor_tuples(self, two_triangles):
         network = Network(two_triangles)
-        ids, indptr, indices = network.csr()
-        assert ids == (0, 1, 2, 10, 11, 12)
+        indptr, indices = network.csr_numpy()
+        ids = network.node_ids
+        assert ids == [0, 1, 2, 10, 11, 12]
         assert len(indptr) == len(ids) + 1
         assert len(indices) == 2 * network.number_of_edges()
         for dense, node_id in enumerate(ids):

@@ -3,17 +3,16 @@
 The reference below is the construction ``Network`` used before its
 storage became CSR-native: copy the input into a fresh ``nx.Graph``,
 relabel, derive per-node sorted neighbour tuples, and fill an
-``array('q')`` CSR with a Python loop.  The numpy builder, the delta
-splice and the lazily checksummed fingerprint must agree with it
-exactly.  The pair-array front-end must in turn build exactly the
-network its pairs' ``nx.Graph`` builds, through either id compaction.
+``array('q')`` CSR with a Python loop.  The numpy builder and the delta
+splice must agree with it exactly.  The pair-array front-end must in
+turn build exactly the network its pairs' ``nx.Graph`` builds, through
+either id compaction.
 """
 
 from __future__ import annotations
 
-import zlib
 from array import array
-from typing import Any, Dict, NamedTuple, Tuple
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 import networkx as nx
 import numpy as np
@@ -59,16 +58,18 @@ def reference_build(graph: nx.Graph) -> Reference:
     return Reference(ids, indptr, indices, adjacency, id_of, relabelled)
 
 
-def reference_crc(reference: Reference) -> int:
-    return zlib.crc32(
-        reference.indices.tobytes(), zlib.crc32(reference.indptr.tobytes())
-    )
-
-
-def eager_fingerprint(network: Network) -> Tuple[int, int, int]:
-    """The fingerprint computed now from the live CSR arrays."""
+def topology(network: Network) -> Tuple[List[int], List[int], List[int]]:
+    """``(node_ids, indptr, indices)``: equal exactly when the topologies are."""
     indptr, indices = network.csr_numpy()
-    return (network.n, len(indices) // 2, zlib.crc32(indices, zlib.crc32(indptr)))
+    return network.node_ids, indptr.tolist(), indices.tolist()
+
+
+def as_graph(network: Network) -> nx.Graph:
+    """The ``nx.Graph`` of *network*'s neighbour tuples."""
+    graph = nx.Graph()
+    graph.add_nodes_from(network.node_ids)
+    graph.add_edges_from((u, v) for u in network.node_ids for v in network.neighbors(u))
+    return graph
 
 
 #: Node label sets: dense ints, gappy/negative ints, ints past int64, and
@@ -105,21 +106,15 @@ def graphs(draw) -> nx.Graph:
 
 
 def assert_matches_reference(network: Network, reference: Reference) -> None:
-    ids, indptr, indices = network.csr()
-    assert ids == reference.ids
-    assert isinstance(indptr, array) and indptr.typecode == "q"
-    assert isinstance(indices, array) and indices.typecode == "q"
-    assert indptr == reference.indptr
-    assert indices == reference.indices
+    indptr, indices = network.csr_numpy()
+    assert tuple(network.node_ids) == reference.ids
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.tolist() == reference.indptr.tolist()
+    assert indices.tolist() == reference.indices.tolist()
     assert network.n == len(reference.ids)
     for node_id in reference.ids:
         assert network.neighbors(node_id) == reference.adjacency[node_id]
     assert network.number_of_edges() == reference.graph.number_of_edges()
-    assert network.csr_fingerprint() == (
-        len(reference.ids),
-        reference.graph.number_of_edges(),
-        reference_crc(reference),
-    )
     for u in reference.ids:
         for v in reference.ids:
             assert network.has_edge(u, v) == reference.graph.has_edge(u, v)
@@ -138,7 +133,7 @@ class TestBuilderMatchesReference:
     def test_empty_graph(self):
         network = Network(nx.Graph())
         assert_matches_reference(network, reference_build(nx.Graph()))
-        assert network.csr_fingerprint()[:2] == (0, 0)
+        assert (network.n, network.number_of_edges()) == (0, 0)
 
     def test_from_edges_matches_constructor(self):
         edges = [(3, 1), (1, 3), (2, 2), (7, 3), (9, 1), (9, 4, {"weight": 2})]
@@ -154,22 +149,19 @@ class TestBuilderMatchesReference:
         assert not network.has_edge(99, 0)
         assert not network.has_edge("a", 1)
 
-    def test_graph_view_is_frozen_and_rebuilt_after_deltas(self):
+    def test_neighbors_follow_deltas(self):
         network = Network(nx.path_graph(4))
-        view = network.graph
-        assert sorted(view.edges()) == [(0, 1), (1, 2), (2, 3)]
-        assert network.graph is view  # built once per topology
-        with pytest.raises(nx.NetworkXError):
-            view.add_edge(0, 3)
+        before = [network.neighbors(v) for v in range(4)]
+        assert before == [(1,), (0, 2), (1, 3), (2,)]
         network.apply_delta(additions=[(0, 3)], removals=[(1, 2)])
-        assert sorted(network.graph.edges()) == [(0, 1), (0, 3), (2, 3)]
-        assert sorted(view.edges()) == [(0, 1), (1, 2), (2, 3)]
+        assert [network.neighbors(v) for v in range(4)] == [(1, 3), (0,), (3,), (0, 2)]
+        assert sorted(as_graph(network).edges()) == [(0, 1), (0, 3), (2, 3)]
 
     def test_induced(self):
         network = Network(nx.cycle_graph(6))
         sub = network.induced([0, 1, 2, 4, 99])
         assert sub.node_ids == [0, 1, 2, 4]
-        assert sorted(sub.graph.edges()) == [(0, 1), (1, 2)]
+        assert [sub.neighbors(v) for v in sub.node_ids] == [(1,), (0, 2), (1,), ()]
         sub.apply_delta(additions=[(0, 4)])  # a copy, not a view
         assert not network.has_edge(0, 4)
         network.apply_delta(removals=[(0, 1)])
@@ -204,11 +196,10 @@ class TestInducedSubNetwork:
         network, nodes, seed, announced_n = case
         keep = [v for v in nodes if v in network.node_index_of]
         expected = Network(
-            nx.Graph(network.graph.subgraph(keep)), seed=seed, announced_n=announced_n
+            nx.Graph(as_graph(network).subgraph(keep)), seed=seed, announced_n=announced_n
         )
         sub = network.induced(nodes, seed=seed, announced_n=announced_n)
-        assert sub.node_ids == expected.node_ids
-        assert sub.csr() == expected.csr()
+        assert topology(sub) == topology(expected)
         got, want = sub.build_contexts(), expected.build_contexts()
         for v in expected.node_ids:
             assert got[v].n == want[v].n and got[v].neighbors == want[v].neighbors
@@ -227,8 +218,8 @@ class TestInducedSubNetwork:
         sub = Network(graph, seed=3).induced(nodes)
         assert sub.node_ids == ids
         assert sub.n == len(ids)
-        assert sorted(sub.graph.edges()) == edges
-        assert sub.csr() == Network(nx.Graph(graph.subgraph(ids))).csr()
+        assert sorted(as_graph(sub).edges()) == edges
+        assert topology(sub) == topology(Network(nx.Graph(graph.subgraph(ids))))
 
 
 #: Pair-array endpoints: small ints (so rows repeat, in both orientations,
@@ -270,9 +261,7 @@ class TestPairArrayFrontEnd:
         graph.add_edges_from(pairs.tolist())
         network = Network(pairs, seed=seed)
         expected = Network(graph, seed=seed)
-        assert network.csr() == expected.csr()
-        assert network.csr_fingerprint() == expected.csr_fingerprint()
-        assert network.node_ids == expected.node_ids
+        assert topology(network) == topology(expected)
         assert network.id_of == expected.id_of
         assert network.label_of == expected.label_of
         for node_id in expected.node_ids:
@@ -282,10 +271,11 @@ class TestPairArrayFrontEnd:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, object])
     def test_empty_and_other_integer_dtypes(self, dtype):
-        assert Network(np.zeros((0, 2), dtype=dtype)).csr_fingerprint()[:2] == (0, 0)
+        empty = Network(np.zeros((0, 2), dtype=dtype))
+        assert (empty.n, empty.number_of_edges()) == (0, 0)
         pairs = np.array([[4, 1], [1, 2], [2, 4], [4, 1]], dtype=dtype)
         expected = Network(nx.Graph([(4, 1), (1, 2), (2, 4)]))
-        assert Network(pairs).csr() == expected.csr()
+        assert topology(Network(pairs)) == topology(expected)
 
     @pytest.mark.parametrize(
         "pairs, via_unique",
@@ -327,9 +317,7 @@ class TestPairArrayFrontEnd:
         monkeypatch.undo()
         # Non-negative ids in a narrow range take the presence table.
         assert bool(unique_calls) == via_unique
-        assert network.csr() == expected.csr()
-        assert network.csr_fingerprint() == expected.csr_fingerprint()
-        assert network.node_ids == expected.node_ids
+        assert topology(network) == topology(expected)
         assert network.id_of == expected.id_of
         assert network.label_of == expected.label_of
         for node_id in expected.node_ids:
@@ -418,36 +406,12 @@ class TestNodeIndexOrder:
             assert ctx.neighbors == network.neighbors(ctx.node_id)
 
 
-class TestLazyFingerprint:
-    def test_checksum_is_computed_on_first_read_after_each_install(self, monkeypatch):
-        calls = []
-        real_crc32 = zlib.crc32
-
-        class CountingZlib:
-            @staticmethod
-            def crc32(data, value=0):
-                calls.append(len(data))
-                return real_crc32(data, value)
-
-        monkeypatch.setattr(network_module, "zlib", CountingZlib)
-        network = Network(nx.path_graph(6))
-        assert network.number_of_edges() == 5 and not calls
-        first = network.csr_fingerprint()
-        assert len(calls) == 2 and network.csr_fingerprint() == first and len(calls) == 2
-        network.apply_delta(additions=[(0, 5)])
-        assert len(calls) == 2  # the delta takes no checksum
-        assert network.delta_fingerprint == network.csr_fingerprint() and len(calls) == 4
-        assert network.delta_fingerprint == eager_fingerprint(network) != first
-        assert len(calls) == 4
-
-
 class TestDeltasMatchAFreshBuild:
     @settings(max_examples=120, deadline=None)
     @given(delta_scripts())
     def test_random_delta_sequences(self, script):
         graph, steps = script
         network = Network(graph.copy())
-        assert network.csr_fingerprint() == eager_fingerprint(network)
         contexts = network.build_contexts()
         mirror = graph.copy()
         for additions, removals in steps:
@@ -457,15 +421,22 @@ class TestDeltasMatchAFreshBuild:
             mirror.add_edges_from(additions)
             mirror.remove_edges_from(removals)
             fresh = Network(mirror)
-            assert network.csr() == fresh.csr()
-            assert network.csr_fingerprint() == fresh.csr_fingerprint()
-            assert network.delta_fingerprint == (
-                fresh.csr_fingerprint() if network.delta_epoch else None
-            )
-            assert network.csr_fingerprint() == eager_fingerprint(network)
+            assert topology(network) == topology(fresh)
             for node_id in record.touched:
                 assert contexts[node_id].neighbors == fresh.neighbors(node_id)
         assert_matches_reference(network, reference_build(mirror))
+
+    def test_count_preserving_swap_changes_the_arrays(self):
+        # An edge swapped for another keeps the node and edge counts; the
+        # arrays must still be those of the new topology.
+        network = Network(nx.cycle_graph(10), seed=0)
+        before = topology(network)
+        network.apply_delta(additions=[(0, 5)], removals=[(0, 1)])
+        assert network.number_of_edges() == 10
+        expected = nx.cycle_graph(10)
+        expected.add_edge(0, 5)
+        expected.remove_edge(0, 1)
+        assert topology(network) == topology(Network(expected)) != before
 
 
 class TestDeltaOverlay:
@@ -491,12 +462,11 @@ class TestDeltaOverlay:
             # keep the overlay.
             contexts = network.build_contexts().materialize()
             assert [ctx.neighbors for ctx in contexts] == list(map(fresh.neighbors, ids))
-            assert sorted(network.graph.edges()) == sorted(fresh.graph.edges())
             chosen = data.draw(st.lists(st.sampled_from(ids), max_size=len(ids)))
             region = sorted(set(chosen) | record.touched)
             sub = network.induced(region, seed=5)
             assert sub.node_ids == region
-            assert sub.csr() == Network(nx.Graph(mirror.subgraph(region))).csr()
+            assert topology(sub) == topology(Network(nx.Graph(mirror.subgraph(region))))
             for u in ids:
                 assert network.neighbors(u) == fresh.neighbors(u)
                 for v in ids:
@@ -505,25 +475,17 @@ class TestDeltaOverlay:
             # None of the reads above compacted the overlay.
             assert all(a is b for a, b in zip((network._indptr, network._indices), arrays))
             if data.draw(st.booleans()):  # stale rows may pile up over deltas
-                assert network.csr() == fresh.csr()
-        assert network.csr() == Network(mirror).csr()
-        assert network.csr_fingerprint() == Network(mirror).csr_fingerprint()
+                assert topology(network) == topology(fresh)
+        assert topology(network) == topology(Network(mirror))
 
     def test_delta_does_no_whole_graph_work(self, monkeypatch):
         numpy_reads = []
-        crc_calls = []
         installs = []
 
         class WatchedNumpy:
             def __getattr__(self, name):
                 numpy_reads.append(name)
                 return getattr(np, name)
-
-        class WatchedZlib:
-            @staticmethod
-            def crc32(data, value=0):
-                crc_calls.append(len(data))
-                return zlib.crc32(data, value)
 
         real_install = Network._install
 
@@ -532,16 +494,14 @@ class TestDeltaOverlay:
             real_install(self, indptr, indices)
 
         network = Network(nx.path_graph(50))
-        network.csr_fingerprint()
         patched = network.build_contexts()[3]
         arrays = network.csr_numpy()
         monkeypatch.setattr(network_module, "np", WatchedNumpy())
-        monkeypatch.setattr(network_module, "zlib", WatchedZlib)
         monkeypatch.setattr(Network, "_install", counting_install)
         network.apply_delta(additions=[(0, 49)], removals=[(10, 11)])
         network.apply_delta(additions=[(10, 11), (3, 30)])
         network.apply_delta(removals=[(0, 49)])
-        assert numpy_reads == [] and crc_calls == [] and installs == []
+        assert numpy_reads == [] and installs == []
         assert patched.neighbors == (2, 4, 30)
         assert network.number_of_edges() == 50
         monkeypatch.setattr(network_module, "np", np)
@@ -549,11 +509,9 @@ class TestDeltaOverlay:
         assert installs == [100] and indices is not arrays[1]
         assert all(a is b for a, b in zip(network.csr_numpy(), (indptr, indices)))
         assert installs == [100]
-        assert crc_calls == []
         expected = nx.path_graph(50)
         expected.add_edge(3, 30)
-        assert network.csr() == Network(expected).csr()
-        assert network.csr_fingerprint() == Network(expected).csr_fingerprint()
+        assert topology(network) == topology(Network(expected))
 
 
 class TestLazyNodeRngs:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 import pytest
 
 from repro.congest.config import CongestConfig
@@ -22,7 +21,6 @@ from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import generators
 from repro.primitives.bfs_tree import (
-    KEY_PARENT,
     KEY_PARTICIPANT,
     KEY_ROOT,
     MinIdBFSTreeProtocol,

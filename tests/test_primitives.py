@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import networkx as nx
-import pytest
 
 from repro.congest.config import CongestConfig
 from repro.congest.network import Network
 from repro.congest.scheduler import run_protocol
 from repro.primitives.bfs_tree import (
-    KEY_CHILDREN,
     KEY_PARTICIPANT,
     MinIdBFSTreeProtocol,
     ParentNotificationProtocol,

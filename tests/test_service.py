@@ -88,17 +88,26 @@ def _assert_identical(result, oracle):
 # ----------------------------------------------------------------------
 # the Network delta API
 # ----------------------------------------------------------------------
+def _topology(network):
+    """Node ids and CSR arrays: equal exactly when the topologies are."""
+    indptr, indices = network.csr_numpy()
+    return network.node_ids, indptr.tolist(), indices.tolist()
+
+
 class TestNetworkDeltaAPI:
-    def test_effective_delta_updates_graph_and_fingerprint(self):
+    def test_effective_delta_updates_graph_and_epoch(self):
         network = Network(nx.path_graph(6), seed=0)
-        assert network.delta_fingerprint is None
+        assert network.delta_epoch == 0
         record = network.apply_delta(additions=[(0, 5)], removals=[(2, 3)])
         assert record.epoch == 1 == network.delta_epoch
         assert record.added == ((0, 5),)
         assert record.removed == ((2, 3),)
         assert record.touched == frozenset({0, 2, 3, 5})
         assert network.has_edge(0, 5) and not network.has_edge(2, 3)
-        assert network.delta_fingerprint == network.csr_fingerprint()
+        expected = nx.path_graph(6)
+        expected.add_edge(0, 5)
+        expected.remove_edge(2, 3)
+        assert _topology(network) == _topology(Network(expected))
 
     def test_noop_entries_are_dropped_without_epoch_bump(self):
         network = Network(nx.path_graph(4), seed=0)
@@ -106,13 +115,12 @@ class TestNetworkDeltaAPI:
         assert record.edges_changed == 0
         assert record.touched == frozenset()
         assert network.delta_epoch == 0
-        assert network.delta_fingerprint is None
+        assert _topology(network) == _topology(Network(nx.path_graph(4)))
 
     def test_thousand_deltas_leave_no_per_delta_records(self):
-        # The network keeps one value per delta stream (the latest
-        # fingerprint), not one record per delta: after 1000 deltas that
-        # end on the starting topology, every container it holds has the
-        # size it had before.
+        # The network keeps one counter per delta stream, not one record
+        # per delta: after 1000 deltas that end on the starting topology,
+        # every container it holds has the size it had before.
         def sizes(network):
             return {
                 name: len(value)
@@ -131,18 +139,18 @@ class TestNetworkDeltaAPI:
                 network.apply_delta(additions=[(0, 5)])
         assert network.delta_epoch == 1002
         assert sizes(network) == before
-        assert network.delta_fingerprint == network.csr_fingerprint()
+        assert _topology(network) == _topology(Network(nx.path_graph(6)))
 
     def test_validation_precedes_mutation(self):
         network = Network(nx.path_graph(4), seed=0)
-        before = network.csr_fingerprint()
+        before = _topology(network)
         with pytest.raises(DeltaError, match="unknown"):
             network.apply_delta(additions=[(0, 2), (0, 99)])
         with pytest.raises(DeltaError, match="self-loop"):
             network.apply_delta(additions=[(1, 1)])
         with pytest.raises(DeltaError, match="both"):
             network.apply_delta(additions=[(1, 3)], removals=[(3, 1)])
-        assert network.csr_fingerprint() == before
+        assert _topology(network) == before
         assert network.delta_epoch == 0
 
     def test_csr_matches_a_freshly_built_network(self):
@@ -151,7 +159,7 @@ class TestNetworkDeltaAPI:
         network.apply_delta(additions=[(0, 9)], removals=[(0, 1)])
         graph.add_edge(0, 9)
         graph.remove_edge(0, 1)
-        assert network.csr_fingerprint() == Network(graph).csr_fingerprint()
+        assert _topology(network) == _topology(Network(graph))
 
     def test_live_contexts_patched_in_place(self):
         network = Network(nx.path_graph(5), seed=0)

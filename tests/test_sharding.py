@@ -43,8 +43,6 @@ from repro.congest.sharding import (
     ShardPlan,
     ShardedEngine,
     ShardingStats,
-    cached_partition,
-    invalidate_partition_cache,
     partition_network,
 )
 from repro.congest.sharding.engine import _ShardState, _ShardStepper
@@ -145,6 +143,18 @@ class TestPartitioner:
         with pytest.raises(ValueError, match="at least 1"):
             partition_network(network, 0)
 
+    def test_plan_follows_a_delta(self):
+        # A plan of the changed network keeps the owners; the cut
+        # statistics follow the new edges.
+        network = Network(nx.path_graph(12), seed=0)
+        before = partition_network(network, 3)
+        network.apply_delta(additions=[(0, 11)], removals=[(3, 4)])
+        after = partition_network(network, 3)
+        assert after.owner == before.owner
+        assert (before.cut_edges, after.cut_edges) == (2, 2)
+        assert after.boundary_edges == ((0, 11), (7, 8))
+        _check_plan_invariants(after, network)
+
 
 class _PingAll(Protocol):
     """One broadcast round, then halt — tiny deterministic traffic source."""
@@ -177,51 +187,35 @@ class TestShardedEngineKnobs:
         )
         assert sharded == vectorized
 
-    def test_engine_instance_overrides_config(self):
-        engine = ShardedEngine(shards=2)
-        network = Network(nx.cycle_graph(10), seed=1)
-        result = run_protocol(
-            network,
-            _PingAll(),
-            config=CongestConfig(shards=64),  # overridden by the instance
-            engine=engine,
-        )
-        assert result.outputs == {v: 2 for v in range(10)}
-
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            ShardedEngine(shards=0)
-
     def test_stats_collection_counts_cross_shard_traffic(self):
         # On a cycle cut into two contiguous arcs, exactly the messages on
         # the two cut edges (both directions) cross shards.
-        engine = ShardedEngine(shards=2, collect_stats=True)
         network = Network(nx.cycle_graph(10), seed=1)
-        result = run_protocol(network, _PingAll(), config=CongestConfig(), engine=engine)
-        stats = engine.stats
-        assert stats is not None
-        assert stats.runs == 1
+        session, _config = _open_process_session(network, shards=2)
+        with session:
+            result = session.execute(_PingAll())
+        stats = session.stats
+        assert len(stats.phases) == 1
         assert stats.protocol_messages == result.metrics.total_messages == 20
         assert stats.cross_shard_messages == 4  # 2 cut edges x 2 directions
         assert stats.cross_shard_fraction == pytest.approx(0.2)
         assert stats.plan.cut_edges == 2
+        _assert_no_worker_processes()
 
     def test_stats_keep_one_plan_across_executes(self):
-        # The plan is memoised per network: twenty executes record twenty
-        # runs and still hold exactly one plan, not a list of twenty.
-        engine = ShardedEngine(shards=2, collect_stats=True)
+        # Twenty executes record twenty phases and still hold exactly the
+        # plan the session opened with, not a list of twenty.
         network = Network(nx.cycle_graph(10), seed=1)
-        for _ in range(20):
-            run_protocol(network, _PingAll(), config=CongestConfig(), engine=engine)
-        stats = engine.stats
-        assert stats.runs == 20
-        assert stats.plan is cached_partition(network, 2)
+        session, _config = _open_process_session(network, shards=2)
+        with session:
+            opened = session.plan
+            for _ in range(20):
+                session.execute(_PingAll(), reuse_contexts=True)
+        stats = session.stats
+        assert len(stats.phases) == 20
+        assert stats.plan is opened
         assert not hasattr(stats, "plans")
-
-    def test_registry_instance_collects_no_stats(self):
-        from repro.congest.engine import get_engine
-
-        assert get_engine("sharded").stats is None
+        _assert_no_worker_processes()
 
     def test_empty_network(self):
         network = Network(nx.Graph(), seed=0)
@@ -407,10 +401,11 @@ class TestProcessBackendInfrastructure:
             assert clone.__dict__ == exc.__dict__
 
     def test_stats_report_boundary_bytes(self):
-        engine = ShardedEngine(shards=2, collect_stats=True)
         network = Network(nx.cycle_graph(10), seed=1)
-        result = run_protocol(network, _PingAll(), engine=engine)
-        stats = engine.stats
+        session, _config = _open_process_session(network, shards=2)
+        with session:
+            result = session.execute(_PingAll())
+        stats = session.stats
         # 2 cut edges of the two-arc cycle partition, both directions.
         assert stats.protocol_messages == result.metrics.total_messages == 20
         assert stats.cross_shard_messages == 4
@@ -620,88 +615,6 @@ class TestShardStepperInProcess:
         _plan, stepper, states = _stepper_over(nx.path_graph(4), _PingAll(), 2, config)
         with pytest.raises(MessageSizeViolation):
             stepper.start_shard(states[0])
-
-
-class TestPartitionCacheStaleness:
-    """``cached_partition`` keyed by (network identity, CSR fingerprint)."""
-
-    def test_memo_hit_on_unchanged_network(self):
-        network = Network(nx.cycle_graph(10), seed=0)
-        first = cached_partition(network, 2)
-        assert cached_partition(network, 2) is first
-
-    def test_mutated_network_is_not_served_the_stale_plan(self):
-        # A delta changes the fingerprint the memo is keyed on, so the plan
-        # memoised for the pre-delta topology must not be served again.
-        network = Network(nx.cycle_graph(10), seed=0)
-        stale = cached_partition(network, 2)
-        network.apply_delta(additions=[(0, 5)])
-        fresh = cached_partition(network, 2)
-        assert fresh is not stale
-        # ... and the new entry is served consistently afterwards.
-        assert cached_partition(network, 2) is fresh
-
-    def test_fingerprint_tracks_graph_counts(self):
-        network = Network(nx.path_graph(6), seed=0)
-        before = network.csr_fingerprint()
-        assert network.csr_fingerprint() == before
-        network.apply_delta(additions=[(0, 4)])
-        assert network.csr_fingerprint() != before
-        assert network.csr_fingerprint()[:2] == (6, 6)
-
-    def test_count_preserving_mutation_is_detected(self):
-        # An edge swapped for another keeps node and edge counts; the CSR
-        # checksum must still move, or cached_partition would keep serving
-        # the stale plan.
-        network = Network(nx.cycle_graph(10), seed=0)
-        before = network.csr_fingerprint()
-        stale = cached_partition(network, 2)
-        network.apply_delta(additions=[(0, 5)], removals=[(0, 1)])
-        assert network.number_of_edges() == 10  # counts preserved
-        assert network.csr_fingerprint()[:2] == before[:2]
-        assert network.csr_fingerprint() != before
-        assert cached_partition(network, 2) is not stale
-
-    def test_graph_view_is_frozen(self):
-        network = Network(nx.cycle_graph(10), seed=0)
-        with pytest.raises(nx.NetworkXError):
-            network.graph.add_edge(0, 5)
-        assert not network.has_edge(0, 5)
-
-    def test_session_count_preserving_mutation_raises(self, monkeypatch):
-        # The delta API is the only way to change a Network, so an
-        # unexplained fingerprint is forged: same counts, another checksum.
-        network = Network(nx.cycle_graph(12), seed=0)
-        session, _config = _open_process_session(network)
-        with session:
-            session.execute(_PingAll())
-            nodes, edges, crc = network.csr_fingerprint()
-            monkeypatch.setattr(
-                network, "csr_fingerprint", lambda: (nodes, edges, crc ^ 1)
-            )
-            with pytest.raises(ProtocolError, match="mutated"):
-                session.execute(_PingAll(), reuse_contexts=True)
-        _assert_no_worker_processes()
-
-    def test_memo_rebuilds_plan_after_delta(self):
-        # A delta moves the fingerprint, so the memo builds a new plan: the
-        # owners stay, the cut statistics follow the new edges.
-        network = Network(nx.path_graph(12), seed=0)
-        before = cached_partition(network, 3)
-        network.apply_delta(additions=[(0, 11)], removals=[(3, 4)])
-        after = cached_partition(network, 3)
-        assert after is not before
-        assert after.owner == before.owner
-        assert (before.cut_edges, after.cut_edges) == (2, 2)
-        assert after.boundary_edges == ((0, 11), (7, 8))
-        _check_plan_invariants(after, network)
-        assert cached_partition(network, 3) is after
-
-    def test_invalidate_drops_the_memo(self):
-        network = Network(nx.cycle_graph(8), seed=0)
-        first = cached_partition(network, 2)
-        invalidate_partition_cache(network)
-        assert cached_partition(network, 2) is not first
 
 
 #: Preamble of the shm-lifecycle subprocess tests: opens a
@@ -924,28 +837,6 @@ class TestExecutionSessions:
         with pytest.raises(FileNotFoundError):
             SharedCSR.attach(shm_name)
 
-    def test_session_network_mutation_raises_and_invalidates(self, monkeypatch):
-        network = Network(nx.cycle_graph(12), seed=0)
-        stale_plan = cached_partition(network, 3)
-        real = network.csr_fingerprint()
-        session, _config = _open_process_session(network)
-        with session:
-            session.execute(_PingAll())
-            # A fingerprint no ledger entry explains: the session must
-            # refuse to run on it.
-            monkeypatch.setattr(
-                network, "csr_fingerprint", lambda: (real[0], real[1] + 1, real[2])
-            )
-            with pytest.raises(ProtocolError, match="mutated"):
-                session.execute(_PingAll(), reuse_contexts=True)
-            _assert_no_worker_processes()
-        monkeypatch.undo()
-        # The memo was invalidated: even under the original fingerprint,
-        # nobody is served the plan memoised before the refusal.
-        assert network.csr_fingerprint() == real
-        assert cached_partition(network, 3) is not stale_plan
-        _assert_no_worker_processes()
-
     def test_session_structural_override_rejected(self):
         network = Network(nx.cycle_graph(12), seed=0)
         session, config = _open_process_session(network, shards=3)
@@ -963,7 +854,6 @@ class TestExecutionSessions:
             session.execute(_PingAll(), reuse_contexts=True)
             stats = session.stats
         assert [phase.label for phase in stats.phases] == ["ping-all", "ping-all"]
-        assert stats.runs == 2
         assert stats.protocol_messages == sum(
             phase.protocol_messages for phase in stats.phases
         ) == 48
@@ -1119,75 +1009,53 @@ def _three_cliques() -> nx.Graph:
     return graph
 
 
-class TestSessionDeltaAbsorption:
-    """A process session absorbs ``Network.apply_delta`` mutations.
+class TestSessionBoundToTopology:
+    """A process session runs only on the topology it was opened on.
 
-    The fingerprint check distinguishes two divergences: one explained by
-    the network's latest delta (rebuild the plan, respawn the pool) and an
-    external mutation behind the API (still fatal, as ever).  Names carry
+    An effective ``Network.apply_delta`` moves ``delta_epoch``; the
+    session's next ``execute`` or ``execute_fused`` refuses to run, and a
+    new session on the changed network is the way on.  Names carry
     ``session`` so CI's session job runs these alongside the differential
     arm.
     """
 
-    def test_session_absorbs_delta_respawning_the_pool(self):
+    @pytest.mark.parametrize("fused", [False, True], ids=["execute", "execute_fused"])
+    def test_session_delta_makes_the_next_execute_raise(self, fused):
         network = Network(_three_cliques(), seed=0)
         session, _config = _open_process_session(network)
         with session:
-            before = dict(session.execute(_OutputIsPid()).outputs)
-            opened_plan = session.plan
+            session.execute(_PingAll())
+            shm_name = session.shared_csr.name
             network.apply_delta(additions=[(5, 25)])
-            after = dict(
-                session.execute(_OutputIsPid(), reuse_contexts=True).outputs
-            )
-            # Every worker is fresh; the plan keeps its owners and counts
-            # the new cut edge.
-            assert not set(before.values()) & set(after.values())
-            assert session.plan.owner == opened_plan.owner
-            assert session.plan.cut_edges == opened_plan.cut_edges + 1
-            assert session.stats.plan is session.plan
+            with pytest.raises(ProtocolError, match="changed during an execution session"):
+                if fused:
+                    session.execute_fused([_PingAll(), _PingAll()])
+                else:
+                    session.execute(_PingAll(), reuse_contexts=True)
+            _assert_no_worker_processes()
+            # The refusal is not a one-off: the session stays bound.
+            with pytest.raises(ProtocolError, match="open a new session"):
+                session.execute(_PingAll())
         _assert_no_worker_processes()
+        with pytest.raises(FileNotFoundError):
+            SharedCSR.attach(shm_name)
 
-    def test_session_absorbed_delta_outputs_match_reference(self):
-        graph = _three_cliques()
-        network = Network(graph, seed=0)
+    def test_session_delta_and_its_inverse_still_raise(self):
+        # The epoch counts deltas, it does not compare topologies: an edge
+        # added and removed again still moved it twice.
+        network = Network(_three_cliques(), seed=0)
         session, _config = _open_process_session(network)
         with session:
             session.execute(_PingAll())
-            network.apply_delta(additions=[(0, 15)], removals=[(21, 22)])
-            got = session.execute(_PingAll(), reuse_contexts=True).outputs
-        graph.add_edge(0, 15)
-        graph.remove_edge(21, 22)
-        fresh = Network(graph, seed=0)
-        expected = run_protocol(
-            fresh, _PingAll(), config=CongestConfig(engine="reference")
-        ).outputs
-        assert got == expected
-        _assert_no_worker_processes()
-
-    def test_session_several_deltas_between_executes_absorbed(self):
-        # Only the latest delta's fingerprint is kept; it explains the
-        # cumulative change because it was taken after every earlier one.
-        graph = _three_cliques()
-        network = Network(graph, seed=0)
-        session, _config = _open_process_session(network)
-        with session:
-            session.execute(_PingAll())
-            network.apply_delta(additions=[(9, 10)])
-            network.apply_delta(removals=[(0, 1)], additions=[(19, 29)])
-            got = session.execute(_PingAll(), reuse_contexts=True).outputs
-            plan = session.plan
-        graph.add_edges_from([(9, 10), (19, 29)])
-        graph.remove_edge(0, 1)
-        assert got == dict(graph.degree())
-        fresh = partition_network(Network(graph, seed=0), 3)
-        assert plan.owner == fresh.owner
-        assert plan.cut_edges == fresh.cut_edges == 2
-        _check_plan_invariants(plan, network)
+            network.apply_delta(additions=[(5, 25)])
+            network.apply_delta(removals=[(5, 25)])
+            with pytest.raises(ProtocolError, match="changed during"):
+                session.execute(_PingAll(), reuse_contexts=True)
         _assert_no_worker_processes()
 
     def test_session_no_op_delta_keeps_the_pool(self):
         # Re-adding a present edge and removing an absent one change
-        # nothing, so the fingerprint matches and the workers survive.
+        # nothing, so the epoch stays and the workers survive.
         network = Network(_three_cliques(), seed=0)
         session, _config = _open_process_session(network)
         with session:
@@ -1201,60 +1069,31 @@ class TestSessionDeltaAbsorption:
             assert session.plan is opened_plan
         _assert_no_worker_processes()
 
-    def test_session_delta_and_its_inverse_keep_the_pool(self):
-        # Adding an edge and removing it again before the next execute
-        # restores the fingerprint the session holds: nothing to absorb.
-        network = Network(_three_cliques(), seed=0)
-        session, _config = _open_process_session(network)
-        with session:
-            before = dict(session.execute(_OutputIsPid()).outputs)
-            network.apply_delta(additions=[(5, 25)])
-            network.apply_delta(removals=[(5, 25)])
-            after = dict(
-                session.execute(_OutputIsPid(), reuse_contexts=True).outputs
-            )
-            assert before == after
-            got = session.execute(_PingAll(), reuse_contexts=True).outputs
-        assert got == dict(_three_cliques().degree())
-        _assert_no_worker_processes()
-
-    def test_session_fused_execute_absorbs_delta(self):
-        # execute_fused runs the same topology check as execute.
+    def test_session_fresh_on_mutated_network_matches_reference(self):
         graph = _three_cliques()
         network = Network(graph, seed=0)
         session, _config = _open_process_session(network)
         with session:
-            before = dict(session.execute(_OutputIsPid()).outputs)
-            network.apply_delta(additions=[(5, 25)], removals=[(11, 12)])
-            results = session.execute_fused([_OutputIsPid(), _PingAll()])
-            assert not set(before.values()) & set(results[0].outputs.values())
-            assert session.plan.cut_edges == 1
-        graph.add_edge(5, 25)
-        graph.remove_edge(11, 12)
-        assert results[1].outputs == dict(graph.degree())
-        _assert_no_worker_processes()
-
-    def test_session_external_mutation_after_delta_still_raises(self, monkeypatch):
-        # A delta followed by an unexplained change: the fingerprint the
-        # delta produced no longer matches the live one, so the divergence
-        # is not explained and the session must refuse, not absorb.
-        network = Network(_three_cliques(), seed=0)
+            session.execute(_PingAll())
+            network.apply_delta(additions=[(0, 15)], removals=[(21, 22)])
         session, _config = _open_process_session(network)
         with session:
-            session.execute(_PingAll())
-            network.apply_delta(removals=[(3, 4)])
-            nodes, edges, crc = network.delta_fingerprint
-            monkeypatch.setattr(
-                network, "csr_fingerprint", lambda: (nodes, edges, crc ^ 1)
-            )
-            with pytest.raises(ProtocolError, match="mutated"):
-                session.execute(_PingAll(), reuse_contexts=True)
-            _assert_no_worker_processes()
+            got = session.execute(_PingAll()).outputs
+            plan = session.plan
+        graph.add_edge(0, 15)
+        graph.remove_edge(21, 22)
+        fresh = Network(graph, seed=0)
+        expected = run_protocol(
+            fresh, _PingAll(), config=CongestConfig(engine="reference")
+        ).outputs
+        assert got == expected
+        assert plan == partition_network(fresh, 3)
+        _check_plan_invariants(plan, network)
         _assert_no_worker_processes()
 
     def test_one_shot_session_recomputes_after_delta(self):
-        # Direct executes open a fresh one-shot session each; the second
-        # must not be served the memoised plan of the first after a delta.
+        # Direct executes open a fresh one-shot session each, so the second
+        # partitions the network the delta changed.
         graph = _three_cliques()
         network = Network(graph, seed=0)
         config = CongestConfig().with_sharding(shards=3)
@@ -1272,29 +1111,22 @@ class TestSessionDeltaAbsorption:
 
 
 class TestShardingStatsAccounting:
-    """``observe_run`` is the single accumulation path; properties stay
+    """``observe_phase`` is the single accumulation path; properties stay
     finite on empty/zero-denominator sessions."""
 
     def test_observe_phase_counts_each_execute_once(self):
-        # Regression for the double-accounting risk: a phase observation
-        # must go through the same single accumulation path as a direct run
-        # observation, so totals count every execute exactly once even when
-        # both an engine-level and a session-level observer exist.
+        # Every observation adds one phase partial, and the totals are the
+        # sums of the partials: no execute is counted twice.
         stats = ShardingStats()
-        stats.observe_run(10, 4, 0, 0, 0.5)
         stats.observe_phase("phase-a", 20, 6, 128, 3, 0.25)
-        stats.observe_phase("phase-b", 30, 8, 256, 5, 0.25)
-        assert stats.runs == 3
-        assert stats.protocol_messages == 60
-        assert stats.cross_shard_messages == 18
+        stats.observe_phase("phase-b", 30, 8, 256, 5, 0.75)
+        assert stats.protocol_messages == 50
+        assert stats.cross_shard_messages == 14
         assert stats.boundary_bytes == 384
         assert stats.barrier_rounds == 8
         assert stats.setup_seconds == pytest.approx(1.0)
-        # Phase partials record only the phase-labelled observations, and
-        # the totals equal direct-run + phase contributions with no double
-        # counting.
         assert [phase.label for phase in stats.phases] == ["phase-a", "phase-b"]
-        assert stats.protocol_messages == 10 + sum(
+        assert stats.protocol_messages == sum(
             phase.protocol_messages for phase in stats.phases
         )
         assert stats.boundary_bytes == sum(
@@ -1309,7 +1141,7 @@ class TestShardingStatsAccounting:
         # A recorded run with zero barriers/messages (empty network, or a
         # phase a degraded session ran in-process) must not divide by zero.
         stats.observe_phase("empty", 0, 0, 0, 0, 0.0)
-        assert stats.runs == 1
+        assert len(stats.phases) == 1
         assert stats.cross_shard_fraction == 0.0
         assert stats.bytes_per_round == 0.0
         assert stats.setup_seconds_per_phase == 0.0
@@ -1318,7 +1150,6 @@ class TestShardingStatsAccounting:
         stats = ShardingStats()
         for index in range(25):
             stats.observe_phase("phase-%d" % index, 2, 1, 10, 2, 0.1)
-        assert stats.runs == 25
         assert len(stats.phases) == 25
         assert [phase.label for phase in stats.phases] == [
             "phase-%d" % index for index in range(25)
@@ -1329,7 +1160,7 @@ class TestShardingStatsAccounting:
 
     def test_multi_phase_session_totals_pinned(self):
         # End-to-end totals over a real process session mixing fresh and
-        # reuse executes: runs == phases, totals == sum of partials.
+        # reuse executes: one partial per execute, totals == sum of partials.
         network = Network(nx.cycle_graph(12), seed=0)
         session, _config = _open_process_session(network, shards=2)
         with session:
@@ -1337,7 +1168,7 @@ class TestShardingStatsAccounting:
             session.execute(_PingAll(), reuse_contexts=True)
             session.execute(_PingAll())  # fresh contexts: pool respawn path
             stats = session.stats
-        assert stats.runs == 3 == len(stats.phases)
+        assert len(stats.phases) == 3
         for field in (
             "protocol_messages",
             "cross_shard_messages",
@@ -1460,9 +1291,11 @@ class TestRemovedSurfaceStaysRemoved:
     induced subgraph, the scheduler class, the non-contiguous partitioners
     with incremental plan repair, the network's delta ledger, the
     in-process fault simulator, the process session's second (fused)
-    execution path, the serial sharded backend and the service's
-    worker-recovery layer were deleted, not deprecated: an old spelling
-    fails loudly instead of being ignored.
+    execution path, the serial sharded backend, the service's
+    worker-recovery layer, a session's absorption of deltas with the CSR
+    fingerprint and the partition memo behind it, the network's extra
+    topology views and the engine-held sharding stats were deleted, not
+    deprecated: an old spelling fails loudly instead of being ignored.
     """
 
     def test_synchronizer_module_is_gone(self):
@@ -1534,6 +1367,20 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.service.stats:ServiceStats", "observe_recovery"),
             ("repro.service.stats:ServiceStats", "observe_timeout"),
             ("repro.service.stats:ServiceStats", "observe_recovery_event"),
+            ("repro.congest.network:Network", "csr"),
+            ("repro.congest.network:Network", "graph"),
+            ("repro.congest.network:Network", "csr_fingerprint"),
+            ("repro.congest.network:Network", "delta_fingerprint"),
+            ("repro.congest.network:Network", "_drop_views"),
+            ("repro.congest.network", "zlib"),
+            ("repro.congest.sharding", "cached_partition"),
+            ("repro.congest.sharding", "invalidate_partition_cache"),
+            ("repro.congest.sharding.partition", "cached_partition"),
+            ("repro.congest.sharding.partition", "invalidate_partition_cache"),
+            ("repro.congest.sharding.partition", "_PLAN_CACHE"),
+            ("repro.congest.sharding.workers:ProcessSession", "_reconcile_topology"),
+            ("repro.congest.sharding.engine:ShardedEngine", "resolve_structure"),
+            ("repro.congest.sharding.engine:ShardingStats", "observe_run"),
         ],
         ids=lambda part: part.replace(":", "."),
     )
@@ -1547,7 +1394,6 @@ class TestRemovedSurfaceStaysRemoved:
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda: ShardedEngine(workers=2), id="ShardedEngine-workers"),
             pytest.param(lambda: compile_pipeline([], mode="off"), id="compile_pipeline-mode"),
             pytest.param(
                 lambda: compile_pipeline([], max_group_size=2),
@@ -1559,13 +1405,9 @@ class TestRemovedSurfaceStaysRemoved:
                 ),
                 id="DistNearCliqueRunner-artifact_cache",
             ),
-            pytest.param(lambda: ShardedEngine(strategy="bfs"), id="ShardedEngine-strategy"),
             pytest.param(
                 lambda: _ShardStepper(ordered_delivery=True),
                 id="_ShardStepper-ordered_delivery",
-            ),
-            pytest.param(
-                lambda: ShardedEngine(partition_seed=1), id="ShardedEngine-partition_seed"
             ),
             pytest.param(
                 lambda: CongestConfig(shard_strategy="bfs"), id="CongestConfig-shard_strategy"
@@ -1579,13 +1421,6 @@ class TestRemovedSurfaceStaysRemoved:
                 id="partition_network-strategy",
             ),
             pytest.param(
-                lambda: cached_partition(Network(nx.path_graph(3)), 2, seed=0),
-                id="cached_partition-seed",
-            ),
-            pytest.param(
-                lambda: ShardedEngine(backend="process"), id="ShardedEngine-backend"
-            ),
-            pytest.param(
                 lambda: CongestConfig().with_sharding(shards=2, backend="process"),
                 id="with_sharding-backend",
             ),
@@ -1595,6 +1430,20 @@ class TestRemovedSurfaceStaysRemoved:
         with pytest.raises(TypeError, match="unexpected keyword"):
             call()
 
+    def test_network_rejects_relabel(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            Network(nx.path_graph(3), relabel=False)
+
+    @pytest.mark.parametrize(
+        "keyword",
+        ["workers", "strategy", "partition_seed", "backend", "shards", "collect_stats"],
+    )
+    def test_sharded_engine_takes_no_arguments(self, keyword):
+        # The shard count is CongestConfig.shards and the stats live on
+        # the session, so the engine has no constructor arguments left.
+        with pytest.raises(TypeError, match="takes no arguments"):
+            ShardedEngine(**{keyword: 2})
+
     def test_removed_instance_attributes_are_gone(self):
         # Instance state of the deleted strategies, repair path, ledger and
         # per-query shard report; opening a process session spawns nothing.
@@ -1603,8 +1452,18 @@ class TestRemovedSurfaceStaysRemoved:
         for name in ("strategy", "seed"):
             assert not hasattr(plan, name)
         assert not hasattr(ShardingStats(), "plans")
+        assert not hasattr(ShardingStats(), "runs")
+        assert not hasattr(get_engine("sharded"), "stats")
+        assert not hasattr(get_engine("sharded"), "shards")
         network.apply_delta(removals=[(0, 1)])
-        assert not hasattr(network, "_delta_log")
+        for name in (
+            "_delta_log",
+            "_csr_arrays",
+            "_graph_view",
+            "_fingerprint",
+            "_delta_fingerprint",
+        ):
+            assert not hasattr(network, name), name
         session, _config = _open_process_session(network)
         with session:
             for name in (
@@ -1615,6 +1474,7 @@ class TestRemovedSurfaceStaysRemoved:
                 "_strategy",
                 "_partition_seed",
                 "_ordered",
+                "_fingerprint",
             ):
                 assert not hasattr(session, name), name
         from repro.service.stats import QueryRecord, ServiceStats
@@ -1702,9 +1562,3 @@ class TestShardingKnobConstructionValidation:
             "retry_policy",
             "fault_plan",
         ]
-
-    def test_engine_resolves_the_shard_count(self):
-        # The instance argument overrides the configuration; the result is
-        # the shard count alone.
-        assert ShardedEngine().resolve_structure(CongestConfig(shards=3)) == 3
-        assert ShardedEngine(shards=2).resolve_structure(CongestConfig(shards=3)) == 2
