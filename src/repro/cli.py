@@ -45,7 +45,7 @@ from typing import Any, Callable, Optional, Sequence
 import networkx as nx
 
 from repro.analysis import tables
-from repro.congest.config import CongestConfig, RetryPolicy
+from repro.congest.config import CongestConfig
 from repro.congest.engine import available_engines
 from repro.core import near_clique
 from repro.core.boosting import BoostedNearCliqueRunner
@@ -121,15 +121,6 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         "worker that misses a per-round barrier by this many seconds is "
         "declared hung and the phase fails fast with a typed timeout "
         "instead of blocking forever (default: no deadline)",
-    )
-    parser.add_argument(
-        "--retry-attempts",
-        type=_nonnegative_int,
-        default=0,
-        help="supervised-retry budget for shard-worker failures: replay "
-        "the failing phase on a fresh pool up to this many times, then "
-        "degrade to the in-process vectorized engine (bit-identical either "
-        "way); 0 disables supervision and failures propagate (default)",
     )
 
 
@@ -219,13 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _retry_policy_from_args(args) -> Optional[RetryPolicy]:
-    """``--retry-attempts 0`` (the default) means unsupervised: no policy."""
-    if not args.retry_attempts:
-        return None
-    return RetryPolicy(max_attempts=args.retry_attempts)
-
-
 def _relabelled_snap_graph(pairs) -> nx.Graph:
     """The graph of SNAP endpoint pairs on the dense ids ``0..n-1``.
 
@@ -277,7 +261,6 @@ def _cmd_find(args) -> int:
         engine=args.congest_engine,
         shards=args.shards,
         round_timeout=args.round_timeout,
-        retry_policy=_retry_policy_from_args(args),
     ).with_log_budget(max(2, n))
     session_stats = []
     if args.engine == "distributed":
@@ -369,16 +352,6 @@ def _print_session_report(session_stats) -> None:
         rows.append(["pool re-arms", rearms])
     if fused:
         rows.append(["re-arms elided by fusion", fused])
-    failures = sum(stats.worker_failures for stats in session_stats)
-    if failures:
-        rows.extend(
-            [
-                ["worker failures", failures],
-                ["worker timeouts", sum(s.timeouts for s in session_stats)],
-                ["phases retried", sum(s.retries for s in session_stats)],
-                ["degradations", sum(s.degradations for s in session_stats)],
-            ]
-        )
     tables.print_table(
         ["measure", "value"], rows, title="Execution-session report"
     )
@@ -402,7 +375,6 @@ def _cmd_serve(args) -> int:
         engine=args.congest_engine,
         shards=args.shards,
         round_timeout=args.round_timeout,
-        retry_policy=_retry_policy_from_args(args),
     ).with_log_budget(max(2, n))
     service = NearCliqueService(graph, parameters, config=congest_config)
     print(

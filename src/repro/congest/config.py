@@ -9,73 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, replace
-from typing import Any, Optional
+from typing import Optional
 
 #: The constant in front of log n in :meth:`CongestConfig.with_log_budget`.
 #: The protocols in this package fit comfortably within 12·log2(n) bits per
 #: message (a constant number of identifiers and counters plus a constant
 #: header).
 LOG_BUDGET_MULTIPLIER = 12.0
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Supervised-retry policy for process sessions.
-
-    When a phase group of a :class:`~repro.congest.sharding.workers.ProcessSession`
-    (a fused group, or the group of one an ``execute`` runs) dies with a
-    :class:`~repro.congest.errors.ShardWorkerError` (a crashed, hung or
-    corrupt-wire worker — infrastructure failures, never model-rule
-    violations), the session respawns the pool and **replays the group
-    from its starting contexts**.  Replay is provably safe: the parent's
-    contexts are only folded after *every* worker reported, so a failed
-    group left them bit-identical to its start, and the engine contract
-    makes the replay deterministic.  Defined here (not in the sharding
-    package) so :class:`CongestConfig` can carry a policy without an import
-    cycle.
-
-    Parameters
-    ----------
-    max_attempts:
-        Total attempts per group, the first one included (``2`` = one
-        retry).  Must be at least 1.
-    backoff_seconds / backoff_multiplier:
-        Deterministic delay before retry *k* (1-based):
-        ``backoff_seconds * backoff_multiplier ** (k - 1)``.  The default
-        0.0 retries immediately — respawning a pool is already a pause.
-    degrade:
-        After exhausting the attempts, complete the group (and every later
-        one of the session) in-process on the vectorized engine instead of
-        raising — bit-identical by the engine contract, and immune to
-        worker-process failures.  ``False`` lets the final error escape.
-    """
-
-    max_attempts: int = 2
-    backoff_seconds: float = 0.0
-    backoff_multiplier: float = 2.0
-    degrade: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                "max_attempts must be >= 1 (got %d); 1 means no retry, "
-                "only the optional degradation" % self.max_attempts
-            )
-        if self.backoff_seconds < 0:
-            raise ValueError(
-                "backoff_seconds must be >= 0, got %r" % (self.backoff_seconds,)
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                "backoff_multiplier must be >= 1, got %r"
-                % (self.backoff_multiplier,)
-            )
-
-    def delay_before(self, attempt: int) -> float:
-        """Deterministic backoff before retry *attempt* (1-based)."""
-        if attempt <= 0 or self.backoff_seconds <= 0:
-            return 0.0
-        return self.backoff_seconds * self.backoff_multiplier ** (attempt - 1)
 
 
 @dataclass
@@ -138,19 +78,6 @@ class CongestConfig:
         liveness probe distinguishing hung from silently-dead workers —
         instead of blocking the barrier.  In-process engines have no
         cross-process barrier to time out and ignore the knob.
-    retry_policy:
-        Optional :class:`RetryPolicy` enabling supervised retry (and, by
-        default, graceful degradation to the in-process vectorized engine)
-        for process sessions.  ``None`` (the default) keeps the original
-        fail-fast semantics: any worker failure aborts the ``execute``.
-    fault_plan:
-        Optional :class:`repro.congest.sharding.faults.FaultPlan` injecting
-        deterministic failures into the sharded execution stack — worker
-        crash/hang/pipe-EOF at named points, corrupted wire batches.  Only
-        the worker processes read it; a degraded in-process run is clean.
-        Testing machinery: ``None`` (always the default outside tests)
-        injects nothing and costs nothing.  Typed loosely to keep this
-        module import-cycle-free; validated structurally at construction.
     shard_backend / session_mode / pipeline_mode:
         Accepted for backward compatibility only, and only with the values
         ``"process"`` / ``"persistent"`` / ``"fuse"`` — the sole behaviour
@@ -166,8 +93,6 @@ class CongestConfig:
     engine: str = "vectorized"
     shards: int = 4
     round_timeout: Optional[float] = None
-    retry_policy: Optional[RetryPolicy] = None
-    fault_plan: Optional[Any] = None
     shard_backend: InitVar[str] = "process"
     session_mode: InitVar[str] = "persistent"
     pipeline_mode: InitVar[str] = "fuse"
@@ -202,32 +127,13 @@ class CongestConfig:
                 "least one shard, and surplus shards beyond the node count "
                 "are simply left empty" % self.shards
             )
-        # The fault-tolerance knobs fail at construction for the same
-        # reason: all of them are consumed deep inside a phase execute,
-        # where a bad value would otherwise surface mid-pipeline (or worse,
-        # silently disable the watchdog).
+        # The watchdog deadline fails at construction for the same reason:
+        # it is consumed deep inside a phase execute, where a bad value
+        # would otherwise surface mid-pipeline (or silently disable it).
         if self.round_timeout is not None and not self.round_timeout > 0:
             raise ValueError(
                 "round_timeout must be positive or None (got %r); None "
                 "disables the barrier watchdog" % (self.round_timeout,)
-            )
-        if self.retry_policy is not None and not isinstance(
-            self.retry_policy, RetryPolicy
-        ):
-            raise ValueError(
-                "retry_policy must be a RetryPolicy or None, got %r"
-                % (self.retry_policy,)
-            )
-        if self.fault_plan is not None and not (
-            hasattr(self.fault_plan, "specs")
-            and hasattr(self.fault_plan, "for_attempt")
-        ):
-            # Structural check instead of an isinstance: importing the
-            # sharding package here would create a cycle (it imports this
-            # module for the config type).
-            raise ValueError(
-                "fault_plan must be a repro.congest.sharding.faults."
-                "FaultPlan or None, got %r" % (self.fault_plan,)
             )
 
     def with_log_budget(self, n: int) -> "CongestConfig":

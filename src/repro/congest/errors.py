@@ -114,9 +114,9 @@ class ShardWorkerError(CongestError):
     (:class:`CongestionViolation`, :class:`MessageSizeViolation`,
     :class:`ProtocolError`...), exactly as the in-process modes raise
     them.  Every ``ShardWorkerError`` (subclasses included) marks an
-    infrastructure failure, not a semantic one — the phase's inputs are
-    intact, so a supervised retry
-    (``CongestConfig.retry_policy``) may deterministically replay it.
+    infrastructure failure, not a semantic one.  The session fails fast
+    on it: the pool is torn down, the error reaches the caller, and the
+    session's next ``execute`` spawns a fresh pool.
     """
 
 
@@ -129,8 +129,8 @@ class ShardWorkerTimeout(ShardWorkerError):
     liveness — ``alive_shards`` names the shards whose process still runs
     (hung in protocol code), the rest died without even an EOF reaching
     the coordinator yet.  The error is an infrastructure failure like its
-    base class, so retry policies treat the two uniformly; hung workers
-    are force-terminated at teardown rather than waited on.
+    base class; hung workers are force-terminated at teardown rather than
+    waited on.
     """
 
     def __init__(self, shard_indices, timeout, alive_shards=()):
@@ -161,9 +161,8 @@ class WireCorruptionError(ShardWorkerError):
     batch's columns or payload blob are structurally invalid (unknown
     payload tag, truncated varint, out-of-range kind id...).  A corrupt
     batch means the transport delivered damaged bytes, not that the
-    protocol misbehaved, so this is a :class:`ShardWorkerError` subclass:
-    it crosses the worker pipe intact and a supervised retry may replay
-    the phase on a fresh pool (whose wire codecs restart in sync).
+    protocol misbehaved, so this is a :class:`ShardWorkerError` subclass
+    and crosses the worker pipe intact.
     """
 
     def __init__(self, detail):

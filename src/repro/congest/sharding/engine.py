@@ -146,40 +146,21 @@ class SessionPhaseStats:
     setup_seconds: float
 
 
-@dataclass
-class RecoveryEvent:
-    """One worker failure a supervised session observed, and its outcome.
-
-    ``action`` is what the retry loop decided: ``"retry"`` (the phase was
-    replayed on a fresh pool), ``"degrade"`` (attempts exhausted, the
-    session fell back to the in-process vectorized engine) or ``"abort"`` (no
-    policy, or a policy with ``degrade=False`` out of attempts — the error
-    escaped to the caller).  ``attempt`` is the 0-based attempt that
-    failed; ``timed_out`` marks failures surfaced by the barrier watchdog
-    (:class:`repro.congest.errors.ShardWorkerTimeout`).
-    """
-
-    phase: str
-    error: str
-    action: str
-    attempt: int
-    timed_out: bool
-
-
 class ShardingStats:
     """Cross-shard traffic accounting of one process session.
 
     Populated by the session, which exposes it as
     :attr:`repro.congest.engine.CongestSession.stats`; the E15 benchmark
     uses this to report the cut-edge message fraction and the serialized
-    boundary traffic.
+    boundary traffic.  A worker failure records nothing here: it escapes
+    the session as a :class:`repro.congest.errors.ShardWorkerError`.
 
     Attributes
     ----------
     boundary_bytes / barrier_rounds:
         Packed wire bytes shipped across round barriers and the number of
-        barriers that shipped them.  Both stay zero for phases a degraded
-        session ran in-process.
+        barriers that shipped them.  Both stay zero for phases an empty
+        network ran in-process.
     setup_seconds:
         Coordinator-side seconds spent on per-``execute`` setup (worker
         spawn, arming) summed over the recorded runs.
@@ -196,16 +177,12 @@ class ShardingStats:
         fusion (``len(group) - 1`` per fused group).  Under full fusion a
         composite's ``rearms`` stays strictly below its phase count — the
         invariant ``tests/test_sharding.py`` pins.
-    worker_failures / timeouts / retries / degradations / recovery_events:
-        The fault-tolerance ledger, populated by supervised process
-        sessions via :meth:`observe_recovery`: every observed worker
-        failure (``worker_failures``), how many were barrier-watchdog
-        timeouts (``timeouts``), and how many led to a phase replay
-        (``retries``) or to the session degrading to the in-process
-        vectorized engine (``degradations``).  ``recovery_events`` keeps
-        the full per-failure :class:`RecoveryEvent` records in observation
-        order.
     """
+
+    # Read only by perfbench's _check_sharding and its sharding.recoveries row.
+    retries = 0
+    degradations = 0
+    recovery_events = ()
 
     def __init__(self) -> None:
         self.protocol_messages = 0
@@ -216,11 +193,6 @@ class ShardingStats:
         self.shm_bytes = 0
         self.rearms = 0
         self.fused_phases = 0
-        self.worker_failures = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.degradations = 0
-        self.recovery_events: List[RecoveryEvent] = []
         self.plan: Optional[ShardPlan] = None
         self.phases: List[SessionPhaseStats] = []
 
@@ -270,17 +242,6 @@ class ShardingStats:
                 setup_seconds=setup_seconds,
             )
         )
-
-    def observe_recovery(self, event: RecoveryEvent) -> None:
-        """Record one worker failure and the supervisor's decision."""
-        self.worker_failures += 1
-        if event.timed_out:
-            self.timeouts += 1
-        if event.action == "retry":
-            self.retries += 1
-        elif event.action == "degrade":
-            self.degradations += 1
-        self.recovery_events.append(event)
 
 
 class _ShardStepper:

@@ -299,9 +299,9 @@ class WireDecoder:
         except (ValueError, IndexError, KeyError, struct.error, UnicodeDecodeError) as exc:
             # Structural damage (unknown tag, truncated varint/blob,
             # out-of-range kind or table reference) is a transport failure,
-            # not a protocol error — surface it as the retryable
-            # infrastructure type.  Note the table extension above already
-            # happened; a corrupt batch aborts the worker, and a supervised
-            # retry replays on a *fresh* pool whose codecs restart in sync,
+            # not a protocol error — surface it as the infrastructure
+            # type.  Note the table extension above already happened; a
+            # corrupt batch aborts the worker, and the session's next
+            # execute spawns a *fresh* pool whose codecs restart in sync,
             # so the desynchronized decoder is never reused.
             raise WireCorruptionError(str(exc) or type(exc).__name__) from exc

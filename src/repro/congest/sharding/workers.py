@@ -83,22 +83,10 @@ session never leaks its pool or its shared-memory segment past ``close``
 — including violation and worker-crash paths, where the session tears
 the pool down immediately rather than waiting for the context exit.
 
-Supervised retry and degradation
---------------------------------
-A :class:`ProcessSession` given a ``CongestConfig.retry_policy``
-supervises its groups: a :class:`~repro.congest.errors.ShardWorkerError`
-(timeouts included) no longer aborts the group — the session tears the
-pool down, respawns it fresh and **replays the group from the parent's
-contexts**, which are bit-identical to the group's start because the
-harvest below folds worker state back only after *every* worker reported.
-After exhausting ``max_attempts`` the session (by default) *degrades*:
-the group — and every later group of the session — completes in-process
-on the vectorized engine, bit-identical by the engine contract and immune
-to worker-process failures.  Every failure and the
-supervisor's decision is recorded as a
-:class:`~repro.congest.sharding.engine.RecoveryEvent` on the session's
-stats.  Deterministic fault injection for all of these paths lives in
-:mod:`repro.congest.sharding.faults` (``CongestConfig.fault_plan``).
+The session fails fast.  The CONGEST model has reliable nodes, so a dead
+worker is a fault of the host, not an event of the simulated network:
+every worker failure escapes the ``execute`` that met it, and the next
+``execute`` of the session spawns a fresh pool.
 
 State round trip
 ----------------
@@ -123,7 +111,6 @@ import threading
 import time
 import weakref
 from array import array
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.config import CongestConfig
@@ -144,12 +131,10 @@ from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import ContextRegistry, Network
 from repro.congest.node import NodeContext, Protocol
 from repro.congest.sharding.engine import (
-    RecoveryEvent,
     ShardingStats,
     _ShardState,
     _ShardStepper,
 )
-from repro.congest.sharding.faults import FaultInjector
 from repro.congest.sharding.partition import ShardPlan, partition_network
 from repro.congest.sharding.shm import SharedCSR
 from repro.congest.sharding.wire import WireBatch, WireDecoder, WireEncoder
@@ -296,10 +281,6 @@ class _WorkerHarness:
         self.decoders: Dict[int, WireDecoder] = {}
         self.stepper: Optional[_ShardStepper] = None
         self.shard: Optional[_ShardState] = None
-        #: Deterministic fault injection (``CongestConfig.fault_plan``),
-        #: rebuilt lazily at arm time; ``None`` whenever the armed config
-        #: carries no plan — the universal production case.
-        self.injector: Optional[FaultInjector] = None
         #: Protocols of the armed group still to run, and their config:
         #: :meth:`arm_next` promotes them one at a time — at ``arm``, then
         #: right after each ``finish`` report, so a fused group's next
@@ -354,17 +335,6 @@ class _WorkerHarness:
             inbox_buffers=self.inbox_buffers,
         )
         self.shard = _ShardState(self.shard_index, self.owned, self.n_shards)
-        plan = config.fault_plan
-        if plan is None:
-            self.injector = None
-        else:
-            # Keep the injector (and with it the fired set) across light
-            # re-arms of the *same* plan, so a phase-bound spec cannot
-            # re-fire when its phase is re-armed on this worker; a changed
-            # plan (a retry re-threading the attempt cursor) rebuilds.
-            if self.injector is None or self.injector.plan != plan:
-                self.injector = FaultInjector(plan, self.shard_index)
-            self.injector.begin_phase(protocol.name)
         return True
 
     # ------------------------------------------------------------------
@@ -412,10 +382,7 @@ class _WorkerHarness:
         self, rounds: int, incoming: Sequence[Tuple[int, WireBatch]]
     ) -> Tuple:
         shard = self.shard
-        injector = self.injector
         for source, batch in incoming:
-            if injector is not None:
-                batch = injector.corrupt_batch(batch, rounds)
             decoder = self.decoders.get(source)
             if decoder is None:
                 decoder = self.decoders[source] = WireDecoder()
@@ -456,7 +423,7 @@ class _WorkerHarness:
 
 
 def _send_error(conn, exc: BaseException) -> None:
-    """Ship an exception to the coordinator, degrading to text if needed."""
+    """Ship an exception to the coordinator, falling back to text if needed."""
     try:
         conn.send(("error", exc))
     except Exception:
@@ -516,23 +483,16 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
                 _send_error(conn, exc)
                 break
             op = command[0]
-            injector = harness.injector
             response = None
             try:
                 if op == "arm":
                     # No response: the coordinator pipelines "start".
                     harness.arm(command[1], command[2], command[3], command[4])
                 elif op == "start":
-                    if injector is not None and injector.fire("start"):
-                        break
                     response = harness.start()
                 elif op == "round":
-                    if injector is not None and injector.fire("round", command[1]):
-                        break
                     response = harness.step(command[1], command[2])
                 elif op == "finish":
-                    if injector is not None and injector.fire("finish"):
-                        break
                     response = harness.finish(command[1], command[2])
                 else:  # "abort" or anything unrecognized: exit quietly
                     break
@@ -544,13 +504,10 @@ def _worker_main(conn, init: Dict[str, Any], inherited_peers=()) -> None:
                     conn.send(response)
                 except (BrokenPipeError, OSError):
                     break  # coordinator aborted mid-report
-            # A shipped arm, or the self-arm of a group's next phase right
-            # after its predecessor reported (overlapping the coordinator's
-            # fold), is the "arm" fault point.
-            if op == "arm" or (op == "finish" and harness.arm_next()):
-                injector = harness.injector
-                if injector is not None and injector.fire("arm"):
-                    break  # injected eof: close the pipe and exit
+            # Self-arm the group's next phase right after its predecessor
+            # reported, overlapping the coordinator's fold.
+            if op == "finish":
+                harness.arm_next()
     finally:
         conn.close()
 
@@ -741,9 +698,13 @@ class _WorkerPool:
                 handle.conn.send(
                     ("arm", protocols, config, global_inputs, inputs)
                 )
+            except OSError as exc:  # BrokenPipeError included
+                _raise_buffered_error(handle.conn, handle.shard_index)
+                raise ShardWorkerError(
+                    "worker process for shard %d (pid %s) died before 'arm'"
+                    % (handle.shard_index, handle.process.pid)
+                ) from exc
             except Exception as exc:
-                if isinstance(exc, (BrokenPipeError, OSError)):
-                    _raise_buffered_error(handle.conn, handle.shard_index)
                 raise ShardWorkerError(
                     "failed to ship the protocol to the shard %d worker: %s "
                     "(process-backend protocols and per-node state must be "
@@ -999,8 +960,7 @@ class ProcessShardedRun:
         # fold is transactional: every report is received (through the
         # watchdog-aware _collect) *before* any worker state touches the
         # parent's contexts, so a worker failing at finish leaves them
-        # bit-identical to the phase start — the invariant that makes a
-        # supervised retry's replay safe.
+        # as they were at the phase start.
         # Workers report only the nodes they started; every other node
         # was out of scope and reports None.
         outputs: Dict[int, Any] = self.contexts.blank_outputs()
@@ -1095,11 +1055,6 @@ class ProcessSession(CongestSession):
         self._epoch: Optional[int] = None
         #: ``network.delta_epoch`` at open: the topology the plan describes.
         self._delta_epoch: int = network.delta_epoch
-        #: True once supervised retry exhausted its attempts and the
-        #: session fell back to the in-process vectorized engine —
-        #: sticky for the rest of the session (the condition that killed
-        #: the pool repeatedly is not expected to clear between phases).
-        self._degraded: bool = False
 
     # ------------------------------------------------------------------
     def _check_config(self, config: CongestConfig) -> None:
@@ -1148,9 +1103,8 @@ class ProcessSession(CongestSession):
         Context state stays worker-side until the group-final phase's
         ``finish`` folds it back — so each phase still runs the exact
         round loop, metrics and outputs it would have run unfused, and a
-        mid-group failure leaves the parent's contexts bit-identical to
-        the group start (a supervised retry replays the *whole group*
-        transactionally).
+        mid-group failure leaves the parent's contexts as they were at
+        the group start.
         """
         if self.closed:
             raise ProtocolError("execute_fused on a closed CongestSession")
@@ -1194,74 +1148,46 @@ class ProcessSession(CongestSession):
                 per_node_inputs=per_node_inputs,
                 fresh=not reuse_contexts,
             )
-            if self._degraded or not any(self.plan.shards):
-                # In-process fallback: an empty network has nothing to keep
-                # a pool for, and a degraded session has proven it cannot
-                # keep one.
+            if not any(self.plan.shards):
+                # An empty network has nothing to keep a pool for.
                 return self._run_in_process(protocols, config)
+            setup_started = time.perf_counter()
+            if self._pool is None or not reuse_contexts or external:
+                self._spawn_pool(contexts)
+                self._pool.rearm(protocols, config)
+            else:
+                self._pool.rearm(
+                    protocols,
+                    config,
+                    global_inputs=global_inputs,
+                    per_shard_state=self._split_inputs(per_node_inputs),
+                )
+            self.stats.rearms += 1
+            self.stats.fused_phases += len(protocols) - 1
+            setup_seconds = time.perf_counter() - setup_started
 
-            # Supervised retry: each attempt runs the group on a pool; a
-            # ShardWorkerError (timeouts included) with a retry_policy set
-            # tears the pool down and *replays the group* — the
-            # build_contexts above ran once, and the
-            # parent's contexts are bit-identical to the group start
-            # because only the group-final harvest folds worker state
-            # back, after every worker reported.  The respawned pool
-            # re-ships those pristine contexts (the arm after a spawn
-            # replays no inputs), so the replay is deterministic by the
-            # engine contract.  Wire-codec interning state is per pool,
-            # which is why a retry respawns the whole pool.
-            plan_faults = config.fault_plan
-            attempt = 0
-            while True:
-                attempt_config = config
-                if plan_faults is not None and plan_faults.attempt != attempt:
-                    attempt_config = replace(
-                        config, fault_plan=plan_faults.for_attempt(attempt)
-                    )
-                try:
-                    return self._run_on_pool(
-                        protocols,
-                        attempt_config,
-                        global_inputs,
-                        per_node_inputs,
-                        reuse_contexts,
-                        external,
-                        contexts,
-                    )
-                except ShardWorkerError as exc:
-                    timed_out = isinstance(exc, ShardWorkerTimeout)
-                    self._teardown_pool(force=timed_out)
-                    policy = config.retry_policy
-                    if policy is None:
-                        raise
-                    if attempt + 1 < policy.max_attempts:
-                        action = "retry"
-                    elif policy.degrade:
-                        action = "degrade"
-                    else:
-                        action = "abort"
-                    self.stats.observe_recovery(
-                        RecoveryEvent(
-                            phase="+".join(p.name for p in protocols),
-                            error="%s: %s" % (type(exc).__name__, exc),
-                            action=action,
-                            attempt=attempt,
-                            timed_out=timed_out,
-                        )
-                    )
-                    if action == "abort":
-                        raise
-                    if action == "degrade":
-                        self._degraded = True
-                        if self.shared_csr is not None:
-                            shared, self.shared_csr = self.shared_csr, None
-                            shared.destroy()
-                        return self._run_in_process(protocols, config)
-                    attempt += 1
-                    delay = policy.delay_before(attempt)
-                    if delay > 0:
-                        time.sleep(delay)
+            results: List[RunResult] = []
+            last = len(protocols) - 1
+            for i, protocol in enumerate(protocols):
+                run = ProcessShardedRun(
+                    protocol=protocol,
+                    config=config,
+                    contexts=contexts,
+                    pool=self._pool,
+                    fold_contexts=i == last,
+                )
+                results.append(run.run())
+                total, cross = run.traffic_totals()
+                self.stats.observe_phase(
+                    protocol.name,
+                    total,
+                    cross,
+                    run.boundary_bytes,
+                    run.barrier_rounds,
+                    setup_seconds if i == 0 else 0.0,
+                )
+            self._epoch = network.context_epoch
+            return results
         except BaseException as exc:
             # A watchdog timeout marks still-alive workers as known-stuck:
             # terminate them immediately instead of granting the EOF grace
@@ -1272,13 +1198,11 @@ class ProcessSession(CongestSession):
     def _run_in_process(
         self, protocols: List[Protocol], config: CongestConfig
     ) -> List[RunResult]:
-        """Complete a group phase by phase on the vectorized engine.
+        """Run an empty network's group phase by phase on the vectorized engine.
 
-        The degradation target (and the empty-network path): bit-identical
-        to the pool by the engine contract, immune to worker-process
-        failures.  ``_run_group`` has already built the group's contexts,
-        and the parent's contexts are at the group start when this runs
-        (the group-final fold never happened), so every phase reuses them.
+        An empty plan has no shard to give a worker, and the engine
+        contract makes this bit-identical to a pool.  ``_run_group`` has
+        already built the group's contexts, so every phase reuses them.
         Each phase is recorded with its message count and no cross-shard
         traffic.
         """
@@ -1293,65 +1217,6 @@ class ProcessSession(CongestSession):
             self.stats.observe_phase(
                 protocol.name, result.metrics.total_messages, 0, 0, 0, 0.0
             )
-        return results
-
-    def _run_on_pool(
-        self,
-        protocols: List[Protocol],
-        config: CongestConfig,
-        global_inputs: Optional[Dict[str, Any]],
-        per_node_inputs: Optional[Dict[int, Dict[str, Any]]],
-        reuse_contexts: bool,
-        external: bool,
-        contexts: ContextRegistry,
-    ) -> List[RunResult]:
-        """One attempt of one group on the (spawned or re-armed) pool.
-
-        Per-phase stats are buffered and flushed only after the group-final
-        fold: a failure then records nothing, so a retry's replay cannot
-        double-count phases that completed before the failure.
-        """
-        setup_started = time.perf_counter()
-        if self._pool is None or not reuse_contexts or external:
-            self._spawn_pool(contexts)
-            self._pool.rearm(protocols, config)
-        else:
-            self._pool.rearm(
-                protocols,
-                config,
-                global_inputs=global_inputs,
-                per_shard_state=self._split_inputs(per_node_inputs),
-            )
-        self.stats.rearms += 1
-        self.stats.fused_phases += len(protocols) - 1
-        setup_seconds = time.perf_counter() - setup_started
-
-        results: List[RunResult] = []
-        phase_stats: List[Tuple] = []
-        last = len(protocols) - 1
-        for i, protocol in enumerate(protocols):
-            run = ProcessShardedRun(
-                protocol=protocol,
-                config=config,
-                contexts=contexts,
-                pool=self._pool,
-                fold_contexts=i == last,
-            )
-            results.append(run.run())
-            total, cross = run.traffic_totals()
-            phase_stats.append(
-                (
-                    protocol.name,
-                    total,
-                    cross,
-                    run.boundary_bytes,
-                    run.barrier_rounds,
-                    setup_seconds if i == 0 else 0.0,
-                )
-            )
-        self._epoch = self.network.context_epoch
-        for packed in phase_stats:
-            self.stats.observe_phase(*packed)
         return results
 
     # ------------------------------------------------------------------

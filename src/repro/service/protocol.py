@@ -15,9 +15,10 @@ Every request is a JSON object with a ``"cmd"`` key:
 
 ``{"cmd": "delta", "add": [[u, v], ...], "remove": [[u, v], ...]}``
     Apply a batched topology update.  Nodes are the input graph's own
-    labels.  The delta is validated *before* any mutation: a rejected
-    delta (unknown node, self-loop, edge listed on both sides) leaves the
-    graph untouched and yields a ``bad-delta`` error response.
+    labels, each a JSON integer or string (anything else is a
+    ``bad-request``).  The delta is validated *before* any mutation: a
+    rejected delta (unknown node, self-loop, edge listed on both sides)
+    leaves the graph untouched and yields a ``bad-delta`` error response.
 
 ``{"cmd": "stats"}``
     Lifetime service counters (queries by kind, deltas, nodes recomputed).
@@ -125,13 +126,16 @@ def parse_request(line: str) -> Dict[str, Any]:
                     raise RequestError(
                         "delta edges must be [u, v] pairs, got %r" % (edge,)
                     )
-                # A JSON array or object is unhashable, so it can name no
-                # node; only scalars reach the service's label lookup.
+                # Only the types ``labels`` prints a node as may name one:
+                # by hash equality ``true`` and ``2.0`` would match nodes
+                # 1 and 2, and an array or object is unhashable.
                 for endpoint in edge:
-                    if isinstance(endpoint, (list, dict)):
+                    if not isinstance(endpoint, (int, str)) or isinstance(
+                        endpoint, bool
+                    ):
                         raise RequestError(
-                            "delta endpoints must be JSON scalars, got %r"
-                            % (endpoint,)
+                            "delta endpoints must be integers or strings, "
+                            "got %r" % (endpoint,)
                         )
     return request
 

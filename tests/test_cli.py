@@ -237,7 +237,6 @@ class TestArgumentValidation:
             ["find", "--round-timeout", "0"],
             ["find", "--round-timeout", "nan"],
             ["serve", "--round-timeout", "-1"],
-            ["find", "--retry-attempts", "-1"],
             ["find", "--delta", "0"],
             ["find", "--delta", "1.01"],
             ["find", "--delta", "nan"],
@@ -289,7 +288,6 @@ class TestArgumentValidation:
         (["serve", "--expected-sample", "1e9"], "expected_sample", 1e9),
         (["find", "--shards", "1"], "shards", 1),
         (["find", "--round-timeout", "0.001"], "round_timeout", 0.001),
-        (["find", "--retry-attempts", "0"], "retry_attempts", 0),
         (["find", "--delta", "1"], "delta", 1.0),
         (["serve", "--delta", "1e-9"], "delta", 1e-9),
         (["generate", "unused.edges", "--delta", "1"], "delta", 1.0),

@@ -604,6 +604,10 @@ class TestDaemon:
                 '{"cmd": "delta", "add": [[0, 99]]}\n'
                 '{"cmd": "delta", "add": [[[1], 2]]}\n'
                 '{"cmd": "delta", "remove": [[1, {"a": 2}]]}\n'
+                '{"cmd": "delta", "add": [[true, 5]]}\n'
+                '{"cmd": "delta", "add": [[3, false]]}\n'
+                '{"cmd": "delta", "remove": [[2.0, 3]]}\n'
+                '{"cmd": "delta", "add": [[null, 5]]}\n'
                 "\n"
                 '{"cmd": "query"}\n'
                 '{"cmd": "shutdown"}\n'
@@ -612,12 +616,14 @@ class TestDaemon:
         )
         served = daemon.serve_forever()
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert served == 10  # the blank line is skipped, not answered
+        assert served == 14  # the blank line is skipped, not answered
         codes = [
             r["error"]["code"] for r in responses if not r["ok"]
         ]
-        # array and object endpoints are unhashable: rejected as requests
-        # before they reach the service's label lookup
+        # an endpoint that is not an integer or a string names no node:
+        # arrays and objects are unhashable, and true, false and 2.0
+        # would hash-match nodes 1, 0 and 2, so all are rejected as
+        # requests before they reach the service's label lookup
         assert codes == [
             "bad-request",
             "bad-request",
@@ -625,9 +631,7 @@ class TestDaemon:
             "bad-request",
             "bad-delta",
             "bad-delta",
-            "bad-request",
-            "bad-request",
-        ]
+        ] + ["bad-request"] * 6
         assert responses[-2]["ok"] and responses[-2]["cmd"] == "query"
         assert responses[-1]["cmd"] == "shutdown"
 
@@ -744,6 +748,83 @@ class TestDaemon:
         )
         assert stats["queries"] == stats["full_queries"] == 1
 
+
+
+class TestDaemonHardening:
+    def test_oversized_line_is_rejected_in_bounded_memory(self):
+        service = NearCliqueService(_block_graph([8]), PARAMS)
+        out = io.StringIO()
+        huge = '{"cmd": "query", "pad": "' + "x" * 4096 + '"}'
+        daemon = NearCliqueDaemon(
+            service,
+            reader=io.StringIO(
+                huge + "\n" + '{"cmd": "query"}\n' + '{"cmd": "shutdown"}\n'
+            ),
+            writer=out,
+            max_line_length=256,
+        )
+        served = daemon.serve_forever()
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert served == 3
+        assert responses[0]["ok"] is False
+        assert responses[0]["error"]["code"] == "bad-request"
+        assert "256" in responses[0]["error"]["message"]
+        # The oversized line was drained, not re-parsed as later requests:
+        # the follow-up query and the shutdown answer normally.
+        assert responses[1]["ok"] is True and responses[1]["cmd"] == "query"
+        assert responses[2]["cmd"] == "shutdown"
+
+    def test_exact_limit_line_still_parses(self):
+        service = NearCliqueService(_block_graph([8]), PARAMS)
+        request = '{"cmd": "query", "seed": 0}'
+        out = io.StringIO()
+        daemon = NearCliqueDaemon(
+            service,
+            reader=io.StringIO(request + "\n" + '{"cmd": "shutdown"}\n'),
+            writer=out,
+            max_line_length=len(request),
+        )
+        daemon.serve_forever()
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert responses[0]["ok"] is True
+
+    def test_max_line_length_must_be_positive(self):
+        service = NearCliqueService(_block_graph([8]), PARAMS)
+        with pytest.raises(ValueError, match="max_line_length"):
+            NearCliqueDaemon(service, max_line_length=0)
+
+    def test_worker_timeout_answers_congest_error_and_daemon_recovers(self):
+        # A watchdog timeout is a CongestError: the daemon answers
+        # congest-error, keeps its cached state, and the retried query is
+        # answered in full and correctly.
+        graph = _block_graph([10, 10])
+        service = NearCliqueService(graph.copy(), PARAMS)
+        real_run = service._runner.run
+        hangs = {"left": 1}
+
+        def hang_once(*args, **kwargs):
+            if hangs["left"]:
+                hangs["left"] -= 1
+                raise ShardWorkerTimeout((1,), 2.0, alive_shards=(1,))
+            return real_run(*args, **kwargs)
+
+        service._runner.run = hang_once
+        _served, responses = _drive(
+            service,
+            [
+                {"cmd": "query", "seed": 3},
+                {"cmd": "query", "seed": 3},
+                {"cmd": "stats"},
+                {"cmd": "shutdown"},
+            ],
+        )
+        assert len(responses) == 4
+        assert responses[0]["ok"] is False
+        assert responses[0]["error"]["code"] == "congest-error"
+        assert responses[1]["ok"] is True
+        assert responses[1]["query"]["kind"] == "full"
+        assert dict(responses[1]["labels"]) == _fresh(graph, 3).labels
+        assert responses[2]["queries"] == 1
 
 # The mixed-label graph of the wire-bytes tests: ints whose reprs share
 # prefixes, negatives, strings (one that spells an int) and tuples, which

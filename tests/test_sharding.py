@@ -934,48 +934,6 @@ class TestExecutionSessions:
             assert session.shared_csr is None
         _assert_no_worker_processes()
 
-    def test_degraded_session_runs_later_groups_in_process(self):
-        # A worker that crashes while arming on both attempts makes the
-        # session degrade; the group and every later one then run on the
-        # vectorized engine, bit-identical to it and with no pool.
-        from repro.congest.config import RetryPolicy
-        from repro.congest.sharding.faults import FaultPlan, FaultSpec
-
-        graph = nx.gnp_random_graph(16, 0.3, seed=5)
-        plan = FaultPlan(
-            specs=tuple(
-                FaultSpec(point="arm", kind="crash", shard=0, phase="ping-all", attempt=a)
-                for a in (0, 1)
-            )
-        )
-        network = Network(graph, seed=3)
-        session, _config = _open_process_session(
-            network,
-            shards=2,
-            fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=2),
-        )
-        expected = {}
-        for protocol in (_PingAll(), _RecordSenders()):
-            expected[protocol.name] = run_protocol(
-                Network(graph, seed=3), protocol, config=CongestConfig()
-            )
-        with session:
-            first = session.execute(_PingAll())
-            second = session.execute(_RecordSenders())
-            assert session._pool is None
-            _assert_no_worker_processes()
-            stats = session.stats
-        for result in (first, second):
-            name = "ping-all" if result is first else "record-senders"
-            assert run_fingerprint(result) == run_fingerprint(expected[name])
-        assert [e.action for e in stats.recovery_events] == ["retry", "degrade"]
-        assert [phase.label for phase in stats.phases] == ["ping-all", "record-senders"]
-        for phase, result in zip(stats.phases, (first, second)):
-            assert phase.protocol_messages == result.metrics.total_messages
-            assert phase.cross_shard_messages == phase.boundary_bytes == 0
-            assert phase.barrier_rounds == 0
-
     def test_session_default_is_thin_wrapper(self):
         # Engines without per-execute setup return the base session.
         network = Network(nx.cycle_graph(6), seed=0)
@@ -1274,7 +1232,7 @@ class TestRetiredModeConstructionValidation:
             session_mode="persistent",
             pipeline_mode="fuse",
         )
-        assert len(dataclasses.fields(CongestConfig)) == 9
+        assert len(dataclasses.fields(CongestConfig)) == 7
         assert "shard_backend" not in vars(config)
         assert "session_mode" not in vars(config)
         assert "pipeline_mode" not in vars(config)
@@ -1294,13 +1252,19 @@ class TestRemovedSurfaceStaysRemoved:
     execution path, the serial sharded backend, the service's
     worker-recovery layer, a session's absorption of deltas with the CSR
     fingerprint and the partition memo behind it, the network's extra
-    topology views and the engine-held sharding stats were deleted, not
-    deprecated: an old spelling fails loudly instead of being ignored.
+    topology views, the engine-held sharding stats, and the process
+    backend's fault injection, supervised retry and degradation were
+    deleted, not deprecated: an old spelling fails loudly instead of being
+    ignored.
     """
 
     def test_synchronizer_module_is_gone(self):
         with pytest.raises(ImportError):
             importlib.import_module("repro.congest.synchronizer")
+
+    def test_fault_injection_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.congest.sharding.faults")
 
     @pytest.mark.parametrize(
         "owner,name",
@@ -1344,8 +1308,6 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.service.incremental:NearCliqueService", "_shards_of"),
             ("repro.congest.config:CongestConfig", "budget_multiplier"),
             ("repro.congest.config:CongestConfig", "worker_join_timeout"),
-            ("repro.congest.sharding.faults", "SimulatedFaults"),
-            ("repro.congest.sharding.faults:FaultPlan", "simulate"),
             ("repro.congest.sharding.workers:_WorkerHarness", "arm_sequence"),
             ("repro.congest.sharding.workers:_WorkerHarness", "finish_light"),
             ("repro.congest.sharding.workers:_WorkerPool", "rearm_sequence"),
@@ -1381,6 +1343,14 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.congest.sharding.workers:ProcessSession", "_reconcile_topology"),
             ("repro.congest.sharding.engine:ShardedEngine", "resolve_structure"),
             ("repro.congest.sharding.engine:ShardingStats", "observe_run"),
+            ("repro.congest.config", "RetryPolicy"),
+            ("repro.congest.config:CongestConfig", "retry_policy"),
+            ("repro.congest.config:CongestConfig", "fault_plan"),
+            ("repro.congest.sharding.engine", "RecoveryEvent"),
+            ("repro.congest.sharding.engine:ShardingStats", "observe_recovery"),
+            ("repro.congest.sharding.workers", "FaultInjector"),
+            ("repro.congest.sharding.workers:ProcessSession", "_run_on_pool"),
+            ("repro.cli", "_retry_policy_from_args"),
         ],
         ids=lambda part: part.replace(":", "."),
     )
@@ -1423,6 +1393,12 @@ class TestRemovedSurfaceStaysRemoved:
             pytest.param(
                 lambda: CongestConfig().with_sharding(shards=2, backend="process"),
                 id="with_sharding-backend",
+            ),
+            pytest.param(
+                lambda: CongestConfig(retry_policy=None), id="CongestConfig-retry_policy"
+            ),
+            pytest.param(
+                lambda: CongestConfig(fault_plan=None), id="CongestConfig-fault_plan"
             ),
         ],
     )
@@ -1498,14 +1474,48 @@ class TestRemovedSurfaceStaysRemoved:
         assert "worker-crash" not in ERROR_CODES
         assert "worker-timeout" not in ERROR_CODES
 
-    def test_removed_cli_flag_is_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "flag,value", [("--shard-backend", "process"), ("--retry-attempts", "2")]
+    )
+    def test_removed_cli_flag_is_rejected(self, capsys, flag, value):
         from repro.cli import main
 
         for command in ("find", "serve"):
             with pytest.raises(SystemExit) as excinfo:
-                main([command, "--shard-backend", "process"])
+                main([command, flag, value])
             assert excinfo.value.code == 2
-            assert "--shard-backend" in capsys.readouterr().err
+            assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "owner,name",
+        [
+            ("stats", "worker_failures"),
+            ("stats", "timeouts"),
+            ("session", "_degraded"),
+        ],
+    )
+    def test_removed_failure_ledger_is_gone(self, owner, name):
+        # Failures are not counted any more: they escape the session.
+        network = Network(nx.cycle_graph(6), seed=0)
+        session, _config = _open_process_session(network, shards=2)
+        with session:
+            session.execute(_PingAll())
+            target = session.stats if owner == "stats" else session
+            assert not hasattr(target, name)
+        _assert_no_worker_processes()
+
+    def test_recovery_counters_stay_zero_after_a_failure(self):
+        # perfbench still reads these three; a failure must not move them.
+        network = Network(nx.cycle_graph(12), seed=0)
+        session, _config = _open_process_session(network)
+        with session:
+            with pytest.raises(ShardWorkerError):
+                session.execute(_CrashInWorker(victim=7))
+            session.execute(_PingAll())
+            stats = session.stats
+        assert (stats.retries, stats.degradations) == (0, 0)
+        assert stats.recovery_events == ()
+        _assert_no_worker_processes()
 
 
 class TestShardingKnobConstructionValidation:
@@ -1550,7 +1560,7 @@ class TestShardingKnobConstructionValidation:
         assert sharded == dataclasses.replace(config, engine="sharded")
         assert config.with_sharding(5).shards == 5
 
-    def test_stored_fields_are_the_nine_knobs(self):
+    def test_stored_fields_are_the_seven_knobs(self):
         assert [field.name for field in dataclasses.fields(CongestConfig)] == [
             "max_rounds",
             "enforce_congestion",
@@ -1559,6 +1569,10 @@ class TestShardingKnobConstructionValidation:
             "engine",
             "shards",
             "round_timeout",
-            "retry_policy",
-            "fault_plan",
         ]
+
+    def test_round_timeout_none_or_positive(self):
+        assert CongestConfig().round_timeout is None
+        assert CongestConfig(round_timeout=2.5).round_timeout == 2.5
+        with pytest.raises(ValueError, match="round_timeout"):
+            CongestConfig(round_timeout=0.0)

@@ -12,11 +12,17 @@ reconstructed on the decode side.
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.congest.errors import (
+    ShardWorkerError,
+    ShardWorkerTimeout,
+    WireCorruptionError,
+)
 from repro.congest.message import (
     Inbound,
     Message,
@@ -258,3 +264,37 @@ class TestBatchCodec:
         message = Message(kind="k", payload="abcd")
         batch = encoder.encode([1], [Inbound(sender=2, message=message)])
         assert batch.wire_bytes() >= len(batch.payloads) + 8 * 5
+
+
+class TestWireErrors:
+    """A damaged batch, and the worker errors, are typed and picklable."""
+
+    def test_garbage_blob_raises_wire_corruption_error(self):
+        encoder = WireEncoder()
+        decoder = WireDecoder()
+        batch = encoder.encode(
+            [1, 4],
+            [
+                Inbound(sender=0, message=Message(kind="ping", payload=(7,))),
+                Inbound(sender=2, message=Message(kind="ping", payload=(9,))),
+            ],
+        )
+        corrupted = batch._replace(payloads=b"\xff" * max(1, len(batch.payloads)))
+        with pytest.raises(WireCorruptionError):
+            decoder.decode(corrupted)
+
+    def test_corruption_error_is_a_worker_error_and_picklable(self):
+        error = WireCorruptionError("unknown tag 255")
+        assert isinstance(error, ShardWorkerError)
+        clone = pickle.loads(pickle.dumps(error))
+        assert isinstance(clone, WireCorruptionError)
+        assert clone.detail == error.detail
+
+    def test_timeout_error_is_picklable(self):
+        error = ShardWorkerTimeout((0, 2), 1.5, alive_shards=(2,))
+        clone = pickle.loads(pickle.dumps(error))
+        assert isinstance(clone, ShardWorkerTimeout)
+        assert clone.shard_indices == (0, 2)
+        assert clone.alive_shards == (2,)
+        assert clone.timeout == 1.5
+        assert isinstance(clone, ShardWorkerError)
