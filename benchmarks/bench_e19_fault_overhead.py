@@ -112,18 +112,19 @@ def _overhead_table(name, graph, quick):
 
     timings = {"baseline": float("inf"), "watchdog": float("inf")}
     watchdog_stats = None
-    repetitions = 2 if quick else 3
+    repetitions = 5 if quick else 3
     # Interleaved best-of-N: a ratio gate needs both arms sampled under
-    # comparable load.
-    for _ in range(repetitions):
-        elapsed, fingerprint, _stats = _run_once(graph, watchdog=False)
-        assert fingerprint == oracle, "baseline arm diverged from vectorized"
-        timings["baseline"] = min(timings["baseline"], elapsed)
-
-        elapsed, fingerprint, stats = _run_once(graph, watchdog=True)
-        assert fingerprint == oracle, "watchdog arm diverged from vectorized"
-        timings["watchdog"] = min(timings["watchdog"], elapsed)
-        watchdog_stats = stats
+    # comparable load, and the arm that runs first alternates so neither
+    # one always pays (or dodges) the first run's warm-up.
+    for repetition in range(repetitions):
+        order = ("baseline", "watchdog")
+        for label in order if repetition % 2 == 0 else reversed(order):
+            watchdog = label == "watchdog"
+            elapsed, fingerprint, stats = _run_once(graph, watchdog=watchdog)
+            assert fingerprint == oracle, "%s arm diverged from vectorized" % label
+            timings[label] = min(timings[label], elapsed)
+            if watchdog:
+                watchdog_stats = stats
 
     ratio = timings["watchdog"] / max(timings["baseline"], 1e-9)
     rows = [

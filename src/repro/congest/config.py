@@ -82,7 +82,7 @@ class CongestConfig:
         Accepted for backward compatibility only, and only with the values
         ``"process"`` / ``"persistent"`` / ``"fuse"`` — the sole behaviour
         left: the sharded engine always runs worker processes inside a
-        session, and composite runners always execute the fused plan.
+        session, and the composite runner always fuses its phases.
         None is stored.
     """
 

@@ -302,24 +302,6 @@ class Protocol:
         """
         return None
 
-    def effects(self) -> Optional[Any]:
-        """Declared context-state footprint of this protocol, or ``None``.
-
-        A protocol that is part of a composite pipeline may return a
-        :class:`repro.congest.pipeline.PhaseEffects` describing which state
-        keys and globals its hooks read and write, which output registers it
-        touches, and which cross-phase artifacts (BFS tree, leader,
-        component map) it produces or consumes.  The pipeline compiler
-        (:func:`repro.congest.pipeline.compile_pipeline`) uses the
-        declarations to validate the phase graph's dataflow and to fuse
-        compatible adjacent phases into one session ``execute``; the PIPE001
-        lint rule keeps the declarations honest against the hook bodies.
-
-        The default is ``None``: an undeclared protocol is never fused — it
-        always runs as its own pipeline stage, exactly as before.
-        """
-        return None
-
     def collect_output(self, ctx: NodeContext) -> Any:
         """Value reported for this node in the run result (default: output)."""
         return ctx.output

@@ -173,10 +173,10 @@ class ShardingStats:
     plan:
         The session's :class:`ShardPlan`, fixed when it opens.
     rearms / fused_phases:
-        Pool-wide protocol ships (one per ``arm`` that crossed the pipes) and re-arms *elided* by the pipeline compiler's phase
-        fusion (``len(group) - 1`` per fused group).  Under full fusion a
-        composite's ``rearms`` stays strictly below its phase count — the
-        invariant ``tests/test_sharding.py`` pins.
+        Pool-wide protocol ships (one per ``arm`` that crossed the pipes)
+        and re-arms *elided* by ``execute_fused`` (``len(group) - 1`` per
+        fused group).  A full ``DistNearCliqueRunner`` run records 2 and
+        12: the sampling phase, then one group of the other 13.
     """
 
     # Read only by perfbench's _check_sharding and its sharding.recoveries row.

@@ -37,7 +37,6 @@ from repro.congest.errors import RoundLimitExceeded
 from repro.congest.metrics import RunMetrics
 from repro.congest.network import Network
 from repro.congest.node import Protocol
-from repro.congest.pipeline import PhaseEffects, PipelinePlan, compile_pipeline
 from repro.congest.scheduler import run_protocol
 from repro.core import phases
 from repro.core.params import AlgorithmParameters
@@ -45,7 +44,6 @@ from repro.core.result import CandidateSet, NearCliqueResult
 from repro.core import near_clique
 from repro.primitives.bfs_tree import (
     KEY_PARENT,
-    KEY_PARTICIPANT,
     KEY_ROOT,
     MinIdBFSTreeProtocol,
     ParentNotificationProtocol,
@@ -74,10 +72,9 @@ class DistNearCliqueRunner:
         Execution-engine selector (``"reference"``, ``"vectorized"`` or
         ``"sharded"``, see :mod:`repro.congest.engine`)
         applied on top of *config*, or an already-constructed
-        :class:`repro.congest.engine.Engine` instance (how benchmarks pass
-        a stats-collecting engine).  ``None`` keeps the configuration's
-        engine (``"vectorized"`` by default).  All engines produce
-        bit-identical outputs and protocol metrics, so this is a
+        :class:`repro.congest.engine.Engine` instance.  ``None`` keeps the
+        configuration's engine (``"vectorized"`` by default).  All engines
+        produce bit-identical outputs and protocol metrics, so this is a
         throughput knob; under ``"sharded"`` every phase steps
         ``config.shards`` graph partitions.
 
@@ -90,22 +87,11 @@ class DistNearCliqueRunner:
     :class:`repro.congest.sharding.ShardingStats` with per-phase partials
     for process sessions, ``None`` otherwise).
 
-    The exploration + decision stages are executed through the **pipeline
-    compiler** (:mod:`repro.congest.pipeline`): the phase sequence's
-    declared effects are validated once per runner and compiled into a
-    :class:`~repro.congest.pipeline.PipelinePlan` whose groups each run
-    through one ``session.execute_fused`` call — one worker re-arm and one
-    context fold-back per *group* on the process backend, a plain
-    ``execute`` loop on every other session.  The compiled plan is exposed
-    as :attr:`last_pipeline_plan`.
+    After sampling, the exploration and decision stages run as one
+    ``session.execute_fused`` call over :meth:`_phase_sequence`: one worker
+    re-arm and one context fold-back for all 13 phases on the process
+    backend, a plain ``execute`` loop on every other session.
     """
-
-    #: Context keys written before the exploration stage starts (sampling
-    #: outputs and forced-sample inputs) — the compiled plan's external
-    #: inputs.
-    _EXTERNAL_READS = frozenset(
-        {KEY_PARTICIPANT, phases.KEY_IN_SAMPLE, phases.KEY_FORCED_SAMPLE}
-    )
 
     def __init__(
         self,
@@ -142,11 +128,6 @@ class DistNearCliqueRunner:
         #: Accounting of the execution session the last :meth:`run` opened
         #: (``None`` for engines that collect none — every in-process one).
         self.last_session_stats = None
-        #: The :class:`~repro.congest.pipeline.PipelinePlan` the runner
-        #: executes, compiled by the first run that reaches the exploration
-        #: stage (``None`` before).  The phase sequence is static, so
-        #: validation and planning run once per runner, not once per run.
-        self.last_pipeline_plan: Optional[PipelinePlan] = None
 
     # ------------------------------------------------------------------
     def run(
@@ -271,17 +252,13 @@ class DistNearCliqueRunner:
                 )
 
             # --- exploration + decision stages ------------------------------
-            if self.last_pipeline_plan is None:
-                self.last_pipeline_plan = compile_pipeline(
-                    self._phase_sequence(), external_reads=self._EXTERNAL_READS
-                )
+            phase_sequence = self._phase_sequence()
             try:
-                for group in self.last_pipeline_plan.groups:
-                    group_results = session.execute_fused(
-                        list(group.protocols), config=config, reuse_contexts=True
-                    )
-                    for phase, phase_result in zip(group.protocols, group_results):
-                        metrics.merge(phase_result.metrics, label=phase.name)
+                phase_results = session.execute_fused(
+                    phase_sequence, config=config, reuse_contexts=True
+                )
+                for phase, phase_result in zip(phase_sequence, phase_results):
+                    metrics.merge(phase_result.metrics, label=phase.name)
             except RoundLimitExceeded as exc:
                 return self._aborted_result(
                     network, sample_ids, metrics, "round limit exceeded: %s" % exc
@@ -311,12 +288,6 @@ class DistNearCliqueRunner:
                 items_fn=phases.k_size_items,
                 store_fn=phases.store_k_size,
                 label="nc-k-size-broadcast",
-                # k_size_items / store_k_size touch the root-size and
-                # per-node size tables beyond the base phase's footprint.
-                extra_effects=PhaseEffects(
-                    reads=(phases.KEY_K_ROOT_SIZES, phases.KEY_K_SIZES),
-                    writes=(phases.KEY_K_SIZES,),
-                ),
             ),
             phases.KAnnouncePhase(),
             phases.UpAggregationPhase(
@@ -325,31 +296,11 @@ class DistNearCliqueRunner:
                 pre_start=phases.build_t_membership,
                 root_finalize=phases.select_best_subset,
                 label="nc-t-aggregation",
-                # build_t_membership derives T_ε(X) from the K-tables and
-                # the announcer sets; select_best_subset picks the best
-                # subset from the component membership at each root.
-                extra_effects=PhaseEffects(
-                    reads=(
-                        phases.KEY_K_MEMBERSHIP,
-                        phases.KEY_K_NEIGHBOR_ANNOUNCERS,
-                        phases.KEY_COMP_MEMBERS,
-                    ),
-                    writes=(phases.KEY_T_MEMBERSHIP, phases.KEY_BEST),
-                    globals_read=(
-                        phases.GLOBAL_EPSILON,
-                        phases.GLOBAL_STEP4F_SAMPLING,
-                        phases.GLOBAL_STEP4F_SAMPLE_SIZE,
-                    ),
-                ),
             ),
             phases.DownBroadcastPhase(
                 items_fn=phases.best_items,
                 store_fn=phases.store_best,
                 label="nc-best-broadcast",
-                extra_effects=PhaseEffects(
-                    reads=(phases.KEY_BEST, phases.KEY_BEST_KNOWN),
-                    writes=(phases.KEY_BEST_KNOWN,),
-                ),
             ),
             phases.VotePhase(),
             phases.FinalLabelPhase(),

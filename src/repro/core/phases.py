@@ -90,12 +90,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from repro.congest.message import Inbound, Message, id_bits_for, KIND_TAG_BITS
 from repro.congest.node import NodeContext, Protocol
-from repro.congest.pipeline import (
-    ARTIFACT_BFS_TREE,
-    ARTIFACT_COMPONENT_MAP,
-    ARTIFACT_TREE_CHILDREN,
-    PhaseEffects,
-)
 from repro.congest.randomness import node_coin, node_coin_column
 from repro.congest.vectorized import (
     ALL_NEIGHBORS,
@@ -247,14 +241,6 @@ class SamplingPhase(Protocol):
     name = "nc-sampling"
     quiesce_terminates = True
 
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(
-            reads=(KEY_FORCED_SAMPLE, KEY_IN_SAMPLE, KEY_PARTICIPANT),
-            writes=(KEY_IN_SAMPLE, KEY_PARTICIPANT),
-            globals_read=(GLOBAL_SAMPLE_PROBABILITY, GLOBAL_FORCED_SAMPLE),
-            writes_output=True,
-        )
-
     def on_start(self, ctx: NodeContext) -> None:
         self.draw(ctx)
         ctx.halt()
@@ -329,19 +315,6 @@ class CompDisseminationPhase(Protocol):
 
     name = "nc-comp-dissemination"
     quiesce_terminates = True
-
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(
-            reads=(
-                KEY_IN_SAMPLE,
-                KEY_COMP_BCAST,
-                KEY_ROOT,
-                KEY_ADJ_COMPONENTS,
-                Outbox.STATE_KEY,
-            ),
-            writes=(KEY_COMP_MEMBERS, KEY_ADJ_COMPONENTS, Outbox.STATE_KEY),
-            consumes=(ARTIFACT_COMPONENT_MAP,),
-        )
 
     def on_start(self, ctx: NodeContext) -> None:
         if _in_sample(ctx):
@@ -466,26 +439,6 @@ class LocalSubsetPhase(Protocol):
     name = "nc-local-subsets"
     quiesce_terminates = True
     scope = (KEY_IN_SAMPLE, KEY_ADJ_COMPONENTS)
-
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(
-            reads=(
-                KEY_IN_SAMPLE,
-                KEY_COMP_MEMBERS,
-                KEY_ROOT,
-                KEY_ADJ_COMPONENTS,
-                KEY_ATTACHED_LEAVES,
-                Outbox.STATE_KEY,
-            ),
-            writes=(
-                KEY_ATTACHED_LEAVES,
-                KEY_ADJ_MEMBERS,
-                KEY_ATTACH_PARENT,
-                KEY_K_MEMBERSHIP,
-                Outbox.STATE_KEY,
-            ),
-            globals_read=(GLOBAL_EPSILON,),
-        )
 
     def on_start(self, ctx: NodeContext) -> None:
         eps = _epsilon(ctx)
@@ -632,46 +585,17 @@ class UpAggregationPhase(Protocol):
         pre_start: Optional[Callable[[NodeContext], None]] = None,
         root_finalize: Optional[Callable[[NodeContext, Dict[int, int]], None]] = None,
         label: str = "nc-up-aggregation",
-        extra_effects: Optional[PhaseEffects] = None,
     ) -> None:
         self.membership_key = membership_key
         self.result_key = result_key
         self.pre_start = pre_start
         self.root_finalize = root_finalize
         self.name = label
-        self.extra_effects = extra_effects
 
     # local state keys (per phase instance we prefix with the result key so
     # that successive aggregations do not trample each other's bookkeeping)
     def _key(self, suffix: str) -> str:
         return "%s.%s" % (self.result_key, suffix)
-
-    def effects(self) -> PhaseEffects:
-        # ``extra_effects`` covers the injected ``pre_start`` /
-        # ``root_finalize`` callables, whose footprint the class cannot know.
-        return PhaseEffects(
-            reads=(
-                KEY_IN_SAMPLE,
-                KEY_ROOT,
-                KEY_PARENT,
-                KEY_CHILDREN,
-                KEY_ATTACHED_LEAVES,
-                KEY_ATTACH_PARENT,
-                self.membership_key,
-                self._key("counters"),
-                self._key("waiting"),
-                self._key("flushed"),
-                Outbox.STATE_KEY,
-            ),
-            writes=(
-                self.result_key,
-                self._key("counters"),
-                self._key("waiting"),
-                self._key("flushed"),
-                Outbox.STATE_KEY,
-            ),
-            consumes=(ARTIFACT_BFS_TREE, ARTIFACT_TREE_CHILDREN),
-        ).merged(self.extra_effects)
 
     def on_start(self, ctx: NodeContext) -> None:
         if self.pre_start is not None and (
@@ -885,29 +809,10 @@ class DownBroadcastPhase(Protocol):
         items_fn: Callable[[NodeContext], List[Tuple[int, ...]]],
         store_fn: Callable[[NodeContext, int, Tuple[int, ...]], None],
         label: str = "nc-down-broadcast",
-        extra_effects: Optional[PhaseEffects] = None,
     ) -> None:
         self.items_fn = items_fn
         self.store_fn = store_fn
         self.name = label
-        self.extra_effects = extra_effects
-
-    def effects(self) -> PhaseEffects:
-        # ``extra_effects`` covers the injected ``items_fn`` / ``store_fn``
-        # callables, whose footprint the class cannot know.
-        return PhaseEffects(
-            reads=(
-                KEY_IN_SAMPLE,
-                KEY_ROOT,
-                KEY_PARENT,
-                KEY_CHILDREN,
-                KEY_ATTACHED_LEAVES,
-                KEY_ATTACH_PARENT,
-                Outbox.STATE_KEY,
-            ),
-            writes=(Outbox.STATE_KEY,),
-            consumes=(ARTIFACT_BFS_TREE, ARTIFACT_TREE_CHILDREN),
-        ).merged(self.extra_effects)
 
     def _forward(self, ctx: NodeContext, root: int, item: Tuple[int, ...]) -> None:
         outbox = Outbox.for_ctx(ctx)
@@ -1022,12 +927,6 @@ class KAnnouncePhase(Protocol):
     name = "nc-k-announce"
     quiesce_terminates = True
     scope = (KEY_K_MEMBERSHIP,)
-
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(
-            reads=(KEY_K_MEMBERSHIP, KEY_K_SIZES, Outbox.STATE_KEY),
-            writes=(KEY_K_NEIGHBOR_ANNOUNCERS, Outbox.STATE_KEY),
-        )
 
     def on_start(self, ctx: NodeContext) -> None:
         memberships: Dict[int, Set[int]] = ctx.state.get(KEY_K_MEMBERSHIP, {})
@@ -1222,30 +1121,6 @@ class VotePhase(Protocol):
     quiesce_terminates = True
     scope = (KEY_IN_SAMPLE, KEY_BEST_KNOWN)
 
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(
-            reads=(
-                KEY_IN_SAMPLE,
-                KEY_BEST_KNOWN,
-                KEY_PARENT,
-                KEY_CHILDREN,
-                KEY_ATTACHED_LEAVES,
-                KEY_ATTACH_PARENT,
-                "_vote_waiting",
-                "_vote_abort",
-                "_vote_flushed",
-                Outbox.STATE_KEY,
-            ),
-            writes=(
-                KEY_ABORT_SEEN,
-                "_vote_waiting",
-                "_vote_abort",
-                "_vote_flushed",
-                Outbox.STATE_KEY,
-            ),
-            consumes=(ARTIFACT_BFS_TREE, ARTIFACT_TREE_CHILDREN),
-        )
-
     def on_start(self, ctx: NodeContext) -> None:
         best_known: Dict[int, Tuple[int, int]] = ctx.state.get(KEY_BEST_KNOWN, {})
         if _in_sample(ctx):
@@ -1394,16 +1269,6 @@ class FinalLabelPhase(DownBroadcastPhase):
     def __init__(self) -> None:
         super().__init__(
             items_fn=self._items, store_fn=self._store, label="nc-final-labels"
-        )
-
-    def effects(self) -> PhaseEffects:
-        return super().effects().merged(
-            PhaseEffects(
-                reads=(KEY_BEST, KEY_ABORT_SEEN, KEY_T_MEMBERSHIP),
-                writes=(KEY_SURVIVED,),
-                globals_read=(GLOBAL_MIN_OUTPUT_SIZE,),
-                writes_output=True,
-            )
         )
 
     @staticmethod

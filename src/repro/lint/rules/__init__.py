@@ -19,17 +19,12 @@ module covers one family of engine invariants:
     The sanctioned protocol life cycle: no sends after ``ctx.halt()``, no
     private context access, vectorized kernels paired with callback
     semantics.
-``pipeline``  (PIPE0xx)
-    Declared ``PhaseEffects`` drive phase fusion and prefix caching
-    (``congest/pipeline.py``); hooks must not touch context keys their
-    declaration omits.
 """
 
 from repro.lint.rules import (  # noqa: F401
     budget,
     determinism,
     hooks,
-    pipeline,
     process_safety,
     wire,
 )

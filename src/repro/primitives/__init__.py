@@ -6,8 +6,8 @@ paper) are built from a small number of classic CONGEST primitives:
 * rooted BFS spanning-tree construction per connected component, rooted at
   the component's minimum identifier (exploration Step 1);
 * learning one's children in the tree (needed for convergecast);
-* convergecast — collecting identifiers, or summing per-key counters, up the
-  tree with pipelining (exploration Steps 2 and 4c, decision Step 1);
+* convergecast — collecting identifiers up the tree with pipelining
+  (exploration Step 2);
 * broadcast — streaming a list of values down the tree (exploration Steps 2
   and 4d, decision Steps 2 and 4);
 * min-identifier flooding (leader election), used on its own by tests and by
@@ -26,10 +26,7 @@ from repro.primitives.bfs_tree import (
     ParentNotificationProtocol,
 )
 from repro.primitives.broadcast import TreeBroadcastProtocol
-from repro.primitives.convergecast import (
-    ConvergecastCollectProtocol,
-    ConvergecastSumProtocol,
-)
+from repro.primitives.convergecast import ConvergecastCollectProtocol
 from repro.primitives.leader_election import MinIdFloodingProtocol
 from repro.primitives.pipelines import Outbox
 
@@ -39,7 +36,6 @@ __all__ = [
     "ParentNotificationProtocol",
     "TreeBroadcastProtocol",
     "ConvergecastCollectProtocol",
-    "ConvergecastSumProtocol",
     "MinIdFloodingProtocol",
     "Outbox",
 ]

@@ -25,12 +25,6 @@ from typing import List, Optional
 
 from repro.congest.message import Inbound, Message, id_bits_for, KIND_TAG_BITS
 from repro.congest.node import NodeContext, Protocol
-from repro.congest.pipeline import (
-    ARTIFACT_BFS_TREE,
-    ARTIFACT_LEADER,
-    ARTIFACT_TREE_CHILDREN,
-    PhaseEffects,
-)
 
 #: State keys written by the protocols in this module.
 KEY_PARTICIPANT = "participant"
@@ -84,13 +78,6 @@ class MinIdBFSTreeProtocol(Protocol):
     # ------------------------------------------------------------------
     def _participates(self, ctx: NodeContext) -> bool:
         return bool(ctx.state.get(self.participant_key))
-
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(
-            reads=(self.participant_key, KEY_ROOT, KEY_PARENT, KEY_DEPTH),
-            writes=(KEY_ROOT, KEY_PARENT, KEY_DEPTH),
-            produces=(ARTIFACT_BFS_TREE, ARTIFACT_LEADER),
-        )
 
     def on_start(self, ctx: NodeContext) -> None:
         if not self._participates(ctx):
@@ -153,14 +140,6 @@ class ParentNotificationProtocol(Protocol):
 
     def _participates(self, ctx: NodeContext) -> bool:
         return bool(ctx.state.get(self.participant_key))
-
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(
-            reads=(self.participant_key, KEY_PARENT, KEY_CHILDREN),
-            writes=(KEY_CHILDREN,),
-            consumes=(ARTIFACT_BFS_TREE,),
-            produces=(ARTIFACT_TREE_CHILDREN,),
-        )
 
     def on_start(self, ctx: NodeContext) -> None:
         if not self._participates(ctx):

@@ -13,11 +13,6 @@ from typing import Any, List, Optional
 
 from repro.congest.message import Inbound, Message, id_bits_for, KIND_TAG_BITS
 from repro.congest.node import NodeContext, Protocol
-from repro.congest.pipeline import (
-    ARTIFACT_BFS_TREE,
-    ARTIFACT_TREE_CHILDREN,
-    PhaseEffects,
-)
 from repro.primitives.bfs_tree import KEY_CHILDREN, KEY_PARENT, KEY_PARTICIPANT
 from repro.primitives.pipelines import Outbox
 
@@ -72,20 +67,6 @@ class TreeBroadcastProtocol(Protocol):
 
     def _participates(self, ctx: NodeContext) -> bool:
         return bool(ctx.state.get(self.participant_key))
-
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(
-            reads=(
-                self.participant_key,
-                self.input_key,
-                self.output_key,
-                KEY_PARENT,
-                KEY_CHILDREN,
-                Outbox.STATE_KEY,
-            ),
-            writes=(self.output_key, Outbox.STATE_KEY),
-            consumes=(ARTIFACT_BFS_TREE, ARTIFACT_TREE_CHILDREN),
-        )
 
     def on_start(self, ctx: NodeContext) -> None:
         if not self._participates(ctx):

@@ -11,7 +11,6 @@ import threading
 
 from repro.congest.message import Message
 from repro.congest.node import NodeContext, Protocol
-from repro.congest.pipeline import PhaseEffects
 
 
 class BadRandomnessProtocol(Protocol):
@@ -120,15 +119,3 @@ class BadKernelProtocol(Protocol):
 
     def vectorized_kernel(self):  # expect: HOOK003
         return object()
-
-
-class BadEffectsProtocol(Protocol):
-    """PIPE001 — a PhaseEffects declaration the hooks do not honour."""
-
-    name = "bad-effects"
-
-    def effects(self) -> PhaseEffects:
-        return PhaseEffects(reads=("token",), writes=("token",))
-
-    def on_round(self, ctx: NodeContext, inbox) -> None:
-        ctx.state["winner"] = ctx.state.get("token")  # expect: PIPE001

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest.config import CongestConfig
+from repro.congest.engine import get_engine
+from repro.congest.network import Network
 from repro.core import near_clique
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.params import AlgorithmParameters
@@ -153,6 +155,42 @@ class TestPaperOracleProperty:
         assert _candidate_keys(result) == _candidate_keys(oracle)
 
 
+#: The exploration and decision phases, in the order the runner fuses them.
+FUSED_PHASES = (
+    "min-id-bfs-tree",
+    "bfs-parent-notification",
+    "convergecast-collect",
+    "tree-broadcast",
+    "nc-comp-dissemination",
+    "nc-local-subsets",
+    "nc-k-aggregation",
+    "nc-k-size-broadcast",
+    "nc-k-announce",
+    "nc-t-aggregation",
+    "nc-best-broadcast",
+    "nc-vote",
+    "nc-final-labels",
+)
+
+
+class _SpySession:
+    """Wraps a session and records each call the runner makes on it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.network = inner.network
+        self.stats = inner.stats
+        self.calls = []
+
+    def execute(self, protocol, **kwargs):
+        self.calls.append(("execute", [protocol.name]))
+        return self.inner.execute(protocol, **kwargs)
+
+    def execute_fused(self, protocols, **kwargs):
+        self.calls.append(("execute_fused", [p.name for p in protocols]))
+        return self.inner.execute_fused(protocols, **kwargs)
+
+
 class TestRunnerBehaviour:
     def test_coin_flip_mode_draws_reasonable_sample(self, planted_workload):
         graph, _ = planted_workload
@@ -205,6 +243,26 @@ class TestRunnerBehaviour:
         breakdown = result.metrics.protocol_breakdown
         for phase in ("nc-sampling", "min-id-bfs-tree", "nc-k-aggregation", "nc-vote"):
             assert phase in breakdown
+
+    def test_runs_sampling_then_one_fused_call(self):
+        graph = nx.connected_caveman_graph(2, 8)
+        network = Network(graph, seed=3)
+        config = CongestConfig(engine="vectorized").with_log_budget(network.n)
+        spy = _SpySession(get_engine("vectorized").open_session(network, config))
+        runner = DistNearCliqueRunner(
+            epsilon=0.25, sample_probability=0.05, max_sample_size=None
+        )
+        result = runner.run(network=network, sample=(0, 1, 9), session=spy)
+        assert not result.aborted
+        assert spy.calls == [
+            ("execute", ["nc-sampling"]),
+            ("execute_fused", list(FUSED_PHASES)),
+        ]
+        # Every phase's metrics are merged under its own name.
+        assert list(result.metrics.protocol_breakdown) == [
+            "nc-sampling",
+            *FUSED_PHASES,
+        ]
 
     def test_round_complexity_scales_with_two_to_sample(self, planted_workload):
         graph, _ = planted_workload

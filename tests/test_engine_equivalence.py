@@ -48,12 +48,7 @@ from repro.primitives.bfs_tree import (
     ParentNotificationProtocol,
 )
 from repro.primitives.broadcast import TreeBroadcastProtocol
-from repro.primitives.convergecast import (
-    KEY_COLLECTED,
-    KEY_LOCAL_COUNTERS,
-    ConvergecastCollectProtocol,
-    ConvergecastSumProtocol,
-)
+from repro.primitives.convergecast import KEY_COLLECTED, ConvergecastCollectProtocol
 from repro.primitives.leader_election import MinIdFloodingProtocol
 
 from conftest import CallbacksEngine, round_trace, run_fingerprint
@@ -141,9 +136,6 @@ def _run_primitive_suite(graph, engine, in_session=False, **config_fields):
                 reuse_contexts=True,
             ),
         ]
-        counters = {v: {KEY_LOCAL_COUNTERS: {1: 1, 2: v % 3}} for v in network.node_ids}
-        network.build_contexts(per_node_inputs=counters, fresh=False)
-        fingerprints.append(run(ConvergecastSumProtocol(), reuse_contexts=True))
     return fingerprints
 
 
@@ -444,7 +436,8 @@ SESSION_GRAPHS = [
 
 
 class _EchoSessionGlobal(Protocol):
-    """Reports a global input — pins re-arm delivery of ``global_inputs``."""
+    """Reports a global and a per-node input — pins re-arm delivery of
+    ``global_inputs`` and ``per_node_inputs``."""
 
     name = "echo-session-global"
     quiesce_terminates = True
@@ -453,7 +446,9 @@ class _EchoSessionGlobal(Protocol):
         ctx.send_all(Message(kind="ping"))
 
     def on_round(self, ctx, inbox):
-        ctx.write_output((ctx.globals.get("session_tag"), len(inbox)))
+        ctx.write_output(
+            (ctx.globals.get("session_tag"), ctx.state.get("session_input"), len(inbox))
+        )
         ctx.halt()
 
 
@@ -509,7 +504,7 @@ class TestSessionMode:
         # applies them.
         graph = nx.gnp_random_graph(20, 0.25, seed=8)
         per_node = _participants(graph)
-        inputs = {v: {KEY_LOCAL_COUNTERS: {1: v % 4, 5: 1}} for v in graph.nodes()}
+        inputs = {v: {"session_input": v % 4} for v in graph.nodes()}
         results = {}
         for name in ("reference", "session"):
             network = Network(graph, seed=55)
@@ -535,21 +530,13 @@ class TestSessionMode:
                     session=session,
                 )
                 chain.append(run_fingerprint(children))
-                sums = run_protocol(
-                    network,
-                    ConvergecastSumProtocol(),
-                    config=config,
-                    reuse_contexts=True,
-                    per_node_inputs=inputs,
-                    session=session,
-                )
-                chain.append(run_fingerprint(sums))
                 echoed = run_protocol(
                     network,
                     _EchoSessionGlobal(),
                     config=config,
                     reuse_contexts=True,
                     global_inputs={"session_tag": 41},
+                    per_node_inputs=inputs,
                     session=session,
                 )
                 chain.append(run_fingerprint(echoed))
@@ -558,6 +545,9 @@ class TestSessionMode:
         assert all(
             value[0] == 41 for value in echoed.outputs.values()
         ), "global input did not reach the re-armed workers"
+        assert all(
+            value[1] == v % 4 for v, value in echoed.outputs.items()
+        ), "per-node input did not reach the re-armed workers"
 
 
 class TestEngineRegistry:

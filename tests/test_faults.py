@@ -457,7 +457,9 @@ class TestProcessPipelineFailure:
         assert responses[0]["error"]["code"] == "congest-error"
         assert responses[1]["ok"] is True
         assert responses[1]["query"]["kind"] == "full"
-        assert dict(responses[1]["labels"]) == _fresh(graph, 3).labels
+        fresh = _fresh(graph, 3)
+        assert responses[1]["sample"] == sorted(fresh.sample)
+        assert dict(responses[1]["labels"]) == fresh.labels
         assert not marker.exists()
         _assert_no_worker_processes()
 

@@ -122,7 +122,6 @@ class TestRuleRegistry:
         "HOOK001": SEVERITY_ERROR,
         "HOOK002": SEVERITY_ERROR,
         "HOOK003": SEVERITY_ERROR,
-        "PIPE001": SEVERITY_ERROR,
         "SUP001": SEVERITY_WARNING,
         "SUP002": SEVERITY_WARNING,
     }
@@ -208,98 +207,6 @@ class TestCli:
 
         assert repro_main(["lint", str(CLEAN)]) == 0
         assert repro_main(["lint", str(BAD)]) == 1
-
-
-class TestPipelineEffectsRule:
-    """PIPE001 resolution boundaries: what is checked and what is skipped."""
-
-    HEADER = (
-        "from repro.congest.node import NodeContext, Protocol\n"
-        "from repro.congest.pipeline import PhaseEffects\n"
-        'KEY_TOKEN = "token"\n'
-    )
-
-    def _lint(self, tmp_path, body):
-        target = tmp_path / "pipe_case.py"
-        target.write_text(self.HEADER + body)
-        return [f for f in run_lint([str(target)]) if f.rule_id == "PIPE001"]
-
-    def test_module_constant_keys_resolve_on_both_sides(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            "class P(Protocol):\n"
-            '    name = "p"\n'
-            "    def effects(self):\n"
-            "        return PhaseEffects(reads=(KEY_TOKEN,))\n"
-            "    def on_start(self, ctx):\n"
-            '        ctx.state["token"]\n'
-            "        ctx.state[KEY_TOKEN] = 1\n",
-        )
-        # The read resolves through the constant and is covered; the write
-        # is undeclared and fires.
-        assert len(findings) == 1
-        assert "writes ctx.state['token']" in findings[0].message
-
-    def test_unresolvable_declaration_element_opens_the_category(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            "class P(Protocol):\n"
-            '    name = "p"\n'
-            "    def effects(self):\n"
-            "        return PhaseEffects(reads=(self.participant_key,))\n"
-            "    def on_start(self, ctx):\n"
-            '        ctx.state["anything"]\n',
-        )
-        assert findings == []
-
-    def test_dynamic_composition_skips_the_class(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            "class P(Protocol):\n"
-            '    name = "p"\n'
-            "    def effects(self):\n"
-            "        return PhaseEffects(reads=()).merged(self.extra)\n"
-            "    def on_start(self, ctx):\n"
-            '        ctx.state["anything"] = 1\n',
-        )
-        assert findings == []
-
-    def test_dynamic_usage_keys_are_skipped(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            "class P(Protocol):\n"
-            '    name = "p"\n'
-            "    def effects(self):\n"
-            "        return PhaseEffects(reads=())\n"
-            "    def on_start(self, ctx):\n"
-            "        ctx.state.get(self.key)\n"
-            "        ctx.state[compute()] = 1\n",
-        )
-        assert findings == []
-
-    def test_undeclared_protocol_is_out_of_scope(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            "class P(Protocol):\n"
-            '    name = "p"\n'
-            "    def on_start(self, ctx):\n"
-            '        ctx.state["anything"] = 1\n',
-        )
-        assert findings == []
-
-    def test_globals_read_is_checked(self, tmp_path):
-        findings = self._lint(
-            tmp_path,
-            "class P(Protocol):\n"
-            '    name = "p"\n'
-            "    def effects(self):\n"
-            '        return PhaseEffects(globals_read=("eps",))\n'
-            "    def on_start(self, ctx):\n"
-            '        ctx.globals.get("eps")\n'
-            '        ctx.globals["delta"]\n',
-        )
-        assert len(findings) == 1
-        assert "globals['delta']" in findings[0].message
 
 
 class TestSelfApplication:

@@ -16,12 +16,7 @@ from repro.primitives.broadcast import (
     KEY_BROADCAST_OUTPUT,
     TreeBroadcastProtocol,
 )
-from repro.primitives.convergecast import (
-    KEY_COLLECTED,
-    KEY_LOCAL_COUNTERS,
-    ConvergecastCollectProtocol,
-    ConvergecastSumProtocol,
-)
+from repro.primitives.convergecast import KEY_COLLECTED, ConvergecastCollectProtocol
 from repro.primitives.leader_election import MinIdFloodingProtocol
 from repro.primitives.pipelines import Outbox, chunk_id_list
 from repro.congest.node import NodeContext
@@ -173,40 +168,6 @@ class TestConvergecastCollect:
             network, ConvergecastCollectProtocol(), reuse_contexts=True
         )
         assert collected.outputs[1] == [1, 3, 5]
-
-
-class TestConvergecastSum:
-    def test_sums_per_key(self):
-        graph = nx.path_graph(6)
-        network = Network(graph, seed=1)
-        per_node = _participants(graph)
-        _build_tree(network, per_node)
-        counters = {
-            v: {KEY_LOCAL_COUNTERS: {1: 1, 2: v}} for v in graph.nodes()
-        }
-        network.build_contexts(per_node_inputs=counters, fresh=False)
-        sums = run_protocol(network, ConvergecastSumProtocol(), reuse_contexts=True)
-        assert sums.outputs[0] == {1: 6, 2: sum(range(6))}
-
-    def test_missing_counters_treated_as_empty(self):
-        graph = nx.path_graph(4)
-        network = Network(graph, seed=1)
-        per_node = _participants(graph)
-        _build_tree(network, per_node)
-        counters = {0: {KEY_LOCAL_COUNTERS: {7: 2}}}
-        network.build_contexts(per_node_inputs=counters, fresh=False)
-        sums = run_protocol(network, ConvergecastSumProtocol(), reuse_contexts=True)
-        assert sums.outputs[0] == {7: 2}
-
-    def test_star_topology(self):
-        graph = nx.star_graph(9)
-        network = Network(graph, seed=1)
-        per_node = _participants(graph)
-        _build_tree(network, per_node)
-        counters = {v: {KEY_LOCAL_COUNTERS: {5: 1}} for v in graph.nodes()}
-        network.build_contexts(per_node_inputs=counters, fresh=False)
-        sums = run_protocol(network, ConvergecastSumProtocol(), reuse_contexts=True)
-        assert sums.outputs[0] == {5: 10}
 
 
 class TestTreeBroadcast:

@@ -36,7 +36,6 @@ from repro.congest.errors import (
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
-from repro.congest.pipeline import compile_pipeline
 from repro.congest.scheduler import run_protocol
 from repro.congest.sharding import (
     SharedCSR,
@@ -46,6 +45,7 @@ from repro.congest.sharding import (
     partition_network,
 )
 from repro.congest.sharding.engine import _ShardState, _ShardStepper
+from repro.core import phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 
@@ -1174,10 +1174,6 @@ class TestPipelineFusionSession:
         # covering the entire fused exploration+decision suffix.
         assert stats.rearms == 2
         assert stats.fused_phases == phases_executed - stats.rearms
-        plan = runner.last_pipeline_plan
-        assert plan is not None
-        assert plan.fused_phase_count == stats.fused_phases
-        assert any(group.fused for group in plan.groups)
         # Per-phase accounting survives fusion: every phase label is still
         # observed, and totals equal the sum of the partials.
         assert stats.protocol_messages == sum(
@@ -1253,8 +1249,9 @@ class TestRemovedSurfaceStaysRemoved:
     worker-recovery layer, a session's absorption of deltas with the CSR
     fingerprint and the partition memo behind it, the network's extra
     topology views, the engine-held sharding stats, and the process
-    backend's fault injection, supervised retry and degradation were
-    deleted, not deprecated: an old spelling fails loudly instead of being
+    backend's fault injection, supervised retry and degradation, and the
+    pipeline compiler with its per-protocol effect declarations and lint
+    rule were deleted, not deprecated: an old spelling fails loudly instead of being
     ignored.
     """
 
@@ -1265,6 +1262,16 @@ class TestRemovedSurfaceStaysRemoved:
     def test_fault_injection_module_is_gone(self):
         with pytest.raises(ImportError):
             importlib.import_module("repro.congest.sharding.faults")
+
+    def test_pipeline_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.congest.pipeline")
+
+    def test_no_pipeline_lint_rule(self, capsys):
+        from repro.lint.cli import main as lint_main
+
+        assert lint_main(["--list-rules"]) == 0
+        assert "PIPE001" not in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "owner,name",
@@ -1281,10 +1288,6 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.congest.metrics:RunMetrics", "ack_messages"),
             ("repro.congest.metrics:RunMetrics", "safety_messages"),
             ("repro.congest.metrics:RunMetrics", "control_messages"),
-            ("repro.congest.pipeline", "ArtifactCache"),
-            ("repro.congest.pipeline", "CachedPrefix"),
-            ("repro.congest.pipeline", "snapshot_contexts"),
-            ("repro.congest.pipeline", "restore_contexts"),
             ("repro.congest.network:Network", "induced_subgraph"),
             ("repro.congest", "SynchronousScheduler"),
             ("repro.congest.scheduler", "SynchronousScheduler"),
@@ -1351,6 +1354,11 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.congest.sharding.workers", "FaultInjector"),
             ("repro.congest.sharding.workers:ProcessSession", "_run_on_pool"),
             ("repro.cli", "_retry_policy_from_args"),
+            ("repro.congest.node:Protocol", "effects"),
+            ("repro.core.dist_near_clique:DistNearCliqueRunner", "_EXTERNAL_READS"),
+            ("repro.primitives", "ConvergecastSumProtocol"),
+            ("repro.primitives.convergecast", "ConvergecastSumProtocol"),
+            ("repro.primitives.convergecast", "KEY_LOCAL_COUNTERS"),
         ],
         ids=lambda part: part.replace(":", "."),
     )
@@ -1364,10 +1372,17 @@ class TestRemovedSurfaceStaysRemoved:
     @pytest.mark.parametrize(
         "call",
         [
-            pytest.param(lambda: compile_pipeline([], mode="off"), id="compile_pipeline-mode"),
             pytest.param(
-                lambda: compile_pipeline([], max_group_size=2),
-                id="compile_pipeline-max_group_size",
+                lambda: phases.UpAggregationPhase(
+                    membership_key="m", result_key="r", extra_effects=None
+                ),
+                id="UpAggregationPhase-extra_effects",
+            ),
+            pytest.param(
+                lambda: phases.DownBroadcastPhase(
+                    items_fn=list, store_fn=print, extra_effects=None
+                ),
+                id="DownBroadcastPhase-extra_effects",
             ),
             pytest.param(
                 lambda: DistNearCliqueRunner(
@@ -1421,8 +1436,9 @@ class TestRemovedSurfaceStaysRemoved:
             ShardedEngine(**{keyword: 2})
 
     def test_removed_instance_attributes_are_gone(self):
-        # Instance state of the deleted strategies, repair path, ledger and
-        # per-query shard report; opening a process session spawns nothing.
+        # Instance state of the deleted strategies, repair path, ledger,
+        # per-query shard report and the runner's compiled pipeline plan;
+        # opening a process session spawns nothing.
         network = Network(_three_cliques(), seed=0)
         plan = partition_network(network, 3)
         for name in ("strategy", "seed"):
@@ -1431,6 +1447,8 @@ class TestRemovedSurfaceStaysRemoved:
         assert not hasattr(ShardingStats(), "runs")
         assert not hasattr(get_engine("sharded"), "stats")
         assert not hasattr(get_engine("sharded"), "shards")
+        runner = DistNearCliqueRunner(epsilon=0.2, sample_probability=0.5)
+        assert not hasattr(runner, "last_pipeline_plan")
         network.apply_delta(removals=[(0, 1)])
         for name in (
             "_delta_log",
