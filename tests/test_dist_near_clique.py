@@ -244,15 +244,24 @@ class TestRunnerBehaviour:
         for phase in ("nc-sampling", "min-id-bfs-tree", "nc-k-aggregation", "nc-vote"):
             assert phase in breakdown
 
-    def test_runs_sampling_then_one_fused_call(self):
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param(dict(engine="reference"), id="reference"),
+            pytest.param(dict(engine="vectorized"), id="vectorized"),
+            pytest.param(dict(engine="sharded", shards=2), id="process"),
+        ],
+    )
+    def test_runs_sampling_then_one_fused_call(self, fields):
         graph = nx.connected_caveman_graph(2, 8)
         network = Network(graph, seed=3)
-        config = CongestConfig(engine="vectorized").with_log_budget(network.n)
-        spy = _SpySession(get_engine("vectorized").open_session(network, config))
+        config = CongestConfig(**fields).with_log_budget(network.n)
         runner = DistNearCliqueRunner(
-            epsilon=0.25, sample_probability=0.05, max_sample_size=None
+            epsilon=0.25, sample_probability=0.05, max_sample_size=None, config=config
         )
-        result = runner.run(network=network, sample=(0, 1, 9), session=spy)
+        with get_engine(config.engine).open_session(network, config) as session:
+            spy = _SpySession(session)
+            result = runner.run(network=network, sample=(0, 1, 9), session=spy)
         assert not result.aborted
         assert spy.calls == [
             ("execute", ["nc-sampling"]),
@@ -263,6 +272,9 @@ class TestRunnerBehaviour:
             "nc-sampling",
             *FUSED_PHASES,
         ]
+        breakdown = result.metrics.protocol_breakdown.values()
+        assert sum(m.rounds for m in breakdown) == result.metrics.rounds
+        assert sum(m.total_bits for m in breakdown) == result.metrics.total_bits
 
     def test_round_complexity_scales_with_two_to_sample(self, planted_workload):
         graph, _ = planted_workload

@@ -478,10 +478,9 @@ class TestSessionMode:
         SESSION_BACKENDS + [pytest.param(CallbacksEngine(), {}, id="callbacks")],
     )
     def test_full_runner_identical_in_session(self, engine, fields):
-        # The runner compiles the composite into fused groups
+        # The runner runs the 13 post-sampling phases as one fused group
         # (``execute_fused``; on the process backend one arm plus a chain
-        # of finish reports per group, context fold-back only at the group
-        # boundary).  Fusion elides coordination, never semantics: outputs,
+        # of finish reports, context fold-back only at the group's end).  Fusion elides coordination, never semantics: outputs,
         # rounds and the full per-round trace must stay bit-identical to
         # the reference engine.
         graph, _ = generators.planted_near_clique(

@@ -212,12 +212,17 @@ def _arm_protocol(arm, protocol):
     return without_kernel(protocol) if arm == "callbacks" else protocol
 
 
-def _run_chain(graph, arm, forced_sample=None, members_only=True, network=None):
+def _run_chain(
+    graph, arm, forced_sample=None, members_only=True, network=None, fused=False
+):
     """Sampling + the full exploration/decision sequence, one session.
 
     A forced sample is passed as the runner passes it — inputs for the
     members only, under ``GLOBAL_FORCED_SAMPLE`` — or, with
-    ``members_only=False``, as an explicit input for every node.
+    ``members_only=False``, as an explicit input for every node.  With
+    ``fused=True`` the sequence after sampling runs as one
+    ``execute_fused`` call, as the runner runs it, instead of one
+    ``execute`` per phase.
     """
     network = network or Network(graph, seed=4321)
     config = CongestConfig(**CHAIN_ARMS[arm]).with_log_budget(
@@ -246,8 +251,16 @@ def _run_chain(graph, arm, forced_sample=None, members_only=True, network=None):
         snapshots.append(
             ("nc-sampling", run_fingerprint(result), _all_snapshots(result.contexts))
         )
-        for phase in DistNearCliqueRunner._phase_sequence():
-            result = session.execute(_arm_protocol(arm, phase), reuse_contexts=True)
+        sequence = [
+            _arm_protocol(arm, phase) for phase in DistNearCliqueRunner._phase_sequence()
+        ]
+        if fused:
+            results = session.execute_fused(sequence, reuse_contexts=True)
+        else:
+            results = (
+                session.execute(phase, reuse_contexts=True) for phase in sequence
+            )
+        for phase, result in zip(sequence, results):
             snapshots.append(
                 (phase.name, run_fingerprint(result), _all_snapshots(result.contexts))
             )
@@ -274,6 +287,21 @@ class TestKernelCallbackChain:
                 assert cand_state == ref_state, (
                     "%s: phase %r left diverging context state" % (arm, ref_name)
                 )
+
+    @pytest.mark.parametrize(
+        "graph, forced", [(g, f) for _, g, f in CHAIN_GRAPHS], ids=CHAIN_IDS
+    )
+    def test_fused_chain_matches_phase_by_phase_process(self, graph, forced):
+        # The process session ships the fused group with one re-arm and
+        # folds the contexts back once, at its end.  Per phase, outputs,
+        # metrics and round trace must match one execute per phase, and
+        # the contexts after the group those after the last phase.
+        stepwise = _run_chain(graph, "process", forced_sample=forced)
+        fused = _run_chain(graph, "process", forced_sample=forced, fused=True)
+        assert [(name, fp) for name, fp, _ in fused] == [
+            (name, fp) for name, fp, _ in stepwise
+        ]
+        assert fused[-1][2] == stepwise[-1][2]
 
     def test_planted_sample_covers_the_chain_cases(self):
         graph = dict((name, g) for name, g, _ in CHAIN_GRAPHS)["planted"]
@@ -761,6 +789,157 @@ class TestHandBuiltTrees:
         assert _phase_outcome(
             "vectorized", graph, phases.FinalLabelPhase(), inputs
         ) == reference
+
+
+def _root_sizes(engine_name, graph, inputs, phase=None, roots=(0,)):
+    """Each root's ``KEY_K_ROOT_SIZES`` after one aggregation phase."""
+    result = _run_phase(engine_name, graph, phase or _k_aggregation(), inputs)
+    return {
+        root: result.contexts.peek(root).state[phases.KEY_K_ROOT_SIZES]
+        for root in roots
+    }
+
+
+class TestUpAggregationSums:
+    """What the roots of an ``UpAggregationPhase`` end with.
+
+    These are the K and T sums of exploration Step 4c and decision Step 1:
+    every contributing node counts each of its subset indices once, and
+    the counts add up over the component's tree nodes and attached leaves
+    at the component root.  Both engines must reach the same sums.
+    """
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_deep_path_sums_per_subset(self, engine_name):
+        # Subset 1: nodes 0, 1, 3 and leaf 4; subset 2: node 3 and both
+        # leaves; subset 3: nodes 1, 2 and leaf 4.
+        sizes = _root_sizes(engine_name, DEEP_PATH, _deep_path_inputs())
+        assert sizes == {0: {1: 4, 2: 3, 3: 3}}
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_star_of_attached_leaves(self, engine_name):
+        graph = nx.star_graph(9)
+        k = phases.KEY_K_MEMBERSHIP
+        inputs = {0: _tree_node(0, None, [], range(1, 10), **{k: {0: {5}}})}
+        inputs.update({v: _leaf({0: 0}, **{k: {0: {5}}}) for v in range(1, 10)})
+        assert _root_sizes(engine_name, graph, inputs) == {0: {5: 10}}
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_missing_memberships_count_as_empty(self, engine_name):
+        # Only node 2 holds a membership table; the root, node 1 and the
+        # leaf under node 2 contribute nothing but still report done.
+        graph = nx.path_graph(4)
+        k = phases.KEY_K_MEMBERSHIP
+        inputs = {
+            0: _tree_node(0, None, [1]),
+            1: _tree_node(0, 0, [2]),
+            2: _tree_node(0, 1, [], [3], **{k: {0: {7, 8}}}),
+            3: _leaf({0: 2}),
+        }
+        assert _root_sizes(engine_name, graph, inputs) == {0: {7: 1, 8: 1}}
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_components_sum_separately(self, engine_name):
+        # Leaf 2 is attached to both components and belongs to a different
+        # subset in each; every root counts only its own memberships.
+        graph = nx.Graph([(0, 1), (1, 2), (2, 10), (10, 11), (11, 12)])
+        k = phases.KEY_K_MEMBERSHIP
+        inputs = {
+            0: _tree_node(0, None, [1], **{k: {0: {1}}}),
+            1: _tree_node(0, 0, [], [2], **{k: {0: {1, 2}}}),
+            10: _tree_node(10, None, [11], [2], **{k: {10: {4}}}),
+            11: _tree_node(10, 10, [], [12], **{k: {10: {4}}}),
+            2: _leaf({0: 1, 10: 10}, **{k: {0: {2}, 10: {4, 6}}}),
+            12: _leaf({10: 11}, **{k: {10: {6}}}),
+        }
+        sizes = _root_sizes(engine_name, graph, inputs, roots=(0, 10))
+        assert sizes == {0: {1: 2, 2: 2}, 10: {4: 3, 6: 2}}
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_root_finalize_sees_the_complete_counts(self, engine_name):
+        seen = []
+
+        def finalize(ctx, counters):
+            seen.append((ctx.node_id, dict(counters)))
+
+        phase = phases.UpAggregationPhase(
+            membership_key=phases.KEY_K_MEMBERSHIP,
+            result_key=phases.KEY_K_ROOT_SIZES,
+            root_finalize=finalize,
+        )
+        sizes = _root_sizes(engine_name, DEEP_PATH, _deep_path_inputs(), phase)
+        assert seen == [(0, sizes[0])]
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_pre_start_runs_before_counting_at_participants_only(self, engine_name):
+        # pre_start gives every participant subset 9; node 6, neither in
+        # the sample nor attached, never runs it.
+        started = []
+
+        def pre_start(ctx):
+            started.append(ctx.node_id)
+            ctx.state[phases.KEY_K_MEMBERSHIP] = {0: {9}}
+
+        phase = phases.UpAggregationPhase(
+            membership_key=phases.KEY_K_MEMBERSHIP,
+            result_key=phases.KEY_K_ROOT_SIZES,
+            pre_start=pre_start,
+        )
+        graph = nx.Graph(DEEP_PATH)
+        graph.add_edge(5, 6)
+        inputs = _deep_path_inputs()
+        inputs[6] = {"other": True}
+        sizes = _root_sizes(engine_name, graph, inputs, phase)
+        assert sorted(started) == [0, 1, 2, 3, 4, 5]
+        assert sizes == {0: {9: 6}}
+
+
+class TestDownBroadcastReach:
+    """A root's items reach its whole tree and every attached leaf."""
+
+    @staticmethod
+    def _k_sizes(engine_name, graph, inputs):
+        phase = phases.DownBroadcastPhase(
+            items_fn=phases.k_size_items, store_fn=phases.store_k_size
+        )
+        result = _run_phase(engine_name, graph, phase, inputs)
+        return {
+            node_id: result.contexts.peek(node_id).state.get(phases.KEY_K_SIZES)
+            for node_id in sorted(graph)
+        }
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_items_reach_tree_and_leaves_only(self, engine_name):
+        # Zero sizes are not broadcast; node 5 is outside S and Γ(S).
+        graph = nx.Graph([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)])
+        inputs = {
+            0: _tree_node(
+                0, None, [1], [4], **{phases.KEY_K_ROOT_SIZES: {1: 3, 2: 0, 4: 5}}
+            ),
+            1: _tree_node(0, 0, [2]),
+            2: _tree_node(0, 1, [], [3]),
+            3: _leaf({0: 2}),
+            4: _leaf({0: 0}),
+            5: {"other": True},
+        }
+        table = {0: {1: 3, 4: 5}}
+        assert self._k_sizes(engine_name, graph, inputs) == {
+            0: table, 1: table, 2: table, 3: table, 4: table, 5: None
+        }
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_shared_leaf_hears_both_roots(self, engine_name):
+        graph = nx.Graph([(0, 20), (10, 20)])
+        inputs = {
+            0: _tree_node(0, None, [], [20], **{phases.KEY_K_ROOT_SIZES: {1: 2}}),
+            10: _tree_node(10, None, [], [20], **{phases.KEY_K_ROOT_SIZES: {3: 4}}),
+            20: _leaf({0: 0, 10: 10}),
+        }
+        assert self._k_sizes(engine_name, graph, inputs) == {
+            0: {0: {1: 2}},
+            10: {10: {3: 4}},
+            20: {0: {1: 2}, 10: {3: 4}},
+        }
 
 
 class TestKernelCoverage:
