@@ -85,7 +85,6 @@ class _WarmupPhase(Protocol):
     """
 
     name = "e17-warmup"
-    quiesce_terminates = True
 
     def on_start(self, ctx) -> None:
         ctx.halt()
@@ -157,7 +156,6 @@ def _trace(metrics):
             r.messages_sent,
             r.bits_sent,
             r.max_message_bits,
-            r.edges_used,
             r.active_nodes,
         )
         for r in metrics.per_round

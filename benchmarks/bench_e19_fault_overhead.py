@@ -20,6 +20,10 @@ Bit-identity of both arms against the vectorized oracle is asserted before
 any timing is reported, then an interleaved best-of-N gates the
 watchdog/baseline wall-clock ratio at ``OVERHEAD_CEILING`` (full) /
 ``QUICK_OVERHEAD_CEILING`` (quick CI mode; shared runners are noisy).
+The ceiling is one-sided, so the benchmark also prints each repetition's
+watchdog/baseline ratio and how many of them fall below 1.0: a watchdog
+that is as often faster as slower than the baseline costs nothing
+measurable.
 The gate needs no CPU-count escape hatch: both arms run the same engine
 on the same host, so the ratio is meaningful anywhere.
 
@@ -111,6 +115,7 @@ def _overhead_table(name, graph, quick):
     _elapsed, oracle, _stats = _run_once(graph, False, engine="vectorized")
 
     timings = {"baseline": float("inf"), "watchdog": float("inf")}
+    paired = []
     watchdog_stats = None
     repetitions = 5 if quick else 3
     # Interleaved best-of-N: a ratio gate needs both arms sampled under
@@ -118,13 +123,16 @@ def _overhead_table(name, graph, quick):
     # one always pays (or dodges) the first run's warm-up.
     for repetition in range(repetitions):
         order = ("baseline", "watchdog")
+        this_pair = {}
         for label in order if repetition % 2 == 0 else reversed(order):
             watchdog = label == "watchdog"
             elapsed, fingerprint, stats = _run_once(graph, watchdog=watchdog)
             assert fingerprint == oracle, "%s arm diverged from vectorized" % label
             timings[label] = min(timings[label], elapsed)
+            this_pair[label] = elapsed
             if watchdog:
                 watchdog_stats = stats
+        paired.append(this_pair["watchdog"] / max(this_pair["baseline"], 1e-9))
 
     ratio = timings["watchdog"] / max(timings["baseline"], 1e-9)
     rows = [
@@ -142,6 +150,14 @@ def _overhead_table(name, graph, quick):
         "watchdog/baseline overhead: %.3fx  |  round_timeout=%.0fs armed "
         "over %d barrier rounds"
         % (ratio, ROUND_TIMEOUT, watchdog_stats.barrier_rounds)
+    )
+    print(
+        "per-repetition watchdog/baseline ratios: %s  |  %d of %d below 1.0"
+        % (
+            ", ".join("%.3f" % value for value in paired),
+            sum(1 for value in paired if value < 1.0),
+            len(paired),
+        )
     )
 
     ceiling = QUICK_OVERHEAD_CEILING if quick else OVERHEAD_CEILING

@@ -169,7 +169,6 @@ class ShinglesProtocol(Protocol):
     """
 
     name = "shingles"
-    quiesce_terminates = True
 
     def on_start(self, ctx: NodeContext) -> None:
         shingle = ctx.rng.getrandbits(SHINGLE_SPACE_BITS)
@@ -251,6 +250,3 @@ class ShinglesProtocol(Protocol):
             ctx.halt()
         else:  # pragma: no cover - the protocol is silent after round 4
             ctx.halt()
-
-    def finished(self, ctx: NodeContext) -> bool:
-        return ctx.halted or ctx.round_index > 4

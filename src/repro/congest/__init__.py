@@ -26,18 +26,21 @@ This package is an in-process simulator of that model.  The pieces are:
     The communication graph plus per-node state containers.
 
 ``run_protocol``
-    The round-driving entry point, including congestion enforcement (at
-    most one message per edge direction per round) and message-size checks.
+    The round-driving entry point.  Every run follows one rulebook: at
+    most one message per edge direction per round (always enforced), the
+    configured message-size budget, a per-round metrics trace, and one
+    termination rule (no message in flight, and every node halted or at
+    least one round run).
 
 ``Engine`` and its implementations
-    Pluggable implementations of the round loop itself, selected with
-    ``CongestConfig.engine`` or the ``engine=`` argument of
-    ``run_protocol``.  All engines are bit-identical in outputs and
-    protocol metrics; the differential suite
+    Pluggable implementations of the round loop itself, selected by
+    ``CongestConfig.engine`` alone: a registry name from the table below,
+    or an ``Engine`` instance.  All engines are bit-identical in outputs
+    and protocol metrics; the differential suite
     (``tests/test_engine_equivalence.py``) enforces the contract.
 
     ==============  ======================  ==================================
-    ``engine=``     class                   execution
+    name            class                   execution
     ==============  ======================  ==================================
     ``reference``   ``ReferenceEngine``     per-object round loop; the
                                             semantics oracle of the

@@ -1,15 +1,19 @@
 """Simulator configuration.
 
 The configuration object collects every knob the scheduler honours, so that
-experiments can state their execution assumptions explicitly (and tests can
-exercise both the strict and the permissive behaviours).
+experiments can state their execution assumptions explicitly.  The model's
+rules are not among them: every run enforces one message per edge direction
+per round and keeps the per-round metrics trace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
+
+if TYPE_CHECKING:
+    from repro.congest.engine import Engine
 
 #: The constant in front of log n in :meth:`CongestConfig.with_log_budget`.
 #: The protocols in this package fit comfortably within 12·log2(n) bits per
@@ -29,29 +33,21 @@ class CongestConfig:
         The paper's Section 4.1 wrapper corresponds to setting a finite cap
         and treating :class:`repro.congest.errors.RoundLimitExceeded` as a
         failed repetition.
-    enforce_congestion:
-        When True (the default) a node may send at most one message per
-        neighbour per round, as the CONGEST model requires; a second send on
-        the same edge raises
-        :class:`repro.congest.errors.CongestionViolation`.
     message_bit_budget:
-        Hard per-message bit limit.  ``None`` disables the check (used by the
-        LOCAL-model neighbours'-neighbours baseline, whose whole point is
-        that its messages are *not* O(log n) bits).  Use
-        :meth:`CongestConfig.with_log_budget` to derive a budget of
-        ``LOG_BUDGET_MULTIPLIER * ceil(log2 n)`` bits.
-    record_round_metrics:
-        When True the scheduler keeps a per-round metrics trace; disable for
-        very long runs to save memory.
+        Hard per-message bit limit.  ``None`` (the default) disables the
+        check.  Use :meth:`CongestConfig.with_log_budget` to derive a
+        budget of ``LOG_BUDGET_MULTIPLIER * ceil(log2 n)`` bits.
     engine:
-        Name of the execution engine driving the round loop —
-        ``"vectorized"`` (columnar kernels, a CSR callback loop for the
-        phases without one; the default), ``"reference"`` (the per-object
-        semantics oracle kept for the differential harness) or
-        ``"sharded"`` (one worker process per shard over ``shards``
-        shards); see :mod:`repro.congest.engine`.  All engines are
-        guaranteed to produce bit-identical outputs and protocol metrics,
-        so the choice is a throughput knob.
+        The execution engine driving the round loop, and the only engine
+        selector: a registry name — ``"vectorized"`` (columnar kernels, a
+        CSR callback loop for the phases without one; the default),
+        ``"reference"`` (the per-object semantics oracle kept for the
+        differential harness) or ``"sharded"`` (one worker process per
+        shard over ``shards`` shards) — or an
+        :class:`~repro.congest.engine.Engine` instance, which is how an
+        unregistered engine plugs in; see :mod:`repro.congest.engine`.  All
+        engines are guaranteed to produce bit-identical outputs and
+        protocol metrics, so the choice is a throughput knob.
     shards:
         Shard count for ``engine="sharded"`` (ignored by the other
         engines).  The shards are contiguous blocks of the dense node
@@ -87,10 +83,8 @@ class CongestConfig:
     """
 
     max_rounds: Optional[int] = None
-    enforce_congestion: bool = True
     message_bit_budget: Optional[int] = None
-    record_round_metrics: bool = True
-    engine: str = "vectorized"
+    engine: Union[str, "Engine"] = "vectorized"
     shards: int = 4
     round_timeout: Optional[float] = None
     shard_backend: InitVar[str] = "process"
@@ -149,7 +143,7 @@ class CongestConfig:
         """Return a copy with a different deterministic round cap."""
         return replace(self, max_rounds=max_rounds)
 
-    def with_engine(self, engine: str) -> "CongestConfig":
+    def with_engine(self, engine: Union[str, "Engine"]) -> "CongestConfig":
         """Return a copy that selects a different execution engine."""
         return replace(self, engine=engine)
 
@@ -163,17 +157,4 @@ class CongestConfig:
             self,
             engine="sharded",
             shards=self.shards if shards is None else shards,
-        )
-
-    @staticmethod
-    def local_model(max_rounds: Optional[int] = None) -> "CongestConfig":
-        """Configuration for LOCAL-model protocols (unbounded message size).
-
-        Used by the neighbours'-neighbours baseline of Section 3, whose
-        messages may contain all node identifiers.
-        """
-        return CongestConfig(
-            max_rounds=max_rounds,
-            enforce_congestion=True,
-            message_bit_budget=None,
         )

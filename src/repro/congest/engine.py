@@ -62,20 +62,18 @@ tolerated approximation.  Two consequences for engine authors:
   in send order — because protocols may fold their inbox in arrival order;
 * the frontier may only skip work that provably has no observable effect:
   a halted node's ``on_round`` is never invoked (late messages are dropped,
-  as in the reference), but an unfinished node is always invoked, even
-  with an empty inbox.
+  as in the reference), but a node that has not halted is always invoked,
+  even with an empty inbox.
 
 Protocols must treat the inbox list handed to ``on_round`` as borrowed: it
 is only valid for the duration of the call and must not be mutated or
 retained (the fast path reuses the buffers; the reference engine happens to
 hand out fresh lists).  Every protocol in this package complies.
 
-The active frontier relies on the default termination predicate
-(:meth:`Protocol.finished` == "has this node halted"), which is monotone.
-A protocol that overrides ``finished`` with an arbitrary predicate (for
-example "run for exactly T rounds") is executed by the callback loop on a
-compatibility path that re-evaluates the predicate for every node each
-round, exactly like the reference.
+The active frontier relies on termination being "has this node halted",
+which is monotone: a halted node never resumes.  Every round loop applies
+the one termination rule of :mod:`repro.congest.scheduler` through
+:func:`coordinator_should_stop`.
 
 **Execution sessions.**  Composite pipelines (the 14-phase
 ``DistNearClique`` runner) execute many protocols on one network;
@@ -112,11 +110,7 @@ from repro.congest.errors import (
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import ContextRegistry, Network
-from repro.congest.node import NodeContext, Protocol, effective_scope, in_scope
-
-#: Number of consecutive completely silent rounds after which a protocol that
-#: does not declare ``quiesce_terminates`` is considered stalled.
-_STALL_LIMIT = 3
+from repro.congest.node import NodeContext, Protocol, in_scope
 
 #: Shared inbox handed to nodes with no mail this round (fast path).  It is
 #: a tuple, not a list, so a protocol that violates the borrowed-inbox
@@ -128,48 +122,30 @@ _MISSING = object()
 
 
 def coordinator_should_stop(
-    all_done: bool,
-    in_flight: int,
-    rounds: int,
-    silent_rounds: int,
-    quiesce_ok: bool,
-    max_rounds: Optional[int],
-    protocol_name: str,
-) -> Tuple[bool, int]:
-    """The fast engines' termination decision, in one place.
+    all_halted: bool, in_flight: int, rounds: int, max_rounds: Optional[int]
+) -> bool:
+    """The termination rule, in one place.
 
-    Evaluated at the top of every round: by the vectorized engine's
-    callback loop, and on the barrier-aggregated view by the process
-    coordinator (:class:`repro.congest.sharding.workers.ProcessShardedRun`),
-    so the engine contract's round counts cannot drift between them.  Returns
-    ``(stop, new_silent_rounds)``; raises :class:`ProtocolError` on a
-    stall and :class:`RoundLimitExceeded` at the round cap — mirroring
-    :class:`ReferenceEngine` exactly.
+    Evaluated at the top of every round by every round loop — on the
+    barrier-aggregated view by the process coordinator
+    (:class:`repro.congest.sharding.workers.ProcessShardedRun`) — so the
+    engine contract's round counts cannot drift between them.  A run stops
+    when no message is in flight and either every node has halted or at
+    least one round has run; otherwise it raises
+    :class:`RoundLimitExceeded` at the round cap.
     """
-    if all_done and not in_flight:
-        return True, silent_rounds
-    if not in_flight and rounds > 0 and quiesce_ok:
-        return True, silent_rounds
-    if not in_flight and rounds > 0:
-        silent_rounds += 1
-        if silent_rounds >= _STALL_LIMIT:
-            raise ProtocolError(
-                "protocol %r stalled: no messages in flight, nodes "
-                "not finished, after %d silent rounds"
-                % (protocol_name, silent_rounds)
-            )
-    else:
-        silent_rounds = 0
+    if not in_flight and (all_halted or rounds > 0):
+        return True
     if max_rounds is not None and rounds >= max_rounds:
         raise RoundLimitExceeded(max_rounds)
-    return False, silent_rounds
+    return False
 
 
 def merge_startup_metrics(round_metrics: RoundMetrics, startup: RoundMetrics) -> None:
     """Fold round-0 (``on_start``) traffic into the first round's metrics.
 
     Messages queued during ``on_start`` are delivered in round 1 and
-    accounted to it, as in :class:`ReferenceEngine`.
+    accounted to it.
     """
     round_metrics.messages_sent = startup.messages_sent
     round_metrics.bits_sent = startup.bits_sent
@@ -455,12 +431,11 @@ class ReferenceEngine(Engine):
         )
         ctx_list = contexts.materialize()
         metrics = RunMetrics()
-        quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
 
         # Every node is started and harvested, in or out of the protocol's
         # scope, so this engine is the full-sweep oracle for the scoped fast
         # paths; an out-of-scope node is checked against the scope contract.
-        scope = effective_scope(protocol)
+        scope = protocol.scope
         out_of_scope: List[NodeContext] = []
         # Messages queued during on_start are delivered in round 1; their
         # volume is accounted to that first round.
@@ -478,32 +453,16 @@ class ReferenceEngine(Engine):
         )
 
         rounds = 0
-        silent_rounds = 0
-        while True:
-            all_done = all(protocol.finished(ctx) for ctx in ctx_list)
-            if all_done and not pending:
-                break
-            if not pending and rounds > 0 and quiesce_ok:
-                break
-            if not pending and rounds > 0:
-                silent_rounds += 1
-                if silent_rounds >= _STALL_LIMIT:
-                    raise ProtocolError(
-                        "protocol %r stalled: no messages in flight, nodes not "
-                        "finished, after %d silent rounds"
-                        % (protocol.name, silent_rounds)
-                    )
-            else:
-                silent_rounds = 0
-            if config.max_rounds is not None and rounds >= config.max_rounds:
-                raise RoundLimitExceeded(config.max_rounds)
-
+        while not coordinator_should_stop(
+            all(ctx._halted for ctx in ctx_list),
+            len(pending),
+            rounds,
+            config.max_rounds,
+        ):
             rounds += 1
             round_metrics = RoundMetrics(round_index=rounds)
             if rounds == 1:
-                round_metrics.messages_sent = startup_metrics.messages_sent
-                round_metrics.bits_sent = startup_metrics.bits_sent
-                round_metrics.max_message_bits = startup_metrics.max_message_bits
+                merge_startup_metrics(round_metrics, startup_metrics)
             inboxes: Dict[int, List[Inbound]] = {}
             for (sender, receiver), message in pending:
                 inboxes.setdefault(receiver, []).append(
@@ -513,18 +472,16 @@ class ReferenceEngine(Engine):
             active = 0
             for ctx in ctx_list:
                 ctx._advance_round(rounds)
-                inbox = inboxes.get(ctx.node_id, [])
-                if protocol.finished(ctx):
+                if ctx._halted:
                     # A halted node ignores late messages, mirroring the
                     # convention that its output is already committed.
                     continue
                 active += 1
-                protocol.on_round(ctx, inbox)
+                protocol.on_round(ctx, inboxes.get(ctx.node_id, []))
             round_metrics.active_nodes = active
 
             pending = self._collect_all(ctx_list, config, rounds, round_metrics)
-            round_metrics.edges_used = len({pair for pair, _ in pending})
-            metrics.absorb_round(round_metrics, config.record_round_metrics)
+            metrics.absorb_round(round_metrics)
 
         outputs = {ctx.node_id: protocol.collect_output(ctx) for ctx in ctx_list}
         for ctx in out_of_scope:
@@ -551,7 +508,7 @@ class ReferenceEngine(Engine):
             node_id = ctx.node_id
             outgoing = ctx._collect_outgoing()
             for receiver, messages in outgoing.items():
-                if config.enforce_congestion and len(messages) > 1:
+                if len(messages) > 1:
                     raise CongestionViolation(node_id, receiver, round_index)
                 for message in messages:
                     if budget is not None and message.bits > budget:

@@ -8,7 +8,7 @@ experiment E6) read their measurements from these records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -19,9 +19,6 @@ class RoundMetrics:
     messages_sent: int = 0
     bits_sent: int = 0
     max_message_bits: int = 0
-    #: Number of distinct (sender, receiver) pairs used this round; with
-    #: congestion enforcement this equals ``messages_sent``.
-    edges_used: int = 0
     active_nodes: int = 0
 
     def observe_message(self, bits: int) -> None:
@@ -49,8 +46,7 @@ class RunMetrics:
     max_messages_per_round:
         Peak per-round traffic (a congestion indicator).
     per_round:
-        Optional per-round trace (present when the scheduler was configured
-        with ``record_round_metrics=True``).
+        The per-round trace, one :class:`RoundMetrics` per round.
     """
 
     rounds: int = 0
@@ -61,7 +57,7 @@ class RunMetrics:
     per_round: List[RoundMetrics] = field(default_factory=list)
     protocol_breakdown: Dict[str, "RunMetrics"] = field(default_factory=dict)
 
-    def absorb_round(self, round_metrics: RoundMetrics, keep_trace: bool) -> None:
+    def absorb_round(self, round_metrics: RoundMetrics) -> None:
         """Fold one round's measurements into the aggregate."""
         self.rounds += 1
         self.total_messages += round_metrics.messages_sent
@@ -70,8 +66,7 @@ class RunMetrics:
             self.max_message_bits = round_metrics.max_message_bits
         if round_metrics.messages_sent > self.max_messages_per_round:
             self.max_messages_per_round = round_metrics.messages_sent
-        if keep_trace:
-            self.per_round.append(round_metrics)
+        self.per_round.append(round_metrics)
 
     def merge(self, other: "RunMetrics", label: Optional[str] = None) -> None:
         """Accumulate another run's metrics (used by composite protocols).
@@ -107,15 +102,6 @@ class RunMetrics:
         if self.total_messages == 0:
             return 0.0
         return self.total_bits / self.total_messages
-
-    def as_row(self) -> Tuple[int, int, int, int]:
-        """Compact summary used by the benchmark tables."""
-        return (
-            self.rounds,
-            self.total_messages,
-            self.max_message_bits,
-            self.max_messages_per_round,
-        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -53,7 +53,7 @@ import networkx as nx
 import numpy as np
 
 from repro.congest.errors import DeltaError, ProtocolError
-from repro.congest.node import NodeContext, Protocol, effective_scope, reset_in_scope
+from repro.congest.node import NodeContext, Protocol, reset_in_scope
 from repro.congest.randomness import node_seed, node_seed_column
 
 
@@ -388,7 +388,7 @@ class ContextRegistry(Mapping):
         :func:`reset_in_scope` walks only the live contexts.  A phase
         without a scope starts every node, which builds every context.
         """
-        if effective_scope(protocol) is None:
+        if protocol.scope is None:
             self.materialize()
         else:
             self.halted.fill(True)

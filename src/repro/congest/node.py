@@ -207,7 +207,8 @@ class NodeContext:
         """Declare local termination.
 
         A halted node takes no further part in the protocol; the scheduler
-        stops once every node has halted and no messages remain in flight.
+        stops once no messages remain in flight and either every node has
+        halted or at least one round has run.
         """
         self._halted = True
 
@@ -239,6 +240,12 @@ class Protocol:
     implementations do nothing, so trivial protocols (for example a protocol
     that only inspects its local neighbourhood) can override a single hook.
 
+    Every protocol runs under one termination rule: a node terminates by
+    calling :meth:`NodeContext.halt`, and a run stops once no message is in
+    flight and either every node has halted or at least one round has run
+    (the network went quiet).  A node that waits for mail must therefore
+    wait on traffic that is already in flight.
+
     Subclasses are bound by the engine contract — hooks must be
     deterministic given ``ctx.rng`` (no module-level randomness, clocks or
     ``id()``), per-node state must be picklable (the sharded engine's
@@ -262,8 +269,7 @@ class Protocol:
     #: starting or harvesting them — while
     #: :class:`repro.congest.engine.ReferenceEngine` still starts and
     #: harvests every node and raises :class:`ProtocolError` when an
-    #: out-of-scope one breaks the contract.  A scope is honoured only under
-    #: the default :meth:`finished` predicate (:func:`effective_scope`).
+    #: out-of-scope one breaks the contract.
     scope: Optional[Tuple[str, ...]] = None
 
     def on_start(self, ctx: NodeContext) -> None:
@@ -271,16 +277,6 @@ class Protocol:
 
     def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
         """Process the messages delivered this round and queue replies."""
-
-    def finished(self, ctx: NodeContext) -> bool:
-        """Local termination predicate.
-
-        By default a node is finished once it has called
-        :meth:`NodeContext.halt`.  Protocols whose nodes terminate implicitly
-        (for example "run for exactly T rounds") may override this instead of
-        calling ``halt`` explicitly.
-        """
-        return ctx.halted
 
     def vectorized_kernel(self) -> Optional[Any]:
         """Columnar execution plan for this protocol, or ``None``.
@@ -307,15 +303,6 @@ class Protocol:
         return ctx.output
 
 
-def effective_scope(protocol: Protocol) -> Optional[Tuple[str, ...]]:
-    """The scope every engine applies to *protocol*: its declared one, or
-    ``None`` when it overrides :meth:`Protocol.finished`, because a halted
-    node may still count as unfinished there."""
-    if type(protocol).finished is not Protocol.finished:
-        return None
-    return protocol.scope
-
-
 def in_scope(scope: Tuple[str, ...], state: Dict[str, Any]) -> bool:
     """Whether a node with this *state* is in a protocol's *scope*."""
     for key in scope:
@@ -339,7 +326,7 @@ def reset_in_scope(
     the caller starts exactly those.  An empty state is tested first: it
     costs no call, and its halt flag is written only when it changes.
     """
-    scope = effective_scope(protocol)
+    scope = protocol.scope
     started: List[int] = []
     append = started.append
     for i in indices:

@@ -15,43 +15,33 @@ default), ``"reference"`` the semantics oracle kept for the differential
 harness, and ``"sharded"`` the partition-parallel backend
 (:mod:`repro.congest.sharding`); all are guaranteed to produce
 bit-identical outputs and protocol metrics (see the engine module's
-docstring for the contract).  The engine is chosen by the ``engine``
-argument here, falling back to :attr:`CongestConfig.engine`.
+docstring for the contract).  The engine is chosen by
+:attr:`CongestConfig.engine`, a registry name or an
+:class:`~repro.congest.engine.Engine` instance.
 
 Termination
 -----------
-A run terminates when every node has locally terminated
-(:meth:`Protocol.finished`) and no messages are in flight.  Protocols that do
-not implement explicit distributed termination detection may set the class
-attribute ``quiesce_terminates = True``; such a run also terminates when the
-network becomes silent (no messages in flight and none produced in the last
-round).  This is a simulator convenience standing in for the deterministic
-worst-case round bounds the paper uses (Lemma 5.1); measured round counts are
-unaffected because silent trailing rounds are not executed.  A protocol
-without ``quiesce_terminates`` that stays silent for :data:`_STALL_LIMIT`
-consecutive rounds without finishing is declared stalled — fewer silent
-rounds followed by renewed traffic are legal under every engine.
+A run terminates when no message is in flight and either every node has
+locally terminated (called :meth:`NodeContext.halt`) or at least one round
+has run — the network went quiet.  Quiescence stands in for the
+deterministic worst-case round bounds the paper uses (Section 4.1,
+Lemma 5.1); measured round counts are unaffected because silent trailing
+rounds are not executed.  A run in which no node sends and some node never
+halts therefore ends after round 1.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.congest.config import CongestConfig
-from repro.congest.engine import (
-    _STALL_LIMIT,
-    CongestSession,
-    Engine,
-    RunResult,
-    get_engine,
-)
+from repro.congest.engine import CongestSession, RunResult, get_engine
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 
 __all__ = [
     "RunResult",
     "run_protocol",
-    "_STALL_LIMIT",
 ]
 
 
@@ -62,7 +52,6 @@ def run_protocol(
     global_inputs: Optional[Dict[str, Any]] = None,
     per_node_inputs: Optional[Dict[int, Dict[str, Any]]] = None,
     reuse_contexts: bool = False,
-    engine: Union[None, str, Engine] = None,
     session: Optional[CongestSession] = None,
 ) -> RunResult:
     """Run *protocol* on *network* to termination and return its result.
@@ -72,8 +61,9 @@ def run_protocol(
     network, protocol:
         The communication graph and the per-node state machine to drive.
     config:
-        The :class:`CongestConfig`; ``None`` means the defaults (or, with a
-        *session*, the session's configuration).
+        The :class:`CongestConfig`, whose ``engine`` drives the run;
+        ``None`` means the defaults (or, with a *session*, the session's
+        configuration).
     global_inputs / per_node_inputs:
         Values written into every context's globals / the named nodes'
         state before the run.
@@ -81,15 +71,10 @@ def run_protocol(
         Keep the contexts of the previous run on *network* (composite
         pipelines chain protocols over the same state) instead of building
         fresh ones.
-    engine:
-        Execution-engine selector — a registry name (``"reference"``,
-        ``"vectorized"``, ``"sharded"``), an
-        :class:`repro.congest.engine.Engine` instance, or ``None`` to use
-        ``config.engine``.
     session:
         An open :class:`repro.congest.engine.CongestSession` to run inside.
         Must be bound to the same *network*; when given, the session's
-        engine drives the run (``engine`` is ignored) and per-``execute``
+        engine drives the run and per-``execute``
         setup the session persists — worker pools, shared-memory CSR
         mappings — is reused instead of rebuilt.
     """
@@ -107,7 +92,7 @@ def run_protocol(
             reuse_contexts=reuse_contexts,
         )
     config = config or CongestConfig()
-    return get_engine(engine if engine is not None else config.engine).execute(
+    return get_engine(config.engine).execute(
         network,
         protocol,
         config=config,

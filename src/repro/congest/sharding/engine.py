@@ -29,9 +29,9 @@ drain.  Two mechanisms make the partition invisible:
   folded in ascending shard order at the barrier — sums for message/bit
   counts, ``max`` for the message-size peak — so the global
   :class:`repro.congest.metrics.RoundMetrics` equals the reference's
-  regardless of how the round's work was interleaved.  Termination (all
-  frontiers empty, no messages in flight), quiescence and the stall counter
-  are evaluated by the coordinator on the aggregated view, exactly like the
+  regardless of how the round's work was interleaved.  The termination
+  rule (no messages in flight, and all frontiers empty or a round run) is
+  evaluated by the coordinator on the aggregated view, exactly like the
   single-shard engines.
 
 Execution (:mod:`repro.congest.sharding.workers`): one long-lived worker
@@ -58,7 +58,7 @@ remain bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.config import CongestConfig
 from repro.congest.engine import (
@@ -129,9 +129,6 @@ class _ShardState:
         self.touched: List[int] = []
         self.remote_messages = 0
         self.local_messages = 0
-
-    def out_bucket_total(self) -> int:
-        return sum(len(indices) for indices, _ in self.out_buckets)
 
 
 @dataclass
@@ -276,11 +273,9 @@ class _ShardStepper:
             else [[] for _ in ctx_list]
         )
 
-        self.enforce = config.enforce_congestion
         budget = config.message_bit_budget
         self.budget = budget
         self.budget_limit: float = float("inf") if budget is None else budget
-        self.fast_finished = type(protocol).finished is Protocol.finished
 
     # ------------------------------------------------------------------
     def drain(
@@ -289,7 +284,6 @@ class _ShardStepper:
         ctx: NodeContext,
         round_index: int,
         rm: RoundMetrics,
-        pairs: Optional[Set[Tuple[int, int]]],
     ) -> None:
         """Move one node's queued messages into the shard's delivery state.
 
@@ -300,7 +294,6 @@ class _ShardStepper:
         """
         sender = ctx.node_id
         outgoing = ctx._outgoing
-        enforce = self.enforce
         budget_limit = self.budget_limit
         index_of = self.index_of
         owner = self.owner
@@ -317,7 +310,7 @@ class _ShardStepper:
             cache = shard.interned[sender] = {}
         cache_get = cache.get
         for receiver, messages in outgoing.items():
-            if enforce and len(messages) > 1:
+            if len(messages) > 1:
                 raise CongestionViolation(sender, receiver, round_index)
             receiver_index = index_of[receiver]
             destination = owner[receiver_index]
@@ -344,8 +337,6 @@ class _ShardStepper:
                     bucket_indices, bucket_inbound = out_buckets[destination]
                     bucket_indices.append(receiver_index)
                     bucket_inbound.append(inbound)
-                if pairs is not None:
-                    pairs.add((sender, receiver))
         outgoing.clear()
         rm.messages_sent += messages_seen
         rm.bits_sent += bits_seen
@@ -374,15 +365,13 @@ class _ShardStepper:
         for i in started:
             ctx = ctx_list[i]
             if ctx._outgoing:
-                self.drain(shard, ctx, 0, rm, None)
-        if self.fast_finished:
-            shard.frontier = [i for i in started if not ctx_list[i]._halted]
+                self.drain(shard, ctx, 0, rm)
+        shard.frontier = [i for i in started if not ctx_list[i]._halted]
         return rm
 
     def step_shard(self, shard: _ShardState, rounds: int) -> RoundMetrics:
         """One round for one shard: deliver, invoke the frontier, drain."""
         rm = RoundMetrics(round_index=rounds)
-        pairs: Optional[Set[Tuple[int, int]]] = None if self.enforce else set()
         buffers = self.inbox_buffers
         touched = shard.touched
 
@@ -417,49 +406,25 @@ class _ShardStepper:
 
         # --- invoke + drain ------------------------------------------------
         ctx_list = self.ctx_list
-        protocol = self.protocol
-        on_round = protocol.on_round
-        if self.fast_finished:
-            frontier = shard.frontier
-            rm.active_nodes = len(frontier)
-            any_halted = False
-            for i in frontier:
-                ctx = ctx_list[i]
-                ctx._round = rounds
-                box = buffers[i]
-                on_round(ctx, box if box else _EMPTY_INBOX)
-                if ctx._halted:
-                    any_halted = True
-                if ctx._outgoing:
-                    self.drain(shard, ctx, rounds, rm, pairs)
-            if any_halted:
-                shard.frontier = [
-                    i for i in frontier if not ctx_list[i]._halted
-                ]
-        else:
-            active = 0
-            finished = protocol.finished
-            for i in shard.owned:
-                ctx = ctx_list[i]
-                ctx._round = rounds
-                if finished(ctx):
-                    continue
-                active += 1
-                box = buffers[i]
-                on_round(ctx, box if box else _EMPTY_INBOX)
-                if ctx._outgoing:
-                    self.drain(shard, ctx, rounds, rm, pairs)
-            rm.active_nodes = active
+        on_round = self.protocol.on_round
+        frontier = shard.frontier
+        rm.active_nodes = len(frontier)
+        any_halted = False
+        for i in frontier:
+            ctx = ctx_list[i]
+            ctx._round = rounds
+            box = buffers[i]
+            on_round(ctx, box if box else _EMPTY_INBOX)
+            if ctx._halted:
+                any_halted = True
+            if ctx._outgoing:
+                self.drain(shard, ctx, rounds, rm)
+        if any_halted:
+            shard.frontier = [i for i in frontier if not ctx_list[i]._halted]
 
         for i in touched:
             buffers[i].clear()
         del touched[:]
-
-        rm.edges_used = (
-            len(shard.pending_index) + shard.out_bucket_total()
-            if pairs is None
-            else len(pairs)
-        )
         return rm
 
 

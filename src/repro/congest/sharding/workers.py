@@ -8,10 +8,10 @@ by :mod:`repro.congest.sharding.wire` into flat arrays instead of pickled
 per-message objects.  The coordinator (:class:`ProcessShardedRun`) keeps
 the round-loop structure of the single-process engines: per-shard
 :class:`repro.congest.metrics.RoundMetrics` partials are folded in ascending
-shard order at the barrier, and termination, quiescence, the stall counter
-and the round cap are evaluated centrally on the aggregated view — so the
-process boundary is invisible to the engine contract (same outputs, same
-round counts, same metrics, same exception types).
+shard order at the barrier, and the termination rule and the round cap
+are evaluated centrally on the aggregated view — so the process boundary
+is invisible to the engine contract (same outputs, same round counts,
+same metrics, same exception types).
 
 Protocol of one phase group (all traffic over one duplex pipe per worker)::
 
@@ -351,27 +351,17 @@ class _WorkerHarness:
                 encoder = self.encoders[destination] = WireEncoder()
             batches.append((destination, encoder.encode(indices, inbounds)))
             out_buckets[destination] = ([], [])
-        stepper = self.stepper
-        if stepper.fast_finished:
-            open_nodes = len(shard.frontier)
-        else:
-            finished = stepper.protocol.finished
-            ctx_list = stepper.ctx_list
-            open_nodes = sum(
-                1 for i in shard.owned if not finished(ctx_list[i])
-            )
         packed_metrics = (
             rm.messages_sent,
             rm.bits_sent,
             rm.max_message_bits,
-            rm.edges_used,
             rm.active_nodes,
         )
         return (
             "ok",
             packed_metrics,
             len(shard.pending_index),
-            open_nodes,
+            len(shard.frontier),
             batches,
         )
 
@@ -729,9 +719,9 @@ class ProcessShardedRun:
     """One process-backed sharded execution.
 
     The single-process engines' coordinator loop — startup barrier, the
-    same termination / quiescence / stall / round-cap decisions — with a
-    per-round fold in ascending shard order; the shards live in worker
-    processes and boundary buckets cross the barrier as packed
+    same termination and round-cap decisions — with a per-round fold in
+    ascending shard order; the shards live in worker processes and
+    boundary buckets cross the barrier as packed
     :class:`repro.congest.sharding.wire.WireBatch` columns.
 
     The :class:`ProcessSession` passes its (already armed) *pool*; the run
@@ -763,8 +753,6 @@ class ProcessShardedRun:
         #: state stays worker-side for the self-armed next phase and is
         #: folded back by the group-final phase's ``finish``.
         self.fold_contexts = fold_contexts
-        self.quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
-        self.fast_finished = type(protocol).finished is Protocol.finished
         self.boundary_bytes = 0
         self.barrier_rounds = 0
         self._traffic: List[Tuple[int, int]] = []
@@ -878,18 +866,16 @@ class ProcessShardedRun:
         Folds the packed metrics partials into *into*, stages each outbound
         batch for its destination worker in *routed*, and returns
         ``(in_flight, open_nodes)`` — pending local deliveries plus routed
-        boundary deliveries, and the surviving frontier size (or unfinished
-        count on the compatibility path).
+        boundary deliveries, and the surviving frontier size.
         """
         in_flight = 0
         open_nodes = 0
         barrier_bytes = 0
         for handle, message in zip(handles, self._collect(handles)):
             _op, packed, pending_local, shard_open, batches = message
-            messages_sent, bits_sent, max_bits, edges_used, active = packed
+            messages_sent, bits_sent, max_bits, active = packed
             into.messages_sent += messages_sent
             into.bits_sent += bits_sent
-            into.edges_used += edges_used
             into.active_nodes += active
             if max_bits > into.max_message_bits:
                 into.max_message_bits = max_bits
@@ -907,7 +893,7 @@ class ProcessShardedRun:
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
-        # The termination decisions and the round-1 startup-metrics merge
+        # The termination rule and the round-1 startup-metrics merge
         # are the helpers the single-process engines share — evaluated here
         # on worker-reported aggregates — so the engine contract's round
         # counts cannot drift between the coordinators.
@@ -922,23 +908,10 @@ class ProcessShardedRun:
         in_flight, open_nodes = self._barrier(
             handles, startup_metrics, routed
         )
-        startup_metrics.edges_used = 0  # startup edges are not counted
-        startup_metrics.active_nodes = 0
 
-        silent_rounds = 0
-        while True:
-            stop, silent_rounds = coordinator_should_stop(
-                open_nodes == 0,
-                in_flight,
-                rounds,
-                silent_rounds,
-                self.quiesce_ok,
-                config.max_rounds,
-                self.protocol.name,
-            )
-            if stop:
-                break
-
+        while not coordinator_should_stop(
+            open_nodes == 0, in_flight, rounds, config.max_rounds
+        ):
             rounds += 1
             round_metrics = RoundMetrics(round_index=rounds)
             if rounds == 1:
@@ -952,7 +925,7 @@ class ProcessShardedRun:
             in_flight, open_nodes = self._barrier(
                 handles, round_metrics, routed
             )
-            metrics.absorb_round(round_metrics, config.record_round_metrics)
+            metrics.absorb_round(round_metrics)
 
         # Harvest: outputs plus the mutable context state, folded back
         # into the parent's context objects so composite pipelines

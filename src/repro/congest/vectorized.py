@@ -67,7 +67,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -92,7 +91,7 @@ from repro.congest.errors import (
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import ContextRegistry, Network
-from repro.congest.node import NodeContext, Protocol, effective_scope, reset_in_scope
+from repro.congest.node import NodeContext, Protocol, reset_in_scope
 
 
 #: The receivers of a stream pushed to every neighbour (``Outbox.push_all``).
@@ -183,7 +182,7 @@ class KernelFrame:
         # Without a scope every node starts, built or not; with one, only
         # the started contexts are in it.
         self.halted = contexts.halted
-        self.halted.fill(effective_scope(protocol) is not None)
+        self.halted.fill(protocol.scope is not None)
         self.halted[self.started] = False
         self.rounds = 0
         self.metrics = RunMetrics()
@@ -236,7 +235,7 @@ class KernelFrame:
         would have written nothing.
         """
         live = self.contexts.live
-        if effective_scope(self.protocol) is None and len(live) < self.n:
+        if self.protocol.scope is None and len(live) < self.n:
             blank = next(i for i in range(self.n) if i not in live)
             return self.protocol.collect_output(
                 self.contexts.peek(self.node_ids[blank])
@@ -271,10 +270,10 @@ class KernelFrame:
         * round count ``last + 1``, or ``1`` when nothing is sent but
           nodes are active, or ``0`` when every node halted in
           ``on_start``;
-        * per-round trace: messages/bits/peak size from the columns,
-          ``edges_used == messages_sent`` (one message per queue per
-          round), ``active_nodes`` constant at the non-halted count (the
-          covered phases never halt after ``on_start``);
+        * per-round trace: messages/bits/peak size from the columns (one
+          message per queue per round), ``active_nodes`` constant at the
+          non-halted count (the covered phases never halt after
+          ``on_start``);
         * the bit budget, enforced in the drain order (round, then sender,
           then the sender's queue order), raising the same
           :class:`MessageSizeViolation`; congestion holds by construction;
@@ -328,16 +327,14 @@ class KernelFrame:
             peak_by_round = np.zeros(last + 1, dtype=np.int64)
             np.maximum.at(peak_by_round, at, sizes)
 
-        keep_trace = self.config.record_round_metrics
         for round_index in range(1, rounds + 1):
             rm = RoundMetrics(round_index=round_index)
             if round_index <= last:
                 rm.messages_sent = int(msgs_by_round[round_index])
                 rm.bits_sent = int(bits_by_round[round_index])
                 rm.max_message_bits = int(peak_by_round[round_index])
-                rm.edges_used = rm.messages_sent
             rm.active_nodes = active
-            self.metrics.absorb_round(rm, keep_trace)
+            self.metrics.absorb_round(rm)
         self.rounds = rounds
         return rounds
 
@@ -541,14 +538,7 @@ class VectorizedEngine(Engine):
     ) -> RunResult:
         """The callback round loop over the CSR, for a kernel-less protocol."""
         metrics = RunMetrics()
-        quiesce_ok = bool(getattr(protocol, "quiesce_terminates", False))
-        # The incremental frontier is only sound for the default (monotone)
-        # termination predicate; overridden predicates take the scan path.
-        fast_finished = type(protocol).finished is Protocol.finished
-
         index_of = network.node_index_of
-
-        enforce = config.enforce_congestion
         budget = config.message_bit_budget
         # A disabled budget is modelled as an unexceedable limit so the hot
         # loop needs a single comparison instead of a None check per message.
@@ -565,12 +555,7 @@ class VectorizedEngine(Engine):
         pending_index: List[int] = []
         pending_inbound: List[Inbound] = []
 
-        def drain(
-            ctx: NodeContext,
-            round_index: int,
-            rm: RoundMetrics,
-            pairs: Optional[Set[Tuple[int, int]]],
-        ) -> None:
+        def drain(ctx: NodeContext, round_index: int, rm: RoundMetrics) -> None:
             """Move one node's queued messages into the pending lists (rule
             checks and accounting included), reusing the node's outbox dict."""
             sender = ctx.node_id
@@ -585,7 +570,7 @@ class VectorizedEngine(Engine):
                 cache = interned[sender] = {}
             cache_get = cache.get
             for receiver, messages in outgoing.items():
-                if enforce and len(messages) > 1:
+                if len(messages) > 1:
                     raise CongestionViolation(sender, receiver, round_index)
                 receiver_index = index_of[receiver]
                 for message in messages:
@@ -605,8 +590,6 @@ class VectorizedEngine(Engine):
                         cache[message_id] = inbound
                     append_index(receiver_index)
                     append_inbound(inbound)
-                    if pairs is not None:
-                        pairs.add((sender, receiver))
             outgoing.clear()
             rm.messages_sent += messages_seen
             rm.bits_sent += bits_seen
@@ -624,31 +607,15 @@ class VectorizedEngine(Engine):
         for i in started:
             ctx = live[i]
             if ctx._outgoing:
-                drain(ctx, 0, startup_metrics, None)
+                drain(ctx, 0, startup_metrics)
 
-        frontier: List[int] = []
-        if fast_finished:
-            frontier = [i for i in started if not live[i]._halted]
+        # The active frontier: the started nodes that have not halted.
+        frontier = [i for i in started if not live[i]._halted]
 
         rounds = 0
-        silent_rounds = 0
-        while True:
-            if fast_finished:
-                all_done = not frontier
-            else:
-                all_done = all(protocol.finished(ctx) for ctx in contexts.materialize())
-            stop, silent_rounds = coordinator_should_stop(
-                all_done,
-                len(pending_index),
-                rounds,
-                silent_rounds,
-                quiesce_ok,
-                max_rounds,
-                protocol.name,
-            )
-            if stop:
-                break
-
+        while not coordinator_should_stop(
+            not frontier, len(pending_index), rounds, max_rounds
+        ):
             rounds += 1
             round_metrics = RoundMetrics(round_index=rounds)
             if rounds == 1:
@@ -666,40 +633,22 @@ class VectorizedEngine(Engine):
 
             pending_index = []
             pending_inbound = []
-            pairs: Optional[Set[Tuple[int, int]]] = None if enforce else set()
             interned.clear()
 
-            if fast_finished:
-                round_metrics.active_nodes = len(frontier)
-                any_halted = False
-                for i in frontier:
-                    ctx = live[i]
-                    ctx._round = rounds
-                    on_round(ctx, box_of(i, _EMPTY_INBOX))
-                    if ctx._halted:
-                        any_halted = True
-                    if ctx._outgoing:
-                        drain(ctx, rounds, round_metrics, pairs)
-                if any_halted:
-                    frontier = [i for i in frontier if not live[i]._halted]
-            else:
-                # An overridden predicate voids the scope, so every node
-                # has a context here.
-                active = 0
-                for i, ctx in enumerate(contexts.materialize()):
-                    ctx._round = rounds
-                    if protocol.finished(ctx):
-                        continue
-                    active += 1
-                    on_round(ctx, box_of(i, _EMPTY_INBOX))
-                    if ctx._outgoing:
-                        drain(ctx, rounds, round_metrics, pairs)
-                round_metrics.active_nodes = active
+            round_metrics.active_nodes = len(frontier)
+            any_halted = False
+            for i in frontier:
+                ctx = live[i]
+                ctx._round = rounds
+                on_round(ctx, box_of(i, _EMPTY_INBOX))
+                if ctx._halted:
+                    any_halted = True
+                if ctx._outgoing:
+                    drain(ctx, rounds, round_metrics)
+            if any_halted:
+                frontier = [i for i in frontier if not live[i]._halted]
 
-            round_metrics.edges_used = (
-                len(pending_index) if pairs is None else len(pairs)
-            )
-            metrics.absorb_round(round_metrics, config.record_round_metrics)
+            metrics.absorb_round(round_metrics)
 
         outputs = harvest_outputs(
             protocol, contexts, rounds, map(live.__getitem__, started)

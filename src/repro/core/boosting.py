@@ -86,7 +86,6 @@ class BoostedNearCliqueRunner:
         target_failure: Optional[float] = None,
         single_run_success: float = 0.5,
         engine: str = "centralized",
-        congest_engine: Optional[str] = None,
         congest_config: Optional[CongestConfig] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -116,19 +115,14 @@ class BoostedNearCliqueRunner:
         self.parameters = parameters
         self.repetitions = repetitions
         self.engine = engine
-        #: CONGEST execution engine for the "distributed" variant —
-        #: ``"reference"``, ``"vectorized"`` or ``"sharded"`` (see
-        #: :mod:`repro.congest.engine`); ``None`` keeps the simulator
-        #: default.  Bit-identical by the engine contract, so the boosted
-        #: statistics are engine-independent.
-        self.congest_engine = congest_engine
         #: Optional :class:`repro.congest.config.CongestConfig` for the
-        #: "distributed" variant's simulations — the way to reach
-        #: engine-specific knobs such as ``shards`` (each distributed
+        #: "distributed" variant's simulations; its ``engine`` field picks
+        #: the CONGEST execution engine (see :mod:`repro.congest.engine`),
+        #: and ``shards`` reaches the sharded one (each distributed
         #: version runs its ~14 phases inside one execution session, so
         #: the sharded engine's pool/shm setup is paid once across them).
-        #: ``congest_engine`` (when given) still overrides the
-        #: configuration's engine field.
+        #: Engines are bit-identical by contract, so the boosted
+        #: statistics are engine-independent.
         self.congest_config = congest_config
         self.rng = rng or random.Random()
         #: Session accounting from the last :meth:`run`.  All distributed
@@ -170,8 +164,6 @@ class BoostedNearCliqueRunner:
             config = self.congest_config or CongestConfig().with_log_budget(
                 network.n
             )
-            if self.congest_engine is not None:
-                config = config.with_engine(self.congest_engine)
             engine_obj = get_engine(config.engine)
             session = stack.enter_context(
                 engine_obj.open_session(network, config)

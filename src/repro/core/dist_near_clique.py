@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import random
 from contextlib import ExitStack
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
 from repro.congest.config import CongestConfig
-from repro.congest.engine import CongestSession, Engine, get_engine
+from repro.congest.engine import CongestSession, get_engine
 from repro.congest.errors import RoundLimitExceeded
 from repro.congest.metrics import RunMetrics
 from repro.congest.network import Network
@@ -65,16 +65,14 @@ class DistNearCliqueRunner:
         Source of randomness for the per-node coins (sampling stage) and any
         optional estimation sampling.  Defaults to a fresh ``random.Random``.
     config:
-        CONGEST simulator configuration.  By default the runner enforces the
-        one-message-per-edge rule and a ``12·log₂ n``-bit message budget
-        (checked, not just measured).
-    engine:
-        Execution-engine selector (``"reference"``, ``"vectorized"`` or
-        ``"sharded"``, see :mod:`repro.congest.engine`)
-        applied on top of *config*, or an already-constructed
-        :class:`repro.congest.engine.Engine` instance.  ``None`` keeps the
-        configuration's engine (``"vectorized"`` by default).  All engines
-        produce bit-identical outputs and protocol metrics, so this is a
+        CONGEST simulator configuration.  Every run enforces the
+        one-message-per-edge rule; by default the runner also checks a
+        ``12·log₂ n``-bit message budget (checked, not just measured).
+        Its ``engine`` field is the execution-engine selector
+        (``"reference"``, ``"vectorized"`` — the default — or
+        ``"sharded"``, or an :class:`repro.congest.engine.Engine`
+        instance; see :mod:`repro.congest.engine`).  All engines produce
+        bit-identical outputs and protocol metrics, so that choice is a
         throughput knob; under ``"sharded"`` every phase steps
         ``config.shards`` graph partitions.
 
@@ -105,7 +103,6 @@ class DistNearCliqueRunner:
         step4f_sample_size: int = 32,
         rng: Optional[random.Random] = None,
         config: Optional[CongestConfig] = None,
-        engine: Union[None, str, Engine] = None,
     ) -> None:
         if parameters is None:
             if epsilon is None or sample_probability is None:
@@ -124,7 +121,6 @@ class DistNearCliqueRunner:
         self.parameters = parameters
         self.rng = rng or random.Random()
         self.config = config
-        self.engine = engine
         #: Accounting of the execution session the last :meth:`run` opened
         #: (``None`` for engines that collect none — every in-process one).
         self.last_session_stats = None
@@ -181,12 +177,6 @@ class DistNearCliqueRunner:
                 "the injected session is bound to a different network"
             )
         config = self.config or CongestConfig().with_log_budget(network.n)
-        if isinstance(self.engine, Engine):
-            engine_obj = self.engine
-        else:
-            if self.engine is not None:
-                config = config.with_engine(self.engine)
-            engine_obj = get_engine(config.engine)
 
         global_inputs = {
             phases.GLOBAL_EPSILON: params.epsilon,
@@ -216,7 +206,9 @@ class DistNearCliqueRunner:
         # every exit path, via the stack).
         stack = ExitStack()
         if session is None:
-            session = stack.enter_context(engine_obj.open_session(network, config))
+            session = stack.enter_context(
+                get_engine(config.engine).open_session(network, config)
+            )
         with stack:
             self.last_session_stats = session.stats
 

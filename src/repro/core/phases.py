@@ -239,7 +239,6 @@ class SamplingPhase(Protocol):
     """
 
     name = "nc-sampling"
-    quiesce_terminates = True
 
     def on_start(self, ctx: NodeContext) -> None:
         self.draw(ctx)
@@ -314,7 +313,6 @@ class CompDisseminationPhase(Protocol):
     """
 
     name = "nc-comp-dissemination"
-    quiesce_terminates = True
 
     def on_start(self, ctx: NodeContext) -> None:
         if _in_sample(ctx):
@@ -437,7 +435,6 @@ class LocalSubsetPhase(Protocol):
     """
 
     name = "nc-local-subsets"
-    quiesce_terminates = True
     scope = (KEY_IN_SAMPLE, KEY_ADJ_COMPONENTS)
 
     def on_start(self, ctx: NodeContext) -> None:
@@ -575,7 +572,6 @@ class UpAggregationPhase(Protocol):
     """
 
     name = "nc-up-aggregation"
-    quiesce_terminates = True
     scope = (KEY_IN_SAMPLE, KEY_ATTACH_PARENT)
 
     def __init__(
@@ -672,13 +668,13 @@ def _converge(
     """Drive a wait-on-subtree convergecast over its tree nodes.
 
     A tree node folds each round's inbox (``fold(ctx, inbox)``, which also
-    discards finished senders from ``state[waiting_key]``); in the first
-    round after which it waits on nobody, ``flush(ctx, index, round)``
-    pushes its own stream to its parent — the stream starts in round 1
-    when it waits on nobody from the start, else in the round the last
-    stream it waits on delivers its final item.  A node whose wait never
-    ends keeps its partial state, as the callbacks leave it when the phase
-    quiesces.
+    discards the senders whose stream ended from ``state[waiting_key]``);
+    in the first round after which it waits on nobody,
+    ``flush(ctx, index, round)`` pushes its own stream to its parent — the
+    stream starts in round 1 when it waits on nobody from the start, else
+    in the round the last stream it waits on delivers its final item.  A
+    node whose wait never ends keeps its partial state, as the callbacks
+    leave it when the phase quiesces.
     """
     for index, ctx in tree.items():
         if not ctx.state[waiting_key]:
@@ -801,7 +797,6 @@ class DownBroadcastPhase(Protocol):
     """
 
     name = "nc-down-broadcast"
-    quiesce_terminates = True
     scope = (KEY_IN_SAMPLE, KEY_ATTACH_PARENT)
 
     def __init__(
@@ -925,7 +920,6 @@ class KAnnouncePhase(Protocol):
     """
 
     name = "nc-k-announce"
-    quiesce_terminates = True
     scope = (KEY_K_MEMBERSHIP,)
 
     def on_start(self, ctx: NodeContext) -> None:
@@ -1118,7 +1112,6 @@ class VotePhase(Protocol):
     """
 
     name = "nc-vote"
-    quiesce_terminates = True
     scope = (KEY_IN_SAMPLE, KEY_BEST_KNOWN)
 
     def on_start(self, ctx: NodeContext) -> None:

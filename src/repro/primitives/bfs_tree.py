@@ -69,7 +69,6 @@ class MinIdBFSTreeProtocol(Protocol):
     """
 
     name = "min-id-bfs-tree"
-    quiesce_terminates = True
 
     def __init__(self, participant_key: str = KEY_PARTICIPANT) -> None:
         self.participant_key = participant_key
@@ -132,7 +131,6 @@ class ParentNotificationProtocol(Protocol):
     """
 
     name = "bfs-parent-notification"
-    quiesce_terminates = True
 
     def __init__(self, participant_key: str = KEY_PARTICIPANT) -> None:
         self.participant_key = participant_key

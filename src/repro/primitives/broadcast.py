@@ -52,7 +52,6 @@ class TreeBroadcastProtocol(Protocol):
     """
 
     name = "tree-broadcast"
-    quiesce_terminates = True
 
     def __init__(
         self,

@@ -46,7 +46,6 @@ class ConvergecastCollectProtocol(Protocol):
     """Collect all participant identifiers of each tree at its root."""
 
     name = "convergecast-collect"
-    quiesce_terminates = True
 
     def __init__(self, participant_key: str = KEY_PARTICIPANT) -> None:
         self.participant_key = participant_key

@@ -36,7 +36,6 @@ class MinIdFloodingProtocol(Protocol):
     """Elect the minimum identifier of each connected participant component."""
 
     name = "min-id-flooding"
-    quiesce_terminates = True
 
     def __init__(self, participant_key: str = KEY_PARTICIPANT) -> None:
         self.participant_key = participant_key

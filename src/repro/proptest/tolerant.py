@@ -56,21 +56,16 @@ class TolerantNearCliqueTester:
     epsilon_2:
         Farness threshold: graphs in which no ρn-vertex set is an ε₂-near
         clique should be rejected.  Must exceed ``epsilon_1``.
-    congest_engine:
-        Execution engine used by :meth:`find_distributed` when the sampled
-        decision is re-run as the paper's actual CONGEST algorithm
-        (``"reference"``, ``"vectorized"`` or ``"sharded"``; see
-        :mod:`repro.congest.engine`).  ``None`` keeps the simulator
-        default.
     congest_config:
         Optional :class:`repro.congest.config.CongestConfig` for
-        :meth:`find_distributed` — the way to reach engine-specific knobs
-        such as ``shards`` (:meth:`find_distributed` runs the full
-        pipeline inside one execution session, so the sharded engine's
-        worker-pool and shared-memory setup is paid once across the ~14
-        phases; the session's accounting is exposed afterwards as
-        :attr:`last_session_stats`).  ``congest_engine`` (when given)
-        still overrides the configuration's engine field.
+        :meth:`find_distributed`, when the sampled decision is re-run as
+        the paper's actual CONGEST algorithm.  Its ``engine`` field picks
+        the execution engine (see :mod:`repro.congest.engine`) and
+        ``shards`` reaches the sharded one (:meth:`find_distributed` runs
+        the full pipeline inside one execution session, so the sharded
+        engine's worker-pool and shared-memory setup is paid once across
+        the ~14 phases; the session's accounting is exposed afterwards as
+        :attr:`last_session_stats`).  ``None`` keeps the runner's default.
     """
 
     def __init__(
@@ -80,7 +75,6 @@ class TolerantNearCliqueTester:
         epsilon_2: float,
         rng: Optional[random.Random] = None,
         primary_sample_cap: int = 14,
-        congest_engine: Optional[str] = None,
         congest_config: Optional[CongestConfig] = None,
     ) -> None:
         if not 0 < rho <= 1:
@@ -92,7 +86,6 @@ class TolerantNearCliqueTester:
         self.epsilon_2 = epsilon_2
         self.rng = rng or random.Random()
         self.primary_sample_cap = primary_sample_cap
-        self.congest_engine = congest_engine
         self.congest_config = congest_config
         #: Execution-session accounting of the last :meth:`find_distributed`
         #: run (``None`` unless the session collected any — see
@@ -184,8 +177,8 @@ class TolerantNearCliqueTester:
         full distributed ``DistNearClique`` on the same graph — the paper's
         point being that its construction *is* a distributed implementation
         of the tester.  The CONGEST simulation is executed under
-        :attr:`congest_engine`, so large accept-side instances can use the
-        vectorized fast path without changing the verdict (engines are
+        :attr:`congest_config`, so large accept-side instances can pick a
+        fast engine without changing the verdict (engines are
         bit-identical by contract).
 
         Returns the :class:`repro.core.result.NearCliqueResult` of one run.
@@ -203,7 +196,6 @@ class TolerantNearCliqueTester:
             max_sample_size=max_sample_size,
             rng=random.Random(self.rng.getrandbits(48)),
             config=self.congest_config,
-            engine=self.congest_engine,
         )
         result = runner.run(graph)
         self.last_session_stats = runner.last_session_stats

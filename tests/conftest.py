@@ -81,7 +81,6 @@ def round_trace(metrics):
             r.messages_sent,
             r.bits_sent,
             r.max_message_bits,
-            r.edges_used,
             r.active_nodes,
         )
         for r in metrics.per_round

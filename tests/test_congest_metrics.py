@@ -20,17 +20,11 @@ class TestRunMetrics:
         run = RunMetrics()
         rm = RoundMetrics(round_index=1)
         rm.observe_message(16)
-        run.absorb_round(rm, keep_trace=True)
+        run.absorb_round(rm)
         assert run.rounds == 1
         assert run.total_messages == 1
         assert run.total_bits == 16
         assert run.per_round == [rm]
-
-    def test_absorb_round_without_trace(self):
-        run = RunMetrics()
-        rm = RoundMetrics(round_index=1)
-        run.absorb_round(rm, keep_trace=False)
-        assert run.per_round == []
 
     def test_merge_adds_rounds_and_maxes_bits(self):
         a = RunMetrics(rounds=3, total_messages=5, total_bits=100, max_message_bits=20)
@@ -53,7 +47,3 @@ class TestRunMetrics:
         a = RunMetrics(total_messages=4, total_bits=100)
         assert a.mean_message_bits == 25.0
         assert RunMetrics().mean_message_bits == 0.0
-
-    def test_as_row(self):
-        a = RunMetrics(rounds=2, total_messages=3, max_message_bits=9, max_messages_per_round=7)
-        assert a.as_row() == (2, 3, 9, 7)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import networkx as nx
 import pytest
 
+from repro.congest import engine as engine_module
+from repro.congest import node as node_module
+from repro.congest import scheduler as scheduler_module
 from repro.congest.config import CongestConfig
 from repro.congest.errors import (
     CongestionViolation,
@@ -13,9 +18,13 @@ from repro.congest.errors import (
     RoundLimitExceeded,
 )
 from repro.congest.message import Message
+from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import Network
 from repro.congest.node import NodeContext, Protocol
 from repro.congest.scheduler import run_protocol
+from repro.core.boosting import BoostedNearCliqueRunner
+from repro.core.dist_near_clique import DistNearCliqueRunner
+from repro.proptest.tolerant import TolerantNearCliqueTester
 
 
 class EchoOnce(Protocol):
@@ -36,7 +45,6 @@ class FloodMax(Protocol):
     """Classic max-id flooding; terminates by quiescence."""
 
     name = "flood-max"
-    quiesce_terminates = True
 
     def on_start(self, ctx):
         ctx.state["best"] = ctx.node_id
@@ -55,15 +63,6 @@ class FloodMax(Protocol):
 
     def collect_output(self, ctx):
         return ctx.state["best"]
-
-
-class NeverTerminates(Protocol):
-    """Keeps every node busy without messages — must be detected as stalled."""
-
-    name = "never-terminates"
-
-    def on_round(self, ctx, inbox):
-        ctx.state["spin"] = ctx.state.get("spin", 0) + 1
 
 
 class DoubleSender(Protocol):
@@ -209,10 +208,6 @@ class TestScheduler:
         assert result.metrics.total_messages == 10  # 2 * #edges
         assert result.metrics.max_message_bits > 0
 
-    def test_stall_detection(self, path_graph):
-        with pytest.raises(ProtocolError):
-            run_protocol(Network(path_graph), NeverTerminates())
-
     def test_round_limit(self, path_graph):
         config = CongestConfig(max_rounds=2)
         with pytest.raises(RoundLimitExceeded):
@@ -222,19 +217,13 @@ class TestScheduler:
         with pytest.raises(CongestionViolation):
             run_protocol(Network(path_graph), DoubleSender())
 
-    def test_congestion_can_be_disabled(self, path_graph):
-        config = CongestConfig(enforce_congestion=False)
-        result = run_protocol(Network(path_graph), DoubleSender(), config=config)
-        assert result.metrics.total_messages >= 10
-
     def test_message_size_violation(self, path_graph):
         config = CongestConfig().with_log_budget(6)
         with pytest.raises(MessageSizeViolation):
             run_protocol(Network(path_graph), BigTalker(), config=config)
 
-    def test_local_model_config_allows_big_messages(self, path_graph):
-        config = CongestConfig.local_model()
-        result = run_protocol(Network(path_graph), BigTalker(), config=config)
+    def test_default_config_allows_big_messages(self, path_graph):
+        result = run_protocol(Network(path_graph), BigTalker(), config=CongestConfig())
         assert result.metrics.max_message_bits == 10 ** 6
 
     def test_send_to_non_neighbor_rejected(self):
@@ -266,18 +255,11 @@ class TestScheduler:
         result = run_protocol(Network(path_graph), FloodMax())
         assert len(result.metrics.per_round) == result.metrics.rounds
 
-    def test_per_round_trace_can_be_disabled(self, path_graph):
-        config = CongestConfig(record_round_metrics=False)
-        result = run_protocol(Network(path_graph), FloodMax(), config=config)
-        assert result.metrics.per_round == []
-
     def test_reuse_contexts_preserves_state(self, path_graph):
         network = Network(path_graph)
         run_protocol(network, FloodMax())
 
         class ReadsPrevious(Protocol):
-            quiesce_terminates = True
-
             def on_start(self, ctx):
                 ctx.write_output(ctx.state.get("best"))
                 ctx.halt()
@@ -290,8 +272,6 @@ class TestScheduler:
         run_protocol(network, FloodMax())
 
         class ReadsPrevious(Protocol):
-            quiesce_terminates = True
-
             def on_start(self, ctx):
                 ctx.write_output(ctx.state.get("best"))
                 ctx.halt()
@@ -301,8 +281,6 @@ class TestScheduler:
 
     def test_global_inputs_visible_to_nodes(self, path_graph):
         class ReadsGlobal(Protocol):
-            quiesce_terminates = True
-
             def on_start(self, ctx):
                 ctx.write_output(ctx.globals["threshold"])
                 ctx.halt()
@@ -329,8 +307,8 @@ class TestCongestConfig:
         assert capped.message_bit_budget == base.message_bit_budget
         assert base.max_rounds is None
 
-    def test_local_model_has_no_budget(self):
-        assert CongestConfig.local_model().message_bit_budget is None
+    def test_default_has_no_budget(self):
+        assert CongestConfig().message_bit_budget is None
 
 
 class TestNodeContext:
@@ -347,3 +325,64 @@ class TestNodeContext:
     def test_degree(self):
         ctx = NodeContext(node_id=0, neighbors=[1, 2, 3], n=4)
         assert ctx.degree == 3
+
+
+class TestOneRulebook:
+    """Tombstones: the rule switches and extra engine selectors are gone."""
+
+    def test_protocol_has_no_termination_hooks(self):
+        assert not hasattr(Protocol, "finished")
+        assert not hasattr(Protocol, "quiesce_terminates")
+        assert not hasattr(node_module, "effective_scope")
+        assert not hasattr(engine_module, "_STALL_LIMIT")
+        assert not hasattr(scheduler_module, "_STALL_LIMIT")
+
+    def test_round_metrics_have_no_edges_used(self):
+        names = [field.name for field in dataclasses.fields(RoundMetrics)]
+        assert "edges_used" not in names
+        assert not hasattr(RoundMetrics(round_index=1), "edges_used")
+
+    def test_removed_helpers_are_gone(self):
+        assert not hasattr(CongestConfig, "local_model")
+        assert not hasattr(RunMetrics, "as_row")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda: CongestConfig(enforce_congestion=False),
+                id="CongestConfig-enforce_congestion",
+            ),
+            pytest.param(
+                lambda: CongestConfig(record_round_metrics=False),
+                id="CongestConfig-record_round_metrics",
+            ),
+            pytest.param(
+                lambda: run_protocol(
+                    Network(nx.path_graph(3)), EchoOnce(), engine="reference"
+                ),
+                id="run_protocol-engine",
+            ),
+            pytest.param(
+                lambda: DistNearCliqueRunner(
+                    epsilon=0.2, sample_probability=0.1, engine="reference"
+                ),
+                id="DistNearCliqueRunner-engine",
+            ),
+            pytest.param(
+                lambda: BoostedNearCliqueRunner(
+                    epsilon=0.2, sample_probability=0.1, congest_engine="reference"
+                ),
+                id="BoostedNearCliqueRunner-congest_engine",
+            ),
+            pytest.param(
+                lambda: TolerantNearCliqueTester(
+                    0.5, 0.001, 0.2, congest_engine="reference"
+                ),
+                id="TolerantNearCliqueTester-congest_engine",
+            ),
+        ],
+    )
+    def test_removed_keyword_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()

@@ -143,7 +143,7 @@ class TestPaperOracleProperty:
             sample_probability=0.4,
             max_sample_size=None,
             rng=random.Random(data.draw(st.integers(0, 2**16))),
-            engine=engine,
+            config=CongestConfig(engine=engine).with_log_budget(len(graph)),
         )
         result = runner.run(graph, sample=sample)
         if forced:

@@ -6,8 +6,7 @@ every protocol, graph, seed and configuration every registered engine —
 per-node outputs, the same round count, and the same protocol message/bit
 metrics including the per-round trace.  This suite runs every protocol in ``repro.primitives`` (plus
 the full ``DistNearCliqueRunner`` pipeline, the boosted wrapper, the
-tolerant tester's distributed companion, and the shingles baseline, whose
-overridden ``finished`` exercises the engines' compatibility paths) under
+tolerant tester's distributed companion, and the shingles baseline) under
 each engine on a pool of seeded graphs and asserts exact equality.
 
 Every test that compares a backend against the reference is parametrized by
@@ -178,8 +177,9 @@ class TestPrimitiveEquivalence:
         assert results[engine] == results["reference"]
 
 
-class TestOverriddenFinishedEquivalence:
-    """ShinglesProtocol overrides ``finished`` — the compatibility path."""
+class TestShinglesEquivalence:
+    """The shingles baseline: at most four rounds of shingle, label, report
+    and verdict traffic."""
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("seed", [1, 4])
@@ -398,9 +398,9 @@ class TestProcessBackend:
             results[name] = _runner_fingerprint(graph, config)
         assert results["process"] == results["reference"]
 
-    def test_overridden_finished_identical_process(self):
-        # ShinglesProtocol's overridden ``finished`` forces the per-round
-        # predicate scan; the workers evaluate it shard-locally.
+    def test_shingles_identical_process(self):
+        # Three shards over the shingles counterexample, so its shingle,
+        # label and report messages cross shard boundaries.
         graph, _ = generators.shingles_counterexample(n=24, delta=0.5)
         fingerprints = {}
         for name, config in (
@@ -440,7 +440,6 @@ class _EchoSessionGlobal(Protocol):
     ``global_inputs`` and ``per_node_inputs``."""
 
     name = "echo-session-global"
-    quiesce_terminates = True
 
     def on_start(self, ctx):
         ctx.send_all(Message(kind="ping"))

@@ -9,8 +9,8 @@ guarantees on randomized workloads driven by stdlib ``random``:
 * the vectorized engine's active-frontier skipping never starves a node: a
   message sent to a node that has not halted is delivered exactly once, in
   the next round, no matter how long the node has been silent;
-* the ``_STALL_LIMIT`` quiesce path: a protocol that is silent for exactly
-  ``_STALL_LIMIT - 1`` rounds and then resumes is not declared stalled;
+* the one termination rule: a quiet network ends the run after its first
+  round, halted or not, and raises nothing;
 * the sharded engine's partition — however many shards — is invisible to
   the protocol: every node sees the vectorized engine's traffic.
 
@@ -32,20 +32,23 @@ import pytest
 
 from repro.congest.config import CongestConfig
 from repro.congest.engine import available_engines
-from repro.congest.errors import (
-    CongestionViolation,
-    MessageSizeViolation,
-    ProtocolError,
-)
+from repro.congest.errors import CongestionViolation, MessageSizeViolation
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
-from repro.congest.scheduler import _STALL_LIMIT, run_protocol
+from repro.congest.scheduler import run_protocol
+
+from conftest import CallbacksEngine
 
 #: Engine configurations by arm id.
 ARMS = {name: {"engine": name} for name in available_engines() if name != "sharded"}
 ARMS["process"] = {"engine": "sharded", "shards": 2}
 ENGINES = tuple(ARMS)
+
+#: ... plus the vectorized engine with kernels suppressed, for the tests
+#: that pin the termination rule on every round loop.
+ARMS["callbacks"] = {"engine": CallbacksEngine()}
+LOOP_ENGINES = ENGINES + ("callbacks",)
 
 
 def _config(arm, **fields):
@@ -150,12 +153,15 @@ class BigTalker(Protocol):
 
 
 class NeverTerminates(Protocol):
+    """Never halts and never sends."""
+
     def on_round(self, ctx, inbox):
         ctx.state["spin"] = ctx.state.get("spin", 0) + 1
+        ctx.write_output(ctx.state["spin"])
 
 
 class SilentQuiescer(Protocol):
-    quiesce_terminates = True
+    """Pings every neighbour once, then stays silent without halting."""
 
     def on_start(self, ctx):
         ctx.send_all(Message(kind="one", payload=None))
@@ -174,14 +180,17 @@ class TestOneMessagePerEdgePerRound:
             pairs = per_round_pairs.setdefault(round_sent, set())
             assert (sender, receiver) not in pairs
             pairs.add((sender, receiver))
-        # With congestion enforcement, the per-round metrics agree: every
-        # message used a distinct directed edge.  (Round 1's messages_sent
-        # additionally folds in the on_start traffic, per the accounting
-        # convention, so subtract it before comparing.)
-        startup_messages = sum(1 for round_sent, _, _, _ in log.sent if round_sent == 0)
+        # The per-round metrics count exactly the logged sends.  (Round 1's
+        # messages_sent additionally folds in the on_start traffic, per the
+        # accounting convention.)
+        sent_in = {}
+        for round_sent, _, _, _ in log.sent:
+            sent_in[round_sent] = sent_in.get(round_sent, 0) + 1
         for rm in result.metrics.per_round:
-            expected = rm.messages_sent - (startup_messages if rm.round_index == 1 else 0)
-            assert rm.edges_used == expected
+            expected = sent_in.get(rm.round_index, 0)
+            if rm.round_index == 1:
+                expected += sent_in.get(0, 0)
+            assert rm.messages_sent == expected
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_double_send_raises(self, engine):
@@ -251,58 +260,59 @@ class TestFrontierNeverStarves:
             assert expected <= invoked.get(node, set())
 
 
-class TestStallAndQuiesce:
-    """Regression tests for the ``_STALL_LIMIT`` quiesce path."""
+class SendsAfterASilentRound(Protocol):
+    """Node 0 pings node 1 and halts; node 1 would answer two rounds later."""
 
-    class SilentThenResume(Protocol):
-        """Node 1 receives a ping, stays silent for exactly two rounds, then
-        replies — one short of ``_STALL_LIMIT``, so no engine may declare the
-        protocol stalled."""
+    def on_start(self, ctx):
+        if ctx.node_id == 0:
+            ctx.send(1, Message(kind="ping", payload=None))
+        if ctx.node_id != 1:
+            ctx.halt()
 
-        name = "silent-then-resume"
-        quiesce_terminates = False
-        SILENT_ROUNDS = _STALL_LIMIT - 1
+    def on_round(self, ctx, inbox):
+        if inbox:
+            ctx.state["ping_round"] = ctx.round_index
+        elif ctx.round_index == ctx.state.get("ping_round", -1) + 2:
+            ctx.send(0, Message(kind="pong", payload=None))
+            ctx.write_output("resumed")
 
-        def on_start(self, ctx):
-            if ctx.node_id == 0:
-                ctx.send(1, Message(kind="ping", payload=None))
-                ctx.halt()
-            elif ctx.node_id != 1:
-                ctx.halt()
 
-        def on_round(self, ctx, inbox):
-            if any(inbound.kind == "ping" for inbound in inbox):
-                ctx.state["ping_round"] = ctx.round_index
-                return
-            ping_round = ctx.state.get("ping_round")
-            if ping_round is not None and ctx.round_index == ping_round + self.SILENT_ROUNDS:
-                ctx.send(0, Message(kind="pong", payload=None))
-                ctx.write_output("resumed")
-                ctx.halt()
+class TestQuiescence:
+    """The one termination rule: no message in flight, and every node
+    halted or at least one round run."""
 
-        def collect_output(self, ctx):
-            return ctx.output
+    @pytest.mark.parametrize("engine", LOOP_ENGINES)
+    def test_silent_network_terminates(self, engine):
+        # No node halts and none sends: the run ends after round 1,
+        # with no error.
+        result = run_protocol(
+            Network(nx.path_graph(5)), NeverTerminates(), config=_config(engine)
+        )
+        assert result.metrics.rounds == 1
+        assert result.metrics.total_messages == 0
+        assert result.outputs == {v: 1 for v in range(5)}
+        assert not any(result.contexts.peek(v).halted for v in range(5))
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_two_silent_rounds_then_resume_is_not_a_stall(self, engine):
-        graph = nx.path_graph(3)
-        config = _config(engine)
-        result = run_protocol(Network(graph, seed=1), self.SilentThenResume(), config=config)
-        assert result.outputs[1] == "resumed"
-        # ping round + (_STALL_LIMIT - 1) silent rounds + the resume round
-        assert result.metrics.rounds == 1 + self.SilentThenResume.SILENT_ROUNDS + 1
+    @pytest.mark.parametrize("engine", LOOP_ENGINES)
+    def test_run_ends_one_round_after_the_last_send(self, engine):
+        result = run_protocol(
+            Network(nx.path_graph(4), seed=2), SilentQuiescer(), config=_config(engine)
+        )
+        assert result.metrics.rounds == 1
+        assert result.outputs == {0: 1, 1: 2, 2: 2, 3: 1}
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_full_silence_still_detected_as_stall(self, engine):
-        config = _config(engine)
-        with pytest.raises(ProtocolError, match="stalled"):
-            run_protocol(Network(nx.path_graph(5)), NeverTerminates(), config=config)
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_quiesce_terminates_skips_the_stall_counter(self, engine):
-        config = _config(engine)
-        result = run_protocol(Network(nx.path_graph(4), seed=2), SilentQuiescer(), config=config)
-        assert result.metrics.rounds >= 1
+    @pytest.mark.parametrize("engine", LOOP_ENGINES)
+    def test_quiet_round_ends_the_run_before_a_late_send(self, engine):
+        # The ping arrives in round 1 and nothing is in flight after it,
+        # so the run stops there: node 1 never gets to round 3.
+        result = run_protocol(
+            Network(nx.path_graph(3), seed=1),
+            SendsAfterASilentRound(),
+            config=_config(engine),
+        )
+        assert result.metrics.rounds == 1
+        assert result.outputs == {0: None, 1: None, 2: None}
+        assert result.contexts.peek(1).state["ping_round"] == 1
 
 
 class TestPartitionInvisible:
@@ -336,7 +346,7 @@ class TestPartitionInvisible:
                 result.metrics.total_messages,
                 result.metrics.total_bits,
                 [
-                    (r.messages_sent, r.edges_used, r.active_nodes)
+                    (r.messages_sent, r.active_nodes)
                     for r in result.metrics.per_round
                 ],
             )

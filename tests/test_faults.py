@@ -107,7 +107,6 @@ class _FailAt(Protocol):
     """
 
     name = "fail-at"
-    quiesce_terminates = True
 
     def __init__(self, point: str = "never", action: str = "exit") -> None:
         self.point = point

@@ -7,6 +7,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro.congest.config import CongestConfig
 from repro.core import near_clique
 from repro.graphs import generators
 from repro.proptest.ggr_tester import GGRCliqueTester
@@ -168,15 +169,15 @@ class TestTolerantTester:
         tester = TolerantNearCliqueTester(rho=0.4, epsilon_1=0.01, epsilon_2=0.2)
         assert not tester.test(nx.Graph()).accepted
 
-    @pytest.mark.parametrize("congest_engine", ["reference", "vectorized"])
-    def test_find_distributed_runs_the_congest_algorithm(self, congest_engine):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_find_distributed_runs_the_congest_algorithm(self, engine):
         graph, _ = generators.planted_near_clique(60, 0.4, 0.02, 0.05, seed=4)
         tester = TolerantNearCliqueTester(
             rho=0.4,
             epsilon_1=0.02,
             epsilon_2=0.3,
             rng=random.Random(8),
-            congest_engine=congest_engine,
+            congest_config=CongestConfig(engine=engine).with_log_budget(60),
         )
         result = tester.find_distributed(graph)
         assert set(result.labels) == set(graph.nodes())
@@ -185,16 +186,16 @@ class TestTolerantTester:
     def test_find_distributed_identical_across_engines(self):
         graph, _ = generators.planted_near_clique(60, 0.4, 0.02, 0.05, seed=4)
         results = {}
-        for congest_engine in ("reference", "vectorized"):
+        for engine in ("reference", "vectorized"):
             tester = TolerantNearCliqueTester(
                 rho=0.4,
                 epsilon_1=0.02,
                 epsilon_2=0.3,
                 rng=random.Random(8),
-                congest_engine=congest_engine,
+                congest_config=CongestConfig(engine=engine).with_log_budget(60),
             )
             result = tester.find_distributed(graph)
-            results[congest_engine] = (
+            results[engine] = (
                 result.labels,
                 result.sample,
                 result.metrics.rounds,

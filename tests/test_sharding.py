@@ -160,7 +160,6 @@ class _PingAll(Protocol):
     """One broadcast round, then halt — tiny deterministic traffic source."""
 
     name = "ping-all"
-    quiesce_terminates = True
 
     def on_start(self, ctx):
         ctx.send_all(Message(kind="ping", payload=(ctx.node_id,)))
@@ -235,7 +234,6 @@ class _CrashInWorker(Protocol):
     """
 
     name = "crash-in-worker"
-    quiesce_terminates = True
 
     def __init__(self, victim: int) -> None:
         self.victim = victim
@@ -253,7 +251,6 @@ class _OutputIsPid(Protocol):
     """Records the executing pid per node — proves real multi-processing."""
 
     name = "output-is-pid"
-    quiesce_terminates = True
 
     def on_start(self, ctx):
         ctx.send_all(Message(kind="ping"))
@@ -451,7 +448,6 @@ class _RecordSenders(Protocol):
     """Every node pings its neighbours once; each records whom it heard."""
 
     name = "record-senders"
-    quiesce_terminates = True
 
     def on_start(self, ctx):
         ctx.send_all(Message(kind="ping"))
@@ -459,38 +455,6 @@ class _RecordSenders(Protocol):
     def on_round(self, ctx, inbox):
         ctx.write_output([inbound.sender for inbound in inbox])
         ctx.halt()
-
-
-class _AnswerTwice(Protocol):
-    """Pings once, then answers every neighbour twice on one edge direction."""
-
-    name = "answer-twice"
-    quiesce_terminates = True
-
-    def on_start(self, ctx):
-        ctx.send_all(Message(kind="ping"))
-
-    def on_round(self, ctx, inbox):
-        if inbox and ctx.round_index == 1:
-            ctx.send_all(Message(kind="a"))
-            ctx.send_all(Message(kind="b"))
-        ctx.halt()
-
-
-class _DoneAfterOneRound(Protocol):
-    """Overrides ``finished``: a node is done once it has written an output."""
-
-    name = "done-after-one-round"
-    quiesce_terminates = True
-
-    def on_start(self, ctx):
-        ctx.send_all(Message(kind="ping"))
-
-    def on_round(self, ctx, inbox):
-        ctx.write_output(1)
-
-    def finished(self, ctx):
-        return ctx.output is not None
 
 
 def _stepper_over(graph, protocol, shards, config=None):
@@ -548,7 +512,10 @@ class TestShardStepperInProcess:
         assert local + remote == 2 * graph.number_of_edges()
         assert sum(rm.messages_sent for rm in partials) == local + remote
         for state in states:
-            assert state.out_bucket_total() == state.remote_messages
+            assert (
+                sum(len(indices) for indices, _ in state.out_buckets)
+                == state.remote_messages
+            )
             assert len(state.pending_index) == state.local_messages
             for destination, (indices, _inbound) in enumerate(state.out_buckets):
                 assert all(plan.owner[i] == destination for i in indices)
@@ -576,35 +543,6 @@ class TestShardStepperInProcess:
             not indices for state in states for indices, _ in state.remote_from
         )
 
-    def test_unenforced_congestion_counts_distinct_edges(self):
-        # Without enforcement two messages may share an edge direction;
-        # edges_used then counts the distinct (sender, receiver) pairs.
-        graph = nx.cycle_graph(6)
-        config = CongestConfig(enforce_congestion=False)
-        _plan, stepper, states = _stepper_over(graph, _AnswerTwice(), 2, config)
-        for state in states:
-            stepper.start_shard(state)
-        _route(states)
-        partials = [stepper.step_shard(state, 1) for state in states]
-        assert sum(rm.messages_sent for rm in partials) == 2 * 12
-        assert sum(rm.edges_used for rm in partials) == 12
-
-    def test_overridden_finished_scans_every_owned_node(self):
-        # A protocol with its own ``finished`` has no frontier: each round
-        # asks every owned node, and only unfinished ones are invoked.
-        graph = nx.path_graph(6)
-        _plan, stepper, states = _stepper_over(graph, _DoneAfterOneRound(), 3)
-        for state in states:
-            stepper.start_shard(state)
-            assert state.frontier == []
-        _route(states)
-        first = [stepper.step_shard(state, 1) for state in states]
-        assert sum(rm.active_nodes for rm in first) == 6
-        _route(states)
-        second = [stepper.step_shard(state, 2) for state in states]
-        assert sum(rm.active_nodes for rm in second) == 0
-        assert [stepper.ctx_list[v].output for v in graph.nodes()] == [1] * 6
-
     def test_double_send_raises_congestion_violation(self):
         _plan, stepper, states = _stepper_over(nx.path_graph(4), _DoubleSend(), 2)
         with pytest.raises(CongestionViolation):
@@ -631,7 +569,6 @@ from repro.congest.node import Protocol
 
 class Ping(Protocol):
     name = "ping"
-    quiesce_terminates = True
     def on_start(self, ctx):
         ctx.send_all(Message(kind="ping"))
     def on_round(self, ctx, inbox):
@@ -1228,7 +1165,7 @@ class TestRetiredModeConstructionValidation:
             session_mode="persistent",
             pipeline_mode="fuse",
         )
-        assert len(dataclasses.fields(CongestConfig)) == 7
+        assert len(dataclasses.fields(CongestConfig)) == 5
         assert "shard_backend" not in vars(config)
         assert "session_mode" not in vars(config)
         assert "pipeline_mode" not in vars(config)
@@ -1578,12 +1515,10 @@ class TestShardingKnobConstructionValidation:
         assert sharded == dataclasses.replace(config, engine="sharded")
         assert config.with_sharding(5).shards == 5
 
-    def test_stored_fields_are_the_seven_knobs(self):
+    def test_stored_fields_are_the_five_knobs(self):
         assert [field.name for field in dataclasses.fields(CongestConfig)] == [
             "max_rounds",
-            "enforce_congestion",
             "message_bit_budget",
-            "record_round_metrics",
             "engine",
             "shards",
             "round_timeout",

@@ -73,7 +73,7 @@ class TestForcedSampleSparsity:
             epsilon=0.2,
             sample_probability=1.0 / n,
             max_sample_size=None,
-            engine="vectorized",
+            config=CongestConfig(engine="vectorized").with_log_budget(n),
         ).run(network=network, sample=sample)
         monkeypatch.setattr(NodeContext, "__init__", init)
 

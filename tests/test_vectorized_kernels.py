@@ -410,7 +410,6 @@ class _MisScoped(Protocol):
 
     name = "mis-scoped"
     scope = ("flag",)
-    quiesce_terminates = True
 
     def __init__(self, breach=None):
         self.breach = breach
@@ -442,7 +441,6 @@ class _CallCounting(Protocol):
 
     name = "call-counting"
     scope = ("flag",)
-    quiesce_terminates = True
 
     def __init__(self):
         self.started = []
@@ -471,25 +469,11 @@ class _CallCounting(Protocol):
         return _Kernel()
 
 
-class _ScopedWithOwnFinished(Protocol):
-    """Declares a scope, but its overridden ``finished`` voids it."""
-
-    name = "scoped-own-finished"
-    scope = ("flag",)
-
-    def on_start(self, ctx):
-        ctx.write_output(ctx.node_id)
-
-    def finished(self, ctx):
-        return True
-
-
 class _LeakyOutput(Protocol):
     """Out-of-scope nodes only halt, but still report an output."""
 
     name = "leaky-output"
     scope = ("flag",)
-    quiesce_terminates = True
 
     def on_start(self, ctx):
         ctx.halt()
@@ -583,14 +567,6 @@ class TestScopeContract:
         result = self._run("sharded", protocol_class())
         assert result.outputs == expected.outputs == {0: None, 1: None, 2: 2, 3: None}
         assert all(result.contexts.peek(v).halted for v in result.contexts)
-
-    @pytest.mark.parametrize("engine_name", ["vectorized", "sharded"])
-    def test_overridden_finished_voids_the_scope_on_every_engine(self, engine_name):
-        # Every node writes its output although only node 2 is in scope:
-        # a breach if the scope applied, so the reference must not apply it.
-        expected = self._run("reference", _ScopedWithOwnFinished())
-        result = self._run(engine_name, _ScopedWithOwnFinished())
-        assert result.outputs == expected.outputs == {0: 0, 1: 1, 2: 2, 3: 3}
 
     def test_pipeline_protocols_declare_their_scopes(self):
         scoped = {
