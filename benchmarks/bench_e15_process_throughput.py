@@ -2,7 +2,7 @@
 
 The sharded engine (:mod:`repro.congest.sharding.workers`) runs one worker
 process per shard, paying for it with serialization of the boundary
-traffic, packed by :mod:`repro.congest.sharding.wire`.  This benchmark
+traffic, pickled once per source and destination shard.  This benchmark
 reports both sides of that trade on a large chatty workload:
 
 * **Wall time against the fastest single-process engine** — flooding +
@@ -18,8 +18,8 @@ reports both sides of that trade on a large chatty workload:
   here; on the full find, whose other phases do have kernels, the
   vectorized engine is several times faster (README, "Engines").
 
-* **Boundary bytes per round** — the packed wire bytes crossing the round
-  barrier per round
+* **Boundary bytes per round** — the pickled boundary bytes crossing the
+  round barrier per round
   (:attr:`repro.congest.sharding.ShardingStats.bytes_per_round`) next to
   the contiguous plan's cut fraction: the serialization bill of the
   worker processes.
@@ -145,7 +145,7 @@ def _throughput_table(name, graph, quick):
 
 
 def _boundary_bytes_table(name, graph):
-    """Packed boundary traffic of the contiguous plan: the serialization bill."""
+    """Pickled boundary traffic of the contiguous plan: the serialization bill."""
     per_node = {v: {KEY_PARTICIPANT: True} for v in graph.nodes()}
     network = Network(graph, seed=9)
     config = CongestConfig().with_sharding(SHARDS)
@@ -174,7 +174,7 @@ def _boundary_bytes_table(name, graph):
             "bytes/round",
         ],
         rows,
-        title="E15  %s — packed boundary traffic (%d worker processes)"
+        title="E15  %s — pickled boundary traffic (%d worker processes)"
         % (name, SHARDS),
     )
     return rows

@@ -2,19 +2,19 @@
 
 The process backend fails fast on a worker failure, and the one
 detection mechanism a caller opts into is the barrier watchdog
-(``CongestConfig.round_timeout``): it swaps the coordinator's blocking
-``recv`` barrier for ``multiprocessing.connection.wait`` with a
-deadline.  It must be close to free on the path everyone actually runs:
-a clean, fault-less execution, where it costs one deadline check per
-barrier.  This benchmark holds it to that design.
+(``CongestConfig.round_timeout``).  Every barrier gathers the workers'
+reports in one ``multiprocessing.connection.wait`` loop; the watchdog
+only gives that wait a deadline.  It must be close to free on the path
+everyone actually runs: a clean, fault-less execution, where it costs
+one clock read and deadline check per wait.  This benchmark holds it to
+that design.
 
 The comparison is the full ``DistNearCliqueRunner`` on the E15 community
 workload (process session, forced sample) in two arms:
 
-* **baseline** — no ``round_timeout``; barriers are plain blocking
-  ``recv``.
-* **watchdog** — ``round_timeout=30`` (never reached): every barrier
-  pays the watchdog bookkeeping.
+* **baseline** — no ``round_timeout``; barriers wait with no deadline.
+* **watchdog** — ``round_timeout=30`` (never reached): the same loop,
+  and every barrier pays the deadline bookkeeping.
 
 Bit-identity of both arms against the vectorized oracle is asserted before
 any timing is reported, then an interleaved best-of-N gates the

@@ -109,8 +109,8 @@ def _add_congest_arguments(parser: argparse.ArgumentParser) -> None:
         default=CongestConfig().shards,
         help="shard count for --congest-engine sharded: one worker "
         "process per shard, kept alive across all phases of a run with one "
-        "shared-memory CSR mapping; boundary traffic in a packed wire "
-        "format, session totals added to the run summary",
+        "shared-memory CSR mapping; boundary traffic pickled once per "
+        "destination shard, session totals added to the run summary",
     )
     parser.add_argument(
         "--round-timeout",
@@ -323,7 +323,7 @@ def _print_session_report(session_stats) -> None:
     """Session totals across the process sessions a finder opened.
 
     One row set aggregated over all sessions (the boosted finder opens one
-    per version): phases executed, per-phase setup seconds, packed boundary
+    per version): phases executed, per-phase setup seconds, pickled boundary
     traffic and the shared-memory mapping size.
     """
     session_stats = [stats for stats in session_stats if stats and stats.phases]

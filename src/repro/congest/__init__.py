@@ -54,7 +54,7 @@ This package is an in-process simulator of that model.  The pieces are:
                                             own frontier in worker
                                             processes and trade boundary
                                             messages at round barriers
-                                            (packed wire format)
+                                            (pickled per shard pair)
     ==============  ======================  ==================================
 
 ``CongestSession`` / ``Engine.open_session``

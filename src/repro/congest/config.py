@@ -59,17 +59,17 @@ class CongestConfig:
         composite runner's session keeps one worker pool and one
         shared-memory CSR mapping across its phases, re-armed between
         them, and a direct ``execute`` opens a one-shot session.  Boundary
-        traffic crosses the round barrier in the packed wire format of
-        :mod:`repro.congest.sharding.wire`.  Requires the protocol object
-        and all per-node state to be picklable.
+        traffic crosses the round barrier as one pickled byte string per
+        source and destination shard.  Requires the protocol object, all
+        per-node state and every payload to be picklable.
     round_timeout:
         Per-round barrier deadline in seconds for the sharded engine's
-        worker processes.  ``None`` (the default) keeps the original
-        blocking barrier: a worker that hangs in protocol code is
+        worker processes.  Every barrier gathers the reports through
+        ``multiprocessing.connection.wait``; ``None`` (the default) waits
+        with no deadline, so a worker that hangs in protocol code is
         indistinguishable from a slow round and is waited on forever.
-        A positive value arms a coordinator-side watchdog
-        (``multiprocessing.connection.wait`` instead of blocking ``recv``):
-        a worker missing the deadline raises
+        A positive value gives that wait a per-round deadline, a
+        coordinator-side watchdog: a worker missing the deadline raises
         :class:`~repro.congest.errors.ShardWorkerTimeout` — with a
         liveness probe distinguishing hung from silently-dead workers —
         instead of blocking the barrier.  In-process engines have no

@@ -45,8 +45,7 @@ ship today:
     (:func:`repro.congest.sharding.partition_network`) and each shard steps
     its own frontier with the callback loop's machinery in one worker
     process per shard, exchanging boundary-edge messages at the round
-    barrier in the packed wire format of
-    :mod:`repro.congest.sharding.wire`.
+    barrier as one pickled byte string per source and destination shard.
 
 **The reference-vs-fast-path contract.**  For every protocol, graph, seed
 and configuration, every non-reference engine must produce bit-identical

@@ -123,9 +123,9 @@ class ShardWorkerError(CongestError):
 class ShardWorkerTimeout(ShardWorkerError):
     """A shard worker missed the coordinator's per-round barrier deadline.
 
-    Raised only when ``CongestConfig.round_timeout`` is set: the barrier
-    then waits with :func:`multiprocessing.connection.wait` instead of a
-    blocking ``recv`` and, at the deadline, probes each missing worker's
+    Raised only when ``CongestConfig.round_timeout`` is set: the
+    barrier's :func:`multiprocessing.connection.wait` then has a deadline,
+    and at the deadline the coordinator probes each missing worker's
     liveness — ``alive_shards`` names the shards whose process still runs
     (hung in protocol code), the rest died without even an EOF reaching
     the coordinator yet.  The error is an infrastructure failure like its
@@ -155,18 +155,17 @@ class ShardWorkerTimeout(ShardWorkerError):
 
 
 class WireCorruptionError(ShardWorkerError):
-    """A packed :class:`~repro.congest.sharding.wire.WireBatch` failed to decode.
+    """A boundary batch failed to unpickle.
 
-    Raised by :meth:`repro.congest.sharding.wire.WireDecoder.decode` when a
-    batch's columns or payload blob are structurally invalid (unknown
-    payload tag, truncated varint, out-of-range kind id...).  A corrupt
-    batch means the transport delivered damaged bytes, not that the
-    protocol misbehaved, so this is a :class:`ShardWorkerError` subclass
-    and crosses the worker pipe intact.
+    Raised inside the receiving worker of the process backend when the
+    pickled bytes of one shard's boundary messages for it do not load.
+    Damaged bytes are a fault of the transport, not of the protocol, so
+    this is a :class:`ShardWorkerError` subclass and crosses the worker
+    pipe intact.
     """
 
     def __init__(self, detail):
-        super().__init__("corrupt wire batch: %s" % (detail,))
+        super().__init__("boundary batch failed to unpickle: %s" % (detail,))
         self.detail = detail
 
     def __reduce__(self):

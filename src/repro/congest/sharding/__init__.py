@@ -18,13 +18,10 @@ boundary at the round barrier.  This package provides:
     :class:`repro.congest.engine.ReferenceEngine` by the engine contract,
     for every shard count.
 
-:mod:`repro.congest.sharding.wire`
-    The packed wire format boundary traffic travels in between worker
-    processes: flat arrays plus one payload byte blob per bucket, message
-    kinds interned to small integers per channel.
-
 :mod:`repro.congest.sharding.workers`
-    The worker-process side of the engine, its coordinator,
+    The worker-process side of the engine, its coordinator (which routes
+    each round's boundary messages as one pickled byte string per source
+    and destination shard),
     the re-armable worker pool and the ``ProcessSession`` that keeps pool
     plus shared-memory CSR mapping alive across the phases of a composite
     pipeline (a direct ``execute`` runs in a one-shot session).
@@ -49,7 +46,6 @@ from repro.congest.sharding.partition import (
     partition_network,
 )
 from repro.congest.sharding.shm import SharedCSR
-from repro.congest.sharding.wire import WireBatch, WireDecoder, WireEncoder
 
 __all__ = [
     "SessionPhaseStats",
@@ -57,8 +53,5 @@ __all__ = [
     "ShardPlan",
     "ShardedEngine",
     "ShardingStats",
-    "WireBatch",
-    "WireDecoder",
-    "WireEncoder",
     "partition_network",
 ]

@@ -36,10 +36,10 @@ drain.  Two mechanisms make the partition invisible:
 
 Execution (:mod:`repro.congest.sharding.workers`): one long-lived worker
 process per non-empty shard owns that shard's contexts, CSR slice and inbox
-buffers; only boundary traffic crosses the round barrier, packed by
-:mod:`repro.congest.sharding.wire` into flat arrays instead of pickled
-per-message objects.  Requires the protocol object and all per-node state
-to be picklable.  Model-rule violations cross the process boundary with
+buffers; only boundary traffic crosses the round barrier, pickled once
+per source and destination shard and routed unopened by the coordinator.
+Requires the protocol object, all per-node state and every payload to be
+picklable.  Model-rule violations cross the process boundary with
 their in-process exception types; a worker that dies without reporting
 raises :class:`repro.congest.errors.ShardWorkerError` instead of hanging
 the barrier.  The workers always live in a
@@ -155,8 +155,8 @@ class ShardingStats:
     Attributes
     ----------
     boundary_bytes / barrier_rounds:
-        Packed wire bytes shipped across round barriers and the number of
-        barriers that shipped them.  Both stay zero for phases an empty
+        Pickled boundary bytes shipped across round barriers and the
+        number of barriers that shipped them.  Both stay zero for phases an empty
         network ran in-process.
     setup_seconds:
         Coordinator-side seconds spent on per-``execute`` setup (worker
@@ -202,7 +202,7 @@ class ShardingStats:
 
     @property
     def bytes_per_round(self) -> float:
-        """Mean packed boundary bytes per round barrier (process backend)."""
+        """Mean pickled boundary bytes per round barrier (process backend)."""
         if self.barrier_rounds == 0:
             return 0.0
         return self.boundary_bytes / self.barrier_rounds

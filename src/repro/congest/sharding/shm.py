@@ -8,8 +8,8 @@ of every phase attaches to the same mapping, so a 14-phase pipeline ships
 the tables exactly once regardless of how often the pool is (re)spawned —
 and under spawn start methods nothing is pickled at all.
 
-The wire format's flat ``array('q')`` columns (:mod:`.wire`) are exactly
-the shape a shared mapping wants, so the segment is one int64 vector::
+The tables are flat integer columns, exactly the shape a shared mapping
+wants, so the segment is one int64 vector::
 
     header  q[2]   n (nodes), m (directed CSR entries)
     ids     q[n]   node id at dense index i (ascending)

@@ -3,14 +3,15 @@
 One long-lived worker process per non-empty shard: the worker receives its
 shard's contexts and routing tables once at startup, is *armed* with a
 protocol and configuration, then steps its frontier every round, exchanging
-only *boundary* traffic with the coordinator at the round barrier — packed
-by :mod:`repro.congest.sharding.wire` into flat arrays instead of pickled
-per-message objects.  The coordinator (:class:`ProcessShardedRun`) keeps
-the round-loop structure of the single-process engines: per-shard
-:class:`repro.congest.metrics.RoundMetrics` partials are folded in ascending
-shard order at the barrier, and the termination rule and the round cap
-are evaluated centrally on the aggregated view — so the process boundary
-is invisible to the engine contract (same outputs, same round counts,
+only *boundary* traffic with the coordinator at the round barrier: each
+destination's bucket is pickled once into a byte string, which the
+coordinator routes without unpickling.  The coordinator
+(:class:`ProcessShardedRun`) keeps the round-loop structure of the
+single-process engines: per-shard
+:class:`repro.congest.metrics.RoundMetrics` partials are folded in
+ascending shard order at the barrier, and the termination rule and the
+round cap are evaluated centrally on the aggregated view — so the process
+boundary is invisible to the engine contract (same outputs, same round counts,
 same metrics, same exception types).
 
 Protocol of one phase group (all traffic over one duplex pipe per worker)::
@@ -35,43 +36,27 @@ fused group (``execute_fused``) ships the whole sequence once.  Only the
 group-final ``finish`` carries ``fold=True`` and ships per-node state
 back; before it the state stays worker-side for the next queued phase.
 
-Every pool lives in a :class:`ProcessSession`, which keeps one
-:class:`_WorkerPool` alive across the calls of a composite pipeline and
-**re-arms** it between groups: the ``("arm", ...)`` command above carries
-the protocols, the model-rule knobs and the context *deltas* (the
-per-execute inputs; each worker's ``start_shard`` resets the nodes it
-starts), so neither processes nor per-node state are re-shipped for
-``reuse_contexts`` phases.  A direct
+Every pool lives in a :class:`ProcessSession`, which re-arms it between
+groups (its docstring covers re-arming, the shared-memory CSR mapping,
+respawns and the topology binding); a direct
 :meth:`~repro.congest.sharding.engine.ShardedEngine.execute` is a one-shot
-session: opened, run once and closed.  The session's
-routing tables live in one :mod:`multiprocessing.shared_memory` CSR mapping
-(:mod:`repro.congest.sharding.shm`) attached once per worker.  A fresh
-context build, or any ``build_contexts`` call outside the session
-(detected via :attr:`repro.congest.network.Network.context_epoch`), falls
-back to a pool respawn — under fork that re-ships the contexts by memory
-inheritance, paid only when state actually diverged.  The epoch observes
-``build_contexts`` calls, not writes: state fed to a session's phases must
-travel through ``per_node_inputs`` / ``global_inputs`` or a
-``build_contexts`` call (as every caller in this package does); poking a
-live context's ``state`` dict directly between phases is invisible to any
-engine-side check and unsupported in sessions.  A session is bound to the
-topology it was opened on: after an effective
-:meth:`repro.congest.network.Network.apply_delta` (the network's
-``delta_epoch`` moves) its next ``execute`` raises ``ProtocolError``.
+session: opened, run once and closed.
 
 A model-rule violation inside a worker (``CongestionViolation``,
 ``MessageSizeViolation``, ``ProtocolError``...) is pickled back and
 re-raised by the coordinator with its original type.  A worker that dies
 without reporting — hard crash, ``os._exit``, unpicklable exception — is
-detected at the next ``recv`` (the pipe returns EOF) and surfaces as
+seen by the barrier's wait as a pipe at EOF and surfaces as
 :class:`repro.congest.errors.ShardWorkerError` instead of leaving the
-barrier waiting on a corpse.  A worker that is alive but stuck in
-protocol code is indistinguishable from a legitimately slow round, so by
-default it is *not* timed out (see the ``ShardWorkerError`` docstring);
+barrier waiting on a corpse; a boundary batch that fails to unpickle
+raises :class:`repro.congest.errors.WireCorruptionError` in its receiving
+worker.  A worker that is alive but stuck in protocol code is
+indistinguishable from a legitimately slow round, so by default it is
+*not* timed out (see the ``ShardWorkerError`` docstring);
 ``CongestConfig.round_timeout`` opts into a coordinator-side **barrier
-watchdog** — every barrier then collects reports through
-``multiprocessing.connection.wait`` against one per-round deadline, and
-a worker missing it raises
+watchdog** — every barrier collects reports through
+``multiprocessing.connection.wait``, and with a timeout set it waits
+against one per-round deadline; a worker missing it raises
 :class:`repro.congest.errors.ShardWorkerTimeout` carrying a liveness
 probe of the missing workers (hung vs silently dead).  Workers are
 daemonic and the sessions context-managed: closing a pool closes the pipes
@@ -107,6 +92,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import threading
 import time
 import weakref
@@ -126,7 +112,9 @@ from repro.congest.errors import (
     ProtocolError,
     ShardWorkerError,
     ShardWorkerTimeout,
+    WireCorruptionError,
 )
+from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import ContextRegistry, Network
 from repro.congest.node import NodeContext, Protocol
@@ -137,7 +125,6 @@ from repro.congest.sharding.engine import (
 )
 from repro.congest.sharding.partition import ShardPlan, partition_network
 from repro.congest.sharding.shm import SharedCSR
-from repro.congest.sharding.wire import WireBatch, WireDecoder, WireEncoder
 
 __all__ = ["ProcessSession", "ProcessShardedRun"]
 
@@ -223,6 +210,25 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def _pack_bucket(indices: List[int], inbounds: List[Inbound]) -> bytes:
+    """Pickle one boundary bucket: parallel receiver indices and ``Inbound``s.
+
+    Pickle's memo keeps a broadcast's shared ``Inbound`` one object on the
+    receiving side too, as the in-process engines' interning makes it.
+    """
+    return pickle.dumps((indices, inbounds), pickle.HIGHEST_PROTOCOL)
+
+
+def _unpack_bucket(blob: bytes) -> Tuple[List[int], List[Inbound]]:
+    """Inverse of :func:`_pack_bucket`; damaged bytes raise the typed error."""
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:
+        raise WireCorruptionError(
+            "%s: %s" % (type(exc).__name__, exc)
+        ) from exc
+
+
 def _pack_rng_state(state) -> Tuple:
     """Compact a ``random.Random`` state for the wire.
 
@@ -253,9 +259,8 @@ class _WorkerHarness:
     The harness is built once per worker lifetime from the static init
     payload (contexts, plus the routing tables attached from the session's
     shared-memory CSR segment) and re-armed per ``execute`` with
-    the protocol and configuration; the inbox buffers and the per-channel
-    wire codecs survive re-arms, so a session phase allocates no per-node
-    structures.
+    the protocol and configuration; the inbox buffers survive re-arms, so
+    a session phase allocates no per-node structures.
     """
 
     def __init__(self, init: Dict[str, Any]) -> None:
@@ -273,12 +278,6 @@ class _WorkerHarness:
         self.owned: Tuple[int, ...] = tuple(init["owned"])
         self.n_shards: int = init["n_shards"]
         self.inbox_buffers: List[List] = [[] for _ in ctx_list]
-        # One wire channel per (this shard → destination) and per
-        # (source → this shard); kind-interning tables stay synchronized
-        # because batches travel and decode in round order — across every
-        # execute of a session, since encoder and decoder persist together.
-        self.encoders: Dict[int, WireEncoder] = {}
-        self.decoders: Dict[int, WireDecoder] = {}
         self.stepper: Optional[_ShardStepper] = None
         self.shard: Optional[_ShardState] = None
         #: Protocols of the armed group still to run, and their config:
@@ -341,15 +340,14 @@ class _WorkerHarness:
     def _report(self, rm: RoundMetrics) -> Tuple:
         """Pack one round's results for the coordinator."""
         shard = self.shard
-        batches: List[Tuple[int, WireBatch]] = []
+        batches: List[Tuple[int, int, bytes]] = []
         out_buckets = shard.out_buckets
         for destination, (indices, inbounds) in enumerate(out_buckets):
             if not indices:
                 continue
-            encoder = self.encoders.get(destination)
-            if encoder is None:
-                encoder = self.encoders[destination] = WireEncoder()
-            batches.append((destination, encoder.encode(indices, inbounds)))
+            batches.append(
+                (destination, len(indices), _pack_bucket(indices, inbounds))
+            )
             out_buckets[destination] = ([], [])
         packed_metrics = (
             rm.messages_sent,
@@ -368,15 +366,10 @@ class _WorkerHarness:
     def start(self) -> Tuple:
         return self._report(self.stepper.start_shard(self.shard))
 
-    def step(
-        self, rounds: int, incoming: Sequence[Tuple[int, WireBatch]]
-    ) -> Tuple:
+    def step(self, rounds: int, incoming: Sequence[Tuple[int, bytes]]) -> Tuple:
         shard = self.shard
-        for source, batch in incoming:
-            decoder = self.decoders.get(source)
-            if decoder is None:
-                decoder = self.decoders[source] = WireDecoder()
-            shard.remote_from[source] = decoder.decode(batch)
+        for source, blob in incoming:
+            shard.remote_from[source] = _unpack_bucket(blob)
         return self._report(self.stepper.step_shard(shard, rounds))
 
     def finish(self, rounds: int, fold: bool) -> Tuple:
@@ -721,8 +714,8 @@ class ProcessShardedRun:
     The single-process engines' coordinator loop — startup barrier, the
     same termination and round-cap decisions — with a per-round fold in
     ascending shard order; the shards live in worker processes and
-    boundary buckets cross the barrier as packed
-    :class:`repro.congest.sharding.wire.WireBatch` columns.
+    boundary buckets cross the barrier as pickled byte strings, routed
+    unopened.
 
     The :class:`ProcessSession` passes its (already armed) *pool*; the run
     only drives the round loop and leaves pool lifetime to the session.
@@ -730,7 +723,7 @@ class ProcessShardedRun:
     Attributes
     ----------
     boundary_bytes / barrier_rounds:
-        Packed boundary traffic shipped over the run and the number of
+        Pickled boundary bytes shipped over the run and the number of
         barriers (startup plus one per round); feeds
         :class:`repro.congest.sharding.engine.ShardingStats` and the E15
         benchmark's bytes-per-round reports.
@@ -826,25 +819,22 @@ class ProcessShardedRun:
     def _collect(self, handles: List[_WorkerHandle]) -> List[Tuple]:
         """One report per handle, in handle order — the barrier's recv side.
 
-        Without ``CongestConfig.round_timeout`` this is the original
-        blocking loop (zero overhead on the watchdog-free path).  With a
-        timeout set, reports are gathered through
-        ``multiprocessing.connection.wait`` against one deadline for the
-        whole barrier; workers still missing at the deadline surface as
-        :class:`ShardWorkerTimeout` with a liveness probe (hung vs dead).
-        Either way, error reports and EOFs raise from :meth:`_recv` with
-        their documented types.
+        Reports are received as they arrive, through
+        ``multiprocessing.connection.wait``.  With
+        ``CongestConfig.round_timeout`` set, the wait runs against one
+        deadline for the whole barrier, and workers still missing at the
+        deadline surface as :class:`ShardWorkerTimeout` with a liveness
+        probe (hung vs dead).  Error reports and EOFs raise from
+        :meth:`_recv` with their documented types.
         """
         timeout = self.config.round_timeout
-        if timeout is None:
-            return [self._recv(handle) for handle in handles]
-        deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         pending = {handle.conn: handle for handle in handles}
         collected: Dict[int, Tuple] = {}
         while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._raise_timeout(list(pending.values()), timeout)
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
             ready = multiprocessing.connection.wait(
                 list(pending), timeout=remaining
             )
@@ -859,12 +849,12 @@ class ProcessShardedRun:
         self,
         handles: List[_WorkerHandle],
         into: RoundMetrics,
-        routed: Dict[int, List[Tuple[int, WireBatch]]],
+        routed: Dict[int, List[Tuple[int, bytes]]],
     ) -> Tuple[int, int]:
         """Collect one round's reports in ascending shard order.
 
         Folds the packed metrics partials into *into*, stages each outbound
-        batch for its destination worker in *routed*, and returns
+        blob, unopened, for its destination worker in *routed*, and returns
         ``(in_flight, open_nodes)`` — pending local deliveries plus routed
         boundary deliveries, and the surviving frontier size.
         """
@@ -881,12 +871,12 @@ class ProcessShardedRun:
                 into.max_message_bits = max_bits
             in_flight += pending_local
             open_nodes += shard_open
-            for destination, batch in batches:
+            for destination, deliveries, blob in batches:
                 routed.setdefault(destination, []).append(
-                    (handle.shard_index, batch)
+                    (handle.shard_index, blob)
                 )
-                in_flight += batch.deliveries
-                barrier_bytes += batch.wire_bytes()
+                in_flight += deliveries
+                barrier_bytes += len(blob)
         self.boundary_bytes += barrier_bytes
         self.barrier_rounds += 1
         return in_flight, open_nodes
@@ -904,7 +894,7 @@ class ProcessShardedRun:
         for handle in handles:
             self._send(handle, ("start",))
         startup_metrics = RoundMetrics(round_index=0)
-        routed: Dict[int, List[Tuple[int, WireBatch]]] = {}
+        routed: Dict[int, List[Tuple[int, bytes]]] = {}
         in_flight, open_nodes = self._barrier(
             handles, startup_metrics, routed
         )
@@ -983,10 +973,11 @@ class ProcessSession(CongestSession):
     * a fresh context build, or a ``build_contexts`` call outside the
       session (detected via
       :attr:`repro.congest.network.Network.context_epoch`), respawns the
-      pool so worker state never diverges from the parent's — direct
-      writes to a live context's ``state`` dict are the one thing no
-      engine-side check can see (module docstring), so session callers
-      must feed state through inputs or ``build_contexts``;
+      pool so worker state never diverges from the parent's — the epoch
+      observes ``build_contexts`` calls, not writes, so a direct write to
+      a live context's ``state`` dict is invisible to every engine-side
+      check, and session callers must feed state through inputs or
+      ``build_contexts``;
     * any error escaping an ``execute`` — model violations, worker deaths —
       tears the pool down *immediately*; the next ``execute`` (if any)
       starts a fresh pool, and ``close`` is then a no-op for workers;

@@ -10,8 +10,9 @@ module covers one family of engine invariants:
     The sharded engine pickles protocol objects and per-node state across
     worker pipes (``sharding/workers.py``).
 ``wire``  (WIRE0xx)
-    Payloads must stay inside the vocabulary the packed wire format
-    round-trips (``sharding/wire.py``, property-tested in ``test_wire.py``).
+    Payloads must stay inside the vocabulary ``estimate_payload_bits``
+    charges; for a message with an explicit ``bits=`` this rule is the
+    only check, on every engine.
 ``budget``  (BDG0xx)
     CONGEST messages carry O(log n) bits; whole containers in a payload can
     only violate ``message_bit_budget`` at scale.

@@ -2,11 +2,12 @@
 
 Message payloads are restricted to the vocabulary every layer of the stack
 agrees on — ``None``, ``bool``, ``int``, ``float``, ``str`` and nested
-tuples thereof.  ``estimate_payload_bits`` rejects anything else at send
-time *on the engines that validate eagerly*; the packed wire codec
-(``sharding/wire.py``, property-tested in ``tests/test_wire.py``) rejects it
-at the process boundary.  Flagging the construction site statically catches
-the payloads that never cross a validating path in tests.
+tuples thereof.  ``estimate_payload_bits`` rejects anything else when a
+``Message`` derives its own bit charge.  A message built with an explicit
+``bits=`` skips that estimate, and no engine checks its payload at run
+time: the process backend pickles whatever it is given.  This rule is the
+only vocabulary check for explicit-bits payloads, on every engine, so it
+flags the construction site statically.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _vocabulary_violation(node: ast.AST) -> Optional[str]:
     "WIRE001",
     SEVERITY_ERROR,
     "payloads must stay inside the wire vocabulary (None, bool, int, float, "
-    "str, nested tuples) that every engine and the packed codec round-trip",
+    "str, nested tuples) that the bit accounting charges",
 )
 def payload_vocabulary(unit: ModuleUnit) -> Iterator[LintFinding]:
     for hook in unit.hooks:

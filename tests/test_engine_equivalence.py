@@ -12,7 +12,7 @@ each engine on a pool of seeded graphs and asserts exact equality.
 Every test that compares a backend against the reference is parametrized by
 the backend's registry name, so a failure names the diverging engine in its
 test id — which is also what lets CI run the suite once per engine with
-``-k <engine>``.  The sharded engine (worker processes exchanging packed
+``-k <engine>``.  The sharded engine (worker processes exchanging pickled
 boundary batches) runs as the arm ``process`` of the engine-parametrized
 classes, and :class:`TestProcessBackend` adds its shard-count and
 whole-pipeline cases; their ids carry ``process`` for the same reason.  The tests that run the runner's
@@ -37,6 +37,7 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.congest.scheduler import run_protocol
+from repro.congest.sharding import partition_network
 from repro.core.boosting import BoostedNearCliqueRunner
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.graphs import generators
@@ -194,6 +195,72 @@ class TestShinglesEquivalence:
         assert fingerprints[engine] == fingerprints["reference"]
 
 
+#: Payloads of a node id, by shape.  The first seven are outside the
+#: payload vocabulary; the rest sit at the edges of it (ints past 64 bits,
+#: signed zero and infinity, non-ASCII text).
+EXPLICIT_BITS_PAYLOADS = {
+    "list": lambda v: [v],
+    "dict": lambda v: {"id": v},
+    "set": lambda v: {v, v + 100},
+    "frozenset": lambda v: frozenset({v}),
+    "bytes": lambda v: bytes([v]),
+    "bytearray": lambda v: bytearray([v]),
+    "nested-list": lambda v: ([v, (v, "x")], None),
+    "big-ints": lambda v: (v << 200, -(1 << 63) - v, (1 << 63) - 1),
+    "floats": lambda v: (v + 0.5, -0.0, float("inf")),
+    "unicode": lambda v: ("\u00fc\u2603%d" % v, ""),
+    "scalars": lambda v: (None, True, False, 0),
+    "empty-tuple": lambda v: (),
+}
+
+
+class _ExplicitBitsPing(Protocol):
+    """One payload per edge, charged at explicit bits.
+
+    An explicit ``bits=`` skips ``Message``'s own estimate, so no engine
+    checks the payload's vocabulary (only lint rule WIRE001 does): every
+    engine must deliver it as sent.
+    """
+
+    name = "explicit-bits-ping"
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def on_start(self, ctx):
+        payload = EXPLICIT_BITS_PAYLOADS[self.shape](ctx.node_id)
+        ctx.send_all(Message(kind="ping", payload=payload, bits=16))
+
+    def on_round(self, ctx, inbox):
+        ctx.write_output([(inbound.sender, inbound.payload) for inbound in inbox])
+        ctx.halt()
+
+
+class TestExplicitBitsPayloadEquivalence:
+    """A payload with an explicit bit charge crosses a shard boundary."""
+
+    @pytest.mark.parametrize("engine", (ReferenceEngine.name,) + FAST_ENGINES)
+    @pytest.mark.parametrize("shape", sorted(EXPLICIT_BITS_PAYLOADS))
+    def test_payload_with_explicit_bits_identical(self, shape, engine):
+        graph = nx.path_graph(8)
+        # Two shards of four nodes: the edge (3, 4) crosses the boundary.
+        assert partition_network(Network(graph), 2).cut_edges == 1
+        fingerprints = {}
+        for name in (ReferenceEngine.name, engine):
+            result = run_protocol(
+                Network(graph, seed=3), _ExplicitBitsPing(shape), config=_config(name)
+            )
+            fingerprints[name] = run_fingerprint(result)
+        payload_of = EXPLICIT_BITS_PAYLOADS[shape]
+        expected = {
+            v: [(u, payload_of(u)) for u in sorted(graph[v])] for v in graph
+        }
+        # repr tells -0.0 from 0.0, which == does not.
+        assert repr(fingerprints[engine][0]) == repr(expected)
+        assert fingerprints[engine] == fingerprints[ReferenceEngine.name]
+        assert fingerprints[engine][3] == 16 * 2 * graph.number_of_edges()
+
+
 def _independent_sample(graph: nx.Graph, size: int, rng: random.Random):
     """*size* pairwise non-adjacent nodes of *graph*, drawn by rejection."""
     nodes = sorted(graph.nodes())
@@ -346,10 +413,10 @@ class TestWrapperEquivalence:
 
 
 class TestProcessBackend:
-    """The sharded engine across shard counts: worker processes + wire codec.
+    """The sharded engine across shard counts: worker processes + pickled traffic.
 
     Every boundary message of these runs crosses a real process boundary in
-    the packed wire format, and every context round-trips through pickle at
+    a pickled batch, and every context round-trips through pickle at
     the end of each execute — so this arm exercises serialization paths the
     in-process engines never touch.  The graph-pool sweep is the
     ``process`` arm of :class:`TestPrimitiveEquivalence`; these tests pin

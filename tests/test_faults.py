@@ -7,7 +7,8 @@ fails fast on it:
 1. **Every failure is a typed error** — a worker that exits raises
    :class:`ShardWorkerError`, a worker that hangs under ``round_timeout``
    raises :class:`ShardWorkerTimeout` within the deadline and names its
-   shard, a corrupt wire batch raises :class:`WireCorruptionError`.
+   shard, a boundary batch that fails to unpickle raises
+   :class:`WireCorruptionError`.
 2. **No worker outlives the failure** — the pool is torn down before the
    error reaches the caller, and the session's shared-memory segment is
    unlinked when it closes.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import time
@@ -44,7 +46,7 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.congest.scheduler import run_protocol
-from repro.congest.sharding import SharedCSR, WireEncoder
+from repro.congest.sharding import SharedCSR, workers
 from repro.congest.sharding.engine import _ShardStepper
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
@@ -293,18 +295,18 @@ class TestProcessWorkerFailure:
     def test_corrupt_batch_raises_wire_corruption_then_respawns_process(
         self, monkeypatch
     ):
-        # Every worker garbles the payload blob of each batch it sends, so
-        # the first worker to decode one raises.
-        encode = WireEncoder.encode
+        # Every worker garbles the pickled blob of each batch it sends, so
+        # the first worker to unpickle one raises.
+        pack = workers._pack_bucket
 
-        def garbling_encode(self, indices, inbounds):
-            batch = encode(self, indices, inbounds)
+        def garbling_pack(indices, inbounds):
+            blob = pack(indices, inbounds)
             if os.getpid() == _PARENT_PID:
-                return batch
-            # Tag byte 255 is outside the payload vocabulary.
-            return batch._replace(payloads=b"\xff" * max(1, len(batch.payloads)))
+                return blob
+            # 0xff is no pickle opcode.
+            return b"\xff" * len(blob)
 
-        monkeypatch.setattr(WireEncoder, "encode", garbling_encode)
+        monkeypatch.setattr(workers, "_pack_bucket", garbling_pack)
         session = get_engine("sharded").open_session(
             Network(GRAPH, seed=2), _process_config()
         )
@@ -479,3 +481,26 @@ def test_watchdog_is_inert_on_clean_runs_process():
         results[timeout] = run_fingerprint(result)
     assert results[None] == results[30.0] == _vectorized_bfs_fingerprint()
     _assert_no_worker_processes()
+
+
+# ----------------------------------------------------------------------
+# the worker errors cross the pipe
+# ----------------------------------------------------------------------
+class TestProcessWorkerErrors:
+    """The typed worker errors survive the pickling a worker pipe applies."""
+
+    def test_corruption_error_is_a_worker_error_and_picklable(self):
+        error = WireCorruptionError("unknown tag 255")
+        assert isinstance(error, ShardWorkerError)
+        clone = pickle.loads(pickle.dumps(error))
+        assert isinstance(clone, WireCorruptionError)
+        assert clone.detail == error.detail
+
+    def test_timeout_error_is_picklable(self):
+        error = ShardWorkerTimeout((0, 2), 1.5, alive_shards=(2,))
+        clone = pickle.loads(pickle.dumps(error))
+        assert isinstance(clone, ShardWorkerTimeout)
+        assert clone.shard_indices == (0, 2)
+        assert clone.alive_shards == (2,)
+        assert clone.timeout == 1.5
+        assert isinstance(clone, ShardWorkerError)

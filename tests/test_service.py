@@ -647,12 +647,12 @@ class TestDaemon:
         [
             ShardWorkerError("shard worker for shard 1 died"),
             ShardWorkerTimeout((1,), 2.0, alive_shards=(1,)),
-            WireCorruptionError("truncated varint"),
+            WireCorruptionError("pickle data was truncated"),
         ],
         ids=["crash", "timeout", "corrupt-wire"],
     )
     def test_every_worker_failure_answers_congest_error(self, error):
-        # Crash, watchdog timeout and a corrupt wire batch are all
+        # Crash, watchdog timeout and a batch that fails to unpickle are all
         # CongestErrors: one code, the cached state untouched.
         service = NearCliqueService(_block_graph([10, 10]), PARAMS)
         first = service.query(seed=3)

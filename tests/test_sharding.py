@@ -32,8 +32,14 @@ from repro.congest.errors import (
     ProtocolError,
     RoundLimitExceeded,
     ShardWorkerError,
+    WireCorruptionError,
 )
-from repro.congest.message import Message
+from repro.congest.message import (
+    Inbound,
+    Message,
+    make_counter_message,
+    make_id_message,
+)
 from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.congest.scheduler import run_protocol
@@ -45,11 +51,13 @@ from repro.congest.sharding import (
     partition_network,
 )
 from repro.congest.sharding.engine import _ShardState, _ShardStepper
+from repro.congest.sharding.workers import _pack_bucket, _unpack_bucket
 from repro.core import phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 
 from conftest import run_fingerprint
+from test_engine_equivalence import EXPLICIT_BITS_PAYLOADS
 
 
 def _check_plan_invariants(plan: ShardPlan, network: Network) -> None:
@@ -299,7 +307,7 @@ class TestProcessBackendInfrastructure:
     class covers the machinery around it: a direct execute's one-shot
     session must take its pool and shared-memory segment with it, a crashed
     worker must surface as a clean error, and the traffic stats must
-    account the packed boundary bytes.
+    account the pickled boundary bytes.
     """
 
     def _config(self, shards=3):
@@ -397,20 +405,6 @@ class TestProcessBackendInfrastructure:
             assert str(clone) == str(exc)
             assert clone.__dict__ == exc.__dict__
 
-    def test_stats_report_boundary_bytes(self):
-        network = Network(nx.cycle_graph(10), seed=1)
-        session, _config = _open_process_session(network, shards=2)
-        with session:
-            result = session.execute(_PingAll())
-        stats = session.stats
-        # 2 cut edges of the two-arc cycle partition, both directions.
-        assert stats.protocol_messages == result.metrics.total_messages == 20
-        assert stats.cross_shard_messages == 4
-        assert stats.boundary_bytes > 0
-        assert stats.barrier_rounds > 0
-        assert stats.bytes_per_round > 0.0
-        _assert_no_worker_processes()
-
     def test_single_nonempty_shard_process_degenerates_to_fast_path(self):
         # One shard == the whole network in one worker; must equal the
         # in-process fast path exactly.  (Keep the names of OTHER engines
@@ -479,14 +473,90 @@ def _stepper_over(graph, protocol, shards, config=None):
 def _route(states):
     """The round barrier: hand every outbound bucket to its destination.
 
-    Sources are walked in descending order, so a delivery order that
-    depended on the routing order would show.
+    Each bucket travels pickled, as between worker processes.  Sources are
+    walked in descending order, so a delivery order that depended on the
+    routing order would show.
     """
     for source in reversed(states):
         for destination, bucket in enumerate(source.out_buckets):
             if bucket[0]:
-                states[destination].remote_from[source.index] = bucket
+                states[destination].remote_from[source.index] = _unpack_bucket(
+                    _pack_bucket(*bucket)
+                )
                 source.out_buckets[destination] = ([], [])
+
+
+class TestProcessTransport:
+    """Boundary buckets through the pickled transport."""
+
+    @pytest.mark.parametrize("shape", sorted(EXPLICIT_BITS_PAYLOADS))
+    def test_bucket_round_trip_keeps_order_bits_and_broadcast_sharing(self, shape):
+        # make_id_message and make_counter_message charge Theta(log n)
+        # explicitly; the round trip must not re-derive bits from payloads.
+        broadcast = Inbound(
+            sender=3, message=make_id_message("bfs.explore", node_id=3, n=64)
+        )
+        counter = Inbound(
+            sender=5, message=make_counter_message("nc.kcount", value=3, n=4096)
+        )
+        shaped = Inbound(
+            sender=1,
+            message=Message("ping", payload=EXPLICIT_BITS_PAYLOADS[shape](1), bits=16),
+        )
+        indices = [0, 4, 2, 7, 4]
+        inbounds = [broadcast, counter, broadcast, shaped, broadcast]
+        out_indices, out_inbounds = _unpack_bucket(_pack_bucket(indices, inbounds))
+        assert out_indices == indices
+        # The reprs show each delivery's sender, kind, payload and bits.
+        assert repr(out_inbounds) == repr(inbounds)
+        assert out_inbounds[1].message.bits != Message(
+            kind="nc.kcount", payload=(3,)
+        ).bits
+        # The broadcast arrives as one shared Inbound, as it was sent.
+        assert out_inbounds[0] is out_inbounds[2] is out_inbounds[4]
+        assert out_inbounds[0] is not out_inbounds[1]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda blob: b"\xff" * len(blob),
+            lambda blob: blob[:-2],
+            lambda blob: b"",
+        ],
+        ids=["garbage", "truncated", "empty"],
+    )
+    def test_damaged_bucket_raises_wire_corruption_error(self, damage):
+        blob = _pack_bucket([1], [Inbound(sender=0, message=Message("ping"))])
+        with pytest.raises(WireCorruptionError):
+            _unpack_bucket(damage(blob))
+
+    # A path's contiguous shards share one edge per neighbouring pair.
+    @pytest.mark.parametrize("shards", [2, 3, 4, 8])
+    def test_boundary_bytes_count_the_pickled_buckets(self, shards):
+        # Every node pings its neighbours once, so each cut edge carries
+        # one one-message bucket per direction, at startup only.
+        graph = nx.path_graph(8)
+        network = Network(graph, seed=0)
+        index_of = network.node_index_of
+        plan = partition_network(network, shards)
+        ping = Message(kind="ping")
+        expected = sum(
+            len(_pack_bucket([index_of[v]], [Inbound(sender=u, message=ping)]))
+            for u, v in nx.DiGraph(graph).edges()
+            if plan.owner[index_of[u]] != plan.owner[index_of[v]]
+        )
+        session, _config = _open_process_session(network, shards=shards)
+        with session:
+            result = session.execute(_RecordSenders())
+        stats = session.stats
+        assert result.outputs == {v: sorted(graph[v]) for v in graph}
+        assert stats.protocol_messages == result.metrics.total_messages == 14
+        assert stats.cross_shard_messages == 2 * plan.cut_edges
+        assert stats.boundary_bytes == expected
+        # Startup and round 1; only the startup barrier ships bytes.
+        assert stats.barrier_rounds == 2
+        assert stats.bytes_per_round == expected / 2
+        _assert_no_worker_processes()
 
 
 class TestShardStepperInProcess:
@@ -1186,10 +1256,10 @@ class TestRemovedSurfaceStaysRemoved:
     worker-recovery layer, a session's absorption of deltas with the CSR
     fingerprint and the partition memo behind it, the network's extra
     topology views, the engine-held sharding stats, and the process
-    backend's fault injection, supervised retry and degradation, and the
+    backend's fault injection, supervised retry and degradation, the
     pipeline compiler with its per-protocol effect declarations and lint
-    rule were deleted, not deprecated: an old spelling fails loudly instead of being
-    ignored.
+    rule, and the packed boundary codec were deleted, not deprecated: an
+    old spelling fails loudly instead of being ignored.
     """
 
     def test_synchronizer_module_is_gone(self):
@@ -1199,6 +1269,10 @@ class TestRemovedSurfaceStaysRemoved:
     def test_fault_injection_module_is_gone(self):
         with pytest.raises(ImportError):
             importlib.import_module("repro.congest.sharding.faults")
+
+    def test_wire_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.congest.sharding.wire")
 
     def test_pipeline_module_is_gone(self):
         with pytest.raises(ImportError):
@@ -1296,6 +1370,9 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.primitives", "ConvergecastSumProtocol"),
             ("repro.primitives.convergecast", "ConvergecastSumProtocol"),
             ("repro.primitives.convergecast", "KEY_LOCAL_COUNTERS"),
+            ("repro.congest.sharding", "WireBatch"),
+            ("repro.congest.sharding", "WireEncoder"),
+            ("repro.congest.sharding", "WireDecoder"),
         ],
         ids=lambda part: part.replace(":", "."),
     )
