@@ -54,7 +54,7 @@ class CongestConfig:
         index (:mod:`repro.congest.sharding.partition`).  May exceed the
         node count; surplus shards are empty.  The sharded engine runs one
         long-lived worker process per non-empty shard, each owning its
-        shard's contexts and inbox buffers, inside a
+        shard's contexts and stepping them, inside a
         :class:`~repro.congest.sharding.workers.ProcessSession`: a
         composite runner's session keeps one worker pool and one
         shared-memory CSR mapping across its phases, re-armed between

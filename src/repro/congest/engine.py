@@ -42,9 +42,10 @@ ship today:
 ``ShardedEngine`` (``engine="sharded"``, defined in
 :mod:`repro.congest.sharding`)
     Partition-parallel execution: the network is split into ``k`` shards
-    (:func:`repro.congest.sharding.partition_network`) and each shard steps
-    its own frontier with the callback loop's machinery in one worker
-    process per shard, exchanging boundary-edge messages at the round
+    (:func:`repro.congest.sharding.partition_network`) and one worker
+    process per shard steps that shard's frontier with the callback loop
+    itself (:class:`repro.congest.vectorized._CallbackStepper`, given an
+    owner table).  Mail for another shard's nodes is exchanged at the round
     barrier as one pickled byte string per source and destination shard.
 
 **The reference-vs-fast-path contract.**  For every protocol, graph, seed
@@ -66,8 +67,9 @@ tolerated approximation.  Two consequences for engine authors:
 
 Protocols must treat the inbox list handed to ``on_round`` as borrowed: it
 is only valid for the duration of the call and must not be mutated or
-retained (the fast path reuses the buffers; the reference engine happens to
-hand out fresh lists).  Every protocol in this package complies.
+retained (the callback loop hands every node without mail one shared empty
+tuple; no engine promises a fresh list).  Every protocol in this package
+complies.
 
 The active frontier relies on termination being "has this node halted",
 which is monotone: a halted node never resumes.  Every round loop applies
@@ -144,11 +146,12 @@ def merge_startup_metrics(round_metrics: RoundMetrics, startup: RoundMetrics) ->
     """Fold round-0 (``on_start``) traffic into the first round's metrics.
 
     Messages queued during ``on_start`` are delivered in round 1 and
-    accounted to it.
+    accounted to it, alongside whatever round 1 itself sent.
     """
-    round_metrics.messages_sent = startup.messages_sent
-    round_metrics.bits_sent = startup.bits_sent
-    round_metrics.max_message_bits = startup.max_message_bits
+    round_metrics.messages_sent += startup.messages_sent
+    round_metrics.bits_sent += startup.bits_sent
+    if startup.max_message_bits > round_metrics.max_message_bits:
+        round_metrics.max_message_bits = startup.max_message_bits
 
 
 def harvest_outputs(
@@ -307,9 +310,9 @@ class CongestSession:
         """Run one protocol within the session (same contract as the engine).
 
         ``config`` defaults to the configuration the session was opened
-        with; per-execute overrides are honoured for the model-rule knobs, but
-        a process session's structural choices (shard plan, backend) are
-        fixed at open time and a conflicting override raises.
+        with; a per-execute config is honoured, except that a process
+        session's shard count is fixed at open time and a config naming
+        another raises ``ValueError``.
         """
         if self.closed:
             raise ProtocolError("execute on a closed CongestSession")

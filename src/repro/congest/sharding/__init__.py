@@ -13,8 +13,8 @@ boundary at the round barrier.  This package provides:
 
 :mod:`repro.congest.sharding.engine`
     :class:`ShardedEngine` (``engine="sharded"``) executes a protocol in
-    one worker process per shard, reusing the callback loop's
-    CSR/inbox-buffer machinery per shard.  Bit-identical to
+    one worker process per shard, each running the vectorized engine's
+    callback loop over its shard.  Bit-identical to
     :class:`repro.congest.engine.ReferenceEngine` by the engine contract,
     for every shard count.
 

@@ -26,7 +26,7 @@ Protocol of one phase group (all traffic over one duplex pipe per worker)::
                   ◀──────────────────── ("ok", metrics, pending, open, batches)
     ...                                 ...
     ("finish", r, fold) ──────────────▶ collect started outputs (+ state)
-                  ◀──────────────────── ("done", outputs, states, traffic)
+                  ◀──────────────────── ("done", outputs, states, remote)
                                         arm the next queued protocol, if any
     ("start",) ... for each further protocol of the group
     (worker stays; the next "arm" starts the next group, EOF exits)
@@ -97,6 +97,7 @@ import threading
 import time
 import weakref
 from array import array
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.config import CongestConfig
@@ -117,14 +118,11 @@ from repro.congest.errors import (
 from repro.congest.message import Inbound
 from repro.congest.metrics import RoundMetrics, RunMetrics
 from repro.congest.network import ContextRegistry, Network
-from repro.congest.node import NodeContext, Protocol
-from repro.congest.sharding.engine import (
-    ShardingStats,
-    _ShardState,
-    _ShardStepper,
-)
+from repro.congest.node import NodeContext, Protocol, reset_in_scope
+from repro.congest.sharding.engine import ShardingStats
 from repro.congest.sharding.partition import ShardPlan, partition_network
 from repro.congest.sharding.shm import SharedCSR
+from repro.congest.vectorized import MailGroup, _CallbackStepper
 
 __all__ = ["ProcessSession", "ProcessShardedRun"]
 
@@ -210,6 +208,20 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def _in_sender_order(
+    shard: int, pending: MailGroup, routed: Sequence[Tuple[int, MailGroup]]
+) -> List[MailGroup]:
+    """A shard's mail for the next round, as groups in ascending sender order.
+
+    *routed* holds ``(source shard, group)`` pairs from the barrier, in any
+    order; *pending* is the shard's own mail.  The shards are contiguous
+    blocks of the dense index, so ascending source shard *is* ascending
+    sender order, and no inbox needs a sort.
+    """
+    groups = sorted([*routed, (shard, pending)], key=itemgetter(0))
+    return [group for _source, group in groups]
+
+
 def _pack_bucket(indices: List[int], inbounds: List[Inbound]) -> bytes:
     """Pickle one boundary bucket: parallel receiver indices and ``Inbound``s.
 
@@ -258,9 +270,9 @@ class _WorkerHarness:
 
     The harness is built once per worker lifetime from the static init
     payload (contexts, plus the routing tables attached from the session's
-    shared-memory CSR segment) and re-armed per ``execute`` with
-    the protocol and configuration; the inbox buffers survive re-arms, so
-    a session phase allocates no per-node structures.
+    shared-memory CSR segment) and arms one
+    :class:`~repro.congest.vectorized._CallbackStepper` per phase over the
+    shard's owned nodes.
     """
 
     def __init__(self, init: Dict[str, Any]) -> None:
@@ -277,9 +289,7 @@ class _WorkerHarness:
         self.shard_index: int = init["shard_index"]
         self.owned: Tuple[int, ...] = tuple(init["owned"])
         self.n_shards: int = init["n_shards"]
-        self.inbox_buffers: List[List] = [[] for _ in ctx_list]
-        self.stepper: Optional[_ShardStepper] = None
-        self.shard: Optional[_ShardState] = None
+        self.stepper: Optional[_CallbackStepper] = None
         #: Protocols of the armed group still to run, and their config:
         #: :meth:`arm_next` promotes them one at a time — at ``arm``, then
         #: right after each ``finish`` report, so a fused group's next
@@ -300,7 +310,7 @@ class _WorkerHarness:
         The inputs replay exactly what the parent's ``build_contexts``
         applied; a worker whose contexts were inherited after that call
         applies them a second time, which changes nothing.  Halt flags and
-        outboxes are reset by ``start_shard``, for the nodes it starts.
+        outboxes are reset by :meth:`start`, for the nodes it starts.
         """
         ctx_list = self.ctx_list
         if global_inputs:
@@ -323,25 +333,23 @@ class _WorkerHarness:
         """
         if not self._queue:
             return False
-        protocol = self._queue.pop(0)
-        config = self._config
-        self.stepper = _ShardStepper(
-            protocol=protocol,
-            config=config,
-            ctx_list=self.ctx_list,
-            index_of=self.index_of,
+        self.stepper = _CallbackStepper(
+            self._queue.pop(0),
+            self._config,
+            self.ctx_list,
+            self.index_of,
             owner=self.owner,
-            inbox_buffers=self.inbox_buffers,
+            shard=self.shard_index,
+            n_shards=self.n_shards,
         )
-        self.shard = _ShardState(self.shard_index, self.owned, self.n_shards)
         return True
 
     # ------------------------------------------------------------------
     def _report(self, rm: RoundMetrics) -> Tuple:
         """Pack one round's results for the coordinator."""
-        shard = self.shard
+        stepper = self.stepper
         batches: List[Tuple[int, int, bytes]] = []
-        out_buckets = shard.out_buckets
+        out_buckets = stepper.out_buckets
         for destination, (indices, inbounds) in enumerate(out_buckets):
             if not indices:
                 continue
@@ -358,36 +366,41 @@ class _WorkerHarness:
         return (
             "ok",
             packed_metrics,
-            len(shard.pending_index),
-            len(shard.frontier),
+            len(stepper.pending[0]),
+            len(stepper.frontier),
             batches,
         )
 
     def start(self) -> Tuple:
-        return self._report(self.stepper.start_shard(self.shard))
+        """Round 0 over the owned nodes; the out-of-scope ones only halt."""
+        stepper = self.stepper
+        started = reset_in_scope(stepper.protocol, self.ctx_list, self.owned)
+        return self._report(stepper.start(started))
 
     def step(self, rounds: int, incoming: Sequence[Tuple[int, bytes]]) -> Tuple:
-        shard = self.shard
-        for source, blob in incoming:
-            shard.remote_from[source] = _unpack_bucket(blob)
-        return self._report(self.stepper.step_shard(shard, rounds))
+        """One round, given the ``(source shard, blob)`` pairs routed here."""
+        stepper = self.stepper
+        routed = [(source, _unpack_bucket(blob)) for source, blob in incoming]
+        groups = _in_sender_order(self.shard_index, stepper.pending, routed)
+        return self._report(stepper.step(rounds, groups))
 
     def finish(self, rounds: int, fold: bool) -> Tuple:
-        """Report the phase's outputs and traffic, plus state when *fold*.
+        """Report the phase's outputs and cross-shard message count, plus
+        state when *fold*.
 
         Without *fold* (every phase of a fused group but the last) the
         per-node state stays here: the next queued phase arms on it, and
         only the group-final ``finish`` ships it back to the parent.
         """
         stepper = self.stepper
-        ctx_list = stepper.ctx_list
+        ctx_list = self.ctx_list
         # The parent aligns the round counters when it folds the states.
         outputs = collect_outputs(
-            stepper.protocol, map(ctx_list.__getitem__, self.shard.started), {}
+            stepper.protocol, map(ctx_list.__getitem__, stepper.started), {}
         )
         states: Dict[int, Tuple] = {}
         if fold:
-            for i in self.shard.owned:
+            for i in self.owned:
                 ctx = ctx_list[i]
                 # Only RNGs this worker actually built ship a state: an
                 # unbuilt one is still at its seed, which the parent
@@ -401,8 +414,7 @@ class _WorkerHarness:
                     if ctx._rng is not None
                     else None,
                 )
-        traffic = (self.shard.local_messages, self.shard.remote_messages)
-        return ("done", outputs, states, traffic)
+        return ("done", outputs, states, stepper.remote_messages)
 
 
 def _send_error(conn, exc: BaseException) -> None:
@@ -727,6 +739,8 @@ class ProcessShardedRun:
         barriers (startup plus one per round); feeds
         :class:`repro.congest.sharding.engine.ShardingStats` and the E15
         benchmark's bytes-per-round reports.
+    cross_shard_messages:
+        Messages of the run whose receiver another shard owns.
     """
 
     def __init__(
@@ -742,20 +756,13 @@ class ProcessShardedRun:
         self.contexts = contexts
         self.pool = pool
         #: ``False`` for every phase of a fused group except the last: the
-        #: ``finish`` harvest ships outputs and traffic only; the per-node
-        #: state stays worker-side for the self-armed next phase and is
-        #: folded back by the group-final phase's ``finish``.
+        #: ``finish`` harvest ships outputs and the cross-shard count only;
+        #: the per-node state stays worker-side for the self-armed next
+        #: phase and is folded back by the group-final phase's ``finish``.
         self.fold_contexts = fold_contexts
         self.boundary_bytes = 0
         self.barrier_rounds = 0
-        self._traffic: List[Tuple[int, int]] = []
-
-    # ------------------------------------------------------------------
-    def traffic_totals(self) -> Tuple[int, int]:
-        """(protocol messages, cross-shard messages) over the whole run."""
-        local = sum(pair[0] for pair in self._traffic)
-        remote = sum(pair[1] for pair in self._traffic)
-        return local + remote, remote
+        self.cross_shard_messages = 0
 
     # ------------------------------------------------------------------
     def _send(self, handle: _WorkerHandle, command: Tuple) -> None:
@@ -931,9 +938,9 @@ class ProcessShardedRun:
             self._send(handle, ("finish", rounds, self.fold_contexts))
         reports = self._collect(handles)
         for report in reports:
-            _op, started_outputs, states, traffic = report
+            _op, started_outputs, states, remote = report
             outputs.update(started_outputs)
-            self._traffic.append(traffic)
+            self.cross_shard_messages += remote
             for node_id, packed_state in states.items():
                 state, output, halted, globals_, rng_state = packed_state
                 ctx = self.contexts[node_id]
@@ -1140,12 +1147,12 @@ class ProcessSession(CongestSession):
                     pool=self._pool,
                     fold_contexts=i == last,
                 )
-                results.append(run.run())
-                total, cross = run.traffic_totals()
+                result = run.run()
+                results.append(result)
                 self.stats.observe_phase(
                     protocol.name,
-                    total,
-                    cross,
+                    result.metrics.total_messages,
+                    run.cross_shard_messages,
                     run.boundary_bytes,
                     run.barrier_rounds,
                     setup_seconds if i == 0 else 0.0,

@@ -496,7 +496,7 @@ class VectorizedEngine(Engine):
 
     ``execute`` asks the protocol for a :class:`VectorizedKernel`; with one
     the phase runs columnar, otherwise it runs on the callback loop
-    (:meth:`_execute_callbacks`) described in :mod:`repro.congest.engine`.
+    (:class:`_CallbackStepper`) described in :mod:`repro.congest.engine`.
     """
 
     name = "vectorized"
@@ -536,124 +536,210 @@ class VectorizedEngine(Engine):
         config: CongestConfig,
         contexts: ContextRegistry,
     ) -> RunResult:
-        """The callback round loop over the CSR, for a kernel-less protocol."""
+        """Run a kernel-less protocol: one :class:`_CallbackStepper`, every node."""
+        started = contexts.start(protocol)
+        live = contexts.live
+        stepper = _CallbackStepper(protocol, config, live, network.node_index_of)
+        startup_metrics = stepper.start(started)
         metrics = RunMetrics()
-        index_of = network.node_index_of
-        budget = config.message_bit_budget
+        rounds = 0
+        while not coordinator_should_stop(
+            not stepper.frontier, len(stepper.pending[0]), rounds, config.max_rounds
+        ):
+            rounds += 1
+            round_metrics = stepper.step(rounds, (stepper.pending,))
+            if rounds == 1:
+                merge_startup_metrics(round_metrics, startup_metrics)
+            metrics.absorb_round(round_metrics)
+        outputs = harvest_outputs(
+            protocol, contexts, rounds, map(live.__getitem__, started)
+        )
+        return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
+
+
+#: ``(dense receiver indices, Inbound)`` as two parallel flat lists, to
+#: avoid a tuple per message.
+MailGroup = Tuple[List[int], List[Inbound]]
+
+
+class _CallbackStepper:
+    """The callback round loop over dense indices: the only one.
+
+    :class:`VectorizedEngine` drives it over every node for a protocol
+    without a kernel; each worker process of the sharded engine
+    (:mod:`repro.congest.sharding.workers`) drives one over its shard's
+    owned nodes.  The caller owns the termination rule
+    (:func:`~repro.congest.engine.coordinator_should_stop`) and the round
+    metrics' fold; the stepper owns delivery, the callbacks, the model
+    rules and the active frontier.
+
+    *contexts* maps a dense index to its context (the registry's live
+    contexts, or a worker's dense list).  With an *owner* table (dense
+    index → shard) the stepper runs shard *shard* of *n_shards*: a message
+    to a node owned by another shard goes to that shard's outbound bucket
+    in :attr:`out_buckets` instead of :attr:`pending`.
+
+    Attributes
+    ----------
+    pending:
+        Mail for this stepper's own nodes, to deliver next round.
+    out_buckets:
+        Per destination shard, the mail for nodes it owns (sharded only).
+    started / frontier:
+        The nodes :meth:`start` started, and those of them not halted.
+    remote_messages:
+        Messages drained over the run that left the shard.
+    """
+
+    def __init__(
+        self,
+        protocol: Protocol,
+        config: CongestConfig,
+        contexts: Union[Dict[int, NodeContext], List[Optional[NodeContext]]],
+        index_of: Dict[int, int],
+        owner: Optional[Sequence[int]] = None,
+        shard: int = 0,
+        n_shards: int = 1,
+    ) -> None:
+        self.protocol = protocol
+        self.contexts = contexts
+        self.index_of = index_of
+        self.owner = owner
+        self.shard = shard
+        self.budget = config.message_bit_budget
         # A disabled budget is modelled as an unexceedable limit so the hot
         # loop needs a single comparison instead of a None check per message.
-        budget_limit: float = float("inf") if budget is None else budget
-        max_rounds = config.max_rounds
-        on_round = protocol.on_round
-
+        self.budget_limit: float = (
+            float("inf") if self.budget is None else self.budget
+        )
+        self.pending: MailGroup = ([], [])
+        self.out_buckets: List[MailGroup] = [([], []) for _ in range(n_shards)]
         # Per-sender Inbound intern caches, keyed by message object identity
         # and reset every round (the cache keeps its messages alive, so ids
         # cannot be recycled while an entry is live).
-        interned: Dict[int, Dict[int, Inbound]] = {}
-        # Outbound messages awaiting delivery, as two parallel flat lists
-        # (dense receiver index / Inbound) to avoid a tuple per message.
-        pending_index: List[int] = []
-        pending_inbound: List[Inbound] = []
+        self.interned: Dict[int, Dict[int, Inbound]] = {}
+        self.started: List[int] = []
+        self.frontier: List[int] = []
+        self.remote_messages = 0
 
-        def drain(ctx: NodeContext, round_index: int, rm: RoundMetrics) -> None:
-            """Move one node's queued messages into the pending lists (rule
-            checks and accounting included), reusing the node's outbox dict."""
-            sender = ctx.node_id
-            outgoing = ctx._outgoing
-            messages_seen = 0
-            bits_seen = 0
-            max_bits = rm.max_message_bits
-            append_index = pending_index.append
-            append_inbound = pending_inbound.append
-            cache = interned.get(sender)
-            if cache is None:
-                cache = interned[sender] = {}
-            cache_get = cache.get
-            for receiver, messages in outgoing.items():
-                if len(messages) > 1:
-                    raise CongestionViolation(sender, receiver, round_index)
-                receiver_index = index_of[receiver]
-                for message in messages:
-                    bits = message.bits
-                    if bits > budget_limit:
-                        raise MessageSizeViolation(
-                            sender, receiver, bits, budget, round_index
-                        )
-                    messages_seen += 1
-                    bits_seen += bits
-                    if bits > max_bits:
-                        max_bits = bits
-                    message_id = id(message)
-                    inbound = cache_get(message_id)
-                    if inbound is None:
-                        inbound = Inbound(sender=sender, message=message)
-                        cache[message_id] = inbound
+    def drain(self, ctx: NodeContext, round_index: int, rm: RoundMetrics) -> None:
+        """Move one node's queued messages to their receivers' mail.
+
+        Rule checks and accounting included; reuses the node's outbox dict.
+        A receiver owned by another shard gets its message through that
+        shard's outbound bucket, exchanged at the round barrier.
+        """
+        sender = ctx.node_id
+        outgoing = ctx._outgoing
+        budget_limit = self.budget_limit
+        index_of = self.index_of
+        owner = self.owner
+        shard = self.shard
+        out_buckets = self.out_buckets
+        pending_index, pending_inbound = self.pending
+        append_index = pending_index.append
+        append_inbound = pending_inbound.append
+        messages_seen = 0
+        bits_seen = 0
+        remote_seen = 0
+        max_bits = rm.max_message_bits
+        cache = self.interned.get(sender)
+        if cache is None:
+            cache = self.interned[sender] = {}
+        cache_get = cache.get
+        for receiver, messages in outgoing.items():
+            if len(messages) > 1:
+                raise CongestionViolation(sender, receiver, round_index)
+            receiver_index = index_of[receiver]
+            for message in messages:
+                bits = message.bits
+                if bits > budget_limit:
+                    raise MessageSizeViolation(
+                        sender, receiver, bits, self.budget, round_index
+                    )
+                messages_seen += 1
+                bits_seen += bits
+                if bits > max_bits:
+                    max_bits = bits
+                message_id = id(message)
+                inbound = cache_get(message_id)
+                if inbound is None:
+                    inbound = Inbound(sender=sender, message=message)
+                    cache[message_id] = inbound
+                if owner is None or owner[receiver_index] == shard:
                     append_index(receiver_index)
                     append_inbound(inbound)
-            outgoing.clear()
-            rm.messages_sent += messages_seen
-            rm.bits_sent += bits_seen
-            rm.max_message_bits = max_bits
+                else:
+                    remote_seen += 1
+                    bucket_index, bucket_inbound = out_buckets[owner[receiver_index]]
+                    bucket_index.append(receiver_index)
+                    bucket_inbound.append(inbound)
+        outgoing.clear()
+        rm.messages_sent += messages_seen
+        rm.bits_sent += bits_seen
+        rm.max_message_bits = max_bits
+        self.remote_messages += remote_seen
 
-        # --- round 0: on_start the in-scope nodes, then drain them --------
-        startup_metrics = RoundMetrics(round_index=0)
-        started = contexts.start(protocol)
-        live = contexts.live
-        on_start = protocol.on_start
+    def start(self, started: List[int]) -> RoundMetrics:
+        """Round 0: ``on_start`` the *started* nodes, then drain them.
+
+        *started* are the in-scope nodes, already reset
+        (:func:`repro.congest.node.reset_in_scope`); they are kept for
+        the output harvest.  Returns the round-0 metrics.
+        """
+        rm = RoundMetrics(round_index=0)
+        contexts = self.contexts
+        on_start = self.protocol.on_start
+        self.started = started
         for i in started:
-            ctx = live[i]
+            ctx = contexts[i]
             ctx._round = 0
             on_start(ctx)
         for i in started:
-            ctx = live[i]
+            ctx = contexts[i]
             if ctx._outgoing:
-                drain(ctx, 0, startup_metrics)
+                self.drain(ctx, 0, rm)
+        self.frontier = [i for i in started if not contexts[i]._halted]
+        return rm
 
-        # The active frontier: the started nodes that have not halted.
-        frontier = [i for i in started if not live[i]._halted]
+    def step(self, rounds: int, groups: Iterable[MailGroup]) -> RoundMetrics:
+        """One round: deliver *groups*, invoke the frontier, drain it.
 
-        rounds = 0
-        while not coordinator_should_stop(
-            not frontier, len(pending_index), rounds, max_rounds
-        ):
-            rounds += 1
-            round_metrics = RoundMetrics(round_index=rounds)
-            if rounds == 1:
-                merge_startup_metrics(round_metrics, startup_metrics)
-
-            # Inboxes exist only for this round's receivers.
-            boxes: Dict[int, List[Inbound]] = {}
-            for receiver_index, inbound in zip(pending_index, pending_inbound):
+        The groups are delivered in the order given, so the caller hands
+        them over in ascending sender order: the stepper's own
+        :attr:`pending`, or for a shard its own pending and the groups
+        routed to it at the barrier, in ascending source shard.
+        """
+        rm = RoundMetrics(round_index=rounds)
+        # Inboxes exist only for this round's receivers.
+        boxes: Dict[int, List[Inbound]] = {}
+        for indices, inbounds in groups:
+            for receiver_index, inbound in zip(indices, inbounds):
                 box = boxes.get(receiver_index)
                 if box is None:
                     boxes[receiver_index] = [inbound]
                 else:
                     box.append(inbound)
-            box_of = boxes.get
+        box_of = boxes.get
+        self.pending = ([], [])
+        self.interned.clear()
 
-            pending_index = []
-            pending_inbound = []
-            interned.clear()
-
-            round_metrics.active_nodes = len(frontier)
-            any_halted = False
-            for i in frontier:
-                ctx = live[i]
-                ctx._round = rounds
-                on_round(ctx, box_of(i, _EMPTY_INBOX))
-                if ctx._halted:
-                    any_halted = True
-                if ctx._outgoing:
-                    drain(ctx, rounds, round_metrics)
-            if any_halted:
-                frontier = [i for i in frontier if not live[i]._halted]
-
-            metrics.absorb_round(round_metrics)
-
-        outputs = harvest_outputs(
-            protocol, contexts, rounds, map(live.__getitem__, started)
-        )
-        return RunResult(outputs=outputs, metrics=metrics, contexts=contexts)
+        contexts = self.contexts
+        on_round = self.protocol.on_round
+        frontier = self.frontier
+        rm.active_nodes = len(frontier)
+        any_halted = False
+        for i in frontier:
+            ctx = contexts[i]
+            ctx._round = rounds
+            on_round(ctx, box_of(i, _EMPTY_INBOX))
+            if ctx._halted:
+                any_halted = True
+            if ctx._outgoing:
+                self.drain(ctx, rounds, rm)
+        if any_halted:
+            self.frontier = [i for i in frontier if not contexts[i]._halted]
+        return rm
 
 
 register_engine(VectorizedEngine())

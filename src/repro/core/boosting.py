@@ -89,18 +89,13 @@ class BoostedNearCliqueRunner:
         congest_config: Optional[CongestConfig] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if parameters is None:
-            if epsilon is None or sample_probability is None:
-                raise ValueError(
-                    "provide either an AlgorithmParameters record or both "
-                    "epsilon and sample_probability"
-                )
-            parameters = AlgorithmParameters(
-                epsilon=epsilon,
-                sample_probability=sample_probability,
-                max_sample_size=max_sample_size,
-                min_output_size=min_output_size,
-            )
+        parameters = AlgorithmParameters.resolve(
+            parameters,
+            epsilon,
+            sample_probability,
+            max_sample_size=max_sample_size,
+            min_output_size=min_output_size,
+        )
         if engine not in ("centralized", "distributed"):
             raise ValueError("engine must be 'centralized' or 'distributed'")
         if repetitions is None:

@@ -104,21 +104,15 @@ class DistNearCliqueRunner:
         rng: Optional[random.Random] = None,
         config: Optional[CongestConfig] = None,
     ) -> None:
-        if parameters is None:
-            if epsilon is None or sample_probability is None:
-                raise ValueError(
-                    "provide either an AlgorithmParameters record or both "
-                    "epsilon and sample_probability"
-                )
-            parameters = AlgorithmParameters(
-                epsilon=epsilon,
-                sample_probability=sample_probability,
-                max_sample_size=max_sample_size,
-                min_output_size=min_output_size,
-                use_step4f_sampling=use_step4f_sampling,
-                step4f_sample_size=step4f_sample_size,
-            )
-        self.parameters = parameters
+        self.parameters = AlgorithmParameters.resolve(
+            parameters,
+            epsilon,
+            sample_probability,
+            max_sample_size=max_sample_size,
+            min_output_size=min_output_size,
+            use_step4f_sampling=use_step4f_sampling,
+            step4f_sample_size=step4f_sample_size,
+        )
         self.rng = rng or random.Random()
         self.config = config
         #: Accounting of the execution session the last :meth:`run` opened

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 
 def expected_sample_size(epsilon: float, delta: float, constant: float = 1.0) -> float:
@@ -126,6 +126,29 @@ class AlgorithmParameters:
     def k_inner_epsilon(self) -> float:
         """The ``2ε²`` threshold used for the inner operator ``K_{2ε²}(X)``."""
         return 2.0 * self.epsilon * self.epsilon
+
+    @classmethod
+    def resolve(
+        cls,
+        parameters: Optional["AlgorithmParameters"],
+        epsilon: Optional[float],
+        sample_probability: Optional[float],
+        **guards: Any,
+    ) -> "AlgorithmParameters":
+        """*parameters*, or the record the keyword form describes.
+
+        The runners and the service take either a full record or
+        ``epsilon`` and ``sample_probability``, plus guard fields (*guards*)
+        that are forwarded to the constructor.
+        """
+        if parameters is not None:
+            return parameters
+        if epsilon is None or sample_probability is None:
+            raise ValueError(
+                "provide either an AlgorithmParameters record or both "
+                "epsilon and sample_probability"
+            )
+        return cls(epsilon=epsilon, sample_probability=sample_probability, **guards)
 
     @classmethod
     def for_promise(

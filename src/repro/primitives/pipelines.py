@@ -39,12 +39,11 @@ class Outbox:
         """Return the node's outbox, creating it on first use.
 
         The outbox lives in ``ctx.state`` and therefore travels whenever
-        per-node state is copied — the async engine's pre-run snapshot, the
-        sharded engine's process-backend round trip — so the context
-        binding is (re-)established here rather than trusted from the
-        copy: a queued-but-unsent pipeline must drain into the context
-        that is actually being executed, not into the snapshot it was
-        copied from.
+        per-node state is copied — the sharded engine pickles it to its
+        worker processes and back — so the context binding is
+        (re-)established here rather than trusted from the copy: a
+        queued-but-unsent pipeline must drain into the context that is
+        actually being executed, not into the copy it came from.
         """
         outbox = ctx.state.get(cls.STATE_KEY)
         if outbox is None:

@@ -103,23 +103,17 @@ class NearCliqueService:
         min_output_size: int = 0,
         config: Optional[CongestConfig] = None,
     ) -> None:
-        if parameters is None:
-            if epsilon is None or sample_probability is None:
-                raise ValueError(
-                    "provide either an AlgorithmParameters record or both "
-                    "epsilon and sample_probability"
-                )
-            parameters = AlgorithmParameters(
-                epsilon=epsilon,
-                sample_probability=sample_probability,
-                max_sample_size=max_sample_size,
-                min_output_size=min_output_size,
-            )
-        self.parameters = parameters
+        self.parameters = AlgorithmParameters.resolve(
+            parameters,
+            epsilon,
+            sample_probability,
+            max_sample_size=max_sample_size,
+            min_output_size=min_output_size,
+        )
         self.network = Network(graph)
         self.config = config or CongestConfig().with_log_budget(self.network.n)
         self._runner = DistNearCliqueRunner(
-            parameters=parameters, config=self.config
+            parameters=self.parameters, config=self.config
         )
         self._cached: Optional[NearCliqueResult] = None
         self._cached_seed: Optional[int] = None

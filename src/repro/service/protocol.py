@@ -98,7 +98,9 @@ def parse_request(line: str) -> Dict[str, Any]:
     """
     try:
         request = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past the
+        # interpreter's digit limit; RecursionError, nesting too deep.
         raise RequestError("not valid JSON: %s" % exc) from exc
     if not isinstance(request, dict):
         raise RequestError(

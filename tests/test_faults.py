@@ -47,7 +47,7 @@ from repro.congest.network import Network
 from repro.congest.node import Protocol
 from repro.congest.scheduler import run_protocol
 from repro.congest.sharding import SharedCSR, workers
-from repro.congest.sharding.engine import _ShardStepper
+from repro.congest.vectorized import _CallbackStepper
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
 from repro.service import NearCliqueService
@@ -386,18 +386,18 @@ class TestProcessWorkerKilledBetweenPhases:
 # ----------------------------------------------------------------------
 def _fail_at_start_shard(monkeypatch, action, when):
     """Make a worker of shard 1 fail as it starts a phase ``when`` accepts."""
-    start_shard = _ShardStepper.start_shard
+    start = _CallbackStepper.start
 
-    def failing_start_shard(self, shard):
+    def failing_start(self, started):
         if (
-            shard.index == VICTIM_SHARD
+            self.shard == VICTIM_SHARD
             and os.getpid() != _PARENT_PID
             and when(self.protocol.name)
         ):
             _fail(action)
-        return start_shard(self, shard)
+        return start(self, started)
 
-    monkeypatch.setattr(_ShardStepper, "start_shard", failing_start_shard)
+    monkeypatch.setattr(_CallbackStepper, "start", failing_start)
 
 
 class TestProcessPipelineFailure:

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.congest.metrics import RunMetrics
+from repro.core.boosting import BoostedNearCliqueRunner
+from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.params import (
     AlgorithmParameters,
     expected_sample_size,
     recommended_sample_probability,
 )
 from repro.core.result import CandidateSet, NearCliqueResult
+from repro.service import NearCliqueService
 
 
 class TestExpectedSampleSize:
@@ -102,6 +105,29 @@ class TestAlgorithmParameters:
             n=100, epsilon=0.2, delta=0.5, min_output_size=7
         )
         assert params.min_output_size == 7
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda **kw: DistNearCliqueRunner(**kw),
+            lambda **kw: BoostedNearCliqueRunner(**kw),
+            lambda **kw: NearCliqueService(nx.path_graph(3), **kw),
+        ],
+        ids=["runner", "boosted", "service"],
+    )
+    def test_constructors_share_one_parameters_rule(self, make):
+        record = AlgorithmParameters(epsilon=0.2, sample_probability=0.1)
+        assert make(parameters=record).parameters is record
+        built = make(epsilon=0.2, sample_probability=0.1, min_output_size=3)
+        assert built.parameters == AlgorithmParameters(
+            epsilon=0.2, sample_probability=0.1, min_output_size=3
+        )
+        with pytest.raises(
+            ValueError,
+            match="^provide either an AlgorithmParameters record or both "
+            "epsilon and sample_probability$",
+        ):
+            make(epsilon=0.2)
 
 
 def _result_fixture():

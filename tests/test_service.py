@@ -15,6 +15,7 @@ import io
 import json
 import multiprocessing
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -713,7 +714,41 @@ class TestDaemon:
 
 
 
+#: Request lines well under the line bound that ``json.loads`` rejects with
+#: something other than ``JSONDecodeError``: a ``ValueError`` past the
+#: interpreter's integer-string digit limit (Python 3.11 and later only) and
+#: a ``RecursionError``.
+_HOSTILE_LINES = {
+    "5000-digit-seed": '{"cmd":"query","seed":' + "9" * 5000 + "}",
+    "200000-brackets": "[" * 200_000,
+}
+if not hasattr(sys, "get_int_max_str_digits"):
+    del _HOSTILE_LINES["5000-digit-seed"]
+
+
 class TestDaemonHardening:
+    @pytest.mark.parametrize("name", sorted(_HOSTILE_LINES))
+    def test_hostile_json_answers_bad_request(self, name):
+        daemon = NearCliqueDaemon(NearCliqueService(_block_graph([8]), PARAMS))
+        response = daemon.handle_line(_HOSTILE_LINES[name])
+        assert response["ok"] is False
+        assert response["error"]["code"] == "bad-request"
+
+    def test_serve_loop_survives_hostile_json(self):
+        lines = [*_HOSTILE_LINES.values(), '{"cmd":"stats"}']
+        out = io.StringIO()
+        daemon = NearCliqueDaemon(
+            NearCliqueService(_block_graph([8]), PARAMS),
+            reader=io.StringIO("".join(line + "\n" for line in lines)),
+            writer=out,
+        )
+        served = daemon.serve_forever()
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert served == len(responses) == len(lines)
+        for response in responses[:-1]:
+            assert response["error"]["code"] == "bad-request"
+        assert responses[-1]["ok"] is True and responses[-1]["cmd"] == "stats"
+
     def test_oversized_line_is_rejected_in_bounded_memory(self):
         service = NearCliqueService(_block_graph([8]), PARAMS)
         out = io.StringIO()

@@ -41,7 +41,7 @@ from repro.congest.message import (
     make_id_message,
 )
 from repro.congest.network import Network
-from repro.congest.node import Protocol
+from repro.congest.node import Protocol, reset_in_scope
 from repro.congest.scheduler import run_protocol
 from repro.congest.sharding import (
     SharedCSR,
@@ -50,8 +50,12 @@ from repro.congest.sharding import (
     ShardingStats,
     partition_network,
 )
-from repro.congest.sharding.engine import _ShardState, _ShardStepper
-from repro.congest.sharding.workers import _pack_bucket, _unpack_bucket
+from repro.congest.sharding.workers import (
+    _in_sender_order,
+    _pack_bucket,
+    _unpack_bucket,
+)
+from repro.congest.vectorized import _CallbackStepper
 from repro.core import phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.primitives.bfs_tree import KEY_PARTICIPANT, MinIdBFSTreeProtocol
@@ -452,38 +456,53 @@ class _RecordSenders(Protocol):
 
 
 def _stepper_over(graph, protocol, shards, config=None):
-    """One in-process stepper over every shard of *graph*'s contiguous plan."""
+    """One in-process stepper per shard of *graph*'s contiguous plan.
+
+    The steppers share one dense context list, each started on its own
+    shard's nodes as its worker would start it.
+    """
     network = Network(graph, seed=0)
     ctx_list = network.build_contexts().materialize()
     plan = partition_network(network, shards)
-    stepper = _ShardStepper(
-        protocol,
-        config or CongestConfig(),
-        ctx_list,
-        network.node_index_of,
-        plan.owner,
-    )
-    states = [
-        _ShardState(index, owned, plan.n_shards)
-        for index, owned in enumerate(plan.shards)
+    steppers = [
+        _CallbackStepper(
+            protocol,
+            config or CongestConfig(),
+            ctx_list,
+            network.node_index_of,
+            owner=plan.owner,
+            shard=index,
+            n_shards=plan.n_shards,
+        )
+        for index in range(plan.n_shards)
     ]
-    return plan, stepper, states
+
+    def start(stepper):
+        owned = plan.shards[stepper.shard]
+        return stepper.start(reset_in_scope(protocol, ctx_list, owned))
+
+    return plan, ctx_list, steppers, start
 
 
-def _route(states):
-    """The round barrier: hand every outbound bucket to its destination.
+def _route(steppers):
+    """The round barrier: every shard's mail for the next round, as groups.
 
     Each bucket travels pickled, as between worker processes.  Sources are
     walked in descending order, so a delivery order that depended on the
     routing order would show.
     """
-    for source in reversed(states):
+    routed = [[] for _ in steppers]
+    for source in reversed(steppers):
         for destination, bucket in enumerate(source.out_buckets):
             if bucket[0]:
-                states[destination].remote_from[source.index] = _unpack_bucket(
-                    _pack_bucket(*bucket)
+                routed[destination].append(
+                    (source.shard, _unpack_bucket(_pack_bucket(*bucket)))
                 )
                 source.out_buckets[destination] = ([], [])
+    return [
+        _in_sender_order(stepper.shard, stepper.pending, groups)
+        for stepper, groups in zip(steppers, routed)
+    ]
 
 
 class TestProcessTransport:
@@ -562,10 +581,10 @@ class TestProcessTransport:
 class TestShardStepperInProcess:
     """The per-shard round machinery every worker runs, driven in-process.
 
-    The workers' ``_ShardStepper`` is the code that starts, steps and
-    drains a shard; these tests run it in this process, shard by shard,
-    so its routing, delivery order and rule checks are pinned without a
-    worker pool.
+    Each worker starts, steps and drains its shard with the vectorized
+    engine's ``_CallbackStepper`` and an owner table; these tests run one
+    stepper per shard in this process, so the routing, delivery order and
+    rule checks are pinned without a worker pool.
     """
 
     # 16 shards over 12 nodes leaves four shards empty.
@@ -574,22 +593,24 @@ class TestShardStepperInProcess:
         "graph", [nx.path_graph(12), nx.cycle_graph(12)], ids=["path", "cycle"]
     )
     def test_start_routes_exactly_the_cut_edge_messages_off_shard(self, graph, shards):
-        plan, stepper, states = _stepper_over(graph, _PingAll(), shards)
-        partials = [stepper.start_shard(state) for state in states]
-        remote = sum(state.remote_messages for state in states)
-        local = sum(state.local_messages for state in states)
+        plan, _ctx_list, steppers, start = _stepper_over(graph, _PingAll(), shards)
+        partials = [start(stepper) for stepper in steppers]
+        remote = sum(stepper.remote_messages for stepper in steppers)
+        local = sum(len(stepper.pending[0]) for stepper in steppers)
         assert remote == 2 * plan.cut_edges
         assert local + remote == 2 * graph.number_of_edges()
         assert sum(rm.messages_sent for rm in partials) == local + remote
-        for state in states:
+        for stepper, rm in zip(steppers, partials):
             assert (
-                sum(len(indices) for indices, _ in state.out_buckets)
-                == state.remote_messages
+                sum(len(indices) for indices, _ in stepper.out_buckets)
+                == stepper.remote_messages
             )
-            assert len(state.pending_index) == state.local_messages
-            for destination, (indices, _inbound) in enumerate(state.out_buckets):
+            assert len(stepper.pending[0]) == (
+                rm.messages_sent - stepper.remote_messages
+            )
+            for destination, (indices, _inbound) in enumerate(stepper.out_buckets):
                 assert all(plan.owner[i] == destination for i in indices)
-            assert not state.out_buckets[state.index][0]
+            assert not stepper.out_buckets[stepper.shard][0]
 
     @pytest.mark.parametrize("shards", [2, 3, 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -597,32 +618,39 @@ class TestShardStepperInProcess:
         self, seed, shards
     ):
         graph = nx.gnp_random_graph(20, 0.3, seed=seed)
-        _plan, stepper, states = _stepper_over(graph, _RecordSenders(), shards)
-        for state in states:
-            stepper.start_shard(state)
-        _route(states)
-        partials = [stepper.step_shard(state, 1) for state in states]
+        _plan, ctx_list, steppers, start = _stepper_over(
+            graph, _RecordSenders(), shards
+        )
+        for stepper in steppers:
+            start(stepper)
+        mail = _route(steppers)
+        partials = [
+            stepper.step(1, groups) for stepper, groups in zip(steppers, mail)
+        ]
         assert sum(rm.active_nodes for rm in partials) == 20
         assert sum(rm.messages_sent for rm in partials) == 0
         for v in graph.nodes():
-            ctx = stepper.ctx_list[v]
-            assert ctx.output == sorted(graph.neighbors(v)), v
-        assert all(not state.frontier for state in states)
-        # Delivery consumed every routed group.
-        assert all(
-            not indices for state in states for indices, _ in state.remote_from
-        )
+            assert ctx_list[v].output == sorted(graph.neighbors(v)), v
+        assert all(not stepper.frontier for stepper in steppers)
+        # Delivery consumed every routed bucket and the shards' own mail.
+        for stepper in steppers:
+            assert not stepper.pending[0]
+            assert all(not indices for indices, _ in stepper.out_buckets)
 
     def test_double_send_raises_congestion_violation(self):
-        _plan, stepper, states = _stepper_over(nx.path_graph(4), _DoubleSend(), 2)
+        _plan, _ctx_list, steppers, start = _stepper_over(
+            nx.path_graph(4), _DoubleSend(), 2
+        )
         with pytest.raises(CongestionViolation):
-            stepper.start_shard(states[0])
+            start(steppers[0])
 
     def test_oversized_message_raises_message_size_violation(self):
         config = CongestConfig(message_bit_budget=1)
-        _plan, stepper, states = _stepper_over(nx.path_graph(4), _PingAll(), 2, config)
+        _plan, _ctx_list, steppers, start = _stepper_over(
+            nx.path_graph(4), _PingAll(), 2, config
+        )
         with pytest.raises(MessageSizeViolation):
-            stepper.start_shard(states[0])
+            start(steppers[0])
 
 
 #: Preamble of the shm-lifecycle subprocess tests: opens a
@@ -1313,7 +1341,8 @@ class TestRemovedSurfaceStaysRemoved:
             ("repro.congest.sharding.partition", "_refine_owners"),
             ("repro.congest.sharding.partition:ShardPlan", "repair"),
             ("repro.congest.sharding.engine", "_sender_key"),
-            ("repro.congest.sharding.engine:_ShardStepper", "ranges_are_ordered"),
+            ("repro.congest.sharding.engine", "_ShardStepper"),
+            ("repro.congest.sharding.engine", "_ShardState"),
             ("repro.congest.sharding.workers:ProcessSession", "_absorb_delta"),
             ("repro.congest.sharding.workers:ProcessSession", "_respawn_dirty_shards"),
             ("repro.congest.sharding.workers:ProcessSession", "_respawn_shards"),
@@ -1403,10 +1432,6 @@ class TestRemovedSurfaceStaysRemoved:
                     epsilon=0.2, sample_probability=0.5, artifact_cache=None
                 ),
                 id="DistNearCliqueRunner-artifact_cache",
-            ),
-            pytest.param(
-                lambda: _ShardStepper(ordered_delivery=True),
-                id="_ShardStepper-ordered_delivery",
             ),
             pytest.param(
                 lambda: CongestConfig(shard_strategy="bfs"), id="CongestConfig-shard_strategy"

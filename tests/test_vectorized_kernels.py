@@ -43,9 +43,8 @@ from repro.congest.errors import (
 )
 from repro.congest.message import Message
 from repro.congest.network import Network
-from repro.congest.node import Protocol
-from repro.congest.sharding.engine import _ShardState, _ShardStepper
-from repro.congest.vectorized import KernelFrame
+from repro.congest.node import Protocol, reset_in_scope
+from repro.congest.vectorized import KernelFrame, _CallbackStepper
 from repro.core import phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.graphs import generators
@@ -145,7 +144,7 @@ DEEP_IDS = [name for name, _, _ in DEEP_GRAPHS]
 #: ``callbacks`` arm runs the vectorized engine with every phase's kernel
 #: suppressed (:func:`conftest.without_kernel`), so the callback loop runs
 #: the kernel-covered phases too; the ``process`` arm (the sharded engine)
-#: covers the workers' ``start_shard`` scope path and the context fold-back.
+#: covers the workers' scope pass and the context fold-back.
 CHAIN_ARMS = {
     "reference": dict(engine="reference"),
     "callbacks": dict(engine="vectorized"),
@@ -548,13 +547,12 @@ class TestScopeContract:
         contexts = network.build_contexts(per_node_inputs={2: {"flag": True}})
         protocol = protocol_class()
         ctx_list = contexts.materialize()
-        stepper = _ShardStepper(
+        stepper = _CallbackStepper(
             protocol, CongestConfig(), ctx_list, network.node_index_of, [0] * 4
         )
-        shard = _ShardState(0, range(4), 1)
-        stepper.start_shard(shard)
+        stepper.start(reset_in_scope(protocol, ctx_list, range(4)))
         assert protocol.started == [2]
-        assert shard.started == [network.node_index_of[2]]
+        assert stepper.started == [network.node_index_of[2]]
         assert all(ctx.halted for ctx in ctx_list)
 
     @pytest.mark.parametrize(
