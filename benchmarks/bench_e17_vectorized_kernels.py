@@ -7,9 +7,10 @@ structure: every node runs the same recipe and the traffic is a pipelined
 one Python callback per node per round; at n >= 20000 the component
 dissemination alone is rounds x n dispatches that mostly fold an empty
 inbox.  PR 6's vectorized engine (:mod:`repro.congest.vectorized`) executes
-these phases as columnar kernels — packed halt registers, CSR
-segment-reductions for the gather, a closed-form broadcast schedule for the
-scatter — and runs everything else on its CSR callback loop.
+these phases as columnar kernels — packed halt registers, gathers read off
+the senders' CSR rows (k-announce's counts as one blocked adjacency ×
+incidence product), a closed-form broadcast schedule for the scatter — and
+runs everything else on its CSR callback loop.
 
 Both arms run the vectorized engine.  The ``callbacks`` arm suppresses the
 kernel on each phase instance (``vectorized_kernel`` patched to return

@@ -87,15 +87,19 @@ def bench_e1_main_theorem(benchmark, bench_rng):
 
 
 def bench_e1_distributed_spot_check(benchmark):
-    """The same experiment executed on the CONGEST simulator (fewer trials)."""
+    """The same experiment on the CONGEST simulator, at the paper's scale.
+
+    n=1000 planted graphs (an ε³-near clique on half the nodes), an
+    expected sample of 9 and the runner's default engine.
+    """
     aggregate = experiment.run_planted_trials(
-        n=60,
+        n=1000,
         epsilon=0.2,
         delta=0.5,
-        trials=5,
+        trials=TRIALS,
         seed=13,
         engine="distributed",
-        expected_sample=7.0,
+        expected_sample=9.0,
     )
     tables.print_table(
         ["trials", "success", "recall", "mean_rounds", "max_message_bits"],

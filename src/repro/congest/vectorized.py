@@ -14,9 +14,9 @@ vertex-centric decomposition (GraVF's ``core_apply`` / ``core_scatter``
 split; DGL's gSpMM kernels):
 
 ``gather``
-    Segment-reductions of per-node columns over the CSR adjacency
-    (:meth:`KernelFrame.count_flagged_neighbors` and friends) — the inbox
-    fold, computed from the sender columns instead of delivered messages.
+    The inbox fold, computed from the senders' columns and their CSR rows
+    (:meth:`KernelFrame.neighbor_slice`, :attr:`KernelFrame.indptr` /
+    :attr:`~KernelFrame.indices`) instead of from delivered messages.
 ``apply``
     Numpy updates of packed per-node registers: the halted flags
     (:attr:`KernelFrame.halted`), round counter and any phase-specific
@@ -191,28 +191,6 @@ class KernelFrame:
     def degrees(self) -> Any:
         """Per-node degree column (built on first use)."""
         return np.diff(self.indptr)
-
-    # ------------------------------------------------------------------
-    # gather: segment reductions over the CSR
-    # ------------------------------------------------------------------
-    def count_flagged_neighbors(self, flags: "Any") -> "Any":
-        """Per-node count of flagged neighbours (segment-reduce over CSR).
-
-        ``flags`` is a boolean column indexed by dense node index; the
-        result column holds ``|{w ∈ Γ(v) : flags[w]}|`` for every ``v`` —
-        zero for isolated nodes and for nodes of a fully unflagged
-        component, which is exactly the inbox-emptiness predicate the
-        covered phases' receivers branch on.
-        """
-        if len(self.indices) == 0:
-            return np.zeros(self.n, dtype=np.int64)
-        prefix = np.concatenate(
-            (
-                np.zeros(1, dtype=np.int64),
-                np.cumsum(flags[self.indices].astype(np.int64)),
-            )
-        )
-        return prefix[self.indptr[1:]] - prefix[self.indptr[:-1]]
 
     def touch(self, index: int) -> NodeContext:
         """The context of the started node at *index*, built if it has none.

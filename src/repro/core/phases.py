@@ -121,6 +121,7 @@ KEY_ATTACHED_LEAVES = "nc_attached_leaves"
 KEY_K_MEMBERSHIP = "nc_k_membership"
 KEY_K_SIZES = "nc_k_sizes"
 KEY_K_NEIGHBOR_ANNOUNCERS = "nc_k_neighbor_announcers"
+KEY_STEP4F_NEIGHBORS = "nc_step4f_neighbors"
 KEY_T_MEMBERSHIP = "nc_t_membership"
 KEY_K_ROOT_SIZES = "nc_root_k_sizes"
 KEY_T_ROOT_SIZES = "nc_root_t_sizes"
@@ -352,14 +353,15 @@ class _CompDisseminationKernel(VectorizedKernel):
     *Apply*: one sweep over the built contexts performs the ``on_start``
     state writes (canonical member lists at sampled nodes), and one column
     write the isolation halts of the rest.  *Gather*: instead of folding
-    one delivered message at a time, each receiver with a broadcasting
-    neighbour creates its component table (building its context) and folds
-    that neighbour's whole member column at once — the segment count over
-    the sampled mask prunes the sweep to receivers that actually have
-    mail.  *Scatter*: each sampled node's stream (one
-    ``nc.comp`` item per member, pushed to every neighbour) goes to the
-    stream schedule as one ``push_all`` stream, which reproduces the
-    pipelined flush's rounds and metrics exactly.
+    one delivered message at a time, the receivers are read off the
+    broadcasters' own CSR rows (O(vol(S)), not O(m)); each non-sampled one
+    creates its component table (building its context) in ascending order,
+    and then every broadcaster, in ascending order, folds its whole member
+    column into its neighbours' tables — so each receiver sees its senders
+    in the ascending order the callbacks' inbox has.  *Scatter*: each
+    sampled node's stream (one ``nc.comp`` item per member, pushed to every
+    neighbour) goes to the stream schedule as one ``push_all`` stream,
+    which reproduces the pipelined flush's rounds and metrics exactly.
     """
 
     def execute(self, frame: KernelFrame) -> None:
@@ -369,9 +371,7 @@ class _CompDisseminationKernel(VectorizedKernel):
         degrees = frame.degrees
 
         sampled = np.zeros(frame.n, dtype=bool)
-        broadcasting = np.zeros(frame.n, dtype=bool)
-        roots: Dict[int, int] = {}
-        member_lists: Dict[int, Tuple[int, ...]] = {}
+        broadcasters: List[Tuple[int, int, Tuple[int, ...]]] = []
         streams: List[Stream] = []
         for index in frame.started:
             ctx = live[index]
@@ -383,41 +383,36 @@ class _CompDisseminationKernel(VectorizedKernel):
                 )
                 state[KEY_COMP_MEMBERS] = members
                 root = state[KEY_ROOT]
-                roots[index] = root
-                member_lists[index] = members
-                if members:
-                    broadcasting[index] = True
-                    if degrees[index]:
-                        streams.append(
-                            (
-                                index,
-                                ALL_NEIGHBORS,
-                                1,
-                                [
-                                    wire_bits((root, member), ctx.n)
-                                    for member in members
-                                ],
-                            )
+                if members and degrees[index]:
+                    broadcasters.append((index, root, members))
+                    streams.append(
+                        (
+                            index,
+                            ALL_NEIGHBORS,
+                            1,
+                            [wire_bits((root, member), ctx.n) for member in members],
                         )
+                    )
         frame.halted[~sampled & (degrees == 0)] = True
 
-        # Receivers: non-sampled nodes with at least one broadcasting
-        # neighbour fold whole member columns; everyone else has no mail.
-        mail_counts = frame.count_flagged_neighbors(broadcasting)
-        for index in np.nonzero(~sampled & (mail_counts > 0))[0].tolist():
-            ctx = frame.touch(index)
-            records = ctx.state.setdefault(KEY_ADJ_COMPONENTS, {})
-            for neighbor in frame.neighbor_slice(index).tolist():
-                if not broadcasting[neighbor]:
-                    continue
-                record = records.get(roots[neighbor])
-                if record is None:
-                    record = records[roots[neighbor]] = {
-                        "members": set(),
-                        "senders": set(),
-                    }
-                record["members"].update(member_lists[neighbor])
-                record["senders"].add(node_ids[neighbor])
+        if broadcasters:
+            rows = [frame.neighbor_slice(index) for index, _, _ in broadcasters]
+            receivers = np.unique(np.concatenate(rows))
+            tables: Dict[int, Dict[int, Dict[str, set]]] = {
+                index: frame.touch(index).state.setdefault(KEY_ADJ_COMPONENTS, {})
+                for index in receivers[~sampled[receivers]].tolist()
+            }
+            for (index, root, members), row in zip(broadcasters, rows):
+                sender = node_ids[index]
+                for neighbor in row.tolist():
+                    table = tables.get(neighbor)
+                    if table is None:
+                        continue
+                    record = table.get(root)
+                    if record is None:
+                        record = table[root] = {"members": set(), "senders": set()}
+                    record["members"].update(members)
+                    record["senders"].add(sender)
 
         frame.run_schedule(streams)
 
@@ -912,63 +907,106 @@ class _DownBroadcastKernel(VectorizedKernel):
 class KAnnouncePhase(Protocol):
     """Every node of ``K_{2ε²}(X)`` announces |K_{2ε²}(X)| to its neighbours.
 
-    A receiver that is itself in ``K_{2ε²}(X)`` counts how many of its
-    neighbours announced for the same (component, subset) pair; this count is
-    exactly ``|Γ(u) ∩ K_{2ε²}(X)|``, which together with the announced size
-    determines membership in ``K_ε(K_{2ε²}(X))`` and hence in ``T_ε(X)``
-    (computed by :func:`build_t_membership` at the start of the next phase).
+    A node needs only the count ``|Γ(u) ∩ K_{2ε²}(X)|`` for each item X it
+    is itself a K-member of: with the size, that count decides membership
+    in ``K_ε(K_{2ε²}(X))`` and hence in ``T_ε(X)`` (computed by
+    :func:`build_t_membership` at the start of the next phase).  So
+    ``on_start`` creates the node's whole ``KEY_K_NEIGHBOR_ANNOUNCERS``
+    table up front — one ``{"size": s, "count": 0}`` record per item it
+    announces, keyed ``(root, index)`` in ascending order, with the size
+    from its own ``KEY_K_SIZES`` — and each ``nc.ksize`` for one of those
+    items adds one to its count; the others are ignored.  Under Section
+    5.3's Step 4f estimate (``use_step4f_sampling``) a node of degree above
+    the sample size draws its sample of neighbours here, from ``ctx.rng``,
+    into ``KEY_STEP4F_NEIGHBORS``, and counts only the announcements of
+    those neighbours.
     """
 
     name = "nc-k-announce"
     scope = (KEY_K_MEMBERSHIP,)
 
     def on_start(self, ctx: NodeContext) -> None:
-        memberships: Dict[int, Set[int]] = ctx.state.get(KEY_K_MEMBERSHIP, {})
-        sizes: Dict[int, Dict[int, int]] = ctx.state.get(KEY_K_SIZES, {})
-        if not memberships or not any(memberships.values()):
+        items = _start_k_announce(ctx)
+        if items is None:
             ctx.halt()
             return
-        ctx.state[KEY_K_NEIGHBOR_ANNOUNCERS] = {}
         outbox = Outbox.for_ctx(ctx)
-        for root in sorted(memberships):
-            root_sizes = sizes.get(root, {})
-            for index in sorted(memberships[root]):
-                size = root_sizes.get(index, 0)
-                if size <= 0:
-                    continue
-                outbox.push_all(_wire(_KSIZE, (root, index, size), ctx.n))
+        for item in items:
+            outbox.push_all(_wire(_KSIZE, item, ctx.n))
 
     def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
-        announcers: Dict[Tuple[int, int], Dict[str, Any]] = ctx.state[
+        announcers: Dict[Tuple[int, int], Dict[str, int]] = ctx.state[
             KEY_K_NEIGHBOR_ANNOUNCERS
         ]
-        memberships: Dict[int, Set[int]] = ctx.state.get(KEY_K_MEMBERSHIP, {})
+        counted: Optional[Set[int]] = ctx.state.get(KEY_STEP4F_NEIGHBORS)
         for inbound in inbox:
             if inbound.kind != _KSIZE:
                 continue
-            root, index, size = inbound.payload
-            if index not in memberships.get(root, ()):  # only K-members need it
+            if counted is not None and inbound.sender not in counted:
                 continue
-            record = announcers.setdefault(
-                (root, index), {"size": size, "senders": set()}
-            )
-            record["size"] = size
-            record["senders"].add(inbound.sender)
+            root, index, _size = inbound.payload
+            record = announcers.get((root, index))
+            if record is not None:
+                record["count"] += 1
         Outbox.for_ctx(ctx).flush()
 
     def vectorized_kernel(self) -> "_KAnnounceKernel":
         return _KAnnounceKernel()
 
 
+def _start_k_announce(ctx: NodeContext) -> Optional[List[Tuple[int, int, int]]]:
+    """:meth:`KAnnouncePhase.on_start`'s state writes; its announcements.
+
+    Returns the node's ``(root, index, size)`` items in ascending order, or
+    ``None`` when it has no K-membership and halts.  Writes the zero-count
+    announcer table and, under Step 4f, draws the counted neighbours.
+    """
+    state = ctx.state
+    memberships: Dict[int, Set[int]] = state.get(KEY_K_MEMBERSHIP, _NOTHING)
+    if not any(memberships.values()):
+        return None
+    sizes: Dict[int, Dict[int, int]] = state.get(KEY_K_SIZES, _NOTHING)
+    items: List[Tuple[int, int, int]] = []
+    for root in sorted(memberships):
+        root_sizes = sizes.get(root, _NOTHING)
+        for index in sorted(memberships[root]):
+            size = root_sizes.get(index, 0)
+            if size > 0:
+                items.append((root, index, size))
+    state[KEY_K_NEIGHBOR_ANNOUNCERS] = {
+        (root, index): {"size": size, "count": 0} for root, index, size in items
+    }
+    sample_size = int(ctx.globals.get(GLOBAL_STEP4F_SAMPLE_SIZE, 32))
+    if (
+        items
+        and ctx.globals.get(GLOBAL_STEP4F_SAMPLING)
+        and ctx.degree > sample_size
+    ):
+        state[KEY_STEP4F_NEIGHBORS] = set(
+            ctx.rng.sample(list(ctx.neighbors), sample_size)
+        )
+    return items
+
+
+#: Byte budget of one (receivers × announcers) float32 adjacency block of
+#: :class:`_KAnnounceKernel`; the receivers are processed in row blocks
+#: that fit it.
+_K_BLOCK_BYTES = 8 << 20
+
+
 class _KAnnounceKernel(VectorizedKernel):
     """Columnar form of :class:`KAnnouncePhase`.
 
-    *Apply*: one sweep computes each node's sorted ``(root, index, size)``
-    announcement column (and the ``on_start`` halts for nodes with nothing
-    to announce).  *Gather*: receivers with announcing neighbours merge
-    those columns position-major (queue position ascending, then sender
-    ascending) — the exact arrival order of the pipelined flush, so the
-    announcer tables are built entry for entry as the callbacks build them.
+    *Apply*: one sweep runs ``on_start``'s state writes
+    (:func:`_start_k_announce`) over the started nodes and records the
+    halts.  *Gather*: a record's count is ``|Γ(u) ∩ K_{2ε²}(X)|``, so all
+    counts are one product — the (receivers × announcers) 0/1 adjacency
+    block times the announcers' 0/1 (announcer × item) incidence, the
+    ``spmm(adjmat, mask)`` degree count.  Only a node that announces holds
+    records, so the receivers are the announcers themselves and the block
+    is read off their own CSR rows; a Step 4f node's row keeps only its
+    sampled neighbours.  The product runs in float32 (exact: every count is
+    below 2^24), in row blocks of at most :data:`_K_BLOCK_BYTES`.
     *Scatter*: the announcement columns go to the stream schedule as
     ``push_all`` streams.
     """
@@ -976,109 +1014,125 @@ class _KAnnounceKernel(VectorizedKernel):
     def execute(self, frame: KernelFrame) -> None:
         np = frame.np
         live = frame.live
-        node_ids = frame.node_ids
         degrees = frame.degrees
-        halted = frame.halted
-
-        announcing = np.zeros(frame.n, dtype=bool)
-        items_by_node: Dict[int, List[Tuple[int, int, int]]] = {}
+        announcers: List[int] = []
+        samples: Dict[int, Set[int]] = {}
+        # One entry per announced item: its record, announcer row, column.
+        records: List[Dict[str, int]] = []
+        rows: List[int] = []
+        columns: List[int] = []
+        column_of: Dict[Tuple[int, int], int] = {}
         streams: List[Stream] = []
         for index in frame.started:
             ctx = live[index]
-            state = ctx.state
-            memberships: Dict[int, Set[int]] = state.get(KEY_K_MEMBERSHIP, {})
-            sizes: Dict[int, Dict[int, int]] = state.get(KEY_K_SIZES, {})
-            if not memberships or not any(memberships.values()):
-                halted[index] = True
+            items = _start_k_announce(ctx)
+            if items is None:
+                frame.halted[index] = True
                 continue
-            state[KEY_K_NEIGHBOR_ANNOUNCERS] = {}
-            items: List[Tuple[int, int, int]] = []
-            for root in sorted(memberships):
-                root_sizes = sizes.get(root, {})
-                for subset_index in sorted(memberships[root]):
-                    size = root_sizes.get(subset_index, 0)
-                    if size <= 0:
-                        continue
-                    items.append((root, subset_index, size))
-            if items and degrees[index]:
-                announcing[index] = True
-                items_by_node[index] = items
-                streams.append(
-                    (
-                        index,
-                        ALL_NEIGHBORS,
-                        1,
-                        [wire_bits(item, ctx.n) for item in items],
-                    )
-                )
+            if not items or not degrees[index]:
+                continue
+            row = len(announcers)
+            announcers.append(index)
+            if KEY_STEP4F_NEIGHBORS in ctx.state:
+                samples[row] = ctx.state[KEY_STEP4F_NEIGHBORS]
+            records += ctx.state[KEY_K_NEIGHBOR_ANNOUNCERS].values()
+            for root, subset_index, _size in items:
+                rows.append(row)
+                column = column_of.setdefault((root, subset_index), len(column_of))
+                columns.append(column)
+            streams.append(
+                (index, ALL_NEIGHBORS, 1, [wire_bits(item, ctx.n) for item in items])
+            )
 
-        mail_counts = frame.count_flagged_neighbors(announcing)
-        for index in np.nonzero(~halted & (mail_counts > 0))[0].tolist():
-            ctx = live[index]
-            memberships = ctx.state.get(KEY_K_MEMBERSHIP, {})
-            announcers = ctx.state[KEY_K_NEIGHBOR_ANNOUNCERS]
-            columns = [
-                (node_ids[j], items_by_node[j])
-                for j in frame.neighbor_slice(index).tolist()
-                if j in items_by_node
-            ]
-            depth = max(len(items) for _sender, items in columns)
-            for position in range(depth):
-                for sender_id, items in columns:
-                    if position >= len(items):
-                        continue
-                    root, subset_index, size = items[position]
-                    if subset_index not in memberships.get(root, ()):
-                        continue
-                    record = announcers.setdefault(
-                        (root, subset_index), {"size": size, "senders": set()}
-                    )
-                    record["size"] = size
-                    record["senders"].add(sender_id)
-
+        k = len(announcers)
+        if k > 1:
+            item_rows = np.asarray(rows)
+            item_columns = np.asarray(columns)
+            incidence = np.zeros((k, len(column_of)), dtype=np.float32)
+            incidence[item_rows, item_columns] = 1.0
+            arc_rows, arc_columns = _announcer_arcs(frame, announcers, samples)
+            step = max(1, _K_BLOCK_BYTES // (4 * k))
+            for first in range(0, k, step):
+                last = min(first + step, k)
+                block = np.zeros((last - first, k), dtype=np.float32)
+                lo, hi = np.searchsorted(arc_rows, (first, last))
+                block[arc_rows[lo:hi] - first, arc_columns[lo:hi]] = 1.0
+                counts = block @ incidence
+                lo, hi = np.searchsorted(item_rows, (first, last))
+                found = counts[item_rows[lo:hi] - first, item_columns[lo:hi]]
+                for record, count in zip(records[lo:hi], found.tolist()):
+                    if count:
+                        record["count"] = int(count)
         frame.run_schedule(streams)
 
 
-def build_t_membership(ctx: NodeContext) -> None:
-    """Turn Step 4e announcements into ``T_ε(X)`` membership (Step 4f).
+def _announcer_arcs(
+    frame: KernelFrame, announcers: List[int], samples: Dict[int, Set[int]]
+) -> Tuple[Any, Any]:
+    """The arcs between announcers as (row, column) positions, row-sorted.
 
-    Runs as the ``pre_start`` hook of the decision-stage aggregation.  When
-    the Section 5.3 optimisation is enabled (``use_step4f_sampling``), the
-    count ``|Γ(u) ∩ K_{2ε²}(X)|`` is *estimated* from a uniform sample of
-    the node's neighbours instead of being read exactly.
+    Read off the announcers' CSR rows.  ``samples`` maps the row of a node
+    that drew a Step 4f sample to that sample (node ids); such a row keeps
+    only the arcs to its sampled neighbours.
     """
-    eps = _epsilon(ctx)
-    memberships: Dict[int, Set[int]] = ctx.state.get(KEY_K_MEMBERSHIP, {})
-    announcers: Dict[Tuple[int, int], Dict[str, Any]] = ctx.state.get(
-        KEY_K_NEIGHBOR_ANNOUNCERS, {}
-    )
-    use_sampling = bool(ctx.globals.get(GLOBAL_STEP4F_SAMPLING, False))
-    sample_size = int(ctx.globals.get(GLOBAL_STEP4F_SAMPLE_SIZE, 32))
+    np = frame.np
+    n = frame.n
+    k = len(announcers)
+    dense = np.asarray(announcers)
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[dense] = np.arange(k)
+    rows = np.repeat(np.arange(k), frame.degrees[dense])
+    neighbors = np.concatenate([frame.neighbor_slice(index) for index in announcers])
+    keep = slot[neighbors] >= 0
+    if samples:
+        masked = np.zeros(k, dtype=bool)
+        masked[list(samples)] = True
+        index_of = frame.index_of
+        sampled_arcs = [
+            row * n + index_of[neighbor]
+            for row, sample in samples.items()
+            for neighbor in sample
+        ]
+        keep &= ~masked[rows] | np.isin(rows * n + neighbors, sampled_arcs)
+    return rows[keep], slot[neighbors[keep]]
 
-    sampled_neighbors: Optional[Set[int]] = None
-    scale = 1.0
-    if use_sampling and ctx.degree > sample_size:
-        chosen = ctx.rng.sample(list(ctx.neighbors), sample_size)
-        sampled_neighbors = set(chosen)
-        scale = ctx.degree / float(sample_size)
+
+def build_t_membership(ctx: NodeContext) -> None:
+    """Turn Step 4e counts into ``T_ε(X)`` membership (Step 4f).
+
+    Runs as the ``pre_start`` hook of the decision-stage aggregation.  A
+    node is in ``T_ε(X)`` when the count of its ``KEY_K_NEIGHBOR_ANNOUNCERS``
+    record for X reaches ``(1 − ε)`` of the record's size; a zero count
+    never qualifies, as a node no K-member announced to.  Under the
+    Section 5.3 optimisation (``use_step4f_sampling``), a node that drew a
+    sample of neighbours in :class:`KAnnouncePhase` counted over that
+    sample only, and its count is scaled by ``degree / sample size`` — the
+    estimate of ``|Γ(u) ∩ K_{2ε²}(X)|``.
+    """
+    state = ctx.state
+    eps = _epsilon(ctx)
+    memberships: Dict[int, Set[int]] = state.get(KEY_K_MEMBERSHIP, _NOTHING)
+    announcers: Dict[Tuple[int, int], Dict[str, int]] = state.get(
+        KEY_K_NEIGHBOR_ANNOUNCERS, _NOTHING
+    )
+    counted: Optional[Set[int]] = state.get(KEY_STEP4F_NEIGHBORS)
+    scale = 1.0 if counted is None else ctx.degree / float(len(counted))
 
     t_membership: Dict[int, Set[int]] = {}
     for root, indices in memberships.items():
         qualified: Set[int] = set()
         for index in indices:
             record = announcers.get((root, index))
-            if record is None:
-                continue
-            size = record["size"]
-            senders: Set[int] = record["senders"]
-            if sampled_neighbors is None:
-                count = float(len(senders))
-            else:
-                count = scale * len(senders & sampled_neighbors)
-            if near_clique.meets_fraction(count, size, eps):
+            if (
+                record is not None
+                and record["count"]
+                and near_clique.meets_fraction(
+                    scale * record["count"], record["size"], eps
+                )
+            ):
                 qualified.add(index)
         t_membership[root] = qualified
-    ctx.state[KEY_T_MEMBERSHIP] = t_membership
+    state[KEY_T_MEMBERSHIP] = t_membership
 
 
 def select_best_subset(ctx: NodeContext, counters: Dict[int, int]) -> None:

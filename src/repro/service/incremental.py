@@ -227,16 +227,15 @@ class NearCliqueService:
     # -- the incremental path ------------------------------------------
     def _dirty_region(self) -> List[int]:
         """Current-graph components containing any dirty node (sorted ids)."""
-        seen: Set[int] = set()
-        stack = list(self._dirty_ids)
+        # A node is marked when pushed, so each is pushed and visited once.
+        seen: Set[int] = set(self._dirty_ids)
+        stack = list(seen)
+        neighbors = self.network.neighbors
         while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(
-                u for u in self.network.neighbors(v) if u not in seen
-            )
+            for u in neighbors(stack.pop()):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
         return sorted(seen)
 
     def _incremental_query(self, seed: int) -> Optional[QueryOutcome]:

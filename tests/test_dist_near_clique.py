@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 from repro.congest.config import CongestConfig
 from repro.congest.engine import get_engine
 from repro.congest.network import Network
-from repro.core import near_clique
+from repro.core import near_clique, phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.params import AlgorithmParameters
 from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import generators
+
+from conftest import CallbacksEngine
 
 
 def assert_equivalent(graph, epsilon, sample, seed=0, min_output_size=0):
@@ -358,3 +360,71 @@ class TestRunnerBehaviour:
         assert not result.aborted
         # Estimation can shrink the output but the run must stay valid.
         assert result.largest_cluster_density(graph) >= 0.6 or not result.largest_cluster()
+
+
+#: The planted Step 4f run of :class:`TestStep4fSampling`: the labelled
+#: nodes (all labelled with root 0) and every audience node's ``T_ε(X)``
+#: membership as subset indices of the component {0, 1, 2}.  30 of the 35
+#: audience nodes have more than 8 neighbours and estimate their counts
+#: from a sample; 12 memberships and 3 labels differ from the exact run's.
+STEP4F_LABELLED = frozenset(
+    {0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20}
+    | {21, 22, 23, 24, 25, 26, 27, 28, 29}
+)
+_ALL_SUBSETS = [1, 2, 3, 4, 5, 6, 7]
+STEP4F_T_MEMBERSHIP = {
+    0: [2, 4, 6], 1: [4, 5], 2: [2], 3: _ALL_SUBSETS, 4: _ALL_SUBSETS,
+    5: [2, 3, 6], 6: [1, 2, 3, 4, 5, 6], 7: _ALL_SUBSETS, 8: _ALL_SUBSETS,
+    9: [2, 4, 5, 6], 10: _ALL_SUBSETS, 11: [1, 2, 3, 5, 6, 7],
+    12: [1, 2, 3, 4, 5], 13: _ALL_SUBSETS, 14: _ALL_SUBSETS, 15: _ALL_SUBSETS,
+    16: _ALL_SUBSETS, 17: [1, 2, 3, 5], 18: [1, 3, 4, 5, 6, 7],
+    19: _ALL_SUBSETS, 20: _ALL_SUBSETS, 21: [2, 4, 6], 22: [1, 2, 3],
+    23: _ALL_SUBSETS, 24: [2, 3, 4, 5, 6, 7], 25: _ALL_SUBSETS, 26: [1, 2, 3],
+    27: _ALL_SUBSETS, 28: _ALL_SUBSETS, 29: _ALL_SUBSETS,
+    30: [], 33: [], 36: [], 46: [], 59: [],
+}
+
+
+class TestStep4fSampling:
+    """Section 5.3's Step 4f estimate, pinned to literal decisions.
+
+    Every node of degree above the sample size draws its sample of
+    neighbours from ``ctx.rng``, so the run's memberships and labels are a
+    function of the network seed; each engine must reproduce them exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param(dict(engine="reference"), id="reference"),
+            pytest.param(dict(engine=CallbacksEngine()), id="callbacks"),
+            pytest.param(dict(engine="vectorized"), id="vectorized"),
+            pytest.param(dict(engine="sharded", shards=2), id="process"),
+        ],
+    )
+    def test_planted_run_is_pinned(self, planted_workload, fields):
+        graph, _ = planted_workload
+        network = Network(graph, seed=11)
+        runner = DistNearCliqueRunner(
+            epsilon=0.2,
+            sample_probability=0.1,
+            use_step4f_sampling=True,
+            step4f_sample_size=8,
+            max_sample_size=None,
+            config=CongestConfig(**fields).with_log_budget(network.n),
+        )
+        result = runner.run(network=network, sample={0, 1, 2})
+        assert not result.aborted
+        assert {v for v, label in result.labels.items() if label is not None} == (
+            STEP4F_LABELLED
+        )
+        assert set(result.labels.values()) == {0, None}
+        memberships = {
+            ctx.node_id: ctx.state[phases.KEY_T_MEMBERSHIP]
+            for ctx in network.contexts.live.values()
+            if phases.KEY_T_MEMBERSHIP in ctx.state
+        }
+        assert {v: sorted(t[0]) for v, t in memberships.items()} == (
+            STEP4F_T_MEMBERSHIP
+        )
+        assert all(list(t) == [0] for t in memberships.values())

@@ -81,7 +81,12 @@ class TestForcedSampleSparsity:
         receivers = {
             ctx.node_id
             for ctx in contexts.live.values()
-            if ctx.state.get(phases.KEY_K_NEIGHBOR_ANNOUNCERS)
+            if any(
+                record["count"]
+                for record in ctx.state.get(
+                    phases.KEY_K_NEIGHBOR_ANNOUNCERS, {}
+                ).values()
+            )
         }
         assert {ctx.node_id for ctx in contexts.live.values()} == involved
         assert len(built) <= len(involved) + len(receivers)

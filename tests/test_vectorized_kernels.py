@@ -15,11 +15,9 @@ the fast engines' skipping of out-of-scope nodes to the reference's full
 sweep; the scope-contract tests check the reference's side of that
 contract.
 
-The property tests cover the gather helper's CSR segment-reduction on
-arbitrary graphs — disconnected components and isolated nodes included —
-and the error parity of the closed-form broadcast schedule (bit-budget
-violations and round caps must surface exactly as the callback loop raises
-them).
+The schedule tests cover the error parity of the closed-form broadcast
+schedule (bit-budget violations and round caps must surface exactly as the
+callback loop raises them).
 """
 
 from __future__ import annotations
@@ -28,10 +26,7 @@ import collections
 import random
 
 import networkx as nx
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.congest import vectorized
 from repro.congest.config import CongestConfig
@@ -44,9 +39,10 @@ from repro.congest.errors import (
 from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol, reset_in_scope
-from repro.congest.vectorized import KernelFrame, _CallbackStepper
+from repro.congest.vectorized import _CallbackStepper
 from repro.core import phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
+from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import generators
 from repro.primitives.bfs_tree import KEY_CHILDREN, KEY_PARENT, KEY_ROOT
 from repro.primitives.pipelines import Outbox
@@ -60,6 +56,14 @@ GLOBALS = {
     phases.GLOBAL_STEP4F_SAMPLING: False,
     phases.GLOBAL_STEP4F_SAMPLE_SIZE: 32,
 }
+
+
+#: The chain's globals with Section 5.3's Step 4f estimate on: a node of
+#: degree above 3 counts its K-neighbours over 3 sampled neighbours.
+STEP4F_GLOBALS = dict(
+    GLOBALS,
+    **{phases.GLOBAL_STEP4F_SAMPLING: True, phases.GLOBAL_STEP4F_SAMPLE_SIZE: 3},
+)
 
 
 #: Forced sample of the planted chain graph.  A coin-flip sample at p=0.35
@@ -167,9 +171,10 @@ def _context_snapshot(ctx):
     outbox compares by its queued messages and the ``is_neighbor`` cache is
     skipped.  The *insertion order* of every dict in the state (component
     and announcer tables, counters, size and best-known tables) is captured
-    on purpose, as key lists: the callback path builds them in message
-    arrival order, and the kernels must reproduce that order, not just the
-    mapping.
+    on purpose, as key lists: the callback path builds most of them in
+    message arrival order (the announcer tables in ascending ``(root,
+    index)`` order), and the kernels must reproduce that order, not just
+    the mapping.
     """
     state = {
         key: value
@@ -212,7 +217,13 @@ def _arm_protocol(arm, protocol):
 
 
 def _run_chain(
-    graph, arm, forced_sample=None, members_only=True, network=None, fused=False
+    graph,
+    arm,
+    forced_sample=None,
+    members_only=True,
+    network=None,
+    fused=False,
+    global_inputs=GLOBALS,
 ):
     """Sampling + the full exploration/decision sequence, one session.
 
@@ -227,7 +238,7 @@ def _run_chain(
     config = CongestConfig(**CHAIN_ARMS[arm]).with_log_budget(
         max(2, graph.number_of_nodes())
     )
-    global_inputs = dict(GLOBALS)
+    global_inputs = dict(global_inputs)
     per_node_inputs = None
     if forced_sample is not None and members_only:
         global_inputs[phases.GLOBAL_FORCED_SAMPLE] = True
@@ -301,6 +312,30 @@ class TestKernelCallbackChain:
             (name, fp) for name, fp, _ in stepwise
         ]
         assert fused[-1][2] == stepwise[-1][2]
+
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_step4f_chain_matches_reference(self, arm):
+        # Step 4f on, with a sample small enough that the clique's nodes
+        # draw from ctx.rng: the reference arm re-runs itself (the draws
+        # are a function of the network seed), the others match it.
+        graph = dict((name, g) for name, g, _ in CHAIN_GRAPHS)["planted"]
+        reference = _run_chain(
+            graph, "reference", PLANTED_SAMPLE, global_inputs=STEP4F_GLOBALS
+        )
+        candidate = _run_chain(
+            graph, arm, PLANTED_SAMPLE, global_inputs=STEP4F_GLOBALS
+        )
+        for (name, ref_fp, ref_state), (_, cand_fp, cand_state) in zip(
+            reference, candidate
+        ):
+            assert cand_fp == ref_fp, "%s: phase %r diverged" % (arm, name)
+            assert cand_state == ref_state, (
+                "%s: phase %r left diverging context state" % (arm, name)
+            )
+        # Some node drew, and the estimate changes some decision.
+        final_states = [snapshot[0] for snapshot in candidate[-1][2]]
+        assert any(phases.KEY_STEP4F_NEIGHBORS in state for state in final_states)
+        assert candidate[-1] != _run_chain(graph, arm, PLANTED_SAMPLE)[-1]
 
     def test_planted_sample_covers_the_chain_cases(self):
         graph = dict((name, g) for name, g, _ in CHAIN_GRAPHS)["planted"]
@@ -402,6 +437,63 @@ class TestKernelCallbackChain:
         callbacks = Network(graph, seed=4321)
         _run_chain(graph, "callbacks", forced_sample=PLANTED_SAMPLE, network=callbacks)
         assert len(callbacks.contexts.live) == callbacks.n
+
+
+class TestKAnnounceCounts:
+    """Step 4e's records hold the oracle's ``|Γ(u) ∩ K_{2ε²}(X)|``.
+
+    After the chain, every K-member's announcer table has one record per
+    item X with ``u ∈ K_{2ε²}(X)``, holding ``|K_{2ε²}(X)|`` and the count
+    of u's neighbours in ``K_{2ε²}(X)``, as the centralized oracle
+    (:class:`~repro.core.reference.CentralizedNearCliqueFinder`) computes
+    them, in ascending ``(root, index)`` order.
+    """
+
+    @pytest.mark.parametrize("arm", ["reference", "vectorized"])
+    @pytest.mark.parametrize(
+        "graph, forced",
+        [_deep_tree_graph(), CHAIN_GRAPHS[-1][1:]],
+        ids=["hand-built", "planted"],
+    )
+    def test_counts_match_the_oracle(self, graph, forced, arm):
+        network = Network(graph, seed=4321)
+        _run_chain(graph, arm, forced_sample=forced, network=network)
+        finder = CentralizedNearCliqueFinder(graph, GLOBALS[phases.GLOBAL_EPSILON])
+        expected = collections.defaultdict(dict)
+        for members in finder.sample_components(forced):
+            analysis = finder.analyze_component(members)
+            for index, k_set in sorted(analysis.k_sets.items()):
+                for node in k_set:
+                    expected[node][(analysis.root, index)] = {
+                        "size": len(k_set),
+                        "count": len(set(graph[node]) & k_set),
+                    }
+        tables = {
+            node: network.contexts.peek(node).state.get(
+                phases.KEY_K_NEIGHBOR_ANNOUNCERS
+            )
+            for node in graph
+        }
+        assert {node: table for node, table in tables.items() if table} == expected
+        for table in tables.values():
+            assert list(table or ()) == sorted(table or ())
+        assert max(len(table) for table in expected.values()) > 1
+
+    @pytest.mark.parametrize("arm", ["vectorized"])
+    @pytest.mark.parametrize("budget", [4, 400])
+    def test_row_blocks_match_one_block(self, arm, budget, monkeypatch):
+        # Blocks of one row, and of 3 rows of the 26 announcers: the
+        # blocked product must leave every node's state as the reference
+        # does, 4f-masked rows too.
+        graph = CHAIN_GRAPHS[-1][1]
+        reference = _run_chain(
+            graph, "reference", PLANTED_SAMPLE, global_inputs=STEP4F_GLOBALS
+        )
+        monkeypatch.setattr(phases, "_K_BLOCK_BYTES", budget)
+        assert (
+            _run_chain(graph, arm, PLANTED_SAMPLE, global_inputs=STEP4F_GLOBALS)
+            == reference
+        )
 
 
 class _MisScoped(Protocol):
@@ -1081,55 +1173,3 @@ class TestScheduleErrorParity:
         reference = self._tree_error("reference", config, 1)
         assert reference == ("rounds", 3)
         assert self._tree_error("vectorized", config, 1) == reference
-
-
-class TestKernelFrame:
-    """Unit coverage of the frame's gather helper."""
-
-    def _frame(self, graph):
-        network = Network(graph, seed=9)
-        return KernelFrame(
-            network,
-            phases.SamplingPhase(),
-            CongestConfig(),
-            network.build_contexts(),
-        )
-
-    def test_isolated_only_graph_counts_zero(self):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(4))
-        frame = self._frame(graph)
-        flags = np.ones(4, dtype=bool)
-        assert frame.count_flagged_neighbors(flags).tolist() == [0, 0, 0, 0]
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_count_flagged_neighbors_matches_bruteforce(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=24), label="n")
-        edges = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=n - 1),
-                    st.integers(min_value=0, max_value=n - 1),
-                ),
-                max_size=48,
-            ),
-            label="edges",
-        )
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from((u, v) for u, v in edges if u != v)
-        flags = data.draw(
-            st.lists(st.booleans(), min_size=n, max_size=n), label="flags"
-        )
-        frame = self._frame(graph)
-        mask = np.array(flags, dtype=bool)
-        counts = frame.count_flagged_neighbors(mask)
-        for index in range(n):
-            node_id = frame.node_ids[index]
-            expected = sum(
-                1
-                for neighbor in graph.neighbors(node_id)
-                if flags[int(neighbor)]
-            )
-            assert int(counts[index]) == expected
