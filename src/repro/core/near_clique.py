@@ -22,15 +22,17 @@ Conventions
   centralized oracle must agree on the enumeration order, so subsets are
   indexed by bitmasks over the component's members sorted in increasing
   identifier order (bit *j* set ⇔ the *j*-th smallest member is in ``X``).
+  Step 4a, the oracle and both testers evaluate every X through one
+  function, :func:`subset_membership`, over a vector of neighbour masks.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterable, Iterator, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 NodeSet = Set[int]
 
@@ -241,24 +243,56 @@ FRACTION_TOLERANCE = 1e-9
 def meets_fraction(count: int, total: int, epsilon: float) -> bool:
     """Return True when ``count ≥ (1 − ε)·total`` (with shared tolerance).
 
-    This is the comparison at the heart of Eq. (1); both the per-node local
-    computation in the distributed protocol and the centralized oracle call
-    this helper so their decisions can never diverge.
+    This is the comparison at the heart of Eq. (1); the distributed
+    protocol, the centralized oracle and the testers all decide through
+    this helper (the subset scan through the table of
+    :func:`subset_membership`), so their decisions can never diverge.
     """
     return count >= (1.0 - epsilon) * total - FRACTION_TOLERANCE
 
 
-def popcount(value: int) -> int:
-    """Number of set bits of a non-negative integer."""
-    return bin(value).count("1")
+#: Byte budget of one block of :func:`subset_membership`, at 8 bytes per
+#: ``mask & index`` cell.
+_SUBSET_BLOCK_BYTES = 8 << 20
+_POPCOUNTS: Dict[int, np.ndarray] = {}
+
+
+def subset_membership(
+    masks: Sequence[int], member_count: int, epsilon: float
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``v ∈ K_ε(X)`` for every neighbour mask and every non-empty index X.
+
+    Yields ``(indices, sizes, member)`` blocks of consecutive indices of
+    ``1 .. 2^k − 1`` in ascending order, with ``sizes[j] = |X_j|`` and
+    ``member[i, j]`` true when ``|masks[i] ∩ X_j| ≥ (1 − ε)|X_j|``.  Each
+    decision is read from a table filled by :func:`meets_fraction`, so it is
+    that predicate's exactly.  A block holds at most
+    :data:`_SUBSET_BLOCK_BYTES` of cells, which bounds memory at any k; a
+    caller that stops early never evaluates the remaining blocks.
+    """
+    popcounts = _POPCOUNTS.get(member_count)
+    if popcounts is None:  # built once per k
+        popcounts = np.zeros(1 << member_count, dtype=np.uint8)
+        for bit in range(member_count):
+            popcounts[1 << bit : 2 << bit] = popcounts[: 1 << bit] + 1
+        _POPCOUNTS[member_count] = popcounts
+    counts = range(member_count + 1)
+    table = np.array([[meets_fraction(c, s, epsilon) for s in counts] for c in counts])
+    mask_column = np.asarray(masks, dtype=np.intp).reshape(-1, 1)
+    end = 1 << member_count
+    step = max(1, _SUBSET_BLOCK_BYTES // (8 * max(1, len(mask_column))))
+    for start in range(1, end, step):
+        indices = np.arange(start, min(start + step, end), dtype=np.intp)
+        sizes = popcounts[indices]
+        yield indices, sizes, table[popcounts[mask_column & indices], sizes]
 
 
 def neighbor_mask(members: Sequence[int], neighbor_ids: Iterable[int]) -> int:
     """Bitmask of *members* (canonical order) that appear in *neighbor_ids*.
 
-    With subsets encoded as bitmask indices, ``|Γ(v) ∩ X|`` is simply
-    ``popcount(index & neighbor_mask(members, Γ(v)))`` — the fast path used
-    by both implementations when enumerating the 2^{|S_i|} subsets.
+    With subsets encoded as bitmask indices, ``|Γ(v) ∩ X|`` is the popcount
+    of ``index & neighbor_mask(members, Γ(v))``; a vector of these masks is
+    what :func:`subset_membership` evaluates the 2^{|S_i|} subsets on.
     """
     neighbor_set = set(neighbor_ids)
     mask = 0
@@ -314,21 +348,3 @@ def index_of_subset(members: Sequence[int], subset: Iterable[int]) -> int:
         except KeyError:
             raise ValueError("%r is not a member of the component" % (node,)) from None
     return index
-
-
-def iter_nonempty_subset_indices(member_count: int) -> Iterator[int]:
-    """Iterate the bitmask indices ``1 .. 2^k − 1`` of all non-empty subsets."""
-    return iter(range(1, 1 << member_count))
-
-
-def iter_nonempty_subsets(members: Sequence[int]) -> Iterator[Tuple[int, FrozenSet[int]]]:
-    """Yield ``(index, subset)`` for every non-empty subset of *members*."""
-    members = tuple(members)
-    for index in iter_nonempty_subset_indices(len(members)):
-        yield index, subset_from_index(members, index)
-
-
-def all_subsets_of_size(members: Sequence[int], size: int) -> Iterator[FrozenSet[int]]:
-    """Yield every subset of *members* with exactly *size* elements."""
-    for combo in itertools.combinations(sorted(members), size):
-        yield frozenset(combo)

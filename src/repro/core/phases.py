@@ -192,32 +192,29 @@ def _in_sample(ctx: NodeContext) -> bool:
 
 
 def _k_membership_indices(
-    members: Sequence[int], neighbor_ids: Sequence[int], inner_epsilon: float
+    members: Sequence[int],
+    neighbor_ids: Sequence[int],
+    inner_epsilon: float,
+    memo: Dict[Tuple[int, int, float], Tuple[int, ...]],
 ) -> Set[int]:
-    """Indices of the non-empty X ⊆ members with ``v ∈ K_{2ε²}(X)``.
+    """Step 4a at node v: the indices X with ``v ∈ K_{2ε²}(X)`` (local).
 
-    ``neighbor_ids`` are the neighbours of the evaluating node v in ascending
-    order (``ctx.neighbors``); membership is ``|Γ(v) ∩ X| ≥ (1 − 2ε²)|X|``
-    evaluated with the shared tolerance, via bitmask popcounts (exploration
-    Step 4a — purely local computation).
+    ``neighbor_ids`` are v's neighbours in ascending order; v's neighbour
+    mask over the members picks its row of
+    :func:`near_clique.subset_membership`, kept in *memo* for every node
+    with the same component size, mask and ε.
     """
     mask = near_clique.sorted_neighbor_mask(members, neighbor_ids)
-    return set(_qualifying_subsets(len(members), mask, inner_epsilon))
-
-
-def _qualifying_subsets(
-    member_count: int, mask: int, inner_epsilon: float
-) -> Tuple[int, ...]:
-    """The indices X with ``|mask ∩ X| ≥ (1 − 2ε²)|X|``, ascending."""
-    return tuple(
-        index
-        for index in near_clique.iter_nonempty_subset_indices(member_count)
-        if near_clique.meets_fraction(
-            near_clique.popcount(mask & index),
-            near_clique.popcount(index),
-            inner_epsilon,
+    key = (len(members), mask, inner_epsilon)
+    if key not in memo:
+        memo[key] = tuple(
+            index
+            for indices, _sizes, member in near_clique.subset_membership(
+                (mask,), len(members), inner_epsilon
+            )
+            for index in indices[member[0]].tolist()
         )
-    )
+    return set(memo[key])
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +436,9 @@ class LocalSubsetPhase(Protocol):
         if _in_sample(ctx):
             members = ctx.state.get(KEY_COMP_MEMBERS, ())
             root = ctx.state[KEY_ROOT]
-            memberships[root] = _k_membership_indices(members, ctx.neighbors, inner_eps)
+            memberships[root] = _k_membership_indices(
+                members, ctx.neighbors, inner_eps, {}
+            )
             ctx.state[KEY_ATTACHED_LEAVES] = set()
             ctx.state[KEY_ADJ_MEMBERS] = {root: tuple(members)}
         else:
@@ -458,7 +457,7 @@ class LocalSubsetPhase(Protocol):
                 attach[root] = parent
                 outbox.push(parent, _wire(_ATTACH, (root,), ctx.n))
                 memberships[root] = _k_membership_indices(
-                    members, ctx.neighbors, inner_eps
+                    members, ctx.neighbors, inner_eps, {}
                 )
             ctx.state[KEY_ATTACH_PARENT] = attach
             ctx.state[KEY_ADJ_MEMBERS] = adjacent_members
@@ -480,10 +479,12 @@ class _LocalSubsetKernel(VectorizedKernel):
     """Columnar form of :class:`LocalSubsetPhase`.
 
     *Apply*: the ``on_start`` sweep over the started nodes (the subset
-    evaluation is local computation, evaluated once per distinct
-    neighbour mask).  *Scatter*: each leaf's ``nc.attach`` items leave
-    from round 1, one queue per attachment parent.  *Gather*: a sampled
-    parent adds the senders to its attached leaves in arrival order.
+    evaluation is local computation: one
+    :func:`near_clique.subset_membership` row per distinct component size,
+    neighbour mask and ε, shared by the nodes that have it).  *Scatter*:
+    each leaf's ``nc.attach`` items leave from round 1, one queue per
+    attachment parent.  *Gather*: a sampled parent adds the senders to its
+    attached leaves in arrival order.
     """
 
     def execute(self, frame: KernelFrame) -> None:
@@ -492,19 +493,7 @@ class _LocalSubsetKernel(VectorizedKernel):
         node_ids = frame.node_ids
         queues = frame.outbox_schedule()
         leaves_of: Dict[int, Set[int]] = {}
-        qualifying: Dict[Tuple[int, int, float], Tuple[int, ...]] = {}
-
-        def k_membership(
-            members: Sequence[int], ctx: NodeContext, inner_eps: float
-        ) -> Set[int]:
-            # _k_membership_indices, with the subset scan shared by every
-            # node that sees the same members of the component.
-            mask = near_clique.sorted_neighbor_mask(members, ctx.neighbors)
-            key = (len(members), mask, inner_eps)
-            found = qualifying.get(key)
-            if found is None:
-                found = qualifying[key] = _qualifying_subsets(*key)
-            return set(found)
+        memo: Dict[Tuple[int, int, float], Tuple[int, ...]] = {}
 
         for index in frame.started:
             ctx = live[index]
@@ -515,7 +504,9 @@ class _LocalSubsetKernel(VectorizedKernel):
             if state.get(KEY_IN_SAMPLE):
                 members = state.get(KEY_COMP_MEMBERS, ())
                 root = state[KEY_ROOT]
-                memberships[root] = k_membership(members, ctx, inner_eps)
+                memberships[root] = _k_membership_indices(
+                    members, ctx.neighbors, inner_eps, memo
+                )
                 leaves_of[index] = state[KEY_ATTACHED_LEAVES] = set()
                 state[KEY_ADJ_MEMBERS] = {root: tuple(members)}
             else:
@@ -533,7 +524,9 @@ class _LocalSubsetKernel(VectorizedKernel):
                     attach[root] = parent
                     bits = [wire_bits((root,), ctx.n)]
                     queues.push(index, (index_of[parent],), 1, bits, bits)
-                    memberships[root] = k_membership(members, ctx, inner_eps)
+                    memberships[root] = _k_membership_indices(
+                        members, ctx.neighbors, inner_eps, memo
+                    )
                 state[KEY_ATTACH_PARENT] = attach
                 state[KEY_ADJ_MEMBERS] = adjacent_members
             state[KEY_K_MEMBERSHIP] = memberships
@@ -1139,17 +1132,17 @@ def select_best_subset(ctx: NodeContext, counters: Dict[int, int]) -> None:
     """Decision Step 1 at the root: pick X(S_i) maximising |T_ε(X)|.
 
     Ties are broken towards the smallest canonical subset index, matching the
-    centralized oracle exactly.
+    centralized oracle exactly.  With no positive count the choice is index 1
+    with size 0, and with no members it is ``(0, 0)``.
     """
-    members = ctx.state.get(KEY_COMP_MEMBERS, ())
-    best_index = 0
-    best_size = -1
-    for index in near_clique.iter_nonempty_subset_indices(len(members)):
-        size = counters.get(index, 0)
-        if size > best_size:
-            best_size = size
-            best_index = index
-    ctx.state[KEY_BEST] = (best_index, max(best_size, 0))
+    best = (0, 0)
+    if ctx.state.get(KEY_COMP_MEMBERS):
+        best = min(
+            ((index, size) for index, size in counters.items() if size > 0),
+            key=lambda item: (-item[1], item[0]),
+            default=(1, 0),
+        )
+    ctx.state[KEY_BEST] = best
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core import near_clique
 from repro.core.params import AlgorithmParameters
@@ -125,36 +126,26 @@ class CentralizedNearCliqueFinder:
         eps = self.epsilon
         inner_eps = 2.0 * eps * eps
 
-        masks = {
-            v: near_clique.neighbor_mask(members, self.adjacency[v]) for v in audience
-        }
+        nodes = np.array(list(audience), dtype=object)
+        masks = [near_clique.neighbor_mask(members, self.adjacency[v]) for v in nodes]
         analysis = ComponentAnalysis(
             root=members[0], members=members, audience=audience
         )
         best_index = 0
         best_size = -1
-        for index in near_clique.iter_nonempty_subset_indices(len(members)):
-            subset_size = near_clique.popcount(index)
-            k_set = frozenset(
-                v
-                for v in audience
-                if near_clique.meets_fraction(
-                    near_clique.popcount(masks[v] & index), subset_size, inner_eps
+        for indices, _sizes, member in near_clique.subset_membership(
+            masks, len(members), inner_eps
+        ):
+            for index, column in zip(indices.tolist(), member.T):
+                k_set = frozenset(nodes[column].tolist())
+                t_set = frozenset(
+                    near_clique.k_eps(self.adjacency, k_set, eps, universe=k_set)
                 )
-            )
-            k_size = len(k_set)
-            t_set = frozenset(
-                v
-                for v in k_set
-                if near_clique.meets_fraction(
-                    len(self.adjacency[v] & k_set), k_size, eps
-                )
-            )
-            analysis.k_sets[index] = k_set
-            analysis.t_sets[index] = t_set
-            if len(t_set) > best_size:
-                best_size = len(t_set)
-                best_index = index
+                analysis.k_sets[index] = k_set
+                analysis.t_sets[index] = t_set
+                if len(t_set) > best_size:
+                    best_size = len(t_set)
+                    best_index = index
         analysis.best_index = best_index
         analysis.best_size = max(best_size, 0)
         return analysis

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.core import near_clique
 from repro.proptest.sampling import AdjacencyOracle
@@ -127,41 +128,34 @@ class GGRCliqueTester:
 
         # Adjacency of every secondary vertex into the primary sample, via
         # individual queries (m1 * m2 of them).
-        masks = {}
         members = near_clique.canonical_members(primary)
-        for w in secondary:
-            masks[w] = near_clique.neighbor_mask(
+        masks = [
+            near_clique.neighbor_mask(
                 members, [u for u in members if oracle.is_edge(w, u)]
             )
+            for w in secondary
+        ]
 
-        inner_eps = 2.0 * eps * eps
+        witnesses = np.array(secondary, dtype=object)
         min_subset = max(1, int(math.floor((rho - eps / 4.0) * len(members))))
         best: Tuple[float, float, FrozenSet[int]] = (0.0, 0.0, frozenset())
         accepted = False
-        for index in near_clique.iter_nonempty_subset_indices(len(members)):
-            subset_size = near_clique.popcount(index)
-            if subset_size < min_subset:
-                continue
-            witness = [
-                w
-                for w in secondary
-                if near_clique.meets_fraction(
-                    near_clique.popcount(masks[w] & index), subset_size, inner_eps
-                )
-            ]
-            fraction = len(witness) / float(len(secondary))
-            if fraction < rho - eps / 2.0:
-                continue
-            density = oracle.pair_density(witness, self.rng, self.density_pairs)
-            if (fraction, density) > (best[0], best[1]):
-                best = (
-                    fraction,
-                    density,
-                    near_clique.subset_from_index(members, index),
-                )
-            if density >= 1.0 - eps / 2.0:
-                accepted = True
-                best = (fraction, density, near_clique.subset_from_index(members, index))
+        blocks = near_clique.subset_membership(masks, len(members), 2.0 * eps * eps)
+        for indices, sizes, member in blocks:
+            fractions = member.sum(axis=0) / float(len(secondary))
+            keep = (sizes >= min_subset) & (fractions >= rho - eps / 2.0)
+            for index, fraction, column in zip(
+                indices[keep].tolist(), fractions[keep].tolist(), member.T[keep]
+            ):
+                witness = witnesses[column].tolist()
+                density = oracle.pair_density(witness, self.rng, self.density_pairs)
+                accepted = density >= 1.0 - eps / 2.0
+                if accepted or (fraction, density) > best[:2]:
+                    subset = near_clique.subset_from_index(members, index)
+                    best = (fraction, density, subset)
+                if accepted:
+                    break
+            if accepted:
                 break
 
         return TesterVerdict(
@@ -197,7 +191,6 @@ class GGRCliqueTester:
                 oracle.degree_into(v, witness), len(witness), inner_eps
             )
         ]
-        k_frozen = set(k_set)
         t_set = [
             v
             for v in k_set
@@ -205,7 +198,6 @@ class GGRCliqueTester:
                 oracle.degree_into(v, k_set), len(k_set), eps
             )
         ]
-        del k_frozen
         density = near_clique.density(graph, t_set)
         return ApproximateFindResult(
             members=frozenset(t_set), density=density, queries=oracle.queries

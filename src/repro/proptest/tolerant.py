@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.congest.config import CongestConfig
 from repro.core import near_clique
@@ -115,45 +116,39 @@ class TolerantNearCliqueTester:
         m1 = max(4, min(self.primary_sample_cap, m1, n))
         primary = near_clique.canonical_members(oracle.sample_vertices(m1, self.rng))
 
-        masks = {}
-        for v in oracle.nodes:
-            masks[v] = near_clique.neighbor_mask(
+        nodes = np.array(oracle.nodes, dtype=object)
+        masks = [
+            near_clique.neighbor_mask(
                 primary, [u for u in primary if oracle.is_edge(v, u)]
             )
+            for v in nodes
+        ]
 
-        inner_eps = 2.0 * eps * eps
         target = self.rho * n
         best: Tuple[int, float, FrozenSet[int]] = (0, 0.0, frozenset())
         accepted = False
         adjacency = near_clique.adjacency_sets(graph)
-        for index in near_clique.iter_nonempty_subset_indices(len(primary)):
-            subset_size = near_clique.popcount(index)
-            k_set = {
-                v
-                for v in oracle.nodes
-                if near_clique.meets_fraction(
-                    near_clique.popcount(masks[v] & index), subset_size, inner_eps
-                )
-            }
-            if len(k_set) < (self.rho - eps) * n:
-                continue
-            k_size = len(k_set)
-            t_set = {
-                v
-                for v in k_set
-                if near_clique.meets_fraction(len(adjacency[v] & k_set), k_size, eps)
-            }
+        # K_{2ε²}(X) of every X whose K-set is large enough, ascending in X
+        # and evaluated one block at a time, so an accept stops the scan.
+        k_sets = (
+            set(nodes[column].tolist())
+            for _indices, _sizes, member in near_clique.subset_membership(
+                masks, len(primary), 2.0 * eps * eps
+            )
+            for column in member.T[member.sum(axis=0) >= (self.rho - eps) * n]
+        )
+        for k_set in k_sets:
+            t_set = near_clique.k_eps(adjacency, k_set, eps, universe=k_set)
             density = near_clique.density(adjacency, t_set)
-            if len(t_set) > best[0]:
-                best = (len(t_set), density, frozenset(t_set))
             # Accept when the extracted set has (1 − O(ε)) of the promised
             # size and its defect respects the O(ε/ρ) output guarantee (the
             # density clause is clipped so it never becomes vacuous).
             size_ok = len(t_set) >= (1.0 - 2.0 * eps) * target
             density_ok = density >= 1.0 - min(0.45, 2.0 * eps / max(self.rho, 1e-9))
-            if size_ok and density_ok:
-                accepted = True
+            accepted = size_ok and density_ok
+            if accepted or len(t_set) > best[0]:
                 best = (len(t_set), density, frozenset(t_set))
+            if accepted:
                 break
 
         return TolerantVerdict(

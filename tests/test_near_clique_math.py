@@ -271,16 +271,6 @@ class TestSubsetIndexing:
         with pytest.raises(ValueError):
             near_clique.index_of_subset((1, 2), {3})
 
-    def test_iter_nonempty_counts(self):
-        members = (4, 8, 15)
-        subsets = list(near_clique.iter_nonempty_subsets(members))
-        assert len(subsets) == 7
-        assert all(subset for _, subset in subsets)
-
-    def test_all_subsets_of_size(self):
-        subsets = list(near_clique.all_subsets_of_size((1, 2, 3, 4), 2))
-        assert len(subsets) == 6
-
     @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=8, unique=True))
     def test_canonical_members_sorted(self, members):
         canonical = near_clique.canonical_members(members)
@@ -305,10 +295,6 @@ class TestSharedPredicates:
     def test_meets_fraction_zero_total(self):
         assert near_clique.meets_fraction(0, 0, 0.3)
 
-    def test_popcount(self):
-        assert near_clique.popcount(0) == 0
-        assert near_clique.popcount(0b1011) == 3
-
     def test_neighbor_mask(self):
         members = (2, 5, 9)
         mask = near_clique.neighbor_mask(members, [5, 9, 100])
@@ -324,11 +310,80 @@ class TestSharedPredicates:
             members, tuple(sorted(neighbors))
         ) == near_clique.neighbor_mask(members, neighbors)
 
-    @given(
-        st.integers(min_value=0, max_value=2 ** 16 - 1),
-        st.integers(min_value=0, max_value=2 ** 16 - 1),
+
+class TestSubsetMembership:
+    @staticmethod
+    def _scan(masks, member_count, epsilon):
+        indices, sizes, columns = [], [], []
+        for block_indices, block_sizes, member in near_clique.subset_membership(
+            masks, member_count, epsilon
+        ):
+            assert member.shape == (len(masks), len(block_indices))
+            indices += block_indices.tolist()
+            sizes += block_sizes.tolist()
+            columns += member.T.tolist()
+        return indices, sizes, columns
+
+    @staticmethod
+    def _double_loop(masks, indices, epsilon):
+        return [
+            [
+                near_clique.meets_fraction(
+                    bin(m & x).count("1"), bin(x).count("1"), epsilon
+                )
+                for m in masks
+            ]
+            for x in indices
+        ]
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "epsilon", [0.2, 2 * 0.25 * 0.25, 2 * 0.5 * 0.5, 0.0, 1.0]
     )
-    def test_popcount_of_and_bounded(self, a, b):
-        assert near_clique.popcount(a & b) <= min(
-            near_clique.popcount(a), near_clique.popcount(b)
+    def test_matches_a_double_loop(self, block_rows, epsilon, monkeypatch):
+        # 0.2 puts |X| = 10 on its exact boundary (8 of 10), 2ε² for
+        # ε = 0.25 and 0.5 are the inner thresholds of Step 4a; 1- and
+        # 3-index blocks put a block boundary inside every matrix.
+        rng = random.Random(7)
+        for member_count in range(11):
+            masks = [rng.randrange(1 << member_count) for _ in range(5)]
+            masks += [0, (1 << member_count) - 1]
+            if block_rows is not None:
+                monkeypatch.setattr(
+                    near_clique, "_SUBSET_BLOCK_BYTES", 8 * len(masks) * block_rows
+                )
+            indices, sizes, columns = self._scan(masks, member_count, epsilon)
+            assert indices == list(range(1, 1 << member_count))
+            assert sizes == [bin(x).count("1") for x in indices]
+            assert columns == self._double_loop(masks, indices, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [2 * 0.25 * 0.25, 2 * 0.5 * 0.5])
+    def test_matches_a_double_loop_at_k18(self, epsilon):
+        # The default max_sample_size: every index, checked at a stride
+        # (and the tail) against the same double loop.
+        masks = [0b101101110011010110, 0b010010001100101001, (1 << 18) - 1, 0]
+        indices, sizes, columns = self._scan(masks, 18, epsilon)
+        assert indices == list(range(1, 1 << 18))
+        picked = list(range(0, len(indices), 97)) + list(range(len(indices) - 64, len(indices)))
+        assert [sizes[i] for i in picked] == [
+            bin(indices[i]).count("1") for i in picked
+        ]
+        assert [columns[i] for i in picked] == self._double_loop(
+            masks, [indices[i] for i in picked], epsilon
         )
+
+    def test_blocks_respect_the_budget(self, monkeypatch):
+        monkeypatch.setattr(near_clique, "_SUBSET_BLOCK_BYTES", 8 * 2 * 3)
+        blocks = list(near_clique.subset_membership([1, 2], 4, 0.1))
+        assert [b[0].tolist() for b in blocks] == [
+            [1, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12], [13, 14, 15]
+        ]
+
+    def test_boundary_decisions(self):
+        # |X| = 10 at ε = 0.2: 8 common members qualify, 7 do not.
+        masks = [0b11111111, 0b1111111]
+        (_, _, member), = near_clique.subset_membership(masks, 10, 0.2)
+        assert member[:, -1].tolist() == [True, False]
+
+    def test_no_members_yields_nothing(self):
+        assert list(near_clique.subset_membership([0, 0], 0, 0.1)) == []

@@ -232,7 +232,8 @@ class TestLocalSubsetPhase:
             for ctx in network.contexts.values():
                 memberships = ctx.state.get(phases.KEY_K_MEMBERSHIP, {})
                 indices = memberships.get(members[0], set())
-                for index, subset in near_clique.iter_nonempty_subsets(members):
+                for index in range(1, 1 << len(members)):
+                    subset = near_clique.subset_from_index(members, index)
                     expected = near_clique.meets_fraction(
                         len(set(graph[ctx.node_id]) & set(subset)), len(subset), inner
                     )
@@ -316,3 +317,21 @@ class TestSelectBestSubset:
         ctx = FakeCtx()
         phases.select_best_subset(ctx, {5: 2})
         assert ctx.state[phases.KEY_BEST] == (5, 2)
+
+    @pytest.mark.parametrize(
+        "members, counters, expected",
+        [
+            ((1, 2, 3), {}, (1, 0)),
+            ((1, 2, 3), {3: 0, 6: 0}, (1, 0)),
+            ((), {}, (0, 0)),
+            ((1, 2, 3), {6: 3, 2: 1, 5: 3, 7: 2}, (5, 3)),
+        ],
+    )
+    def test_empty_all_zero_and_largest_count(self, members, counters, expected):
+        class FakeCtx:
+            state = {phases.KEY_COMP_MEMBERS: members}
+            globals = {}
+
+        ctx = FakeCtx()
+        phases.select_best_subset(ctx, counters)
+        assert ctx.state[phases.KEY_BEST] == expected

@@ -65,6 +65,14 @@ class TestAdjacencyOracle:
         assert oracle.pair_density([0], random.Random(2), pairs=10) == 1.0
 
 
+def _reversed_planted(n, clique_fraction):
+    # The planted set on the *largest* identifiers: its members are the high
+    # bits of a subset index, so the qualifying subsets come late in the
+    # ascending scan, past the first index block.
+    graph, _ = generators.planted_near_clique(n, clique_fraction, 0.02, seed=3)
+    return nx.relabel_nodes(graph, {v: n - 1 - v for v in graph})
+
+
 class TestGGRTester:
     def test_sample_sizes_grow_as_epsilon_shrinks(self):
         loose = GGRCliqueTester(rho=0.5, epsilon=0.4)
@@ -123,6 +131,23 @@ class TestGGRTester:
         found = tester.approximate_find(nx.complete_graph(5), [])
         assert found.members == frozenset()
 
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_verdict_is_pinned(self, block_bytes, monkeypatch):
+        # Recorded before the subset scan was blocked: the accept lies in
+        # the fourth default block, and the witnesses' pair-density draws
+        # must come in the same order.  One-index blocks put a block
+        # boundary before every subset.
+        if block_bytes is not None:
+            monkeypatch.setattr(near_clique, "_SUBSET_BLOCK_BYTES", block_bytes)
+        graph = _reversed_planted(200, 0.5)
+        tester = GGRCliqueTester(rho=0.45, epsilon=0.2, rng=random.Random(2))
+        verdict = tester.test(graph)
+        assert verdict.accepted
+        assert verdict.queries == 3079
+        assert verdict.witness_subset == frozenset({148, 155, 171, 174, 188})
+        assert verdict.witness_fraction == 0.44
+        assert verdict.witness_density == 0.985
+
     def test_majority_vote_wrapper(self):
         graph, _ = generators.planted_near_clique(70, 0.5, 0.0, 0.05, seed=9)
         tester = GGRCliqueTester(rho=0.45, epsilon=0.3, rng=random.Random(11))
@@ -164,6 +189,25 @@ class TestTolerantTester:
         verdict = tester.test_with_confidence(graph, repetitions=4)
         assert verdict.accepted
         assert verdict.found_fraction > 0
+
+    @pytest.mark.parametrize("block_bytes", [None, 1])
+    def test_verdict_is_pinned(self, block_bytes, monkeypatch):
+        # Recorded before the subset scan was blocked: the accept lies in
+        # the second default block and stops the scan there.
+        if block_bytes is not None:
+            monkeypatch.setattr(near_clique, "_SUBSET_BLOCK_BYTES", block_bytes)
+        graph = _reversed_planted(600, 0.3)
+        tester = TolerantNearCliqueTester(
+            rho=0.25, epsilon_1=0.2 ** 3, epsilon_2=0.2, rng=random.Random(2)
+        )
+        verdict = tester.test(graph)
+        assert verdict.accepted
+        assert verdict.queries == 8295
+        assert verdict.found_members == frozenset(range(420, 600)) - {
+            441, 452, 502, 530
+        }
+        assert verdict.found_density == 0.9803246753246754
+        assert verdict.found_fraction == 176 / 600
 
     def test_empty_graph(self):
         tester = TolerantNearCliqueTester(rho=0.4, epsilon_1=0.01, epsilon_2=0.2)

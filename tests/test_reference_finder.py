@@ -50,7 +50,8 @@ class TestComponentAnalysis:
         finder = CentralizedNearCliqueFinder(graph, 0.25)
         members = (2, 7, 9)
         analysis = finder.analyze_component(members)
-        for index, subset in near_clique.iter_nonempty_subsets(members):
+        for index in range(1, 1 << len(members)):
+            subset = near_clique.subset_from_index(members, index)
             expected = near_clique.t_eps(graph, subset, 0.25)
             assert analysis.t_sets[index] == frozenset(expected)
 
@@ -60,7 +61,8 @@ class TestComponentAnalysis:
         members = (1, 4, 6, 11)
         analysis = finder.analyze_component(members)
         inner = 2 * 0.2 ** 2
-        for index, subset in near_clique.iter_nonempty_subsets(members):
+        for index in range(1, 1 << len(members)):
+            subset = near_clique.subset_from_index(members, index)
             expected = near_clique.k_eps(graph, subset, inner)
             assert analysis.k_sets[index] == frozenset(expected)
 
