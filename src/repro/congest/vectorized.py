@@ -34,11 +34,11 @@ split; DGL's gSpMM kernels):
     into the exact per-round trace, quiescence and model-rule errors the
     callbacks would have produced.  This is the one schedule every kernel
     uses: the neighbourhood broadcasts (comp-dissemination, k-announce)
-    hand it one ``push_all`` stream per sender, and the tree phases
-    (local-subsets, the up-aggregations, the down-broadcasts, vote and
-    final-labels) time their point-to-point queues with an
-    :class:`OutboxSchedule`, which also delivers each message's payload to
-    the kernel in the callbacks' arrival order (round, receiver, sender).
+    hand it one ``push_all`` stream per sender, and the one tree kernel of
+    :mod:`repro.core.phases`, which runs all seven tree phases through the
+    hooks their callbacks run, times their point-to-point queues with an
+    :class:`OutboxSchedule`, which also delivers each item to the kernel in
+    the callbacks' arrival order (round, receiver, sender).
 
 A protocol opts in by returning a :class:`VectorizedKernel` from
 :meth:`repro.congest.node.Protocol.vectorized_kernel`;
@@ -389,9 +389,9 @@ class OutboxSchedule:
     the first no earlier than ``r`` and no earlier than the round after
     the queue's previous item.  :meth:`push` records a push as streams for
     :meth:`KernelFrame.run_schedule` — one for each run of receivers whose
-    queues start in the same round, so usually one — and files its
-    payloads for delivery one round after they leave;
-    :meth:`deliveries` hands them back in the callbacks' order.  A
+    queues start in the same round, so usually one — and files each item
+    for delivery one round after it leaves; :meth:`deliveries` hands the
+    items back in the callbacks' order.  A
     receiver that is halted (or out of scope) drops its mail, as in the
     callback engines.
     """
@@ -401,7 +401,7 @@ class OutboxSchedule:
         self._halted = halted
         self._max_rounds = max_rounds
         self._last: Dict[Tuple[int, int], int] = {}
-        self._arrivals: DefaultDict[int, List[Tuple[int, int, Any]]] = defaultdict(list)
+        self._arrivals: DefaultDict[int, List[Tuple[Any, ...]]] = defaultdict(list)
 
     def push(
         self,
@@ -409,12 +409,14 @@ class OutboxSchedule:
         receivers: Sequence[int],
         round_index: int,
         bits: Sequence[int],
-        payloads: Sequence[Any],
+        sends: Sequence[Tuple[Any, str, Any]],
     ) -> None:
-        """Queue the items (``bits``/``payloads`` entries) for each receiver.
+        """Queue the items (``bits``/``sends`` entries) for each receiver.
 
-        Receivers are taken in order, as ``Outbox.push`` loops would queue
-        them; a receiver listed twice gets the items twice.
+        An item of *sends* is a ``(receivers, kind, payload)`` triple, of
+        which the kind and the payload (a tuple) are delivered.  Receivers
+        are taken in order, as ``Outbox.push`` loops would queue them; a
+        receiver listed twice gets the items twice.
         """
         last_of = self._last
         arrivals = self._arrivals
@@ -433,16 +435,19 @@ class OutboxSchedule:
                 run_first = first
             run.append(receiver)
             arrival = first + 1
-            for payload in payloads:
-                arrivals[arrival].append((receiver, sender, payload))
+            for _to, kind, payload in sends:
+                # One flat tuple, which the collector untracks at once: a
+                # nested one can outlive two collections and load the oldest
+                # generation.
+                arrivals[arrival].append((receiver, sender, kind) + payload)
                 arrival += 1
         if run:
             self.streams.append((sender, tuple(run), run_first, bits))
 
-    def deliveries(self) -> Iterator[Tuple[int, int, Iterable[Tuple[int, int, Any]]]]:
+    def deliveries(self) -> Iterator[Tuple[int, int, Iterable[Tuple[Any, ...]]]]:
         """Yield ``(round, receiver, inbox)``; ``inbox`` holds
-        ``(receiver, sender, payload)`` entries, to be read before the next
-        step of the iteration.
+        ``(receiver, sender, kind, *payload)`` entries, to be read before the
+        next step of the iteration.
 
         Rounds ascend, receivers ascend within a round and each inbox is
         sorted by sender: the order in which the callback engines run

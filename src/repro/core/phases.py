@@ -23,6 +23,12 @@ VotePhase               Decision Step 3 (acknowledge / abort votes)          in 
 FinalLabelPhase         Decision Step 4 (labels for surviving candidates)    in sample, or attach parent
 ======================  ===================================================  ================================
 
+Seven of them — local-subsets, the K and T aggregations, the K-size and
+best broadcasts, vote and final-labels — run over each component's BFS
+tree and its attached leaves, as a convergecast that waits on a node's
+subtree or a broadcast from the root.  They are :class:`TreePhase`
+subclasses, each written once as three hooks.
+
 The scope column is each phase's :attr:`repro.congest.node.Protocol.scope`:
 after sampling, only S and Γ(S) take part, so the fast engines start only
 the nodes holding one of the listed state keys and mark the rest halted.
@@ -53,9 +59,11 @@ pipelined :class:`~repro.primitives.pipelines.Outbox` queues, so their
 timing follows from the queues alone (one stream schedule,
 :meth:`~repro.congest.vectorized.KernelFrame.run_schedule`), and only the
 four tree primitives of :mod:`repro.primitives` run on the engine's
-callback loop.  The callbacks below remain the executable semantics
-either way (the kernels are held to bit-identity by the differential
-suite):
+callback loop.  A tree phase's callbacks run its :class:`TreePhase`
+hooks through the node's ``Outbox`` and remain the executable semantics;
+one :class:`_TreeKernel` runs the same hooks over an
+:class:`~repro.congest.vectorized.OutboxSchedule`.  The differential
+suite holds every kernel to bit-identity with the callbacks:
 
 =====================  ================================================
 Phase                  ``engine="vectorized"`` execution
@@ -66,27 +74,30 @@ ParentNotification     callback fallback
 ConvergecastCollect    callback fallback
 TreeBroadcast          callback fallback
 CompDisseminationPhase kernel (pipelined neighbourhood broadcast)
-LocalSubsetPhase       kernel (one ``nc.attach`` stream per parent)
-UpAggregationPhase     kernel (a node's stream starts once its waits end)
-DownBroadcastPhase     kernel (depth-d node forwards item k in round d+1+k)
+LocalSubsetPhase       tree kernel (``nc.attach`` to each attach parent)
+UpAggregationPhase     tree kernel (convergecast, flushed by ``settle``)
+DownBroadcastPhase     tree kernel (each item forwarded as it arrives)
 KAnnouncePhase         kernel (pipelined neighbourhood broadcast)
-VotePhase              kernel (a node's vote starts once its waits end)
-FinalLabelPhase        kernel (the down-broadcast kernel)
+VotePhase              tree kernel (convergecast, flushed by ``settle``)
+FinalLabelPhase        tree kernel (a down-broadcast)
 =====================  ================================================
 
-The tree kernels deliver each message's payload in the callbacks' arrival
-order — round, then receiver, then sender — and run the injected
-``pre_start`` / ``root_finalize`` / ``items_fn`` / ``store_fn`` at the
-same nodes, as often, in the same order and at the same round index.
-Like the broadcast kernels they assume the started nodes' outbox queues
-are empty when the phase starts (every phase here drains its queues
-before it quiesces) and that the tree keys name neighbours.
+The tree kernel delivers each item in the callbacks' arrival order —
+round, then receiver, then sender — and sets the round index before each
+hook, so the injected ``pre_start`` / ``root_finalize`` / ``items_fn`` /
+``store_fn`` run at the same nodes, as often, in the same order and at
+the same round index on both drivers.  Like the broadcast kernels it
+assumes the started nodes' outbox queues are empty when the phase starts
+(every phase here drains its queues before it quiesces) and that the
+tree keys name neighbours.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.congest.message import Inbound, Message, id_bits_for, KIND_TAG_BITS
 from repro.congest.node import NodeContext, Protocol
@@ -94,7 +105,6 @@ from repro.congest.randomness import node_coin, node_coin_column
 from repro.congest.vectorized import (
     ALL_NEIGHBORS,
     KernelFrame,
-    OutboxSchedule,
     Stream,
     VectorizedKernel,
 )
@@ -130,7 +140,7 @@ KEY_BEST_KNOWN = "nc_best_known"
 KEY_ABORT_SEEN = "nc_abort_seen"
 KEY_SURVIVED = "nc_survived"
 
-#: Read-only default for the ``state.get`` calls of the kernel sweeps.
+#: Read-only default for the ``state.get`` calls that only read the table.
 _NOTHING: Dict[Any, Any] = {}
 
 # global input keys (ctx.globals)
@@ -185,36 +195,6 @@ def _wire(kind: str, payload: Tuple, n: int) -> Message:
 
 def _epsilon(ctx: NodeContext) -> float:
     return float(ctx.globals[GLOBAL_EPSILON])
-
-
-def _in_sample(ctx: NodeContext) -> bool:
-    return bool(ctx.state.get(KEY_IN_SAMPLE))
-
-
-def _k_membership_indices(
-    members: Sequence[int],
-    neighbor_ids: Sequence[int],
-    inner_epsilon: float,
-    memo: Dict[Tuple[int, int, float], Tuple[int, ...]],
-) -> Set[int]:
-    """Step 4a at node v: the indices X with ``v ∈ K_{2ε²}(X)`` (local).
-
-    ``neighbor_ids`` are v's neighbours in ascending order; v's neighbour
-    mask over the members picks its row of
-    :func:`near_clique.subset_membership`, kept in *memo* for every node
-    with the same component size, mask and ε.
-    """
-    mask = near_clique.sorted_neighbor_mask(members, neighbor_ids)
-    key = (len(members), mask, inner_epsilon)
-    if key not in memo:
-        memo[key] = tuple(
-            index
-            for indices, _sizes, member in near_clique.subset_membership(
-                (mask,), len(members), inner_epsilon
-            )
-            for index in indices[member[0]].tolist()
-        )
-    return set(memo[key])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +293,7 @@ class CompDisseminationPhase(Protocol):
     name = "nc-comp-dissemination"
 
     def on_start(self, ctx: NodeContext) -> None:
-        if _in_sample(ctx):
+        if ctx.state.get(KEY_IN_SAMPLE):
             members = near_clique.canonical_members(ctx.state.get(KEY_COMP_BCAST, []))
             ctx.state[KEY_COMP_MEMBERS] = members
             root = ctx.state[KEY_ROOT]
@@ -324,7 +304,7 @@ class CompDisseminationPhase(Protocol):
             ctx.halt()
 
     def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
-        if _in_sample(ctx):
+        if ctx.state.get(KEY_IN_SAMPLE):
             Outbox.for_ctx(ctx).flush()
             return
         records: Optional[Dict[int, Dict[str, set]]] = ctx.state.get(
@@ -415,9 +395,154 @@ class _CompDisseminationKernel(VectorizedKernel):
 
 
 # ---------------------------------------------------------------------------
+# tree phases: one set of hooks, run by the callbacks or by one kernel
+# ---------------------------------------------------------------------------
+#: One send of a tree phase: a tuple of receiver ids, the message kind and
+#: an integer payload, charged by :func:`wire_bits`.
+Send = Tuple[Tuple[int, ...], str, Tuple[int, ...]]
+
+
+class TreePhase(Protocol):
+    """A phase over each component's BFS tree and its attached leaves.
+
+    Steps 4a–4d and Decision Steps 1–4 are each a convergecast that waits
+    on a node's subtree or a broadcast from the root, and each is written
+    once, as three hooks that return the sends a node makes:
+
+    ``start(ctx)``
+        The node's round-0 work: its sends, or ``None`` to halt it.
+    ``receive(ctx, sender, kind, payload)``
+        The sends that answer one delivered item.
+    ``settle(ctx)``
+        Runs after the node's inbox of each round; no sends by default.
+        A convergecast flushes here once it waits on nobody.  What it
+        does may change only when the node receives: the tree kernel
+        calls it at round 1 and after each of the node's deliveries.
+
+    The callbacks run the hooks and push the sends through the node's
+    :class:`Outbox`; they are the executable semantics.  Under
+    ``engine="vectorized"``, :class:`_TreeKernel` runs the same hooks.
+    """
+
+    def start(self, ctx: NodeContext) -> Optional[List[Send]]:
+        raise NotImplementedError
+
+    def receive(
+        self, ctx: NodeContext, sender: int, kind: str, payload: Tuple[int, ...]
+    ) -> Sequence[Send]:
+        return ()
+
+    def settle(self, ctx: NodeContext) -> Sequence[Send]:
+        return ()
+
+    def on_start(self, ctx: NodeContext) -> None:
+        sends = self.start(ctx)
+        if sends is None:
+            ctx.halt()
+        else:
+            _push(ctx, sends)
+
+    def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
+        for inbound in inbox:
+            _push(ctx, self.receive(ctx, inbound.sender, inbound.kind, inbound.payload))
+        _push(ctx, self.settle(ctx))
+        Outbox.for_ctx(ctx).flush()
+
+    def vectorized_kernel(self) -> "_TreeKernel":
+        return _TreeKernel()
+
+
+def _push(ctx: NodeContext, sends: Sequence[Send]) -> None:
+    """Queue *sends* on the node's outbox, receivers in the order given."""
+    if sends:
+        outbox = Outbox.for_ctx(ctx)
+        for receivers, kind, payload in sends:
+            message = _wire(kind, payload, ctx.n)
+            for receiver in receivers:
+                outbox.push(receiver, message)
+
+
+def _waiting_on_subtree(state: Dict[str, Any]) -> Set[int]:
+    """A tree node's tree children and attached leaves."""
+    waiting = set(state.get(KEY_CHILDREN, []))
+    waiting |= set(state.get(KEY_ATTACHED_LEAVES, set()))
+    return waiting
+
+
+class _TreeKernel(VectorizedKernel):
+    """Columnar driver of a :class:`TreePhase`'s hooks.
+
+    *Apply*: ``start`` at every started node (round 0), then ``settle`` at
+    every node it did not halt (round 1, which delivers nothing).
+    *Gather*: the schedule's deliveries, in the callbacks' arrival order,
+    each run ``receive`` per item and then ``settle``.  A tree phase's
+    ``settle`` can change only when its node receives, so the callbacks'
+    other calls return no sends and are skipped.  *Scatter*: each hook's
+    sends join the frame's :class:`~repro.congest.vectorized.OutboxSchedule`
+    in the round the hook ran, consecutive sends to the same receivers as
+    one push.
+    """
+
+    def execute(self, frame: KernelFrame) -> None:
+        phase: TreePhase = frame.protocol  # type: ignore[assignment]
+        live = frame.live
+        index_of = frame.index_of
+        node_ids = frame.node_ids
+        queues = frame.outbox_schedule()
+        dense_of: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+        def push(sender: int, n: int, sends: Sequence[Send], round_index: int) -> None:
+            if len(sends) == 1:
+                runs: Sequence[Tuple[Any, Sequence[Send]]] = ((sends[0][0], sends),)
+            else:
+                runs = [(to, list(run)) for to, run in groupby(sends, itemgetter(0))]
+            for receivers, chunk in runs:
+                dense = dense_of.get(receivers)
+                if dense is None:
+                    dense = dense_of[receivers] = tuple(index_of[r] for r in receivers)
+                bits = [wire_bits(payload, n) for _, _, payload in chunk]
+                queues.push(sender, dense, round_index, bits, chunk)
+
+        start = phase.start
+        active: List[int] = []
+        for index in frame.started:
+            ctx = live[index]
+            ctx._round = 0
+            sends = start(ctx)
+            if sends is None:
+                frame.halted[index] = True
+                continue
+            active.append(index)
+            if sends:
+                push(index, ctx.n, sends, 1)
+        settle = None if type(phase).settle is TreePhase.settle else phase.settle
+        if settle is not None:
+            for index in active:
+                ctx = live[index]
+                ctx._round = 1
+                sends = settle(ctx)
+                if sends:
+                    push(index, ctx.n, sends, 1)
+
+        receive = phase.receive
+        for round_index, receiver, inbox in queues.deliveries():
+            ctx = live[receiver]
+            ctx._round = round_index
+            for entry in inbox:  # (receiver, sender, kind, *payload)
+                sends = receive(ctx, node_ids[entry[1]], entry[2], entry[3:])
+                if sends:
+                    push(receiver, ctx.n, sends, round_index)
+            if settle is not None:
+                sends = settle(ctx)
+                if sends:
+                    push(receiver, ctx.n, sends, round_index)
+        frame.run_schedule(queues.streams)
+
+
+# ---------------------------------------------------------------------------
 # exploration step 4a: local subset membership + leaf attachment
 # ---------------------------------------------------------------------------
-class LocalSubsetPhase(Protocol):
+class LocalSubsetPhase(TreePhase):
     """Local evaluation of ``v ∈ K_{2ε²}(X)`` for every X, plus attachment.
 
     Non-sampled nodes adjacent to a component pick one neighbour from that
@@ -429,120 +554,77 @@ class LocalSubsetPhase(Protocol):
     name = "nc-local-subsets"
     scope = (KEY_IN_SAMPLE, KEY_ADJ_COMPONENTS)
 
-    def on_start(self, ctx: NodeContext) -> None:
+    def __init__(self) -> None:
+        #: This run's Step 4a rows, by (component size, neighbour mask, ε).
+        self._memo: Dict[Tuple[int, int, float], Tuple[int, ...]] = {}
+
+    def _k_membership(
+        self, members: Sequence[int], neighbor_ids: Sequence[int], inner_epsilon: float
+    ) -> Set[int]:
+        """Step 4a at node v: the indices X with ``v ∈ K_{2ε²}(X)`` (local).
+
+        ``neighbor_ids`` are v's neighbours in ascending order; v's
+        neighbour mask over the members picks its row of
+        :func:`near_clique.subset_membership`, computed once per run for
+        every node with the same component size, mask and ε.
+        """
+        mask = near_clique.sorted_neighbor_mask(members, neighbor_ids)
+        key = (len(members), mask, inner_epsilon)
+        row = self._memo.get(key)
+        if row is None:
+            row = self._memo[key] = tuple(
+                index
+                for indices, _sizes, member in near_clique.subset_membership(
+                    (mask,), len(members), inner_epsilon
+                )
+                for index in indices[member[0]].tolist()
+            )
+        return set(row)
+
+    def start(self, ctx: NodeContext) -> Optional[List[Send]]:
+        state = ctx.state
         eps = _epsilon(ctx)
         inner_eps = 2.0 * eps * eps
         memberships: Dict[int, Set[int]] = {}
-        if _in_sample(ctx):
-            members = ctx.state.get(KEY_COMP_MEMBERS, ())
-            root = ctx.state[KEY_ROOT]
-            memberships[root] = _k_membership_indices(
-                members, ctx.neighbors, inner_eps, {}
-            )
-            ctx.state[KEY_ATTACHED_LEAVES] = set()
-            ctx.state[KEY_ADJ_MEMBERS] = {root: tuple(members)}
+        sends: List[Send] = []
+        if state.get(KEY_IN_SAMPLE):
+            members = state.get(KEY_COMP_MEMBERS, ())
+            root = state[KEY_ROOT]
+            memberships[root] = self._k_membership(members, ctx.neighbors, inner_eps)
+            state[KEY_ATTACHED_LEAVES] = set()
+            state[KEY_ADJ_MEMBERS] = {root: tuple(members)}
         else:
-            records = ctx.state.get(KEY_ADJ_COMPONENTS, {})
+            records = state.get(KEY_ADJ_COMPONENTS)
             if not records:
-                ctx.halt()
-                return
+                return None
             attach: Dict[int, int] = {}
             adjacent_members: Dict[int, Tuple[int, ...]] = {}
-            outbox = Outbox.for_ctx(ctx)
             for root in sorted(records):
                 record = records[root]
                 members = near_clique.canonical_members(record["members"])
                 adjacent_members[root] = members
-                parent = min(record["senders"])
-                attach[root] = parent
-                outbox.push(parent, _wire(_ATTACH, (root,), ctx.n))
-                memberships[root] = _k_membership_indices(
-                    members, ctx.neighbors, inner_eps, {}
+                parent = attach[root] = min(record["senders"])
+                sends.append(((parent,), _ATTACH, (root,)))
+                memberships[root] = self._k_membership(
+                    members, ctx.neighbors, inner_eps
                 )
-            ctx.state[KEY_ATTACH_PARENT] = attach
-            ctx.state[KEY_ADJ_MEMBERS] = adjacent_members
-        ctx.state[KEY_K_MEMBERSHIP] = memberships
+            state[KEY_ATTACH_PARENT] = attach
+            state[KEY_ADJ_MEMBERS] = adjacent_members
+        state[KEY_K_MEMBERSHIP] = memberships
+        return sends
 
-    def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
-        if _in_sample(ctx):
-            leaves: Set[int] = ctx.state[KEY_ATTACHED_LEAVES]
-            for inbound in inbox:
-                if inbound.kind == _ATTACH:
-                    leaves.add(inbound.sender)
-        Outbox.for_ctx(ctx).flush()
-
-    def vectorized_kernel(self) -> "_LocalSubsetKernel":
-        return _LocalSubsetKernel()
-
-
-class _LocalSubsetKernel(VectorizedKernel):
-    """Columnar form of :class:`LocalSubsetPhase`.
-
-    *Apply*: the ``on_start`` sweep over the started nodes (the subset
-    evaluation is local computation: one
-    :func:`near_clique.subset_membership` row per distinct component size,
-    neighbour mask and ε, shared by the nodes that have it).  *Scatter*:
-    each leaf's ``nc.attach`` items leave from round 1, one queue per
-    attachment parent.  *Gather*: a sampled parent adds the senders to its
-    attached leaves in arrival order.
-    """
-
-    def execute(self, frame: KernelFrame) -> None:
-        live = frame.live
-        index_of = frame.index_of
-        node_ids = frame.node_ids
-        queues = frame.outbox_schedule()
-        leaves_of: Dict[int, Set[int]] = {}
-        memo: Dict[Tuple[int, int, float], Tuple[int, ...]] = {}
-
-        for index in frame.started:
-            ctx = live[index]
-            state = ctx.state
-            eps = _epsilon(ctx)
-            inner_eps = 2.0 * eps * eps
-            memberships: Dict[int, Set[int]] = {}
-            if state.get(KEY_IN_SAMPLE):
-                members = state.get(KEY_COMP_MEMBERS, ())
-                root = state[KEY_ROOT]
-                memberships[root] = _k_membership_indices(
-                    members, ctx.neighbors, inner_eps, memo
-                )
-                leaves_of[index] = state[KEY_ATTACHED_LEAVES] = set()
-                state[KEY_ADJ_MEMBERS] = {root: tuple(members)}
-            else:
-                records = state.get(KEY_ADJ_COMPONENTS, _NOTHING)
-                if not records:
-                    frame.halted[index] = True
-                    continue
-                attach: Dict[int, int] = {}
-                adjacent_members: Dict[int, Tuple[int, ...]] = {}
-                for root in sorted(records):
-                    record = records[root]
-                    members = near_clique.canonical_members(record["members"])
-                    adjacent_members[root] = members
-                    parent = min(record["senders"])
-                    attach[root] = parent
-                    bits = [wire_bits((root,), ctx.n)]
-                    queues.push(index, (index_of[parent],), 1, bits, bits)
-                    memberships[root] = _k_membership_indices(
-                        members, ctx.neighbors, inner_eps, memo
-                    )
-                state[KEY_ATTACH_PARENT] = attach
-                state[KEY_ADJ_MEMBERS] = adjacent_members
-            state[KEY_K_MEMBERSHIP] = memberships
-
-        for _round, receiver, inbox in queues.deliveries():
-            leaves = leaves_of.get(receiver)
-            if leaves is not None:
-                for _receiver, sender, _bits in inbox:
-                    leaves.add(node_ids[sender])
-        frame.run_schedule(queues.streams)
+    def receive(
+        self, ctx: NodeContext, sender: int, kind: str, payload: Tuple[int, ...]
+    ) -> Sequence[Send]:
+        if ctx.state.get(KEY_IN_SAMPLE):  # an nc.attach from a leaf
+            ctx.state[KEY_ATTACHED_LEAVES].add(sender)
+        return ()
 
 
 # ---------------------------------------------------------------------------
 # generic aggregation up the tree (exploration 4b-4c, decision step 1)
 # ---------------------------------------------------------------------------
-class UpAggregationPhase(Protocol):
+class UpAggregationPhase(TreePhase):
     """Sum per-subset membership counts over a component's tree + leaves.
 
     Every contributing node holds ``ctx.state[membership_key]`` — a mapping
@@ -575,213 +657,92 @@ class UpAggregationPhase(Protocol):
         self.pre_start = pre_start
         self.root_finalize = root_finalize
         self.name = label
+        # Local state keys, prefixed with the result key so that successive
+        # aggregations do not trample each other's bookkeeping.
+        self._counters = result_key + ".counters"
+        self._waiting = result_key + ".waiting"
+        self._flushed = result_key + ".flushed"
 
-    # local state keys (per phase instance we prefix with the result key so
-    # that successive aggregations do not trample each other's bookkeeping)
-    def _key(self, suffix: str) -> str:
-        return "%s.%s" % (self.result_key, suffix)
-
-    def on_start(self, ctx: NodeContext) -> None:
+    def start(self, ctx: NodeContext) -> Optional[List[Send]]:
+        state = ctx.state
         if self.pre_start is not None and (
-            _in_sample(ctx) or ctx.state.get(KEY_ATTACH_PARENT)
+            state.get(KEY_IN_SAMPLE) or state.get(KEY_ATTACH_PARENT)
         ):
             self.pre_start(ctx)
-        memberships: Dict[int, Set[int]] = ctx.state.get(self.membership_key, {})
-        if _in_sample(ctx):
-            root = ctx.state[KEY_ROOT]
+        memberships: Dict[int, Set[int]] = state.get(self.membership_key, _NOTHING)
+        if state.get(KEY_IN_SAMPLE):
             counters: Dict[int, int] = {}
-            for index in memberships.get(root, ()):  # own contribution
+            for index in memberships.get(state[KEY_ROOT], ()):  # own contribution
                 counters[index] = counters.get(index, 0) + 1
-            waiting = set(ctx.state.get(KEY_CHILDREN, []))
-            waiting |= set(ctx.state.get(KEY_ATTACHED_LEAVES, set()))
-            ctx.state[self._key("counters")] = counters
-            ctx.state[self._key("waiting")] = waiting
-            ctx.state[self._key("flushed")] = False
-            ctx.state[self.result_key] = None
-        else:
-            attach: Dict[int, int] = ctx.state.get(KEY_ATTACH_PARENT, {})
-            if not attach:
-                ctx.halt()
-                return
-            outbox = Outbox.for_ctx(ctx)
-            for root in sorted(attach):
-                parent = attach[root]
-                for index in sorted(memberships.get(root, ())):
-                    outbox.push(parent, _wire(_AGG, (root, index, 1), ctx.n))
-                outbox.push(parent, _wire(_AGG_DONE, (root,), ctx.n))
-
-    def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
-        outbox = Outbox.for_ctx(ctx)
-        if not _in_sample(ctx):
-            outbox.flush()
-            return
-        counters: Dict[int, int] = ctx.state[self._key("counters")]
-        waiting: Set[int] = ctx.state[self._key("waiting")]
-        for inbound in inbox:
-            if inbound.kind == _AGG:
-                _root, index, count = inbound.payload
-                counters[index] = counters.get(index, 0) + count
-            elif inbound.kind == _AGG_DONE:
-                waiting.discard(inbound.sender)
-
-        if not waiting and not ctx.state[self._key("flushed")]:
-            ctx.state[self._key("flushed")] = True
-            parent = ctx.state.get(KEY_PARENT)
-            root = ctx.state[KEY_ROOT]
-            if parent is None:
-                ctx.state[self.result_key] = dict(counters)
-                if self.root_finalize is not None:
-                    self.root_finalize(ctx, counters)
-            else:
-                for index in sorted(counters):
-                    if counters[index]:
-                        outbox.push(
-                            parent, _wire(_AGG, (root, index, counters[index]), ctx.n)
-                        )
-                outbox.push(parent, _wire(_AGG_DONE, (root,), ctx.n))
-        outbox.flush()
-
-    def vectorized_kernel(self) -> "_UpAggregationKernel":
-        return _UpAggregationKernel()
-
-
-def _converge(
-    queues: OutboxSchedule,
-    tree: Dict[int, NodeContext],
-    waiting_key: str,
-    flushed_key: str,
-    fold: Callable[[NodeContext, Iterable[Tuple[int, int, Any]]], None],
-    flush: Callable[[NodeContext, int, int], None],
-) -> None:
-    """Drive a wait-on-subtree convergecast over its tree nodes.
-
-    A tree node folds each round's inbox (``fold(ctx, inbox)``, which also
-    discards the senders whose stream ended from ``state[waiting_key]``);
-    in the first round after which it waits on nobody,
-    ``flush(ctx, index, round)`` pushes its own stream to its parent — the
-    stream starts in round 1 when it waits on nobody from the start, else
-    in the round the last stream it waits on delivers its final item.  A
-    node whose wait never ends keeps its partial state, as the callbacks
-    leave it when the phase quiesces.
-    """
-    for index, ctx in tree.items():
-        if not ctx.state[waiting_key]:
-            flush(ctx, index, 1)
-    for round_index, receiver, inbox in queues.deliveries():
-        ctx = tree.get(receiver)
-        if ctx is None:
-            continue
-        fold(ctx, inbox)
-        state = ctx.state
-        if not state[waiting_key] and not state[flushed_key]:
-            flush(ctx, receiver, round_index)
-
-
-class _UpAggregationKernel(VectorizedKernel):
-    """Columnar form of :class:`UpAggregationPhase`.
-
-    *Apply*: the ``on_start`` sweep (``pre_start``, own contributions and
-    wait sets) over the started nodes.  *Scatter*: each leaf's ``nc.agg``
-    items and ``nc.agg_done`` leave from round 1; each tree node's
-    partial sums leave once it waits on nobody (:func:`_converge`), and a
-    root publishes its counts and runs ``root_finalize`` then.  *Gather*:
-    the counters fold in arrival order.
-    """
-
-    def execute(self, frame: KernelFrame) -> None:
-        phase: UpAggregationPhase = frame.protocol  # type: ignore[assignment]
-        live = frame.live
-        index_of = frame.index_of
-        node_ids = frame.node_ids
-        counters_key = phase._key("counters")
-        waiting_key = phase._key("waiting")
-        flushed_key = phase._key("flushed")
-        pre_start = phase.pre_start
-        membership_key = phase.membership_key
-        queues = frame.outbox_schedule()
-        tree: Dict[int, NodeContext] = {}
-        for index in frame.started:
-            ctx = live[index]
-            state = ctx.state
-            if pre_start is not None and (
-                state.get(KEY_IN_SAMPLE) or state.get(KEY_ATTACH_PARENT)
-            ):
-                ctx._round = 0
-                pre_start(ctx)
-            memberships: Dict[int, Set[int]] = state.get(membership_key, _NOTHING)
-            if state.get(KEY_IN_SAMPLE):
-                root = state[KEY_ROOT]
-                counters: Dict[int, int] = {}
-                for subset_index in memberships.get(root, ()):
-                    counters[subset_index] = counters.get(subset_index, 0) + 1
-                waiting = set(state.get(KEY_CHILDREN, []))
-                waiting |= set(state.get(KEY_ATTACHED_LEAVES, set()))
-                state[counters_key] = counters
-                state[waiting_key] = waiting
-                state[flushed_key] = False
-                state[phase.result_key] = None
-                tree[index] = ctx
-                continue
-            attach: Dict[int, int] = state.get(KEY_ATTACH_PARENT, _NOTHING)
-            if not attach:
-                frame.halted[index] = True
-                continue
-            # Payload (subset index, count), or None for nc.agg_done.
-            n = ctx.n
-            for root in sorted(attach):
-                subsets = sorted(memberships.get(root, ()))
-                bits = [wire_bits((root, subset, 1), n) for subset in subsets]
-                bits.append(wire_bits((root,), n))
-                items: List[Any] = [(subset, 1) for subset in subsets]
-                items.append(None)
-                queues.push(index, (index_of[attach[root]],), 1, bits, items)
-
-        def fold(ctx: NodeContext, inbox: Iterable[Tuple[int, int, Any]]) -> None:
-            counters = ctx.state[counters_key]
-            waiting = ctx.state[waiting_key]
-            for _receiver, sender, item in inbox:
-                if item is None:
-                    waiting.discard(node_ids[sender])
-                else:
-                    subset_index, count = item
-                    counters[subset_index] = counters.get(subset_index, 0) + count
-
-        def flush(ctx: NodeContext, index: int, round_index: int) -> None:
-            state = ctx.state
-            state[flushed_key] = True
-            parent = state.get(KEY_PARENT)
-            root = state[KEY_ROOT]
-            counters = state[counters_key]
-            if parent is None:
-                state[phase.result_key] = dict(counters)
-                if phase.root_finalize is not None:
-                    ctx._round = round_index
-                    phase.root_finalize(ctx, counters)
-                return
-            items: List[Any] = [
-                (subset_index, counters[subset_index])
-                for subset_index in sorted(counters)
-                if counters[subset_index]
+            state[self._counters] = counters
+            state[self._waiting] = _waiting_on_subtree(state)
+            state[self._flushed] = False
+            state[self.result_key] = None
+            return []
+        attach: Dict[int, int] = state.get(KEY_ATTACH_PARENT, _NOTHING)
+        if not attach:
+            return None
+        sends: List[Send] = []
+        for root in sorted(attach):
+            parent = (attach[root],)
+            sends += [
+                (parent, _AGG, (root, index, 1))
+                for index in sorted(memberships.get(root, ()))
             ]
-            bits = [wire_bits((root,) + item, ctx.n) for item in items]
-            bits.append(wire_bits((root,), ctx.n))
-            items.append(None)
-            queues.push(index, (index_of[parent],), round_index, bits, items)
+            sends.append((parent, _AGG_DONE, (root,)))
+        return sends
 
-        _converge(queues, tree, waiting_key, flushed_key, fold, flush)
-        frame.run_schedule(queues.streams)
+    def receive(
+        self, ctx: NodeContext, sender: int, kind: str, payload: Tuple[int, ...]
+    ) -> Sequence[Send]:
+        if ctx.state.get(KEY_IN_SAMPLE):
+            if kind == _AGG:
+                _root, index, count = payload
+                counters: Dict[int, int] = ctx.state[self._counters]
+                counters[index] = counters.get(index, 0) + count
+            elif kind == _AGG_DONE:
+                ctx.state[self._waiting].discard(sender)
+        return ()
+
+    def settle(self, ctx: NodeContext) -> Sequence[Send]:
+        state = ctx.state
+        if (
+            not state.get(KEY_IN_SAMPLE)
+            or state[self._waiting]
+            or state[self._flushed]
+        ):
+            return ()
+        state[self._flushed] = True
+        counters: Dict[int, int] = state[self._counters]
+        parent = state.get(KEY_PARENT)
+        if parent is None:
+            state[self.result_key] = dict(counters)
+            if self.root_finalize is not None:
+                self.root_finalize(ctx, counters)
+            return ()
+        root = state[KEY_ROOT]
+        to_parent = (parent,)
+        sends: List[Send] = [
+            (to_parent, _AGG, (root, index, counters[index]))
+            for index in sorted(counters)
+            if counters[index]
+        ]
+        sends.append((to_parent, _AGG_DONE, (root,)))
+        return sends
 
 
 # ---------------------------------------------------------------------------
 # generic broadcast down the tree and to attached leaves
 # ---------------------------------------------------------------------------
-class DownBroadcastPhase(Protocol):
+class DownBroadcastPhase(TreePhase):
     """Stream items from every component root to S_i and to Γ(S_i).
 
     ``items_fn(ctx)`` is evaluated at each root and must return a list of
     integer tuples (each becomes one O(log n)-bit message, prefixed with the
     component root on the wire).  ``store_fn(ctx, root, item)`` is applied at
     every receiving node — including the root itself — in arrival order.
+    A tree node forwards each item to its children and attached leaves in
+    the round it arrives.
     """
 
     name = "nc-down-broadcast"
@@ -797,101 +758,34 @@ class DownBroadcastPhase(Protocol):
         self.store_fn = store_fn
         self.name = label
 
-    def _forward(self, ctx: NodeContext, root: int, item: Tuple[int, ...]) -> None:
-        outbox = Outbox.for_ctx(ctx)
-        message = _wire(_DOWN, (root,) + tuple(item), ctx.n)
-        for child in ctx.state.get(KEY_CHILDREN, []):
-            outbox.push(child, message)
-        for leaf in sorted(ctx.state.get(KEY_ATTACHED_LEAVES, set())):
-            outbox.push(leaf, message)
+    @staticmethod
+    def _targets(state: Dict[str, Any]) -> Tuple[int, ...]:
+        """A tree node's children, then its attached leaves in ascending order."""
+        return tuple(state.get(KEY_CHILDREN, [])) + tuple(
+            sorted(state.get(KEY_ATTACHED_LEAVES, ()))
+        )
 
-    def on_start(self, ctx: NodeContext) -> None:
-        if _in_sample(ctx):
-            if ctx.state.get(KEY_PARENT) is None:
-                root = ctx.state[KEY_ROOT]
-                for item in self.items_fn(ctx):
-                    self.store_fn(ctx, root, tuple(item))
-                    self._forward(ctx, root, tuple(item))
-        elif not ctx.state.get(KEY_ATTACH_PARENT):
-            ctx.halt()
-
-    def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
-        for inbound in inbox:
-            if inbound.kind != _DOWN:
-                continue
-            payload = inbound.payload
-            root, item = payload[0], tuple(payload[1:])
+    def start(self, ctx: NodeContext) -> Optional[List[Send]]:
+        state = ctx.state
+        if not state.get(KEY_IN_SAMPLE):
+            return [] if state.get(KEY_ATTACH_PARENT) else None
+        if state.get(KEY_PARENT) is not None:
+            return []
+        root = state[KEY_ROOT]
+        # What the receivers decode: the wire carries ints.
+        items = [tuple(int(e) for e in item) for item in self.items_fn(ctx)]
+        for item in items:
             self.store_fn(ctx, root, item)
-            if _in_sample(ctx):
-                self._forward(ctx, root, item)
-        Outbox.for_ctx(ctx).flush()
+        targets = self._targets(state)
+        return [(targets, _DOWN, (root,) + item) for item in items]
 
-    def vectorized_kernel(self) -> "_DownBroadcastKernel":
-        return _DownBroadcastKernel()
-
-
-class _DownBroadcastKernel(VectorizedKernel):
-    """Columnar form of :class:`DownBroadcastPhase` (and final-labels).
-
-    *Apply*: each root evaluates ``items_fn`` and stores its own items;
-    the rest only record the ``on_start`` halts.  *Scatter*: a root's
-    items leave from round 1 on one queue per child and attached leaf;
-    a tree node forwards each item in the round it arrives, so at depth
-    ``d`` item ``k`` leaves in round ``d + 1 + k``.  *Gather*: every
-    receiver runs ``store_fn`` in arrival order.
-    """
-
-    def execute(self, frame: KernelFrame) -> None:
-        phase: DownBroadcastPhase = frame.protocol  # type: ignore[assignment]
-        items_fn, store_fn = phase.items_fn, phase.store_fn
-        live = frame.live
-        index_of = frame.index_of
-        queues = frame.outbox_schedule()
-        targets_of: Dict[int, List[int]] = {}
-
-        def targets(index: int, state: Dict[str, Any]) -> List[int]:
-            found = targets_of.get(index)
-            if found is None:
-                found = targets_of[index] = [
-                    index_of[child] for child in state.get(KEY_CHILDREN, [])
-                ] + [
-                    index_of[leaf]
-                    for leaf in sorted(state.get(KEY_ATTACHED_LEAVES, set()))
-                ]
-            return found
-
-        for index in frame.started:
-            ctx = live[index]
-            state = ctx.state
-            if state.get(KEY_IN_SAMPLE):
-                if state.get(KEY_PARENT) is None:
-                    root = state[KEY_ROOT]
-                    ctx._round = 0
-                    items = [tuple(item) for item in items_fn(ctx)]
-                    for item in items:
-                        store_fn(ctx, root, item)
-                    if items:
-                        bits = [wire_bits((root,) + item, ctx.n) for item in items]
-                        # What the receivers decode: the wire carries ints.
-                        payloads = [
-                            (int(root), tuple(int(e) for e in item)) for item in items
-                        ]
-                        queues.push(index, targets(index, state), 1, bits, payloads)
-            elif not state.get(KEY_ATTACH_PARENT):
-                frame.halted[index] = True
-
-        for round_index, receiver, inbox in queues.deliveries():
-            ctx = live[receiver]
-            ctx._round = round_index
-            state = ctx.state
-            for _receiver, _sender, payload in inbox:
-                root, item = payload
-                store_fn(ctx, root, item)
-                if state.get(KEY_IN_SAMPLE):
-                    bits = [wire_bits((root,) + item, ctx.n)]
-                    forward_to = targets(receiver, state)
-                    queues.push(receiver, forward_to, round_index, bits, (payload,))
-        frame.run_schedule(queues.streams)
+    def receive(
+        self, ctx: NodeContext, sender: int, kind: str, payload: Tuple[int, ...]
+    ) -> Sequence[Send]:
+        self.store_fn(ctx, payload[0], payload[1:])
+        if ctx.state.get(KEY_IN_SAMPLE):
+            return [(self._targets(ctx.state), _DOWN, payload)]
+        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -1148,7 +1042,7 @@ def select_best_subset(ctx: NodeContext, counters: Dict[int, int]) -> None:
 # ---------------------------------------------------------------------------
 # decision step 3: acknowledge / abort votes, aggregated to each root
 # ---------------------------------------------------------------------------
-class VotePhase(Protocol):
+class VotePhase(TreePhase):
     """Every audience node acknowledges its best candidate and aborts the rest.
 
     Attached leaves send one vote per adjacent component to their attachment
@@ -1161,135 +1055,65 @@ class VotePhase(Protocol):
     name = "nc-vote"
     scope = (KEY_IN_SAMPLE, KEY_BEST_KNOWN)
 
-    def on_start(self, ctx: NodeContext) -> None:
-        best_known: Dict[int, Tuple[int, int]] = ctx.state.get(KEY_BEST_KNOWN, {})
-        if _in_sample(ctx):
-            waiting = set(ctx.state.get(KEY_CHILDREN, []))
-            waiting |= set(ctx.state.get(KEY_ATTACHED_LEAVES, set()))
-            ctx.state["_vote_waiting"] = waiting
-            ctx.state["_vote_abort"] = False
-            ctx.state["_vote_flushed"] = False
+    def start(self, ctx: NodeContext) -> Optional[List[Send]]:
+        state = ctx.state
+        if state.get(KEY_IN_SAMPLE):
+            state["_vote_waiting"] = _waiting_on_subtree(state)
+            state["_vote_abort"] = False
+            state["_vote_flushed"] = False
             # A sampled node is only in the audience of its own component, so
             # its own vote is always an acknowledgement.
-            return
+            return []
+        best_known: Dict[int, Tuple[int, int]] = state.get(KEY_BEST_KNOWN, _NOTHING)
         if not best_known:
-            ctx.halt()
-            return
+            return None
         choice = self._choice(best_known)
-        attach: Dict[int, int] = ctx.state.get(KEY_ATTACH_PARENT, {})
-        outbox = Outbox.for_ctx(ctx)
+        attach: Dict[int, int] = state.get(KEY_ATTACH_PARENT, _NOTHING)
+        sends: List[Send] = []
         for root in sorted(best_known):
             parent = attach.get(root)
-            if parent is None:
-                continue
-            ack = 1 if root == choice else 0
-            outbox.push(parent, _wire(_VOTE, (root, ack), ctx.n))
+            if parent is not None:
+                ack = 1 if root == choice else 0
+                sends.append(((parent,), _VOTE, (root, ack)))
+        return sends
 
     @staticmethod
     def _choice(best_known: Dict[int, Tuple[int, int]]) -> int:
         """The paper's rule: largest |T|, ties towards the largest root id."""
         return max(best_known, key=lambda root: (best_known[root][1], root))
 
-    def on_round(self, ctx: NodeContext, inbox: List[Inbound]) -> None:
-        outbox = Outbox.for_ctx(ctx)
-        if not _in_sample(ctx):
-            outbox.flush()
-            return
-        waiting: Set[int] = ctx.state["_vote_waiting"]
-        for inbound in inbox:
-            if inbound.kind == _VOTE:
-                _root, ack = inbound.payload
-                if not ack:
-                    ctx.state["_vote_abort"] = True
-                waiting.discard(inbound.sender)
-            elif inbound.kind == _ABORT_STATE:
-                (flag,) = inbound.payload
-                if flag:
-                    ctx.state["_vote_abort"] = True
-                waiting.discard(inbound.sender)
+    def receive(
+        self, ctx: NodeContext, sender: int, kind: str, payload: Tuple[int, ...]
+    ) -> Sequence[Send]:
+        if not ctx.state.get(KEY_IN_SAMPLE):
+            return ()
+        if kind == _VOTE:
+            _root, ack = payload
+            abort = not ack
+        elif kind == _ABORT_STATE:
+            (abort,) = payload
+        else:
+            return ()
+        if abort:
+            ctx.state["_vote_abort"] = True
+        ctx.state["_vote_waiting"].discard(sender)
+        return ()
 
-        if not waiting and not ctx.state["_vote_flushed"]:
-            ctx.state["_vote_flushed"] = True
-            parent = ctx.state.get(KEY_PARENT)
-            abort = 1 if ctx.state["_vote_abort"] else 0
-            if parent is None:
-                ctx.state[KEY_ABORT_SEEN] = bool(abort)
-            else:
-                outbox.push(parent, _wire(_ABORT_STATE, (abort,), ctx.n))
-        outbox.flush()
-
-    def vectorized_kernel(self) -> "_VoteKernel":
-        return _VoteKernel()
-
-
-class _VoteKernel(VectorizedKernel):
-    """Columnar form of :class:`VotePhase`.
-
-    *Apply*: the ``on_start`` sweep (wait sets at tree nodes, the choice
-    at each audience node).  *Scatter*: each leaf's ``nc.vote`` items
-    leave from round 1; each tree node's ``nc.abort_state`` leaves once
-    it waits on nobody (:func:`_converge`).  *Gather*: a tree node ORs the
-    abort indications in arrival order; a root records what it saw.
-    """
-
-    def execute(self, frame: KernelFrame) -> None:
-        live = frame.live
-        index_of = frame.index_of
-        node_ids = frame.node_ids
-        queues = frame.outbox_schedule()
-        tree: Dict[int, NodeContext] = {}
-        for index in frame.started:
-            ctx = live[index]
-            state = ctx.state
-            best_known: Dict[int, Tuple[int, int]] = state.get(KEY_BEST_KNOWN, _NOTHING)
-            if state.get(KEY_IN_SAMPLE):
-                waiting = set(state.get(KEY_CHILDREN, []))
-                waiting |= set(state.get(KEY_ATTACHED_LEAVES, set()))
-                state["_vote_waiting"] = waiting
-                state["_vote_abort"] = False
-                state["_vote_flushed"] = False
-                tree[index] = ctx
-                continue
-            if not best_known:
-                frame.halted[index] = True
-                continue
-            choice = VotePhase._choice(best_known)
-            attach: Dict[int, int] = state.get(KEY_ATTACH_PARENT, _NOTHING)
-            # Payload: whether the item is an abort indication.
-            for root in sorted(best_known):
-                parent = attach.get(root)
-                if parent is None:
-                    continue
-                ack = 1 if root == choice else 0
-                bits = [wire_bits((root, ack), ctx.n)]
-                queues.push(index, (index_of[parent],), 1, bits, (not ack,))
-
-        def fold(ctx: NodeContext, inbox: Iterable[Tuple[int, int, Any]]) -> None:
-            state = ctx.state
-            waiting = state["_vote_waiting"]
-            for _receiver, sender, abort in inbox:
-                if abort:
-                    state["_vote_abort"] = True
-                waiting.discard(node_ids[sender])
-
-        def flush(ctx: NodeContext, index: int, round_index: int) -> None:
-            state = ctx.state
-            state["_vote_flushed"] = True
-            parent = state.get(KEY_PARENT)
-            abort = 1 if state["_vote_abort"] else 0
-            if parent is None:
-                state[KEY_ABORT_SEEN] = bool(abort)
-            else:
-                queues.push(
-                    index,
-                    (index_of[parent],),
-                    round_index,
-                    [wire_bits((abort,), ctx.n)],
-                    [bool(abort)],
-                )
-
-        _converge(queues, tree, "_vote_waiting", "_vote_flushed", fold, flush)
-        frame.run_schedule(queues.streams)
+    def settle(self, ctx: NodeContext) -> Sequence[Send]:
+        state = ctx.state
+        if (
+            not state.get(KEY_IN_SAMPLE)
+            or state["_vote_waiting"]
+            or state["_vote_flushed"]
+        ):
+            return ()
+        state["_vote_flushed"] = True
+        abort = 1 if state["_vote_abort"] else 0
+        parent = state.get(KEY_PARENT)
+        if parent is None:
+            state[KEY_ABORT_SEEN] = bool(abort)
+            return ()
+        return [((parent,), _ABORT_STATE, (abort,))]
 
 
 # ---------------------------------------------------------------------------

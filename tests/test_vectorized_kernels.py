@@ -23,6 +23,7 @@ callback loop raises them).
 from __future__ import annotations
 
 import collections
+import dataclasses
 import random
 
 import networkx as nx
@@ -40,14 +41,14 @@ from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.congest.node import Protocol, reset_in_scope
 from repro.congest.vectorized import _CallbackStepper
-from repro.core import phases
+from repro.core import near_clique, phases
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.reference import CentralizedNearCliqueFinder
 from repro.graphs import generators
 from repro.primitives.bfs_tree import KEY_CHILDREN, KEY_PARENT, KEY_ROOT
 from repro.primitives.pipelines import Outbox
 
-from conftest import run_fingerprint, without_kernel
+from conftest import CallbacksEngine, run_fingerprint, without_kernel
 
 GLOBALS = {
     phases.GLOBAL_EPSILON: 0.25,
@@ -752,35 +753,49 @@ def _k_aggregation():
     )
 
 
-def _run_phase(engine_name, graph, protocol, inputs, config=None):
+def _run_phase(arm, graph, protocol, inputs, config=None):
+    """One phase on hand-built *inputs*, as *arm* of :data:`CHAIN_ARMS` runs it.
+
+    *config* sets the limits (default: the log budget of the graph's n);
+    the arm picks the engine.
+    """
     network = Network(graph, seed=3)
-    return get_engine(engine_name).execute(
+    config = config or CongestConfig().with_log_budget(graph.number_of_nodes())
+    config = dataclasses.replace(config, **CHAIN_ARMS[arm])
+    return get_engine(config.engine).execute(
         network,
-        protocol,
-        config=config or CongestConfig().with_log_budget(graph.number_of_nodes()),
+        _arm_protocol(arm, protocol),
+        config=config,
         global_inputs=GLOBALS,
         per_node_inputs=inputs,
     )
 
 
-def _phase_outcome(engine_name, graph, protocol, inputs):
-    result = _run_phase(engine_name, graph, protocol, inputs)
+def _phase_outcome(arm, graph, protocol, inputs):
+    result = _run_phase(arm, graph, protocol, inputs)
     return run_fingerprint(result), _all_snapshots(result.contexts)
 
 
-class TestHandBuiltTrees:
-    """Tree kernels on hand-built states the pipeline never produces."""
+#: The arms held to the reference by the hand-built tree tests: the
+#: callbacks on the shared loop and on owner-routed workers, and the tree
+#: kernel.
+FAST_ARMS = ["callbacks", "vectorized", "process"]
 
-    def test_deep_path_aggregation_matches_reference(self):
+
+@pytest.mark.parametrize("arm", FAST_ARMS)
+class TestHandBuiltTrees:
+    """Tree phases on hand-built states the pipeline never produces."""
+
+    def test_deep_path_aggregation_matches_reference(self, arm):
         reference = _phase_outcome(
             "reference", DEEP_PATH, _k_aggregation(), _deep_path_inputs()
         )
         assert reference[0][1] > 4  # rounds: the sums climb three levels
         assert _phase_outcome(
-            "vectorized", DEEP_PATH, _k_aggregation(), _deep_path_inputs()
+            arm, DEEP_PATH, _k_aggregation(), _deep_path_inputs()
         ) == reference
 
-    def test_stalled_wait_in_up_aggregation(self):
+    def test_stalled_wait_in_up_aggregation(self, arm):
         # Node 1 waits on child 2, which is out of scope and never reports:
         # 1 and the root stall with partial counters, and the phase
         # quiesces once the leaves' streams drain.
@@ -797,10 +812,10 @@ class TestHandBuiltTrees:
         state = reference[1][0][0]
         assert state[phases.KEY_K_ROOT_SIZES] is None
         assert state[phases.KEY_K_ROOT_SIZES + ".waiting"] == {1}
-        candidate = _phase_outcome("vectorized", graph, _k_aggregation(), inputs)
+        candidate = _phase_outcome(arm, graph, _k_aggregation(), inputs)
         assert candidate == reference
 
-    def test_stalled_wait_in_vote(self):
+    def test_stalled_wait_in_vote(self, arm):
         graph = nx.Graph([(0, 1), (1, 2), (0, 4), (1, 5), (5, 7)])
         best = phases.KEY_BEST_KNOWN
         inputs = {
@@ -815,10 +830,10 @@ class TestHandBuiltTrees:
         reference = _phase_outcome("reference", graph, phases.VotePhase(), inputs)
         assert reference[1][0][0]["_vote_waiting"] == {1}
         assert reference[1][1][0]["_vote_abort"] is True
-        candidate = _phase_outcome("vectorized", graph, phases.VotePhase(), inputs)
+        candidate = _phase_outcome(arm, graph, phases.VotePhase(), inputs)
         assert candidate == reference
 
-    def test_down_broadcast_backlog_on_a_shared_child(self):
+    def test_down_broadcast_backlog_on_a_shared_child(self, arm):
         # Roots 0 and 10 both list 5 as a child, so 5 receives two items a
         # round and its queue to 6 backs up: the forwards leave one per
         # round after the backlog, not in the round they were pushed.
@@ -838,9 +853,9 @@ class TestHandBuiltTrees:
 
         reference = _phase_outcome("reference", graph, phase(), inputs)
         assert reference[0][1] == 6  # 4 items through 5's queue, from round 2
-        assert _phase_outcome("vectorized", graph, phase(), inputs) == reference
+        assert _phase_outcome(arm, graph, phase(), inputs) == reference
 
-    def test_final_labels_overwrite_in_arrival_order(self):
+    def test_final_labels_overwrite_in_arrival_order(self, arm):
         # 20 hears both surviving candidates in round 2; the callbacks
         # apply the inbox in sender order, so root 10's label wins.
         graph = nx.Graph([(0, 20), (10, 20)])
@@ -852,18 +867,27 @@ class TestHandBuiltTrees:
         }
         reference = _phase_outcome("reference", graph, phases.FinalLabelPhase(), inputs)
         assert reference[0][0][20] == 10
-        assert _phase_outcome(
-            "vectorized", graph, phases.FinalLabelPhase(), inputs
-        ) == reference
+        assert _phase_outcome(arm, graph, phases.FinalLabelPhase(), inputs) == reference
 
 
-def _root_sizes(engine_name, graph, inputs, phase=None, roots=(0,)):
+def _root_sizes(arm, graph, inputs, phase=None, roots=(0,)):
     """Each root's ``KEY_K_ROOT_SIZES`` after one aggregation phase."""
-    result = _run_phase(engine_name, graph, phase or _k_aggregation(), inputs)
+    result = _run_phase(arm, graph, phase or _k_aggregation(), inputs)
     return {
         root: result.contexts.peek(root).state[phases.KEY_K_ROOT_SIZES]
         for root in roots
     }
+
+
+def _record_finalize(ctx, counters):
+    """A ``root_finalize`` that leaves each call's counts in the node's state."""
+    ctx.state.setdefault("finalized", []).append(dict(counters))
+
+
+def _give_subset_nine(ctx):
+    """A ``pre_start`` that marks the node and makes it a member of subset 9."""
+    ctx.state["pre_started"] = True
+    ctx.state[phases.KEY_K_MEMBERSHIP] = {0: {9}}
 
 
 class TestUpAggregationSums:
@@ -872,26 +896,27 @@ class TestUpAggregationSums:
     These are the K and T sums of exploration Step 4c and decision Step 1:
     every contributing node counts each of its subset indices once, and
     the counts add up over the component's tree nodes and attached leaves
-    at the component root.  Both engines must reach the same sums.
+    at the component root.  Every arm must reach the same sums; the hooks
+    record into the node state, which the process arm folds back.
     """
 
-    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
-    def test_deep_path_sums_per_subset(self, engine_name):
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_deep_path_sums_per_subset(self, arm):
         # Subset 1: nodes 0, 1, 3 and leaf 4; subset 2: node 3 and both
         # leaves; subset 3: nodes 1, 2 and leaf 4.
-        sizes = _root_sizes(engine_name, DEEP_PATH, _deep_path_inputs())
+        sizes = _root_sizes(arm, DEEP_PATH, _deep_path_inputs())
         assert sizes == {0: {1: 4, 2: 3, 3: 3}}
 
-    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
-    def test_star_of_attached_leaves(self, engine_name):
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_star_of_attached_leaves(self, arm):
         graph = nx.star_graph(9)
         k = phases.KEY_K_MEMBERSHIP
         inputs = {0: _tree_node(0, None, [], range(1, 10), **{k: {0: {5}}})}
         inputs.update({v: _leaf({0: 0}, **{k: {0: {5}}}) for v in range(1, 10)})
-        assert _root_sizes(engine_name, graph, inputs) == {0: {5: 10}}
+        assert _root_sizes(arm, graph, inputs) == {0: {5: 10}}
 
-    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
-    def test_missing_memberships_count_as_empty(self, engine_name):
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_missing_memberships_count_as_empty(self, arm):
         # Only node 2 holds a membership table; the root, node 1 and the
         # leaf under node 2 contribute nothing but still report done.
         graph = nx.path_graph(4)
@@ -902,10 +927,10 @@ class TestUpAggregationSums:
             2: _tree_node(0, 1, [], [3], **{k: {0: {7, 8}}}),
             3: _leaf({0: 2}),
         }
-        assert _root_sizes(engine_name, graph, inputs) == {0: {7: 1, 8: 1}}
+        assert _root_sizes(arm, graph, inputs) == {0: {7: 1, 8: 1}}
 
-    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
-    def test_components_sum_separately(self, engine_name):
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_components_sum_separately(self, arm):
         # Leaf 2 is attached to both components and belongs to a different
         # subset in each; every root counts only its own memberships.
         graph = nx.Graph([(0, 1), (1, 2), (2, 10), (10, 11), (11, 12)])
@@ -918,64 +943,60 @@ class TestUpAggregationSums:
             2: _leaf({0: 1, 10: 10}, **{k: {0: {2}, 10: {4, 6}}}),
             12: _leaf({10: 11}, **{k: {10: {6}}}),
         }
-        sizes = _root_sizes(engine_name, graph, inputs, roots=(0, 10))
+        sizes = _root_sizes(arm, graph, inputs, roots=(0, 10))
         assert sizes == {0: {1: 2, 2: 2}, 10: {4: 3, 6: 2}}
 
-    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
-    def test_root_finalize_sees_the_complete_counts(self, engine_name):
-        seen = []
-
-        def finalize(ctx, counters):
-            seen.append((ctx.node_id, dict(counters)))
-
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_root_finalize_sees_the_complete_counts(self, arm):
         phase = phases.UpAggregationPhase(
             membership_key=phases.KEY_K_MEMBERSHIP,
             result_key=phases.KEY_K_ROOT_SIZES,
-            root_finalize=finalize,
+            root_finalize=_record_finalize,
         )
-        sizes = _root_sizes(engine_name, DEEP_PATH, _deep_path_inputs(), phase)
-        assert seen == [(0, sizes[0])]
+        result = _run_phase(arm, DEEP_PATH, phase, _deep_path_inputs())
+        states = {v: result.contexts.peek(v).state for v in DEEP_PATH}
+        finalized = {
+            v: state["finalized"] for v, state in states.items() if "finalized" in state
+        }
+        assert finalized == {0: [states[0][phases.KEY_K_ROOT_SIZES]]}
 
-    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
-    def test_pre_start_runs_before_counting_at_participants_only(self, engine_name):
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_pre_start_runs_before_counting_at_participants_only(self, arm):
         # pre_start gives every participant subset 9; node 6, neither in
         # the sample nor attached, never runs it.
-        started = []
-
-        def pre_start(ctx):
-            started.append(ctx.node_id)
-            ctx.state[phases.KEY_K_MEMBERSHIP] = {0: {9}}
-
         phase = phases.UpAggregationPhase(
             membership_key=phases.KEY_K_MEMBERSHIP,
             result_key=phases.KEY_K_ROOT_SIZES,
-            pre_start=pre_start,
+            pre_start=_give_subset_nine,
         )
         graph = nx.Graph(DEEP_PATH)
         graph.add_edge(5, 6)
         inputs = _deep_path_inputs()
         inputs[6] = {"other": True}
-        sizes = _root_sizes(engine_name, graph, inputs, phase)
+        result = _run_phase(arm, graph, phase, inputs)
+        started = [
+            v for v in graph if result.contexts.peek(v).state.get("pre_started")
+        ]
         assert sorted(started) == [0, 1, 2, 3, 4, 5]
-        assert sizes == {0: {9: 6}}
+        assert result.contexts.peek(0).state[phases.KEY_K_ROOT_SIZES] == {9: 6}
 
 
 class TestDownBroadcastReach:
     """A root's items reach its whole tree and every attached leaf."""
 
     @staticmethod
-    def _k_sizes(engine_name, graph, inputs):
+    def _k_sizes(arm, graph, inputs):
         phase = phases.DownBroadcastPhase(
             items_fn=phases.k_size_items, store_fn=phases.store_k_size
         )
-        result = _run_phase(engine_name, graph, phase, inputs)
+        result = _run_phase(arm, graph, phase, inputs)
         return {
             node_id: result.contexts.peek(node_id).state.get(phases.KEY_K_SIZES)
             for node_id in sorted(graph)
         }
 
-    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
-    def test_items_reach_tree_and_leaves_only(self, engine_name):
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_items_reach_tree_and_leaves_only(self, arm):
         # Zero sizes are not broadcast; node 5 is outside S and Γ(S).
         graph = nx.Graph([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)])
         inputs = {
@@ -989,19 +1010,19 @@ class TestDownBroadcastReach:
             5: {"other": True},
         }
         table = {0: {1: 3, 4: 5}}
-        assert self._k_sizes(engine_name, graph, inputs) == {
+        assert self._k_sizes(arm, graph, inputs) == {
             0: table, 1: table, 2: table, 3: table, 4: table, 5: None
         }
 
-    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
-    def test_shared_leaf_hears_both_roots(self, engine_name):
+    @pytest.mark.parametrize("arm", list(CHAIN_ARMS))
+    def test_shared_leaf_hears_both_roots(self, arm):
         graph = nx.Graph([(0, 20), (10, 20)])
         inputs = {
             0: _tree_node(0, None, [], [20], **{phases.KEY_K_ROOT_SIZES: {1: 2}}),
             10: _tree_node(10, None, [], [20], **{phases.KEY_K_ROOT_SIZES: {3: 4}}),
             20: _leaf({0: 0, 10: 10}),
         }
-        assert self._k_sizes(engine_name, graph, inputs) == {
+        assert self._k_sizes(arm, graph, inputs) == {
             0: {0: {1: 2}},
             10: {10: {3: 4}},
             20: {0: {1: 2}, 10: {3: 4}},
@@ -1053,6 +1074,113 @@ class TestKernelCoverage:
             assert not calls
         else:
             assert sorted(calls) == sorted(self.TREE_PHASES)
+
+
+#: The runner's engine per arm; ``callbacks`` suppresses every kernel.
+RUNNER_ENGINES = {
+    "reference": "reference",
+    "callbacks": CallbacksEngine(),
+    "vectorized": "vectorized",
+}
+
+
+def _planted_run(arm, graph=None):
+    """A runner on the planted chain graph under its forced sample."""
+    graph = graph or dict((name, g) for name, g, _ in CHAIN_GRAPHS)["planted"]
+    runner = DistNearCliqueRunner(
+        epsilon=0.25,
+        sample_probability=0.1,
+        config=CongestConfig(engine=RUNNER_ENGINES[arm]).with_log_budget(
+            graph.number_of_nodes()
+        ),
+    )
+    return runner.run(graph, sample=PLANTED_SAMPLE)
+
+
+class TestStep4aMemo:
+    """Step 4a evaluates each distinct subset row once per run."""
+
+    @pytest.mark.parametrize("arm", list(RUNNER_ENGINES))
+    def test_one_scan_per_distinct_row(self, arm, monkeypatch):
+        scans = []
+        original = near_clique.subset_membership
+
+        def counting(masks, member_count, epsilon, *args, **kwargs):
+            scans.append((member_count, tuple(masks), epsilon))
+            return original(masks, member_count, epsilon, *args, **kwargs)
+
+        monkeypatch.setattr(near_clique, "subset_membership", counting)
+        _planted_run(arm)
+        assert scans and len(scans) == len(set(scans))
+        # More nodes share a row than there are rows, so a memo per node
+        # would scan some row twice.
+        graph = dict((name, g) for name, g, _ in CHAIN_GRAPHS)["planted"]
+        audience = set(PLANTED_SAMPLE).union(*(graph[v] for v in PLANTED_SAMPLE))
+        assert len(audience) > len(scans)
+
+
+#: The runner's own phase sequence, before any test patches it.
+_PHASE_SEQUENCE = DistNearCliqueRunner._phase_sequence
+
+
+class TestHookContract:
+    """The injected hooks run alike on the callbacks and the tree kernel.
+
+    ``pre_start``, ``root_finalize``, ``items_fn`` and ``store_fn`` run at
+    the same nodes, as often, in the same order, with the same arguments
+    and at the same round index on every in-process arm.
+    """
+
+    @staticmethod
+    def _logged_sequence(log):
+        def logged(phase, hook, function):
+            def wrapper(ctx, *args):
+                result = function(ctx, *args)
+                if hook == "root_finalize":
+                    args = (sorted(args[0].items()),)
+                log.append(
+                    (phase.name, hook, ctx.node_id, ctx.round_index, args, result)
+                )
+                return result
+
+            return wrapper
+
+        sequence = _PHASE_SEQUENCE()
+        for phase in sequence:
+            for hook in ("pre_start", "root_finalize", "items_fn", "store_fn"):
+                function = getattr(phase, hook, None)
+                if function is not None:
+                    setattr(phase, hook, logged(phase, hook, function))
+        return sequence
+
+    def _log(self, arm, monkeypatch):
+        log = []
+        monkeypatch.setattr(
+            DistNearCliqueRunner,
+            "_phase_sequence",
+            staticmethod(lambda: self._logged_sequence(log)),
+        )
+        _planted_run(arm)
+        return log
+
+    def test_hooks_match_across_arms(self, monkeypatch):
+        reference = self._log("reference", monkeypatch)
+        assert {(entry[0], entry[1]) for entry in reference} == {
+            ("nc-t-aggregation", "pre_start"),
+            ("nc-t-aggregation", "root_finalize"),
+            ("nc-k-size-broadcast", "items_fn"),
+            ("nc-k-size-broadcast", "store_fn"),
+            ("nc-best-broadcast", "items_fn"),
+            ("nc-best-broadcast", "store_fn"),
+            ("nc-final-labels", "items_fn"),
+            ("nc-final-labels", "store_fn"),
+        }
+        # Stores and finalizes happen past round 1, so the round index
+        # is checked where the kernel sets it from the schedule.
+        assert max(entry[3] for entry in reference if entry[1] == "store_fn") > 2
+        assert any(entry[3] > 1 for entry in reference if entry[1] == "root_finalize")
+        for arm in ("callbacks", "vectorized"):
+            assert self._log(arm, monkeypatch) == reference, arm
 
 
 class TestScheduleErrorParity:
