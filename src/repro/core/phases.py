@@ -757,18 +757,17 @@ class DownBroadcastPhase(TreePhase):
         self.items_fn = items_fn
         self.store_fn = store_fn
         self.name = label
-
-    @staticmethod
-    def _targets(state: Dict[str, Any]) -> Tuple[int, ...]:
-        """A tree node's children, then its attached leaves in ascending order."""
-        return tuple(state.get(KEY_CHILDREN, [])) + tuple(
-            sorted(state.get(KEY_ATTACHED_LEAVES, ()))
-        )
+        #: Each tree node's children, then its attached leaves in ascending
+        #: order; set by ``start``, reused for every item the node forwards.
+        self._targets: Dict[int, Tuple[int, ...]] = {}
 
     def start(self, ctx: NodeContext) -> Optional[List[Send]]:
         state = ctx.state
         if not state.get(KEY_IN_SAMPLE):
             return [] if state.get(KEY_ATTACH_PARENT) else None
+        targets = self._targets[ctx.node_id] = tuple(
+            state.get(KEY_CHILDREN, [])
+        ) + tuple(sorted(state.get(KEY_ATTACHED_LEAVES, ())))
         if state.get(KEY_PARENT) is not None:
             return []
         root = state[KEY_ROOT]
@@ -776,7 +775,6 @@ class DownBroadcastPhase(TreePhase):
         items = [tuple(int(e) for e in item) for item in self.items_fn(ctx)]
         for item in items:
             self.store_fn(ctx, root, item)
-        targets = self._targets(state)
         return [(targets, _DOWN, (root,) + item) for item in items]
 
     def receive(
@@ -784,7 +782,7 @@ class DownBroadcastPhase(TreePhase):
     ) -> Sequence[Send]:
         self.store_fn(ctx, payload[0], payload[1:])
         if ctx.state.get(KEY_IN_SAMPLE):
-            return [(self._targets(ctx.state), _DOWN, payload)]
+            return [(self._targets[ctx.node_id], _DOWN, payload)]
         return ()
 
 

@@ -885,8 +885,8 @@ def _record_finalize(ctx, counters):
 
 
 def _give_subset_nine(ctx):
-    """A ``pre_start`` that marks the node and makes it a member of subset 9."""
-    ctx.state["pre_started"] = True
+    """A ``pre_start`` that counts its calls and gives the node subset 9."""
+    ctx.state["pre_started"] = ctx.state.get("pre_started", 0) + 1
     ctx.state[phases.KEY_K_MEMBERSHIP] = {0: {9}}
 
 
@@ -974,10 +974,12 @@ class TestUpAggregationSums:
         inputs = _deep_path_inputs()
         inputs[6] = {"other": True}
         result = _run_phase(arm, graph, phase, inputs)
-        started = [
-            v for v in graph if result.contexts.peek(v).state.get("pre_started")
-        ]
-        assert sorted(started) == [0, 1, 2, 3, 4, 5]
+        calls = {
+            v: result.contexts.peek(v).state["pre_started"]
+            for v in graph
+            if "pre_started" in result.contexts.peek(v).state
+        }
+        assert calls == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
         assert result.contexts.peek(0).state[phases.KEY_K_ROOT_SIZES] == {9: 6}
 
 
