@@ -55,6 +55,12 @@ class NearCliqueResult:
     belongs to — or ``None`` (the paper's ⊥).  Two nodes belong to the same
     discovered near-clique exactly when they hold the same non-``None``
     label.
+
+    ``labels`` maps every node to its label or ``None``.  Treat it as
+    read-only: the query service (:mod:`repro.service.incremental`) lets
+    answers share it, so an incremental answer whose dirty region kept
+    its labels holds its base answer's dict, and a cached answer is the
+    previous result itself.
     """
 
     labels: Dict[int, Optional[int]]

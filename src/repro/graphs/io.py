@@ -111,7 +111,9 @@ def load_snap_edgelist(path: str) -> np.ndarray:
         pairs = _bulk_edge_pairs(handle.read())
     if pairs is None:
         return _load_snap_lines(path)
-    return pairs[pairs[:, 0] != pairs[:, 1]]
+    loops = pairs[:, 0] == pairs[:, 1]
+    # A file without loops is returned as parsed: the mask would copy it.
+    return pairs[~loops] if loops.any() else pairs
 
 
 #: The leading block of blank and ``#`` lines of a SNAP file (its header;

@@ -124,7 +124,9 @@ class NearCliqueDaemon:
         return served
 
     def _emit(self, response: Dict[str, Any]) -> None:
-        self.writer.write(protocol.encode_response(response) + "\n")
+        # The newline is a second write: appending it would copy the line.
+        self.writer.write(protocol.encode_response(response))
+        self.writer.write("\n")
         self.writer.flush()
 
     # ------------------------------------------------------------------

@@ -30,7 +30,11 @@ sub-network sliced from the service's CSR (:meth:`Network.induced`):
   bound is ``max_sample_size`` minus the cached sample kept outside the
   region, which aborts exactly when the merged sample would exceed the
   bound (with the full run's abort reason, verbatim);
-* candidate sets are spliced — cached candidates whose component is
+* labels and candidate sets are spliced.  The region's labels are
+  written over the cached ones copy-on-write: the labels dict is copied
+  only when some region label moved, and otherwise the answer shares
+  the cached result's dict, so callers treat an answer's ``labels`` as
+  read-only.  The candidates are the cached ones whose component is
   disjoint from the region, plus the sub-run's, re-sorted by component
   root as the full harvest orders them.
 
@@ -66,6 +70,10 @@ class QueryOutcome:
     An incremental answer spliced from a cached result also names that
     result (*base*) and the labels of its dirty region (*region*): every
     node outside the region has the label it has in *base*.
+
+    ``result.labels`` may be the very dict of *base* (an incremental
+    answer whose region labels did not move) or of the previous answer
+    (a cached answer returns that whole result), so it is read-only.
     """
 
     result: NearCliqueResult
@@ -181,6 +189,11 @@ class NearCliqueService:
         be spliced; a full pipeline run otherwise.  All three paths return
         outputs bit-identical to ``DistNearCliqueRunner`` on a fresh
         ``Network(graph, seed=seed)`` of the current edge set.
+
+        The answer may share its ``labels`` dict with an earlier one: a
+        cached answer returns the previous result itself, and an
+        incremental answer whose region labels did not move shares its
+        base's dict.  Treat it as read-only; copy it to change it.
         """
         if not self._dirty_ids and self._cached is not None:
             if self._cached_seed == seed and not self._cached.aborted:
@@ -315,9 +328,13 @@ class NearCliqueService:
 
         # The sub-network's nodes are this network's integer ids, so the
         # sub-result is keyed (and valued) in ids; translate on the way in.
-        labels: Dict[Any, Optional[Any]] = dict(cached.labels)
+        # Copy on write: the cached dict is shared unless a label moved.
+        moved: Dict[Any, Optional[Any]] = {}
         for v in region:
-            labels[label_of[v]] = out_label(sub_result.labels[v])
+            node, value = label_of[v], out_label(sub_result.labels[v])
+            if cached.labels[node] != value:
+                moved[node] = value
+        labels = {**cached.labels, **moved} if moved else cached.labels
 
         sample = (frozenset(cached.sample) - region_labels) | frozenset(
             label_of[v] for v in sub_result.sample

@@ -194,18 +194,22 @@ def encode_response(payload: Dict[str, Any]) -> str:
     """One response line (no trailing newline), keys sorted for stability.
 
     The bytes of encoding the whole payload, but an :class:`EncodedLabels`
-    value is spliced in as its text rather than encoded again.
+    value is spliced in as its text rather than encoded again.  The line
+    is written by one join over its parts, so a large ``labels`` text is
+    copied once.
     """
-    return "{%s}" % ",".join(
-        _ENCODER.encode(key)
-        + ":"
-        + (
-            value.text
-            if isinstance(value, EncodedLabels)
-            else _ENCODER.encode(value)
+    parts: List[str] = []
+    for key, value in sorted(payload.items()):
+        parts += (
+            ",",
+            _ENCODER.encode(key),
+            ":",
+            value.text if isinstance(value, EncodedLabels) else _ENCODER.encode(value),
         )
-        for key, value in sorted(payload.items())
-    )
+    # The first part is a separator, or absent for an empty payload.
+    parts[:1] = ("{",)
+    parts.append("}")
+    return "".join(parts)
 
 
 def ok_response(cmd: str, **payload: Any) -> Dict[str, Any]:

@@ -280,6 +280,16 @@ class TestLoadSnapEdgelist:
         assert pairs.dtype == np.int64 and pairs.shape == (5, 2)
         assert pairs.tolist() == [[0, 3], [3, 0], [3, 7], [12, 7], [12, 40]]
 
+    def test_a_loop_free_file_is_returned_as_parsed(self, tmp_path, monkeypatch):
+        parsed = []
+        bulk = io._bulk_edge_pairs
+        monkeypatch.setattr(
+            io, "_bulk_edge_pairs", lambda raw: parsed.append(bulk(raw)) or parsed[-1]
+        )
+        assert io.load_snap_edgelist(self._write(tmp_path, "0 1\n1 2\n")) is parsed[0]
+        pairs = io.load_snap_edgelist(self._write(tmp_path, "0 1\n2 2\n"))
+        assert pairs.dtype == np.int64 and pairs.tolist() == [[0, 1]]
+
     def test_relabel_densifies_and_keeps_snap_ids(self, tmp_path):
         graph = cli._relabelled_snap_graph(
             io.load_snap_edgelist(self._write(tmp_path, self.SNAP_SAMPLE))

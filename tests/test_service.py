@@ -34,6 +34,7 @@ from repro.congest.errors import (
 from repro.congest.network import Network
 from repro.core.dist_near_clique import DistNearCliqueRunner
 from repro.core.params import AlgorithmParameters
+from repro.graphs import generators
 from repro.service import (
     NearCliqueDaemon,
     NearCliqueService,
@@ -339,6 +340,49 @@ class TestServiceQueries:
             assert outcome.record.kind == "incremental"
             assert outcome.record.recomputed_nodes == 10
         assert engines == ["reference", DEFAULT_ENGINE]
+
+
+def _cli_serve_workload():
+    """The graph and parameters ``serve --n 48 --seed 1`` builds by default."""
+    graph, _ = generators.planted_near_clique(
+        n=48, clique_fraction=0.5, epsilon=0.2**3, background_p=0.05, seed=1
+    )
+    parameters = AlgorithmParameters(
+        epsilon=0.2, sample_probability=8 / 48, max_sample_size=13
+    )
+    return graph, parameters
+
+
+class TestCopyOnWriteLabels:
+    """An incremental answer copies the labels dict only when one moved."""
+
+    def _answer_after_removing(self, edge):
+        graph, parameters = _cli_serve_workload()
+        service = NearCliqueService(graph.copy(), parameters)
+        with service:
+            base = service.query(seed=1)
+            snapshot = dict(base.result.labels)
+            service.apply_delta(removals=[edge])
+            graph.remove_edge(*edge)
+            outcome = service.query(seed=1)
+        assert outcome.record.kind == "incremental"
+        assert outcome.base is base.result
+        _assert_identical(outcome.result, _fresh(graph, 1, parameters))
+        return base.result, snapshot, outcome.result
+
+    def test_an_answer_whose_region_kept_its_labels_shares_the_dict(self):
+        # Removing (0, 1) re-runs a 44-node region and moves no label.
+        base, snapshot, result = self._answer_after_removing((0, 1))
+        assert result.labels is base.labels
+        assert base.labels == snapshot
+
+    def test_an_answer_that_moves_labels_gets_a_new_dict(self):
+        # Removing (0, 8) moves the labels of nodes 8 and 16 (the CI
+        # transcript's first delta).
+        base, snapshot, result = self._answer_after_removing((0, 8))
+        assert result.labels is not base.labels
+        assert {v for v in snapshot if result.labels[v] != snapshot[v]} == {8, 16}
+        assert base.labels == snapshot
 
 
 class TestServiceOnWorkerProcesses:
@@ -1183,6 +1227,29 @@ class TestProtocol:
         ]
         assert fresh == [order.position[17] // order.size]
         assert len(patched.chunks) == len(base.chunks) == 7
+
+    @pytest.mark.parametrize("count", [0, 1, 26], ids=["no-pairs", "one-pair", "mixed"])
+    def test_encode_response_writes_what_json_dumps_writes(self, count):
+        assert encode_response({}) == "{}"
+        nodes = self._NODES[:count]
+        order = LabelOrder(nodes)
+        labels = order.encode({v: nodes[i // 3] for i, v in enumerate(nodes)})
+        payloads = [
+            {"labels": labels},
+            {
+                "ok": True,
+                "cmd": "query",
+                "labels": labels,
+                "sample": [1, "a"],
+                "metrics": {"rounds": 3, "total_bits": 10},
+                "abort_reason": None,
+            },
+        ]
+        for payload in payloads:
+            plain = dict(payload, labels=[list(pair) for pair in labels])
+            assert encode_response(payload) == json.dumps(
+                plain, sort_keys=True, separators=(",", ":")
+            )
 
     def test_a_patch_that_moves_no_label_returns_the_base(self):
         nodes = list(range(10))
