@@ -460,19 +460,20 @@ class Network:
             src, dst = self._read_pairs(graph)
         else:
             src, dst = self._read_adjacency(graph)
-        self._finish_init(_build_csr(len(self._ids), src, dst), seed, announced_n)
+        self._finish_init(src, dst, seed, announced_n)
 
     def _finish_init(
         self,
-        csr: Tuple[np.ndarray, np.ndarray],
+        src: np.ndarray,
+        dst: np.ndarray,
         seed: Optional[int],
         announced_n: Optional[int],
     ) -> None:
-        """Install the CSR ``(indptr, indices)`` of the assigned ids; reset the rest."""
+        """Build the CSR from the dense pairs of the assigned ids; reset the rest."""
         self._rows = _NeighborRows(self._ids, self._index_of, self._dense_ids)
         #: Ids whose cached row a delta changed and the arrays do not hold yet.
         self._stale: set = set()
-        self._install(*csr)
+        self._install(*_build_csr(len(self._ids), src, dst))
 
         self.reseed(seed)
         self._announced_n = announced_n
@@ -888,10 +889,7 @@ class Network:
         the set masked out and the survivors renumbered to local indices.
         A kept row a delta changed is read from the cached tuples, so the
         cost stays that of the kept rows: nothing is compacted, and no
-        array of the whole network's size is allocated.  Only then do the
-        gathered pairs go through :func:`_build_csr`'s sort; without such
-        a row they already come out in CSR order and are installed as
-        they are.
+        array of the whole network's size is allocated.
         """
         index_of = self._index_of
         rows = np.array(
@@ -927,14 +925,5 @@ class Network:
         # it; a neighbour whose rank points at another row is outside.
         local = np.searchsorted(rows, dst)
         inside = rows[np.minimum(local, len(rows) - 1)] == dst
-        src, local = src[inside], local[inside]
-        if stale:
-            csr = _build_csr(len(rows), src, local)
-        else:
-            # Ascending rows, each gathered in its ascending order with no
-            # loop or repeat: the survivors already are the CSR indices.
-            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=len(rows)), out=indptr[1:])
-            csr = indptr, local
-        sub._finish_init(csr, seed, announced_n)
+        sub._finish_init(src[inside], local[inside], seed, announced_n)
         return sub

@@ -124,9 +124,7 @@ class NearCliqueDaemon:
         return served
 
     def _emit(self, response: Dict[str, Any]) -> None:
-        # The newline is a second write: appending it would copy the line.
-        self.writer.write(protocol.encode_response(response))
-        self.writer.write("\n")
+        self.writer.write(protocol.encode_response(response) + "\n")
         self.writer.flush()
 
     # ------------------------------------------------------------------

@@ -222,30 +222,6 @@ class TestInducedSubNetwork:
         assert topology(sub) == topology(Network(nx.Graph(graph.subgraph(ids))))
 
 
-class TestInducedArrays:
-    def test_clean_rows_are_installed_without_the_csr_sort(self, monkeypatch):
-        graph = nx.gnp_random_graph(40, 0.2, seed=4)
-        region = list(range(5, 30, 2))
-        expected = Network(nx.Graph(graph.subgraph(region)))
-        network = Network(graph)
-        calls = []
-        build = network_module._build_csr
-        monkeypatch.setattr(
-            network_module, "_build_csr", lambda *a: calls.append(a) or build(*a)
-        )
-        sub = network.induced(region)
-        assert calls == []
-        for got, want in zip(sub.csr_numpy(), expected.csr_numpy()):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        # A stale kept row goes through the builder's sort.
-        edge = next(iter(graph.subgraph(region).edges()))
-        network.apply_delta(removals=[edge])
-        graph.remove_edge(*edge)
-        sub = network.induced(region)
-        assert len(calls) == 1
-        assert topology(sub) == topology(Network(nx.Graph(graph.subgraph(region))))
-
-
 #: Pair-array endpoints: small ints (so rows repeat, in both orientations,
 #: and self-loops occur), gappy and negative int64 ids, and ids past int64
 #: (which need an object array).
